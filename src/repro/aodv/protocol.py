@@ -5,7 +5,8 @@ paper's simulations:
 
 * expanding-ring RREQ flooding with per-(origin, rreq_id) dedup — the
   "controlled broadcast" cache the authors added to ns-2 is inherent
-  here: a node processes each RREQ id once;
+  here: a node processes each RREQ id once (:class:`RreqSeenTable`,
+  which also lets the radio skip the handlers of duplicate copies);
 * reverse-route installation at every hop an RREQ crosses;
 * RREP generation by the destination (always) and by intermediate nodes
   with a fresh-enough route (configurable), unicast back hop-by-hop;
@@ -24,8 +25,9 @@ the message families the paper measures.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
@@ -36,7 +38,7 @@ from ..routing.base import Router
 from .messages import SEQ_UNKNOWN, DataPacket, Hello, Rerr, Rrep, Rreq
 from .table import RouteTable
 
-__all__ = ["AodvConfig", "AodvAgent", "AodvRouter"]
+__all__ = ["AodvConfig", "AodvAgent", "AodvRouter", "RreqSeenTable"]
 
 KIND_CTRL = "aodv.ctrl"
 KIND_DATA = "aodv.data"
@@ -94,6 +96,61 @@ class AodvConfig:
         """RREP wait time for a ring of radius ``ttl`` (2 x traversal)."""
         return 2.0 * self.node_traversal_time * (ttl + 2)
 
+    @property
+    def path_discovery_time(self) -> float:
+        """How long an RREQ id is remembered (draft §10:
+        ``2 * NET_TRAVERSAL_TIME``; 3.2 s at the defaults, several times
+        the longest a copy can still be in flight)."""
+        return 2.0 * (2.0 * self.node_traversal_time * self.net_diameter)
+
+
+RreqKey = Tuple[int, int]
+
+
+class RreqSeenTable:
+    """RREQ dedup state of all agents of one router.
+
+    ``(origin, rreq_id) -> ids of the nodes that processed it``: the
+    single source of truth for :meth:`AodvAgent._on_rreq`'s duplicate
+    check, and -- read-only, via :meth:`seen_by` -- what the router's
+    no-op hint hands the radio.  A key is forgotten once it is older
+    than ``lifetime`` seconds, lazily and in FIFO order when a new key
+    arrives, so memory tracks the discoveries in flight, not the run.
+    """
+
+    __slots__ = ("_sim", "lifetime", "_nodes", "_born")
+
+    def __init__(self, sim: Simulator, lifetime: float) -> None:
+        self._sim = sim
+        self.lifetime = float(lifetime)
+        self._nodes: Dict[RreqKey, Set[int]] = {}
+        #: (first seen, key) in arrival order
+        self._born: Deque[Tuple[float, RreqKey]] = deque()
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def seen_by(self, key: RreqKey) -> Optional[Set[int]]:
+        """The live set of node ids that processed ``key`` (do not
+        mutate), or ``None`` for an unknown key."""
+        return self._nodes.get(key)
+
+    def mark(self, key: RreqKey, nid: int) -> bool:
+        """Record that ``nid`` processes ``key``; False if it already has."""
+        nodes = self._nodes.get(key)
+        if nodes is None:
+            now = self._sim.now
+            born = self._born
+            while born and now > born[0][0] + self.lifetime:
+                del self._nodes[born.popleft()[1]]
+            self._nodes[key] = {nid}
+            born.append((now, key))
+            return True
+        if nid in nodes:
+            return False
+        nodes.add(nid)
+        return True
+
 
 class AodvAgent:
     """The AODV state machine of one node."""
@@ -105,6 +162,8 @@ class AodvAgent:
         sim: Simulator,
         config: AodvConfig,
         deliver_up: Callable[[str, int, int, Any, int], None],
+        seen: RreqSeenTable,
+        ring_ttls: List[int],
         *,
         policy: Optional[RebroadcastPolicy] = None,
     ) -> None:
@@ -121,7 +180,10 @@ class AodvAgent:
         self.table = RouteTable(self.nid)
         self.seq = 0
         self.rreq_id = 0
-        self._seen_rreqs: Set[Tuple[int, int]] = set()
+        #: the router's RREQ dedup table and TTL sequence, shared by
+        #: all its agents
+        self._seen = seen
+        self._ring_ttls = ring_ttls
         # Pending discoveries: dest -> (queued packets, on_fail callbacks)
         self._pending: Dict[int, List[Tuple[DataPacket, Optional[Callable[[Any], None]]]]] = {}
         self._attempt: Dict[int, int] = {}
@@ -221,7 +283,7 @@ class AodvAgent:
         attempt = self._attempt.get(dest)
         if attempt is None:
             return
-        ttls = self.cfg.ring_ttls()
+        ttls = self._ring_ttls
         if attempt >= len(ttls):
             # Discovery exhausted: fail every queued packet.
             queue = self._pending.pop(dest, [])
@@ -243,7 +305,7 @@ class AodvAgent:
             hop_count=0,
             ttl=ttl,
         )
-        self._seen_rreqs.add((self.nid, self.rreq_id))
+        self._seen.mark((self.nid, self.rreq_id), self.nid)
         self.rreq_sent += 1
         self.channel.broadcast(
             Frame(src=self.nid, dst=-1, kind=KIND_CTRL, payload=rreq, size=self.cfg.ctrl_size)
@@ -320,11 +382,10 @@ class AodvAgent:
 
     def _on_rreq(self, frame: Frame, rreq: Rreq) -> None:
         key = (rreq.origin, rreq.rreq_id)
-        if key in self._seen_rreqs:
+        if not self._seen.mark(key, self.nid):
             if self._policy is not None:
                 self._policy.duplicate(key)
             return
-        self._seen_rreqs.add(key)
         now = self.sim.now
         hops_to_origin = rreq.hop_count + 1
         if self._policy is not None:
@@ -487,6 +548,9 @@ class AodvRouter(Router):
         if registry is None:
             registry = sim.registry
         world = channel.world
+        self._seen = RreqSeenTable(sim, self.cfg.path_discovery_time)
+        registry.gauge("aodv.rreq_keys_live", fn=self._seen.__len__)
+        ring_ttls = self.cfg.ring_ttls()
         self.agents = [
             AodvAgent(
                 node,
@@ -494,6 +558,8 @@ class AodvRouter(Router):
                 sim,
                 self.cfg,
                 self._deliver_up,
+                self._seen,
+                ring_ttls,
                 policy=make_rebroadcast_policy(
                     spec,
                     plane=KIND_RREQ_PLANE,
@@ -510,6 +576,20 @@ class AodvRouter(Router):
             )
             for node in channel.nodes
         ]
+        # A duplicate RREQ's handler returns at once only when nothing
+        # else reads the copy: the reference flood policy (the others
+        # must see ``policy.duplicate(key)``) with HELLO sensing off
+        # (``_on_ctrl`` timestamps every control frame it hears).
+        if self.cfg.hello_interval <= 0 and all(a._policy is None for a in self.agents):
+            channel.register_noop_hint(KIND_CTRL, self._rreq_noop_hint)
+
+    def _rreq_noop_hint(self, frame: Frame) -> Optional[Set[int]]:
+        """Nodes that already processed the RREQ ``frame`` carries (a
+        pure read of the dedup table); ``None`` for any other payload."""
+        msg = frame.payload
+        if isinstance(msg, Rreq):
+            return self._seen.seen_by((msg.origin, msg.rreq_id))
+        return None
 
     def send(
         self,

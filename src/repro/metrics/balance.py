@@ -70,10 +70,15 @@ def jain_fairness(values: np.ndarray) -> float:
         return 1.0
     if (v < 0).any():
         raise ValueError("loads must be non-negative")
-    denom = v.size * np.sum(v * v)
-    if denom == 0:
-        return 1.0
-    return float(np.sum(v) ** 2 / denom)
+    if np.sum(v * v) < 1e-290:
+        # Squares this small are subnormal and lose precision (or
+        # underflow to 0 outright); the index is scale-invariant, so
+        # measure the loads relative to their peak instead.
+        peak = v.max()
+        if peak == 0:
+            return 1.0
+        v = v / peak
+    return float(np.sum(v) ** 2 / (v.size * np.sum(v * v)))
 
 
 def load_balance_report(values: np.ndarray) -> dict:

@@ -25,7 +25,8 @@ maintains a plain-Python set of depleted node ids: :meth:`alive` is a
 set lookup, and :meth:`poll_depleted` hands the world only the nodes
 that crossed since the last poll -- a no-op for infinite-capacity runs
 and O(changed) otherwise.  ``consumed`` must therefore only be mutated
-through ``charge_tx`` / ``charge_rx`` (or followed by :meth:`resync`).
+through ``charge_tx`` / ``charge_rx`` / ``charge_rx_many`` (or followed
+by :meth:`resync`).
 """
 
 from __future__ import annotations
@@ -100,6 +101,20 @@ class EnergyModel:
         self.rx_count[node] += 1
         if self.finite and self.consumed[node] >= self.capacity:
             self._mark_depleted(node)
+
+    def charge_rx_many(self, nodes: np.ndarray, size: int) -> None:
+        """Charge every node in ``nodes`` for receiving ``size`` bytes.
+
+        ``nodes`` must hold *distinct* ids (a fancy-indexed add applies
+        once per distinct index).  Each node gets the same single float
+        addition :meth:`charge_rx` would make, so ``consumed`` stays
+        bit-identical to ``len(nodes)`` per-node calls.
+        """
+        self.consumed[nodes] += self.rx_fixed + self.rx_per_byte * size
+        self.rx_count[nodes] += 1
+        if self.finite:
+            for node in nodes[self.consumed[nodes] >= self.capacity].tolist():
+                self._mark_depleted(node)
 
     def _mark_depleted(self, node: int) -> None:
         node = int(node)

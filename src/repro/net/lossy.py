@@ -126,22 +126,13 @@ class LossyChannel(Channel):
             return 0
         world.energy.charge_tx(src, frame.size)
         self._c_sent.inc()
-        receivers = [
-            dst
-            for dst in map(int, world.neighbors(src))
-            if world.is_up(dst) and self._accept(src, dst)
-        ]
-        if receivers:
-            if self.batched and len(receivers) > 1:
-                self.sim.schedule(
-                    self.latency,
-                    self._deliver_batch,
-                    tuple(receivers),
-                    frame,
-                    weight=len(receivers),
-                )
-            else:
-                for dst in receivers:
-                    self.sim.schedule(self.latency, self._deliver, dst, frame)
+        accept = self._accept
+        receivers = np.array(
+            [dst for dst in world.up_among(world.neighbors(src)).tolist() if accept(src, dst)],
+            dtype=np.int64,
+        )
+        self._schedule_copies(
+            self.latency, receivers, self._deliver_batch, self._deliver, frame
+        )
         world.check_depletion()
         return len(receivers)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..sim.kernel import Simulator
 from .packet import BROADCAST, Frame
 from .radio import Channel
@@ -74,8 +76,6 @@ class CsmaChannel(Channel):
         self.slot = float(slot)
         self.max_backoff_slots = int(max_backoff_slots)
         self.max_retries = int(max_retries)
-        import numpy as np
-
         self._rng = np.random.default_rng(seed)
         #: node -> end time of its current transmission (air busy)
         self._tx_until: Dict[int, float] = {}
@@ -143,9 +143,9 @@ class CsmaChannel(Channel):
     def broadcast(self, frame: Frame) -> int:
         if not self.world.is_up(frame.src):
             return 0
-        receivers = [int(d) for d in self.world.neighbors(frame.src) if self.world.is_up(int(d))]
+        in_range = len(self.world.up_among(self.world.neighbors(frame.src)))
         self._try_send(frame, attempt=0)
-        return len(receivers)
+        return in_range
 
     # ------------------------------------------------------------------
     # MAC machinery
@@ -171,34 +171,25 @@ class CsmaChannel(Channel):
         self._h_airtime.observe(duration)
         self.world.energy.charge_tx(frame.src, frame.size)
         self._c_sent.inc()
-        is_up = self.world.is_up
+        world = self.world
         if frame.dst == BROADCAST:
-            receivers = [d for d in map(int, self.world.neighbors(frame.src)) if is_up(d)]
+            receivers = world.up_among(world.neighbors(frame.src)).tolist()
         else:
             receivers = (
                 [frame.dst]
-                if self.world.link(frame.src, frame.dst) and is_up(frame.dst)
+                if world.link(frame.src, frame.dst) and world.is_up(frame.dst)
                 else []
             )
         # All copies of one transmission complete at the same instant, so
         # the surviving registrations can share ONE completion event
         # (ascending-nid order == the reference's consecutive-seq order).
-        registered = [
-            dst for dst in receivers if self._register_arrival(dst, now, end, frame)
-        ]
-        if registered:
-            if self.batched and len(registered) > 1:
-                self.sim.schedule(
-                    end - now,
-                    self._complete_arrivals,
-                    tuple(registered),
-                    now,
-                    end,
-                    weight=len(registered),
-                )
-            else:
-                for dst in registered:
-                    self.sim.schedule(end - now, self._complete_arrival, dst, now, end)
+        registered = np.array(
+            [dst for dst in receivers if self._register_arrival(dst, now, end, frame)],
+            dtype=np.int64,
+        )
+        self._schedule_copies(
+            end - now, registered, self._complete_arrivals, self._complete_arrival, now, end
+        )
 
     def _register_arrival(self, dst: int, start: float, end: float, frame: Frame) -> bool:
         """Record an in-flight copy; returns False if it collided."""
@@ -213,8 +204,8 @@ class CsmaChannel(Channel):
         queue.append((start, end, frame))
         return True
 
-    def _complete_arrivals(self, dsts: tuple, start: float, end: float) -> None:
-        for dst in dsts:
+    def _complete_arrivals(self, dsts: np.ndarray, start: float, end: float) -> None:
+        for dst in dsts.tolist():
             self._complete_arrival(dst, start, end)
 
     def _complete_arrival(self, dst: int, start: float, end: float) -> None:

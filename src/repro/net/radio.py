@@ -10,11 +10,17 @@ Energy is charged per the world's :class:`~repro.net.energy.EnergyModel`
 each receiver (broadcasts charge every listener: radios cannot refuse to
 hear).  Depleted or administratively-down nodes neither send nor
 receive.
+
+A batched broadcast does that accounting once per *transmission*: one
+liveness pass, one vectorized rx charge and one counter bump for all
+receivers, then the handlers -- minus the receivers a routing layer's
+*no-op hint* vouches for (see :meth:`Channel.register_noop_hint`).
+DESIGN.md §5 carries the exactness argument.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Container, Dict, List, Optional
 
 import numpy as np
 
@@ -75,12 +81,13 @@ class Channel:
         every delivered frame -- the metrics layer hooks in here.
     batched:
         When True (default), a broadcast schedules ONE kernel event
-        carrying the frozen receiver list instead of one event per
-        receiver; the batch dispatches copies in ascending-nid order, so
-        every delivery, energy charge, RNG draw and counter update
-        happens in exactly the order the per-receiver reference produces
-        (see DESIGN.md §5 for the equivalence argument).  ``False``
-        keeps the per-receiver reference path for A/B tests.
+        carrying the frozen receiver array instead of one event per
+        receiver; the batch charges all live receivers in one step and
+        then runs their handlers in ascending-nid order, which leaves
+        every per-node ledger, RNG draw and counter exactly where the
+        per-receiver reference puts it (see DESIGN.md §5 for the
+        equivalence argument).  ``False`` keeps the per-receiver
+        reference path for A/B tests.
     registry:
         Observability registry for the channel counters; a private one
         is created when not supplied.
@@ -114,6 +121,23 @@ class Channel:
         # read-through properties.
         self._c_sent = self.registry.counter("net.frames_sent", layer=self.LAYER)
         self._c_delivered = self.registry.counter("net.frames_delivered", layer=self.LAYER)
+        self._noop_hints: Dict[str, Callable[[Frame], Optional[Container[int]]]] = {}
+
+    def register_noop_hint(
+        self, kind: str, hint: Callable[[Frame], Optional[Container[int]]]
+    ) -> None:
+        """Install the no-op hint for frames tagged ``kind`` (one per kind).
+
+        ``hint(frame)`` returns a container of node ids whose registered
+        ``kind`` handler is guaranteed to return at once, without side
+        effects, if handed ``frame`` now -- or ``None`` when it cannot
+        vouch for anyone.  A batched broadcast still charges and counts
+        those receivers (radios cannot refuse to hear) but does not call
+        their handlers.  The hint must be a pure read.
+        """
+        if kind in self._noop_hints:
+            raise ValueError(f"no-op hint for {kind!r} already set")
+        self._noop_hints[kind] = hint
 
     # ------------------------------------------------------------------
     # observability
@@ -161,12 +185,10 @@ class Channel:
         """Send ``frame`` to every node in range; returns receiver count.
 
         The receiver set (up neighbors, ascending nid) is frozen at send
-        time.  On the batched fast lane the whole set rides ONE kernel
+        time -- as the topology's own neighbour array while every node
+        is up.  On the batched fast lane the whole set rides ONE kernel
         event (``weight=len(receivers)`` keeps ``events_dispatched``
         comparable); the reference lane schedules one event per receiver.
-        Per-copy semantics -- the liveness re-check, energy charge and
-        depletion check at delivery time -- are identical on both lanes
-        because the batch dispatches through the same :meth:`_deliver`.
         """
         world = self.world
         src = frame.src
@@ -174,35 +196,78 @@ class Channel:
             return 0
         world.energy.charge_tx(src, frame.size)
         self._c_sent.inc()
-        is_up = world.is_up
-        receivers = [dst for dst in map(int, world.neighbors(src)) if is_up(dst)]
-        if receivers:
-            if self.batched and len(receivers) > 1:
-                self.sim.schedule(
-                    self.latency,
-                    self._deliver_batch,
-                    tuple(receivers),
-                    frame,
-                    weight=len(receivers),
-                )
-            else:
-                schedule = self.sim.schedule
-                for dst in receivers:
-                    schedule(self.latency, self._deliver, dst, frame)
+        receivers = world.up_among(world.neighbors(src))
+        self._schedule_copies(
+            self.latency, receivers, self._deliver_batch, self._deliver, frame
+        )
         world.check_depletion()
         return len(receivers)
 
+    def _schedule_copies(
+        self,
+        delay: float,
+        receivers: np.ndarray,
+        batch_fn: Callable[..., None],
+        copy_fn: Callable[..., None],
+        *args,
+    ) -> None:
+        """Schedule one transmission's copies ``delay`` seconds from now.
+
+        ``receivers`` is the frozen int64 id array, ascending.  The
+        batched lane schedules ONE weight-k event ``batch_fn(receivers,
+        *args)``; the reference lane (and a lone receiver) schedules
+        ``copy_fn(dst, *args)`` per receiver in the same order.
+        """
+        k = len(receivers)
+        if self.batched and k > 1:
+            self.sim.schedule(delay, batch_fn, receivers, *args, weight=k)
+        else:
+            schedule = self.sim.schedule
+            for dst in receivers.tolist():
+                schedule(delay, copy_fn, dst, *args)
+
     # ------------------------------------------------------------------
-    def _deliver_batch(self, receivers: tuple, frame: Frame) -> None:
-        # One kernel event, k logical deliveries.  Copies land in
-        # ascending-nid order -- the exact order the reference lane's
-        # consecutive-seq events dispatch in -- and each copy runs the
-        # full per-receiver protocol (liveness re-check, rx charge,
-        # depletion check), so a receiver depleting mid-batch silences
-        # later copies exactly as it would per-event.
-        deliver = self._deliver
-        for dst in receivers:
-            deliver(dst, frame)
+    def _deliver_batch(self, receivers: np.ndarray, frame: Frame) -> None:
+        # One kernel event, k logical deliveries, radio accounting done
+        # once per transmission.  Equal to k ascending `_deliver` calls
+        # because (DESIGN.md §5):
+        #  * receivers are distinct, and a handler running for receiver
+        #    d charges only d synchronously (its own rebroadcast /
+        #    unicast; anything it charges another node for happens in a
+        #    later event) -- so each node's ledger sees the same float
+        #    additions in the same order and stays bit-identical;
+        #  * with infinite capacity nothing inside a batch changes the
+        #    up-set (only churn events and depletion call `set_down`),
+        #    so one liveness pass equals the per-copy re-check;
+        #  * a hinted receiver's handler would have returned at once.
+        # When the run can observe per-copy order -- a receiver may
+        # deplete mid-batch and change the topology for later receivers'
+        # rebroadcasts, or an `on_deliver` observer is installed -- each
+        # copy takes the per-copy path instead.
+        world = self.world
+        energy = world.energy
+        if energy.finite or self.on_deliver is not None:
+            deliver = self._deliver
+            for dst in receivers.tolist():
+                deliver(dst, frame)
+            return
+        # Re-check liveness at delivery time (nodes may have died in flight).
+        live = world.up_among(receivers)
+        if not len(live):
+            return
+        energy.charge_rx_many(live, frame.size)
+        self._c_delivered.inc(len(live))
+        kind = frame.kind
+        hint = self._noop_hints.get(kind)
+        skip = (hint(frame) if hint is not None else None) or ()
+        nodes = self.nodes
+        for dst in live.tolist():
+            if dst in skip:
+                continue
+            # The callable passed to NetNode.register, called directly.
+            handler = nodes[dst]._handlers.get(kind)
+            if handler is not None:
+                handler(frame)
 
     def _deliver(self, dst: int, frame: Frame) -> None:
         # Re-check liveness at delivery time (node may have died in flight).

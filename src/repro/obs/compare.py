@@ -31,6 +31,7 @@ __all__ = [
     "SCHEDULER_COST_METRICS",
     "TOPOLOGY_COST_METRICS",
     "SUPPRESSION_COST_METRICS",
+    "DEDUP_COST_METRICS",
     "is_scheduler_cost_key",
     "is_cost_key",
     "semantic_snapshot",
@@ -91,6 +92,11 @@ SUPPRESSION_COST_METRICS: Tuple[str, ...] = (
     "card.contacts_learned",
 )
 
+#: Dedup-cache occupancy: how many RREQ ids the AODV router currently
+#: remembers is the memory cost of duplicate suppression (bounded by the
+#: eviction horizon), not something the simulated network did.
+DEDUP_COST_METRICS: Tuple[str, ...] = ("aodv.rreq_keys_live",)
+
 #: Prefix covering the vectorized graph-kernel counters
 #: (:mod:`repro.metrics.graphfast`): kernel invocation counts measure
 #: which analytics implementation ran, never what the simulation did.
@@ -112,13 +118,15 @@ def is_scheduler_cost_key(key: str) -> bool:
 
 def is_cost_key(key: str) -> bool:
     """Whether a flattened key measures *cost* (scheduler, topology cache
-    effort, or analytics-kernel invocations) rather than simulation
-    semantics.  The equivalence surface excludes exactly these."""
+    effort, suppression/dedup bookkeeping, or analytics-kernel
+    invocations) rather than simulation semantics.  The equivalence
+    surface excludes exactly these."""
     name = key.split("{", 1)[0]
     return (
         name in SCHEDULER_COST_METRICS
         or name in TOPOLOGY_COST_METRICS
         or name in SUPPRESSION_COST_METRICS
+        or name in DEDUP_COST_METRICS
         or name.startswith(_GRAPHFAST_PREFIX)
         or name.startswith(_ANALYTICS_PREFIX)
     )

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from repro.aodv import AodvConfig, AodvRouter
+from repro.aodv.messages import Rreq
+from repro.aodv.protocol import KIND_CTRL
 from repro.mobility import Area, Static
-from repro.net import Channel, World
+from repro.net import Channel, Frame, World
 from repro.sim import Simulator
 
 from .helpers import line_positions
 
 
-def make_aodv(positions, radio_range=10.0, config=None):
+def make_aodv(positions, radio_range=10.0, config=None, batched=True):
     pts = np.asarray(positions, dtype=float)
     sim = Simulator()
     mobility = Static(len(pts), Area(1000, 1000), np.random.default_rng(0), positions=pts)
     world = World(sim, mobility, radio_range=radio_range)
-    channel = Channel(sim, world)
+    channel = Channel(sim, world, batched=batched)
     router = AodvRouter(sim, channel, config=config)
     inbox = []
     router.register("app", lambda dst, src, payload, hops: inbox.append((dst, src, payload, hops)))
@@ -144,6 +146,88 @@ class TestRepair:
             router.send(0, 2, f"m{i}", kind="app", on_fail=failed.append)
         sim.run(until=60.0)
         assert sorted(failed) == [f"m{i}" for i in range(5)]
+
+
+class TestRreqDedup:
+    """The router-owned dedup table and the no-op hint it gives the radio."""
+
+    #: four nodes all in range of each other: every broadcast is a batch of 3
+    CLIQUE = [[0, 0], [4, 0], [0, 4], [4, 4]]
+
+    def _discover_in_clique(self, batched):
+        sim, world, channel, router, inbox = make_aodv(self.CLIQUE, batched=batched)
+        rreq_handler_calls = []
+        for node in channel.nodes:
+            handler = node._handlers[KIND_CTRL]
+
+            def spy(frame, nid=node.nid, handler=handler):
+                if isinstance(frame.payload, Rreq):
+                    rreq_handler_calls.append(nid)
+                handler(frame)
+
+            node._handlers[KIND_CTRL] = spy
+        router.send(0, 3, "x", kind="app")
+        sim.run(until=2.0)
+        assert inbox == [(3, 0, "x", 1)]
+        return world, channel, rreq_handler_calls
+
+    def test_hinted_duplicate_is_charged_and_counted_but_not_handled(self):
+        world, channel, calls = self._discover_in_clique(batched=True)
+        ref_world, ref_channel, ref_calls = self._discover_in_clique(batched=False)
+        # Origin 0 floods, relays 1 and 2 rebroadcast (3 is the
+        # destination): 9 RREQ copies, 3 fresh and 6 duplicates.  The
+        # reference lane hands all 9 to ``_on_ctrl``; the batch only the
+        # fresh ones ...
+        assert sorted(ref_calls) == [0, 0, 1, 1, 2, 2, 3, 3, 3]
+        assert sorted(calls) == [1, 2, 3]
+        # ... yet every copy was heard: same delivery count, same
+        # per-node rx counts and energy as the per-copy reference.
+        assert channel.frames_delivered == ref_channel.frames_delivered
+        assert np.array_equal(world.energy.rx_count, ref_world.energy.rx_count)
+        assert np.array_equal(world.energy.consumed, ref_world.energy.consumed)
+        assert int(world.energy.rx_count.sum()) == channel.frames_delivered
+
+    def test_no_hint_with_hello_sensing_or_a_suppression_policy(self):
+        # Both make a duplicate's handler do work, so nobody may skip it.
+        _, _, hello_channel, _, _ = make_aodv(self.CLIQUE, config=AodvConfig(hello_interval=1.0))
+        assert KIND_CTRL not in hello_channel._noop_hints
+        sim = Simulator()
+        mobility = Static(
+            4, Area(1000, 1000), np.random.default_rng(0), positions=np.asarray(self.CLIQUE, float)
+        )
+        channel = Channel(sim, World(sim, mobility))
+        AodvRouter(sim, channel, rebroadcast="counter:2")
+        assert KIND_CTRL not in channel._noop_hints
+
+    def test_second_hint_for_a_kind_raises(self):
+        _, _, channel, _, _ = make_aodv(self.CLIQUE)
+        with pytest.raises(ValueError):
+            channel.register_noop_hint(KIND_CTRL, lambda frame: None)
+
+    def test_evicted_key_is_accepted_again(self):
+        # Node 2 is unreachable: node 0 burns through all six discovery
+        # attempts (rreq ids 1..6, ~6.7 s), each heard by node 1 only.
+        sim, _, channel, router, _ = make_aodv([[0, 0], [8, 0], [500, 500]])
+        live = channel.registry.gauge("aodv.rreq_keys_live")
+
+        def replay_first_rreq():
+            """Re-air RREQ (0, 1); returns how many frames that caused."""
+            before = channel.frames_sent
+            rreq = Rreq(origin=0, origin_seq=1, rreq_id=1, dest=2, dest_seq=-1, hop_count=0, ttl=2)
+            channel.broadcast(Frame(src=0, dst=-1, kind=KIND_CTRL, payload=rreq, size=48))
+            sim.run(until=sim.now + 0.01)
+            return channel.frames_sent - before
+
+        router.send(0, 2, "nope", kind="app")
+        sim.run(until=0.1)
+        assert live.value == 1
+        assert replay_first_rreq() == 1  # a duplicate: node 1 stays silent
+        sim.run(until=10.0)
+        # Ids older than PATH_DISCOVERY_TIME (3.2 s) were dropped as the
+        # later ones arrived -- the table does not grow with the run.
+        assert router.cfg.path_discovery_time == pytest.approx(3.2)
+        assert live.value == 2
+        assert replay_first_rreq() == 2  # fresh again: node 1 forwards it
 
 
 class TestLoopFreedom:

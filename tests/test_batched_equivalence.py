@@ -8,11 +8,21 @@ seeds -- the *semantic* registry snapshot (everything except the
 scheduler-cost metrics enumerated in ``repro.obs.compare``) and the
 sampled time-series must be equal to the last bit between the two lanes,
 while heap traffic must strictly drop.
+
+``test_wavefront_bit_identical`` does the same for the batch body that
+charges a transmission's receivers in one step and skips hinted
+duplicate-RREQ handlers (ideal MAC, infinite energy -- the conditions it
+runs under), down to the per-node energy ledger, plus the runs that must
+take the per-copy fallback instead (finite energy, an ``on_deliver``
+observer) and the policy that must see every duplicate (``counter``).
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+from repro.core.query import QueryConfig
 from repro.obs.compare import (
     is_scheduler_cost_key,
     semantic_snapshot,
@@ -23,6 +33,7 @@ from repro.scenarios.builder import build_scenario
 from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest
+from repro.sim.trace import attach_tracer
 
 SEEDS = (1, 2, 3)
 
@@ -79,6 +90,106 @@ def test_lanes_bit_identical(seed, topology):
     np.testing.assert_array_equal(ref["energy"], bat["energy"])
     # The batching is real: strictly fewer heap entries on the fast lane.
     assert bat["heap_pushes"] < ref["heap_pushes"]
+
+
+def _snipe_receivers(simulation, every: int = 9) -> None:
+    """Churn aimed at the window the batch's liveness pass must cover:
+    every ``every``-th broadcast takes its lowest-id receiver down while
+    the frame is in flight and revives it after delivery.  Driven by the
+    broadcast sequence itself, so both lanes see identical deaths."""
+    channel, world, sim = simulation.channel, simulation.world, simulation.sim
+    send = channel.broadcast
+    count = itertools.count(1)
+
+    def broadcast(frame):
+        receivers = world.up_among(world.neighbors(frame.src))
+        n = send(frame)
+        if n and next(count) % every == 0:
+            victim = int(receivers[0])
+            sim.schedule(channel.latency / 2, world.set_down, victim, True)
+            sim.schedule(channel.latency * 3, world.set_down, victim, False)
+        return n
+
+    channel.broadcast = broadcast
+
+
+#: case -> (config overrides, routings it applies to)
+WAVEFRONT_CASES = {
+    # (a) receivers die between send and delivery; the wavefront body runs
+    "churn": ({}, ("aodv", "oracle", "dsr")),
+    # (b) receivers deplete mid-batch: per-copy fallback
+    "finite_energy": ({"energy_capacity": 0.01}, ("aodv", "oracle", "dsr")),
+    # (c) an on_deliver observer is installed: per-copy fallback
+    "tracer": ({}, ("aodv", "oracle", "dsr")),
+    # (d) a non-reference policy must see every duplicate: no hint
+    "counter": ({"rebroadcast": "counter:2"}, ("aodv",)),
+}
+
+
+def _run_wavefront(seed, topology, routing, case, batched):
+    overrides, _ = WAVEFRONT_CASES[case]
+    cfg = ScenarioConfig(
+        num_nodes=30,
+        # nominal degree ~8 (less at the border): most broadcasts are real batches
+        area_width=35.0,
+        area_height=35.0,
+        duration=8.0,
+        query=QueryConfig(warmup=2.0, response_wait=4.0, gap_min=2.0, gap_max=6.0),
+        seed=seed,
+        routing=routing,
+        topology=topology,
+        batched_delivery=batched,
+        **overrides,
+    )
+    simulation = build_scenario(cfg)
+    recorder = attach_tracer(simulation.channel) if case == "tracer" else None
+    if case == "churn":
+        _snipe_receivers(simulation)
+    simulation.run()
+    harvest(simulation)
+    energy = simulation.world.energy
+    raw = simulation.registry.aggregated(drop_labels=("node",), skip_kinds=("timer",))
+    return {
+        "snapshot": semantic_snapshot(simulation.registry),
+        "consumed": energy.consumed.copy(),
+        "rx_count": energy.rx_count.copy(),
+        "tx_count": energy.tx_count.copy(),
+        "depleted": int(energy.depleted().sum()),
+        "trace": recorder.to_ndjson() if recorder is not None else None,
+        "suppression": {
+            k: v
+            for k, v in raw.items()
+            if k.startswith(("flood.suppressed", "flood.assessment_cancels"))
+        },
+        "hinted_kinds": sorted(simulation.channel._noop_hints),
+        "heap_pushes": simulation.sim.heap_pushes,
+    }
+
+
+@pytest.mark.parametrize(
+    "case,routing",
+    [(case, routing) for case, (_, routings) in WAVEFRONT_CASES.items() for routing in routings],
+)
+@pytest.mark.parametrize("topology", ["dense", "sparse"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wavefront_bit_identical(seed, topology, routing, case):
+    ref = _run_wavefront(seed, topology, routing, case, batched=False)
+    bat = _run_wavefront(seed, topology, routing, case, batched=True)
+    assert snapshot_diff(ref["snapshot"], bat["snapshot"]) == {}
+    # The per-node ledger agrees to the last bit, not just its total.
+    assert np.array_equal(ref["consumed"], bat["consumed"])
+    assert np.array_equal(ref["rx_count"], bat["rx_count"])
+    assert np.array_equal(ref["tx_count"], bat["tx_count"])
+    assert bat["heap_pushes"] < ref["heap_pushes"]
+    if case == "finite_energy":
+        assert bat["depleted"] > 0  # the case is real: batteries ran out
+    if case == "tracer":
+        assert bat["trace"] and bat["trace"] == ref["trace"]
+    if case == "counter":
+        assert bat["hinted_kinds"] == []
+        assert bat["suppression"] and bat["suppression"] == ref["suppression"]
+    elif routing == "aodv":
+        assert bat["hinted_kinds"] == ["aodv.ctrl"]
 
 
 def test_scheduler_cost_keys_classified():

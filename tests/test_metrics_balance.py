@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import gini, jain_fairness, load_balance_report, lorenz_curve
@@ -35,6 +35,7 @@ class TestGini:
             gini(np.array([1.0, -1.0]))
 
     @given(loads)
+    @example([8.490396760439255e-159, 8.490396760439255e-159])  # subnormal squares
     @settings(max_examples=50, deadline=None)
     def test_bounded(self, values):
         g = gini(np.array(values))
@@ -88,6 +89,7 @@ class TestJain:
             jain_fairness(np.array([-1.0]))
 
     @given(loads)
+    @example([8.490396760439255e-159, 8.490396760439255e-159])  # subnormal squares
     @settings(max_examples=50, deadline=None)
     def test_bounded(self, values):
         v = np.array(values)

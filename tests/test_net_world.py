@@ -179,6 +179,17 @@ class TestLivenessFastPath:
         assert not world.is_up(0)
         assert world.up_ids() == frozenset({1})
 
+    def test_up_among_filters_in_order_and_is_identity_when_all_up(self):
+        import numpy as np
+
+        _, world, _ = make_world(line_positions(5, spacing=8.0))
+        ids = np.array([0, 2, 3, 4], dtype=np.int64)
+        assert world.up_among(ids) is ids  # nobody down: no copy, no pass
+        world.set_down(3)
+        assert world.up_among(ids).tolist() == [0, 2, 4]
+        world.set_down(3, down=False)
+        assert world.up_among(ids) is ids
+
     def test_is_up_accepts_plain_and_numpy_ints(self):
         import numpy as np
 
@@ -215,6 +226,21 @@ class TestEnergyProtocol:
         em.charge_tx(2, 10_000)
         em.charge_rx(2, 10_000)
         assert fired == [2]
+
+    def test_charge_rx_many_equals_per_node_charges(self):
+        import numpy as np
+
+        one, many = EnergyModel(4, capacity=1e-3), EnergyModel(4, capacity=1e-3)
+        nodes = np.array([0, 2, 3], dtype=np.int64)
+        one.charge_tx(2, 200)  # 850 uJ: node 2 crosses 1 mJ on its second rx
+        many.charge_tx(2, 200)
+        for size in (48, 64):
+            for node in nodes.tolist():
+                one.charge_rx(node, size)
+            many.charge_rx_many(nodes, size)
+        assert np.array_equal(one.consumed, many.consumed)  # bitwise
+        assert np.array_equal(one.rx_count, many.rx_count)
+        assert many.poll_depleted() == one.poll_depleted() == (2,)
 
     def test_resync_after_bulk_edit(self):
         em = EnergyModel(3, capacity=1.0)
