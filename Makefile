@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench bench-full reproduce examples clean
+.PHONY: install test bench bench-full repo-bench repo-bench-compare reproduce examples clean
 
 install:
 	$(PY) setup.py develop
@@ -17,6 +17,16 @@ bench:
 bench-full:
 	REPRO_BENCH_DURATION=3600 REPRO_BENCH_REPS=33 $(PY) -m pytest benchmarks/ --benchmark-only
 
+# the repo benchmark (BENCHMARK.json): make repo-bench OUT=change.json
+OUT ?= results/repo-bench.json
+repo-bench:
+	mkdir -p $(dir $(OUT))
+	python3 bench/run.py --out $(OUT)
+
+# judge two such documents: make repo-bench-compare A=parent.json B=change.json
+repo-bench-compare:
+	python3 bench/run.py --compare $(A) $(B)
+
 reproduce:
 	$(PY) scripts/generate_experiments_md.py
 
@@ -24,5 +34,5 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; REPRO_EXAMPLE_SCALE=0.2 $(PY) $$f; done
 
 clean:
-	rm -rf .pytest_cache src/repro.egg-info
+	rm -rf .pytest_cache src/repro.egg-info bench/.work-*
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..obs.registry import Registry, default_registry
-from ..obs.schema import validate_run_dict
+from ..obs.schema import SchemaError, validate_run_dict
 from ..scenarios.runner import RunResult
 from .export import figure_result_to_dict, run_result_to_dict
 from .figures import FigureResult
@@ -142,11 +142,22 @@ class ResultStore:
         return list(self.records(**kwargs))
 
     def load_runs(self, **kwargs) -> List[RunResult]:
-        """Archived runs rehydrated as :class:`RunResult` objects."""
-        return [
-            RunResult.from_dict(r["payload"])
-            for r in self.records(kind="run", **kwargs)
-        ]
+        """Archived runs rehydrated as :class:`RunResult` objects.
+
+        A schema-valid run whose config this build cannot construct (a
+        key or lane value written by another revision) is skipped and
+        counted on ``storage.corrupt_lines``; a payload that fails the
+        schema itself still raises :class:`~repro.obs.schema.SchemaError`.
+        """
+        runs = []
+        for r in self.records(kind="run", **kwargs):
+            try:
+                runs.append(RunResult.from_dict(r["payload"]))
+            except SchemaError:
+                raise
+            except ValueError:
+                self._corrupt_lines.inc()
+        return runs
 
     def __len__(self) -> int:
         return sum(1 for _ in self.records())

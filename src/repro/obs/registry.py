@@ -18,6 +18,11 @@ Design constraints (these shaped the API):
 * **Determinism.**  Metrics only *observe*; nothing in this module
   touches simulation state, RNG streams or event ordering, so a run
   with a fully-populated registry is bit-identical to one without.
+* **Bookkeeping scales with metrics, not nodes.**  The ``node=`` label
+  indexes the cells of a *family* (one per kind, name and remaining
+  labels), and enumeration order is kept per ``(name, kind)`` bucket,
+  so registering a per-node series sorts no labels and aggregating
+  10 000 nodes sorts nothing and flattens one key per family.
 * **Process-local.**  A registry is plain Python state owned by one
   simulation (or the module-level :func:`default_registry` for ad-hoc
   use); there is no I/O and no global mutation besides that default.
@@ -41,11 +46,16 @@ __all__ = [
 ]
 
 LabelItems = Tuple[Tuple[str, Any], ...]
+#: output keys (one per reading) and the consecutive series adding into them
+_Run = Tuple[Tuple[str, ...], List["Metric"]]
+
+#: the label whose values index a family's cells
+NODE = "node"
 
 
 def _freeze_labels(labels: Dict[str, Any]) -> LabelItems:
-    """Canonical (sorted, immutable) form of a label set."""
-    return tuple(sorted((str(k), v) for k, v in labels.items()))
+    """Canonical (sorted, immutable) form of a keyword label set."""
+    return tuple(sorted(labels.items()))  # keys are unique: values never compare
 
 
 def flatten_key(name: str, labels: LabelItems) -> str:
@@ -56,15 +66,72 @@ def flatten_key(name: str, labels: LabelItems) -> str:
     return f"{name}{{{inner}}}"
 
 
+class _Missing:
+    def __repr__(self) -> str:  # pragma: no cover
+        return "<missing>"
+
+
+#: ``node`` of a series registered without a ``node=`` label
+_MISSING = _Missing()
+
+
+class _Family:
+    """Every series of one ``(kind, name, non-node labels)``.
+
+    The family owns what its series share -- the name and the label
+    tuple around the ``node`` item -- and one *cell* per ``node=`` value
+    (plus, under :data:`_MISSING`, the series registered without one).
+    """
+
+    __slots__ = ("cls", "name", "rest", "cells", "bucket", "_at")
+
+    def __init__(self, cls: type, name: str, rest: LabelItems, bucket: "_Bucket") -> None:
+        self.cls = cls
+        self.name = name
+        self.rest = rest
+        self.cells: Dict[Any, Metric] = {}
+        self.bucket = bucket
+        #: where the ``node`` item sits in the key-sorted label tuple
+        self._at = sum(1 for k, _ in rest if k < NODE)
+
+    def labels_of(self, node: Any) -> LabelItems:
+        if node is _MISSING:
+            return self.rest
+        return self.rest[: self._at] + ((NODE, node),) + self.rest[self._at :]
+
+    def cell(self, node: Any) -> "Metric":
+        """Get-or-create the series of ``node``."""
+        cell = self.cells.get(node)
+        if cell is None:
+            cell = self.cells[node] = self.cls(self, node)
+            self.bucket.grew()
+        return cell
+
+
 class Metric:
-    """Common identity of every registered instrument."""
+    """Common identity of every registered instrument.
+
+    An instrument is a cell of its :class:`_Family`: it stores only its
+    reading and its ``node`` label value (:data:`_MISSING` when it was
+    registered without one); name and labels are the family's.
+    """
 
     kind = "abstract"
-    __slots__ = ("name", "labels")
+    #: appended to the metric name, one per reading of :meth:`samples`
+    suffixes: Tuple[str, ...] = ("",)
+    __slots__ = ("_family", "node")
 
-    def __init__(self, name: str, labels: LabelItems) -> None:
-        self.name = name
-        self.labels = labels
+    def __init__(self, family: _Family, node: Any) -> None:
+        self._family = family
+        self.node = node
+
+    @property
+    def name(self) -> str:
+        return self._family.name
+
+    @property
+    def labels(self) -> LabelItems:
+        return self._family.labels_of(self.node)
 
     @property
     def label_dict(self) -> Dict[str, Any]:
@@ -83,14 +150,20 @@ class Metric:
         return f"<{type(self).__name__} {self.key}>"
 
 
+def _series_sort_key(metric: Metric) -> str:
+    """The order every enumeration and every float sum follows: node ids
+    compare as strings (``10 < 2``) exactly as they always did."""
+    return repr(metric.labels)
+
+
 class Counter(Metric):
     """Monotonically increasing count.  Hot path: ``c.value += n``."""
 
     kind = "counter"
     __slots__ = ("value",)
 
-    def __init__(self, name: str, labels: LabelItems) -> None:
-        super().__init__(name, labels)
+    def __init__(self, family: _Family, node: Any) -> None:
+        super().__init__(family, node)
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
@@ -106,11 +179,9 @@ class Gauge(Metric):
     kind = "gauge"
     __slots__ = ("fn", "_value")
 
-    def __init__(
-        self, name: str, labels: LabelItems, fn: Optional[Callable[[], float]] = None
-    ) -> None:
-        super().__init__(name, labels)
-        self.fn = fn
+    def __init__(self, family: _Family, node: Any) -> None:
+        super().__init__(family, node)
+        self.fn: Optional[Callable[[], float]] = None
         self._value = 0.0
 
     def set(self, value: float) -> None:
@@ -130,10 +201,11 @@ class Histogram(Metric):
     """Streaming summary (count / sum / min / max) of observed values."""
 
     kind = "histogram"
+    suffixes = (".count", ".sum", ".min", ".max")
     __slots__ = ("count", "total", "min", "max")
 
-    def __init__(self, name: str, labels: LabelItems) -> None:
-        super().__init__(name, labels)
+    def __init__(self, family: _Family, node: Any) -> None:
+        super().__init__(family, node)
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -153,11 +225,10 @@ class Histogram(Metric):
         return self.total / self.count if self.count else float("nan")
 
     def samples(self) -> List[Tuple[str, float]]:
-        out = [(self.name + ".count", float(self.count)), (self.name + ".sum", self.total)]
-        if self.count:
-            out.append((self.name + ".min", self.min))
-            out.append((self.name + ".max", self.max))
-        return out
+        name = self._family.name
+        values = (float(self.count), self.total, self.min, self.max)
+        # the extrema of an empty histogram are not readings
+        return [(name + s, v) for s, v in zip(self.suffixes, values[: 4 if self.count else 2])]
 
 
 class Timer(Metric):
@@ -169,10 +240,11 @@ class Timer(Metric):
     """
 
     kind = "timer"
+    suffixes = (".seconds", ".calls")
     __slots__ = ("seconds", "calls")
 
-    def __init__(self, name: str, labels: LabelItems) -> None:
-        super().__init__(name, labels)
+    def __init__(self, family: _Family, node: Any) -> None:
+        super().__init__(family, node)
         self.seconds = 0.0
         self.calls = 0
 
@@ -185,7 +257,8 @@ class Timer(Metric):
         self.calls += calls
 
     def samples(self) -> List[Tuple[str, float]]:
-        return [(self.name + ".seconds", self.seconds), (self.name + ".calls", float(self.calls))]
+        name = self._family.name
+        return [(name + s, v) for s, v in zip(self.suffixes, (self.seconds, float(self.calls)))]
 
 
 class _TimerContext:
@@ -226,27 +299,119 @@ class Sample:
 WALL = "wall"
 
 
+class _Bucket:
+    """The series of one ``(name, kind)``, across families, in label order.
+
+    Enumeration order is ``(name, kind, repr(labels))``; a bucket is one
+    ``(name, kind)`` stretch of it.  The order, and per ``drop_labels``
+    the output keys of a fold, are computed when first asked for after
+    the bucket grew, so a fold walks ready lists: no sort, no key
+    flattening per call.
+    """
+
+    __slots__ = ("name", "kind", "suffixes", "families", "_ordered", "_runs")
+
+    def __init__(self, name: str, cls: type) -> None:
+        self.name = name
+        self.kind: str = cls.kind
+        self.suffixes: Tuple[str, ...] = cls.suffixes
+        self.families: List[_Family] = []
+        self._ordered: Optional[List[Metric]] = None
+        self._runs: Dict[Tuple[str, ...], List[_Run]] = {}
+
+    def grew(self) -> None:
+        self._ordered = None
+
+    def ordered(self) -> List[Metric]:
+        if self._ordered is None:
+            cells = [c for family in self.families for c in family.cells.values()]
+            cells.sort(key=_series_sort_key)
+            self._ordered = cells
+            self._runs.clear()
+        return self._ordered
+
+    def runs(self, drop_labels: Tuple[str, ...]) -> List[_Run]:
+        """``ordered()`` cut into stretches that fold into the same keys.
+
+        A run pairs ``name+suffix{kept labels}``, one key per reading,
+        with the consecutive series whose readings add into them.  One
+        family folded over ``node`` is one run; families whose cells
+        interleave, or a fold that keeps ``node``, give shorter ones.
+        """
+        cells = self.ordered()  # before the lookup: re-ordering drops stale runs
+        runs = self._runs.get(drop_labels)
+        if runs is None:
+            runs = self._runs[drop_labels] = []
+            # Without the node label a family's cells share their keys.
+            by_family = NODE in drop_labels
+            shared: Dict[_Family, Tuple[str, ...]] = {}
+            for cell in cells:
+                keys = shared.get(cell._family) if by_family else None
+                if keys is None:
+                    kept = tuple(kv for kv in cell.labels if kv[0] not in drop_labels)
+                    keys = tuple(flatten_key(self.name + suffix, kept) for suffix in self.suffixes)
+                    if by_family:
+                        shared[cell._family] = keys
+                if runs and runs[-1][0] == keys:
+                    runs[-1][1].append(cell)
+                else:
+                    runs.append((keys, [cell]))
+        return runs
+
+    def fold_into(self, out: Dict[str, float], drop_labels: Tuple[str, ...]) -> None:
+        """Add every reading to ``out``, one addition each, in enumeration order."""
+        single = self.suffixes == ("",)  # counter, gauge: the reading is .value
+        for keys, cells in self.runs(drop_labels):
+            if single:
+                (key,) = keys
+                total = out.get(key, 0.0)
+                for cell in cells:
+                    total += cell.value  # type: ignore[attr-defined]
+                out[key] = total
+            else:
+                for cell in cells:
+                    for key, (_, value) in zip(keys, cell.samples()):
+                        out[key] = out.get(key, 0.0) + value
+
+
 class Registry:
     """Get-or-create factory and enumerator for metrics.
 
     Asking twice for the same ``(kind, name, labels)`` returns the same
     object, so independent components may share an instrument (or keep
     per-node ones by labeling with ``node=...``).
+
+    Series are stored as *families*: one entry per ``(kind, name,
+    non-node labels)`` holding a cell per ``node=`` value, so a
+    per-node instrument costs its reading, not a label tuple and a
+    registry key of its own (see docs/OBSERVABILITY.md).
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[Tuple[str, str, LabelItems], Metric] = {}
+        self._families: Dict[Tuple[str, str, LabelItems], _Family] = {}
+        self._buckets: Dict[Tuple[str, str], _Bucket] = {}
+        #: buckets in (name, kind) order; None after a bucket was added
+        self._bucket_order: Optional[List[_Bucket]] = None
 
     # ------------------------------------------------------------------
     # factories
     # ------------------------------------------------------------------
-    def _get(self, cls: type, name: str, labels: Dict[str, Any], **kwargs: Any) -> Metric:
+    def _get(self, cls: type, name: str, labels: Dict[str, Any]) -> Metric:
+        node = labels.pop(NODE, _MISSING)
         key = (cls.kind, str(name), _freeze_labels(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = cls(key[1], key[2], **kwargs)
-            self._metrics[key] = metric
-        return metric
+        family = self._families.get(key)
+        if family is None:
+            family = self._families[key] = self._new_family(cls, key[1], key[2])
+        return family.cell(node)
+
+    def _new_family(self, cls: type, name: str, rest: LabelItems) -> _Family:
+        bucket = self._buckets.get((name, cls.kind))
+        if bucket is None:
+            bucket = self._buckets[(name, cls.kind)] = _Bucket(name, cls)
+            self._bucket_order = None
+        family = _Family(cls, name, rest, bucket)
+        bucket.families.append(family)
+        return family
 
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get(Counter, name, labels)  # type: ignore[return-value]
@@ -272,17 +437,29 @@ class Registry:
     # ------------------------------------------------------------------
     # enumeration and aggregation
     # ------------------------------------------------------------------
+    def _ordered_buckets(self) -> List[_Bucket]:
+        if self._bucket_order is None:
+            self._bucket_order = [self._buckets[k] for k in sorted(self._buckets)]
+        return self._bucket_order
+
+    def _series(self, name: str, kind: str) -> List[Metric]:
+        """The series of one ``(name, kind)`` in label order, without a scan."""
+        bucket = self._buckets.get((name, kind))
+        return bucket.ordered() if bucket is not None else []
+
     def metrics(self) -> List[Metric]:
-        """All registered metrics in deterministic (kind, name, labels) order."""
-        return [self._metrics[k] for k in sorted(self._metrics, key=_metric_sort_key)]
+        """All registered metrics in deterministic (name, kind, labels) order."""
+        return [m for bucket in self._ordered_buckets() for m in bucket.ordered()]
 
     def collect(self, *, skip_kinds: Tuple[str, ...] = ()) -> Iterator[Sample]:
         """Yield every numeric reading, deterministically ordered."""
-        for metric in self.metrics():
-            if metric.kind in skip_kinds:
+        for bucket in self._ordered_buckets():
+            if bucket.kind in skip_kinds:
                 continue
-            for name, value in metric.samples():
-                yield Sample(name, metric.labels, value, metric.kind)
+            for metric in bucket.ordered():
+                labels = metric.labels
+                for name, value in metric.samples():
+                    yield Sample(name, labels, value, bucket.kind)
 
     def value(self, name: str, **labels: Any) -> float:
         """Sum of every counter/gauge named ``name`` matching ``labels``.
@@ -294,14 +471,13 @@ class Registry:
         want = _freeze_labels(labels)
         total = 0.0
         seen = False
-        for metric in self.metrics():
-            if metric.name != name or metric.kind not in ("counter", "gauge"):
-                continue
-            have = dict(metric.labels)
-            if any(have.get(k, _MISSING) != v for k, v in want):
-                continue
-            total += metric.value  # type: ignore[union-attr]
-            seen = True
+        for kind in ("counter", "gauge"):
+            for metric in self._series(name, kind):
+                have = dict(metric.labels)
+                if any(have.get(k, _MISSING) != v for k, v in want):
+                    continue
+                total += metric.value  # type: ignore[attr-defined]
+                seen = True
         if not seen:
             raise KeyError(f"no counter/gauge named {name!r} matching {dict(want)}")
         return total
@@ -318,41 +494,30 @@ class Registry:
         The result maps ``name{remaining-labels}`` to the summed value;
         this is what the sampler records and ``run --stats`` tabulates,
         so per-node label cardinality never bloats exported series.
+        Every sum runs in enumeration order, so a float total does not
+        depend on when its series were registered.
         """
+        drop_labels = tuple(drop_labels)
         out: Dict[str, float] = {}
-        for s in self.collect(skip_kinds=skip_kinds):
-            kept = tuple((k, v) for k, v in s.labels if k not in drop_labels)
-            key = flatten_key(s.name, kept)
-            out[key] = out.get(key, 0.0) + s.value
+        for bucket in self._ordered_buckets():
+            if bucket.kind not in skip_kinds:
+                bucket.fold_into(out, drop_labels)
         return out
 
     def wall_times(self) -> Dict[str, Tuple[float, int]]:
         """``{section: (seconds, calls)}`` for every :meth:`timed` section."""
         out: Dict[str, Tuple[float, int]] = {}
-        for metric in self.metrics():
-            if metric.kind == "timer" and metric.name == WALL:
-                section = dict(metric.labels).get("section", metric.key)
-                out[str(section)] = (metric.seconds, metric.calls)  # type: ignore[union-attr]
+        for metric in self._series(WALL, "timer"):
+            section = dict(metric.labels).get("section", metric.key)
+            out[str(section)] = (metric.seconds, metric.calls)  # type: ignore[attr-defined]
         return out
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        """Registered series: every cell of every family counts."""
+        return sum(len(family.cells) for family in self._families.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Registry metrics={len(self._metrics)}>"
-
-
-class _Missing:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<missing>"
-
-
-_MISSING = _Missing()
-
-
-def _metric_sort_key(key: Tuple[str, str, LabelItems]) -> Tuple[str, str, str]:
-    kind, name, labels = key
-    return (name, kind, repr(labels))
+        return f"<Registry metrics={len(self)}>"
 
 
 _DEFAULT: Optional[Registry] = None

@@ -7,6 +7,7 @@ harvests.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -69,12 +70,21 @@ class Simulation:
 
     def run(self) -> None:
         """Start the overlay (and sampler) and run to the horizon."""
-        if self.sampler is not None:
-            self.sampler.start()
-        self.overlay.start(queries=self.config.queries)
-        self.sim.run(until=self.config.duration)
-        if self.manifest is not None:
-            self.manifest.finish(self.registry)
+        # The built world outlives the run and holds no garbage, yet every
+        # full pass of the cyclic collector would walk all of it (0.2-0.5 s
+        # at n = 10 000) wherever the allocation count happens to trip.
+        # Park it in the permanent generation until the horizon, so passes
+        # only look at what the run itself allocated.
+        gc.freeze()
+        try:
+            if self.sampler is not None:
+                self.sampler.start()
+            self.overlay.start(queries=self.config.queries)
+            self.sim.run(until=self.config.duration)
+            if self.manifest is not None:
+                self.manifest.finish(self.registry)
+        finally:
+            gc.unfreeze()
 
     def stats(self) -> dict:
         """Nested per-layer ``stats()`` snapshot of the whole stack."""

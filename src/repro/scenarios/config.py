@@ -215,14 +215,26 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "ScenarioConfig":
-        """Inverse of :meth:`to_dict` (ignores unknown keys)."""
-        names = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: _decode(v) for k, v in d.items() if k in names}
-        if isinstance(kwargs.get("p2p"), dict):
-            kwargs["p2p"] = P2pConfig(**kwargs["p2p"])
-        if isinstance(kwargs.get("query"), dict):
-            kwargs["query"] = QueryConfig(**kwargs["query"])
+        """Inverse of :meth:`to_dict`.
+
+        A key that is not a field -- here or in the nested ``p2p`` /
+        ``query`` dicts -- raises ``ValueError``: dropping it would run
+        (and cache) a scenario other than the one the dict describes.
+        Missing keys take their defaults, so older archives still load.
+        """
+        kwargs = _known_fields(cls, {k: _decode(v) for k, v in d.items()})
+        for name, nested in (("p2p", P2pConfig), ("query", QueryConfig)):
+            if isinstance(kwargs.get(name), dict):
+                kwargs[name] = nested(**_known_fields(nested, kwargs[name]))
         return cls(**kwargs)
+
+
+def _known_fields(cls, d: Dict[str, Any]) -> Dict[str, Any]:
+    """``d``, once every key is a field of dataclass ``cls``."""
+    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    return d
 
 
 def _encode(v):

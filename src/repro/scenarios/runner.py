@@ -175,6 +175,13 @@ def harvest(simulation: Simulation) -> RunResult:
     All graph/collector analytics go through the simulation's
     :class:`~repro.metrics.analytics.AnalyticsEngine` (lanes picked by
     the config); results are exactly equal on every lane combination.
+
+    ``counters`` folds the registry a second time on purpose:
+    ``RunManifest.finish`` recorded ``peaks`` when the run loop ended,
+    before the analytics calls above bumped ``analytics.*`` /
+    ``graphfast.*``, so the two dicts legitimately differ and both are
+    archived.  A fold walks the registry's per-(name, kind) index, so
+    neither costs a sort or scales worse than one addition per series.
     """
     cfg = simulation.config
     metrics = simulation.metrics
@@ -221,7 +228,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         result = harvest(simulation)
     if simulation.analytics is not None:
         simulation.analytics.close()  # release the BFS worker pool, if any
-    # Wall sections accumulated during harvest must reach the result too.
+    # harvest() read the wall timers while "scenario.harvest" was still
+    # open; read them again so that section reaches the result too.  The
+    # read touches only the timers, never the per-node series.
     result.wall = registry.wall_times()
     return result
 

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.config import P2pConfig
+from repro.core.query import QueryConfig
 from repro.experiments import ResultStore
 from repro.obs import RUN_SCHEMA_VERSION, RunManifest, SchemaError, validate_run_dict
 from repro.obs.manifest import config_hash
@@ -107,10 +109,43 @@ class TestConfigSerialization:
         cfg = ScenarioConfig(num_nodes=30, algorithm="hybrid", obs_interval=2.0)
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_unknown_keys_ignored(self):
+    def test_unknown_keys_rejected(self):
         d = ScenarioConfig().to_dict()
         d["future_field"] = 1
-        assert ScenarioConfig.from_dict(d) == ScenarioConfig()
+        d["another"] = 2
+        with pytest.raises(ValueError, match="ScenarioConfig keys: another, future_field"):
+            ScenarioConfig.from_dict(d)
+
+    @pytest.mark.parametrize("nested, cls", [("p2p", "P2pConfig"), ("query", "QueryConfig")])
+    def test_unknown_nested_keys_rejected(self, nested, cls):
+        d = ScenarioConfig().to_dict()
+        d[nested]["future_field"] = 1
+        with pytest.raises(ValueError, match=f"{cls} keys: future_field"):
+            ScenarioConfig.from_dict(d)
+
+    def test_every_field_round_trips(self):
+        # One non-default value per field; a field added without an entry
+        # here fails the first assert, so the round trip stays complete.
+        changed = dict(
+            num_nodes=31, area_width=120.0, area_height=80.0, radio_range=12.5,
+            p2p_fraction=0.5, algorithm="hybrid", routing="dsr", mac="lossy",
+            mobility="manhattan", max_speed=2.0, max_pause=30.0, num_files=7,
+            max_freq=0.25, duration=45.0, seed=9, energy_capacity=3.5,
+            snapshot_interval=0.5, topology="sparse", topology_delta=False,
+            topology_refresh="full", queries=False, batched_delivery=False,
+            obs_interval=2.0, queue="heap", analytics_exec="parallel",
+            analytics_mode="full", analytics_processes=2,
+            rebroadcast="counter:2", query_policy="contact",
+            p2p=P2pConfig(max_connections=5), query=QueryConfig(ttl=3),
+        )
+        default = ScenarioConfig()
+        assert set(changed) == set(ScenarioConfig.__dataclass_fields__)
+        cfg = ScenarioConfig(**changed)
+        for name, value in changed.items():
+            assert getattr(cfg, name) == value != getattr(default, name), name
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        # the default carries the one non-JSON float (inf capacity)
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(default.to_dict()))) == default
 
     def test_rejects_negative_obs_interval(self):
         with pytest.raises(ValueError):
@@ -146,3 +181,17 @@ class TestStorage:
         store.append("run", {"schema_version": 1})  # malformed by hand
         with pytest.raises(SchemaError):
             store.load_runs()
+
+    def test_store_counts_runs_with_unknown_config_keys(self, tmp_path, small_result):
+        from repro.obs import Registry
+
+        registry = Registry()
+        store = ResultStore(str(tmp_path / "runs.ndjson"), registry=registry)
+        store.append_run(small_result)
+        for where in (lambda cfg: cfg, lambda cfg: cfg["p2p"], lambda cfg: cfg["query"]):
+            foreign = small_result.to_dict()
+            where(foreign["config"])["future_field"] = 1  # written by a newer build
+            store.append("run", foreign)
+        runs = store.load_runs()
+        assert [r.config for r in runs] == [small_result.config]
+        assert registry.value("storage.corrupt_lines") == 3

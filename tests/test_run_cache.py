@@ -113,6 +113,16 @@ class TestRunCache:
         assert resumed.get(other) is None
         assert registry.counter("storage.corrupt_lines").value == 1
 
+    @pytest.mark.parametrize("nested", [None, "p2p", "query"])
+    def test_unknown_config_key_is_a_counted_miss(self, tmp_path, nested):
+        cache = self._cache(tmp_path)
+        payload = run_scenario(CFG).to_dict()
+        config = payload["config"] if nested is None else payload["config"][nested]
+        config["future_field"] = 1  # written by a newer build
+        cache.store.append("run", payload, cache_key=cache.key_for(CFG))
+        assert cache.get(CFG) is None
+        assert (cache.hits.value, cache.misses.value) == (0, 1)
+
     def test_refresh_rereads(self, tmp_path):
         cache = self._cache(tmp_path)
         assert len(cache) == 0

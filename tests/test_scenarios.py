@@ -93,6 +93,29 @@ class TestBuilder:
             a.members[0]
         ].store.files() != b.overlay.servents[b.members[0]].store.files()
 
+    def test_run_parks_the_built_world_until_the_horizon(self):
+        import gc
+
+        s = build_scenario(ScenarioConfig(num_nodes=10, duration=5.0, routing="oracle"))
+        frozen = []
+        s.sim.schedule(1.0, lambda: frozen.append(gc.get_freeze_count()))
+        assert gc.get_freeze_count() == 0
+        s.run()
+        assert frozen[0] > 0 and gc.get_freeze_count() == 0
+
+    def test_run_unfreezes_when_a_handler_raises(self):
+        import gc
+
+        s = build_scenario(ScenarioConfig(num_nodes=10, duration=5.0, routing="oracle"))
+
+        def boom():
+            raise RuntimeError("handler failed")
+
+        s.sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            s.run()
+        assert gc.get_freeze_count() == 0
+
 
 class TestRunner:
     def test_run_scenario_harvests(self):
