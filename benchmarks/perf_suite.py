@@ -1,20 +1,13 @@
 """Substrate performance suite: the repo's recorded perf trajectory.
 
-Ten workload families time the hot paths the fast lanes optimize (see
+Nine workload families time the hot paths the fast lanes optimize (see
 docs/PERFORMANCE.md):
 
 * **kernel_throughput** -- raw event dispatch rate (events/sec) of the
   discrete-event kernel, no network attached;
-* **queue_kernel** -- a flood-shaped hold model (constant queue depth n,
-  every transmission spawns a same-time reception burst) dispatched on
-  both queue lanes (``queue="heap"`` vs ``queue="calendar"``); queue
-  cost dominates by construction, so this is the workload that shows
-  the calendar queue's O(1)-amortized win, and the dispatch traces of
-  the two lanes are digest-checked for exact ``(time, priority, seq)``
-  equality over several seeds;
 * **metro_flagship** -- the metro-scale tier: a full n = 10 000 sparse-
   topology, delta-refresh, batched end-to-end scenario (paper density,
-  area scaled with sqrt(n)) run on both queue lanes;
+  area scaled with sqrt(n));
 * **broadcast_fanout** -- a flood-heavy static MANET (fixed 100 m x
   100 m area, so density and fan-out grow with n) run on both delivery
   lanes; the per-lane heap traffic and wall clock quantify the batching
@@ -108,8 +101,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "BenchSchemaError",
     "bench_kernel_throughput",
-    "bench_queue_kernel",
-    "compare_queue_kernel",
     "bench_broadcast_fanout",
     "compare_fanout_lanes",
     "bench_scenario_e2e",
@@ -117,7 +108,6 @@ __all__ = [
     "compare_query_plane",
     "QUERY_PLANE_POLICIES",
     "bench_metro_flagship",
-    "compare_metro_flagship",
     "bench_topology_refresh",
     "compare_topology_refresh",
     "REFRESH_BENCH_LANES",
@@ -144,10 +134,6 @@ QUICK_SIZES = (50, 150)
 
 #: Seeds the batched-vs-reference identity check runs over.
 EQUIVALENCE_SEEDS = (1, 2, 3)
-
-#: Queue depths the queue_kernel workload covers (the 2000 entry is the
-#: flood-heavy n >= 2000 claim; 10_000 is the metro operating point).
-QUEUE_KERNEL_DEPTHS = (2000, 10_000)
 
 #: The metro flagship tier (ROADMAP "city district" scale).
 METRO_N = 10_000
@@ -205,145 +191,9 @@ def bench_kernel_throughput(n_events: int = 100_000) -> Dict[str, Any]:
     }
 
 
-def _queue_kernel_net(queue: str, n: int, n_events: int, fan: int, seed: int):
-    """Flood-shaped hold model on one queue lane (nothing but the queue).
-
-    ``n // fan`` transmission chains keep roughly ``n`` events pending:
-    each *tx* dispatch schedules ``fan - 1`` same-time receptions plus
-    its own successor, which is exactly the schedule shape a broadcast
-    flood produces -- and the handlers are no-ops, so queue operations
-    dominate the wall clock by construction.  Delays come from a hand-
-    rolled LCG (no RNG object in the hot path), so the schedule is a
-    pure function of ``seed`` and identical across lanes.
-    """
-    sim = Simulator(queue=queue)
-    state = [seed if seed > 0 else 1]
-    done = [0]
-
-    def lcg() -> float:
-        state[0] = (state[0] * 1103515245 + 12345) % (1 << 31)
-        return state[0] / (1 << 31)
-
-    def rx():
-        done[0] += 1
-
-    def tx():
-        done[0] += 1
-        if done[0] >= n_events:
-            return
-        d = 0.01 + lcg() * 2.0
-        for _ in range(fan - 1):
-            sim.schedule(d, rx)
-        sim.schedule(d + 0.001, tx)
-
-    for _ in range(max(1, n // fan)):
-        sim.schedule(lcg() * 2.0, tx)
-    return sim
-
-
-def bench_queue_kernel(
-    n: int,
-    *,
-    n_events: int = 300_000,
-    fan: int = 8,
-    queue: str = "calendar",
-    seed: int = 1,
-    repeats: int = 1,
-) -> Dict[str, Any]:
-    """Flood-shaped queue workload on one lane (see :func:`_queue_kernel_net`)."""
-    walls = []
-    sim = None
-    for _ in range(max(1, repeats)):
-        sim = _queue_kernel_net(queue, n, n_events, fan, seed)
-        t0 = perf_counter()
-        sim.run(max_events=n_events)
-        walls.append(perf_counter() - t0)
-    assert sim is not None
-    wall = min(walls)
-    out = {
-        "name": "queue_kernel",
-        "params": {
-            "n": n,
-            "n_events": n_events,
-            "fan": fan,
-            "seed": seed,
-            "lane": queue,
-        },
-        **_spread(walls),
-        "events_dispatched": sim.events_dispatched,
-        "heap_pushes": sim.heap_pushes,
-        "events_per_sec": n_events / wall if wall > 0 else float("inf"),
-    }
-    if queue == "calendar":
-        stats = sim.stats()
-        out["calq_resizes"] = stats["calq_resizes"]
-        out["calq_spills"] = stats["calq_spills"]
-        out["calq_buckets"] = stats["calq_buckets"]
-    return out
-
-
-def _queue_kernel_digest(queue: str, n: int, n_events: int, fan: int, seed: int) -> str:
-    """Blake2b over the exact dispatch trace (untimed identity pass)."""
-    sim = _queue_kernel_net(queue, n, n_events, fan, seed)
-    digest = hashlib.blake2b(digest_size=16)
-    dispatched = 0
-    while dispatched < n_events:
-        ev = sim.step()
-        if ev is None:
-            break
-        dispatched += 1
-        digest.update(repr((ev.time, ev.priority, ev.seq)).encode())
-    return digest.hexdigest()
-
-
-def compare_queue_kernel(
-    n: int,
-    *,
-    n_events: int = 300_000,
-    fan: int = 8,
-    seeds: Sequence[int] = EQUIVALENCE_SEEDS,
-    repeats: int = 1,
-) -> Dict[str, Any]:
-    """Heap vs calendar lane on the identical flood-shaped schedule.
-
-    Wall clock comes from per-lane timed runs (best of ``repeats``); on
-    top of that, both lanes replay the schedule over ``seeds`` and the
-    blake2b digests of their complete ``(time, priority, seq)`` dispatch
-    traces must match exactly -- the BENCH-level restatement of the
-    bit-identical-order contract tests/test_calqueue.py fuzzes.
-    """
-    reference = bench_queue_kernel(
-        n, n_events=n_events, fan=fan, queue="heap", seed=seeds[0], repeats=repeats
-    )
-    calendar = bench_queue_kernel(
-        n, n_events=n_events, fan=fan, queue="calendar", seed=seeds[0], repeats=repeats
-    )
-    # The identity pass steps event-by-event, so keep it much shorter
-    # than the timed run -- trace equality is length-independent.
-    digest_events = min(n_events, 40_000)
-    identical = True
-    checked = []
-    for seed in seeds:
-        ref_fp = _queue_kernel_digest("heap", n, digest_events, fan, seed)
-        cal_fp = _queue_kernel_digest("calendar", n, digest_events, fan, seed)
-        if ref_fp != cal_fp:
-            identical = False
-        checked.append(int(seed))
-    wall_ref, wall_cal = reference["wall_seconds"], calendar["wall_seconds"]
-    return {
-        "name": "queue_kernel",
-        "n": n,
-        "heap": reference,
-        "calendar": calendar,
-        "speedup": wall_ref / wall_cal if wall_cal > 0 else float("inf"),
-        "semantically_identical": identical,
-        "seeds_checked": checked,
-    }
-
-
-def _fanout_net(n: int, seed: int, batched: bool, queue: str = "calendar"):
+def _fanout_net(n: int, seed: int, batched: bool):
     """A static, dense-as-n-grows MANET with one flood plane per node."""
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     mobility = Static(n, Area(100.0, 100.0), np.random.default_rng(seed))
     world = World(sim, mobility, topology="sparse" if n >= 400 else "dense")
     channel = Channel(sim, world, batched=batched)
@@ -502,10 +352,9 @@ def bench_metro_flagship(
     *,
     duration: float = METRO_DURATION,
     seed: int = 1,
-    queue: str = "calendar",
     repeats: int = 1,
 ) -> Dict[str, Any]:
-    """Metro-scale flagship: full stack at n = 10 000 on one queue lane.
+    """Metro-scale flagship: full stack at n = 10 000.
 
     Paper density (area scaled with sqrt(n)), sparse topology backend,
     incremental delta refresh, batched delivery -- the production
@@ -521,7 +370,6 @@ def bench_metro_flagship(
         area_width=side,
         area_height=side,
         topology="auto",
-        queue=queue,
     )
     walls = []
     result = None
@@ -537,51 +385,12 @@ def bench_metro_flagship(
             "n": n,
             "duration": duration,
             "seed": seed,
-            "lane": queue,
             "topology": cfg.resolved_topology,
         },
         **_spread(walls),
         "events_dispatched": result.events,
         "heap_pushes": result.counters.get("kernel.heap_pushes", 0.0),
         "sim_seconds_per_wall_second": duration / wall if wall > 0 else float("inf"),
-    }
-
-
-def compare_metro_flagship(
-    n: int = METRO_N,
-    *,
-    duration: float = METRO_DURATION,
-    seed: int = 1,
-    repeats: int = 1,
-) -> Dict[str, Any]:
-    """Heap vs calendar lane at metro scale (full stack, one seed).
-
-    At n = 10 000 the previous PRs' fast lanes (batching, sparse
-    topology, delta refresh) have already taken the scheduler off the
-    critical path, so the expected speedup here is ~1.0x -- the entry
-    exists to prove the tier *completes* and to track its trajectory;
-    the queue win itself is measured where queue cost dominates
-    (``queue_kernel``).
-    """
-    reference = bench_metro_flagship(
-        n, duration=duration, seed=seed, queue="heap", repeats=repeats
-    )
-    calendar = bench_metro_flagship(
-        n, duration=duration, seed=seed, queue="calendar", repeats=repeats
-    )
-    wall_ref, wall_cal = reference["wall_seconds"], calendar["wall_seconds"]
-    return {
-        "name": "metro_flagship",
-        "n": n,
-        "heap": reference,
-        "calendar": calendar,
-        # identical logical event counts are the cheap invariant at this
-        # scale (full trace identity is proven at the kernel/e2e level)
-        "semantically_identical": bool(
-            reference["events_dispatched"] == calendar["events_dispatched"]
-            and reference["heap_pushes"] == calendar["heap_pushes"]
-        ),
-        "speedup": wall_ref / wall_cal if wall_cal > 0 else float("inf"),
     }
 
 
@@ -1397,8 +1206,6 @@ def run_suite(
     n_events = 20_000 if quick else 100_000
     rounds = 10 if quick else 30
     seeds = EQUIVALENCE_SEEDS[:1] if quick else EQUIVALENCE_SEEDS
-    queue_depths = QUEUE_KERNEL_DEPTHS[:1] if quick else QUEUE_KERNEL_DEPTHS
-    queue_events = 60_000 if quick else 300_000
     if metro is None and not quick:
         metro = METRO_N
     # Best-of-N timing filters warmup/GC noise out of the full record;
@@ -1410,17 +1217,6 @@ def run_suite(
 
     say(f"kernel_throughput: {n_events} events")
     results.append(bench_kernel_throughput(n_events))
-
-    for depth in queue_depths:
-        say(f"queue_kernel: depth={depth} ({queue_events} events, both lanes)")
-        cmp_ = compare_queue_kernel(
-            depth, n_events=queue_events, seeds=seeds, repeats=repeats
-        )
-        results.append(cmp_["heap"])
-        results.append(cmp_["calendar"])
-        comparisons.append(
-            {k: v for k, v in cmp_.items() if k not in ("heap", "calendar")}
-        )
 
     for n in sizes:
         say(f"broadcast_fanout: n={n} ({rounds} floods, both lanes)")
@@ -1486,16 +1282,10 @@ def run_suite(
         comparisons.append(cmp_)
 
     if metro:
-        say(f"metro_flagship: n={metro} duration={metro_duration:.1f}s (both lanes)")
-        # The flagship runs once per lane: at ~5 wall-seconds a run,
-        # best-of-3 would triple the longest stage for noise filtering
-        # the comparison does not need (speedup here is ~1.0 by design).
-        cmp_ = compare_metro_flagship(metro, duration=metro_duration, repeats=1)
-        results.append(cmp_["heap"])
-        results.append(cmp_["calendar"])
-        comparisons.append(
-            {k: v for k, v in cmp_.items() if k not in ("heap", "calendar")}
-        )
+        say(f"metro_flagship: n={metro} duration={metro_duration:.1f}s")
+        # The flagship runs once: at ~5 wall-seconds a run, best-of-3
+        # would triple the longest stage of the suite.
+        results.append(bench_metro_flagship(metro, duration=metro_duration, repeats=1))
 
     refresh_duration = 5.0 if quick else 20.0
     refresh_sizes = list(sizes)

@@ -72,16 +72,15 @@ def test_kernel_event_throughput(benchmark):
     assert n == 10_000
 
 
-# Queue-op throughput, heap vs calendar lane.  The default 1e4 events
-# keeps CI fast; set REPRO_QUEUE_BENCH_N=100000 (or 1000000) to probe
-# the asymptotic regime where the heap's O(log n) Python-level
-# comparisons separate from the calendar's O(1) amortized inserts.
+# Queue-op throughput with cancellation.  The default 1e4 events keeps
+# CI fast; set REPRO_QUEUE_BENCH_N=100000 (or 1000000) to probe deep
+# queues.
 QUEUE_BENCH_N = int(os.environ.get("REPRO_QUEUE_BENCH_N", "10000"))
 
 
-def _queue_churn(queue, n=QUEUE_BENCH_N):
+def _queue_churn(n=QUEUE_BENCH_N):
     """Push n events (LCG delays), cancel every 4th, drain the rest."""
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     state = 1
     handles = []
     for _ in range(n):
@@ -93,19 +92,10 @@ def _queue_churn(queue, n=QUEUE_BENCH_N):
     return sim
 
 
-def test_queue_ops_heap(benchmark):
-    sim = benchmark(lambda: _queue_churn("heap"))
+def test_queue_ops(benchmark):
+    sim = benchmark(_queue_churn)
     assert sim.pending() == 0
-
-
-def test_queue_ops_calendar(benchmark):
-    sim = benchmark(lambda: _queue_churn("calendar"))
-    assert sim.pending() == 0
-    # Identical push/cancel/drain accounting on both lanes.
-    ref = _queue_churn("heap")
-    assert sim.events_dispatched == ref.events_dispatched
-    assert sim.events_skipped == ref.events_skipped
-    assert sim.heap_compactions == ref.heap_compactions
+    assert sim.events_dispatched + sim.events_skipped == QUEUE_BENCH_N
 
 
 def _flood_round(batched):

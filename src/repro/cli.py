@@ -99,7 +99,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         topology=args.topology,
         topology_refresh=args.topology_refresh,
-        queue=args.queue,
         analytics_exec=args.analytics,
         analytics_mode=args.analytics_mode,
         rebroadcast=args.rebroadcast,
@@ -183,7 +182,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
             seed=args.seed,
             topology=args.topology,
             topology_refresh=args.topology_refresh,
-            queue=args.queue,
         )
     )
     s.run()
@@ -226,7 +224,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         topology=args.topology,
         topology_refresh=args.topology_refresh,
         obs_interval=args.obs_interval,
-        queue=args.queue,
         analytics_exec=args.analytics,
         analytics_mode=args.analytics_mode,
         analytics_processes=args.processes,
@@ -383,13 +380,6 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
         help="snapshot refresh lane: predictive kinetic horizons "
         "(default), incremental delta diffing, or the full-rebuild "
         "reference lane (all bit-identical)",
-    )
-    parser.add_argument(
-        "--queue",
-        choices=("calendar", "heap"),
-        default="calendar",
-        help="kernel event queue: calendar (O(1)-amortized, default) or "
-        "the binary-heap reference lane (bit-identical dispatch order)",
     )
 
 

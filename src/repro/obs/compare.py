@@ -47,13 +47,6 @@ SCHEDULER_COST_METRICS: Tuple[str, ...] = (
     "kernel.heap_pushes",
     "kernel.heap_compactions",
     "kernel.events_skipped",
-    # Calendar-lane cost telemetry (absent on the heap reference lane):
-    # rebuild counts and bucket geometry measure the queue's calibration
-    # effort, never what the simulation did.
-    "kernel.calq_resizes",
-    "kernel.calq_spills",
-    "kernel.calq_buckets",
-    "kernel.calq_occupancy",
 )
 
 #: Metric names that measure topology *cache effort*, not connectivity.

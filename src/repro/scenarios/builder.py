@@ -126,7 +126,7 @@ def _make_mobility(cfg: ScenarioConfig, rng: RngRegistry) -> MobilityModel:
 def build_scenario(cfg: ScenarioConfig) -> Simulation:
     """Wire every layer for ``cfg`` (deterministic given ``cfg.seed``)."""
     rng = RngRegistry(cfg.seed)
-    sim = Simulator(queue=cfg.queue)
+    sim = Simulator()
     registry = sim.registry  # every layer below shares this one
     mobility = _make_mobility(cfg, rng)
     world = World(

@@ -30,7 +30,6 @@ _ROUTINGS = ("aodv", "dsdv", "dsr", "oracle")
 _ALGORITHMS = ("basic", "regular", "random", "hybrid")
 _TOPOLOGIES = ("dense", "sparse", "auto")
 _REFRESH_LANES = ("predictive", "delta", "full")
-_QUEUES = ("calendar", "heap")
 _ANALYTICS_EXECS = ("serial", "parallel")
 _ANALYTICS_MODES = ("incremental", "full")
 
@@ -101,12 +100,6 @@ class ScenarioConfig:
     #: sim-time interval between observability samples; 0 disables the
     #: sampler (counters still accumulate, no time series is recorded)
     obs_interval: float = 0.0
-    #: kernel pending-event structure: "calendar" (O(1)-amortized
-    #: calendar queue, the default) or "heap" (binary-heap reference
-    #: lane).  Dispatch order is bit-identical between the two
-    #: (tests/test_queue_equivalence.py); "heap" pins the reference
-    #: lane for A/B comparison.
-    queue: str = "calendar"
     #: analytics execution lane: "serial" or "parallel" (graph-metric
     #: BFS sharded over a process pool).  Exactly equal results either
     #: way (tests/test_analytics.py); parallel only pays off at large n.
@@ -164,8 +157,6 @@ class ScenarioConfig:
         object.__setattr__(
             self, "topology_delta", self.topology_refresh != "full"
         )
-        if self.queue not in _QUEUES:
-            raise ValueError(f"unknown queue kind {self.queue!r}")
         if self.analytics_exec not in _ANALYTICS_EXECS:
             raise ValueError(f"unknown analytics execution lane {self.analytics_exec!r}")
         if self.analytics_mode not in _ANALYTICS_MODES:

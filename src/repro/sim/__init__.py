@@ -1,8 +1,7 @@
 """Discrete-event simulation substrate (kernel, processes, RNG streams)."""
 
-from .calqueue import CalendarQueue, HeapQueue
 from .events import Event, Priority
-from .kernel import QUEUE_KINDS, SimulationError, Simulator
+from .kernel import SimulationError, Simulator
 from .process import WAIT, Process
 from .rng import RngRegistry
 from .trace import TraceRecord, TraceRecorder, attach_tracer
@@ -11,11 +10,8 @@ __all__ = [
     "TraceRecord",
     "TraceRecorder",
     "attach_tracer",
-    "CalendarQueue",
     "Event",
-    "HeapQueue",
     "Priority",
-    "QUEUE_KINDS",
     "SimulationError",
     "Simulator",
     "Process",

@@ -1,7 +1,8 @@
 """Event objects for the discrete-event kernel.
 
-An :class:`Event` is an immutable-ish record placed on the simulator's
-binary heap.  Ordering is by ``(time, priority, seq)`` so that
+An :class:`Event` is an immutable-ish record the simulator keeps on its
+binary heap inside a ``(time, priority, seq, event)`` tuple.  Ordering
+is by ``(time, priority, seq)`` so that
 
 * earlier events fire first,
 * ties at the same timestamp are broken by an explicit integer priority
@@ -10,7 +11,8 @@ binary heap.  Ordering is by ``(time, priority, seq)`` so that
   increasing counter assigned by the kernel),
 
 which makes every run bit-for-bit deterministic regardless of heap
-internals.
+internals.  ``seq`` is unique, so the tuple comparison never reaches the
+:class:`Event` itself; the class deliberately defines no ordering.
 """
 
 from __future__ import annotations
@@ -96,15 +98,3 @@ class Event:
         self.cancelled = True
         if self.owner is not None:
             self.owner._note_cancel()
-
-    # heapq compares items directly; define ordering on the sort key only.
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
-    def sort_key(self) -> tuple[float, int, int]:
-        """The total-order key used on the heap."""
-        return (self.time, self.priority, self.seq)

@@ -8,13 +8,14 @@ on a single :class:`Simulator` instance.
 
 Design notes
 ------------
-* The pending-event structure is a pluggable *queue lane*
-  (:mod:`repro.sim.calqueue`): ``queue="calendar"`` (the default) is a
-  self-calibrating calendar queue with O(1) amortized insert;
-  ``queue="heap"`` keeps the original binary heap as the reference
-  lane.  Both lanes dispatch in the exact same total order (``seq`` is
-  unique, so the order admits no tie-breaking freedom), which the
-  equivalence suites prove end-to-end.
+* The pending-event structure is one ``heapq`` list of ``(time,
+  priority, seq, event)`` tuples.  Tuples are compared in C,
+  element by element, and ``seq`` is unique, so a comparison is always
+  decided by the first three fields: the :class:`Event` in the last
+  slot is never compared and no Python-level ordering code runs on a
+  push or a pop.  ``(time, priority, seq)`` is a total order with no
+  ties left to break, so the dispatch order does not depend on the
+  heap's internal layout (a compaction may re-heapify freely).
 * Cancellation is lazy (events carry a ``cancelled`` flag and are skipped
   when popped) so cancelling the thousands of ping timeouts a p2p run
   creates is O(1) each.  To keep lazy cancellation from bloating the
@@ -27,8 +28,7 @@ Design notes
 * An event may carry ``weight=k``: one queue entry standing for k logical
   events (batched broadcast delivery).  Dispatch counts the weight, so
   ``events_dispatched`` is comparable across batched and unbatched
-  schedules; ``heap_pushes`` counts raw queue traffic (the name predates
-  the calendar lane and is kept for trajectory continuity) and shows the
+  schedules; ``heap_pushes`` counts raw queue traffic and shows the
   batching win.
 * The kernel never advances past ``run(until=...)``; events beyond the
   horizon stay queued, which lets callers resume the same simulation
@@ -39,20 +39,17 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..obs.registry import Registry
-from .calqueue import CalendarQueue, HeapQueue
 from .events import Event, Priority
 
-__all__ = ["Simulator", "SimulationError", "QUEUE_KINDS"]
+__all__ = ["Simulator", "SimulationError"]
 
 #: Below this queue length compaction is pointless (rebuild overhead
 #: would dominate); lazy skipping on pop handles small queues fine.
 MIN_COMPACT_SIZE = 64
-
-#: Selectable pending-event structures (see :mod:`repro.sim.calqueue`).
-QUEUE_KINDS = ("calendar", "heap")
 
 
 class SimulationError(RuntimeError):
@@ -69,12 +66,6 @@ class Simulator:
     registry:
         Observability registry the kernel's counters live in; a private
         one is created when not supplied (standalone use, tests).
-    queue:
-        Pending-event structure: ``"calendar"`` (default; O(1) amortized
-        insert) or ``"heap"`` (the binary-heap reference lane).  Both
-        dispatch bit-identically; the calendar lane additionally reports
-        ``kernel.calq_resizes`` / ``kernel.calq_spills`` counters and
-        ``kernel.calq_buckets`` / ``kernel.calq_occupancy`` gauges.
 
     Examples
     --------
@@ -94,14 +85,8 @@ class Simulator:
         start_time: float = 0.0,
         *,
         registry: Optional[Registry] = None,
-        queue: str = "calendar",
     ) -> None:
-        if queue not in QUEUE_KINDS:
-            raise SimulationError(
-                f"unknown queue kind {queue!r}; expected one of {QUEUE_KINDS}"
-            )
         self._now = float(start_time)
-        self.queue_kind = queue
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -113,20 +98,9 @@ class Simulator:
         self._c_compactions = self.registry.counter("kernel.heap_compactions")
         self._c_daemon = self.registry.counter("kernel.events_daemon")
         self._c_pushes = self.registry.counter("kernel.heap_pushes")
-        if queue == "calendar":
-            self._q: CalendarQueue | HeapQueue = CalendarQueue(
-                resize_counter=self.registry.counter("kernel.calq_resizes"),
-                spill_counter=self.registry.counter("kernel.calq_spills"),
-            )
-            self.registry.gauge(
-                "kernel.calq_buckets", fn=lambda: float(self._q.nbuckets)
-            )
-            self.registry.gauge(
-                "kernel.calq_occupancy", fn=lambda: float(self._q.occupancy())
-            )
-        else:
-            self._q = HeapQueue()
-        self.registry.gauge("kernel.heap", fn=lambda: float(len(self._q)))
+        #: the pending-event heap: ``(time, priority, seq, event)``
+        self._heap: List[Tuple[float, int, int, Event]] = []
+        self.registry.gauge("kernel.heap", fn=lambda: float(len(self._heap)))
         #: cancelled events currently sitting on the queue
         self._cancelled_pending = 0
         #: live (scheduled, not yet dispatched or cancelled) events;
@@ -158,7 +132,7 @@ class Simulator:
     @property
     def heap_size(self) -> int:
         """Raw queue length including cancelled entries (sampling gauge)."""
-        return len(self._q)
+        return len(self._heap)
 
     @property
     def heap_pushes(self) -> int:
@@ -167,22 +141,16 @@ class Simulator:
 
     def stats(self) -> Dict[str, float]:
         """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        out = {
+        return {
             "events_dispatched": self._c_dispatched.value,
             "events_skipped": self._c_skipped.value,
             "events_daemon": self._c_daemon.value,
             "heap_compactions": self._c_compactions.value,
             "heap_pushes": self._c_pushes.value,
-            "heap_size": len(self._q),
+            "heap_size": len(self._heap),
             "pending": self.pending(),
             "now": self._now,
         }
-        if isinstance(self._q, CalendarQueue):
-            out["calq_resizes"] = self._q.resizes
-            out["calq_spills"] = self._q.spills
-            out["calq_buckets"] = self._q.nbuckets
-            out["calq_occupancy"] = self._q.occupancy()
-        return out
 
     # ------------------------------------------------------------------
     # clock
@@ -212,8 +180,9 @@ class Simulator:
         ``events_dispatched``.  ``weight`` is the number of logical
         events this entry stands for (batched delivery).
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        # ``not >=`` instead of ``<`` so that NaN is rejected too.
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         return self.schedule_at(
             self._now + delay, fn, *args, priority=priority, daemon=daemon, weight=weight
         )
@@ -227,25 +196,25 @@ class Simulator:
         daemon: bool = False,
         weight: int = 1,
     ) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulation ``time``."""
-        if time < self._now:
+        """Schedule ``fn(*args)`` at absolute simulation ``time``.
+
+        Every push goes through this method.  ``time`` must be a number
+        at or after ``now`` (NaN is rejected: it would break the heap
+        invariant silently); ``+inf`` is legal and never fires under
+        ``run(until=...)``.
+        """
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, clock is already at {self._now!r}"
             )
         if weight < 1:
             raise SimulationError(f"weight must be >= 1, got {weight!r}")
-        ev = Event(
-            time=float(time),
-            priority=int(priority),
-            seq=self._seq,
-            fn=fn,
-            args=args,
-            daemon=daemon,
-            weight=weight,
-            owner=self,
-        )
-        self._seq += 1
-        self._q.push(ev)
+        time = float(time)
+        priority = int(priority)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, priority, seq, fn, args, False, daemon, weight, False, self)
+        heappush(self._heap, (time, priority, seq, ev))
         self._c_pushes.value += 1
         self._live += 1
         return ev
@@ -257,11 +226,16 @@ class Simulator:
         """Called by :meth:`Event.cancel`; compacts when dead weight wins."""
         self._cancelled_pending += 1
         self._live -= 1
-        if (
-            len(self._q) >= MIN_COMPACT_SIZE
-            and self._cancelled_pending * 2 > len(self._q)
-        ):
+        size = len(self._heap)
+        if size >= MIN_COMPACT_SIZE and self._cancelled_pending * 2 > size:
             self.compact()
+
+    def _note_skip(self, ev: Event) -> None:
+        """Account for a cancelled entry that was just popped."""
+        ev.done = True
+        self._c_skipped.value += 1
+        if self._cancelled_pending:
+            self._cancelled_pending -= 1
 
     def compact(self) -> None:
         """Drop all cancelled events from the queue in one pass.
@@ -269,8 +243,13 @@ class Simulator:
         O(n) filter; called automatically once cancelled entries exceed
         half the queue, and safe to call by hand.
         """
-        purged = self._q.drop_cancelled()
+        heap = self._heap
+        live = [entry for entry in heap if not entry[3].cancelled]
+        purged = len(heap) - len(live)
         if purged:
+            heapify(live)
+            # in place: a ``step()`` further up the stack holds this list
+            heap[:] = live
             self._c_skipped.value += purged
             self._c_compactions.value += 1
         self._cancelled_pending = 0
@@ -284,41 +263,33 @@ class Simulator:
         Returns the event dispatched, or ``None`` if the queue is empty
         (cancelled events are skipped transparently).
         """
-        q = self._q
-        while True:
-            ev = q.pop()
-            if ev is None:
-                return None
+        heap = self._heap
+        while heap:
+            ev = heappop(heap)[3]
             if ev.cancelled:
-                ev.done = True
-                self._c_skipped.value += 1
-                if self._cancelled_pending:
-                    self._cancelled_pending -= 1
+                self._note_skip(ev)
                 continue
             self._now = ev.time
             ev.done = True
             self._live -= 1
             if ev.daemon:
-                self._c_daemon.inc(ev.weight)
+                self._c_daemon.value += ev.weight
             else:
-                self._c_dispatched.inc(ev.weight)
+                self._c_dispatched.value += ev.weight
             ev.fn(*ev.args)
             return ev
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if queue is empty."""
-        q = self._q
-        while True:
-            ev = q.peek()
-            if ev is None:
-                return None
-            if not ev.cancelled:
-                return ev.time
-            q.pop()
-            ev.done = True
-            self._c_skipped.value += 1
-            if self._cancelled_pending:
-                self._cancelled_pending -= 1
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if not head[3].cancelled:
+                return head[0]
+            heappop(heap)
+            self._note_skip(head[3])
+        return None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``stop()``.
@@ -338,13 +309,10 @@ class Simulator:
         self._running = True
         self._stopped = False
         dispatched = 0
-        q = self._q
         try:
-            while len(q) and not self._stopped:
+            while not self._stopped:
                 nxt = self.peek_time()
-                if nxt is None:
-                    break
-                if until is not None and nxt > until:
+                if nxt is None or (until is not None and nxt > until):
                     break
                 if max_events is not None and dispatched >= max_events:
                     break
@@ -373,17 +341,17 @@ class Simulator:
 
     def _brute_pending(self) -> int:
         """O(queue) reference count of live queued events (tests only)."""
-        return sum(1 for ev in self._q if not ev.cancelled)
+        return sum(1 for _ in self.iter_pending())
 
     def __len__(self) -> int:
         return self.pending()
 
     def iter_pending(self) -> Iterator[Event]:
         """Yield live queued events in internal (not fire) order."""
-        return (ev for ev in self._q if not ev.cancelled)
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Simulator t={self._now:.3f} queue={self.queue_kind} "
-            f"pending={self.pending()} dispatched={self.events_dispatched}>"
+            f"<Simulator t={self._now:.3f} pending={self.pending()} "
+            f"dispatched={self.events_dispatched}>"
         )

@@ -20,15 +20,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
-    def test_queue_arg(self):
-        args = build_parser().parse_args(["run", "--nodes", "15"])
-        assert args.queue == "calendar"
-        args = build_parser().parse_args(["run", "--nodes", "15", "--queue", "heap"])
-        assert args.queue == "heap"
-
-    def test_bad_queue_rejected(self):
+    def test_bad_queue_rejected(self, capsys):
+        # no queue knob is left: any --queue is an unknown argument
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--queue", "fifo"])
+            build_parser().parse_args(["run", "--nodes", "15", "--queue", "heap"])
+        assert "unrecognized arguments: --queue" in capsys.readouterr().err
 
 
 class TestCommands:

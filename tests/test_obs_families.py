@@ -405,9 +405,9 @@ class TestScaleGuard:
         )
         registry = simulation.registry
         # Same series as the flat store held: 6 flood + 3 alg + 1 histogram
-        # per member, 6 flood per non-member (750 members), 38 globals.
+        # per member, 6 flood per non-member (750 members), 34 globals.
         assert len(simulation.members) == 750
-        assert len(registry) == 9 * n + 38
+        assert len(registry) == 9 * n + 34
 
         flattens = _Calls(monkeypatch, "flatten_key")
         sort_keys = _Calls(monkeypatch, "_series_sort_key")
@@ -436,7 +436,8 @@ class TestScaleGuard:
 
     def test_counters_equal_the_flat_store_recording(self):
         # RunResult.counters of this scenario at the last flat-store
-        # commit (09a47a0), keys in its order.
+        # commit (09a47a0), keys in its order -- less the four
+        # ``kernel.calq_*`` series, which left with the calendar queue.
         result = run_scenario(
             ScenarioConfig(num_nodes=150, duration=20.0, algorithm="hybrid", seed=5)
         )
@@ -454,8 +455,7 @@ _RECORDED_N150 = """{
 "flood.eviction_rate{plane=p2p.flood}": 0.0, "flood.evictions{plane=p2p.flood}": 0.0,
 "flood.forwarded{plane=p2p.flood}": 514.0, "flood.originated{plane=p2p.flood}": 106.0,
 "graphfast.bfs_sources{layer=metrics}": 112.0, "graphfast.component_runs{layer=metrics}": 1.0,
-"graphfast.triangle_runs{layer=metrics}": 1.0, "kernel.calq_buckets": 32.0,
-"kernel.calq_occupancy": 12.34375, "kernel.calq_resizes": 1.0, "kernel.calq_spills": 0.0,
+"graphfast.triangle_runs{layer=metrics}": 1.0,
 "kernel.events_daemon": 0.0, "kernel.events_dispatched": 12874.0, "kernel.events_skipped": 0.0,
 "kernel.heap": 395.0, "kernel.heap_compactions": 0.0, "kernel.heap_pushes": 5193.0,
 "net.frames_delivered{layer=radio}": 11545.0, "net.frames_sent{layer=radio}": 3484.0,

@@ -133,7 +133,7 @@ class TestConfigSerialization:
             max_freq=0.25, duration=45.0, seed=9, energy_capacity=3.5,
             snapshot_interval=0.5, topology="sparse", topology_delta=False,
             topology_refresh="full", queries=False, batched_delivery=False,
-            obs_interval=2.0, queue="heap", analytics_exec="parallel",
+            obs_interval=2.0, analytics_exec="parallel",
             analytics_mode="full", analytics_processes=2,
             rebroadcast="counter:2", query_policy="contact",
             p2p=P2pConfig(max_connections=5), query=QueryConfig(ttl=3),

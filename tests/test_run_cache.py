@@ -1,5 +1,8 @@
 """Tests for the content-addressed run cache."""
 
+import os
+import shutil
+
 import pytest
 
 from repro.experiments import ResultStore, RunCache, run_key
@@ -32,7 +35,7 @@ class TestRunKey:
             {"rebroadcast": "counter:2"},
             {"rebroadcast": "probabilistic:0.7"},
             {"query_policy": "contact"},
-            {"queue": "heap"},
+            {"topology_refresh": "full"},
         ],
     )
     def test_any_field_change_changes_key(self, change):
@@ -40,6 +43,44 @@ class TestRunKey:
 
     def test_schema_version_changes_key(self):
         assert run_key(CFG, schema_version=RUN_SCHEMA_VERSION + 1) != run_key(CFG)
+
+
+#: One archive line written at 531fb1e, when ``ScenarioConfig`` still had
+#: a ``queue`` field (``"queue": "calendar"`` in its config, and in the
+#: hash behind its cache key).
+OLD_ARCHIVE = os.path.join(os.path.dirname(__file__), "data", "run_with_queue_field.ndjson")
+OLD_KEY = "v1:4292a28764dc36c62834be760551cbaf39c83ff1ffc1781e6fbd333d33b0e42a:4"
+OLD_CFG = ScenarioConfig(
+    num_nodes=2, duration=1.0, seed=4, queries=False, routing="oracle", num_files=1
+)
+
+
+class TestArchiveWithRemovedQueueField:
+    """An archive from before the queue knob was removed stays a counted
+    outcome for both readers, never a crash."""
+
+    def _copy(self, tmp_path):
+        return shutil.copy(OLD_ARCHIVE, str(tmp_path / "runs.ndjson"))
+
+    def test_run_key_does_not_depend_on_a_queue_field(self):
+        assert not [f for f in ScenarioConfig.__dataclass_fields__ if "queue" in f]
+        assert "queue" not in ScenarioConfig().to_dict()
+        assert run_key(OLD_CFG) != OLD_KEY
+
+    def test_cache_get_is_a_miss(self, tmp_path, monkeypatch):
+        cache = RunCache(self._copy(tmp_path), registry=Registry())
+        assert len(cache) == 1  # the old line is indexed, under its old key
+        assert cache.get(OLD_CFG) is None
+        # Even looked up under its own key the payload does not rehydrate.
+        monkeypatch.setattr(cache, "key_for", lambda config: OLD_KEY)
+        assert cache.get(OLD_CFG) is None
+        assert (cache.hits.value, cache.misses.value) == (0, 2)
+
+    def test_load_runs_counts_a_corrupt_line(self, tmp_path):
+        registry = Registry()
+        store = ResultStore(self._copy(tmp_path), registry=registry)
+        assert store.load_runs() == []
+        assert registry.counter("storage.corrupt_lines").value == 1
 
 
 class TestRunCache:

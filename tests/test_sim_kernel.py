@@ -1,39 +1,37 @@
 """Unit and property tests for the discrete-event kernel.
 
-Every test runs on both queue lanes (``queue="calendar"`` and
-``queue="heap"``) via the ``make_sim`` fixture: the kernel contract --
-dispatch order, cancellation accounting, run control, weights -- is
-lane-independent by design, and these tests are the first line of the
-bit-identity proof obligation (see tests/test_calqueue.py for the
-trace-equality fuzzing).
+The kernel keeps one pending-event structure -- a ``heapq`` list of
+``(time, priority, seq, event)`` tuples -- so there is no second lane
+to compare it with.  The order it must produce is instead stated by
+:class:`RefSimulator` below: a list re-sorted by ``(time, priority,
+seq)`` before every pop, with the same lazy-cancellation accounting.
+``TestAgainstReference`` drives random op programs through both.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Priority, SimulationError, Simulator
+from repro.scenarios import ScenarioConfig, run_scenario
+from repro.sim import Event, Priority, SimulationError, Simulator
+from repro.sim.kernel import MIN_COMPACT_SIZE
 
 
+# The two ids are the queue lanes these tests ran on while the kernel
+# had a calendar queue beside the heap.  Both build the same Simulator
+# now; the ids only keep the test names stable for the tier-1 floor
+# list, and the parametrisation goes at its next re-anchor.
 @pytest.fixture(params=["calendar", "heap"])
-def make_sim(request):
-    """Simulator factory pinned to one queue lane per parametrization."""
-
-    def _make(*args, **kwargs):
-        kwargs.setdefault("queue", request.param)
-        return Simulator(*args, **kwargs)
-
-    _make.queue = request.param
-    return _make
+def make_sim():
+    return Simulator
 
 
 def test_unknown_queue_kind_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(queue="fibonacci")
-
-
-def test_queue_kind_exposed(make_sim):
-    assert make_sim().queue_kind == make_sim.queue
+    # No knob selects a queue: the keyword itself is gone.
+    with pytest.raises(TypeError):
+        Simulator(queue="calendar")
 
 
 class TestScheduling:
@@ -87,6 +85,28 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        # NaN passes a ``delay < 0`` guard and would break the heap
+        # invariant silently; the error names the value.
+        with pytest.raises(SimulationError, match="nan"):
+            Simulator().schedule(float("nan"), lambda: None)
+
+    def test_nan_absolute_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending() == 0 and sim.heap_pushes == 0
+
+    def test_infinite_time_is_legal_and_never_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(math.inf, fired.append, "never")
+        sim.schedule(1.0, fired.append, "a")
+        sim.run(until=1e12)
+        assert fired == ["a"]
+        assert sim.now == 1e12
+        assert sim.pending() == 1 and sim.peek_time() == math.inf
 
     def test_zero_delay_event_fires(self, make_sim):
         sim = make_sim()
@@ -311,13 +331,10 @@ class TestEventWeight:
 
 
 class TestProperties:
-    @given(
-        st.sampled_from(["calendar", "heap"]),
-        st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=100),
-    )
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
-    def test_dispatch_order_is_sorted(self, queue, delays):
-        sim = Simulator(queue=queue)
+    def test_dispatch_order_is_sorted(self, delays):
+        sim = Simulator()
         fired = []
         for d in delays:
             sim.schedule(d, lambda d=d: fired.append(sim.now))
@@ -326,7 +343,6 @@ class TestProperties:
         assert len(fired) == len(delays)
 
     @given(
-        st.sampled_from(["calendar", "heap"]),
         st.lists(
             st.tuples(st.floats(min_value=0, max_value=100), st.integers(0, 2)),
             min_size=1,
@@ -334,24 +350,22 @@ class TestProperties:
         ),
     )
     @settings(max_examples=50, deadline=None)
-    def test_total_order_time_priority_seq(self, queue, items):
-        sim = Simulator(queue=queue)
-        keys = []
-        for i, (d, p) in enumerate(items):
-            ev = sim.schedule(d, lambda: None, priority=p)
-            keys.append((ev, i))
+    def test_total_order_time_priority_seq(self, items):
+        sim = Simulator()
+        for d, p in items:
+            sim.schedule(d, lambda: None, priority=p)
         order = []
         while True:
             ev = sim.step()
             if ev is None:
                 break
-            order.append(ev.sort_key())
+            order.append(_key(ev))
         assert order == sorted(order)
 
-    @given(st.sampled_from(["calendar", "heap"]), st.integers(0, 2**31), st.data())
+    @given(st.integers(0, 2**31), st.data())
     @settings(max_examples=25, deadline=None)
-    def test_clock_monotone(self, queue, seed, data):
-        sim = Simulator(queue=queue)
+    def test_clock_monotone(self, seed, data):
+        sim = Simulator()
         times = []
         n = data.draw(st.integers(1, 30))
         import numpy as np
@@ -361,3 +375,275 @@ class TestProperties:
             sim.schedule(float(d), lambda: times.append(sim.now))
         sim.run()
         assert all(a <= b for a, b in zip(times, times[1:]))
+
+
+# ----------------------------------------------------------------------
+# reference kernel: the order and the accounting, stated naively
+# ----------------------------------------------------------------------
+def _key(ev):
+    return (ev.time, ev.priority, ev.seq)
+
+
+class RefEvent:
+    def __init__(self, owner, time, priority, seq, fn, args, daemon, weight):
+        self.owner = owner
+        self.time, self.priority, self.seq = time, priority, seq
+        self.fn, self.args = fn, args
+        self.daemon, self.weight = daemon, weight
+        self.cancelled = self.done = False
+
+    def cancel(self):
+        if not (self.cancelled or self.done):
+            self.cancelled = True
+            self.owner._note_cancel()
+
+
+class RefSimulator:
+    """The kernel's contract over a plain list, re-sorted by
+    ``(time, priority, seq)`` before every read of its head."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []  # queued RefEvents, cancelled ones included
+        self.seq = 0
+        self.cancelled_pending = 0
+        self.stopped = False
+        self.events_dispatched = self.events_daemon = 0
+        self.events_skipped = self.heap_pushes = self.heap_compactions = 0
+
+    def schedule(self, delay, fn, *args, **kw):
+        return self.schedule_at(self.now + delay, fn, *args, **kw)
+
+    def schedule_at(self, time, fn, *args, priority=1, daemon=False, weight=1):
+        ev = RefEvent(self, float(time), int(priority), self.seq, fn, args, daemon, weight)
+        self.seq += 1
+        self.entries.append(ev)
+        self.heap_pushes += 1
+        return ev
+
+    def _note_cancel(self):
+        self.cancelled_pending += 1
+        size = len(self.entries)
+        if size >= MIN_COMPACT_SIZE and self.cancelled_pending * 2 > size:
+            self.compact()
+
+    def compact(self):
+        live = [ev for ev in self.entries if not ev.cancelled]
+        purged = len(self.entries) - len(live)
+        if purged:
+            self.entries = live
+            self.events_skipped += purged
+            self.heap_compactions += 1
+        self.cancelled_pending = 0
+
+    def _head(self):
+        """Next live entry, dropping cancelled ones in front of it."""
+        self.entries.sort(key=_key)
+        while self.entries and self.entries[0].cancelled:
+            self.entries.pop(0).done = True
+            self.events_skipped += 1
+            self.cancelled_pending = max(0, self.cancelled_pending - 1)
+        return self.entries[0] if self.entries else None
+
+    def peek_time(self):
+        head = self._head()
+        return None if head is None else head.time
+
+    def step(self):
+        ev = self._head()
+        if ev is None:
+            return None
+        self.entries.pop(0)
+        self.now = ev.time
+        ev.done = True
+        if ev.daemon:
+            self.events_daemon += ev.weight
+        else:
+            self.events_dispatched += ev.weight
+        ev.fn(*ev.args)
+        return ev
+
+    def run(self, until=None, max_events=None):
+        self.stopped = False
+        dispatched = 0
+        while not self.stopped:
+            nxt = self.peek_time()
+            if nxt is None or (until is not None and nxt > until):
+                break
+            if max_events is not None and dispatched >= max_events:
+                break
+            self.step()
+            dispatched += 1
+        if until is not None and self.now < until and not self.stopped:
+            self.now = until
+
+    def stop(self):
+        self.stopped = True
+
+    def pending(self):
+        return sum(1 for ev in self.entries if not ev.cancelled)
+
+    _brute_pending = pending
+
+    def stats(self):
+        return {"events_daemon": self.events_daemon}
+
+    @property
+    def heap_size(self):
+        return len(self.entries)
+
+
+#: Few distinct values, so same-time entries, zero delays and events
+#: exactly at a ``run(until=...)`` horizon are the common case.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5])
+_PRIORITIES = st.sampled_from(list(Priority))
+
+#: What a handler does when it fires, from inside the running kernel.
+_ACTIONS = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("spawn"), st.lists(st.tuples(_DELAYS, _PRIORITIES), max_size=3)),
+    st.tuples(st.just("spawn_at_now"), _PRIORITIES),
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    st.just(("stop",)),
+)
+
+_OPS = st.one_of(
+    st.tuples(
+        st.just("schedule"), _DELAYS, _PRIORITIES, st.booleans(), st.integers(1, 4), _ACTIONS
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    # a deep queue, then cancels among it: above half, compact() triggers
+    st.tuples(
+        st.just("burst"),
+        st.integers(MIN_COMPACT_SIZE, MIN_COMPACT_SIZE + 30),
+        _DELAYS,
+        st.integers(0, MIN_COMPACT_SIZE + 30),
+    ),
+    st.just(("step",)),
+    st.just(("peek",)),
+    st.just(("compact",)),
+    st.tuples(st.just("run_until"), _DELAYS),
+    st.tuples(st.just("run_max"), st.integers(0, 5)),
+    st.just(("run",)),
+)
+
+
+def _play(sim, ops):
+    """Run one op program on ``sim``; returns what was observable after
+    every op (identical code drives the kernel and the reference)."""
+    log = []  # (label, now) per fired handler
+    handles = []
+    seen = []
+
+    def add(time_fn, arg, priority, daemon=False, weight=1, action=("none",)):
+        label = len(handles)
+        handles.append(
+            time_fn(arg, fire, label, action, priority=priority, daemon=daemon, weight=weight)
+        )
+
+    def cancel(index):
+        if handles:
+            handles[index % len(handles)].cancel()
+
+    def fire(label, action):
+        log.append((label, sim.now))
+        if action[0] == "spawn":
+            for delay, priority in action[1]:
+                add(sim.schedule, delay, priority)
+        elif action[0] == "spawn_at_now":
+            add(sim.schedule_at, sim.now, action[1])
+        elif action[0] == "cancel":
+            cancel(action[1])
+        elif action[0] == "stop":
+            sim.stop()
+
+    for op in ops:
+        result = None
+        if op[0] == "schedule":
+            _, delay, priority, daemon, weight, action = op
+            add(sim.schedule, delay, priority, daemon, weight, action)
+        elif op[0] == "cancel":
+            cancel(op[1])
+        elif op[0] == "burst":
+            _, count, delay, cancels = op
+            for i in range(count):
+                add(sim.schedule, delay + (i % 3), Priority.NORMAL)
+            for i in range(min(cancels, count)):
+                cancel(len(handles) - 1 - i)
+        elif op[0] == "step":
+            ev = sim.step()
+            result = None if ev is None else _key(ev)
+        elif op[0] == "peek":
+            result = sim.peek_time()
+        elif op[0] == "compact":
+            sim.compact()
+        elif op[0] == "run_until":
+            sim.run(until=sim.now + op[1])
+        elif op[0] == "run_max":
+            sim.run(max_events=op[1])
+        else:
+            sim.run()
+        seen.append(
+            (
+                op[0],
+                result,
+                list(log),
+                sim.now,
+                sim.pending(),
+                sim._brute_pending(),
+                sim.events_dispatched,
+                sim.stats()["events_daemon"],
+                sim.events_skipped,
+                sim.heap_pushes,
+                sim.heap_compactions,
+                sim.heap_size,
+            )
+        )
+    return seen
+
+
+class TestAgainstReference:
+    @given(st.lists(_OPS, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_programs_match_the_sorted_list(self, ops):
+        assert _play(Simulator(), ops) == _play(RefSimulator(), ops)
+
+    def test_compaction_during_run_matches(self):
+        # A handler cancels most of a deep queue mid-run: compact()
+        # rebuilds the list the running loop is reading.
+        ops = [
+            ("burst", MIN_COMPACT_SIZE + 20, 1.0, MIN_COMPACT_SIZE // 2 + 10),
+            ("schedule", 0.5, Priority.HIGH, False, 1, ("cancel", 3)),
+            ("run_until", 2.0),
+            ("run",),
+        ]
+        seen = _play(Simulator(), ops)
+        assert seen == _play(RefSimulator(), ops)
+        assert seen[-1][10] >= 1  # heap_compactions: one happened mid-run
+
+
+def test_no_python_level_ordering_calls_on_events(monkeypatch):
+    """Count-based guard: the heap orders ``(time, priority, seq, ...)``
+    tuples in C and never reaches the Event, so no Python comparison
+    runs per push or pop however deep the queue is."""
+    assert not hasattr(Event, "sort_key")
+    calls = []
+
+    def probe(name):
+        def compare(self, other):
+            calls.append(name)
+            return NotImplemented
+
+        return compare
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert name not in vars(Event)
+        monkeypatch.setattr(Event, name, probe(name), raising=False)
+    result = run_scenario(ScenarioConfig(num_nodes=40, duration=20.0, seed=3))
+    assert result.events > 500
+    assert calls == []
+    # the probe is live: comparing two events directly does reach it
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        sim.schedule(1.0, lambda: None) < sim.schedule(1.0, lambda: None)
+    assert calls == ["__lt__", "__gt__"]
