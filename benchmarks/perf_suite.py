@@ -23,10 +23,10 @@ docs/PERFORMANCE.md):
   answer-rate delta (suppression must buy its event savings without
   losing answers), plus a capped metro rung;
 * **topology_refresh** -- a servent-shaped query mix (neighbor checks +
-  hot-source BFS) under paper random-waypoint mobility, run on the
-  incremental *delta* snapshot lane vs the *full*-rebuild reference
-  lane; every query answer is fingerprinted and must match between
-  lanes;
+  hot-source BFS) under paper random-waypoint mobility, run with the
+  *delta* snapshot refresh vs the *full*-rebuild reference (the base
+  ``TopologyBackend._update`` bound onto the backend); every query
+  answer is fingerprinted and must match between the two;
 * **metrics_kernels** -- the analytics bundle (components, clustering,
   characteristic path length) on the vectorized CSR kernels
   (``repro.metrics.graphfast``) vs the equivalent networkx algorithms,
@@ -36,9 +36,8 @@ docs/PERFORMANCE.md):
   stateless full-recompute lane at two sizes; the headline figure is
   the *growth* of the incremental lane's per-interval harvest cost
   from the small size to the large one (target: flat, <= 1.3x from
-  n = 600 to n = 10 000), plus the parallel BFS lane's speedup on the
-  characteristic path length and exact harvest/CPL equality between
-  the incremental+parallel and full+serial lanes over several seeds;
+  n = 600 to n = 10 000), plus exact harvest/CPL equality between the
+  incremental and full lanes over several seeds;
 * **experiment_plane** -- the experiment orchestrator
   (:class:`~repro.experiments.executor.ExperimentExecutor` +
   :class:`~repro.experiments.cache.RunCache`) driving a figure ladder
@@ -70,6 +69,7 @@ import os
 import platform
 import sys
 import tempfile
+import types
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -90,11 +90,13 @@ from repro.metrics.graphfast import (
 from repro.obs.registry import Registry
 from repro.mobility import Area, RandomWaypoint, Static
 from repro.net import Channel, FloodManager, World
+from repro.net.topology import TopologyBackend
 from repro.obs.compare import semantic_snapshot, snapshot_diff
 from repro.obs.manifest import git_revision
 from repro.core.query import QueryConfig
+from repro.scenarios.builder import build_scenario
 from repro.scenarios.config import ScenarioConfig
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import harvest, run_scenario
 from repro.sim import Simulator
 
 __all__ = [
@@ -323,12 +325,15 @@ def bench_scenario_e2e(
         area_width=side,
         area_height=side,
         topology="auto",
-        batched_delivery=batched,
     )
     walls = []
     for _ in range(max(1, repeats)):
         t0 = perf_counter()
-        result = run_scenario(cfg)
+        simulation = build_scenario(cfg)
+        # Read when copies are scheduled: False selects the reference lane.
+        simulation.channel.batched = batched
+        simulation.run()
+        result = harvest(simulation)
         walls.append(perf_counter() - t0)
     wall = min(walls)
     return {
@@ -544,6 +549,9 @@ def _refresh_workload(
 ) -> Tuple[float, str, World]:
     """Timed servent-shaped query mix on one topology-refresh lane.
 
+    ``lane`` is ``"delta"`` (the production refresh) or ``"full"`` (the
+    base-class from-scratch rebuild bound onto the backend).
+
     Paper mobility (random waypoint, <= 1 m/s, long pauses) over a
     paper-density area; the clock steps in 0.25 s quanta (the production
     ``snapshot_interval``), and each quantum issues the query mix a
@@ -551,8 +559,8 @@ def _refresh_workload(
     distance vectors from a small *hot* source set (connection
     maintenance keeps asking about the same peers, which is what the
     LRU distance cache and the adjacency epoch are for).  Every answer
-    is folded into a blake2b fingerprint so the predictive, delta and
-    full lanes can be checked for bit-identical query semantics.
+    is folded into a blake2b fingerprint so the delta and full lanes can
+    be checked for bit-identical query semantics.
     """
     side = 100.0 * math.sqrt(n / 50.0)
     mobility = RandomWaypoint(
@@ -569,8 +577,10 @@ def _refresh_workload(
         radio_range=10.0,
         snapshot_interval=0.25,
         topology="sparse" if n >= 400 else "dense",
-        topology_refresh=lane,
     )
+    if lane == "full":
+        topo = world.topology
+        topo._update = types.MethodType(TopologyBackend._update, topo)
     hot = [int(h) % n for h in (0, n // 7, n // 3, 2 * n // 5, n // 2, 3 * n // 5, 3 * n // 4, n - 1)]
     steps = int(round(duration / 0.25))
     digest = hashlib.blake2b(digest_size=16)
@@ -620,15 +630,12 @@ def bench_topology_refresh(
         "moved_nodes": topo.moved_nodes,
         "dist_cache_hits": topo.dist_cache_hits,
         "csr_builds": getattr(topo, "csr_builds", 0),
-        "kinetic_skips": topo.kinetic_skips,
-        "kinetic_refreshes": topo.kinetic_refreshes,
-        "horizon_recomputes": topo.horizon_recomputes,
     }
 
 
 #: Refresh lanes compared by :func:`compare_topology_refresh`, slowest
 #: (reference) first.
-REFRESH_BENCH_LANES: Tuple[str, ...] = ("full", "delta", "predictive")
+REFRESH_BENCH_LANES: Tuple[str, ...] = ("full", "delta")
 
 
 def compare_topology_refresh(
@@ -638,12 +645,12 @@ def compare_topology_refresh(
     seeds: Sequence[int] = EQUIVALENCE_SEEDS,
     repeats: int = 1,
 ) -> Dict[str, Any]:
-    """Predictive vs delta vs full-rebuild lanes on the same query stream.
+    """Delta refresh vs the full-rebuild reference on one query stream.
 
     Wall clock comes from per-lane timed runs (best of ``repeats``); on
-    top of that, every lane re-runs over ``seeds`` and the blake2b
+    top of that, both lanes re-run over ``seeds`` and the blake2b
     fingerprints of every query answer (neighbor sets + BFS vectors at
-    every 0.25 s quantum) must match exactly across all three lanes.
+    every 0.25 s quantum) must match exactly.
     """
     lanes = {
         lane: bench_topology_refresh(
@@ -665,20 +672,12 @@ def compare_topology_refresh(
             identical = False
         checked.append(int(seed))
     wall_full = lanes["full"]["wall_seconds"]
-
-    def _speedup(lane: str) -> float:
-        wall = lanes[lane]["wall_seconds"]
-        return wall_full / wall if wall > 0 else float("inf")
-
+    wall_delta = lanes["delta"]["wall_seconds"]
     return {
         "name": "topology_refresh",
         "n": n,
         **lanes,
-        # ``speedup`` keeps its historical meaning (delta vs full) so
-        # archived documents stay comparable; the predictive lane gets
-        # its own ratio.
-        "speedup": _speedup("delta"),
-        "speedup_predictive": _speedup("predictive"),
+        "speedup": wall_full / wall_delta if wall_delta > 0 else float("inf"),
         "semantically_identical": identical,
         "seeds_checked": checked,
     }
@@ -920,11 +919,9 @@ def compare_analytics_plane(
       (the tentpole claim is ``growth_incremental <= 1.3``);
     * ``speedup`` -- full-lane wall over incremental-lane wall at
       ``n_large``;
-    * ``cpl_speedup_parallel`` -- serial over parallel wall for the
-      characteristic path length BFS at ``n_large``;
     * ``semantically_identical`` -- over ``seeds``, every per-interval
-      harvest bundle and the final CPL from an *incremental+parallel*
-      engine equal the *full+serial* reference exactly (checked at
+      harvest bundle and the final CPL from an *incremental* engine
+      equal the *full* reference exactly (checked at
       ``n_small`` so the identity sweep stays minutes-free; the lanes
       have no size-dependent code paths).
     """
@@ -949,34 +946,18 @@ def compare_analytics_plane(
     checked = []
     for seed in seeds:
         frames = _analytics_frames(n_small, seed, min(intervals, 10), swaps=swaps)
-        with AnalyticsEngine(
-            mode="incremental", execution="parallel", chunk=64, registry=Registry()
-        ) as fast:
-            reference = AnalyticsEngine(mode="full", registry=Registry())
-            _, fast_bundles = _drive_harvests(fast, frames, incremental=True)
-            _, ref_bundles = _drive_harvests(reference, frames, incremental=False)
-            if fast_bundles != ref_bundles:
-                identical = False
-            indptr, indices = frames[-1][0], frames[-1][1]
-            cpl_fast = fast.characteristic_path_length_csr(indptr, indices)
-            cpl_ref = reference.characteristic_path_length_csr(indptr, indices)
-            if not (cpl_fast == cpl_ref or (cpl_fast != cpl_fast and cpl_ref != cpl_ref)):
-                identical = False
+        fast = AnalyticsEngine(mode="incremental", chunk=64, registry=Registry())
+        reference = AnalyticsEngine(mode="full", registry=Registry())
+        _, fast_bundles = _drive_harvests(fast, frames, incremental=True)
+        _, ref_bundles = _drive_harvests(reference, frames, incremental=False)
+        if fast_bundles != ref_bundles:
+            identical = False
+        indptr, indices = frames[-1][0], frames[-1][1]
+        cpl_fast = fast.characteristic_path_length_csr(indptr, indices)
+        cpl_ref = reference.characteristic_path_length_csr(indptr, indices)
+        if not (cpl_fast == cpl_ref or (cpl_fast != cpl_fast and cpl_ref != cpl_ref)):
+            identical = False
         checked.append(int(seed))
-
-    indptr, indices = _analytics_frames(n_large, seeds[0], 0)[0][:2]
-    t0 = perf_counter()
-    serial_cpl = AnalyticsEngine(mode="full", registry=Registry())
-    cpl_s = serial_cpl.characteristic_path_length_csr(indptr, indices)
-    wall_cpl_serial = perf_counter() - t0
-    with AnalyticsEngine(
-        mode="full", execution="parallel", registry=Registry()
-    ) as par:
-        t0 = perf_counter()
-        cpl_p = par.characteristic_path_length_csr(indptr, indices)
-        wall_cpl_parallel = perf_counter() - t0
-    if not (cpl_s == cpl_p or (cpl_s != cpl_s and cpl_p != cpl_p)):
-        identical = False
 
     wall_full = lanes[n_large]["full"]["wall_seconds"]
     wall_incr = lanes[n_large]["incremental"]["wall_seconds"]
@@ -997,11 +978,6 @@ def compare_analytics_plane(
         "growth_full": (
             per_interval(n_large, "full") / per_interval(n_small, "full")
             if per_interval(n_small, "full") > 0
-            else float("inf")
-        ),
-        "cpl_speedup_parallel": (
-            wall_cpl_serial / wall_cpl_parallel
-            if wall_cpl_parallel > 0
             else float("inf")
         ),
         "semantically_identical": identical,
@@ -1290,13 +1266,11 @@ def run_suite(
     refresh_duration = 5.0 if quick else 20.0
     refresh_sizes = list(sizes)
     if metro:
-        # Metro-scale refresh tier: the AIMD proof gate and the kinetic
-        # mover-only lane are sized for exactly this regime (the n=2000
-        # ladder rung is where the plain delta lane stopped paying off).
+        # Metro-scale refresh tier: the largest mover sets per refresh.
         refresh_sizes.append(int(metro))
     for n in refresh_sizes:
         tier_duration = refresh_duration if n in sizes else min(refresh_duration, 10.0)
-        say(f"topology_refresh: n={n} duration={tier_duration:.1f}s (3 lanes)")
+        say(f"topology_refresh: n={n} duration={tier_duration:.1f}s (delta vs full)")
         cmp_ = compare_topology_refresh(
             n,
             duration=tier_duration,

@@ -4,8 +4,7 @@
 The repo's perf trajectory lives in versioned ``BENCH_*.json`` documents
 at the repository root: every substrate-touching PR re-runs this script
 and the recorded before/after numbers (reference vs batched delivery
-lane, full vs delta vs predictive topology refresh, networkx vs numpy
-metric kernels,
+lane, full vs delta topology refresh, networkx vs numpy metric kernels,
 heap traffic, events/sec, end-to-end wall clock) become the baseline
 the next PR has to beat.  See docs/PERFORMANCE.md for how to
 read the document.
@@ -59,20 +58,14 @@ def _print_summary(doc: dict) -> None:
             if "push_reduction" in c
             else ""
         )
-        pred = (
-            f" predictive={c['speedup_predictive']:.2f}x"
-            if "speedup_predictive" in c
-            else ""
-        )
         growth = (
             f" growth={c['growth_incremental']:.2f}x"
-            f" cpl_par={c['cpl_speedup_parallel']:.2f}x"
             if "growth_incremental" in c
             else ""
         )
         print(
             f"  -> {c['name']:<17} n={c['n']:<6} "
-            f"{push}speedup={c['speedup']:.2f}x{pred}{growth}{tail}"
+            f"{push}speedup={c['speedup']:.2f}x{growth}{tail}"
         )
 
 

@@ -98,8 +98,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         duration=args.duration,
         seed=args.seed,
         topology=args.topology,
-        topology_refresh=args.topology_refresh,
-        analytics_exec=args.analytics,
         analytics_mode=args.analytics_mode,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
@@ -181,7 +179,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             seed=args.seed,
             topology=args.topology,
-            topology_refresh=args.topology_refresh,
         )
     )
     s.run()
@@ -222,11 +219,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         routing=args.routing,
         seed=args.seed,
         topology=args.topology,
-        topology_refresh=args.topology_refresh,
         obs_interval=args.obs_interval,
-        analytics_exec=args.analytics,
         analytics_mode=args.analytics_mode,
-        analytics_processes=args.processes,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
     )
@@ -312,13 +306,6 @@ def _add_processes_arg(parser: argparse.ArgumentParser, what: str) -> None:
 
 def _add_analytics_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--analytics",
-        choices=("serial", "parallel"),
-        default="serial",
-        help="analytics execution lane: serial (default) or BFS sharded "
-        "over worker processes (exactly equal results)",
-    )
-    parser.add_argument(
         "--analytics-mode",
         choices=("incremental", "full"),
         default="incremental",
@@ -373,14 +360,6 @@ def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="physical-topology backend (auto: sparse at large n)",
     )
-    parser.add_argument(
-        "--topology-refresh",
-        choices=("predictive", "delta", "full"),
-        default="predictive",
-        help="snapshot refresh lane: predictive kinetic horizons "
-        "(default), incremental delta diffing, or the full-rebuild "
-        "reference lane (all bit-identical)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_arg(run)
     _add_analytics_args(run)
     _add_policy_args(run)
-    _add_processes_arg(run, "the parallel analytics lane")
     run.add_argument("--json", action="store_true", help="emit the full RunResult as JSON")
     run.add_argument(
         "--stats",
@@ -496,6 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_processes_arg(rep, "the deduplicated run batch")
     _add_cache_args(rep, "<out>/runs.ndjson")
     rep.set_defaults(func=_cmd_reproduce)
+    # No prefix matching: a removed flag must fail loudly instead of
+    # resolving to a longer surviving one (--analytics -> --analytics-mode).
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False
     return parser
 
 

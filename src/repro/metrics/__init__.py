@@ -2,7 +2,6 @@
 
 from .aggregate import FileRankStats, mean_ci, per_file_stats, sorted_curve_mean
 from .analytics import (
-    ANALYTICS_EXECUTION_LANES,
     ANALYTICS_MODES,
     AnalyticsEngine,
     engine_for_world,
@@ -29,7 +28,6 @@ from .timeseries import (
 from .smallworld import random_graph_pathlength, regular_graph_pathlength
 
 __all__ = [
-    "ANALYTICS_EXECUTION_LANES",
     "ANALYTICS_MODES",
     "AnalyticsEngine",
     "engine_for_world",

@@ -1,4 +1,4 @@
-"""Parallel + incremental analytics plane behind one engine API.
+"""Incremental analytics plane behind one engine API.
 
 Every overlay/graph-metric consumer in the package (the scenario
 harvest, the connectivity bundle, the small-world stats, the message
@@ -7,7 +7,7 @@ signatures -- ``clustering_coefficient(g)``, ``components(world)``,
 ``collector.sorted_counts(...)`` -- and each call recomputed its
 metrics from scratch even when the underlying edge set had not changed
 since the previous harvest.  :class:`AnalyticsEngine` unifies them and
-adds two orthogonal fast lanes:
+adds one fast lane:
 
 * **mode = "incremental" | "full"** -- the incremental lane keeps
   per-view state (adjacency sets, per-node triangle counts, component
@@ -24,16 +24,9 @@ adds two orthogonal fast lanes:
   identical triangle/degree/label integers feed identical IEEE float
   expressions.
 
-* **execution = "serial" | "parallel"** -- the parallel lane shards
-  all-pairs BFS work (characteristic path length, multi-source hop
-  queries) across a ``ProcessPoolExecutor`` using the sweep runner's
-  idiom (:mod:`repro.parallel`: shared ``--processes`` semantics,
-  explicit chunksize).  Both BFS outputs are integer sums / independent
-  rows, so any shard partition reproduces the serial answer exactly.
-
 The engine reports obs counters (``analytics.incremental_hits``,
-``analytics.full_recomputes``, ``analytics.bfs_shards``,
-``analytics.csr_cache_hits``, ...) to its registry;
+``analytics.full_recomputes``, ``analytics.csr_cache_hits``, ...) to
+its registry;
 ``repro.obs.compare`` classifies the ``analytics.`` prefix as *cost*,
 so lane choice never leaks into semantic snapshots.
 
@@ -51,34 +44,28 @@ Two clustering summaries, deliberately distinct:
 from __future__ import annotations
 
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.registry import Registry, default_registry
-from ..parallel import default_chunksize, resolve_processes, shard_ranges
 from .balance import load_balance_report
 from .collector import FAMILIES, MetricsCollector
 from .graphfast import (
     DEFAULT_CHUNK,
     component_labels,
     graph_csr,
-    multi_source_hops,
     path_length_sums,
     triangle_counts,
 )
 
 __all__ = [
-    "ANALYTICS_EXECUTION_LANES",
     "ANALYTICS_MODES",
     "AnalyticsEngine",
     "engine_for_world",
     "set_world_engine",
 ]
 
-#: Execution lanes: where BFS work runs.
-ANALYTICS_EXECUTION_LANES = ("serial", "parallel")
 #: Maintenance lanes: how per-view state is kept between harvests.
 ANALYTICS_MODES = ("incremental", "full")
 
@@ -283,36 +270,14 @@ def _resolve_removal(st: _ViewState, u: int, v: int) -> bool:
     return True
 
 
-# ----------------------------------------------------------------------
-# process-pool workers (top level: picklable)
-# ----------------------------------------------------------------------
-def _pls_worker(args) -> Tuple[int, int]:
-    indptr, indices, lo, hi, chunk = args
-    return path_length_sums(
-        indptr, indices, sources=np.arange(lo, hi, dtype=np.int64), chunk=chunk
-    )
-
-
-def _hops_worker(args) -> np.ndarray:
-    indptr, indices, sources, chunk = args
-    return multi_source_hops(indptr, indices, sources, chunk=chunk)
-
-
 class AnalyticsEngine:
-    """Unified overlay/graph analytics with incremental + parallel lanes.
+    """Unified overlay/graph analytics with an incremental lane.
 
     Parameters
     ----------
     mode:
         ``"incremental"`` (epoch-keyed state + edge deltas, the default)
         or ``"full"`` (stateless reference lane, recompute every call).
-    execution:
-        ``"serial"`` or ``"parallel"`` (BFS sharded over a process
-        pool).  Results are exactly equal either way.
-    processes:
-        Worker count for the parallel lane (``None``: every core; see
-        :func:`repro.parallel.resolve_processes` -- the same semantics
-        as ``sweep --processes``).
     chunk:
         BFS chunk width (sources advanced together per kernel call).
     registry:
@@ -324,33 +289,22 @@ class AnalyticsEngine:
         self,
         *,
         mode: str = "incremental",
-        execution: str = "serial",
-        processes: Optional[int] = None,
         chunk: int = DEFAULT_CHUNK,
         registry: Optional[Registry] = None,
     ) -> None:
         if mode not in ANALYTICS_MODES:
             raise ValueError(f"unknown analytics mode {mode!r}")
-        if execution not in ANALYTICS_EXECUTION_LANES:
-            raise ValueError(f"unknown analytics execution lane {execution!r}")
-        if processes is not None and int(processes) < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
         self.mode = mode
-        self.execution = execution
-        self.processes = processes
         self.chunk = int(chunk)
         self.registry = registry if registry is not None else default_registry()
         self._views: Dict[Any, _ViewState] = {}
         #: key -> (epoch, graph_csr output): skips the O(E) python CSR
         #: build for nx-graph views whose epoch has not moved.
         self._csr_memo: Dict[Any, Tuple[Any, tuple]] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_procs = 0
         reg = self.registry
         self._c_cache_hits = reg.counter("analytics.csr_cache_hits", layer="metrics")
         self._c_incremental = reg.counter("analytics.incremental_hits", layer="metrics")
         self._c_full = reg.counter("analytics.full_recomputes", layer="metrics")
-        self._c_shards = reg.counter("analytics.bfs_shards", layer="metrics")
         self._c_delta_edges = reg.counter("analytics.delta_edges", layer="metrics")
         self._c_epoch_fallbacks = reg.counter(
             "analytics.epoch_fallbacks", layer="metrics"
@@ -358,29 +312,6 @@ class AnalyticsEngine:
         self._c_label_rebuilds = reg.counter(
             "analytics.label_rebuilds", layer="metrics"
         )
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut the worker pool down (incremental state is kept)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._pool_procs = 0
-
-    def __enter__(self) -> "AnalyticsEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _ensure_pool(self, procs: int) -> ProcessPoolExecutor:
-        if self._pool is None or self._pool_procs != procs:
-            self.close()
-            self._pool = ProcessPoolExecutor(max_workers=procs)
-            self._pool_procs = procs
-        return self._pool
 
     # ------------------------------------------------------------------
     # state maintenance (the incremental lane's core)
@@ -571,68 +502,15 @@ class AnalyticsEngine:
         )
 
     # ------------------------------------------------------------------
-    # BFS plane (serial | parallel)
+    # BFS plane
     # ------------------------------------------------------------------
     def path_length_sums(
         self, indptr: np.ndarray, indices: np.ndarray
     ) -> Tuple[int, int]:
-        """All-pairs ``(total_hops, connected_pairs)`` on the active lane.
-
-        Both outputs are integer sums over (source, target) pairs, so
-        the parallel lane's shard partition sums back to exactly the
-        serial answer.
-        """
-        n = len(indptr) - 1
-        if self.execution != "parallel" or n < 2:
-            return path_length_sums(
-                indptr, indices, chunk=self.chunk, registry=self.registry
-            )
-        procs = resolve_processes(self.processes)
-        shards = shard_ranges(n, procs, granularity=self.chunk)
-        if procs <= 1 or len(shards) <= 1:
-            return path_length_sums(
-                indptr, indices, chunk=self.chunk, registry=self.registry
-            )
-        with self.registry.timed("analytics.bfs_parallel"):
-            pool = self._ensure_pool(procs)
-            jobs = [(indptr, indices, lo, hi, self.chunk) for lo, hi in shards]
-            parts = list(
-                pool.map(
-                    _pls_worker, jobs, chunksize=default_chunksize(len(jobs), procs)
-                )
-            )
-        self._c_shards.inc(len(shards))
-        return sum(t for t, _ in parts), sum(p for _, p in parts)
-
-    def hops(
-        self, indptr: np.ndarray, indices: np.ndarray, sources: Sequence[int]
-    ) -> np.ndarray:
-        """Multi-source hop distances, sharded on the parallel lane.
-
-        Rows are per-source and independent, so concatenating shard
-        results in shard order is exactly the serial array.
-        """
-        src = np.asarray(list(sources), dtype=np.int64)
-        if self.execution != "parallel" or len(src) < 2:
-            return multi_source_hops(
-                indptr, indices, src, chunk=self.chunk, registry=self.registry
-            )
-        procs = resolve_processes(self.processes)
-        shards = shard_ranges(len(src), procs, granularity=self.chunk)
-        if procs <= 1 or len(shards) <= 1:
-            return multi_source_hops(
-                indptr, indices, src, chunk=self.chunk, registry=self.registry
-            )
-        with self.registry.timed("analytics.bfs_parallel"):
-            pool = self._ensure_pool(procs)
-            jobs = [(indptr, indices, src[lo:hi], self.chunk) for lo, hi in shards]
-            parts = list(
-                pool.map(
-                    _hops_worker, jobs, chunksize=default_chunksize(len(jobs), procs)
-                )
-            )
-        self._c_shards.inc(len(shards))
-        return np.vstack(parts)
+        """All-pairs ``(total_hops, connected_pairs)`` of a CSR view."""
+        return path_length_sums(
+            indptr, indices, chunk=self.chunk, registry=self.registry
+        )
 
     # ------------------------------------------------------------------
     # CSR-view analytics (no nx.Graph on the hot path)
@@ -692,7 +570,7 @@ class AnalyticsEngine:
     def characteristic_path_length_csr(
         self, indptr: np.ndarray, indices: np.ndarray, *, key=None, epoch=None
     ) -> float:
-        """CPL of a CSR view (memoized per epoch, BFS on the active lane)."""
+        """CPL of a CSR view (memoized per epoch)."""
         if key is None:
             # No state to key the memo on: just run the BFS.
             total, pairs = self.path_length_sums(indptr, indices)
@@ -887,29 +765,16 @@ class AnalyticsEngine:
 _WORLD_ENGINES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def engine_for_world(
-    world,
-    *,
-    mode: Optional[str] = None,
-    execution: Optional[str] = None,
-    processes: Optional[int] = None,
-) -> AnalyticsEngine:
+def engine_for_world(world, *, mode: Optional[str] = None) -> AnalyticsEngine:
     """The world's shared engine (created on first use).
 
-    Lane arguments are applied on creation; passing a lane that differs
-    from the cached engine's replaces it (fresh state, same registry).
+    ``mode`` is applied on creation; passing a mode that differs from
+    the cached engine's replaces it (fresh state, same registry).
     """
     eng = _WORLD_ENGINES.get(world)
-    if (
-        eng is None
-        or (mode is not None and eng.mode != mode)
-        or (execution is not None and eng.execution != execution)
-        or (processes is not None and eng.processes != processes)
-    ):
+    if eng is None or (mode is not None and eng.mode != mode):
         eng = AnalyticsEngine(
             mode=mode if mode is not None else "incremental",
-            execution=execution if execution is not None else "serial",
-            processes=processes,
             registry=world.registry,
         )
         _WORLD_ENGINES[world] = eng
@@ -920,7 +785,7 @@ def set_world_engine(world, engine: AnalyticsEngine) -> AnalyticsEngine:
     """Register ``engine`` as ``world``'s shared engine.
 
     The scenario builder calls this so the engine configured by
-    ``ScenarioConfig`` (lanes, process count) is the one every
+    ``ScenarioConfig`` (its ``analytics_mode``) is the one every
     module-level helper -- and any direct
     :func:`engine_for_world` call -- resolves to for that world.
     """

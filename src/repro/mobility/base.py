@@ -18,22 +18,11 @@ All models are deterministic given their ``numpy.random.Generator``.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["Area", "MobilityModel", "NEVER_THRESHOLD"]
-
-#: Segment end times at or beyond this are treated as "never expires"
-#: (static nodes park on a pause of duration 1e12): their kinetic
-#: horizon is infinite instead of a bogus far-future wakeup.
-NEVER_THRESHOLD = 1e10
-
-#: Multiplicative slack applied to predicted cell-crossing offsets so
-#: floating-point error can only *under*-estimate the true crossing
-#: time.  An early horizon merely costs one spurious recompute; a late
-#: one would leave a stale grid bin (wrong neighbor answers).
-_CROSS_SLACK = 1.0 - 1e-9
+__all__ = ["Area", "MobilityModel"]
 
 
 class Area:
@@ -178,109 +167,3 @@ class MobilityModel(abc.ABC):
     def position(self, i: int, t: float) -> np.ndarray:
         """Position of node ``i`` at time ``t`` (shape (2,))."""
         return self.positions(t)[i]
-
-    def positions_of(self, ids: np.ndarray, t: float) -> np.ndarray:
-        """Positions of the nodes in ``ids`` at time ``t``.
-
-        Returns a freshly-allocated ``(len(ids), 2)`` array that is
-        bitwise-identical to ``positions(t)[ids]``: the same elementwise
-        IEEE operations are evaluated on the selected rows, so callers
-        that track positions incrementally (the predictive topology
-        lane) see exactly the floats the full evaluation would produce.
-        """
-        self._refresh(t)
-        ids = np.asarray(ids, dtype=np.int64)
-        t0 = self._t0[ids]
-        span = self._t1[ids] - t0
-        frac = np.clip((t - t0) / span, 0.0, 1.0)[:, None]
-        origin = self._origin[ids]
-        return origin + frac * (self._dest[ids] - origin)
-
-    def current_segments(
-        self, t: Optional[float] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the per-node segments ``(t0, t1, origin, dest)``.
-
-        When ``t`` is given, expired segments are rolled forward first so
-        every returned segment covers ``t``.  This is the contract
-        surface the kinetic horizon math (and its invariant tests) rely
-        on: within ``[t0, t1]`` the node is exactly at
-        ``origin + clip((t - t0)/(t1 - t0), 0, 1) * (dest - origin)``.
-        """
-        if t is not None:
-            self._refresh(t)
-        return (
-            self._t0.copy(),
-            self._t1.copy(),
-            self._origin.copy(),
-            self._dest.copy(),
-        )
-
-    # ------------------------------------------------------------------
-    # kinetic horizons (predictive topology lane)
-    # ------------------------------------------------------------------
-    def next_change_horizon(
-        self,
-        t: float,
-        pitch: Optional[float] = None,
-        ids: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Earliest future time each node's state can change, closed form.
-
-        Without ``pitch`` this is the **position-change horizon**: the
-        earliest time strictly after ``t`` at which a node's position
-        may differ from its position at ``t``.  Paused nodes (segment
-        with ``origin == dest``) return their segment end ``t1`` -- the
-        first instant a freshly-drawn segment could move them; parked
-        nodes (``t1`` beyond :data:`NEVER_THRESHOLD`, e.g. the static
-        model) return ``inf``; moving nodes return ``t`` itself (their
-        position is changing continuously).
-
-        With ``pitch`` this is the **cell-crossing horizon** for a
-        uniform grid of that pitch: the earliest time after ``t`` at
-        which ``floor(position / pitch)`` can change on either axis.
-        For moving nodes the first grid-line crossing along the segment
-        has a closed form from origin/velocity; the prediction is
-        conservatively shrunk (it may only under-estimate the true
-        crossing) and capped at the segment end ``t1``, past which the
-        model re-randomizes and nothing can be predicted.  Paused nodes
-        again return ``t1`` (or ``inf`` when parked forever).
-
-        Horizons are *absolute* times and remain valid until the node's
-        segment rolls over; callers may cache them and recompute only
-        for nodes whose horizon has passed.  ``ids`` restricts the
-        computation (and the returned array) to a subset of nodes.
-        """
-        self._refresh(t)
-        t = float(t)
-        if ids is None:
-            t0, t1 = self._t0, self._t1
-            origin, dest = self._origin, self._dest
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            t0, t1 = self._t0[ids], self._t1[ids]
-            origin, dest = self._origin[ids], self._dest[ids]
-        delta = dest - origin
-        paused = (delta == 0.0).all(axis=1)
-        horizon = np.where(paused & (t1 >= NEVER_THRESHOLD), np.inf, t1)
-        moving = np.flatnonzero(~paused)
-        if not moving.size:
-            return horizon
-        if pitch is None:
-            horizon[moving] = t
-            return horizon
-        pitch = float(pitch)
-        span = (t1 - t0)[moving]
-        vel = delta[moving] / span[:, None]
-        frac = np.clip((t - t0[moving]) / span, 0.0, 1.0)[:, None]
-        pos = origin[moving] + frac * delta[moving]
-        cell = np.floor(pos / pitch)
-        # Per-axis time to the next grid line in the direction of travel.
-        dt = np.full_like(pos, np.inf)
-        fwd = vel > 0.0
-        back = vel < 0.0
-        dt[fwd] = ((cell + 1.0) * pitch - pos)[fwd] / vel[fwd]
-        dt[back] = (pos - cell * pitch)[back] / -vel[back]
-        cross = t + np.maximum(dt.min(axis=1), 0.0) * _CROSS_SLACK
-        horizon[moving] = np.minimum(cross, t1[moving])
-        return horizon

@@ -33,33 +33,15 @@ invalidation) through :class:`TopologyBackend`, and are required by the
 A/B equivalence suite (``tests/test_net_topology.py``) to agree exactly
 on neighbor sets and hop distances.
 
-Snapshot refreshes come in three lanes (``refresh=...``; all are
-bit-identical, see ``tests/test_topology_delta.py`` and
-``tests/test_topology_kinetic.py``):
-
-* **full** (reference): every refresh recomputes connectivity from
-  scratch and flushes every memo, exactly the pre-delta behaviour.
-* **delta**: the backend diffs the new positions/down mask against the
-  previous snapshot.  Unmoved nodes keep their state; the sparse grid
-  re-bins only nodes whose cell changed; and -- when cheap enough to
-  prove -- an unchanged adjacency keeps the BFS distance cache and the
-  CSR across the refresh.
-* **predictive** (kinetic): instead of rediscovering motion by diffing,
-  the backend asks the mobility plane *when* state can next change
-  (closed-form segment horizons, see
-  :meth:`repro.mobility.base.MobilityModel.next_change_horizon`).  A
-  refresh before the minimum position-change horizon is a true O(1)
-  skip -- no position evaluation, no diff, epoch stands still; past it
-  only the nodes whose horizon passed are re-examined (O(movers), not
-  O(n)) and only nodes whose *cell-crossing* horizon passed are
-  re-binned.  Falls back to the delta lane for mobility sources that do
-  not publish horizons.
-
-The delta/predictive proof gate (how many movers an adjacency-
-preservation proof is attempted for) self-calibrates: additive increase
-on proof success, multiplicative back-off on failure, so sustained
-motion stops paying for doomed proofs and quiet workloads keep their
-caches warm (``topology.proof_gate`` gauge).
+Every refresh after the first is a *delta* against the previous
+snapshot: the backend diffs the new positions/down mask, unmoved nodes
+keep their state, the sparse grid re-bins only nodes whose cell
+changed, and -- when few enough nodes moved to be worth proving (at
+most ``max(8, n // 4)``) and a cache exists -- an unchanged adjacency
+keeps the BFS distance cache and the CSR across the refresh.  The
+from-scratch rebuild survives as :meth:`TopologyBackend._update`'s base
+fallback, which the test suite binds onto a backend as the reference
+the delta path must match bit for bit.
 
 Cache validity is tracked by an **adjacency epoch**
 (:attr:`TopologyBackend.adjacency_epoch`): a counter that advances only
@@ -84,38 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (world imports us)
 
 __all__ = [
     "UNREACHABLE",
-    "REFRESH_LANES",
     "TopologyBackend",
     "DenseTopology",
     "SparseGridTopology",
     "TOPOLOGY_BACKENDS",
     "make_topology",
-    "resolve_refresh_lane",
 ]
-
-#: Selectable snapshot-refresh lanes, fastest first.
-REFRESH_LANES = ("predictive", "delta", "full")
-
-
-def resolve_refresh_lane(
-    refresh: Optional[str], delta: Optional[bool] = None
-) -> str:
-    """Resolve the lane from the new string knob and the legacy bool.
-
-    ``refresh`` wins when given; otherwise the legacy ``delta`` flag
-    maps ``True`` -> ``"delta"`` and ``False`` -> ``"full"`` (its exact
-    historical semantics).  With neither, the delta lane is the default
-    for directly-constructed backends; scenario configs default to
-    ``"predictive"`` (see :mod:`repro.scenarios.config`).
-    """
-    if refresh is not None:
-        if refresh not in REFRESH_LANES:
-            known = ", ".join(REFRESH_LANES)
-            raise ValueError(f"unknown refresh lane {refresh!r} (known: {known})")
-        return refresh
-    if delta is None:
-        delta = True
-    return "delta" if delta else "full"
 
 #: Sentinel hop distance for disconnected pairs.
 UNREACHABLE = -1
@@ -125,7 +81,7 @@ DEFAULT_DIST_CACHE = 256
 
 #: Stable grid-key packing: cell (cx, cy) -> (cx + _KOFF) * _KSTRIDE +
 #: (cy + _KOFF).  Unlike a per-snapshot normalization, keys stay
-#: comparable across snapshots, which is what lets the delta lane re-bin
+#: comparable across snapshots, which is what lets a refresh re-bin
 #: only the nodes whose cell changed.  Collision-free while every cell
 #: coordinate stays within ±(_KOFF - 2) -- at a 10 m radio range that is
 #: a deployment area of ~10,000 km per axis.
@@ -140,14 +96,14 @@ class TopologyBackend(abc.ABC):
     node positions.  Queries transparently refresh the snapshot when it
     is stale; staleness follows the owning world's
     ``snapshot_interval`` (0 means exact per-timestamp snapshots) and a
-    backwards-moving clock always forces a rebuild.
+    backwards-moving clock always forces a refresh.
 
     Per-source hop-distance vectors are memoized in an LRU-bounded cache
     (``dist_cache_size``).  The cache is keyed to the **adjacency
     epoch**, not the snapshot timestamp: it is flushed only when a
     refresh may have changed the edge set, so hop distances survive
-    refreshes that moved nobody (or, on the delta lane, moved nodes
-    without flipping any link).
+    refreshes that moved nobody (or moved nodes without flipping any
+    link).
 
     Parameters
     ----------
@@ -156,14 +112,6 @@ class TopologyBackend(abc.ABC):
         range, down mask, clock).
     dist_cache_size:
         Maximum number of per-source distance vectors kept per snapshot.
-    delta:
-        Legacy lane selector: ``True`` -> delta lane, ``False`` -> full
-        rebuild.  Superseded by ``refresh`` but kept working.
-    refresh:
-        Refresh lane, one of :data:`REFRESH_LANES`.  ``"predictive"``
-        adds the kinetic skip/mover machinery on top of the delta lane;
-        ``"full"`` pins the from-scratch reference lane.  When ``None``
-        the legacy ``delta`` flag decides.
     """
 
     #: short identifier used by configuration ("dense" / "sparse")
@@ -174,33 +122,16 @@ class TopologyBackend(abc.ABC):
         world: "World",
         *,
         dist_cache_size: int = DEFAULT_DIST_CACHE,
-        delta: Optional[bool] = None,
-        refresh: Optional[str] = None,
     ) -> None:
         if dist_cache_size < 1:
             raise ValueError(f"dist_cache_size must be >= 1, got {dist_cache_size}")
         self.world = world
         self.dist_cache_size = int(dist_cache_size)
-        self.refresh_lane = resolve_refresh_lane(refresh, delta)
-        #: legacy view: whether any incremental lane is active
-        self.delta = self.refresh_lane != "full"
-        #: fraction of nodes that may move per refresh before the delta
-        #: lane stops trying to prove the adjacency unchanged (the proof
-        #: costs O(moved · degree); past this it almost never succeeds).
-        #: Seeds the self-calibrating gate; the controller adapts from
-        #: there on measured proof outcomes.
-        self.delta_detect_fraction = 0.25
         self._snap_time = -1.0
         self._epoch = 0
         self._dist: "OrderedDict[int, np.ndarray]" = OrderedDict()
         #: down mask of the current snapshot (subclasses refresh it)
         self._down = np.zeros(world.n, dtype=bool)
-        # Kinetic state (predictive lane): per-node absolute horizons
-        # from the mobility plane.  ``_change_at`` is None when unarmed
-        # (non-predictive lanes, no horizon-capable mobility source, or
-        # after invalidate()).
-        self._change_at: Optional[np.ndarray] = None
-        self._min_change = -np.inf
         registry = getattr(world, "registry", None)
         self.registry = registry if registry is not None else Registry()
         labels = {"layer": "topology", "backend": type(self).name}
@@ -208,13 +139,6 @@ class TopologyBackend(abc.ABC):
         self._c_delta = self.registry.counter("topology.delta_rebuilds", **labels)
         self._c_moved = self.registry.counter("topology.moved_nodes", **labels)
         self._c_dist_hits = self.registry.counter("topology.dist_cache_hits", **labels)
-        self._c_kinetic = self.registry.counter("topology.kinetic_skips", **labels)
-        self._c_kin_refresh = self.registry.counter(
-            "topology.kinetic_refreshes", **labels
-        )
-        self._c_horizon = self.registry.counter(
-            "topology.horizon_recomputes", **labels
-        )
         self._t_rebuild = self.registry.timer("wall", section="topology.rebuild")
 
     # ------------------------------------------------------------------
@@ -227,33 +151,18 @@ class TopologyBackend(abc.ABC):
 
     @property
     def delta_rebuilds(self) -> int:
-        """Refreshes served by the delta lane (``topology.delta_rebuilds``)."""
+        """Refreshes diffed against a previous snapshot (``topology.delta_rebuilds``)."""
         return self._c_delta.value
 
     @property
     def moved_nodes(self) -> int:
-        """Nodes re-examined by delta refreshes (``topology.moved_nodes``)."""
+        """Nodes found moved by delta refreshes (``topology.moved_nodes``)."""
         return self._c_moved.value
 
     @property
     def dist_cache_hits(self) -> int:
         """Memoized BFS hits (deprecated view of ``topology.dist_cache_hits``)."""
         return self._c_dist_hits.value
-
-    @property
-    def kinetic_skips(self) -> int:
-        """Refreshes skipped outright by the kinetic horizon gate."""
-        return self._c_kinetic.value
-
-    @property
-    def kinetic_refreshes(self) -> int:
-        """Refreshes served diff-free from mobility horizons."""
-        return self._c_kin_refresh.value
-
-    @property
-    def horizon_recomputes(self) -> int:
-        """Per-node kinetic horizon recomputations performed."""
-        return self._c_horizon.value
 
     def stats(self) -> Dict[str, float]:
         """Uniform counter snapshot (see the ``stats()`` protocol)."""
@@ -265,9 +174,6 @@ class TopologyBackend(abc.ABC):
             "dist_cache_size": len(self._dist),
             "snapshot_time": self._snap_time,
             "adjacency_epoch": self._epoch,
-            "kinetic_skips": self._c_kinetic.value,
-            "kinetic_refreshes": self._c_kin_refresh.value,
-            "horizon_recomputes": self._c_horizon.value,
         }
 
     # ------------------------------------------------------------------
@@ -300,35 +206,10 @@ class TopologyBackend(abc.ABC):
         )
         if not stale:
             return
-        if (
-            self._change_at is not None
-            and self._snap_time >= 0.0
-            and t > self._snap_time
-            and np.array_equal(self.world.down_mask(), self._down)
-        ):
-            # Kinetic lane: the mobility plane told us when state can
-            # next change, so we never touch the full position array.
-            if t < self._min_change:
-                # Before the min horizon nothing can have moved: the
-                # snapshot carries over wholesale at O(1) cost.
-                self._snap_time = t
-                self._c_kinetic.value += 1
-                return
-            t0 = perf_counter()
-            changed = self._update_kinetic(t)
-            self._t_rebuild.add(perf_counter() - t0)
-            self._snap_time = t
-            self._c_rebuilds.value += 1
-            self._c_delta.value += 1
-            self._c_kin_refresh.value += 1
-            if changed:
-                self._epoch += 1
-                self._dist.clear()
-            return
         pos = self.world.positions()
         down = self.world.down_mask()
         t0 = perf_counter()
-        if self.refresh_lane != "full" and self._snap_time >= 0.0:
+        if self._snap_time >= 0.0:
             changed = self._update(pos, down)
             self._c_delta.value += 1
         else:
@@ -340,22 +221,17 @@ class TopologyBackend(abc.ABC):
         if changed:
             self._epoch += 1
             self._dist.clear()
-        if self.refresh_lane == "predictive":
-            self._arm_horizons(t)
 
     def invalidate(self) -> None:
         """Drop the snapshot; the next query recomputes everything.
 
-        Also disarms the kinetic horizons: invalidation signals an
-        out-of-band state change (churn death/revival, energy
-        depletion) that the mobility plane cannot predict, so the next
-        refresh takes the full-rebuild path and re-arms from scratch.
+        Invalidation signals an out-of-band state change (churn
+        death/revival, energy depletion), so the next refresh rebuilds
+        from scratch instead of diffing.
         """
         self._snap_time = -1.0
         self._dist.clear()
         self._epoch += 1
-        self._change_at = None
-        self._min_change = -np.inf
 
     def clear_distance_cache(self) -> None:
         """Forget memoized per-source distance vectors (benchmarks)."""
@@ -369,43 +245,12 @@ class TopologyBackend(abc.ABC):
         """Incrementally refresh from the previous snapshot.
 
         Returns whether the adjacency may have changed (``True`` forces
-        an epoch bump and a distance-cache flush).  The base fallback is
-        a full rebuild; backends override with a real delta.
+        an epoch bump and a distance-cache flush).  This base fallback
+        is a full rebuild -- the reference the backends' real deltas
+        are tested against.
         """
         self._rebuild(pos, down)
         return True
-
-    # -- kinetic lane (predictive) -------------------------------------
-    def _arm_horizons(self, t: float) -> None:
-        """(Re)compute kinetic horizons for every node at time ``t``.
-
-        Requires the owning world's mobility source to publish
-        :meth:`~repro.mobility.base.MobilityModel.next_change_horizon`;
-        sources that do not (test fakes, trace replayers) leave the
-        backend unarmed and the predictive lane degrades to the delta
-        lane, which is always correct.
-        """
-        mobility = getattr(self.world, "mobility", None)
-        horizon_fn = getattr(mobility, "next_change_horizon", None)
-        if horizon_fn is None:
-            self._change_at = None
-            self._min_change = -np.inf
-            return
-        self._change_at = np.asarray(horizon_fn(t), dtype=float)
-        self._min_change = float(self._change_at.min())
-        self._c_horizon.value += self.world.n
-
-    def _update_kinetic(self, t: float) -> bool:
-        """Refresh past the min horizon without an O(n) position diff.
-
-        The base fallback re-evaluates all positions and delegates to
-        the delta diff (still bit-identical, no kinetic saving beyond
-        the skip gate); the sparse backend overrides with a true
-        O(movers) path driven by the per-node horizons.
-        """
-        changed = self._update(self.world.positions(), self._down)
-        self._arm_horizons(t)
-        return changed
 
     # ------------------------------------------------------------------
     # queries
@@ -484,10 +329,10 @@ class DenseTopology(TopologyBackend):
     matrix row / element.  Sub-millisecond at the paper's n = 50..150
     and the ground truth the sparse backend is checked against.
 
-    The delta lane short-circuits refreshes where nothing moved and
-    otherwise compares the freshly built matrix against the previous one
-    (O(n²) bool compare, cheap next to the rebuild itself) so an
-    unchanged adjacency keeps the distance cache and the epoch.
+    A refresh short-circuits when nothing moved and otherwise compares
+    the freshly built matrix against the previous one (O(n²) bool
+    compare, cheap next to the rebuild itself) so an unchanged
+    adjacency keeps the distance cache and the epoch.
     """
 
     name = "dense"
@@ -497,12 +342,8 @@ class DenseTopology(TopologyBackend):
         world: "World",
         *,
         dist_cache_size: int = DEFAULT_DIST_CACHE,
-        delta: Optional[bool] = None,
-        refresh: Optional[str] = None,
     ) -> None:
-        super().__init__(
-            world, dist_cache_size=dist_cache_size, delta=delta, refresh=refresh
-        )
+        super().__init__(world, dist_cache_size=dist_cache_size)
         n = world.n
         self._adj: np.ndarray = np.zeros((n, n), dtype=bool)
         self._down = np.zeros(n, dtype=bool)
@@ -600,10 +441,10 @@ class SparseGridTopology(TopologyBackend):
     nodes are excluded from the grid entirely: they neither appear as
     neighbors nor relay.
 
-    On the delta lane a refresh diffs positions against the previous
-    snapshot: paused nodes (bitwise-identical positions -- the common
-    case under random-waypoint pauses) cost nothing, only nodes whose
-    grid cell changed are re-binned, and when few enough nodes moved the
+    A refresh diffs positions against the previous snapshot: paused
+    nodes (bitwise-identical positions -- the common case under
+    random-waypoint pauses) cost nothing, only nodes whose grid cell
+    changed are re-binned, and when few enough nodes moved the
     backend proves whether any link actually flipped (old vs new
     neighbor sets of the movers) to keep the CSR, the per-node neighbor
     memos and the BFS distance cache alive across the refresh.
@@ -616,12 +457,8 @@ class SparseGridTopology(TopologyBackend):
         world: "World",
         *,
         dist_cache_size: int = DEFAULT_DIST_CACHE,
-        delta: Optional[bool] = None,
-        refresh: Optional[str] = None,
     ) -> None:
-        super().__init__(
-            world, dist_cache_size=dist_cache_size, delta=delta, refresh=refresh
-        )
+        super().__init__(world, dist_cache_size=dist_cache_size)
         n = world.n
         self._pos: np.ndarray = np.empty((n, 2))
         self._down = np.zeros(n, dtype=bool)
@@ -635,28 +472,10 @@ class SparseGridTopology(TopologyBackend):
         self._nbr: Dict[int, np.ndarray] = {}
         r = world.radio_range
         self._r2 = r * r
-        # Adjacency-proof backoff: consecutive failures grow the skip
-        # window exponentially (capped at 64 refreshes), one success
-        # resets it -- sustained motion stops paying for doomed proofs.
-        self._prove_fail_streak = 0
-        self._prove_skip = 0
-        # Self-calibrating proof gate (AIMD): the max mover count an
-        # adjacency-preservation proof is attempted for.  Seeded from
-        # the historical hard-coded bound max(8, 25% of n); a proof
-        # success raises it additively (proofs are paying off), a
-        # failure halves it (floor 8) so sustained motion converges to
-        # near-zero proof spend instead of a fixed 25%-of-n tax.
-        self._gate = max(8.0, self.delta_detect_fraction * n)
-        self._gate_step = max(1.0, 0.05 * n)
-        self.registry.gauge(
-            "topology.proof_gate",
-            fn=lambda: self._gate,
-            layer="topology",
-            backend=type(self).name,
-        )
-        #: per-node cell-crossing horizons (predictive lane), absolute
-        #: times; valid alongside ``_change_at``
-        self._cross_at: Optional[np.ndarray] = None
+        #: most movers an adjacency-preservation proof is attempted for:
+        #: the proof costs O(movers · degree) and past a quarter of the
+        #: nodes it almost never succeeds
+        self.max_proof_movers = max(8, n // 4)
         # CSR builds performed (observability: should be << rebuilds
         # for neighbor-only workloads); exposed via the property below.
         self._c_csr_builds = self.registry.counter(
@@ -674,24 +493,23 @@ class SparseGridTopology(TopologyBackend):
         return out
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _cells_of(pos: np.ndarray, r: float) -> np.ndarray:
+    def _cells_of(self, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Grid cells ``(m, 2)`` and packed cell keys ``(m,)`` of ``pos``."""
+        r = self.world.radio_range
         cell = np.floor(pos / r).astype(np.int64) + _KOFF
-        return cell
+        if cell.size and (cell.min() < 1 or cell.max() >= _KSTRIDE - 1):
+            raise ValueError(
+                "node positions exceed the sparse grid's coordinate range "
+                f"(±{(_KOFF - 2) * r:.0f} m at radio range {r})"
+            )
+        return cell, cell[:, 0] * _KSTRIDE + cell[:, 1]
 
     def _rebuild(self, pos: np.ndarray, down: np.ndarray) -> None:
         r = self.world.radio_range
         self._pos = pos.copy()
         self._down = down.copy()
         self._r2 = r * r
-        cell = self._cells_of(pos, r)
-        if cell.size and (cell.min() < 1 or cell.max() >= _KSTRIDE - 1):
-            raise ValueError(
-                "node positions exceed the sparse grid's coordinate range "
-                f"(±{(_KOFF - 2) * r:.0f} m at radio range {r})"
-            )
-        self._cell = cell
-        keys = cell[:, 0] * _KSTRIDE + cell[:, 1]
+        self._cell, keys = self._cells_of(pos)
         self._key = keys
         up = np.flatnonzero(~down)
         order = up[np.argsort(keys[up], kind="stable")]
@@ -704,7 +522,7 @@ class SparseGridTopology(TopologyBackend):
         self._csr = None
         self._nbr = {}
 
-    # -- delta / kinetic refresh ---------------------------------------
+    # -- delta refresh -------------------------------------------------
     def _update(self, pos: np.ndarray, down: np.ndarray) -> bool:
         if not np.array_equal(down, self._down):
             # Up-set changes normally arrive via invalidate(); if one
@@ -714,102 +532,27 @@ class SparseGridTopology(TopologyBackend):
         touched = np.flatnonzero((pos != self._pos).any(axis=1))
         if touched.size == 0:
             return False  # every node paused: the snapshot carries over
-        return self._apply_moves(touched, pos[touched], None)
-
-    def _arm_horizons(self, t: float) -> None:
-        super()._arm_horizons(t)
-        if self._change_at is None:
-            self._cross_at = None
-            return
-        self._cross_at = np.asarray(
-            self.world.mobility.next_change_horizon(
-                t, pitch=self.world.radio_range
-            ),
-            dtype=float,
-        )
-
-    def _update_kinetic(self, t: float) -> bool:
-        # O(movers): only nodes whose position-change horizon passed can
-        # differ from the stored snapshot; everyone else is provably
-        # bitwise-unmoved and is never evaluated, diffed or re-binned.
-        changed = np.flatnonzero(self._change_at <= t)
-        if changed.size == 0:
-            return False
-        mobility = self.world.mobility
-        new_pos = mobility.positions_of(changed, t)
-        # Only nodes whose *cell-crossing* horizon also passed can have
-        # left their grid cell; the rest move within it.
-        crossed = self._cross_at[changed] <= t
-        result = self._apply_moves(changed, new_pos, crossed)
-        # Re-arm: position horizons for everyone who was re-examined,
-        # cell horizons only for potential crossers (the others' cached
-        # crossing predictions are absolute times and remain valid).
-        self._change_at[changed] = mobility.next_change_horizon(t, ids=changed)
-        cross_ids = changed[crossed]
-        if cross_ids.size:
-            self._cross_at[cross_ids] = mobility.next_change_horizon(
-                t, pitch=self.world.radio_range, ids=cross_ids
-            )
-        self._min_change = float(self._change_at.min())
-        self._c_horizon.value += int(changed.size)
-        return result
-
-    def _apply_moves(
-        self,
-        touched: np.ndarray,
-        new_pos: np.ndarray,
-        crossed: Optional[np.ndarray],
-    ) -> bool:
-        """Move ``touched`` nodes to ``new_pos`` (their rows, in order).
-
-        ``crossed`` is a boolean mask over ``touched`` restricting which
-        nodes may have changed grid cell (kinetic lane, from the
-        cell-crossing horizons); ``None`` means any of them may have
-        (delta lane).  Returns whether the adjacency may have changed.
-        """
         self._c_moved.value += int(touched.size)
-        # Decide up front whether proving "no link flipped" can pay off:
-        # the proof costs two neighbor computations per mover, and it
-        # only preserves anything if a distance cache / CSR exists.
-        # Under sustained motion some link flips nearly every refresh,
-        # so consecutive failed proofs back the attempt rate off
-        # exponentially (capped) and shrink the AIMD gate; successes
-        # restore eagerness and widen it.
+        new_pos = pos[touched]
+        # Proving "no link flipped" costs two neighbor computations per
+        # mover and only preserves anything if a distance cache / CSR
+        # exists.
         movers = touched[~self._down[touched]]
-        if self._prove_skip > 0:
-            self._prove_skip -= 1
-            worth_proving = False
-        else:
-            worth_proving = (
-                self._dist or self._csr is not None
-            ) and movers.size <= self._gate
-        old_lists = self._mover_neighbor_lists(movers, self._pos) if worth_proving else None
+        prove = (
+            self._dist or self._csr is not None
+        ) and movers.size <= self.max_proof_movers
+        old_lists = self._mover_neighbor_lists(movers, self._pos) if prove else None
 
-        # Surgical re-bin: only candidate crossers whose cell changed.
-        r = self.world.radio_range
-        if crossed is None:
-            cand = touched
-            cand_pos = new_pos
-        else:
-            cand = touched[crossed]
-            cand_pos = new_pos[crossed]
-        if cand.size:
-            new_cell = self._cells_of(cand_pos, r)
-            if new_cell.min() < 1 or new_cell.max() >= _KSTRIDE - 1:
-                raise ValueError(
-                    "node positions exceed the sparse grid's coordinate range "
-                    f"(±{(_KOFF - 2) * r:.0f} m at radio range {r})"
-                )
-            new_key = new_cell[:, 0] * _KSTRIDE + new_cell[:, 1]
-            rebin = new_key != self._key[cand]
-            for idx in np.flatnonzero(rebin):
-                i = int(cand[idx])
-                if self._down[i]:
-                    continue  # down nodes are not in the grid
-                self._grid_remove(int(self._key[i]), i)
-                self._grid_add(int(new_key[idx]), i)
-            self._cell[cand] = new_cell
-            self._key[cand] = new_key
+        # Surgical re-bin: only movers whose cell changed.
+        new_cell, new_key = self._cells_of(new_pos)
+        for idx in np.flatnonzero(new_key != self._key[touched]):
+            i = int(touched[idx])
+            if self._down[i]:
+                continue  # down nodes are not in the grid
+            self._grid_remove(int(self._key[i]), i)
+            self._grid_add(int(new_key[idx]), i)
+        self._cell[touched] = new_cell
+        self._key[touched] = new_key
         self._pos[touched] = new_pos
 
         if old_lists is not None:
@@ -821,12 +564,7 @@ class SparseGridTopology(TopologyBackend):
                 # surface in some mover's list, and pauser--pauser links
                 # cannot change: the adjacency is provably intact, so
                 # the CSR, neighbor memos and distance cache stay warm.
-                self._prove_fail_streak = 0
-                self._gate = min(float(self.world.n), self._gate + self._gate_step)
                 return False
-            self._prove_fail_streak += 1
-            self._prove_skip = min(64, 1 << self._prove_fail_streak)
-            self._gate = max(8.0, self._gate * 0.5)
         self._csr = None
         self._nbr = {}
         return True
@@ -854,7 +592,7 @@ class SparseGridTopology(TopologyBackend):
 
         Grouped by cell so each 3x3 block is intersected once,
         vectorized -- the same arithmetic as :meth:`neighbors`, so the
-        delta lane's adjacency proof uses the query plane's own answers.
+        adjacency proof uses the query plane's own answers.
         """
         out: list = [None] * len(movers)
         if not len(movers):
@@ -1001,8 +739,6 @@ def make_topology(
     world: "World",
     *,
     dist_cache_size: int = DEFAULT_DIST_CACHE,
-    delta: Optional[bool] = None,
-    refresh: Optional[str] = None,
 ) -> TopologyBackend:
     """Instantiate a backend from a config string or a backend class."""
     if isinstance(spec, str):
@@ -1015,4 +751,4 @@ def make_topology(
         cls = spec
     else:
         raise TypeError(f"topology must be a name or TopologyBackend class, got {spec!r}")
-    return cls(world, dist_cache_size=dist_cache_size, delta=delta, refresh=refresh)
+    return cls(world, dist_cache_size=dist_cache_size)

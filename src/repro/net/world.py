@@ -66,17 +66,6 @@ class World:
         Connectivity backend: ``"dense"`` (reference, default),
         ``"sparse"`` (grid-indexed, for large n), or a
         :class:`~repro.net.topology.TopologyBackend` subclass.
-    topology_delta:
-        Legacy lane selector: ``True`` (default) -> delta lane,
-        ``False`` -> full-rebuild reference lane.  Superseded by
-        ``topology_refresh`` but kept working.
-    topology_refresh:
-        Snapshot-refresh lane: ``"predictive"`` (kinetic horizons from
-        the mobility plane), ``"delta"`` (position diffing) or
-        ``"full"`` (from-scratch reference).  Overrides
-        ``topology_delta`` when given.  All lanes are bit-identical
-        (``tests/test_topology_delta.py``,
-        ``tests/test_topology_kinetic.py``).
     dist_cache_size:
         LRU bound on memoized per-source hop-distance vectors.
     registry:
@@ -93,8 +82,6 @@ class World:
         energy: Optional[EnergyModel] = None,
         snapshot_interval: float = 0.0,
         topology: Union[str, Type[TopologyBackend]] = "dense",
-        topology_delta: Optional[bool] = None,
-        topology_refresh: Optional[str] = None,
         dist_cache_size: int = DEFAULT_DIST_CACHE,
         registry: Optional[Registry] = None,
     ) -> None:
@@ -131,11 +118,7 @@ class World:
         self.energy.on_depleted = self._up_ids.discard
         #: the pluggable connectivity backend
         self.topology: TopologyBackend = make_topology(
-            topology,
-            self,
-            dist_cache_size=dist_cache_size,
-            delta=topology_delta,
-            refresh=topology_refresh,
+            topology, self, dist_cache_size=dist_cache_size
         )
 
     # ------------------------------------------------------------------

@@ -50,21 +50,16 @@ SCHEDULER_COST_METRICS: Tuple[str, ...] = (
 )
 
 #: Metric names that measure topology *cache effort*, not connectivity.
-#: The delta and predictive refresh lanes legitimately rebuild less,
-#: keep the BFS distance cache warm across refreshes, skip refreshes
-#: kinetically and build fewer CSRs than the full-rebuild reference
-#: lane, so these counters (and the proof-gate gauge) differ between
-#: lanes while every query answer stays bit-identical.
+#: Delta refreshes legitimately keep the BFS distance cache warm and
+#: build fewer CSRs than the full-rebuild reference the tests pin, so
+#: these counters differ between the two while every query answer stays
+#: bit-identical.
 TOPOLOGY_COST_METRICS: Tuple[str, ...] = (
     "topology.rebuilds",
     "topology.delta_rebuilds",
     "topology.moved_nodes",
     "topology.dist_cache_hits",
     "topology.csr_builds",
-    "topology.kinetic_skips",
-    "topology.kinetic_refreshes",
-    "topology.horizon_recomputes",
-    "topology.proof_gate",
 )
 
 #: Rebroadcast-suppression policy accounting
@@ -96,10 +91,10 @@ DEDUP_COST_METRICS: Tuple[str, ...] = ("aodv.rreq_keys_live",)
 _GRAPHFAST_PREFIX = "graphfast."
 
 #: Prefix covering the analytics-engine counters
-#: (:mod:`repro.metrics.analytics`): cache hits, incremental deltas,
-#: full recomputes and BFS shard counts measure which analytics *lane*
-#: (serial|parallel x full|incremental) produced the metrics -- the
-#: metric values themselves are exactly equal between lanes.
+#: (:mod:`repro.metrics.analytics`): cache hits, incremental deltas and
+#: full recomputes measure which analytics *lane* (full|incremental)
+#: produced the metrics -- the metric values themselves are exactly
+#: equal between lanes.
 _ANALYTICS_PREFIX = "analytics."
 
 
@@ -132,8 +127,8 @@ def semantic_snapshot(
 
     Wall-clock timers are also excluded (they measure the host, not the
     run).  Two runs of the same seeded scenario on different delivery
-    lanes -- or different topology refresh lanes -- must produce equal
-    dicts.
+    lanes -- or with the full-rebuild topology reference pinned -- must
+    produce equal dicts.
     """
     return {
         k: v

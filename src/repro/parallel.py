@@ -1,12 +1,10 @@
 """Shared process-pool sizing helpers.
 
-Two subsystems fan work out over a ``ProcessPoolExecutor``: the
-experiment sweep runner (:mod:`repro.experiments.sweeps`, one grid
-point per task) and the analytics engine
-(:mod:`repro.metrics.analytics`, one BFS source shard per task).  Both
-used to size their pools and chunks ad hoc; this module is the single
-definition of the ``--processes`` flag semantics and the chunking
-policy, so the CLI knobs behave identically everywhere.
+The experiment orchestrator (:mod:`repro.experiments.sweeps` and the
+executor behind ``reproduce``, one run per task) fans work out over a
+``ProcessPoolExecutor``; this module is the single definition of the
+``--processes`` flag semantics and the chunking policy, so the CLI
+knobs behave identically everywhere.
 
 Nothing here creates a pool or touches simulation state -- these are
 pure sizing functions, trivially unit-testable.
@@ -26,7 +24,7 @@ def resolve_processes(processes: Optional[int] = None) -> int:
     ``None`` means "use every core" (``os.cpu_count()``, floor 1);
     explicit values must be >= 1.  Every pool in the package sizes
     itself through this one function so the flag means the same thing
-    on ``sweep`` and on the analytics engine.
+    on ``sweep`` and on ``reproduce``.
     """
     if processes is None:
         return max(1, os.cpu_count() or 1)
@@ -41,8 +39,7 @@ def default_chunksize(n_jobs: int, processes: int) -> int:
 
     Large job lists amortize pickling instead of shipping one task at a
     time, while ~4 rounds per worker keep the tail load-balanced.  This
-    is the sweep runner's historical policy, now shared with the
-    analytics engine's shard maps.
+    is the sweep runner's historical policy.
     """
     if n_jobs < 0:
         raise ValueError(f"n_jobs must be >= 0, got {n_jobs}")

@@ -60,7 +60,7 @@ class Simulation:
     lifetimes: LifetimeLog
     #: shared observability registry (same object every layer reports to)
     registry: Registry = field(default_factory=Registry)
-    #: unified analytics plane (lanes picked by the config); the runner
+    #: unified analytics plane (lane picked by the config); the runner
     #: harvests through this and the world-level helpers resolve to it
     analytics: Optional[AnalyticsEngine] = None
     #: periodic time-series sampler; None when ``cfg.obs_interval == 0``
@@ -136,18 +136,17 @@ def build_scenario(cfg: ScenarioConfig) -> Simulation:
         energy=EnergyModel(cfg.num_nodes, capacity=cfg.energy_capacity),
         snapshot_interval=cfg.snapshot_interval,
         topology=cfg.resolved_topology,
-        topology_refresh=cfg.topology_refresh,
     )
     if cfg.mac == "csma":
         from ..net.mac import CsmaChannel
 
-        channel = CsmaChannel(sim, world, seed=cfg.seed, batched=cfg.batched_delivery)
+        channel = CsmaChannel(sim, world, seed=cfg.seed)
     elif cfg.mac == "lossy":
         from ..net.lossy import LossyChannel
 
-        channel = LossyChannel(sim, world, seed=cfg.seed, batched=cfg.batched_delivery)
+        channel = LossyChannel(sim, world, seed=cfg.seed)
     else:
-        channel = Channel(sim, world, batched=cfg.batched_delivery)
+        channel = Channel(sim, world)
     router: Router
     if cfg.routing == "aodv":
         router = AodvRouter(sim, channel, rebroadcast=cfg.rebroadcast, rng=rng)
@@ -196,13 +195,7 @@ def build_scenario(cfg: ScenarioConfig) -> Simulation:
     # One analytics engine per scenario: the runner's harvest and any
     # engine_for_world(world) lookup share its epoch-keyed state.
     analytics = set_world_engine(
-        world,
-        AnalyticsEngine(
-            mode=cfg.analytics_mode,
-            execution=cfg.analytics_exec,
-            processes=cfg.analytics_processes,
-            registry=registry,
-        ),
+        world, AnalyticsEngine(mode=cfg.analytics_mode, registry=registry)
     )
 
     sampler = (

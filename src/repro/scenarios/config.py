@@ -10,7 +10,7 @@ seconds.  Every experiment is a variation of these fields.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..core.config import P2pConfig
 from ..core.query import QueryConfig
@@ -29,8 +29,6 @@ _MOBILITY_MODELS = (
 _ROUTINGS = ("aodv", "dsdv", "dsr", "oracle")
 _ALGORITHMS = ("basic", "regular", "random", "hybrid")
 _TOPOLOGIES = ("dense", "sparse", "auto")
-_REFRESH_LANES = ("predictive", "delta", "full")
-_ANALYTICS_EXECS = ("serial", "parallel")
 _ANALYTICS_MODES = ("incremental", "full")
 
 #: "auto" topology switches to the sparse grid backend at this node count.
@@ -79,39 +77,15 @@ class ScenarioConfig:
     #: "sparse" (uniform-grid spatial index, for large n) or "auto"
     #: (sparse once num_nodes >= AUTO_SPARSE_THRESHOLD)
     topology: str = "dense"
-    #: legacy lane selector kept for archived configs: ``False`` pins
-    #: the full-rebuild reference lane (overriding ``topology_refresh``
-    #: when that is left at its default).  Rewritten in __post_init__ to
-    #: mirror the resolved lane, so round-tripped configs stay coherent.
-    topology_delta: bool = True
-    #: topology snapshot-refresh lane: "predictive" (kinetic horizons
-    #: published by the mobility plane -- refreshes are O(movers) and
-    #: all-paused intervals skip at O(1)), "delta" (position diffing) or
-    #: "full" (from-scratch reference).  All three are bit-identical
-    #: (tests/test_topology_delta.py, tests/test_topology_kinetic.py).
-    topology_refresh: str = "predictive"
     #: whether the query plane runs (off for pure-reconfiguration studies)
     queries: bool = True
-    #: batched broadcast delivery (one kernel event per transmission
-    #: instead of one per receiver copy).  Semantically bit-identical to
-    #: the per-receiver reference (tests/test_batched_equivalence.py);
-    #: False keeps the reference lane for A/B comparison.
-    batched_delivery: bool = True
     #: sim-time interval between observability samples; 0 disables the
     #: sampler (counters still accumulate, no time series is recorded)
     obs_interval: float = 0.0
-    #: analytics execution lane: "serial" or "parallel" (graph-metric
-    #: BFS sharded over a process pool).  Exactly equal results either
-    #: way (tests/test_analytics.py); parallel only pays off at large n.
-    analytics_exec: str = "serial"
     #: analytics maintenance lane: "incremental" (epoch-keyed state +
     #: edge deltas between harvests, the default) or "full" (stateless
     #: recompute reference lane).  Exactly equal results either way.
     analytics_mode: str = "incremental"
-    #: worker count for the parallel analytics lane; None = every core
-    #: (the same ``--processes`` semantics as ``sweep``, via
-    #: :func:`repro.parallel.resolve_processes`)
-    analytics_processes: Optional[int] = None
     #: broadcast-plane rebroadcast policy (p2p discovery floods + AODV
     #: RREQ dissemination): ``"flood"`` (reference, bit-identical to the
     #: historical behaviour), ``"probabilistic[:p]"`` (gossip-p with a
@@ -143,22 +117,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown mobility model {self.mobility!r}")
         if self.topology not in _TOPOLOGIES:
             raise ValueError(f"unknown topology backend {self.topology!r}")
-        if self.topology_refresh not in _REFRESH_LANES:
-            raise ValueError(
-                f"unknown topology refresh lane {self.topology_refresh!r}"
-            )
-        # Legacy knob: topology_delta=False predates the lane string and
-        # means "pin the full-rebuild reference"; honor it unless the
-        # caller explicitly picked a lane.  Then rewrite the bool to
-        # mirror the resolved lane so to_dict()/from_dict() round-trips
-        # agree with what actually runs.
-        if not self.topology_delta and self.topology_refresh == "predictive":
-            object.__setattr__(self, "topology_refresh", "full")
-        object.__setattr__(
-            self, "topology_delta", self.topology_refresh != "full"
-        )
-        if self.analytics_exec not in _ANALYTICS_EXECS:
-            raise ValueError(f"unknown analytics execution lane {self.analytics_exec!r}")
         if self.analytics_mode not in _ANALYTICS_MODES:
             raise ValueError(f"unknown analytics mode {self.analytics_mode!r}")
         parse_policy_spec(self.rebroadcast)  # raises on a bad spec
@@ -166,10 +124,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown query policy {self.query_policy!r} "
                 f"(choose from {QUERY_POLICY_KINDS})"
-            )
-        if self.analytics_processes is not None and self.analytics_processes < 1:
-            raise ValueError(
-                f"analytics_processes must be >= 1, got {self.analytics_processes}"
             )
         if self.duration <= 0:
             raise ValueError("duration must be positive")

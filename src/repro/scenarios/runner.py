@@ -226,8 +226,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         simulation.run()
     with registry.timed("scenario.harvest"):
         result = harvest(simulation)
-    if simulation.analytics is not None:
-        simulation.analytics.close()  # release the BFS worker pool, if any
     # harvest() read the wall timers while "scenario.harvest" was still
     # open; read them again so that section reaches the result too.  The
     # read touches only the timers, never the per-node series.

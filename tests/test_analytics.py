@@ -1,12 +1,11 @@
 """AnalyticsEngine: lane identity, epoch contract, API delegation.
 
-The engine's whole value proposition is that its fast lanes are *free*
-semantically: ``incremental`` must equal ``full`` and ``parallel`` must
-equal ``serial`` exactly -- same integers, same floats bit-for-bit --
-over churning, moving, dying topologies.  These tests enforce that,
-plus the epoch-keyed cache contract, the legacy-module surface (only
-the closed-form helpers remain) and the ScenarioConfig/CLI lane
-plumbing.
+The engine's whole value proposition is that its fast lane is *free*
+semantically: ``incremental`` must equal ``full`` exactly -- same
+integers, same floats bit-for-bit -- over churning, moving, dying
+topologies.  These tests enforce that, plus the epoch-keyed cache
+contract, the legacy-module surface (only the closed-form helpers
+remain) and the ScenarioConfig/CLI lane plumbing.
 """
 
 import networkx as nx
@@ -17,14 +16,12 @@ from repro.cli import build_parser
 from repro.metrics import smallworld as smallworld_mod
 from repro.metrics import connectivity as connectivity_mod
 from repro.metrics.analytics import (
-    ANALYTICS_EXECUTION_LANES,
     ANALYTICS_MODES,
     AnalyticsEngine,
     engine_for_world,
     set_world_engine,
 )
 from repro.metrics.graphfast import graph_csr
-from repro.obs.registry import Registry
 from repro.parallel import default_chunksize, resolve_processes, shard_ranges
 from repro.scenarios import ScenarioConfig, run_scenario
 
@@ -299,65 +296,6 @@ class TestWorldAnalytics:
 
 
 # ----------------------------------------------------------------------
-# serial vs parallel: exact BFS identity
-# ----------------------------------------------------------------------
-class TestParallelIdentity:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_path_length_sums_identical(self, seed):
-        g = _rgg(150, 14.0, seed)
-        indptr, indices, _ = graph_csr(g)
-        serial = AnalyticsEngine(execution="serial")
-        # chunk=16 so n=150 actually shards (shards align to chunk width)
-        par = AnalyticsEngine(
-            execution="parallel", processes=2, chunk=16, registry=Registry()
-        )
-        try:
-            assert par.path_length_sums(indptr, indices) == serial.path_length_sums(
-                indptr, indices
-            )
-            shards = par.registry.counter("analytics.bfs_shards", layer="metrics")
-            assert shards.value > 0
-        finally:
-            par.close()
-
-    def test_hops_identical_and_row_order_preserved(self):
-        g = _rgg(120, 14.0, seed=9)
-        indptr, indices, _ = graph_csr(g)
-        sources = list(range(0, 120, 2))
-        serial = AnalyticsEngine(execution="serial")
-        par = AnalyticsEngine(execution="parallel", processes=2, chunk=8)
-        try:
-            a = serial.hops(indptr, indices, sources)
-            b = par.hops(indptr, indices, sources)
-            assert np.array_equal(a, b)
-        finally:
-            par.close()
-
-    def test_single_shard_falls_back_to_serial(self):
-        g = _rgg(40, 14.0, seed=10)
-        indptr, indices, _ = graph_csr(g)
-        par = AnalyticsEngine(
-            execution="parallel", processes=2, registry=Registry()
-        )  # chunk=256
-        # 40 sources round up to one 256-wide shard: no pool is spawned.
-        par.path_length_sums(indptr, indices)
-        assert par._pool is None
-        assert (
-            par.registry.counter("analytics.bfs_shards", layer="metrics").value == 0
-        )
-
-    def test_lane_validation(self):
-        with pytest.raises(ValueError):
-            AnalyticsEngine(mode="sometimes")
-        with pytest.raises(ValueError):
-            AnalyticsEngine(execution="gpu")
-        with pytest.raises(ValueError):
-            AnalyticsEngine(processes=0)
-        assert ANALYTICS_MODES == ("incremental", "full")
-        assert ANALYTICS_EXECUTION_LANES == ("serial", "parallel")
-
-
-# ----------------------------------------------------------------------
 # legacy modules: deprecation cycle elapsed, wrappers removed
 # ----------------------------------------------------------------------
 class TestLegacyModuleSurface:
@@ -387,8 +325,7 @@ class TestLegacyModuleSurface:
 # ----------------------------------------------------------------------
 class TestScenarioLanes:
     @pytest.mark.parametrize("mode", ["incremental", "full"])
-    @pytest.mark.parametrize("execution", ["serial"])
-    def test_lanes_produce_identical_results(self, mode, execution):
+    def test_lanes_produce_identical_results(self, mode):
         base = dict(
             num_nodes=20,
             duration=60.0,
@@ -397,9 +334,7 @@ class TestScenarioLanes:
             max_speed=2.0,
         )
         ref = run_scenario(ScenarioConfig(**base))  # default lanes
-        res = run_scenario(
-            ScenarioConfig(**base, analytics_mode=mode, analytics_exec=execution)
-        )
+        res = run_scenario(ScenarioConfig(**base, analytics_mode=mode))
         assert res.overlay_stats == ref.overlay_stats
         assert res.totals == ref.totals
         for fam in res.sorted_received:
@@ -419,36 +354,39 @@ class TestScenarioLanes:
 
 
 class TestConfigAndCli:
+    def test_lane_validation(self):
+        with pytest.raises(ValueError):
+            AnalyticsEngine(mode="sometimes")
+        assert ANALYTICS_MODES == ("incremental", "full")
+        # The maintenance mode is the only lane left: there is no
+        # execution lane and no BFS worker pool to size.
+        for removed in ({"execution": "parallel"}, {"processes": 2}):
+            with pytest.raises(TypeError):
+                AnalyticsEngine(**removed)
+            with pytest.raises(TypeError):
+                engine_for_world(make_world(line_positions(2))[1], **removed)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(analytics_exec="fast")
-        with pytest.raises(ValueError):
             ScenarioConfig(analytics_mode="magic")
-        with pytest.raises(ValueError):
-            ScenarioConfig(analytics_processes=0)
+        for removed in ({"analytics_exec": "serial"}, {"analytics_processes": 2}):
+            with pytest.raises(TypeError):
+                ScenarioConfig(**removed)
 
     def test_config_round_trip(self):
-        cfg = ScenarioConfig(
-            analytics_exec="parallel", analytics_mode="full", analytics_processes=2
-        )
+        cfg = ScenarioConfig(analytics_mode="full")
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_old_config_dicts_still_load(self):
         d = ScenarioConfig().to_dict()
-        for k in ("analytics_exec", "analytics_mode", "analytics_processes"):
-            d.pop(k)
+        d.pop("analytics_mode")
         cfg = ScenarioConfig.from_dict(d)
-        assert cfg.analytics_exec == "serial"
         assert cfg.analytics_mode == "incremental"
 
     def test_cli_run_flags(self):
-        args = build_parser().parse_args(
-            ["run", "--analytics", "parallel", "--analytics-mode", "full",
-             "--processes", "2"]
-        )
-        assert args.analytics == "parallel"
+        args = build_parser().parse_args(["run", "--analytics-mode", "full"])
         assert args.analytics_mode == "full"
-        assert args.processes == 2
+        assert not hasattr(args, "processes")
 
     def test_cli_sweep_has_processes_flag(self):
         args = build_parser().parse_args(

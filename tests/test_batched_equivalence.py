@@ -50,9 +50,11 @@ def _run_lane(seed: int, topology: str, batched: bool, *, churn: bool = True):
         energy_capacity=0.05,
         topology=topology,
         obs_interval=10.0,
-        batched_delivery=batched,
     )
     simulation = build_scenario(cfg)
+    # Channel.batched is read when copies are scheduled, so flipping it
+    # before the run selects the per-receiver reference lane.
+    simulation.channel.batched = batched
     if churn:
         # The builder does not wire churn; attach it on a dedicated
         # stream so both lanes draw identical death/revival sequences.
@@ -138,10 +140,10 @@ def _run_wavefront(seed, topology, routing, case, batched):
         seed=seed,
         routing=routing,
         topology=topology,
-        batched_delivery=batched,
         **overrides,
     )
     simulation = build_scenario(cfg)
+    simulation.channel.batched = batched
     recorder = attach_tracer(simulation.channel) if case == "tracer" else None
     if case == "churn":
         _snipe_receivers(simulation)

@@ -53,27 +53,22 @@ class TestWorkloads:
     def test_topology_refresh_lanes_diverge_in_effort_only(self):
         full = bench_topology_refresh(30, duration=3.0, lane="full")
         fast = bench_topology_refresh(30, duration=3.0, lane="delta")
-        kin = bench_topology_refresh(30, duration=3.0, lane="predictive")
         # Same query stream, bit-identical answers...
         assert full["params"]["fingerprint"] == fast["params"]["fingerprint"]
-        assert kin["params"]["fingerprint"] == full["params"]["fingerprint"]
-        # ...but only the incremental lanes refreshed incrementally, and
-        # only the predictive lane served refreshes from horizons.
-        assert fast["delta_rebuilds"] > 0
-        assert full["delta_rebuilds"] == 0
-        assert kin["kinetic_skips"] + kin["kinetic_refreshes"] > 0
-        assert fast["kinetic_refreshes"] == 0
-        assert full["kinetic_refreshes"] == 0
+        # ...but only the delta refresh diffed positions.
+        assert fast["moved_nodes"] > 0
+        assert full["moved_nodes"] == 0
+        assert set(fast) == set(full)
+        assert not [k for k in fast if "kinetic" in k or "horizon" in k]
 
     def test_compare_topology_refresh_identical(self):
         cmp_ = compare_topology_refresh(30, duration=3.0, seeds=(1, 2))
         assert cmp_["semantically_identical"] is True
         assert cmp_["seeds_checked"] == [1, 2]
         assert cmp_["speedup"] > 0
-        assert cmp_["speedup_predictive"] > 0
-        assert {r["params"]["lane"] for r in
-                (cmp_["full"], cmp_["delta"], cmp_["predictive"])} == {
-                    "full", "delta", "predictive"}
+        assert "speedup_predictive" not in cmp_
+        assert {r["params"]["lane"] for r in (cmp_["full"], cmp_["delta"])} == {
+            "full", "delta"}
 
     def test_compare_metrics_kernels_exact(self):
         cmp_ = compare_metrics_kernels(60)
@@ -128,41 +123,13 @@ class TestSuiteDocument:
         fanout = comparison("broadcast_fanout", 600)
         assert fanout["push_reduction"] >= 2.0
         assert fanout["semantically_identical"] is True
-        # ISSUE 5: both refresh lanes answer the query stream
-        # identically, and the vectorized metric kernels beat networkx
-        # by >= 5x at n=600.
-        refresh = comparison("topology_refresh", 600)
-        assert refresh["semantically_identical"] is True
-        # ISSUE 7: all three refresh lanes (full/delta/predictive)
-        # answer identically on every ladder rung, and the metro-scale
-        # refresh tier serves (nearly) every snapshot from mobility
-        # horizons -- the O(n) position diff never runs steady-state.
-        assert refresh["speedup_predictive"] > 0
-        for n in doc["sizes"]:
+        # The refresh lanes answer the query stream identically on every
+        # ladder rung and the metro tier (the record also carries rows of
+        # the since-removed predictive lane; nothing here reads them),
+        # and the vectorized metric kernels beat networkx by >= 5x at
+        # n=600.
+        for n in (*doc["sizes"], 10_000):
             assert comparison("topology_refresh", n)["semantically_identical"]
-        metro_refresh = comparison("topology_refresh", 10_000)
-        assert metro_refresh["semantically_identical"] is True
-        kin = [
-            r
-            for r in doc["results"]
-            if r["name"] == "topology_refresh"
-            and r["params"]["n"] == 10_000
-            and r["params"]["lane"] == "predictive"
-        ][0]
-        snapshots = kin["rebuilds"] + kin["kinetic_skips"]
-        kinetic = kin["kinetic_skips"] + kin["kinetic_refreshes"]
-        assert kinetic >= 0.9 * snapshots
-        # The metro refresh workload is query-dominated, so lane wall
-        # ratios wander +/- 5% between recordings (delta/predictive have
-        # measured 0.89/1.02, 1.21/1.43 and 1.05/0.98 on the same code);
-        # the structural claim is the kinetic-snapshot fraction above.
-        # Gate only that the predictive lane is never a real regression
-        # against full rebuilds or the delta lane.
-        assert metro_refresh["speedup_predictive"] >= 0.95
-        assert (
-            metro_refresh["speedup_predictive"]
-            >= 0.9 * metro_refresh["speedup"]
-        )
         kernels = comparison("metrics_kernels", 600)
         assert kernels["semantically_identical"] is True
         assert kernels["speedup"] >= 5.0

@@ -26,6 +26,31 @@ class TestParser:
             build_parser().parse_args(["run", "--nodes", "15", "--queue", "heap"])
         assert "unrecognized arguments: --queue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--topology-refresh", "full"],
+            ["sweep", "nodes", "10", "--topology-refresh", "delta"],
+            ["map", "--topology-refresh", "predictive"],
+            ["run", "--analytics", "parallel"],
+            ["sweep", "nodes", "10", "--analytics", "serial"],
+        ],
+    )
+    def test_removed_lane_flags_rejected(self, argv, capsys):
+        # one topology refresh path and one analytics execution path:
+        # their old lane flags are unknown arguments
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    def test_run_has_no_processes_flag(self, capsys):
+        # --processes sized the removed BFS pool on run; sweep and
+        # reproduce keep it for the experiment executor
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--processes", "2"])
+        assert "unrecognized arguments: --processes" in capsys.readouterr().err
+        assert build_parser().parse_args(["reproduce", "--processes", "2"]).processes == 2
+
 
 class TestCommands:
     def test_tables(self, capsys):

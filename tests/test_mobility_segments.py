@@ -1,24 +1,19 @@
-"""The piecewise-linear segment contract behind the kinetic horizons.
+"""The piecewise-linear segment contract behind ``positions(t)``.
 
-The predictive topology lane trusts two things about every mobility
-model:
-
-1. **Segment faithfulness** -- the per-node segments exposed by
-   ``current_segments()`` reproduce ``positions(t)`` *bitwise* via the
-   canonical lerp at any time the segment covers (interior and both
-   boundaries).  A model whose ``_refresh`` drifted from its stored
-   segments would silently break the closed-form horizon math.
-2. **Horizon soundness** -- ``next_change_horizon`` never over-promises:
-   positions are bitwise-frozen before the position-change horizon, and
-   grid cells do not change before the cell-crossing horizon.
-
-Both are checked here for every concrete model.
+Every mobility model stores one segment ``(t0, t1, origin, dest)`` per
+node in flat arrays and evaluates all positions with one vectorized
+lerp.  The segments it holds must reproduce ``positions(t)`` *bitwise*
+via that canonical lerp at any time the segment covers (interior and
+both boundaries), and a query must roll expired segments forward so
+they cover it.  A model whose ``_refresh`` drifted from its stored
+segments would silently move nodes off their trajectories.  Checked
+here for every concrete model.
 """
 
 import numpy as np
 import pytest
 
-from repro.mobility.base import Area, MobilityModel, NEVER_THRESHOLD
+from repro.mobility.base import Area
 from repro.mobility.direction import RandomDirection
 from repro.mobility.gauss_markov import GaussMarkov
 from repro.mobility.manhattan import ManhattanGrid
@@ -42,10 +37,25 @@ def _make(name, seed=7):
     return MODELS[name](np.random.default_rng(seed))
 
 
+#: Segment ends at or beyond this are parked forever (the static model
+#: pauses for 1e12 s); their end point is never reached.
+PARKED = 1e10
+
+
 def _segment_lerp(t, t0, t1, origin, dest):
     """The canonical segment evaluation the base class promises."""
     frac = np.clip((t - t0) / (t1 - t0), 0.0, 1.0)[:, None]
     return origin + frac * (dest - origin)
+
+
+def _segments(model):
+    """Copies of the model's per-node segment arrays."""
+    return (
+        model._t0.copy(),
+        model._t1.copy(),
+        model._origin.copy(),
+        model._dest.copy(),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -54,14 +64,14 @@ class TestSegmentContract:
         model = _make(name)
         for t in (0.0, 3.7, 41.2, 120.0, 500.5):
             got = model.positions(t)
-            t0, t1, origin, dest = model.current_segments()
+            t0, t1, origin, dest = _segments(model)
             want = _segment_lerp(t, t0, t1, origin, dest)
             assert got.tobytes() == want.tobytes(), f"{name} drifts at t={t}"
 
     def test_segment_boundaries_are_exact(self, name):
         model = _make(name)
         model.positions(50.0)  # roll everyone somewhere interesting
-        t0, t1, origin, dest = model.current_segments()
+        t0, t1, origin, dest = _segments(model)
         # At the segment start the node is bitwise at origin; at the
         # (finite) end the canonical lerp lands within an ulp of dest
         # (frac hits exactly 1.0 but origin + (dest - origin) may round
@@ -73,7 +83,7 @@ class TestSegmentContract:
         probes += [
             (float(t1[i]), i, dest[i], False)
             for i in range(model.n)
-            if t1[i] < NEVER_THRESHOLD
+            if t1[i] < PARKED
         ]
         for t, i, want, exact in sorted(probes, key=lambda p: p[0]):
             got = model.positions(t)[i]
@@ -86,101 +96,7 @@ class TestSegmentContract:
 
     def test_current_segments_rolls_to_cover_t(self, name):
         model = _make(name)
-        t0, t1, _, _ = model.current_segments(t=200.0)
+        model.positions(200.0)
+        t0, t1, _, _ = _segments(model)
         assert (t0 <= 200.0).all()
         assert (t1 >= 200.0).all()
-
-    def test_positions_of_matches_full_evaluation(self, name):
-        model = _make(name)
-        for t in (0.0, 12.3, 250.0):
-            full = model.positions(t)
-            ids = np.array([0, 3, 11, 24], dtype=np.int64)
-            subset = model.positions_of(ids, t)
-            assert subset.tobytes() == full[ids].tobytes()
-
-    def test_position_horizon_is_sound(self, name):
-        model = _make(name)
-        t = 30.0
-        ref = model.positions(t)
-        horizon = model.next_change_horizon(t)
-        assert horizon.shape == (model.n,)
-        assert (horizon >= t).all()
-        # Ascending time sweep (the model only supports forward
-        # queries): while a node's horizon lies ahead its position must
-        # stay bitwise-frozen.
-        for probe in np.linspace(t, t + 150.0, 301):
-            pos = model.positions(float(probe))
-            for i in np.flatnonzero(horizon > probe):
-                assert pos[i].tobytes() == ref[i].tobytes(), (
-                    f"{name} node {i} moved before its horizon at t={probe}"
-                )
-
-    def test_cell_horizon_is_sound(self, name):
-        model = _make(name)
-        pitch = 10.0
-        t = 5.0
-        ref_cell = np.floor(model.positions(t) / pitch)
-        horizon = model.next_change_horizon(t, pitch=pitch)
-        assert (horizon >= t).all()
-        # Dense time sweep: no node's cell may change strictly before
-        # its predicted crossing horizon.
-        for probe in np.linspace(t, t + 60.0, 121):
-            cells = np.floor(model.positions(float(probe)) / pitch)
-            safe = horizon > probe
-            assert (cells[safe] == ref_cell[safe]).all(), (
-                f"{name}: cell changed before horizon at t={probe}"
-            )
-
-    def test_subset_horizons_match_full(self, name):
-        model = _make(name)
-        ids = np.array([1, 8, 19], dtype=np.int64)
-        t = 75.0
-        full = model.next_change_horizon(t)
-        sub = model.next_change_horizon(t, ids=ids)
-        assert sub.tobytes() == full[ids].tobytes()
-        full_c = model.next_change_horizon(t, pitch=10.0)
-        sub_c = model.next_change_horizon(t, pitch=10.0, ids=ids)
-        assert sub_c.tobytes() == full_c[ids].tobytes()
-
-
-class TestModelSpecificHorizons:
-    def test_static_horizon_is_infinite(self):
-        model = _make("static")
-        assert np.isinf(model.next_change_horizon(0.0)).all()
-        assert np.isinf(model.next_change_horizon(0.0, pitch=10.0)).all()
-
-    def test_paused_waypoint_horizon_is_pause_end(self):
-        model = _make("waypoint")
-        model.positions(10.0)
-        t0, t1, origin, dest = model.current_segments()
-        paused = np.flatnonzero((origin == dest).all(axis=1) & (t1 > 10.0))
-        if not paused.size:
-            pytest.skip("no paused node at t=10 for this seed")
-        horizon = model.next_change_horizon(10.0)
-        assert np.array_equal(horizon[paused], t1[paused])
-
-    def test_moving_node_position_horizon_is_now(self):
-        model = _make("walk")  # walk never pauses
-        horizon = model.next_change_horizon(2.0)
-        assert (horizon == 2.0).all()
-
-    def test_cell_horizon_capped_at_segment_end(self):
-        model = _make("waypoint")
-        t = 1.0
-        model.positions(t)
-        _, t1, _, _ = model.current_segments()
-        horizon = model.next_change_horizon(t, pitch=10.0)
-        assert (horizon <= t1 + 1e-12).all()
-
-    def test_cell_horizon_closed_form_straight_line(self):
-        # One hand-built mover: from (2, 5) heading +x at 1 m/s, the
-        # first 10 m grid line is x=10, i.e. 8 s away (up to the
-        # conservative slack).
-        model = _make("static")
-        model._t0[0] = 0.0
-        model._t1[0] = 100.0
-        model._origin[0] = np.array([2.0, 5.0])
-        model._dest[0] = np.array([102.0, 5.0])
-        h = model.next_change_horizon(0.0, pitch=10.0)
-        assert h[0] == pytest.approx(8.0, rel=1e-6)
-        assert h[0] <= 8.0  # never later than the true crossing

@@ -405,9 +405,11 @@ class TestScaleGuard:
         )
         registry = simulation.registry
         # Same series as the flat store held: 6 flood + 3 alg + 1 histogram
-        # per member, 6 flood per non-member (750 members), 34 globals.
+        # per member, 6 flood per non-member (750 members), 29 globals
+        # (the flat store's 34 less the three topology horizon counters,
+        # the proof-gate gauge and analytics.bfs_shards).
         assert len(simulation.members) == 750
-        assert len(registry) == 9 * n + 34
+        assert len(registry) == 9 * n + 29
 
         flattens = _Calls(monkeypatch, "flatten_key")
         sort_keys = _Calls(monkeypatch, "_series_sort_key")
@@ -437,7 +439,10 @@ class TestScaleGuard:
     def test_counters_equal_the_flat_store_recording(self):
         # RunResult.counters of this scenario at the last flat-store
         # commit (09a47a0), keys in its order -- less the four
-        # ``kernel.calq_*`` series, which left with the calendar queue.
+        # ``kernel.calq_*`` series, which left with the calendar queue,
+        # and the three ``topology.*`` horizon counters and
+        # ``analytics.bfs_shards``, which left with the predictive
+        # refresh path and the parallel analytics lane.
         result = run_scenario(
             ScenarioConfig(num_nodes=150, duration=20.0, algorithm="hybrid", seed=5)
         )
@@ -446,8 +451,7 @@ class TestScaleGuard:
 
 _RECORDED_N150 = """{
 "alg.connections_closed{alg=hybrid}": 5.0, "alg.connections_established{alg=hybrid}": 48.0,
-"alg.pings_sent{alg=hybrid}": 112.0, "analytics.bfs_shards{layer=metrics}": 0.0,
-"analytics.csr_cache_hits{layer=metrics}": 0.0, "analytics.delta_edges{layer=metrics}": 0.0,
+"alg.pings_sent{alg=hybrid}": 112.0, "analytics.csr_cache_hits{layer=metrics}": 0.0, "analytics.delta_edges{layer=metrics}": 0.0,
 "analytics.epoch_fallbacks{layer=metrics}": 0.0, "analytics.full_recomputes{layer=metrics}": 1.0,
 "analytics.incremental_hits{layer=metrics}": 0.0, "analytics.label_rebuilds{layer=metrics}": 0.0,
 "aodv.rreq_keys_live": 28.0, "energy.consumed": 2.078592999999996,
@@ -466,9 +470,6 @@ _RECORDED_N150 = """{
 "p2p.received{family=transfer}": 0.0,
 "topology.delta_rebuilds{backend=dense,layer=topology}": 60.0,
 "topology.dist_cache_hits{backend=dense,layer=topology}": 0.0,
-"topology.horizon_recomputes{backend=dense,layer=topology}": 9150.0,
-"topology.kinetic_refreshes{backend=dense,layer=topology}": 60.0,
-"topology.kinetic_skips{backend=dense,layer=topology}": 0.0,
 "topology.moved_nodes{backend=dense,layer=topology}": 1004.0,
 "topology.rebuilds{backend=dense,layer=topology}": 61.0
 }"""

@@ -131,10 +131,8 @@ class TestConfigSerialization:
             p2p_fraction=0.5, algorithm="hybrid", routing="dsr", mac="lossy",
             mobility="manhattan", max_speed=2.0, max_pause=30.0, num_files=7,
             max_freq=0.25, duration=45.0, seed=9, energy_capacity=3.5,
-            snapshot_interval=0.5, topology="sparse", topology_delta=False,
-            topology_refresh="full", queries=False, batched_delivery=False,
-            obs_interval=2.0, analytics_exec="parallel",
-            analytics_mode="full", analytics_processes=2,
+            snapshot_interval=0.5, topology="sparse", queries=False,
+            obs_interval=2.0, analytics_mode="full",
             rebroadcast="counter:2", query_policy="contact",
             p2p=P2pConfig(max_connections=5), query=QueryConfig(ttl=3),
         )

@@ -1,5 +1,6 @@
 """Tests for the content-addressed run cache."""
 
+import json
 import os
 import shutil
 
@@ -35,7 +36,7 @@ class TestRunKey:
             {"rebroadcast": "counter:2"},
             {"rebroadcast": "probabilistic:0.7"},
             {"query_policy": "contact"},
-            {"topology_refresh": "full"},
+            {"analytics_mode": "full"},
         ],
     )
     def test_any_field_change_changes_key(self, change):
@@ -47,7 +48,8 @@ class TestRunKey:
 
 #: One archive line written at 531fb1e, when ``ScenarioConfig`` still had
 #: a ``queue`` field (``"queue": "calendar"`` in its config, and in the
-#: hash behind its cache key).
+#: hash behind its cache key) and the five execution-lane fields removed
+#: with the single topology refresh path.
 OLD_ARCHIVE = os.path.join(os.path.dirname(__file__), "data", "run_with_queue_field.ndjson")
 OLD_KEY = "v1:4292a28764dc36c62834be760551cbaf39c83ff1ffc1781e6fbd333d33b0e42a:4"
 OLD_CFG = ScenarioConfig(
@@ -55,9 +57,21 @@ OLD_CFG = ScenarioConfig(
 )
 
 
+#: Config keys of that line that ``ScenarioConfig`` no longer has.
+REMOVED_KEYS = (
+    "analytics_exec",
+    "analytics_processes",
+    "batched_delivery",
+    "queue",
+    "topology_delta",
+    "topology_refresh",
+)
+
+
 class TestArchiveWithRemovedQueueField:
-    """An archive from before the queue knob was removed stays a counted
-    outcome for both readers, never a crash."""
+    """An archive from before the queue knob and the execution-lane
+    fields were removed stays a counted outcome for both readers, never
+    a crash -- and needs no run-schema bump to get there."""
 
     def _copy(self, tmp_path):
         return shutil.copy(OLD_ARCHIVE, str(tmp_path / "runs.ndjson"))
@@ -81,6 +95,22 @@ class TestArchiveWithRemovedQueueField:
         store = ResultStore(self._copy(tmp_path), registry=registry)
         assert store.load_runs() == []
         assert registry.counter("storage.corrupt_lines").value == 1
+
+    def test_from_dict_names_every_removed_key(self):
+        with open(OLD_ARCHIVE) as fh:
+            config = json.loads(fh.readline())["payload"]["config"]
+        assert set(REMOVED_KEYS) <= set(config)
+        assert not set(REMOVED_KEYS) & set(ScenarioConfig.__dataclass_fields__)
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig.from_dict(config)
+        assert str(err.value) == (
+            "unknown ScenarioConfig keys: " + ", ".join(REMOVED_KEYS)
+        )
+        # Without them the rest of the line is a valid current config.
+        for key in REMOVED_KEYS:
+            del config[key]
+        assert ScenarioConfig.from_dict(config) == OLD_CFG
+        assert OLD_KEY.startswith(f"v{RUN_SCHEMA_VERSION}:")
 
 
 class TestRunCache:

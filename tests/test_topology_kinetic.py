@@ -1,25 +1,16 @@
-"""The predictive (kinetic) topology lane is bit-identical to full/delta.
+"""Delta refresh under sustained motion, deaths and clock jumps.
 
-The predictive lane never diffs the full position array: the mobility
-plane publishes closed-form per-node horizons (earliest position change,
-earliest grid-cell crossing) and the backend re-examines only nodes
-whose horizon passed.  Refreshes while *every* horizon lies ahead are
-O(1) skips -- no position evaluation, epoch stands still.
+These regressions were written for the kinetic (horizon-driven) refresh
+path that used to sit beside the delta path; the delta refresh is now
+the only one, and each check runs it in lockstep against the
+full-rebuild oracle (``helpers.pin_full_rebuild``):
 
-Proof obligations covered here:
-
-* full-scenario A/B equivalence (predictive vs full and vs delta) over
-  dense/sparse backends, csma/lossy channels, churn, finite energy and
-  several seeds -- semantic registry snapshots, time series, energy
-  ledgers and totals must match exactly;
 * lockstep query identity at every step under sustained mobility;
-* a paused-heavy waypoint scenario actually exercises the O(1) skip
-  gate (``topology.kinetic_skips > 0``);
-* the dist-cache/horizon edge case: a node dying (churn or energy
-  depletion) *before its predicted crossing* must disarm the horizons,
-  bump the epoch, and disappear from answers immediately;
-* graceful degradation for mobility sources without horizon support;
-* legacy ``topology_delta`` config mapping.
+* a node dying (churn or energy depletion) must bump the epoch and
+  disappear from answers immediately;
+* a mobility source that publishes nothing but ``positions(t)`` is
+  enough for the delta refresh;
+* a backwards clock jump is answered from fresh positions.
 """
 
 import numpy as np
@@ -27,12 +18,13 @@ import pytest
 
 from repro.mobility import Area, RandomWaypoint
 from repro.net import World
-from repro.obs.compare import semantic_snapshot, semantic_timeseries, snapshot_diff
+from repro.obs.compare import semantic_snapshot, snapshot_diff
 from repro.scenarios.builder import build_scenario
 from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.config import ScenarioConfig
-from repro.scenarios.runner import harvest
 from repro.sim import Simulator
+
+from .helpers import pin_full_rebuild
 
 SEEDS = (1, 2, 3)
 
@@ -42,85 +34,15 @@ def advance(world, t):
     world.sim.run(until=t)
 
 
-def _run_lane(seed: int, topology: str, lane: str, *, churn: bool = True):
-    """One full scenario on one refresh lane; returns harvested evidence."""
-    cfg = ScenarioConfig(
-        num_nodes=40,
-        duration=40.0,
-        seed=seed,
-        # Exercise both non-ideal channels across the grid: collisions on
-        # the dense backend, probabilistic loss on the sparse one.
-        mac="csma" if topology == "dense" else "lossy",
-        energy_capacity=0.05,
-        topology=topology,
-        obs_interval=10.0,
-        topology_refresh=lane,
-    )
-    simulation = build_scenario(cfg)
-    if churn:
-        ChurnProcess(
-            simulation.sim,
-            simulation.world,
-            np.random.default_rng(10_000 + seed),
-            death_rate=0.05,
-            mean_downtime=10.0,
-        ).start()
-    simulation.run()
-    result = harvest(simulation)
-    return {
-        "snapshot": semantic_snapshot(simulation.registry),
-        "timeseries": semantic_timeseries(result.timeseries),
-        "events": result.events,
-        "energy": result.energy,
-        "totals": result.totals,
-        "topology": simulation.world.topology,
-    }
-
-
-def _assert_equivalent(ref, kin):
-    assert snapshot_diff(ref["snapshot"], kin["snapshot"]) == {}
-    assert ref["timeseries"] == kin["timeseries"]
-    assert ref["events"] == kin["events"]
-    assert ref["totals"] == kin["totals"]
-    np.testing.assert_array_equal(ref["energy"], kin["energy"])
-
-
-@pytest.mark.parametrize("topology", ["dense", "sparse"])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_predictive_bit_identical_to_full(seed, topology):
-    full = _run_lane(seed, topology, "full")
-    kin = _run_lane(seed, topology, "predictive")
-    _assert_equivalent(full, kin)
-    # The kinetic machinery really engaged on the predictive lane:
-    # every incremental refresh was served from mobility horizons.
-    assert kin["topology"].delta_rebuilds > 0
-    assert kin["topology"].kinetic_refreshes + kin["topology"].kinetic_skips > 0
-    assert kin["topology"].horizon_recomputes > 0
-    assert full["topology"].delta_rebuilds == 0
-    assert full["topology"].kinetic_refreshes == 0
-
-
-@pytest.mark.parametrize("topology", ["dense", "sparse"])
-def test_predictive_bit_identical_to_delta(topology):
-    delta = _run_lane(1, topology, "delta")
-    kin = _run_lane(1, topology, "predictive")
-    _assert_equivalent(delta, kin)
-    assert delta["topology"].kinetic_refreshes == 0
-
-
-# ----------------------------------------------------------------------
-# unit level: skip gate, horizons, churn interaction
-# ----------------------------------------------------------------------
 def _waypoint_world(
     n,
     topology="sparse",
-    lane="predictive",
+    full=False,
     seed=0,
     *,
     max_speed=8.0,
     min_speed=2.0,
     max_pause=1.0,
-    snapshot_interval=0.0,
 ):
     mobility = RandomWaypoint(
         n,
@@ -130,131 +52,67 @@ def _waypoint_world(
         min_speed=min_speed,
         max_pause=max_pause,
     )
-    sim = Simulator()
-    return World(
-        sim,
-        mobility,
-        radio_range=12.0,
-        topology=topology,
-        topology_refresh=lane,
-        snapshot_interval=snapshot_interval,
-    )
+    world = World(Simulator(), mobility, radio_range=12.0, topology=topology)
+    return pin_full_rebuild(world) if full else world
 
 
 @pytest.mark.parametrize("topology", ["dense", "sparse"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lockstep_queries_identical_under_mobility(seed, topology):
-    """Every query answer matches the full-rebuild lane at every step."""
-    kin = _waypoint_world(25, topology, "predictive", seed)
-    full = _waypoint_world(25, topology, "full", seed)
+    """Every query answer matches the full-rebuild oracle at every step."""
+    fast = _waypoint_world(25, topology, seed=seed)
+    full = _waypoint_world(25, topology, full=True, seed=seed)
     for t in np.linspace(0.5, 20.0, 14):
-        advance(kin, float(t))
+        advance(fast, float(t))
         advance(full, float(t))
         for i in range(25):
-            np.testing.assert_array_equal(kin.neighbors(i), full.neighbors(i))
+            np.testing.assert_array_equal(fast.neighbors(i), full.neighbors(i))
         for src in (0, 7, 19):
-            np.testing.assert_array_equal(kin.hops_from(src), full.hops_from(src))
-        np.testing.assert_array_equal(kin.degrees(), full.degrees())
-        np.testing.assert_array_equal(kin.adjacency(), full.adjacency())
-    assert kin.topology.kinetic_refreshes > 0
-
-
-class TestKineticSkipGate:
-    def test_all_paused_refreshes_skip_at_o1(self):
-        # Waypoint nodes start paused (uniform [0, max_pause] pauses):
-        # with a long max_pause every early refresh falls before the
-        # min position-change horizon and must skip without touching
-        # positions, and the epoch must stand still.
-        world = _waypoint_world(12, "sparse", "predictive", seed=5, max_pause=200.0)
-        world.hops_from(0)  # build + arm
-        e0 = world.adjacency_epoch
-        rebuilds0 = world.topology.rebuilds
-        for t in (0.05, 0.1, 0.15, 0.2):
-            advance(world, t)
-            world.neighbors(3)
-        assert world.topology.kinetic_skips == 4
-        assert world.topology.rebuilds == rebuilds0  # skips are not rebuilds
-        assert world.adjacency_epoch == e0
-        # The memoized BFS vector survived every skip.
-        hits0 = world.topology.dist_cache_hits
-        world.hops_from(0)
-        assert world.topology.dist_cache_hits == hits0 + 1
-
-    def test_skip_gate_reopens_after_first_mover(self):
-        world = _waypoint_world(6, "sparse", "predictive", seed=2, max_pause=3.0)
-        world.neighbors(0)
-        # Past every pause end somebody moves: refreshes must not skip
-        # forever, and answers keep matching the reference (covered by
-        # the lockstep test); here we check the lane keeps refreshing.
-        advance(world, 30.0)
-        world.neighbors(0)
-        kin0 = world.topology.kinetic_refreshes
-        advance(world, 31.0)
-        world.neighbors(0)
-        assert world.topology.kinetic_refreshes > 0
-        assert world.topology.kinetic_refreshes >= kin0
-
-    def test_paused_heavy_scenario_skips_majority(self):
-        # Scenario-level: long pauses, brisk trips -- most snapshots in
-        # the run fall inside all-paused windows and skip outright.
-        cfg = ScenarioConfig(
-            num_nodes=30,
-            duration=60.0,
-            seed=4,
-            topology="sparse",
-            mobility="waypoint",
-            max_speed=10.0,
-            max_pause=500.0,
-            topology_refresh="predictive",
-        )
-        simulation = build_scenario(cfg)
-        simulation.run()
-        topo = simulation.world.topology
-        assert topo.kinetic_skips > 0
-        # Diff-free refreshes + skips account for every incremental
-        # refresh: the O(n) position diff never ran on this lane.
-        assert topo.kinetic_refreshes == topo.delta_rebuilds
+            np.testing.assert_array_equal(fast.hops_from(src), full.hops_from(src))
+        np.testing.assert_array_equal(fast.degrees(), full.degrees())
+        np.testing.assert_array_equal(fast.adjacency(), full.adjacency())
+    assert fast.topology.delta_rebuilds > 0
 
 
 class TestDeathBeforePredictedCrossing:
     def test_churn_death_disarms_horizons_and_bumps_epoch(self):
-        world = _waypoint_world(12, "sparse", "predictive", seed=5, max_pause=200.0)
+        # Long pauses: the early refreshes move nobody and keep the epoch.
+        world = _waypoint_world(12, seed=5, max_pause=200.0)
         world.hops_from(0)
         advance(world, 0.1)
         world.neighbors(0)
-        assert world.topology.kinetic_skips > 0  # deep inside a skip window
-        assert world.topology._change_at is not None
         e0 = world.adjacency_epoch
         victim = int(world.neighbors(0)[0]) if world.neighbors(0).size else 1
         world.set_down(victim)
-        # The death invalidated the snapshot: horizons disarmed, epoch
-        # bumped, and the node vanishes from answers immediately even
-        # though its predicted crossing is far in the future.
-        assert world.topology._change_at is None
+        # The death dropped the snapshot and bumped the epoch, and the
+        # node vanishes from answers immediately.
+        assert world.topology.snapshot_time == -1.0
         assert world.adjacency_epoch > e0
         advance(world, 0.2)
         assert victim not in world.neighbors(0)
         assert world.hops_from(victim).max() == -1  # UNREACHABLE everywhere
-        # The lane re-arms on the rebuild and keeps skipping afterwards.
-        skips0 = world.topology.kinetic_skips
+        # The refresh after the death rebuilt; the next one is a delta.
+        deltas0 = world.topology.delta_rebuilds
         advance(world, 0.3)
         world.neighbors(0)
-        assert world.topology.kinetic_skips == skips0 + 1
+        assert world.topology.delta_rebuilds == deltas0 + 1
+        assert victim not in world.neighbors(0)
 
     def test_energy_depletion_death_matches_full_lane(self):
-        # Finite energy + churn on the predictive lane, lockstep against
-        # the reference: depletion deaths arrive via invalidate() and
-        # must never leave a stale kinetic snapshot behind.
-        def build(lane):
+        # Finite energy + churn, lockstep against the oracle: depletion
+        # deaths arrive via invalidate() and must never leave a stale
+        # snapshot behind.
+        def build(full):
             cfg = ScenarioConfig(
                 num_nodes=30,
                 duration=30.0,
                 seed=2,
                 topology="sparse",
                 energy_capacity=0.02,
-                topology_refresh=lane,
             )
             simulation = build_scenario(cfg)
+            if full:
+                pin_full_rebuild(simulation.world)
             churn = ChurnProcess(
                 simulation.sim,
                 simulation.world,
@@ -265,24 +123,23 @@ class TestDeathBeforePredictedCrossing:
             churn.start()
             return simulation, churn
 
-        (kin, kin_churn), (full, _) = build("predictive"), build("full")
-        kin.run()
+        (fast, fast_churn), (full, _) = build(False), build(True)
+        fast.run()
         full.run()
         assert (
             snapshot_diff(
-                semantic_snapshot(kin.registry), semantic_snapshot(full.registry)
+                semantic_snapshot(fast.registry), semantic_snapshot(full.registry)
             )
             == {}
         )
-        # Deaths really happened under kinetic maintenance (some may
-        # have been revived again by the horizon -- the counter, not the
-        # final mask, is the witness).
-        assert kin_churn.deaths > 0
+        # Deaths really happened (some may have been revived again --
+        # the counter, not the final mask, is the witness).
+        assert fast_churn.deaths > 0
 
 
 class TestGracefulDegradation:
     def test_mobility_without_horizons_falls_back_to_delta(self):
-        class Trace:  # minimal mobility source: no horizon support
+        class Trace:  # minimal mobility source: positions(t) and n only
             def __init__(self, n):
                 self.n = n
                 self._base = np.linspace(0.0, 50.0, 2 * n).reshape(n, 2)
@@ -290,124 +147,25 @@ class TestGracefulDegradation:
             def positions(self, t):
                 return self._base + 0.01 * t
 
-        sim = Simulator()
-        world = World(
-            sim, Trace(10), radio_range=12.0, topology="sparse",
-            topology_refresh="predictive",
-        )
+        world = World(Simulator(), Trace(10), radio_range=12.0, topology="sparse")
         world.neighbors(0)
         for t in (1.0, 2.0):
             advance(world, t)
             world.neighbors(0)
-        # No horizons -> never kinetic, but the delta diff still runs
-        # and answers stay live.
-        assert world.topology.kinetic_refreshes == 0
-        assert world.topology.kinetic_skips == 0
+        # The delta diff runs on it and answers stay live.
         assert world.topology.delta_rebuilds == 2
+        assert world.topology.moved_nodes == 20
 
     def test_backwards_clock_takes_the_safe_path(self):
-        world = _waypoint_world(10, "sparse", "predictive", seed=3)
+        world = _waypoint_world(10, seed=3)
         advance(world, 5.0)
         world.neighbors(0)
-        ref = _waypoint_world(10, "sparse", "full", seed=3)
+        ref = _waypoint_world(10, full=True, seed=3)
         advance(ref, 5.0)
         ref.neighbors(0)
-        # A backwards jump must not be served from kinetic state (the
-        # kernel never rewinds on its own; poke the clock directly).
+        # A backwards jump must be answered from positions at the new
+        # time (the kernel never rewinds on its own; poke the clock).
         world.sim._now = 2.0
         ref.sim._now = 2.0
         for i in range(10):
             np.testing.assert_array_equal(world.neighbors(i), ref.neighbors(i))
-
-
-class TestConfigLaneResolution:
-    def test_default_is_predictive(self):
-        assert ScenarioConfig().topology_refresh == "predictive"
-        assert ScenarioConfig().topology_delta is True
-
-    def test_legacy_false_pins_full(self):
-        cfg = ScenarioConfig(topology_delta=False)
-        assert cfg.topology_refresh == "full"
-        assert cfg.topology_delta is False
-
-    def test_explicit_lane_wins_over_legacy_bool(self):
-        cfg = ScenarioConfig(topology_delta=False, topology_refresh="delta")
-        assert cfg.topology_refresh == "delta"
-        assert cfg.topology_delta is True  # rewritten to mirror the lane
-
-    def test_unknown_lane_rejected(self):
-        with pytest.raises(ValueError, match="refresh lane"):
-            ScenarioConfig(topology_refresh="psychic")
-
-    def test_round_trip_preserves_lane(self):
-        for lane in ("predictive", "delta", "full"):
-            cfg = ScenarioConfig(topology_refresh=lane)
-            again = ScenarioConfig.from_dict(cfg.to_dict())
-            assert again.topology_refresh == lane
-
-    def test_archived_legacy_dict_resolves(self):
-        # Pre-lane archives carry only the bool.
-        d = ScenarioConfig().to_dict()
-        del d["topology_refresh"]
-        d["topology_delta"] = False
-        assert ScenarioConfig.from_dict(d).topology_refresh == "full"
-        d["topology_delta"] = True
-        assert ScenarioConfig.from_dict(d).topology_refresh == "predictive"
-
-    def test_world_legacy_bool_still_selects_delta(self):
-        world = _waypoint_world(6, "sparse", "predictive", seed=1)
-        assert world.topology.refresh_lane == "predictive"
-        mobility = RandomWaypoint(6, Area(60.0, 60.0), np.random.default_rng(1))
-        legacy = World(Simulator(), mobility, topology="sparse", topology_delta=True)
-        assert legacy.topology.refresh_lane == "delta"
-        legacy_full = World(
-            Simulator(), mobility, topology="sparse", topology_delta=False
-        )
-        assert legacy_full.topology.refresh_lane == "full"
-
-
-class TestProofGateController:
-    def test_gate_seeds_at_historical_bound(self):
-        world = _waypoint_world(40, "sparse", "predictive", seed=1)
-        world.neighbors(0)
-        assert world.topology._gate == pytest.approx(10.0)  # max(8, 25% of 40)
-
-    def test_sustained_failures_shrink_the_gate(self):
-        # n=60 seeds the gate at 15 (above its floor of 8) so failures
-        # have room to back it off; long pauses keep the simultaneous
-        # mover count under the gate so proofs are actually attempted,
-        # while the fast trips that do run keep flipping links.
-        world = _waypoint_world(60, "sparse", "predictive", seed=1, max_pause=100.0)
-        world.hops_from(0)  # cache exists -> proofs attempted
-        g0 = world.topology._gate
-        assert g0 == pytest.approx(15.0)
-        for t in np.linspace(0.5, 30.0, 60):
-            advance(world, float(t))
-            world.hops_from(0)
-        # Dense fast motion: proofs keep failing, the gate backs off
-        # and the exponential backoff window opens.
-        assert world.topology._gate < g0
-        assert world.topology._prove_fail_streak > 0 or world.topology._prove_skip > 0
-
-    def test_successful_proofs_widen_the_gate(self):
-        # Long pauses + glacial trips: few nodes move at once (so the
-        # mover count stays under the gate) and motion is far too small
-        # to flip a link, so proofs succeed and the gate grows.
-        world = _waypoint_world(
-            20, "sparse", "predictive", seed=7,
-            max_speed=0.02, min_speed=0.01, max_pause=20.0,
-        )
-        world.hops_from(0)
-        g0 = world.topology._gate
-        for t in np.linspace(0.5, 40.0, 80):
-            advance(world, float(t))
-            world.hops_from(0)
-        assert world.topology._gate > g0
-
-    def test_gate_gauge_registered(self):
-        world = _waypoint_world(10, "sparse", "predictive", seed=1)
-        snap = world.registry.aggregated()
-        key = "topology.proof_gate{backend=sparse,layer=topology}"
-        matches = [k for k in snap if k.startswith("topology.proof_gate")]
-        assert matches, f"gauge missing (have {sorted(snap)})"
-        assert snap.get(key, snap[matches[0]]) == world.topology._gate
