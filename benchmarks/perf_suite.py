@@ -1,6 +1,6 @@
 """Substrate performance suite: the repo's recorded perf trajectory.
 
-Nine workload families time the hot paths the fast lanes optimize (see
+Eight workload families time the hot paths the fast lanes optimize (see
 docs/PERFORMANCE.md):
 
 * **kernel_throughput** -- raw event dispatch rate (events/sec) of the
@@ -31,13 +31,6 @@ docs/PERFORMANCE.md):
   characteristic path length) on the vectorized CSR kernels
   (``repro.metrics.graphfast``) vs the equivalent networkx algorithms,
   with exact agreement of every metric value required;
-* **analytics_plane** -- the :class:`~repro.metrics.analytics.AnalyticsEngine`
-  harvest under per-interval edge churn, incremental lane vs the
-  stateless full-recompute lane at two sizes; the headline figure is
-  the *growth* of the incremental lane's per-interval harvest cost
-  from the small size to the large one (target: flat, <= 1.3x from
-  n = 600 to n = 10 000), plus exact harvest/CPL equality between the
-  incremental and full lanes over several seeds;
 * **experiment_plane** -- the experiment orchestrator
   (:class:`~repro.experiments.executor.ExperimentExecutor` +
   :class:`~repro.experiments.cache.RunCache`) driving a figure ladder
@@ -80,11 +73,9 @@ from repro.experiments.cache import RunCache
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.export import figure_result_to_json
 from repro.experiments.figures import figure_configs, run_figure
-from repro.metrics.analytics import AnalyticsEngine
 from repro.metrics.graphfast import (
     average_clustering,
     component_labels,
-    graph_csr,
     path_length_sums,
 )
 from repro.obs.registry import Registry
@@ -115,8 +106,6 @@ __all__ = [
     "REFRESH_BENCH_LANES",
     "bench_metrics_kernels",
     "compare_metrics_kernels",
-    "bench_analytics_plane",
-    "compare_analytics_plane",
     "bench_experiment_plane",
     "compare_experiment_plane",
     "EXPERIMENT_PLANE_FIGURES",
@@ -793,198 +782,6 @@ def compare_metrics_kernels(
     }
 
 
-#: Edge swaps per churn interval of the analytics_plane workload --
-#: fixed as n grows (a node's neighborhood churn rate does not scale
-#: with network size), which is what makes flat per-interval harvest
-#: cost achievable at all.
-ANALYTICS_CHURN_SWAPS = 24
-
-#: Interval ladder endpoints of the analytics_plane flatness claim.
-ANALYTICS_SMALL_N = 600
-ANALYTICS_LARGE_N = 10_000
-
-
-def _analytics_frames(
-    n: int, seed: int, intervals: int, swaps: int = ANALYTICS_CHURN_SWAPS
-):
-    """Precomputed churn timeline: (indptr, indices, added, removed) per step.
-
-    Starts from the harvest-density RGG of :func:`_metrics_graph` and
-    applies ``swaps`` random edge removals + ``swaps`` random non-edge
-    additions per interval (deterministic in ``seed``).  The CSR
-    rebuilds happen *here*, outside any timed region -- in production
-    the topology layer already owns the CSR; the engine's cost is what
-    the bench isolates.
-    """
-    _, _, g = _metrics_graph(n, seed)
-    rng = np.random.default_rng(seed + 7000)
-    indptr, indices, _ = graph_csr(g)
-    frames = [(indptr, indices, None, None)]
-    for _ in range(intervals):
-        edges = list(g.edges)
-        removed = [edges[i] for i in rng.permutation(len(edges))[:swaps]]
-        for u, v in removed:
-            g.remove_edge(u, v)
-        added = []
-        while len(added) < swaps:
-            u, v = (int(x) for x in rng.integers(n, size=2))
-            if u != v and not g.has_edge(u, v):
-                g.add_edge(u, v)
-                added.append((u, v))
-        indptr, indices, _ = graph_csr(g)
-        frames.append((indptr, indices, added, removed))
-    return frames
-
-
-def _drive_harvests(engine: AnalyticsEngine, frames, *, incremental: bool):
-    """One pass over the churn timeline; returns (wall, bundles).
-
-    The initial full build (frame 0) is untimed on both lanes -- it is
-    a once-per-scenario cost, and the rung measures the steady-state
-    per-interval harvest.
-    """
-    if incremental:
-        engine.harvest(frames[0][0], frames[0][1], key="bench", epoch=0)
-    else:
-        engine.harvest(frames[0][0], frames[0][1])
-    bundles = []
-    t0 = perf_counter()
-    for i, (indptr, indices, added, removed) in enumerate(frames[1:], start=1):
-        if incremental:
-            bundles.append(
-                engine.harvest(
-                    indptr, indices, key="bench", epoch=i, added=added, removed=removed
-                )
-            )
-        else:
-            bundles.append(engine.harvest(indptr, indices))
-    return perf_counter() - t0, bundles
-
-
-def bench_analytics_plane(
-    n: int,
-    *,
-    intervals: int = 40,
-    seed: int = 1,
-    mode: str = "incremental",
-    repeats: int = 1,
-    swaps: int = ANALYTICS_CHURN_SWAPS,
-) -> Dict[str, Any]:
-    """Per-interval harvest cost of one analytics maintenance lane."""
-    frames = _analytics_frames(n, seed, intervals, swaps=swaps)
-    incremental = mode == "incremental"
-    walls = []
-    engine = None
-    for _ in range(max(1, repeats)):
-        engine = AnalyticsEngine(mode=mode, registry=Registry())
-        wall, _ = _drive_harvests(engine, frames, incremental=incremental)
-        walls.append(wall)
-    assert engine is not None
-    reg = engine.registry
-
-    def counter(name: str) -> float:
-        return float(reg.counter(f"analytics.{name}", layer="metrics").value)
-
-    return {
-        "name": "analytics_plane",
-        "params": {
-            "n": n,
-            "intervals": intervals,
-            "seed": seed,
-            "lane": mode,
-            "swaps": swaps,
-        },
-        **_spread(walls),
-        "wall_per_interval": min(walls) / intervals,
-        "incremental_hits": counter("incremental_hits"),
-        "full_recomputes": counter("full_recomputes"),
-        "label_rebuilds": counter("label_rebuilds"),
-        "delta_edges": counter("delta_edges"),
-    }
-
-
-def compare_analytics_plane(
-    n_small: int = ANALYTICS_SMALL_N,
-    n_large: int = ANALYTICS_LARGE_N,
-    *,
-    intervals: int = 40,
-    seeds: Sequence[int] = EQUIVALENCE_SEEDS,
-    repeats: int = 1,
-    swaps: int = ANALYTICS_CHURN_SWAPS,
-) -> Dict[str, Any]:
-    """The analytics-plane record: flatness, lane speedup, exactness.
-
-    * ``growth_incremental`` / ``growth_full`` -- per-interval harvest
-      cost at ``n_large`` over ``n_small`` for each maintenance lane
-      (the tentpole claim is ``growth_incremental <= 1.3``);
-    * ``speedup`` -- full-lane wall over incremental-lane wall at
-      ``n_large``;
-    * ``semantically_identical`` -- over ``seeds``, every per-interval
-      harvest bundle and the final CPL from an *incremental* engine
-      equal the *full* reference exactly (checked at
-      ``n_small`` so the identity sweep stays minutes-free; the lanes
-      have no size-dependent code paths).
-    """
-    lanes: Dict[int, Dict[str, Dict[str, Any]]] = {}
-    for n in (n_small, n_large):
-        lanes[n] = {
-            mode: bench_analytics_plane(
-                n,
-                intervals=intervals,
-                seed=seeds[0],
-                mode=mode,
-                repeats=repeats,
-                swaps=swaps,
-            )
-            for mode in ("incremental", "full")
-        }
-
-    def per_interval(n: int, mode: str) -> float:
-        return lanes[n][mode]["wall_per_interval"]
-
-    identical = True
-    checked = []
-    for seed in seeds:
-        frames = _analytics_frames(n_small, seed, min(intervals, 10), swaps=swaps)
-        fast = AnalyticsEngine(mode="incremental", chunk=64, registry=Registry())
-        reference = AnalyticsEngine(mode="full", registry=Registry())
-        _, fast_bundles = _drive_harvests(fast, frames, incremental=True)
-        _, ref_bundles = _drive_harvests(reference, frames, incremental=False)
-        if fast_bundles != ref_bundles:
-            identical = False
-        indptr, indices = frames[-1][0], frames[-1][1]
-        cpl_fast = fast.characteristic_path_length_csr(indptr, indices)
-        cpl_ref = reference.characteristic_path_length_csr(indptr, indices)
-        if not (cpl_fast == cpl_ref or (cpl_fast != cpl_fast and cpl_ref != cpl_ref)):
-            identical = False
-        checked.append(int(seed))
-
-    wall_full = lanes[n_large]["full"]["wall_seconds"]
-    wall_incr = lanes[n_large]["incremental"]["wall_seconds"]
-    return {
-        "name": "analytics_plane",
-        "n": n_large,
-        "n_small": n_small,
-        "incremental_small": lanes[n_small]["incremental"],
-        "full_small": lanes[n_small]["full"],
-        "incremental": lanes[n_large]["incremental"],
-        "full": lanes[n_large]["full"],
-        "speedup": wall_full / wall_incr if wall_incr > 0 else float("inf"),
-        "growth_incremental": (
-            per_interval(n_large, "incremental") / per_interval(n_small, "incremental")
-            if per_interval(n_small, "incremental") > 0
-            else float("inf")
-        ),
-        "growth_full": (
-            per_interval(n_large, "full") / per_interval(n_small, "full")
-            if per_interval(n_small, "full") > 0
-            else float("inf")
-        ),
-        "semantically_identical": identical,
-        "seeds_checked": checked,
-    }
-
-
 #: Figure ladder of the experiment_plane family: 5/7/9/11 share their
 #: underlying runs (one batch, different harvests), so the family also
 #: records the cross-figure dedup ratio the orchestrator unlocks.
@@ -1291,32 +1088,6 @@ def run_suite(
         comparisons.append(
             {k: v for k, v in cmp_.items() if k not in ("networkx", "numpy")}
         )
-
-    # The flatness ladder runs 600 -> metro on the full suite; the CI
-    # smoke keeps the same shape at capped sizes (record-only there).
-    if quick:
-        # Half-rate churn keeps the small tier under the delta-size gate
-        # (at n = 150 a 48-edge delta would trip the full-rebuild path).
-        a_small, a_large, a_intervals, a_swaps = max(sizes), 600, 10, 12
-    else:
-        a_small = ANALYTICS_SMALL_N
-        a_large = int(metro) if metro else max(sizes)
-        a_intervals, a_swaps = 40, ANALYTICS_CHURN_SWAPS
-    say(
-        f"analytics_plane: n={a_small}->{a_large} "
-        f"({a_intervals} churn intervals, both maintenance lanes)"
-    )
-    cmp_ = compare_analytics_plane(
-        a_small,
-        a_large,
-        intervals=a_intervals,
-        seeds=seeds,
-        repeats=repeats,
-        swaps=a_swaps,
-    )
-    for lane_key in ("incremental_small", "full_small", "incremental", "full"):
-        results.append(cmp_.pop(lane_key))
-    comparisons.append(cmp_)
 
     # experiment_plane: the ablation ladder's first rung -- one
     # orchestrated figure pass per suppression policy, three lanes each.

@@ -43,9 +43,7 @@ def overlay_timeline(algorithm: str, *, snapshots=None):
     rows = []
     for t in snapshots:
         s.sim.run(until=t)
-        # The scenario's engine applies edge deltas between snapshots
-        # instead of recomputing the overlay metrics from scratch.
-        rows.append((t, s.analytics.smallworld_stats(s.overlay.graph(), key="overlay")))
+        rows.append((t, s.analytics.smallworld_stats(s.overlay.graph())))
     return rows
 
 

@@ -58,14 +58,9 @@ def _print_summary(doc: dict) -> None:
             if "push_reduction" in c
             else ""
         )
-        growth = (
-            f" growth={c['growth_incremental']:.2f}x"
-            if "growth_incremental" in c
-            else ""
-        )
         print(
             f"  -> {c['name']:<17} n={c['n']:<6} "
-            f"{push}speedup={c['speedup']:.2f}x{growth}{tail}"
+            f"{push}speedup={c['speedup']:.2f}x{tail}"
         )
 
 

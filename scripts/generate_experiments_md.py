@@ -77,7 +77,7 @@ def main() -> None:
     w("sha256 is over the canonical (sorted-keys) JSON codec of the complete")
     w("`ScenarioConfig` -- the same hash the run manifest records.  The key")
     w("covers *every* config field, so changing any knob (node count, policy")
-    w("spec, analytics mode, ...) is a cache miss by construction, and bumping")
+    w("spec, topology backend, ...) is a cache miss by construction, and bumping")
     w("the run-schema version invalidates every old entry without touching")
     w("the archive.  Re-running after an interruption replays the completed")
     w("runs as O(1) lookups and executes only what is missing; a final line")

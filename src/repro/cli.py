@@ -98,7 +98,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         duration=args.duration,
         seed=args.seed,
         topology=args.topology,
-        analytics_mode=args.analytics_mode,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
     )
@@ -220,7 +219,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         topology=args.topology,
         obs_interval=args.obs_interval,
-        analytics_mode=args.analytics_mode,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
     )
@@ -301,17 +299,6 @@ def _add_processes_arg(parser: argparse.ArgumentParser, what: str) -> None:
         type=int,
         default=None,
         help=f"worker processes for {what} (default: all cores)",
-    )
-
-
-def _add_analytics_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--analytics-mode",
-        choices=("incremental", "full"),
-        default="incremental",
-        help="analytics maintenance lane: epoch-keyed incremental deltas "
-        "(default) or the stateless full-recompute reference lane "
-        "(exactly equal results)",
     )
 
 
@@ -410,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=0)
     _add_topology_arg(run)
-    _add_analytics_args(run)
     _add_policy_args(run)
     run.add_argument("--json", action="store_true", help="emit the full RunResult as JSON")
     run.add_argument(
@@ -438,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--reps", type=int, default=1, help="repetitions per point")
     _add_topology_arg(sweep)
-    _add_analytics_args(sweep)
     _add_policy_args(sweep)
     _add_processes_arg(sweep, "grid points (one simulation each)")
     sweep.add_argument("--json", action="store_true", help="emit point results as JSON")
@@ -475,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(rep, "<out>/runs.ndjson")
     rep.set_defaults(func=_cmd_reproduce)
     # No prefix matching: a removed flag must fail loudly instead of
-    # resolving to a longer surviving one (--analytics -> --analytics-mode).
+    # resolving to a longer surviving one that it happens to prefix.
     for p in (parser, *sub.choices.values()):
         p.allow_abbrev = False
     return parser

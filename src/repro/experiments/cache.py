@@ -19,7 +19,7 @@ content address of
   without touching the archive.
 
 Because the key covers *every* config field, a change to any knob --
-node count, policy spec, topology backend, analytics mode -- is a miss by
+node count, policy spec, topology backend -- is a miss by
 construction; a warm re-``reproduce`` is nearly free; and an
 interrupted ablation resumes where it died (the store tolerates a
 truncated final line).

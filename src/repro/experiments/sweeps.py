@@ -144,8 +144,7 @@ def run_sweep(
         ``ceil(n_jobs / (4 * processes))`` capped at 32 -- so large
         grids of small points amortize pickling instead of shipping
         one-at-a-time, while keeping ~4 rounds per worker for load
-        balance (the same policy the analytics engine uses for its BFS
-        shard maps).  Results come back in grid order either way.
+        balance.  Results come back in grid order either way.
     store:
         Optional :class:`~repro.experiments.storage.ResultStore`; each
         point result is appended as a ``sweep_point`` record (from the

@@ -1,11 +1,7 @@
 """Metrics: received-message counters, small-world stats, aggregation."""
 
 from .aggregate import FileRankStats, mean_ci, per_file_stats, sorted_curve_mean
-from .analytics import (
-    ANALYTICS_MODES,
-    AnalyticsEngine,
-    engine_for_world,
-)
+from .analytics import AnalyticsEngine
 from .balance import gini, jain_fairness, load_balance_report, lorenz_curve
 from .collector import FAMILIES, MetricsCollector
 from .connectivity import expected_mean_degree
@@ -28,9 +24,7 @@ from .timeseries import (
 from .smallworld import random_graph_pathlength, regular_graph_pathlength
 
 __all__ = [
-    "ANALYTICS_MODES",
     "AnalyticsEngine",
-    "engine_for_world",
     "expected_mean_degree",
     "average_clustering",
     "component_labels",

@@ -3,12 +3,10 @@
 The paper's scenarios are *sparse*: 50 nodes with 10 m radios on
 100 m x 100 m average ~1.6 neighbours, so the ad-hoc network is usually
 partitioned.  Measured connectivity analytics (component structure,
-isolation, reachable-pair fraction) live on the world's shared
-:class:`repro.metrics.analytics.AnalyticsEngine`
-(:func:`~repro.metrics.analytics.engine_for_world`), which keys all
-component state on ``world.adjacency_epoch`` -- repeat queries in an
-unchanged epoch are cache hits, and between epochs only the edge delta
-is applied.  This module keeps only the closed-form sizing guide.
+isolation, reachable-pair fraction) live on
+:class:`repro.metrics.analytics.AnalyticsEngine`, which labels the
+components of the topology's current CSR on every call.  This module
+keeps only the closed-form sizing guide.
 
 The engine inherits the cache-discipline contract: analytics **never**
 call ``world.hops_from`` (that path memoizes per-source BFS vectors in

@@ -9,7 +9,7 @@ reference values the paper quotes (``n/2k`` and ``log n / log k``).
 Measured graph metrics (clustering coefficient, characteristic path
 length, the combined small-world bundle) live on
 :class:`repro.metrics.analytics.AnalyticsEngine`, which builds the CSR
-once per harvest and supports the incremental and parallel lanes:
+once per call and feeds both metrics from it:
 
 >>> from repro.metrics.analytics import AnalyticsEngine
 >>> engine = AnalyticsEngine()

@@ -90,11 +90,10 @@ DEDUP_COST_METRICS: Tuple[str, ...] = ("aodv.rreq_keys_live",)
 #: which analytics implementation ran, never what the simulation did.
 _GRAPHFAST_PREFIX = "graphfast."
 
-#: Prefix covering the analytics-engine counters
-#: (:mod:`repro.metrics.analytics`): cache hits, incremental deltas and
-#: full recomputes measure which analytics *lane* (full|incremental)
-#: produced the metrics -- the metric values themselves are exactly
-#: equal between lanes.
+#: Prefix of the counters the removed incremental analytics lane
+#: reported (cache hits, deltas, full recomputes).  Runs archived before
+#: its removal still carry them; they measured which lane ran, never
+#: what the simulation did.
 _ANALYTICS_PREFIX = "analytics."
 
 

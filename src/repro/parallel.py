@@ -13,9 +13,9 @@ pure sizing functions, trivially unit-testable.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from typing import Optional
 
-__all__ = ["resolve_processes", "default_chunksize", "shard_ranges"]
+__all__ = ["resolve_processes", "default_chunksize"]
 
 
 def resolve_processes(processes: Optional[int] = None) -> int:
@@ -45,22 +45,3 @@ def default_chunksize(n_jobs: int, processes: int) -> int:
         raise ValueError(f"n_jobs must be >= 0, got {n_jobs}")
     return max(1, min(32, -(-n_jobs // (4 * max(1, processes)))))
 
-
-def shard_ranges(
-    n_items: int, processes: int, *, granularity: int = 1, rounds: int = 4
-) -> List[Tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` shards covering ``range(n_items)``.
-
-    Aims for ``rounds`` shards per worker (load balance without
-    oversharding); each shard size is rounded up to a multiple of
-    ``granularity`` so shards align with the BFS chunk width.  The
-    partition is a pure function of its arguments -- workers processing
-    the shards in order reproduce the serial iteration exactly.
-    """
-    if granularity < 1:
-        raise ValueError(f"granularity must be >= 1, got {granularity}")
-    if n_items <= 0:
-        return []
-    target = -(-n_items // max(1, processes * rounds))
-    size = -(-target // granularity) * granularity
-    return [(lo, min(lo + size, n_items)) for lo in range(0, n_items, size)]

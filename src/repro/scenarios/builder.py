@@ -15,7 +15,7 @@ from ..aodv.protocol import AodvRouter
 from ..core.overlay import OverlayNetwork
 from ..dsdv.protocol import DsdvRouter
 from ..dsr.protocol import DsrRouter
-from ..metrics.analytics import AnalyticsEngine, set_world_engine
+from ..metrics.analytics import AnalyticsEngine
 from ..metrics.collector import MetricsCollector
 from ..metrics.lifetimes import LifetimeLog
 from ..mobility import (
@@ -60,8 +60,7 @@ class Simulation:
     lifetimes: LifetimeLog
     #: shared observability registry (same object every layer reports to)
     registry: Registry = field(default_factory=Registry)
-    #: unified analytics plane (lane picked by the config); the runner
-    #: harvests through this and the world-level helpers resolve to it
+    #: stateless analytics engine the runner harvests through
     analytics: Optional[AnalyticsEngine] = None
     #: periodic time-series sampler; None when ``cfg.obs_interval == 0``
     sampler: Optional[Sampler] = None
@@ -192,11 +191,7 @@ def build_scenario(cfg: ScenarioConfig) -> Simulation:
             "p2p.received", fn=(lambda f=fam: metrics.total(f)), family=fam
         )
 
-    # One analytics engine per scenario: the runner's harvest and any
-    # engine_for_world(world) lookup share its epoch-keyed state.
-    analytics = set_world_engine(
-        world, AnalyticsEngine(mode=cfg.analytics_mode, registry=registry)
-    )
+    analytics = AnalyticsEngine(registry=registry)
 
     sampler = (
         Sampler(sim, registry, cfg.obs_interval) if cfg.obs_interval > 0 else None

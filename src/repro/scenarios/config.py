@@ -29,7 +29,6 @@ _MOBILITY_MODELS = (
 _ROUTINGS = ("aodv", "dsdv", "dsr", "oracle")
 _ALGORITHMS = ("basic", "regular", "random", "hybrid")
 _TOPOLOGIES = ("dense", "sparse", "auto")
-_ANALYTICS_MODES = ("incremental", "full")
 
 #: "auto" topology switches to the sparse grid backend at this node count.
 AUTO_SPARSE_THRESHOLD = 400
@@ -82,10 +81,6 @@ class ScenarioConfig:
     #: sim-time interval between observability samples; 0 disables the
     #: sampler (counters still accumulate, no time series is recorded)
     obs_interval: float = 0.0
-    #: analytics maintenance lane: "incremental" (epoch-keyed state +
-    #: edge deltas between harvests, the default) or "full" (stateless
-    #: recompute reference lane).  Exactly equal results either way.
-    analytics_mode: str = "incremental"
     #: broadcast-plane rebroadcast policy (p2p discovery floods + AODV
     #: RREQ dissemination): ``"flood"`` (reference, bit-identical to the
     #: historical behaviour), ``"probabilistic[:p]"`` (gossip-p with a
@@ -117,8 +112,6 @@ class ScenarioConfig:
             raise ValueError(f"unknown mobility model {self.mobility!r}")
         if self.topology not in _TOPOLOGIES:
             raise ValueError(f"unknown topology backend {self.topology!r}")
-        if self.analytics_mode not in _ANALYTICS_MODES:
-            raise ValueError(f"unknown analytics mode {self.analytics_mode!r}")
         parse_policy_spec(self.rebroadcast)  # raises on a bad spec
         if self.query_policy not in QUERY_POLICY_KINDS:
             raise ValueError(

@@ -173,15 +173,15 @@ def harvest(simulation: Simulation) -> RunResult:
     """Extract a RunResult from a finished simulation.
 
     All graph/collector analytics go through the simulation's
-    :class:`~repro.metrics.analytics.AnalyticsEngine` (lanes picked by
-    the config); results are exactly equal on every lane combination.
+    :class:`~repro.metrics.analytics.AnalyticsEngine`, which recomputes
+    from the final state: this is the one harvest of a run.
 
     ``counters`` folds the registry a second time on purpose:
     ``RunManifest.finish`` recorded ``peaks`` when the run loop ended,
-    before the analytics calls above bumped ``analytics.*`` /
-    ``graphfast.*``, so the two dicts legitimately differ and both are
-    archived.  A fold walks the registry's per-(name, kind) index, so
-    neither costs a sort or scales worse than one addition per series.
+    before the analytics calls above bumped ``graphfast.*``, so the two
+    dicts legitimately differ and both are archived.  A fold walks the
+    registry's per-(name, kind) index, so neither costs a sort or
+    scales worse than one addition per series.
     """
     cfg = simulation.config
     metrics = simulation.metrics
@@ -197,9 +197,7 @@ def harvest(simulation: Simulation) -> RunResult:
         sorted_received=engine.message_curves(metrics, members),
         totals=engine.message_totals(metrics),
         file_stats=per_file_stats(records, cfg.num_files),
-        overlay_stats=engine.smallworld_stats(
-            simulation.overlay.graph(), key="overlay"
-        ),
+        overlay_stats=engine.smallworld_stats(simulation.overlay.graph()),
         energy=simulation.world.energy.consumed.copy(),
         num_queries=len(records),
         events=simulation.sim.events_dispatched,

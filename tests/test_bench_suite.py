@@ -91,7 +91,6 @@ class TestSuiteDocument:
             "scenario_e2e",
             "topology_refresh",
             "metrics_kernels",
-            "analytics_plane",
             "query_plane",
             "experiment_plane",
         }

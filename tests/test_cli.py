@@ -34,11 +34,13 @@ class TestParser:
             ["map", "--topology-refresh", "predictive"],
             ["run", "--analytics", "parallel"],
             ["sweep", "nodes", "10", "--analytics", "serial"],
+            ["run", "--analytics-mode", "full"],
+            ["sweep", "nodes", "10", "--analytics-mode", "full"],
         ],
     )
     def test_removed_lane_flags_rejected(self, argv, capsys):
-        # one topology refresh path and one analytics execution path:
-        # their old lane flags are unknown arguments
+        # one topology refresh path and one analytics path: their old
+        # lane flags are unknown arguments
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

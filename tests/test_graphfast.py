@@ -25,16 +25,13 @@ from repro.metrics.graphfast import (
     triangle_counts,
 )
 from repro.metrics import AnalyticsEngine
-from repro.metrics.analytics import engine_for_world
 from repro.mobility import Area, Static
 from repro.net import EnergyModel, World
 from repro.sim import Simulator
 
 SEEDS = (1, 2, 3)
 
-# Stateless full-recompute lane over throwaway graphs/worlds: these
-# oracle tests compare one-shot results, not cache behaviour.
-_engine = AnalyticsEngine(mode="full")
+_engine = AnalyticsEngine()
 
 
 def clustering_coefficient(g):
@@ -46,15 +43,15 @@ def characteristic_path_length(g):
 
 
 def components(world):
-    return engine_for_world(world).components(world)
+    return AnalyticsEngine(registry=world.registry).components(world)
 
 
 def connectivity_stats(world):
-    return engine_for_world(world).connectivity_stats(world)
+    return AnalyticsEngine(registry=world.registry).connectivity_stats(world)
 
 
 def reachable_pair_fraction(world):
-    return engine_for_world(world).reachable_pair_fraction(world)
+    return AnalyticsEngine(registry=world.registry).reachable_pair_fraction(world)
 
 
 def rgg_world(seed, topology, *, n=40, side=80.0, radio=12.0):
@@ -370,6 +367,6 @@ def test_smallworld_stats_records_kernel_counters():
 
     g = rgg_graph(1)
     reg = Registry()
-    AnalyticsEngine(mode="full", registry=reg).smallworld_stats(g)
+    AnalyticsEngine(registry=reg).smallworld_stats(g)
     assert reg.value("graphfast.bfs_sources") == g.number_of_nodes()
     assert reg.value("graphfast.triangle_runs") == 1.0

@@ -17,9 +17,7 @@ from repro.metrics import (
     sorted_curve_mean,
 )
 
-# Stateless full-recompute lane: these tests feed fresh networkx graphs,
-# so epoch-keyed incremental caching has nothing to key on.
-_engine = AnalyticsEngine(mode="full")
+_engine = AnalyticsEngine()
 
 
 def clustering_coefficient(g):

@@ -6,21 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import expected_mean_degree
-from repro.metrics.analytics import engine_for_world
+from repro.metrics.analytics import AnalyticsEngine
 
 from .helpers import line_positions, make_world
 
 
 def components(world):
-    return engine_for_world(world).components(world)
+    return AnalyticsEngine(registry=world.registry).components(world)
 
 
 def connectivity_stats(world):
-    return engine_for_world(world).connectivity_stats(world)
+    return AnalyticsEngine(registry=world.registry).connectivity_stats(world)
 
 
 def reachable_pair_fraction(world):
-    return engine_for_world(world).reachable_pair_fraction(world)
+    return AnalyticsEngine(registry=world.registry).reachable_pair_fraction(world)
 
 
 class TestComponents:

@@ -405,11 +405,12 @@ class TestScaleGuard:
         )
         registry = simulation.registry
         # Same series as the flat store held: 6 flood + 3 alg + 1 histogram
-        # per member, 6 flood per non-member (750 members), 29 globals
+        # per member, 6 flood per non-member (750 members), 23 globals
         # (the flat store's 34 less the three topology horizon counters,
-        # the proof-gate gauge and analytics.bfs_shards).
+        # the proof-gate gauge, analytics.bfs_shards and the six
+        # counters of the incremental analytics lane).
         assert len(simulation.members) == 750
-        assert len(registry) == 9 * n + 29
+        assert len(registry) == 9 * n + 23
 
         flattens = _Calls(monkeypatch, "flatten_key")
         sort_keys = _Calls(monkeypatch, "_series_sort_key")
@@ -421,7 +422,7 @@ class TestScaleGuard:
         assert samples.n == 0
 
         flattens.n = sort_keys.n = 0
-        registry.counter("graphfast.component_runs", layer="metrics").inc()  # as harvest does
+        registry.counter("graphfast.triangle_runs", layer="metrics").inc()  # as harvest does
         out = registry.aggregated(skip_kinds=("timer",))
         assert len(registry) > 100 * len(out)
         assert sort_keys.n <= len(out)
@@ -442,7 +443,10 @@ class TestScaleGuard:
         # ``kernel.calq_*`` series, which left with the calendar queue,
         # and the three ``topology.*`` horizon counters and
         # ``analytics.bfs_shards``, which left with the predictive
-        # refresh path and the parallel analytics lane.
+        # refresh path and the parallel analytics lane, and the six
+        # ``analytics.*`` counters and ``graphfast.component_runs``,
+        # which left with the incremental analytics lane (the harvest
+        # no longer labels components).
         result = run_scenario(
             ScenarioConfig(num_nodes=150, duration=20.0, algorithm="hybrid", seed=5)
         )
@@ -451,15 +455,12 @@ class TestScaleGuard:
 
 _RECORDED_N150 = """{
 "alg.connections_closed{alg=hybrid}": 5.0, "alg.connections_established{alg=hybrid}": 48.0,
-"alg.pings_sent{alg=hybrid}": 112.0, "analytics.csr_cache_hits{layer=metrics}": 0.0, "analytics.delta_edges{layer=metrics}": 0.0,
-"analytics.epoch_fallbacks{layer=metrics}": 0.0, "analytics.full_recomputes{layer=metrics}": 1.0,
-"analytics.incremental_hits{layer=metrics}": 0.0, "analytics.label_rebuilds{layer=metrics}": 0.0,
+"alg.pings_sent{alg=hybrid}": 112.0,
 "aodv.rreq_keys_live": 28.0, "energy.consumed": 2.078592999999996,
 "flood.cache_occupancy{plane=p2p.flood}": 0.24609375, "flood.duplicates{plane=p2p.flood}": 1983.0,
 "flood.eviction_rate{plane=p2p.flood}": 0.0, "flood.evictions{plane=p2p.flood}": 0.0,
 "flood.forwarded{plane=p2p.flood}": 514.0, "flood.originated{plane=p2p.flood}": 106.0,
-"graphfast.bfs_sources{layer=metrics}": 112.0, "graphfast.component_runs{layer=metrics}": 1.0,
-"graphfast.triangle_runs{layer=metrics}": 1.0,
+"graphfast.bfs_sources{layer=metrics}": 112.0, "graphfast.triangle_runs{layer=metrics}": 1.0,
 "kernel.events_daemon": 0.0, "kernel.events_dispatched": 12874.0, "kernel.events_skipped": 0.0,
 "kernel.heap": 395.0, "kernel.heap_compactions": 0.0, "kernel.heap_pushes": 5193.0,
 "net.frames_delivered{layer=radio}": 11545.0, "net.frames_sent{layer=radio}": 3484.0,

@@ -132,7 +132,7 @@ class TestConfigSerialization:
             mobility="manhattan", max_speed=2.0, max_pause=30.0, num_files=7,
             max_freq=0.25, duration=45.0, seed=9, energy_capacity=3.5,
             snapshot_interval=0.5, topology="sparse", queries=False,
-            obs_interval=2.0, analytics_mode="full",
+            obs_interval=2.0,
             rebroadcast="counter:2", query_policy="contact",
             p2p=P2pConfig(max_connections=5), query=QueryConfig(ttl=3),
         )

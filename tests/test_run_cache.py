@@ -36,7 +36,7 @@ class TestRunKey:
             {"rebroadcast": "counter:2"},
             {"rebroadcast": "probabilistic:0.7"},
             {"query_policy": "contact"},
-            {"analytics_mode": "full"},
+            {"mac": "csma"},
         ],
     )
     def test_any_field_change_changes_key(self, change):
@@ -48,8 +48,8 @@ class TestRunKey:
 
 #: One archive line written at 531fb1e, when ``ScenarioConfig`` still had
 #: a ``queue`` field (``"queue": "calendar"`` in its config, and in the
-#: hash behind its cache key) and the five execution-lane fields removed
-#: with the single topology refresh path.
+#: hash behind its cache key), the five execution-lane fields removed
+#: with the single topology refresh path, and the analytics mode.
 OLD_ARCHIVE = os.path.join(os.path.dirname(__file__), "data", "run_with_queue_field.ndjson")
 OLD_KEY = "v1:4292a28764dc36c62834be760551cbaf39c83ff1ffc1781e6fbd333d33b0e42a:4"
 OLD_CFG = ScenarioConfig(
@@ -60,6 +60,7 @@ OLD_CFG = ScenarioConfig(
 #: Config keys of that line that ``ScenarioConfig`` no longer has.
 REMOVED_KEYS = (
     "analytics_exec",
+    "analytics_mode",
     "analytics_processes",
     "batched_delivery",
     "queue",
@@ -69,9 +70,9 @@ REMOVED_KEYS = (
 
 
 class TestArchiveWithRemovedQueueField:
-    """An archive from before the queue knob and the execution-lane
-    fields were removed stays a counted outcome for both readers, never
-    a crash -- and needs no run-schema bump to get there."""
+    """An archive from before the queue knob, the execution-lane fields
+    and the analytics mode were removed stays a counted outcome for both
+    readers, never a crash -- and needs no run-schema bump to get there."""
 
     def _copy(self, tmp_path):
         return shutil.copy(OLD_ARCHIVE, str(tmp_path / "runs.ndjson"))

@@ -21,8 +21,7 @@ from repro.theory import (
     ws_rewire,
 )
 
-# Stateless full-recompute lane over throwaway networkx graphs.
-_engine = AnalyticsEngine(mode="full")
+_engine = AnalyticsEngine()
 
 
 def clustering_coefficient(g):
