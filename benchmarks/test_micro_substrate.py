@@ -6,8 +6,6 @@ position evaluation, the O(n^2) adjacency snapshot, and the vectorized
 BFS.  They exist to catch performance regressions, not paper claims.
 """
 
-import os
-
 import numpy as np
 
 from repro.mobility import Area, RandomWaypoint
@@ -72,10 +70,8 @@ def test_kernel_event_throughput(benchmark):
     assert n == 10_000
 
 
-# Queue-op throughput with cancellation.  The default 1e4 events keeps
-# CI fast; set REPRO_QUEUE_BENCH_N=100000 (or 1000000) to probe deep
-# queues.
-QUEUE_BENCH_N = int(os.environ.get("REPRO_QUEUE_BENCH_N", "10000"))
+# Queue-op throughput with cancellation.
+QUEUE_BENCH_N = 10_000
 
 
 def _queue_churn(n=QUEUE_BENCH_N):
@@ -120,7 +116,7 @@ def test_broadcast_fanout_reference(benchmark):
 
 def test_broadcast_fanout_batched(benchmark):
     # Same floods on the batched fast lane: identical events_dispatched,
-    # far fewer heap pushes (the quantity scripts/bench.py tracks).
+    # far fewer heap pushes (the quantity bench/ reports as sim.heap_pushes).
     sim = benchmark(lambda: _flood_round(batched=True))
     assert sim.events_dispatched == _flood_round(batched=False).events_dispatched
     assert sim.heap_pushes < _flood_round(batched=False).heap_pushes

@@ -2,27 +2,16 @@
 
 Runs a fixed neighbors+BFS workload at *bounded node density* -- the
 deployment area grows with n so the mean radio degree stays at the
-paper's ~1.6 -- and records wall-clock timings per backend and size.
+paper's ~1.6 -- and records wall-clock timings per backend at n = 500.
 This is the regime where the dense O(n²) snapshot stops being viable
-while the sparse grid backend stays O(n·k).
-
-Knobs (environment variables):
-
-* ``REPRO_TOPO_BENCH_N``     -- comma-separated sizes
-                                (default ``150,500,2000``)
-* ``REPRO_TOPO_DENSE_MAX``   -- largest n the dense backend is timed at
-                                (default 2000; it is the reference, not
-                                the contender)
-* ``REPRO_TOPO_GUARD``      -- wall-clock guard in seconds for the
-                                sparse backend at the largest size
-                                (default 120; CI uses this to fail
-                                loudly on substrate regressions)
+while the sparse grid backend stays O(n·k).  The sparse backend must
+finish inside a 60 s wall-clock guard, so a substrate regression fails
+loudly.
 
 Timings are printed as a table (run with ``pytest -s``) so the numbers
 are recorded in the job log.
 """
 
-import os
 import time
 
 import numpy as np
@@ -36,19 +25,8 @@ AREA_PER_NODE = 200.0
 RADIO_RANGE = 10.0
 TIMESTAMPS = (0.0, 60.0, 120.0)
 BFS_SOURCES = 25
-
-
-def _sizes() -> list[int]:
-    raw = os.environ.get("REPRO_TOPO_BENCH_N", "150,500,2000")
-    return [int(s) for s in raw.split(",") if s.strip()]
-
-
-def _dense_max() -> int:
-    return int(os.environ.get("REPRO_TOPO_DENSE_MAX", "2000"))
-
-
-def _guard() -> float:
-    return float(os.environ.get("REPRO_TOPO_GUARD", "120"))
+BENCH_N = 500
+GUARD_S = 60.0
 
 
 def make_world(n: int, backend: str) -> World:
@@ -85,49 +63,34 @@ def run_workload(world: World) -> dict:
 
 
 def test_topology_scaling():
-    sizes = _sizes()
-    dense_max = _dense_max()
-    rows = []
-    results: dict[tuple[str, int], dict] = {}
-    for n in sizes:
-        for backend in ("dense", "sparse"):
-            if backend == "dense" and n > dense_max:
-                continue
-            world = make_world(n, backend)
-            res = run_workload(world)
-            results[(backend, n)] = res
-            rows.append(
-                f"{backend:>6} n={n:<5d} neighbors={res['neighbors_s']*1e3:9.1f}ms "
-                f"bfs={res['bfs_s']*1e3:9.1f}ms total={res['total_s']*1e3:9.1f}ms "
-                f"degree={res['mean_degree']:.2f}"
-            )
+    results = {
+        backend: run_workload(make_world(BENCH_N, backend))
+        for backend in ("dense", "sparse")
+    }
     print("\ntopology scaling (fixed density, {} snapshots, {} BFS sources):".format(
         len(TIMESTAMPS), BFS_SOURCES
     ))
-    for row in rows:
-        print(row)
+    for backend, res in results.items():
+        print(
+            f"{backend:>6} n={BENCH_N:<5d} neighbors={res['neighbors_s']*1e3:9.1f}ms "
+            f"bfs={res['bfs_s']*1e3:9.1f}ms total={res['total_s']*1e3:9.1f}ms "
+            f"degree={res['mean_degree']:.2f}"
+        )
 
-    largest = max(sizes)
-    # The sparse backend must complete the workload at the largest size
-    # inside the wall-clock guard -- this is the loud substrate-regression
-    # alarm CI relies on.
-    sparse_large = results[("sparse", largest)]
-    assert sparse_large["total_s"] < _guard(), (
-        f"sparse backend took {sparse_large['total_s']:.1f}s at n={largest}, "
-        f"guard is {_guard():.0f}s"
+    # The substrate-regression alarm: the sparse backend must complete
+    # the workload inside the wall-clock guard.
+    sparse = results["sparse"]
+    assert sparse["total_s"] < GUARD_S, (
+        f"sparse backend took {sparse['total_s']:.1f}s at n={BENCH_N}, "
+        f"guard is {GUARD_S:.0f}s"
     )
     # Density is actually bounded (the benchmark measures what it claims).
-    for (backend, n), res in results.items():
-        assert res["mean_degree"] < 5.0, (backend, n, res["mean_degree"])
+    for backend, res in results.items():
+        assert res["mean_degree"] < 5.0, (backend, res["mean_degree"])
 
     # Both backends agree on the workload's aggregate connectivity --
     # a cheap cross-check that we timed equivalent work.
-    for n in sizes:
-        if n > dense_max:
-            continue
-        d = results[("dense", n)]["mean_degree"]
-        s = results[("sparse", n)]["mean_degree"]
-        assert abs(d - s) < 1e-12, (n, d, s)
+    assert abs(results["dense"]["mean_degree"] - sparse["mean_degree"]) < 1e-12
 
 
 def test_sparse_scales_past_dense():

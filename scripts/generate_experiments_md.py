@@ -84,9 +84,8 @@ def main() -> None:
     w("truncated by a killed writer is skipped (and counted on")
     w("`storage.corrupt_lines`) instead of poisoning the archive.  A warm")
     w("re-`reproduce` is therefore nearly free and emits byte-identical")
-    w("figure artifacts -- `scripts/cache_smoke.py` gates exactly that in")
-    w("CI, and the `experiment_plane` family in `BENCH_substrate.json`")
-    w("records the cold/warm/parallel walls per suppression policy.")
+    w("figure artifacts -- `tests/test_reproduce.py` pins exactly that, and")
+    w("`tests/test_executor.py` pins serial == parallel == cached figure JSON.")
     w("")
 
     # ---- tables -------------------------------------------------------

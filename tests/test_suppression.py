@@ -11,9 +11,13 @@ Two proof obligations (DESIGN.md, broadcast-suppression plane):
    ``counter`` or ``contact`` must come from a node that truly holds
    the file (suppression may lose answers, never fabricate them).
 
-Plus unit coverage of the policy objects and the spec parser, and the
-``ring_ttls`` edge-case regression (ttl_start >= ttl_threshold).
+Plus unit coverage of the policy objects and the spec parser, the
+``ring_ttls`` edge-case regression (ttl_start >= ttl_threshold), and a
+guard that suppression pays: on a dense query-heavy world ``counter:2``
+halves the dispatched events at flood's answer rate.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from repro.obs.compare import is_cost_key, semantic_snapshot, semantic_timeserie
 from repro.obs.registry import Registry
 from repro.scenarios.builder import build_scenario
 from repro.scenarios.config import ScenarioConfig
-from repro.scenarios.runner import harvest
+from repro.scenarios.runner import harvest, run_scenario
 from repro.sim import Simulator
 
 SEEDS = (1, 2, 3)
@@ -382,3 +386,38 @@ def test_contact_lane_actually_contact_routes():
     stats = simulation.overlay.stats()
     # Repeat zipf queries find learned holders at least once.
     assert stats["card_contact_hits"] > 0
+
+
+# ----------------------------------------------------------------------
+# suppression pays: fewer dispatches at the same answer rate
+# ----------------------------------------------------------------------
+def test_counter_suppression_halves_dispatch_at_equal_answer_rate():
+    """At radio degree ~20, ``counter:2`` dispatches half the events of
+    ``flood`` and answers as many zipf queries (within 5 points)."""
+    from repro.core.query import QueryConfig
+
+    n = 150
+    side = math.sqrt(n * math.pi * 100.0 / 20.0)  # radio degree ~20
+
+    def lane(policy):
+        result = run_scenario(
+            ScenarioConfig(
+                num_nodes=n,
+                duration=10.0,
+                seed=1,
+                area_width=side,
+                area_height=side,
+                rebroadcast=policy,
+                query=QueryConfig(
+                    warmup=2.0, response_wait=4.0, gap_min=2.0, gap_max=6.0, target="zipf"
+                ),
+            )
+        )
+        assert result.num_queries > 0
+        answered = sum(s.answered for s in result.file_stats)
+        return result.events, answered / result.num_queries
+
+    flood_events, flood_rate = lane("flood")
+    counter_events, counter_rate = lane("counter:2")
+    assert flood_events / counter_events >= 2.0
+    assert abs(counter_rate - flood_rate) <= 0.05

@@ -248,3 +248,50 @@ def test_lockstep_queries_identical_under_mobility(seed, topology):
             np.testing.assert_array_equal(fast.hops_from(src), full.hops_from(src))
         np.testing.assert_array_equal(fast.degrees(), full.degrees())
         np.testing.assert_array_equal(fast.adjacency(), full.adjacency())
+
+
+def test_lockstep_queries_identical_at_paper_density():
+    """n = 600 on the sparse grid: many cells and a proof gate above 8 movers.
+
+    Paper mobility (random waypoint, <= 1 m/s, long pauses) at paper
+    density, 0.25 s snapshots; each quantum asks a few rotating
+    ``neighbors()`` and BFS vectors from a small hot set, as servent
+    connection maintenance does, plus the CSR-backed degree vector.
+    """
+    n = 600
+    side = 100.0 * np.sqrt(n / 50.0)
+
+    def world():
+        mobility = RandomWaypoint(
+            n, Area(side, side), np.random.default_rng(1), max_speed=1.0, max_pause=100.0
+        )
+        return World(
+            Simulator(), mobility, radio_range=10.0, snapshot_interval=0.25, topology="sparse"
+        )
+
+    fast, full = world(), pin_full_rebuild(world())
+    topo = fast.topology
+    proofs = []
+    real = topo._mover_neighbor_lists
+
+    def counted(movers, pos):
+        proofs.append(len(movers))
+        return real(movers, pos)
+
+    topo._mover_neighbor_lists = counted
+    hot = [0, n // 7, n // 3, 2 * n // 5, n // 2, 3 * n // 5, 3 * n // 4, n - 1]
+    for step in range(1, 41):
+        t = step * 0.25
+        advance(fast, t)
+        advance(full, t)
+        for k in range(4):
+            i = (step * 4 + k) % n
+            np.testing.assert_array_equal(fast.neighbors(i), full.neighbors(i))
+        for k in range(2):
+            src = hot[(step * 2 + k) % len(hot)]
+            np.testing.assert_array_equal(fast.hops_from(src), full.hops_from(src))
+        np.testing.assert_array_equal(fast.degrees(), full.degrees())
+    # Proofs ran with more movers than the small-n gate of 8 allows, and
+    # at least one kept the adjacency.
+    assert topo.max_proof_movers > 8 and max(proofs) > 8
+    assert fast.adjacency_epoch < full.adjacency_epoch
