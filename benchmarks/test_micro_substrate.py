@@ -97,11 +97,14 @@ def test_queue_ops(benchmark):
 def _flood_round(batched):
     from repro.mobility import Static
     from repro.net import Channel, FloodManager
+    from tests.helpers import pin_per_copy_delivery
 
     sim = Simulator()
     mobility = Static(150, Area(100, 100), np.random.default_rng(1))
     world = World(sim, mobility)
-    channel = Channel(sim, world, batched=batched)
+    channel = Channel(sim, world)
+    if not batched:
+        pin_per_copy_delivery(channel)
     managers = [FloodManager(i, channel, "bench.flood") for i in channel.nodes]
     for origin in range(0, 150, 15):
         managers[origin].originate(payload=origin, nhops=3)
@@ -115,7 +118,7 @@ def test_broadcast_fanout_reference(benchmark):
 
 
 def test_broadcast_fanout_batched(benchmark):
-    # Same floods on the batched fast lane: identical events_dispatched,
+    # Same floods with batched delivery: identical events_dispatched,
     # far fewer heap pushes (the quantity bench/ reports as sim.heap_pushes).
     sim = benchmark(lambda: _flood_round(batched=True))
     assert sim.events_dispatched == _flood_round(batched=False).events_dispatched

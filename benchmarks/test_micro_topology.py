@@ -19,6 +19,7 @@ import numpy as np
 from repro.mobility import Area, RandomWaypoint
 from repro.net import World
 from repro.sim import Simulator
+from tests.helpers import BACKENDS
 
 #: paper density: 50 nodes on 100 m x 100 m -> 200 m² per node
 AREA_PER_NODE = 200.0
@@ -33,7 +34,7 @@ def make_world(n: int, backend: str) -> World:
     side = float(np.sqrt(n * AREA_PER_NODE))
     sim = Simulator()
     mobility = RandomWaypoint(n, Area(side, side), np.random.default_rng(7))
-    return World(sim, mobility, radio_range=RADIO_RANGE, topology=backend)
+    return World(sim, mobility, radio_range=RADIO_RANGE, topology=BACKENDS[backend])
 
 
 def run_workload(world: World) -> dict:

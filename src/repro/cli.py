@@ -97,7 +97,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = ScenarioConfig(
         duration=args.duration,
         seed=args.seed,
-        topology=args.topology,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
     )
@@ -177,7 +176,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
             duration=args.duration,
             algorithm=args.algorithm,
             seed=args.seed,
-            topology=args.topology,
         )
     )
     s.run()
@@ -217,7 +215,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         routing=args.routing,
         seed=args.seed,
-        topology=args.topology,
         obs_interval=args.obs_interval,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
@@ -340,15 +337,6 @@ def _add_cache_args(parser: argparse.ArgumentParser, default_hint: str) -> None:
     )
 
 
-def _add_topology_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--topology",
-        choices=("dense", "sparse", "auto"),
-        default="auto",
-        help="physical-topology backend (auto: sparse at large n)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2p-manet",
@@ -380,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=("basic", "regular", "random", "hybrid"), default="regular"
     )
     world.add_argument("--seed", type=int, default=0)
-    _add_topology_arg(world)
     world.set_defaults(func=_cmd_map)
 
     tab = sub.add_parser("tables", help="print Tables 1 and 2")
@@ -396,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--routing", choices=("aodv", "dsdv", "dsr", "oracle"), default="aodv"
     )
     run.add_argument("--seed", type=int, default=0)
-    _add_topology_arg(run)
     _add_policy_args(run)
     run.add_argument("--json", action="store_true", help="emit the full RunResult as JSON")
     run.add_argument(
@@ -423,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--duration", type=float, default=300.0)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--reps", type=int, default=1, help="repetitions per point")
-    _add_topology_arg(sweep)
     _add_policy_args(sweep)
     _add_processes_arg(sweep, "grid points (one simulation each)")
     sweep.add_argument("--json", action="store_true", help="emit point results as JSON")

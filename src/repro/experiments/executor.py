@@ -58,9 +58,8 @@ class ExperimentExecutor:
         ``None`` or ``1`` executes in-process (the reference lane);
         values > 1 fan jobs out over that many worker processes.
         ``0`` means "every core" (:func:`~repro.parallel.resolve_processes`).
-    chunksize:
-        Jobs shipped per worker round trip when a pool is used
-        (default: :func:`~repro.parallel.default_chunksize`).
+        A pool ships :func:`~repro.parallel.default_chunksize` jobs per
+        worker round trip.
     cache:
         Optional :class:`RunCache` (or a store path) consulted before
         executing and written back after -- always from this process.
@@ -73,7 +72,6 @@ class ExperimentExecutor:
         self,
         *,
         processes: Optional[int] = None,
-        chunksize: Optional[int] = None,
         cache: Optional[RunCache] = None,
         registry: Optional[Registry] = None,
     ) -> None:
@@ -82,9 +80,6 @@ class ExperimentExecutor:
         self.processes = (
             resolve_processes(None) if processes == 0 else (processes or 1)
         )
-        if self.processes > 1 and chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.chunksize = chunksize
         self._registry = registry if registry is not None else default_registry()
         if cache is not None and not isinstance(cache, RunCache):
             cache = RunCache(cache, registry=self._registry)
@@ -112,9 +107,7 @@ class ExperimentExecutor:
         if not configs:
             return []
         if self.processes > 1 and len(configs) > 1:
-            chunksize = self.chunksize
-            if chunksize is None:
-                chunksize = default_chunksize(len(configs), self.processes)
+            chunksize = default_chunksize(len(configs), self.processes)
             with ProcessPoolExecutor(max_workers=self.processes) as pool:
                 stream = pool.map(execute_config, configs, chunksize=chunksize)
                 return self._collect(configs, stream)

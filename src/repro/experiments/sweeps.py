@@ -117,7 +117,6 @@ def run_sweep(
     *,
     reps: int = 1,
     processes: Optional[int] = None,
-    chunksize: Optional[int] = None,
     store=None,
     cache=None,
     executor: Optional[ExperimentExecutor] = None,
@@ -137,10 +136,8 @@ def run_sweep(
         jobs over that many worker processes (``0``: every core); each
         job is an independent, deterministic simulation so results are
         identical to the serial run.  Repetitions parallelize like grid
-        points do -- a 1-point, 33-rep sweep fills the pool.
-    chunksize:
-        Jobs submitted to each worker per round trip.  Defaults to
-        :func:`repro.parallel.default_chunksize` --
+        points do -- a 1-point, 33-rep sweep fills the pool.  Each worker
+        round trip carries :func:`repro.parallel.default_chunksize` jobs --
         ``ceil(n_jobs / (4 * processes))`` capped at 32 -- so large
         grids of small points amortize pickling instead of shipping
         one-at-a-time, while keeping ~4 rounds per worker for load
@@ -155,16 +152,14 @@ def run_sweep(
         points O(1) lookups and interrupted sweeps resumable.
     executor:
         Bring-your-own :class:`ExperimentExecutor` (overrides
-        ``processes`` / ``chunksize`` / ``cache``); lets several sweeps
-        share one memo and its counters.
+        ``processes`` / ``cache``); lets several sweeps share one memo
+        and its counters.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     grid = sweep_grid(specs)
     if executor is None:
-        executor = ExperimentExecutor(
-            processes=processes, chunksize=chunksize, cache=cache
-        )
+        executor = ExperimentExecutor(processes=processes, cache=cache)
     point_cfgs = [base.with_(**overrides) for overrides in grid]
     batch = [cfg.for_repetition(r) for cfg in point_cfgs for r in range(reps)]
     runs = executor.run_configs(batch)

@@ -17,13 +17,7 @@ from .suppression import (
     make_rebroadcast_policy,
     parse_policy_spec,
 )
-from .topology import (
-    TOPOLOGY_BACKENDS,
-    DenseTopology,
-    SparseGridTopology,
-    TopologyBackend,
-    make_topology,
-)
+from .topology import DenseTopology, SparseGridTopology, TopologyBackend, make_topology
 from .world import UNREACHABLE, World
 
 __all__ = [
@@ -47,7 +41,6 @@ __all__ = [
     "PolicySpec",
     "parse_policy_spec",
     "make_rebroadcast_policy",
-    "TOPOLOGY_BACKENDS",
     "TopologyBackend",
     "DenseTopology",
     "SparseGridTopology",

@@ -79,15 +79,6 @@ class Channel:
     on_deliver:
         Optional observer called as ``on_deliver(node_id, frame)`` for
         every delivered frame -- the metrics layer hooks in here.
-    batched:
-        When True (default), a broadcast schedules ONE kernel event
-        carrying the frozen receiver array instead of one event per
-        receiver; the batch charges all live receivers in one step and
-        then runs their handlers in ascending-nid order, which leaves
-        every per-node ledger, RNG draw and counter exactly where the
-        per-receiver reference puts it (see DESIGN.md §5 for the
-        equivalence argument).  ``False`` keeps the per-receiver
-        reference path for A/B tests.
     registry:
         Observability registry for the channel counters; a private one
         is created when not supplied.
@@ -103,7 +94,6 @@ class Channel:
         *,
         latency: float = DEFAULT_LATENCY,
         on_deliver: Optional[Callable[[int, Frame], None]] = None,
-        batched: bool = True,
         registry: Optional[Registry] = None,
     ) -> None:
         if latency < 0:
@@ -112,7 +102,6 @@ class Channel:
         self.world = world
         self.latency = float(latency)
         self.on_deliver = on_deliver
-        self.batched = bool(batched)
         self.nodes: List[NetNode] = [NetNode(i, self) for i in range(world.n)]
         if registry is None:
             registry = getattr(world, "registry", None)
@@ -186,9 +175,8 @@ class Channel:
 
         The receiver set (up neighbors, ascending nid) is frozen at send
         time -- as the topology's own neighbour array while every node
-        is up.  On the batched fast lane the whole set rides ONE kernel
-        event (``weight=len(receivers)`` keeps ``events_dispatched``
-        comparable); the reference lane schedules one event per receiver.
+        is up -- and rides ONE kernel event (``weight=len(receivers)``
+        keeps ``events_dispatched`` comparable with one event per copy).
         """
         world = self.world
         src = frame.src
@@ -213,13 +201,13 @@ class Channel:
     ) -> None:
         """Schedule one transmission's copies ``delay`` seconds from now.
 
-        ``receivers`` is the frozen int64 id array, ascending.  The
-        batched lane schedules ONE weight-k event ``batch_fn(receivers,
-        *args)``; the reference lane (and a lone receiver) schedules
-        ``copy_fn(dst, *args)`` per receiver in the same order.
+        ``receivers`` is the frozen int64 id array, ascending.  Several
+        receivers share ONE weight-k event ``batch_fn(receivers, *args)``,
+        equal to one ``copy_fn(dst, *args)`` per receiver in the same
+        order (DESIGN.md §5); a lone receiver gets ``copy_fn``.
         """
         k = len(receivers)
-        if self.batched and k > 1:
+        if k > 1:
             self.sim.schedule(delay, batch_fn, receivers, *args, weight=k)
         else:
             schedule = self.sim.schedule

@@ -1,4 +1,4 @@
-"""Pluggable physical-topology backends.
+"""Physical-topology backends, chosen by node count.
 
 The physical substrate answers four questions for every layer above it:
 "who is in range of ``i``?", "is there a link ``i``--``j``?", "how many
@@ -9,10 +9,11 @@ n = 50..150, hopeless at the thousands of nodes large-MANET work (CARD,
 unstructured-overlay studies) cares about.
 
 This module extracts those queries into a backend interface with two
-interchangeable implementations:
+interchangeable implementations, and :func:`make_topology` picks one
+from the node count (sparse from :data:`SPARSE_MIN_NODES` nodes up):
 
 :class:`DenseTopology`
-    The reference implementation and default at paper scale: one
+    The reference implementation, and the backend at paper scale: one
     vectorized O(n²) pairwise-distance pass per snapshot, a boolean
     (n, n) matrix, BFS by vectorized frontier expansion over matrix
     rows.  O(1) ``link``, O(n) ``neighbors``, O(n²) memory.
@@ -55,7 +56,7 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Type, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -69,15 +70,12 @@ __all__ = [
     "TopologyBackend",
     "DenseTopology",
     "SparseGridTopology",
-    "TOPOLOGY_BACKENDS",
+    "SPARSE_MIN_NODES",
     "make_topology",
 ]
 
 #: Sentinel hop distance for disconnected pairs.
 UNREACHABLE = -1
-
-#: Default bound on memoized per-source distance vectors.
-DEFAULT_DIST_CACHE = 256
 
 #: Stable grid-key packing: cell (cx, cy) -> (cx + _KOFF) * _KSTRIDE +
 #: (cy + _KOFF).  Unlike a per-snapshot normalization, keys stay
@@ -110,23 +108,15 @@ class TopologyBackend(abc.ABC):
     world:
         The owning :class:`~repro.net.world.World` (positions, radio
         range, down mask, clock).
-    dist_cache_size:
-        Maximum number of per-source distance vectors kept per snapshot.
     """
 
-    #: short identifier used by configuration ("dense" / "sparse")
+    #: ``backend`` label on the topology counters ("dense" / "sparse")
     name = "abstract"
 
-    def __init__(
-        self,
-        world: "World",
-        *,
-        dist_cache_size: int = DEFAULT_DIST_CACHE,
-    ) -> None:
-        if dist_cache_size < 1:
-            raise ValueError(f"dist_cache_size must be >= 1, got {dist_cache_size}")
+    def __init__(self, world: "World") -> None:
         self.world = world
-        self.dist_cache_size = int(dist_cache_size)
+        #: most per-source distance vectors kept per snapshot
+        self.dist_cache_size = 256
         self._snap_time = -1.0
         self._epoch = 0
         self._dist: "OrderedDict[int, np.ndarray]" = OrderedDict()
@@ -337,13 +327,8 @@ class DenseTopology(TopologyBackend):
 
     name = "dense"
 
-    def __init__(
-        self,
-        world: "World",
-        *,
-        dist_cache_size: int = DEFAULT_DIST_CACHE,
-    ) -> None:
-        super().__init__(world, dist_cache_size=dist_cache_size)
+    def __init__(self, world: "World") -> None:
+        super().__init__(world)
         n = world.n
         self._adj: np.ndarray = np.zeros((n, n), dtype=bool)
         self._down = np.zeros(n, dtype=bool)
@@ -452,13 +437,8 @@ class SparseGridTopology(TopologyBackend):
 
     name = "sparse"
 
-    def __init__(
-        self,
-        world: "World",
-        *,
-        dist_cache_size: int = DEFAULT_DIST_CACHE,
-    ) -> None:
-        super().__init__(world, dist_cache_size=dist_cache_size)
+    def __init__(self, world: "World") -> None:
+        super().__init__(world)
         n = world.n
         self._pos: np.ndarray = np.empty((n, 2))
         self._down = np.zeros(n, dtype=bool)
@@ -727,28 +707,20 @@ class SparseGridTopology(TopologyBackend):
         return dist
 
 
-#: Registry of selectable backends (configuration strings).
-TOPOLOGY_BACKENDS: Dict[str, Type[TopologyBackend]] = {
-    DenseTopology.name: DenseTopology,
-    SparseGridTopology.name: SparseGridTopology,
-}
+#: Node count from which :func:`make_topology` picks the sparse grid.
+#: Below it the dense matrix is faster end to end: at paper size
+#: ``neighbors()`` reads outnumber refreshes 20-70 to one, and the grid
+#: answers them ~2.3x slower (docs/PERFORMANCE.md, "Sizing one backend").
+SPARSE_MIN_NODES = 400
 
 
-def make_topology(
-    spec: Union[str, Type[TopologyBackend]],
-    world: "World",
-    *,
-    dist_cache_size: int = DEFAULT_DIST_CACHE,
-) -> TopologyBackend:
-    """Instantiate a backend from a config string or a backend class."""
-    if isinstance(spec, str):
-        try:
-            cls = TOPOLOGY_BACKENDS[spec]
-        except KeyError:
-            known = ", ".join(sorted(TOPOLOGY_BACKENDS))
-            raise ValueError(f"unknown topology backend {spec!r} (known: {known})") from None
-    elif isinstance(spec, type) and issubclass(spec, TopologyBackend):
-        cls = spec
-    else:
-        raise TypeError(f"topology must be a name or TopologyBackend class, got {spec!r}")
-    return cls(world, dist_cache_size=dist_cache_size)
+def make_topology(world: "World") -> TopologyBackend:
+    """The backend for ``world``, chosen from its node count alone.
+
+    :class:`SparseGridTopology` iff ``world.n >= SPARSE_MIN_NODES``,
+    :class:`DenseTopology` otherwise.  The two answer every query
+    identically, so the choice moves wall time, never a result.
+    """
+    if world.n >= SPARSE_MIN_NODES:
+        return SparseGridTopology(world)
+    return DenseTopology(world)

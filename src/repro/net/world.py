@@ -6,25 +6,25 @@ transmission asks "who is in range right now?", and the p2p layer asks
 
 :class:`World` owns the *state* -- positions (one vectorized mobility
 evaluation per timestamp), the churn/energy down mask, and the snapshot
-quantum -- and delegates every connectivity *query* to a pluggable
-:mod:`~repro.net.topology` backend:
+quantum -- and delegates every connectivity *query* to the backend
+:func:`~repro.net.topology.make_topology` picks from the node count:
 
-* ``dense`` (default) -- the reference O(n²) adjacency matrix +
-  vectorized BFS; sub-millisecond at the paper's n = 50..150.
-* ``sparse`` -- a uniform-grid spatial index with lazily-built CSR
+* n < 400 -- the reference O(n²) adjacency matrix + vectorized BFS;
+  sub-millisecond at the paper's n = 50..150.
+* n >= 400 -- a uniform-grid spatial index with lazily-built CSR
   adjacency; O(n·k) at bounded density, which is what lets scenarios
   scale to thousands of nodes (see ``benchmarks/test_micro_topology.py``).
 
 Consumers must go through the query interface (:meth:`World.link`,
 :meth:`World.neighbors`, :meth:`World.hops_from`, ...) rather than
-poking an adjacency matrix, so the backend stays swappable.
+poking an adjacency matrix, so either backend can answer.
 :meth:`World.adjacency` survives for analytics and tests; the sparse
 backend materializes it on demand.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type, Union
+from typing import Dict, Optional, Type
 
 import numpy as np
 
@@ -32,12 +32,7 @@ from ..mobility.base import Area, MobilityModel
 from ..obs.registry import Registry
 from ..sim.kernel import Simulator
 from .energy import EnergyModel
-from .topology import (
-    DEFAULT_DIST_CACHE,
-    UNREACHABLE,
-    TopologyBackend,
-    make_topology,
-)
+from .topology import UNREACHABLE, TopologyBackend, make_topology
 
 __all__ = ["World", "UNREACHABLE"]
 
@@ -63,11 +58,9 @@ class World:
         range), a negligible error that removes the snapshot recompute
         from event-burst hot paths.
     topology:
-        Connectivity backend: ``"dense"`` (reference, default),
-        ``"sparse"`` (grid-indexed, for large n), or a
-        :class:`~repro.net.topology.TopologyBackend` subclass.
-    dist_cache_size:
-        LRU bound on memoized per-source hop-distance vectors.
+        Test seam: a :class:`~repro.net.topology.TopologyBackend`
+        subclass to use instead of the one ``make_topology`` picks from
+        the node count (``None``, the default).
     registry:
         Observability registry shared with the topology backend; the
         simulator's registry is used when not supplied.
@@ -81,8 +74,7 @@ class World:
         radio_range: float = 10.0,
         energy: Optional[EnergyModel] = None,
         snapshot_interval: float = 0.0,
-        topology: Union[str, Type[TopologyBackend]] = "dense",
-        dist_cache_size: int = DEFAULT_DIST_CACHE,
+        topology: Optional[Type[TopologyBackend]] = None,
         registry: Optional[Registry] = None,
     ) -> None:
         if radio_range <= 0:
@@ -116,10 +108,8 @@ class World:
         # A charge that drains a node flips is_up immediately (the
         # pre-incremental semantics read the ledger live on every call).
         self.energy.on_depleted = self._up_ids.discard
-        #: the pluggable connectivity backend
-        self.topology: TopologyBackend = make_topology(
-            topology, self, dist_cache_size=dist_cache_size
-        )
+        #: the connectivity backend
+        self.topology: TopologyBackend = (topology or make_topology)(self)
 
     # ------------------------------------------------------------------
     # snapshots

@@ -1,7 +1,8 @@
 """Semantic registry comparison for A/B equivalence proofs.
 
-The batched-delivery fast lane (``Channel(batched=True)``) must be
-*semantically* bit-identical to the per-receiver reference lane: every
+Batched delivery (a broadcast's copies ride one kernel event) must be
+*semantically* bit-identical to the per-copy reference schedule that
+the tests pin with ``tests/helpers.py::pin_per_copy_delivery``: every
 frame copy, energy charge, RNG draw, protocol counter and sampled
 time-series row agrees exactly.  What legitimately differs is the
 *scheduler cost* of producing that behaviour -- how many entries went

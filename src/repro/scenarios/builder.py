@@ -134,7 +134,6 @@ def build_scenario(cfg: ScenarioConfig) -> Simulation:
         radio_range=cfg.radio_range,
         energy=EnergyModel(cfg.num_nodes, capacity=cfg.energy_capacity),
         snapshot_interval=cfg.snapshot_interval,
-        topology=cfg.resolved_topology,
     )
     if cfg.mac == "csma":
         from ..net.mac import CsmaChannel

@@ -15,6 +15,7 @@ from typing import Any, Dict
 from ..core.config import P2pConfig
 from ..core.query import QueryConfig
 from ..net.suppression import QUERY_POLICY_KINDS, parse_policy_spec
+from ..net.topology import SPARSE_MIN_NODES
 
 __all__ = ["ScenarioConfig"]
 
@@ -28,10 +29,6 @@ _MOBILITY_MODELS = (
 )
 _ROUTINGS = ("aodv", "dsdv", "dsr", "oracle")
 _ALGORITHMS = ("basic", "regular", "random", "hybrid")
-_TOPOLOGIES = ("dense", "sparse", "auto")
-
-#: "auto" topology switches to the sparse grid backend at this node count.
-AUTO_SPARSE_THRESHOLD = 400
 
 
 @dataclass(frozen=True)
@@ -72,10 +69,9 @@ class ScenarioConfig:
     #: paper's <= 1 m/s this trades <= 0.25 m of position accuracy for a
     #: large event-burst speedup
     snapshot_interval: float = 0.25
-    #: physical-topology backend: "dense" (reference O(n^2) matrix),
-    #: "sparse" (uniform-grid spatial index, for large n) or "auto"
-    #: (sparse once num_nodes >= AUTO_SPARSE_THRESHOLD)
-    topology: str = "dense"
+    #: "auto", the only legal value: the topology backend is chosen from
+    #: num_nodes (:func:`repro.net.topology.make_topology`)
+    topology: str = "auto"
     #: whether the query plane runs (off for pure-reconfiguration studies)
     queries: bool = True
     #: sim-time interval between observability samples; 0 disables the
@@ -110,8 +106,12 @@ class ScenarioConfig:
             raise ValueError(f"unknown mac {self.mac!r}")
         if self.mobility not in _MOBILITY_MODELS:
             raise ValueError(f"unknown mobility model {self.mobility!r}")
-        if self.topology not in _TOPOLOGIES:
-            raise ValueError(f"unknown topology backend {self.topology!r}")
+        if self.topology != "auto":
+            raise ValueError(
+                f"topology {self.topology!r} cannot be selected: the backend is "
+                f"chosen from num_nodes (sparse grid from {SPARSE_MIN_NODES} "
+                'nodes, dense matrix below); "auto" is the only value'
+            )
         parse_policy_spec(self.rebroadcast)  # raises on a bad spec
         if self.query_policy not in QUERY_POLICY_KINDS:
             raise ValueError(
@@ -124,13 +124,6 @@ class ScenarioConfig:
             raise ValueError(f"obs_interval must be >= 0, got {self.obs_interval}")
 
     # ------------------------------------------------------------------
-    @property
-    def resolved_topology(self) -> str:
-        """The concrete backend name ("auto" resolved by node count)."""
-        if self.topology == "auto":
-            return "sparse" if self.num_nodes >= AUTO_SPARSE_THRESHOLD else "dense"
-        return self.topology
-
     @property
     def num_members(self) -> int:
         """How many nodes join the overlay (75 % of 50 -> 37)."""

@@ -1,13 +1,18 @@
-"""Shared test fixtures: hand-placed static topologies, the topology oracle."""
+"""Shared test fixtures: hand-placed static topologies, the reference oracles."""
 
 import types
+from unittest import mock
 
 import numpy as np
 
 from repro.mobility import Area, Static
-from repro.net import Channel, EnergyModel, World
+from repro.net import Channel, DenseTopology, EnergyModel, SparseGridTopology, World
+from repro.net import world as world_module
 from repro.net.topology import TopologyBackend
 from repro.sim import Simulator
+
+#: the two topology backends, by the name their test ids carry
+BACKENDS = {cls.name: cls for cls in (DenseTopology, SparseGridTopology)}
 
 
 def make_world(positions, radio_range=10.0, capacity=float("inf"), area=None):
@@ -32,6 +37,12 @@ def line_positions(n, spacing=8.0):
     return [[i * spacing, 0.0] for i in range(n)]
 
 
+def pin_backend(name):
+    """Context manager: every ``World`` built inside runs backend ``name``
+    ("dense" / "sparse") whatever its node count."""
+    return mock.patch.object(world_module, "make_topology", BACKENDS[name])
+
+
 def pin_full_rebuild(world):
     """Make ``world``'s topology backend rebuild from scratch on every refresh.
 
@@ -43,3 +54,16 @@ def pin_full_rebuild(world):
     backend = world.topology
     backend._update = types.MethodType(TopologyBackend._update, backend)
     return world
+
+
+def pin_per_copy_delivery(channel):
+    """Make ``channel`` (CSMA / lossy included) schedule one event per
+    receiver, in ascending-nid order -- the reference batched delivery
+    must match bit for bit.  Returns ``channel``."""
+
+    def per_copy(delay, receivers, batch_fn, copy_fn, *args):
+        for dst in receivers.tolist():
+            channel.sim.schedule(delay, copy_fn, dst, *args)
+
+    channel._schedule_copies = per_copy
+    return channel

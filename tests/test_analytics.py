@@ -182,7 +182,7 @@ class TestConfigAndCli:
                 ScenarioConfig(**removed)
 
     def test_config_round_trip(self):
-        cfg = ScenarioConfig(topology="sparse")
+        cfg = ScenarioConfig(num_nodes=400)
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_old_config_dicts_still_load(self):

@@ -10,7 +10,7 @@ from repro.mobility import Area, Static
 from repro.net import Channel, Frame, World
 from repro.sim import Simulator
 
-from .helpers import line_positions
+from .helpers import line_positions, pin_per_copy_delivery
 
 
 def make_aodv(positions, radio_range=10.0, config=None, batched=True):
@@ -18,7 +18,9 @@ def make_aodv(positions, radio_range=10.0, config=None, batched=True):
     sim = Simulator()
     mobility = Static(len(pts), Area(1000, 1000), np.random.default_rng(0), positions=pts)
     world = World(sim, mobility, radio_range=radio_range)
-    channel = Channel(sim, world, batched=batched)
+    channel = Channel(sim, world)
+    if not batched:
+        pin_per_copy_delivery(channel)
     router = AodvRouter(sim, channel, config=config)
     inbox = []
     router.register("app", lambda dst, src, payload, hops: inbox.append((dst, src, payload, hops)))

@@ -1,6 +1,6 @@
-"""Batched delivery lane is bit-identical to the per-receiver reference.
+"""Batched delivery is bit-identical to the per-receiver reference.
 
-The batched lane collapses a broadcast's k per-receiver heap entries
+Batched delivery collapses a broadcast's k per-receiver heap entries
 into one batch event dispatched in ascending-nid order (DESIGN.md §5).
 These tests are the proof obligation: for full scenarios -- churn,
 finite energy, lossy/CSMA channels, dense and sparse topologies, several
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.query import QueryConfig
+from repro.net import Channel
 from repro.obs.compare import (
     is_scheduler_cost_key,
     semantic_snapshot,
@@ -34,6 +35,8 @@ from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest
 from repro.sim.trace import attach_tracer
+
+from .helpers import make_world, pin_backend, pin_per_copy_delivery
 
 SEEDS = (1, 2, 3)
 
@@ -48,13 +51,12 @@ def _run_lane(seed: int, topology: str, batched: bool, *, churn: bool = True):
         # the dense backend, probabilistic loss on the sparse one.
         mac="csma" if topology == "dense" else "lossy",
         energy_capacity=0.05,
-        topology=topology,
         obs_interval=10.0,
     )
-    simulation = build_scenario(cfg)
-    # Channel.batched is read when copies are scheduled, so flipping it
-    # before the run selects the per-receiver reference lane.
-    simulation.channel.batched = batched
+    with pin_backend(topology):
+        simulation = build_scenario(cfg)
+    if not batched:
+        pin_per_copy_delivery(simulation.channel)
     if churn:
         # The builder does not wire churn; attach it on a dedicated
         # stream so both lanes draw identical death/revival sequences.
@@ -139,11 +141,12 @@ def _run_wavefront(seed, topology, routing, case, batched):
         query=QueryConfig(warmup=2.0, response_wait=4.0, gap_min=2.0, gap_max=6.0),
         seed=seed,
         routing=routing,
-        topology=topology,
         **overrides,
     )
-    simulation = build_scenario(cfg)
-    simulation.channel.batched = batched
+    with pin_backend(topology):
+        simulation = build_scenario(cfg)
+    if not batched:
+        pin_per_copy_delivery(simulation.channel)
     recorder = attach_tracer(simulation.channel) if case == "tracer" else None
     if case == "churn":
         _snipe_receivers(simulation)
@@ -192,6 +195,12 @@ def test_wavefront_bit_identical(seed, topology, routing, case):
         assert bat["suppression"] and bat["suppression"] == ref["suppression"]
     elif routing == "aodv":
         assert bat["hinted_kinds"] == ["aodv.ctrl"]
+
+
+def test_per_copy_reference_is_no_channel_option():
+    sim, world, _ = make_world([[0, 0], [4, 0]])
+    with pytest.raises(TypeError):
+        Channel(sim, world, batched=False)
 
 
 def test_scheduler_cost_keys_classified():

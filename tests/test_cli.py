@@ -36,11 +36,15 @@ class TestParser:
             ["sweep", "nodes", "10", "--analytics", "serial"],
             ["run", "--analytics-mode", "full"],
             ["sweep", "nodes", "10", "--analytics-mode", "full"],
+            ["run", "--topology", "dense"],
+            ["sweep", "nodes", "10", "--topology", "sparse"],
+            ["map", "--topology", "auto"],
         ],
     )
     def test_removed_lane_flags_rejected(self, argv, capsys):
-        # one topology refresh path and one analytics path: their old
-        # lane flags are unknown arguments
+        # one topology refresh path, one analytics path and a backend
+        # chosen from the node count: their old lane flags are unknown
+        # arguments
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

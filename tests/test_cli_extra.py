@@ -1,10 +1,15 @@
 """Tests for the newer CLI commands (sweep, map, reproduce, formats)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestSweepCommand:
@@ -144,6 +149,26 @@ class TestRunStats:
         assert data["schema_version"] == 1
         assert len(data["obs"]["timeseries"]) == 4
         assert "manifest" in data["obs"]
+
+
+class TestRunSchemaSmoke:
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--rebroadcast", "counter:2", "--query-policy", "contact"]],
+        ids=["default", "counter-contact"],
+    )
+    def test_run_json_validates(self, flags, tmp_path, capsys):
+        # The run document the CLI prints must pass the standalone
+        # validator script, on the reference and a suppressing policy pair.
+        assert main(["run", "--nodes", "30", "--duration", "90", "--json"] + flags) == 0
+        doc = tmp_path / "run.json"
+        doc.write_text(capsys.readouterr().out)
+        script = os.path.join(REPO, "scripts", "validate_run_schema.py")
+        env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+        proc = subprocess.run(
+            [sys.executable, script, str(doc)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0 and "valid run dict" in proc.stdout, proc.stderr
 
 
 class TestSweepJson:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import ExperimentExecutor, RunCache, figure_configs, run_figure
+from repro.experiments import ExperimentExecutor, RunCache, SweepSpec, figure_configs
+from repro.experiments import run_figure, run_sweep
 from repro.experiments.export import figure_result_to_json
 from repro.obs.registry import Registry
 from repro.scenarios import ScenarioConfig
@@ -23,13 +24,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             _executor(processes=-1)
 
-    def test_bad_chunksize_rejected_when_pooled(self):
-        with pytest.raises(ValueError):
-            _executor(processes=2, chunksize=0)
-
-    def test_chunksize_ignored_when_serial(self):
-        ex = _executor(chunksize=0)
-        assert ex.processes == 1
+    def test_chunksize_is_not_a_parameter(self):
+        # repro.parallel.default_chunksize is the one chunking policy
+        with pytest.raises(TypeError):
+            _executor(processes=2, chunksize=2)
+        with pytest.raises(TypeError):
+            run_sweep(CFG, [SweepSpec("num_nodes", (10,))], chunksize=2)
 
     def test_zero_means_all_cores(self):
         assert _executor(processes=0).processes >= 1

@@ -29,6 +29,8 @@ from repro.mobility import Area, Static
 from repro.net import EnergyModel, World
 from repro.sim import Simulator
 
+from .helpers import BACKENDS
+
 SEEDS = (1, 2, 3)
 
 _engine = AnalyticsEngine()
@@ -64,7 +66,7 @@ def rgg_world(seed, topology, *, n=40, side=80.0, radio=12.0):
         mobility,
         radio_range=radio,
         energy=EnergyModel(n),
-        topology=topology,
+        topology=BACKENDS[topology],
     )
     return world
 

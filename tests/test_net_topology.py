@@ -4,33 +4,30 @@ The dense matrix backend is the reference implementation; the sparse
 grid backend must agree with it *exactly* -- same neighbor sets, same
 hop distances -- on randomized mobility traces.  The World edge cases
 (snapshot reuse/invalidation, churn mid-snapshot, depletion, backwards
-clock) run against both backends so either can be selected in any
-scenario.
+clock) run against both backends, since the node count may hand a
+scenario either one.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.experiments import run_key
 from repro.mobility import Area, RandomWaypoint, Static
-from repro.net import (
-    TOPOLOGY_BACKENDS,
-    DenseTopology,
-    EnergyModel,
-    SparseGridTopology,
-    World,
-    make_topology,
-)
-from repro.net.topology import UNREACHABLE
-from repro.scenarios import ScenarioConfig, build_scenario
+from repro.net import DenseTopology, EnergyModel, SparseGridTopology, World, make_topology
+from repro.net.topology import SPARSE_MIN_NODES, UNREACHABLE
+from repro.scenarios import ScenarioConfig, build_scenario, run_scenario
 from repro.sim import Simulator
 
-BACKENDS = sorted(TOPOLOGY_BACKENDS)
+from .helpers import BACKENDS, pin_backend
 
 
 def make_pair(n, seed, *, radio_range=10.0, area=(100.0, 100.0), snapshot_interval=0.0):
     """Two worlds over identical mobility traces, one per backend."""
     worlds = {}
-    for backend in BACKENDS:
+    for backend, cls in BACKENDS.items():
         sim = Simulator()
         mobility = RandomWaypoint(n, Area(*area), np.random.default_rng(seed))
         worlds[backend] = World(
@@ -38,7 +35,7 @@ def make_pair(n, seed, *, radio_range=10.0, area=(100.0, 100.0), snapshot_interv
             mobility,
             radio_range=radio_range,
             snapshot_interval=snapshot_interval,
-            topology=backend,
+            topology=cls,
         )
     return worlds
 
@@ -57,7 +54,7 @@ def static_world(positions, backend, *, radio_range=10.0, capacity=float("inf"))
         mobility,
         radio_range=radio_range,
         energy=EnergyModel(len(pts), capacity=capacity),
-        topology=backend,
+        topology=BACKENDS[backend],
     )
     return sim, world
 
@@ -138,7 +135,8 @@ class TestSparseInternals:
     def test_distance_cache_lru_bound(self):
         sim = Simulator()
         mobility = RandomWaypoint(30, Area(100, 100), np.random.default_rng(0))
-        world = World(sim, mobility, topology="sparse", dist_cache_size=4)
+        world = World(sim, mobility, topology=SparseGridTopology)
+        world.topology.dist_cache_size = 4
         for src in range(10):
             world.hops_from(src)
         assert len(world.topology._dist) == 4
@@ -156,64 +154,74 @@ class TestSparseInternals:
         assert w.topology.dist_cache_hits == 1
 
 
+def static_n(n):
+    return Static(n, Area(), np.random.default_rng(0))
+
+
 class TestFactory:
     def test_make_topology_by_name_and_class(self):
-        sim = Simulator()
-        mobility = Static(3, Area(), np.random.default_rng(0))
-        world = World(sim, mobility)
-        assert isinstance(make_topology("sparse", world), SparseGridTopology)
-        assert isinstance(make_topology(DenseTopology, world), DenseTopology)
-        with pytest.raises(ValueError):
-            make_topology("quantum", world)
+        # The node count alone picks the backend; a class is the only
+        # override (a test seam), and names are gone.
+        assert SPARSE_MIN_NODES == 400
+        small = World(Simulator(), static_n(399))
+        assert isinstance(small.topology, DenseTopology)
+        assert isinstance(make_topology(World(Simulator(), static_n(400))), SparseGridTopology)
+        pinned = World(Simulator(), static_n(3), topology=SparseGridTopology)
+        assert isinstance(pinned.topology, SparseGridTopology)
         with pytest.raises(TypeError):
-            make_topology(42, world)
+            World(Simulator(), static_n(3), topology="sparse")
 
     def test_world_rejects_bad_cache_size(self):
-        sim = Simulator()
-        mobility = Static(3, Area(), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            World(sim, mobility, dist_cache_size=0)
+        # The distance-cache bound is no parameter; tests set the attribute.
+        with pytest.raises(TypeError):
+            World(Simulator(), static_n(3), dist_cache_size=4)
+        with pytest.raises(TypeError):
+            SparseGridTopology(World(Simulator(), static_n(3)), dist_cache_size=4)
 
     def test_scenario_config_topology_knob(self):
-        assert ScenarioConfig().resolved_topology == "dense"
-        assert ScenarioConfig(topology="sparse").resolved_topology == "sparse"
-        assert ScenarioConfig(topology="auto").resolved_topology == "dense"
-        assert (
-            ScenarioConfig(topology="auto", num_nodes=500).resolved_topology == "sparse"
-        )
-        with pytest.raises(ValueError):
-            ScenarioConfig(topology="hexgrid")
+        assert ScenarioConfig().topology == "auto"
+        assert ScenarioConfig(topology="auto", num_nodes=500).topology == "auto"
+        for value in ("dense", "sparse", "hexgrid"):
+            with pytest.raises(ValueError, match="chosen from num_nodes") as err:
+                ScenarioConfig(topology=value)
+            assert repr(value) in str(err.value) and "400" in str(err.value)
 
     def test_builder_selects_backend(self):
-        s = build_scenario(ScenarioConfig(topology="sparse", duration=10.0))
-        assert isinstance(s.world.topology, SparseGridTopology)
-        s = build_scenario(ScenarioConfig(duration=10.0))
-        assert isinstance(s.world.topology, DenseTopology)
+        below = build_scenario(ScenarioConfig(num_nodes=399, duration=1))
+        assert isinstance(below.world.topology, DenseTopology)
+        at = build_scenario(ScenarioConfig(num_nodes=400, duration=1))
+        assert isinstance(at.world.topology, SparseGridTopology)
+
+    def test_cli_and_api_configs_share_run_key(self, capsys):
+        # `run` used to pass topology="auto" where ScenarioConfig()
+        # defaulted to "dense": one scenario, two cache keys.
+        for n in (50, 450):
+            assert main(["run", "--nodes", str(n), "--duration", "1", "--json"]) == 0
+            cli_cfg = ScenarioConfig.from_dict(json.loads(capsys.readouterr().out)["config"])
+            assert run_key(cli_cfg) == run_key(ScenarioConfig(num_nodes=n, duration=1.0))
 
     def test_full_scenario_identical_across_backends(self):
         # The backends are exact-equivalent, so a whole simulation must
         # be bit-for-bit identical regardless of which one runs it.
-        from repro.scenarios import run_scenario
-
-        runs = {
-            backend: run_scenario(
-                ScenarioConfig(duration=60.0, seed=3, routing="oracle", topology=backend)
-            )
-            for backend in BACKENDS
-        }
+        runs = {}
+        for backend in BACKENDS:
+            with pin_backend(backend):
+                runs[backend] = run_scenario(
+                    ScenarioConfig(duration=60.0, seed=3, routing="oracle")
+                )
         dense, sparse = runs["dense"], runs["sparse"]
         assert dense.totals == sparse.totals
         assert dense.events == sparse.events
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 class TestWorldEdgeCases:
     """Satellite: World edge cases, identical across backends."""
 
     def test_snapshot_interval_reuses_within_quantum(self, backend):
         sim = Simulator()
         mobility = RandomWaypoint(20, Area(50, 50), np.random.default_rng(2), max_pause=0.5)
-        world = World(sim, mobility, snapshot_interval=1.0, topology=backend)
+        world = World(sim, mobility, snapshot_interval=1.0, topology=BACKENDS[backend])
         world.neighbors(0)
         t0 = world.topology.snapshot_time
         rebuilds = world.topology.rebuilds
@@ -229,7 +237,7 @@ class TestWorldEdgeCases:
     def test_invalidate_forces_recompute_same_timestamp(self, backend):
         sim = Simulator()
         mobility = RandomWaypoint(10, Area(50, 50), np.random.default_rng(3))
-        world = World(sim, mobility, snapshot_interval=5.0, topology=backend)
+        world = World(sim, mobility, snapshot_interval=5.0, topology=BACKENDS[backend])
         world.neighbors(0)
         rebuilds = world.topology.rebuilds
         world.invalidate()
@@ -263,7 +271,7 @@ class TestWorldEdgeCases:
         # earlier time than its snapshot must rebuild, not reuse.
         sim = Simulator(start_time=100.0)
         mobility = RandomWaypoint(15, Area(50, 50), np.random.default_rng(4), max_pause=0.5)
-        world = World(sim, mobility, snapshot_interval=1000.0, topology=backend)
+        world = World(sim, mobility, snapshot_interval=1000.0, topology=BACKENDS[backend])
         world.neighbors(0)
         assert world.topology.snapshot_time == 100.0
         # Simulate a fresh kernel attached at an earlier clock (resume /

@@ -399,8 +399,7 @@ class TestScaleGuard:
         side = 100.0 * math.sqrt(n / 50.0)
         simulation = build_scenario(
             ScenarioConfig(
-                num_nodes=n, area_width=side, area_height=side, topology="auto",
-                queries=False, duration=1.0, seed=1,
+                num_nodes=n, area_width=side, area_height=side, queries=False, duration=1.0, seed=1,
             )
         )
         registry = simulation.registry

@@ -49,7 +49,8 @@ class TestRunKey:
 #: One archive line written at 531fb1e, when ``ScenarioConfig`` still had
 #: a ``queue`` field (``"queue": "calendar"`` in its config, and in the
 #: hash behind its cache key), the five execution-lane fields removed
-#: with the single topology refresh path, and the analytics mode.
+#: with the single topology refresh path, and the analytics mode.  Its
+#: ``"topology": "dense"`` is a value the field no longer accepts.
 OLD_ARCHIVE = os.path.join(os.path.dirname(__file__), "data", "run_with_queue_field.ndjson")
 OLD_KEY = "v1:4292a28764dc36c62834be760551cbaf39c83ff1ffc1781e6fbd333d33b0e42a:4"
 OLD_CFG = ScenarioConfig(
@@ -70,9 +71,10 @@ REMOVED_KEYS = (
 
 
 class TestArchiveWithRemovedQueueField:
-    """An archive from before the queue knob, the execution-lane fields
-    and the analytics mode were removed stays a counted outcome for both
-    readers, never a crash -- and needs no run-schema bump to get there."""
+    """An archive from before the queue knob, the execution-lane fields,
+    the analytics mode and the topology backend names were removed stays
+    a counted outcome for both readers, never a crash -- and needs no
+    run-schema bump to get there."""
 
     def _copy(self, tmp_path):
         return shutil.copy(OLD_ARCHIVE, str(tmp_path / "runs.ndjson"))
@@ -107,11 +109,31 @@ class TestArchiveWithRemovedQueueField:
         assert str(err.value) == (
             "unknown ScenarioConfig keys: " + ", ".join(REMOVED_KEYS)
         )
-        # Without them the rest of the line is a valid current config.
+        # Without them, the retired backend name is the one value left
+        # to reject, named with the rule that replaced it ...
         for key in REMOVED_KEYS:
             del config[key]
-        assert ScenarioConfig.from_dict(config) == OLD_CFG
+        with pytest.raises(ValueError, match="topology 'dense' cannot be selected: the"):
+            ScenarioConfig.from_dict(config)
+        # ... and the rest of the line is a valid current config.
+        assert ScenarioConfig.from_dict({**config, "topology": "auto"}) == OLD_CFG
         assert OLD_KEY.startswith(f"v{RUN_SCHEMA_VERSION}:")
+
+    def test_retired_topology_value_alone_is_one_miss_and_one_corrupt_line(
+        self, tmp_path, monkeypatch
+    ):
+        with open(OLD_ARCHIVE) as fh:
+            record = json.loads(fh.readline())
+        for key in REMOVED_KEYS:
+            del record["payload"]["config"][key]
+        path = tmp_path / "runs.ndjson"
+        path.write_text(json.dumps(record) + "\n")
+        registry = Registry()
+        cache = RunCache(str(path), registry=registry)
+        monkeypatch.setattr(cache, "key_for", lambda config: OLD_KEY)
+        assert cache.get(OLD_CFG) is None and cache.misses.value == 1
+        assert ResultStore(str(path), registry=registry).load_runs() == []
+        assert registry.counter("storage.corrupt_lines").value == 1
 
 
 class TestRunCache:

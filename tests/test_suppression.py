@@ -39,6 +39,8 @@ from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest, run_scenario
 from repro.sim import Simulator
 
+from .helpers import pin_backend
+
 SEEDS = (1, 2, 3)
 
 
@@ -301,11 +303,11 @@ def _run_lane(seed: int, topology: str, rebroadcast: str):
         seed=seed,
         mac="csma" if topology == "dense" else "lossy",
         energy_capacity=0.05,
-        topology=topology,
         obs_interval=10.0,
         rebroadcast=rebroadcast,
     )
-    simulation = build_scenario(cfg)
+    with pin_backend(topology):
+        simulation = build_scenario(cfg)
     simulation.run()
     result = harvest(simulation)
     return {

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import ExperimentExecutor, SweepSpec, run_sweep, sweep_grid
 from repro.obs.registry import Registry
+from repro.parallel import default_chunksize
 from repro.scenarios import ScenarioConfig
 
 
@@ -77,32 +78,22 @@ class TestRunSweep:
             assert a.events == b.events
 
     def test_explicit_chunksize_matches_serial(self):
-        # Chunked map must preserve both grid order and point identity:
-        # chunksize is a transport knob, never a semantic one.
-        specs = [SweepSpec("num_nodes", (10, 12, 14, 16))]
-        serial = run_sweep(self.BASE, specs, reps=1)
-        chunked = run_sweep(self.BASE, specs, reps=1, processes=2, chunksize=3)
+        # Nine jobs over two workers ship in chunks of two
+        # (default_chunksize): chunked map must preserve both grid order
+        # and point identity.
+        base = self.BASE.with_(duration=30.0)
+        specs = [
+            SweepSpec("num_nodes", (10, 11, 12)),
+            SweepSpec("algorithm", ("basic", "regular", "random")),
+        ]
+        assert default_chunksize(9, 2) == 2
+        serial = run_sweep(base, specs, reps=1)
+        chunked = run_sweep(base, specs, reps=1, processes=2)
         assert [r.point for r in chunked] == [r.point for r in serial]
         for a, b in zip(serial, chunked):
             assert a.totals == b.totals
             assert a.events == b.events
             assert a.energy == b.energy
-
-    def test_chunksize_validation(self):
-        with pytest.raises(ValueError):
-            run_sweep(
-                self.BASE,
-                [SweepSpec("num_nodes", (10,))],
-                processes=2,
-                chunksize=0,
-            )
-
-    def test_chunksize_ignored_when_serial(self):
-        # Serial runs never consult chunksize (no pool to hand it to).
-        results = run_sweep(
-            self.BASE, [SweepSpec("num_nodes", (10,))], chunksize=0
-        )
-        assert len(results) == 1
 
     def test_reps_parallelize_identically(self):
         # The grid x reps product flattens into per-run jobs, so a

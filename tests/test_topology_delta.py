@@ -33,7 +33,7 @@ from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest
 from repro.sim import Simulator
 
-from .helpers import pin_full_rebuild
+from .helpers import BACKENDS, pin_backend, pin_full_rebuild
 
 SEEDS = (1, 2, 3)
 
@@ -53,10 +53,10 @@ def _run_lane(seed: int, topology: str, delta: bool, *, churn: bool = True):
         # the dense backend, probabilistic loss on the sparse one.
         mac="csma" if topology == "dense" else "lossy",
         energy_capacity=0.05,
-        topology=topology,
         obs_interval=10.0,
     )
-    simulation = build_scenario(cfg)
+    with pin_backend(topology):
+        simulation = build_scenario(cfg)
     if not delta:
         pin_full_rebuild(simulation.world)
     if churn:
@@ -117,7 +117,7 @@ def _static_world(n, topology, delta=True, seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2)) * 60.0
     mobility = Static(n, Area(1000.0, 1000.0), rng, positions=pts)
-    world = World(Simulator(), mobility, radio_range=12.0, topology=topology)
+    world = World(Simulator(), mobility, radio_range=12.0, topology=BACKENDS[topology])
     return world if delta else pin_full_rebuild(world)
 
 
@@ -129,7 +129,7 @@ def _waypoint_world(n, topology, delta, seed=0, *, max_pause=1.0):
         max_speed=8.0,
         max_pause=max_pause,
     )
-    world = World(Simulator(), mobility, radio_range=12.0, topology=topology)
+    world = World(Simulator(), mobility, radio_range=12.0, topology=BACKENDS[topology])
     return world if delta else pin_full_rebuild(world)
 
 
@@ -265,9 +265,7 @@ def test_lockstep_queries_identical_at_paper_density():
         mobility = RandomWaypoint(
             n, Area(side, side), np.random.default_rng(1), max_speed=1.0, max_pause=100.0
         )
-        return World(
-            Simulator(), mobility, radio_range=10.0, snapshot_interval=0.25, topology="sparse"
-        )
+        return World(Simulator(), mobility, radio_range=10.0, snapshot_interval=0.25)
 
     fast, full = world(), pin_full_rebuild(world())
     topo = fast.topology

@@ -24,7 +24,7 @@ from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.config import ScenarioConfig
 from repro.sim import Simulator
 
-from .helpers import pin_full_rebuild
+from .helpers import BACKENDS, pin_backend, pin_full_rebuild
 
 SEEDS = (1, 2, 3)
 
@@ -52,7 +52,7 @@ def _waypoint_world(
         min_speed=min_speed,
         max_pause=max_pause,
     )
-    world = World(Simulator(), mobility, radio_range=12.0, topology=topology)
+    world = World(Simulator(), mobility, radio_range=12.0, topology=BACKENDS[topology])
     return pin_full_rebuild(world) if full else world
 
 
@@ -107,10 +107,10 @@ class TestDeathBeforePredictedCrossing:
                 num_nodes=30,
                 duration=30.0,
                 seed=2,
-                topology="sparse",
                 energy_capacity=0.02,
             )
-            simulation = build_scenario(cfg)
+            with pin_backend("sparse"):
+                simulation = build_scenario(cfg)
             if full:
                 pin_full_rebuild(simulation.world)
             churn = ChurnProcess(
@@ -147,7 +147,7 @@ class TestGracefulDegradation:
             def positions(self, t):
                 return self._base + 0.01 * t
 
-        world = World(Simulator(), Trace(10), radio_range=12.0, topology="sparse")
+        world = World(Simulator(), Trace(10), radio_range=12.0, topology=BACKENDS["sparse"])
         world.neighbors(0)
         for t in (1.0, 2.0):
             advance(world, t)
