@@ -9,13 +9,10 @@ over time -- watch availability climb with the time-series sampler.
 Run: ``python examples/file_replication.py``
 """
 
-import numpy as np
+import os
 
 from repro.core import QueryConfig
-from repro.metrics import Sampler, probe_family_total
 from repro.scenarios import ScenarioConfig, build_scenario
-
-import os
 
 
 def _scale(seconds: float) -> float:
@@ -37,6 +34,7 @@ def main() -> None:
             gap_min=10.0,
             gap_max=20.0,
         ),
+        obs_interval=duration / 8.0,  # one time-series row every eighth
     )
     s = build_scenario(cfg)
 
@@ -45,19 +43,13 @@ def main() -> None:
             sum(1 for sv in s.overlay.servents.values() if sv.store.has(1))
         )
 
-    sampler = Sampler(
-        s.sim,
-        duration / 8.0,
-        {
-            "rank1_copies": rank1_copies,
-            "transfers": probe_family_total(s.metrics, "transfer"),
-        },
-    )
-    s.overlay.start()
-    s.sim.run(until=duration)
+    # The sampler snapshots every registry metric; add one for the
+    # most popular file's copies next to the built-in message counters.
+    s.registry.gauge("files.rank1_copies", fn=rank1_copies)
+    s.run()
 
-    t, copies = sampler.series("rank1_copies")
-    _, transfers = sampler.series("transfers")
+    t, copies = s.sampler.series("files.rank1_copies")
+    _, transfers = s.sampler.series("p2p.received{family=transfer}")
     print("copies of the most popular file over time:\n")
     for ti, ci, tr in zip(t, copies, transfers):
         bar = "#" * int(ci)

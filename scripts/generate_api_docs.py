@@ -4,7 +4,11 @@
 Walks every ``repro`` subpackage, collects the names each exports in
 ``__all__`` (classes, functions, constants), and writes their signatures
 and first docstring paragraphs.  Deterministic output, so the file can
-be regenerated and diffed.
+be regenerated and diffed: constant reprs lose their ``at 0x...``
+memory addresses.
+
+Run: ``python scripts/generate_api_docs.py`` (``render()`` returns the
+text without writing it).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import os
+import re
 import sys
 
 PACKAGES = [
@@ -30,7 +35,13 @@ PACKAGES = [
     "repro.experiments",
 ]
 
-OUT = os.path.join(os.path.dirname(__file__), "..", "docs", "API.md")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+OUT = os.path.join(ROOT, "docs", "API.md")
+# Import the checkout's package whether or not it is installed.
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+#: the `` at 0x7f...`` of a default repr: a memory address, new every run
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
 def first_paragraph(doc: str | None) -> str:
@@ -74,12 +85,13 @@ def describe(name: str, obj) -> list[str]:
     else:
         lines.append(f"### `{name}` (constant)")
         lines.append("")
-        lines.append(f"`{obj!r}`"[:200])
+        lines.append(f"`{_ADDRESS.sub('', repr(obj))}`"[:200])
     lines.append("")
     return lines
 
 
-def main() -> None:
+def render() -> str:
+    """The whole of docs/API.md, as text."""
     out: list[str] = [
         "# API reference",
         "",
@@ -97,8 +109,12 @@ def main() -> None:
         for name in getattr(pkg, "__all__", []):
             obj = getattr(pkg, name)
             out.extend(describe(name, obj))
+    return "\n".join(out) + "\n"
+
+
+def main() -> None:
     with open(OUT, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(render())
     print(f"wrote {os.path.abspath(OUT)}", file=sys.stderr)
 
 

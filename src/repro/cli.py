@@ -30,7 +30,6 @@ from .experiments import (
     render_figure,
     render_table,
     run_figure,
-    run_result_to_json,
     table1_rows,
     table2_rows,
 )
@@ -225,7 +224,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         ResultStore(args.store).append_run(res, source="cli.run")
     if args.json:
-        print(run_result_to_json(res))
+        print(json.dumps(res.to_dict(), indent=2))
         return 0
     print(f"scenario: {args.algorithm}, {args.nodes} nodes, {args.duration:g}s (seed {args.seed})")
     print(f"events dispatched: {res.events}")

@@ -196,7 +196,11 @@ class ReconfigAlgorithm(abc.ABC):
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
+        """Per-member snapshot of this algorithm's state and counters.
+
+        ``bench/check.py`` reads it (Hybrid's ``slaves``); everything
+        else reads the registry.
+        """
         return {
             "connections": self.servent.connections.count,
             "pings_sent": self._c_pings.value,

@@ -255,29 +255,6 @@ class OverlayNetwork:
         """Total references currently held across all members."""
         return sum(s.connections.count for s in self.servents.values())
 
-    def stats(self) -> Dict[str, float]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        out = {
-            "members": len(self.members),
-            "open_connections": self.open_connections(),
-            "flood_originated": sum(f._c_originated.value for f in self.floods),
-            "flood_forwarded": sum(f._c_forwarded.value for f in self.floods),
-            "flood_duplicates": sum(f._c_duplicates.value for f in self.floods),
-        }
-        if self.rebroadcast != "flood":
-            out["flood_suppressed"] = sum(
-                p.stats().get("suppressed", 0.0) for p in self.flood_policies
-            )
-        if self.query_policy == "contact":
-            qstats = [
-                s.query_engine.policy.stats()
-                for s in self.servents.values()
-                if s.query_engine.policy is not None
-            ]
-            out["card_contact_hits"] = sum(s["contact_hits"] for s in qstats)
-            out["card_fallback_floods"] = sum(s["fallback_floods"] for s in qstats)
-        return out
-
     def query_records(self):
         """All finished QueryRecords across members (metrics harvest)."""
         out = []

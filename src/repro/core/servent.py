@@ -13,7 +13,7 @@ received-message counters the paper's Figures 7-12 are built from.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -189,18 +189,6 @@ class Servent:
         """Ground-truth ad-hoc hop distance to ``peer`` (metrics only)."""
         d = self.world.hop_distance(self.nid, peer)
         return d if d != UNREACHABLE else -1
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        return {
-            "connections": self.connections.count,
-            "flood_deliveries": self._h_flood_hops.count,
-            "flood_hops_mean": self._h_flood_hops.mean,
-            "queries_finished": len(self.query_engine.records),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         alg = self.algorithm.name if self.algorithm else "-"

@@ -16,8 +16,6 @@ from .export import (
     figure_result_to_csv,
     figure_result_to_dict,
     figure_result_to_json,
-    run_result_to_dict,
-    run_result_to_json,
 )
 from .paper_values import PAPER_FIGURES, PaperFigure, compare_with_paper
 from .plots import ascii_chart, figure_chart
@@ -36,8 +34,6 @@ __all__ = [
     "figure_result_to_csv",
     "figure_result_to_dict",
     "figure_result_to_json",
-    "run_result_to_dict",
-    "run_result_to_json",
     "ascii_chart",
     "figure_chart",
     "DEFAULT_FIGURE_SETTINGS",

@@ -1,9 +1,10 @@
-"""Serialize run and figure results to JSON / CSV.
+"""Serialize figure results to JSON / CSV.
 
 The harness prints text tables; downstream users (plotting in a
 full-featured environment, archiving sweeps) want machine-readable
 output.  Everything numpy is converted to plain Python so the JSON is
-portable.
+portable.  A run serializes itself: :meth:`RunResult.to_dict
+<repro.scenarios.runner.RunResult.to_dict>`.
 """
 
 from __future__ import annotations
@@ -15,49 +16,19 @@ from typing import Any, Dict
 
 import numpy as np
 
-from ..scenarios.runner import RunResult
+from ..obs.export import to_plain
 from .figures import FigureResult
 
 __all__ = [
-    "run_result_to_dict",
-    "run_result_to_json",
     "figure_result_to_dict",
     "figure_result_to_json",
     "figure_result_to_csv",
 ]
 
 
-def _plain(value: Any) -> Any:
-    """Recursively convert numpy containers/scalars to built-ins."""
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and not np.isfinite(value):
-        return None  # JSON has no NaN/inf
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
-    """A RunResult as a JSON-ready dict (versioned schema v1).
-
-    Thin alias over :meth:`RunResult.to_dict`; everything that archives
-    or exports runs goes through the one schema.
-    """
-    return result.to_dict()
-
-
-def run_result_to_json(result: RunResult, indent: int = 2) -> str:
-    return json.dumps(run_result_to_dict(result), indent=indent)
-
-
 def figure_result_to_dict(result: FigureResult) -> Dict[str, Any]:
     """A FigureResult as a JSON-ready dict."""
-    return _plain(
+    return to_plain(
         {
             "exp_id": result.exp_id,
             "kind": result.kind,

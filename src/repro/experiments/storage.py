@@ -3,7 +3,8 @@
 Long evaluations (33-rep sweeps) should survive the Python process.
 :class:`ResultStore` appends tagged records -- one JSON object per line,
 so files are greppable, diffable and stream-loadable -- and supports
-filtered loading.  RunResults and FigureResults serialize through
+filtered loading.  RunResults serialize through
+:meth:`RunResult.to_dict`, FigureResults through
 :mod:`repro.experiments.export`.
 """
 
@@ -18,7 +19,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 from ..obs.registry import Registry, default_registry
 from ..obs.schema import SchemaError, validate_run_dict
 from ..scenarios.runner import RunResult
-from .export import figure_result_to_dict, run_result_to_dict
+from .export import figure_result_to_dict
 from .figures import FigureResult
 
 __all__ = ["ResultStore"]
@@ -88,7 +89,7 @@ class ResultStore:
 
     def append_run(self, result: RunResult, **tags: Any) -> Dict[str, Any]:
         """Archive a scenario run (validated against the run schema)."""
-        payload = run_result_to_dict(result)
+        payload = result.to_dict()
         validate_run_dict(payload)
         return self.append("run", payload, **tags)
 

@@ -15,12 +15,6 @@ from .graphfast import (
     triangle_counts,
 )
 from .lifetimes import ClosedConnection, LifetimeLog, lifetime_summary
-from .timeseries import (
-    Sampler,
-    probe_alive,
-    probe_family_total,
-    probe_mean_degree,
-)
 from .smallworld import random_graph_pathlength, regular_graph_pathlength
 
 __all__ = [
@@ -36,10 +30,6 @@ __all__ = [
     "ClosedConnection",
     "LifetimeLog",
     "lifetime_summary",
-    "Sampler",
-    "probe_alive",
-    "probe_family_total",
-    "probe_mean_degree",
     "gini",
     "jain_fairness",
     "load_balance_report",

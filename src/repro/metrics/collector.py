@@ -59,10 +59,6 @@ class MetricsCollector:
         """Network-wide received count for ``family``."""
         return int(self.received[family].sum())
 
-    def stats(self) -> Dict[str, int]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        return {fam: self.total(fam) for fam in FAMILIES}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         totals = {fam: self.total(fam) for fam in FAMILIES}
         return f"<MetricsCollector {totals}>"

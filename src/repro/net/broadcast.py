@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..obs.registry import Registry
 from .packet import DEFAULT_FRAME_BYTES, Frame
@@ -28,13 +28,6 @@ from .suppression import RebroadcastPolicy
 __all__ = ["FloodMessage", "FloodManager"]
 
 FloodId = Tuple[int, int]
-
-#: Default bound on remembered flood ids per node.  A flood id only
-#: matters while copies of that flood are still in flight (a handful of
-#: hop latencies), so the cache needs to cover the set of *active*
-#: floods, not the full history of a 3600 s run.  The default is sized
-#: generously above any burst the paper's workloads produce.
-DEFAULT_SEEN_LIMIT = 4096
 
 
 @dataclass(slots=True)
@@ -81,10 +74,6 @@ class FloodManager:
     count_duplicate:
         Optional callback invoked for each suppressed duplicate copy
         (metrics; the radio energy was already charged by the channel).
-    seen_limit:
-        Bound on the dedup cache: the oldest flood ids are evicted FIFO
-        once more than this many are remembered, so long runs hold
-        O(active floods) ids instead of growing without limit.
     registry:
         Observability registry; counters are labeled
         ``plane=<kind>, node=<nid>``.  Defaults to the channel's
@@ -97,6 +86,14 @@ class FloodManager:
         historical always-forward fast path, operation for operation.
     """
 
+    #: Bound on the dedup cache: the oldest flood ids are evicted FIFO
+    #: once more than this many are remembered.  A flood id only matters
+    #: while copies of that flood are still in flight (a handful of hop
+    #: latencies), so the cache needs to cover the set of *active*
+    #: floods, not the full history of a 3600 s run; 4096 is sized
+    #: generously above any burst the paper's workloads produce.
+    seen_limit = 4096
+
     def __init__(
         self,
         node: NetNode,
@@ -105,18 +102,14 @@ class FloodManager:
         deliver: Optional[Callable[[int, Any, int], None]] = None,
         count_duplicate: Optional[Callable[[int, Any], None]] = None,
         *,
-        seen_limit: int = DEFAULT_SEEN_LIMIT,
         registry: Optional[Registry] = None,
         policy: Optional[RebroadcastPolicy] = None,
     ) -> None:
-        if seen_limit < 1:
-            raise ValueError(f"seen_limit must be >= 1, got {seen_limit}")
         self.node = node
         self.channel = channel
         self.kind = kind
         self.deliver = deliver
         self.count_duplicate = count_duplicate
-        self.seen_limit = int(seen_limit)
         self._seq = 0
         self._inserts = 0
         # FIFO dedup cache: insertion-ordered ids, oldest evicted first.
@@ -147,11 +140,6 @@ class FloodManager:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    @property
-    def evictions(self) -> int:
-        """Dedup-cache evictions (deprecated view of ``flood.evictions``)."""
-        return self._c_evictions.value
-
     def _occupancy(self) -> float:
         """Dedup-cache fill fraction (0..1 of ``seen_limit``)."""
         return len(self._seen) / self.seen_limit
@@ -161,22 +149,6 @@ class FloodManager:
         if self._inserts == 0:
             return 0.0
         return self._c_evictions.value / self._inserts
-
-    def stats(self) -> Dict[str, float]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        out = {
-            "evictions": self._c_evictions.value,
-            "originated": self._c_originated.value,
-            "forwarded": self._c_forwarded.value,
-            "duplicates": self._c_duplicates.value,
-            "cache_size": len(self._seen),
-            "cache_occupancy": self._occupancy(),
-            "eviction_rate": self._eviction_rate(),
-        }
-        if self.policy is not None:
-            for k, v in self.policy.stats().items():
-                out[f"policy_{k}"] = v
-        return out
 
     def _remember(self, fid: FloodId) -> None:
         self._inserts += 1

@@ -176,15 +176,6 @@ class EnergyModel:
         """Network-wide consumed energy (joules)."""
         return float(self.consumed.sum())
 
-    def stats(self) -> dict:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        return {
-            "consumed_joules": self.total_consumed(),
-            "tx_count": int(self.tx_count.sum()),
-            "rx_count": int(self.rx_count.sum()),
-            "depleted": int(self.depleted().sum()),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<EnergyModel n={self.n} total={self.total_consumed():.6f}J "

@@ -65,16 +65,6 @@ class LossyChannel(Channel):
         self._rng = np.random.default_rng(seed)
         self._c_losses = self.registry.counter("net.losses", layer=self.LAYER)
 
-    @property
-    def losses(self) -> int:
-        """Copies lost to the range-edge draw (deprecated view of ``net.losses``)."""
-        return self._c_losses.value
-
-    def stats(self):
-        out = super().stats()
-        out["losses"] = self._c_losses.value
-        return out
-
     # ------------------------------------------------------------------
     def delivery_probability(self, src: int, dst: int) -> float:
         """p(reception) for the current positions of src and dst."""

@@ -49,8 +49,7 @@ class CsmaChannel(Channel):
 
     MAC counters (``net.collisions``, ``net.backoffs``,
     ``net.drops_contention``, ``net.airtime_seconds`` histogram) carry
-    ``layer="csma"``; the old attribute names remain as read-through
-    properties.
+    ``layer="csma"``.
     """
 
     LAYER = "csma"
@@ -85,33 +84,6 @@ class CsmaChannel(Channel):
         self._c_backoffs = self.registry.counter("net.backoffs", layer=self.LAYER)
         self._c_drops = self.registry.counter("net.drops_contention", layer=self.LAYER)
         self._h_airtime = self.registry.histogram("net.airtime_seconds", layer=self.LAYER)
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    @property
-    def collisions(self) -> int:
-        """Receiver-side collisions (deprecated view of ``net.collisions``)."""
-        return self._c_collisions.value
-
-    @property
-    def backoffs(self) -> int:
-        """Carrier-sense backoffs (deprecated view of ``net.backoffs``)."""
-        return self._c_backoffs.value
-
-    @property
-    def drops_contention(self) -> int:
-        """Frames dropped after retry exhaustion (deprecated view)."""
-        return self._c_drops.value
-
-    def stats(self) -> Dict[str, float]:
-        out = super().stats()
-        out.update(
-            collisions=self._c_collisions.value,
-            backoffs=self._c_backoffs.value,
-            drops_contention=self._c_drops.value,
-        )
-        return out
 
     # ------------------------------------------------------------------
     def airtime(self, frame: Frame) -> float:
@@ -219,6 +191,8 @@ class CsmaChannel(Channel):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<CsmaChannel sent={self.frames_sent} delivered={self.frames_delivered} "
-            f"collisions={self.collisions} backoffs={self.backoffs}>"
+            f"<CsmaChannel sent={self._c_sent.value} "
+            f"delivered={self._c_delivered.value} "
+            f"collisions={self._c_collisions.value} "
+            f"backoffs={self._c_backoffs.value}>"
         )

@@ -78,7 +78,8 @@ class Channel:
         Per-hop delivery latency in seconds.
     on_deliver:
         Optional observer called as ``on_deliver(node_id, frame)`` for
-        every delivered frame -- the metrics layer hooks in here.
+        every delivered frame (:func:`~repro.sim.trace.attach_tracer`
+        installs one).
     registry:
         Observability registry for the channel counters; a private one
         is created when not supplied.
@@ -106,8 +107,6 @@ class Channel:
         if registry is None:
             registry = getattr(world, "registry", None)
         self.registry = registry if registry is not None else Registry()
-        # Registered counters; the old attribute names survive as
-        # read-through properties.
         self._c_sent = self.registry.counter("net.frames_sent", layer=self.LAYER)
         self._c_delivered = self.registry.counter("net.frames_delivered", layer=self.LAYER)
         self._noop_hints: Dict[str, Callable[[Frame], Optional[Container[int]]]] = {}
@@ -127,26 +126,6 @@ class Channel:
         if kind in self._noop_hints:
             raise ValueError(f"no-op hint for {kind!r} already set")
         self._noop_hints[kind] = hint
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    @property
-    def frames_sent(self) -> int:
-        """Frames put on air (deprecated view of ``net.frames_sent``)."""
-        return self._c_sent.value
-
-    @property
-    def frames_delivered(self) -> int:
-        """Frame copies delivered (deprecated view of ``net.frames_delivered``)."""
-        return self._c_delivered.value
-
-    def stats(self) -> Dict[str, float]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        return {
-            "frames_sent": self._c_sent.value,
-            "frames_delivered": self._c_delivered.value,
-        }
 
     # ------------------------------------------------------------------
     def unicast(self, frame: Frame) -> bool:
@@ -270,6 +249,6 @@ class Channel:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Channel n={len(self.nodes)} sent={self.frames_sent} "
-            f"delivered={self.frames_delivered}>"
+            f"<Channel n={len(self.nodes)} sent={self._c_sent.value} "
+            f"delivered={self._c_delivered.value}>"
         )

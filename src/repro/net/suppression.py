@@ -127,10 +127,6 @@ class RebroadcastPolicy:
     def overhear(self, origin: int, hops: int) -> None:
         """A first copy originated by ``origin`` arrived after ``hops``."""
 
-    def stats(self) -> Dict[str, float]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        return {}
-
 
 class FloodPolicy(RebroadcastPolicy):
     """The reference policy: every first copy is rebroadcast at once."""
@@ -198,9 +194,6 @@ class ProbabilisticPolicy(RebroadcastPolicy):
             send()
         else:
             self._c_suppressed.inc()
-
-    def stats(self) -> Dict[str, float]:
-        return {"suppressed": self._c_suppressed.value}
 
 
 class _Assessment:
@@ -286,13 +279,6 @@ class CounterPolicy(RebroadcastPolicy):
     def pending(self) -> int:
         """Assessments currently armed (observability)."""
         return len(self._pending)
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "suppressed": self._c_suppressed.value,
-            "assessment_cancels": self._c_cancels.value,
-            "pending": float(len(self._pending)),
-        }
 
 
 class ContactPolicy(RebroadcastPolicy):
@@ -401,15 +387,6 @@ class ContactPolicy(RebroadcastPolicy):
     @property
     def known_peers(self) -> int:
         return len(self._peers)
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "contact_hits": self._c_hits.value,
-            "fallback_floods": self._c_fallbacks.value,
-            "contacts_learned": self._c_learned.value,
-            "known_files": float(len(self._holders)),
-            "known_peers": float(len(self._peers)),
-        }
 
 
 # ----------------------------------------------------------------------

@@ -132,41 +132,6 @@ class TopologyBackend(abc.ABC):
         self._t_rebuild = self.registry.timer("wall", section="topology.rebuild")
 
     # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    @property
-    def rebuilds(self) -> int:
-        """Snapshots computed (deprecated view of ``topology.rebuilds``)."""
-        return self._c_rebuilds.value
-
-    @property
-    def delta_rebuilds(self) -> int:
-        """Refreshes diffed against a previous snapshot (``topology.delta_rebuilds``)."""
-        return self._c_delta.value
-
-    @property
-    def moved_nodes(self) -> int:
-        """Nodes found moved by delta refreshes (``topology.moved_nodes``)."""
-        return self._c_moved.value
-
-    @property
-    def dist_cache_hits(self) -> int:
-        """Memoized BFS hits (deprecated view of ``topology.dist_cache_hits``)."""
-        return self._c_dist_hits.value
-
-    def stats(self) -> Dict[str, float]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        return {
-            "rebuilds": self._c_rebuilds.value,
-            "delta_rebuilds": self._c_delta.value,
-            "moved_nodes": self._c_moved.value,
-            "dist_cache_hits": self._c_dist_hits.value,
-            "dist_cache_size": len(self._dist),
-            "snapshot_time": self._snap_time,
-            "adjacency_epoch": self._epoch,
-        }
-
-    # ------------------------------------------------------------------
     # snapshot lifecycle
     # ------------------------------------------------------------------
     @property
@@ -456,21 +421,11 @@ class SparseGridTopology(TopologyBackend):
         #: the proof costs O(movers · degree) and past a quarter of the
         #: nodes it almost never succeeds
         self.max_proof_movers = max(8, n // 4)
-        # CSR builds performed (observability: should be << rebuilds
-        # for neighbor-only workloads); exposed via the property below.
+        # CSR builds performed (should be << rebuilds for neighbor-only
+        # workloads)
         self._c_csr_builds = self.registry.counter(
             "topology.csr_builds", layer="topology", backend=type(self).name
         )
-
-    @property
-    def csr_builds(self) -> int:
-        """CSR adjacency builds (deprecated view of ``topology.csr_builds``)."""
-        return self._c_csr_builds.value
-
-    def stats(self) -> Dict[str, float]:
-        out = super().stats()
-        out["csr_builds"] = self._c_csr_builds.value
-        return out
 
     # ------------------------------------------------------------------
     def _cells_of(self, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ backend materializes it on demand.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+from typing import Optional, Type
 
 import numpy as np
 
@@ -246,18 +246,6 @@ class World:
                 # Already administratively down: just ensure it cannot
                 # come back up while depleted.
                 self._up_ids.discard(i)
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        return {
-            "nodes": self.n,
-            "down": int(self._down.sum()),
-            "depleted": int(self.energy.depleted().sum()),
-            "radio_range": self.radio_range,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -4,9 +4,11 @@ One surface for everything a run can tell you about itself:
 
 * :class:`Registry` with :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` / :class:`Timer` instruments, labeled by node /
-  family / layer -- every ad-hoc counter in the simulator is registered
-  here (the old attributes remain as read-through views);
-* :class:`Sampler` -- snapshots the registry on a sim-time interval
+  family / layer -- every counter in the simulator is registered here,
+  and ``registry.value(name, **labels)`` (or ``RunResult.counters``
+  after a run) is the one place to read it;
+* :class:`Sampler` -- the one time-series sampler: snapshots the
+  registry on a sim-time interval (``ScenarioConfig.obs_interval``)
   into a deterministic time-series;
 * :class:`RunManifest` -- per-run provenance (config hash, seed, git
   revision, wall clock, peak counters);
@@ -18,9 +20,8 @@ One surface for everything a run can tell you about itself:
   metrics, the contract the batched-delivery fast lane is proven
   against.
 
-Components expose a uniform ``stats() -> dict`` protocol (flat dict of
-numbers); :func:`timed` adds wall-clock section timing for the
-``run --stats`` breakdown.
+:func:`timed` adds wall-clock section timing for the ``run --stats``
+breakdown.
 """
 
 from .compare import (

@@ -1,14 +1,15 @@
 """Process-local instrumentation registry.
 
-Every layer of a simulation used to keep its own ad-hoc counters
-(``Simulator.events_dispatched``, ``FloodManager.evictions``, the
-``MetricsCollector`` arrays, ...), each with its own access idiom.  The
-registry gives them one: a component asks its :class:`Registry` for a
+Every counter of a simulation lives here, and this is the one place
+to read it.  A component asks its :class:`Registry` for a
 :class:`Counter` / :class:`Gauge` / :class:`Histogram` / :class:`Timer`
 named like ``"kernel.events_dispatched"`` and optionally *labeled*
-(``node=3``, ``family="ping"``, ``layer="radio"``), keeps a direct
-reference for the hot path, and the registry can later enumerate,
-aggregate and export everything uniformly.
+(``node=3``, ``family="ping"``, ``layer="radio"``) and keeps a direct
+reference for the hot path; readers call :meth:`Registry.value`
+(``registry.value("flood.evictions", plane="p2p.flood")``) or take the
+run's aggregated ``RunResult.counters``, and the registry enumerates,
+aggregates and exports everything uniformly.  Components expose no
+counter properties of their own.
 
 Design constraints (these shaped the API):
 

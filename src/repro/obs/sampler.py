@@ -12,7 +12,7 @@ Determinism
 Sampling must never change what it measures, so the sampler
 
 * schedules itself as *daemon* events -- the kernel dispatches them but
-  excludes them from ``events_dispatched`` (results are bit-identical
+  excludes them from ``kernel.events_dispatched`` (results are bit-identical
   with and without a sampler attached);
 * runs at :class:`~repro.sim.events.Priority.LOW` so same-instant
   protocol activity is always observed *after* it happened;

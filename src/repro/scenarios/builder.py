@@ -85,18 +85,6 @@ class Simulation:
         finally:
             gc.unfreeze()
 
-    def stats(self) -> dict:
-        """Nested per-layer ``stats()`` snapshot of the whole stack."""
-        return {
-            "kernel": self.sim.stats(),
-            "world": self.world.stats(),
-            "energy": self.world.energy.stats(),
-            "channel": self.channel.stats(),
-            "topology": self.world.topology.stats(),
-            "overlay": self.overlay.stats(),
-            "p2p_received": self.metrics.stats(),
-        }
-
 
 def _make_mobility(cfg: ScenarioConfig, rng: RngRegistry) -> MobilityModel:
     area = Area(cfg.area_width, cfg.area_height)

@@ -200,7 +200,7 @@ def harvest(simulation: Simulation) -> RunResult:
         overlay_stats=engine.smallworld_stats(simulation.overlay.graph()),
         energy=simulation.world.energy.consumed.copy(),
         num_queries=len(records),
-        events=simulation.sim.events_dispatched,
+        events=int(registry.value("kernel.events_dispatched")),
         balance=engine.load_balance(metrics, members),
         connection_lifetimes=lifetime_summary(simulation.lifetimes),
         counters=registry.aggregated(skip_kinds=("timer",)),

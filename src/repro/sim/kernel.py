@@ -21,15 +21,16 @@ Design notes
   creates is O(1) each.  To keep lazy cancellation from bloating the
   queue on long runs, the kernel counts dead entries and *compacts* (one
   O(live) filter pass) whenever cancelled events outnumber live
-  ones; ``events_skipped`` and ``heap_compactions`` expose the cost.
+  ones; the registry counters ``kernel.events_skipped`` and
+  ``kernel.heap_compactions`` expose the cost.
 * The live-event count is maintained incrementally (+1 on schedule, -1
   on dispatch or cancel), so ``pending()`` / ``len(sim)`` / the obs
   sampler's snapshots are O(1) instead of an O(queue) scan per call.
 * An event may carry ``weight=k``: one queue entry standing for k logical
   events (batched broadcast delivery).  Dispatch counts the weight, so
-  ``events_dispatched`` is comparable across batched and unbatched
-  schedules; ``heap_pushes`` counts raw queue traffic and shows the
-  batching win.
+  ``kernel.events_dispatched`` is comparable across batched and
+  unbatched schedules; ``kernel.heap_pushes`` counts raw queue traffic
+  and shows the batching win.
 * The kernel never advances past ``run(until=...)``; events beyond the
   horizon stay queued, which lets callers resume the same simulation
   (``run`` may be called repeatedly with increasing horizons).
@@ -40,7 +41,7 @@ Design notes
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..obs.registry import Registry
 from .events import Event, Priority
@@ -91,8 +92,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.registry = registry if registry is not None else Registry()
-        # Registered counters; the old attribute names survive below as
-        # read-through properties.
         self._c_dispatched = self.registry.counter("kernel.events_dispatched")
         self._c_skipped = self.registry.counter("kernel.events_skipped")
         self._c_compactions = self.registry.counter("kernel.heap_compactions")
@@ -106,51 +105,6 @@ class Simulator:
         #: live (scheduled, not yet dispatched or cancelled) events;
         #: maintained incrementally so pending() is O(1)
         self._live = 0
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    @property
-    def events_dispatched(self) -> int:
-        """Events dispatched, skips and daemon (sampler) events excluded.
-
-        Deprecated attribute-style view; the value lives in the
-        registry counter ``kernel.events_dispatched``.
-        """
-        return self._c_dispatched.value
-
-    @property
-    def events_skipped(self) -> int:
-        """Cancelled events removed (deprecated view of the registry counter)."""
-        return self._c_skipped.value
-
-    @property
-    def heap_compactions(self) -> int:
-        """Queue compactions performed (deprecated view of the registry counter)."""
-        return self._c_compactions.value
-
-    @property
-    def heap_size(self) -> int:
-        """Raw queue length including cancelled entries (sampling gauge)."""
-        return len(self._heap)
-
-    @property
-    def heap_pushes(self) -> int:
-        """Queue entries pushed (deprecated view of ``kernel.heap_pushes``)."""
-        return self._c_pushes.value
-
-    def stats(self) -> Dict[str, float]:
-        """Uniform counter snapshot (see the ``stats()`` protocol)."""
-        return {
-            "events_dispatched": self._c_dispatched.value,
-            "events_skipped": self._c_skipped.value,
-            "events_daemon": self._c_daemon.value,
-            "heap_compactions": self._c_compactions.value,
-            "heap_pushes": self._c_pushes.value,
-            "heap_size": len(self._heap),
-            "pending": self.pending(),
-            "now": self._now,
-        }
 
     # ------------------------------------------------------------------
     # clock
@@ -353,5 +307,5 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Simulator t={self._now:.3f} pending={self.pending()} "
-            f"dispatched={self.events_dispatched}>"
+            f"dispatched={self._c_dispatched.value}>"
         )

@@ -184,10 +184,11 @@ class TestRreqDedup:
         assert sorted(calls) == [1, 2, 3]
         # ... yet every copy was heard: same delivery count, same
         # per-node rx counts and energy as the per-copy reference.
-        assert channel.frames_delivered == ref_channel.frames_delivered
+        delivered = channel.registry.value("net.frames_delivered")
+        assert delivered == ref_channel.registry.value("net.frames_delivered")
         assert np.array_equal(world.energy.rx_count, ref_world.energy.rx_count)
         assert np.array_equal(world.energy.consumed, ref_world.energy.consumed)
-        assert int(world.energy.rx_count.sum()) == channel.frames_delivered
+        assert int(world.energy.rx_count.sum()) == delivered
 
     def test_no_hint_with_hello_sensing_or_a_suppression_policy(self):
         # Both make a duplicate's handler do work, so nobody may skip it.
@@ -214,11 +215,11 @@ class TestRreqDedup:
 
         def replay_first_rreq():
             """Re-air RREQ (0, 1); returns how many frames that caused."""
-            before = channel.frames_sent
+            before = channel.registry.value("net.frames_sent")
             rreq = Rreq(origin=0, origin_seq=1, rreq_id=1, dest=2, dest_seq=-1, hop_count=0, ttl=2)
             channel.broadcast(Frame(src=0, dst=-1, kind=KIND_CTRL, payload=rreq, size=48))
             sim.run(until=sim.now + 0.01)
-            return channel.frames_sent - before
+            return channel.registry.value("net.frames_sent") - before
 
         router.send(0, 2, "nope", kind="app")
         sim.run(until=0.1)

@@ -73,7 +73,7 @@ def _run_lane(seed: int, topology: str, batched: bool, *, churn: bool = True):
         "snapshot": semantic_snapshot(simulation.registry),
         "timeseries": semantic_timeseries(result.timeseries),
         "events": result.events,
-        "heap_pushes": simulation.sim.heap_pushes,
+        "heap_pushes": simulation.registry.value("kernel.heap_pushes"),
         "energy": result.energy,
         "totals": result.totals,
     }
@@ -167,7 +167,7 @@ def _run_wavefront(seed, topology, routing, case, batched):
             if k.startswith(("flood.suppressed", "flood.assessment_cancels"))
         },
         "hinted_kinds": sorted(simulation.channel._noop_hints),
-        "heap_pushes": simulation.sim.heap_pushes,
+        "heap_pushes": simulation.registry.value("kernel.heap_pushes"),
     }
 
 

@@ -11,8 +11,6 @@ from repro.experiments import (
     figure_result_to_csv,
     figure_result_to_dict,
     figure_result_to_json,
-    run_result_to_dict,
-    run_result_to_json,
 )
 from repro.experiments.figures import FigureResult
 from repro.scenarios import ScenarioConfig, run_scenario
@@ -41,13 +39,13 @@ def fig_result():
 
 class TestRunExport:
     def test_json_parses(self):
-        out = json.loads(run_result_to_json(small_run()))
+        out = json.loads(json.dumps(small_run().to_dict()))
         assert out["num_nodes"] == 15
         assert "totals" in out and "file_stats" in out
         assert isinstance(out["sorted_received"]["connect"], list)
 
     def test_nan_becomes_null(self):
-        out = run_result_to_dict(small_run())
+        out = small_run().to_dict()
         for s in out["file_stats"]:
             v = s["avg_min_p2p_hops"]
             assert v is None or isinstance(v, float)
@@ -63,15 +61,19 @@ class TestRunExport:
             else:
                 assert obj is None or isinstance(obj, (bool, int, float, str))
 
-        check(run_result_to_dict(small_run()))
+        check(small_run().to_dict())
 
 
 class TestFigureExport:
     def test_json_roundtrip(self):
-        out = json.loads(figure_result_to_json(fig_result()))
+        res = fig_result()
+        res.totals["regular"] = np.float64("nan")
+        out = json.loads(figure_result_to_json(res))
         assert out["exp_id"] == "figT"
         assert out["series"]["basic"]["curve"] == [5.0, 1.0]
         assert out["series"]["regular"]["curve"][1] is None  # NaN -> null
+        assert out["totals"]["regular"] is None  # numpy NaN scalar too
+        assert figure_result_to_dict(res) == out
 
     def test_csv_long_format(self):
         lines = figure_result_to_csv(fig_result()).strip().splitlines()

@@ -89,7 +89,7 @@ class TestNoCachePollution:
         for src in (0, 5, 9):
             world.hops_from(src)
         cached_before = set(world.topology._dist)
-        hits_before = world.topology.dist_cache_hits
+        hits_before = world.registry.value("topology.dist_cache_hits")
 
         connectivity_stats(world)
         components(world)
@@ -97,10 +97,10 @@ class TestNoCachePollution:
 
         # Neither the cache contents nor the hit counter moved.
         assert set(world.topology._dist) == cached_before
-        assert world.topology.dist_cache_hits == hits_before
+        assert world.registry.value("topology.dist_cache_hits") == hits_before
         # The hot entries are still hits.
         world.hops_from(5)
-        assert world.topology.dist_cache_hits == hits_before + 1
+        assert world.registry.value("topology.dist_cache_hits") == hits_before + 1
 
 
 class TestExpectedDegree:

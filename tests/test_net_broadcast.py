@@ -76,10 +76,10 @@ class TestDedup:
         # nodes a single flood causes at most k transmissions.
         pts = [[0, 0], [3, 0], [0, 3], [3, 3], [1, 1]]
         sim, _, ch, mgrs, _, _ = setup_flood(pts)
-        before = ch.frames_sent
+        before = ch.registry.value("net.frames_sent")
         mgrs[0].originate("m", nhops=10)
         sim.run()
-        assert ch.frames_sent - before <= len(pts)
+        assert ch.registry.value("net.frames_sent") - before <= len(pts)
 
     def test_two_floods_independent(self):
         sim, _, _, mgrs, inboxes, _ = setup_flood(line_positions(3, spacing=8.0))
@@ -100,18 +100,21 @@ class TestDedup:
         # Long runs must not grow the dedup cache without limit: the
         # oldest ids are evicted first and cache_size stays accurate.
         sim, world, ch = make_world(line_positions(2, spacing=8.0))
-        mgr = FloodManager(ch.nodes[0], ch, "bounded", seen_limit=5)
+        mgr = FloodManager(ch.nodes[0], ch, "bounded")
+        assert mgr.seen_limit == FloodManager.seen_limit == 4096
+        mgr.seen_limit = 5
         for _ in range(12):
             mgr.originate("x", nhops=1)
         sim.run()
         assert mgr.cache_size == 5
-        assert mgr.evictions == 7
+        assert ch.registry.value("flood.evictions", plane="bounded") == 7
         # survivors are the 5 most recent ids
         assert list(mgr._seen) == [(0, s) for s in range(7, 12)]
 
     def test_seen_limit_validated(self):
+        # The bound is a class attribute, not a constructor knob.
         _, _, ch = make_world(line_positions(2, spacing=8.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FloodManager(ch.nodes[0], ch, "bad", seen_limit=0)
 
 

@@ -52,7 +52,7 @@ class TestLossBehaviour:
             ch.unicast(Frame(src=0, dst=1, kind="t", payload=None))
         sim.run()
         assert len(got) == 50
-        assert ch.losses == 0
+        assert ch.registry.value("net.losses") == 0
 
     def test_edge_links_lose_roughly_expected_fraction(self):
         sim, _, ch = make_lossy([[0, 0], [9.9, 0]], solid=0.8, edge_p=0.3, seed=4)
@@ -65,7 +65,7 @@ class TestLossBehaviour:
         p = ch.delivery_probability(0, 1)
         assert 0.3 <= p <= 0.4
         assert abs(len(got) / n - p) < 0.1  # matches the model
-        assert ch.losses == n - len(got)
+        assert ch.registry.value("net.losses") == n - len(got)
 
     def test_broadcast_losses_independent_per_receiver(self):
         # two edge receivers: some broadcasts reach one but not the other

@@ -56,7 +56,7 @@ class TestCollisions:
         ch.unicast(Frame(src=2, dst=1, kind="t", payload="b", size=200))
         sim.run()
         assert got == []  # both copies destroyed
-        assert ch.collisions >= 1
+        assert ch.registry.value("net.collisions") >= 1
 
     def test_spaced_transmissions_both_arrive(self):
         sim, _, ch = make_csma([[0, 0], [8, 0], [16, 0]])
@@ -75,7 +75,7 @@ class TestCollisions:
         ch.unicast(Frame(src=0, dst=1, kind="t", payload="a", size=400))
         ch.unicast(Frame(src=1, dst=2, kind="t", payload="b", size=400))
         sim.run()
-        assert ch.backoffs >= 1
+        assert ch.registry.value("net.backoffs") >= 1
         assert [f.payload for f in got2] == ["b"]  # deferred, then delivered
 
     def test_retry_budget_exhausted_drops(self):
@@ -87,7 +87,7 @@ class TestCollisions:
         for _ in range(4):
             ch.unicast(Frame(src=1, dst=2, kind="t", payload="x", size=100))
         sim.run()
-        assert ch.drops_contention >= 1
+        assert ch.registry.value("net.drops_contention") >= 1
 
 
 class TestBroadcastUnderMac:

@@ -126,11 +126,11 @@ class TestSparseInternals:
         topo = sparse.topology
         assert isinstance(topo, SparseGridTopology)
         sparse.neighbors(3)  # neighbor query must not build the CSR
-        assert topo.csr_builds == 0
+        assert topo.registry.value("topology.csr_builds") == 0
         sparse.hops_from(3)  # BFS does
-        assert topo.csr_builds == 1
+        assert topo.registry.value("topology.csr_builds") == 1
         sparse.hops_from(7)  # ... once per snapshot
-        assert topo.csr_builds == 1
+        assert topo.registry.value("topology.csr_builds") == 1
 
     def test_distance_cache_lru_bound(self):
         sim = Simulator()
@@ -151,7 +151,7 @@ class TestSparseInternals:
         w = worlds["sparse"]
         w.hops_from(0)
         w.hops_from(0)
-        assert w.topology.dist_cache_hits == 1
+        assert w.registry.value("topology.dist_cache_hits") == 1
 
 
 def static_n(n):
@@ -224,25 +224,25 @@ class TestWorldEdgeCases:
         world = World(sim, mobility, snapshot_interval=1.0, topology=BACKENDS[backend])
         world.neighbors(0)
         t0 = world.topology.snapshot_time
-        rebuilds = world.topology.rebuilds
+        rebuilds = world.registry.value("topology.rebuilds")
         advance(world, 0.5)  # inside the quantum: snapshot reused
         world.neighbors(0)
         assert world.topology.snapshot_time == t0
-        assert world.topology.rebuilds == rebuilds
+        assert world.registry.value("topology.rebuilds") == rebuilds
         advance(world, 2.0)  # outside: recomputed
         world.neighbors(0)
         assert world.topology.snapshot_time == 2.0
-        assert world.topology.rebuilds == rebuilds + 1
+        assert world.registry.value("topology.rebuilds") == rebuilds + 1
 
     def test_invalidate_forces_recompute_same_timestamp(self, backend):
         sim = Simulator()
         mobility = RandomWaypoint(10, Area(50, 50), np.random.default_rng(3))
         world = World(sim, mobility, snapshot_interval=5.0, topology=BACKENDS[backend])
         world.neighbors(0)
-        rebuilds = world.topology.rebuilds
+        rebuilds = world.registry.value("topology.rebuilds")
         world.invalidate()
         world.neighbors(0)
-        assert world.topology.rebuilds == rebuilds + 1
+        assert world.registry.value("topology.rebuilds") == rebuilds + 1
 
     def test_set_down_mid_snapshot(self, backend):
         # Killing a node must take effect immediately, even with a

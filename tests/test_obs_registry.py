@@ -1,4 +1,4 @@
-"""Tests for the observability registry: instruments, labels, stats()."""
+"""Tests for the observability registry: instruments, labels, read surface."""
 
 import numpy as np
 import pytest
@@ -122,18 +122,28 @@ class TestExporters:
 
 
 class TestDeprecatedShims:
-    """Old counter attributes must stay readable (registry-backed)."""
+    """The old counter properties and ``stats()`` dicts are gone: the
+    registry is the one read surface."""
 
     def test_kernel_counters_read_through(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run(until=2.0)
-        assert sim.events_dispatched == 1
-        assert sim.events_dispatched == sim.registry.value("kernel.events_dispatched")
-        assert sim.events_skipped == 0
-        assert sim.heap_compactions == 0
-        stats = sim.stats()
-        assert stats["events_dispatched"] == 1 and "heap_size" in stats
+        for name in (
+            "events_dispatched",
+            "events_skipped",
+            "heap_compactions",
+            "heap_pushes",
+            "heap_size",
+            "stats",
+        ):
+            with pytest.raises(AttributeError):
+                getattr(sim, name)
+        assert sim.registry.value("kernel.events_dispatched") == 1
+        assert sim.registry.value("kernel.events_skipped") == 0
+        assert sim.registry.value("kernel.heap_compactions") == 0
+        assert sim.registry.value("kernel.heap_pushes") == 1
+        assert sim.registry.value("kernel.heap") == 0
 
     def test_channel_counters_read_through(self):
         from repro.net.packet import Frame
@@ -142,16 +152,24 @@ class TestDeprecatedShims:
         sim, world, channel = make_world(line_positions(4), radio_range=10.0)
         channel.unicast(Frame(src=0, dst=1, kind="x", payload=None))
         sim.run(until=1.0)
-        assert channel.frames_sent == 1
-        assert channel.frames_sent == channel.stats()["frames_sent"]
+        for name in ("frames_sent", "frames_delivered", "stats"):
+            with pytest.raises(AttributeError):
+                getattr(channel, name)
         assert channel.registry is world.registry is sim.registry
+        assert sim.registry.value("net.frames_sent", layer="radio") == 1
+        assert sim.registry.value("net.frames_delivered") == 1
+        for name in ("rebuilds", "delta_rebuilds", "moved_nodes", "dist_cache_hits", "stats"):
+            with pytest.raises(AttributeError):
+                getattr(world.topology, name)
+        assert sim.registry.value("topology.rebuilds", layer="topology") >= 1
 
     def test_stats_protocol_everywhere(self):
         from repro.scenarios import ScenarioConfig, build_scenario
 
         s = build_scenario(ScenarioConfig(num_nodes=8, duration=30.0, seed=2))
         s.run()
-        for component in (
+        components = [
+            s,
             s.sim,
             s.world,
             s.world.energy,
@@ -159,14 +177,27 @@ class TestDeprecatedShims:
             s.channel,
             s.overlay,
             s.metrics,
-        ):
-            out = component.stats()
-            assert isinstance(out, dict) and out, type(component).__name__
-        nested = s.stats()
-        assert set(nested) >= {"kernel", "world", "energy", "overlay"}
+            *s.overlay.floods,
+            *s.overlay.flood_policies,
+            *s.overlay.servents.values(),
+        ]
+        for component in components:
+            assert not hasattr(component, "stats"), type(component).__name__
+        for flood in s.overlay.floods:
+            assert not hasattr(flood, "evictions")
+        assert s.registry.value("flood.evictions", plane="p2p.flood") == 0
+        assert s.registry.value("flood.originated", plane="p2p.flood") > 0
+        # The algorithm snapshot stays: the benchmark's overlay check reads it.
         for servent in s.overlay.servents.values():
-            assert isinstance(servent.stats(), dict)
             assert isinstance(servent.algorithm.stats(), dict)
+
+    def test_run_events_read_from_registry(self):
+        from repro.scenarios import ScenarioConfig, run_scenario
+
+        res = run_scenario(ScenarioConfig(num_nodes=8, duration=30.0, seed=2))
+        assert res.events > 0
+        assert res.events == res.counters["kernel.events_dispatched"]
+        assert isinstance(res.events, int)
 
 
 class TestCollectorValidation:

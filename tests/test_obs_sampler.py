@@ -52,8 +52,8 @@ class TestSamplerMechanics:
         sampler.start()
         sim.schedule(2.0, lambda: None)
         sim.run(until=5.0)
-        assert sim.events_dispatched == 1  # only the payload event
-        assert sim.stats()["events_daemon"] == 5
+        assert sim.registry.value("kernel.events_dispatched") == 1  # only the payload event
+        assert sim.registry.value("kernel.events_daemon") == 5
 
     def test_interval_validation(self):
         sim = Simulator()

@@ -14,9 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Registry
 from repro.scenarios import ScenarioConfig, run_scenario
 from repro.sim import Event, Priority, SimulationError, Simulator
 from repro.sim.kernel import MIN_COMPACT_SIZE
+
+
+def kernel_count(sim, name):
+    """A ``kernel.*`` registry reading (the one place counters are read)."""
+    return sim.registry.value(f"kernel.{name}")
 
 
 # The two ids are the queue lanes these tests ran on while the kernel
@@ -96,7 +102,7 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError, match="nan"):
             sim.schedule_at(float("nan"), lambda: None)
-        assert sim.pending() == 0 and sim.heap_pushes == 0
+        assert sim.pending() == 0 and kernel_count(sim, "heap_pushes") == 0
 
     def test_infinite_time_is_legal_and_never_fires(self):
         sim = Simulator()
@@ -138,7 +144,7 @@ class TestCancellation:
         ev.cancel()
         sim.run()
         assert fired == []
-        assert sim.events_skipped == 1
+        assert kernel_count(sim, "events_skipped") == 1
 
     def test_cancel_mid_run(self, make_sim):
         sim = make_sim()
@@ -162,12 +168,12 @@ class TestCancellation:
         for ev in events[:150]:
             ev.cancel()
         # cancelled entries exceeded half the queue -> compacted away
-        assert sim.heap_compactions >= 1
-        assert sim.heap_size < 200
+        assert kernel_count(sim, "heap_compactions") >= 1
+        assert kernel_count(sim, "heap") < 200
         assert sim.pending() == 50
         sim.run()
-        assert sim.events_dispatched == 50
-        assert sim.events_skipped == 150  # skipped-on-pop + purged
+        assert kernel_count(sim, "events_dispatched") == 50
+        assert kernel_count(sim, "events_skipped") == 150  # skipped-on-pop + purged
 
     def test_double_cancel_counted_once(self, make_sim):
         sim = make_sim()
@@ -177,13 +183,13 @@ class TestCancellation:
         ev.cancel()
         assert sim._cancelled_pending == 1
         sim.run()
-        assert sim.events_skipped == 1
+        assert kernel_count(sim, "events_skipped") == 1
 
     def test_manual_compact_noop_when_clean(self, make_sim):
         sim = make_sim()
         sim.schedule(1.0, lambda: None)
         sim.compact()
-        assert sim.heap_compactions == 0
+        assert kernel_count(sim, "heap_compactions") == 0
         assert sim.pending() == 1
 
 
@@ -285,21 +291,21 @@ class TestPendingFastPath:
         ev.cancel()
         ev.cancel()
         assert sim.pending() == sim._brute_pending() == 1
-        assert sim.events_skipped == 0
+        assert kernel_count(sim, "events_skipped") == 0
 
     def test_cancel_survives_compaction(self, make_sim):
         sim = make_sim()
         events = [sim.schedule(10.0, lambda: None) for _ in range(200)]
         for ev in events[:150]:
             ev.cancel()
-        assert sim.heap_compactions >= 1
+        assert kernel_count(sim, "heap_compactions") >= 1
         assert sim.pending() == sim._brute_pending() == 50
 
     def test_stats_pending_matches(self, make_sim):
         sim = make_sim()
         sim.schedule(1.0, lambda: None)
-        assert sim.stats()["pending"] == 1
-        assert sim.stats()["heap_pushes"] == 1
+        assert sim.pending() == 1
+        assert kernel_count(sim, "heap_pushes") == 1
 
 
 class TestEventWeight:
@@ -311,16 +317,16 @@ class TestEventWeight:
         sim.schedule(1.0, lambda: None, weight=5)
         sim.schedule(2.0, lambda: None)
         sim.run()
-        assert sim.events_dispatched == 6
-        assert sim.heap_pushes == 2
+        assert kernel_count(sim, "events_dispatched") == 6
+        assert kernel_count(sim, "heap_pushes") == 2
 
     def test_daemon_weight_excluded_from_dispatched(self, make_sim):
         sim = make_sim()
         sim.schedule(1.0, lambda: None, weight=3, daemon=True)
         sim.schedule(2.0, lambda: None)
         sim.run()
-        assert sim.events_dispatched == 1
-        assert sim.stats()["events_daemon"] == 3
+        assert kernel_count(sim, "events_dispatched") == 1
+        assert kernel_count(sim, "events_daemon") == 3
 
     def test_weight_below_one_rejected(self, make_sim):
         sim = make_sim()
@@ -408,8 +414,15 @@ class RefSimulator:
         self.seq = 0
         self.cancelled_pending = 0
         self.stopped = False
-        self.events_dispatched = self.events_daemon = 0
-        self.events_skipped = self.heap_pushes = self.heap_compactions = 0
+        # the kernel's counters, under the kernel's registry names
+        self.registry = Registry()
+        counter = self.registry.counter
+        self.dispatched = counter("kernel.events_dispatched")
+        self.daemon = counter("kernel.events_daemon")
+        self.skipped = counter("kernel.events_skipped")
+        self.pushes = counter("kernel.heap_pushes")
+        self.compactions = counter("kernel.heap_compactions")
+        self.registry.gauge("kernel.heap", fn=lambda: float(len(self.entries)))
 
     def schedule(self, delay, fn, *args, **kw):
         return self.schedule_at(self.now + delay, fn, *args, **kw)
@@ -418,7 +431,7 @@ class RefSimulator:
         ev = RefEvent(self, float(time), int(priority), self.seq, fn, args, daemon, weight)
         self.seq += 1
         self.entries.append(ev)
-        self.heap_pushes += 1
+        self.pushes.value += 1
         return ev
 
     def _note_cancel(self):
@@ -432,8 +445,8 @@ class RefSimulator:
         purged = len(self.entries) - len(live)
         if purged:
             self.entries = live
-            self.events_skipped += purged
-            self.heap_compactions += 1
+            self.skipped.value += purged
+            self.compactions.value += 1
         self.cancelled_pending = 0
 
     def _head(self):
@@ -441,7 +454,7 @@ class RefSimulator:
         self.entries.sort(key=_key)
         while self.entries and self.entries[0].cancelled:
             self.entries.pop(0).done = True
-            self.events_skipped += 1
+            self.skipped.value += 1
             self.cancelled_pending = max(0, self.cancelled_pending - 1)
         return self.entries[0] if self.entries else None
 
@@ -457,9 +470,9 @@ class RefSimulator:
         self.now = ev.time
         ev.done = True
         if ev.daemon:
-            self.events_daemon += ev.weight
+            self.daemon.value += ev.weight
         else:
-            self.events_dispatched += ev.weight
+            self.dispatched.value += ev.weight
         ev.fn(*ev.args)
         return ev
 
@@ -484,13 +497,6 @@ class RefSimulator:
         return sum(1 for ev in self.entries if not ev.cancelled)
 
     _brute_pending = pending
-
-    def stats(self):
-        return {"events_daemon": self.events_daemon}
-
-    @property
-    def heap_size(self):
-        return len(self.entries)
 
 
 #: Few distinct values, so same-time entries, zero delays and events
@@ -591,12 +597,12 @@ def _play(sim, ops):
                 sim.now,
                 sim.pending(),
                 sim._brute_pending(),
-                sim.events_dispatched,
-                sim.stats()["events_daemon"],
-                sim.events_skipped,
-                sim.heap_pushes,
-                sim.heap_compactions,
-                sim.heap_size,
+                kernel_count(sim, "events_dispatched"),
+                kernel_count(sim, "events_daemon"),
+                kernel_count(sim, "events_skipped"),
+                kernel_count(sim, "heap_pushes"),
+                kernel_count(sim, "heap_compactions"),
+                kernel_count(sim, "heap"),
             )
         )
     return seen

@@ -123,10 +123,9 @@ class TestProbabilisticPolicy:
         sent = []
         for i in range(200):
             pol.forward(i, lambda: sent.append(1))
-        suppressed = pol.stats()["suppressed"]
+        suppressed = reg.value("flood.suppressed", plane="t", node=0)
         assert suppressed == 200 - len(sent)
         assert 50 < suppressed < 150  # p=0.5, 200 trials
-        assert reg.value("flood.suppressed", plane="t", node=0) == suppressed
 
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError):
@@ -139,7 +138,7 @@ class TestCounterPolicy:
             threshold=threshold,
             sim=sim,
             rng_factory=lambda: np.random.default_rng(3),
-            registry=Registry(),
+            registry=sim.registry,
             plane="t",
             node=0,
         )
@@ -162,8 +161,8 @@ class TestCounterPolicy:
         pol.duplicate("k")
         sim.run()
         assert sent == []
-        assert pol.stats()["assessment_cancels"] == 1
-        assert pol.stats()["suppressed"] == 1
+        assert sim.registry.value("flood.assessment_cancels", plane="t") == 1
+        assert sim.registry.value("flood.suppressed", plane="t") == 1
 
     def test_below_threshold_still_fires(self):
         sim = Simulator()
@@ -180,9 +179,10 @@ class TestCounterPolicy:
         pol = self._policy(sim, threshold=1)
         pol.forward("k", lambda: pytest.fail("cancelled send must not fire"))
         pol.duplicate("k")
-        before = sim.events_dispatched
+        dispatched = lambda: sim.registry.value("kernel.events_dispatched")
+        before = dispatched()
         sim.run()
-        assert sim.events_dispatched == before  # lazy O(1) cancellation
+        assert dispatched() == before  # lazy O(1) cancellation
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -385,9 +385,8 @@ def test_contact_lane_actually_contact_routes():
     cfg = _query_cfg(rebroadcast="contact", query_policy="contact")
     simulation = build_scenario(cfg)
     simulation.run()
-    stats = simulation.overlay.stats()
     # Repeat zipf queries find learned holders at least once.
-    assert stats["card_contact_hits"] > 0
+    assert simulation.registry.value("card.contact_hits") > 0
 
 
 # ----------------------------------------------------------------------

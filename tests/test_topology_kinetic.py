@@ -71,7 +71,7 @@ def test_lockstep_queries_identical_under_mobility(seed, topology):
             np.testing.assert_array_equal(fast.hops_from(src), full.hops_from(src))
         np.testing.assert_array_equal(fast.degrees(), full.degrees())
         np.testing.assert_array_equal(fast.adjacency(), full.adjacency())
-    assert fast.topology.delta_rebuilds > 0
+    assert fast.registry.value("topology.delta_rebuilds") > 0
 
 
 class TestDeathBeforePredictedCrossing:
@@ -92,10 +92,10 @@ class TestDeathBeforePredictedCrossing:
         assert victim not in world.neighbors(0)
         assert world.hops_from(victim).max() == -1  # UNREACHABLE everywhere
         # The refresh after the death rebuilt; the next one is a delta.
-        deltas0 = world.topology.delta_rebuilds
+        deltas0 = world.registry.value("topology.delta_rebuilds")
         advance(world, 0.3)
         world.neighbors(0)
-        assert world.topology.delta_rebuilds == deltas0 + 1
+        assert world.registry.value("topology.delta_rebuilds") == deltas0 + 1
         assert victim not in world.neighbors(0)
 
     def test_energy_depletion_death_matches_full_lane(self):
@@ -153,8 +153,8 @@ class TestGracefulDegradation:
             advance(world, t)
             world.neighbors(0)
         # The delta diff runs on it and answers stay live.
-        assert world.topology.delta_rebuilds == 2
-        assert world.topology.moved_nodes == 20
+        assert world.registry.value("topology.delta_rebuilds") == 2
+        assert world.registry.value("topology.moved_nodes") == 20
 
     def test_backwards_clock_takes_the_safe_path(self):
         world = _waypoint_world(10, seed=3)
