@@ -5,33 +5,22 @@ scaled-down horizon and prints the same rows/series the paper reports.
 Scale knobs come from environment variables so the full paper-scale
 evaluation is one command away:
 
-* ``REPRO_BENCH_DURATION``  -- seconds per run (default: figure-specific,
-  240-400 s; paper: 3600)
+* ``REPRO_BENCH_DURATION``  -- seconds per run (default: bench-specific;
+  the figures use ``DEFAULT_FIGURE_SETTINGS``; paper: 3600)
 * ``REPRO_BENCH_REPS``      -- repetitions (default 1-2; paper: 33)
 
 e.g. ``REPRO_BENCH_DURATION=3600 REPRO_BENCH_REPS=33 pytest benchmarks/``.
 """
 
 import os
-
-import pytest
-
-
-def env_duration(default: float) -> float:
-    return float(os.environ.get("REPRO_BENCH_DURATION", default))
+from typing import Optional
 
 
-def env_reps(default: int) -> int:
-    return int(os.environ.get("REPRO_BENCH_REPS", default))
+def env_duration(default: Optional[float]) -> Optional[float]:
+    value = os.environ.get("REPRO_BENCH_DURATION")
+    return float(value) if value is not None else default
 
 
-@pytest.fixture
-def figure_settings():
-    """(duration, reps) for 50-node figures."""
-    return env_duration(400.0), env_reps(2)
-
-
-@pytest.fixture
-def figure_settings_150():
-    """(duration, reps) for 150-node figures (heavier -> shorter)."""
-    return env_duration(240.0), env_reps(1)
+def env_reps(default: Optional[int]) -> Optional[int]:
+    value = os.environ.get("REPRO_BENCH_REPS")
+    return int(value) if value is not None else default

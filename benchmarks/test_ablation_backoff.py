@@ -9,13 +9,14 @@ discovery cycles fail) where the effect is pronounced.
 """
 
 from repro.core import P2pConfig
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
 
-def _run(max_timer: float, duration: float):
-    cfg = ScenarioConfig(
+def _config(max_timer: float, duration: float) -> ScenarioConfig:
+    return ScenarioConfig(
         num_nodes=30,  # sparse: hard to fill MAXNCONN
         duration=duration,
         algorithm="regular",
@@ -23,16 +24,15 @@ def _run(max_timer: float, duration: float):
         queries=False,
         p2p=P2pConfig(timer_initial=10.0, max_timer=max_timer),
     )
-    return run_scenario(cfg)
 
 
 def test_backoff_reduces_connect_traffic(benchmark):
     duration = env_duration(900.0)
 
     def run_both():
-        with_backoff = _run(max_timer=160.0, duration=duration)
-        without = _run(max_timer=10.0, duration=duration)
-        return with_backoff, without
+        return ExperimentExecutor().run_configs(
+            [_config(max_timer, duration) for max_timer in (160.0, 10.0)]
+        )
 
     with_backoff, without = benchmark.pedantic(run_both, rounds=1, iterations=1)
     print(

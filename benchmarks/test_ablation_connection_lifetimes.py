@@ -8,7 +8,8 @@ Random algorithm with paper-default mobility, long-range random links
 must die younger than regular links.
 """
 
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -17,7 +18,7 @@ def test_random_links_die_younger(benchmark):
     duration = env_duration(900.0)
 
     def run():
-        res = run_scenario(
+        res = ExperimentExecutor().run_config(
             ScenarioConfig(
                 num_nodes=50,
                 duration=duration,

@@ -7,9 +7,8 @@ per-node traffic.  Expectation: a denser network finds files more often
 (more holders in TTL range) and builds a better-connected overlay.
 """
 
-import numpy as np
-
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import SweepSpec, run_sweep
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -20,23 +19,18 @@ def test_density_sweep(benchmark):
     duration = env_duration(500.0)
 
     def sweep():
-        rows = []
-        for n in DENSITIES:
-            res = run_scenario(
-                ScenarioConfig(num_nodes=n, duration=duration, algorithm="regular", seed=61)
-            )
-            answered = sum(s.answered for s in res.file_stats)
-            total_q = sum(s.queries for s in res.file_stats)
-            rate = answered / total_q if total_q else 0.0
-            rows.append(
-                {
-                    "nodes": n,
-                    "mean_degree": res.overlay_stats["mean_degree"],
-                    "answer_rate": rate,
-                    "connect_per_member": res.totals["connect"] / len(res.members),
-                }
-            )
-        return rows
+        base = ScenarioConfig(duration=duration, algorithm="regular", seed=61)
+        points = run_sweep(base, [SweepSpec("num_nodes", DENSITIES)])
+        return [
+            {
+                "nodes": n,
+                "mean_degree": p.mean_degree,
+                "answer_rate": p.answer_rate,
+                "connect_per_member": p.totals["connect"]
+                / base.with_(num_nodes=n).num_members,
+            }
+            for n, p in zip(DENSITIES, points)
+        ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print()

@@ -8,7 +8,8 @@ with everything else identical (handshake, back-off, one-sided ping).
 """
 
 from repro.core import P2pConfig
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -17,9 +18,9 @@ def test_expanding_ring_reduces_flood_traffic(benchmark):
     duration = env_duration(900.0)
 
     def run_both():
-        out = {}
-        for label, nhops_initial in (("ring", 2), ("fixed6", 6)):
-            cfg = ScenarioConfig(
+        labels = {"ring": 2, "fixed6": 6}
+        configs = [
+            ScenarioConfig(
                 num_nodes=50,
                 duration=duration,
                 algorithm="regular",
@@ -27,8 +28,9 @@ def test_expanding_ring_reduces_flood_traffic(benchmark):
                 queries=False,
                 p2p=P2pConfig(nhops_initial=nhops_initial),
             )
-            out[label] = run_scenario(cfg)
-        return out
+            for nhops_initial in labels.values()
+        ]
+        return dict(zip(labels, ExperimentExecutor().run_configs(configs)))
 
     out = benchmark.pedantic(run_both, rounds=1, iterations=1)
     ring, fixed = out["ring"].totals["connect"], out["fixed6"].totals["connect"]

@@ -8,7 +8,8 @@ Hybrid's ping Gini must exceed Regular's, and Regular/Random must be
 relatively even.
 """
 
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ALGORITHM_ORDER, ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -17,19 +18,20 @@ def test_ping_load_gini_by_algorithm(benchmark):
     duration = env_duration(700.0)
 
     def sweep():
-        out = {}
-        for alg in ("basic", "regular", "random", "hybrid"):
-            res = run_scenario(
-                ScenarioConfig(
-                    num_nodes=50, duration=duration, algorithm=alg, seed=111
-                )
-            )
-            out[alg] = {
+        runs = ExperimentExecutor().run_configs(
+            [
+                ScenarioConfig(num_nodes=50, duration=duration, algorithm=alg, seed=111)
+                for alg in ALGORITHM_ORDER
+            ]
+        )
+        return {
+            alg: {
                 "gini": res.balance["ping"]["gini"],
                 "jain": res.balance["ping"]["jain"],
                 "max_share": res.balance["ping"]["max_share"],
             }
-        return out
+            for alg, res in zip(ALGORITHM_ORDER, runs)
+        }
 
     out = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print()

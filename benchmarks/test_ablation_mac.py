@@ -6,32 +6,30 @@ contention.  This bench runs the Figure-7/9 workload on both the ideal
 channel and the CSMA contention MAC and asserts the orderings survive.
 """
 
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ALGORITHM_ORDER, SweepSpec, run_sweep
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
-
-def run_all(mac: str, duration: float):
-    out = {}
-    for alg in ("basic", "regular", "random", "hybrid"):
-        res = run_scenario(
-            ScenarioConfig(
-                num_nodes=50, duration=duration, algorithm=alg, mac=mac, seed=141
-            )
-        )
-        out[alg] = {
-            "connect": res.totals["connect"],
-            "ping": res.totals["ping"],
-            "degree": res.overlay_stats["mean_degree"],
-        }
-    return out
+MACS = ("ideal", "csma")
 
 
 def test_orderings_survive_contention(benchmark):
     duration = env_duration(400.0)
 
     def both():
-        return {"ideal": run_all("ideal", duration), "csma": run_all("csma", duration)}
+        points = run_sweep(
+            ScenarioConfig(num_nodes=50, duration=duration, seed=141),
+            [SweepSpec("mac", MACS), SweepSpec("algorithm", ALGORITHM_ORDER)],
+        )
+        out = {mac: {} for mac in MACS}
+        for p in points:
+            out[p.point["mac"]][p.point["algorithm"]] = {
+                "connect": p.totals["connect"],
+                "ping": p.totals["ping"],
+                "degree": p.mean_degree,
+            }
+        return out
 
     out = benchmark.pedantic(both, rounds=1, iterations=1)
     print()
@@ -39,10 +37,10 @@ def test_orderings_survive_contention(benchmark):
         print(f"--- {mac} ---")
         for alg, r in rows.items():
             print(
-                f"  {alg:>8}: connect={r['connect']:6d} ping={r['ping']:5d} "
+                f"  {alg:>8}: connect={r['connect']:6.0f} ping={r['ping']:5.0f} "
                 f"degree={r['degree']:.2f}"
             )
-    for mac in ("ideal", "csma"):
+    for mac in MACS:
         rows = out[mac]
         # The paper's orderings hold on BOTH channels:
         assert rows["basic"]["connect"] > rows["regular"]["connect"], mac

@@ -6,7 +6,8 @@ rides on the 75 % choice: more members = more holders = better answer
 rates on the same physical network.
 """
 
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -17,9 +18,8 @@ def test_membership_fraction_sweep(benchmark):
     duration = env_duration(500.0)
 
     def sweep():
-        rows = []
-        for frac in FRACTIONS:
-            res = run_scenario(
+        runs = ExperimentExecutor().run_configs(
+            [
                 ScenarioConfig(
                     num_nodes=50,
                     duration=duration,
@@ -27,7 +27,11 @@ def test_membership_fraction_sweep(benchmark):
                     p2p_fraction=frac,
                     seed=161,
                 )
-            )
+                for frac in FRACTIONS
+            ]
+        )
+        rows = []
+        for frac, res in zip(FRACTIONS, runs):
             answered = sum(s.answered for s in res.file_stats)
             total = sum(s.queries for s in res.file_stats)
             rows.append(

@@ -7,7 +7,8 @@ least maintenance (connections never break by distance) and mobility
 increases connect traffic.
 """
 
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import SweepSpec, run_sweep
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -18,32 +19,26 @@ def test_mobility_sweep(benchmark):
     duration = env_duration(500.0)
 
     def sweep():
-        rows = []
-        for model in MODELS:
-            res = run_scenario(
-                ScenarioConfig(
-                    num_nodes=50, duration=duration, algorithm="regular",
-                    mobility=model, seed=91,
-                )
-            )
-            answered = sum(s.answered for s in res.file_stats)
-            total_q = sum(s.queries for s in res.file_stats)
-            rows.append(
-                {
-                    "model": model,
-                    "connect": res.totals["connect"],
-                    "ping": res.totals["ping"],
-                    "answer_rate": answered / total_q if total_q else 0.0,
-                    "degree": res.overlay_stats["mean_degree"],
-                }
-            )
-        return rows
+        points = run_sweep(
+            ScenarioConfig(num_nodes=50, duration=duration, algorithm="regular", seed=91),
+            [SweepSpec("mobility", MODELS)],
+        )
+        return [
+            {
+                "model": model,
+                "connect": p.totals["connect"],
+                "ping": p.totals["ping"],
+                "answer_rate": p.answer_rate,
+                "degree": p.mean_degree,
+            }
+            for model, p in zip(MODELS, points)
+        ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print()
     for r in rows:
         print(
-            f"{r['model']:>13}: connect={r['connect']:6d} ping={r['ping']:5d} "
+            f"{r['model']:>13}: connect={r['connect']:6.0f} ping={r['ping']:5.0f} "
             f"degree={r['degree']:.2f} answer_rate={r['answer_rate']:.2f}"
         )
     by_model = {r["model"]: r for r in rows}

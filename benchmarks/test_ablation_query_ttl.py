@@ -5,10 +5,9 @@ TTL reaches more holders (more answers) at the price of more query
 traffic per request.
 """
 
-from dataclasses import replace
-
 from repro.core import QueryConfig
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -19,16 +18,20 @@ def test_query_ttl_sweep(benchmark):
     duration = env_duration(500.0)
 
     def sweep():
+        runs = ExperimentExecutor().run_configs(
+            [
+                ScenarioConfig(
+                    num_nodes=50,
+                    duration=duration,
+                    algorithm="regular",
+                    seed=151,
+                    query=QueryConfig(ttl=ttl),
+                )
+                for ttl in TTLS
+            ]
+        )
         rows = []
-        for ttl in TTLS:
-            cfg = ScenarioConfig(
-                num_nodes=50,
-                duration=duration,
-                algorithm="regular",
-                seed=151,
-                query=QueryConfig(ttl=ttl),
-            )
-            res = run_scenario(cfg)
+        for ttl, res in zip(TTLS, runs):
             answered = sum(s.answered for s in res.file_stats)
             total = sum(s.queries for s in res.file_stats)
             rows.append(

@@ -7,12 +7,9 @@ late queries should be answered more often and from closer by than
 early ones.
 """
 
-from dataclasses import replace
-
-import numpy as np
-
 from repro.core import QueryConfig
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -21,22 +18,27 @@ def test_replication_improves_late_queries(benchmark):
     duration = env_duration(900.0)
 
     def run_both():
+        labels = {"static": False, "replicating": True}
+        runs = ExperimentExecutor().run_configs(
+            [
+                ScenarioConfig(
+                    num_nodes=50,
+                    duration=duration,
+                    algorithm="regular",
+                    seed=131,
+                    query=QueryConfig(
+                        download=download,
+                        warmup=60.0,
+                        response_wait=15.0,
+                        gap_min=10.0,
+                        gap_max=20.0,
+                    ),
+                )
+                for download in labels.values()
+            ]
+        )
         out = {}
-        for label, download in (("static", False), ("replicating", True)):
-            cfg = ScenarioConfig(
-                num_nodes=50,
-                duration=duration,
-                algorithm="regular",
-                seed=131,
-                query=QueryConfig(
-                    download=download,
-                    warmup=60.0,
-                    response_wait=15.0,
-                    gap_min=10.0,
-                    gap_max=20.0,
-                ),
-            )
-            res = run_scenario(cfg)
+        for label, res in zip(labels, runs):
             answered = sum(s.answered for s in res.file_stats)
             total = sum(s.queries for s in res.file_stats)
             out[label] = {

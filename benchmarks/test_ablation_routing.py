@@ -7,7 +7,8 @@ if they did not, benches run on the oracle would be meaningless -- and
 the oracle must be substantially cheaper in kernel events.
 """
 
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import SweepSpec, run_sweep
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -16,33 +17,26 @@ def test_oracle_approximates_aodv(benchmark):
     duration = env_duration(600.0)
 
     def run_both():
-        out = {}
-        for routing in ("aodv", "oracle"):
-            out[routing] = run_scenario(
-                ScenarioConfig(
-                    num_nodes=50,
-                    duration=duration,
-                    algorithm="regular",
-                    routing=routing,
-                    seed=71,
-                )
-            )
-        return out
+        return run_sweep(
+            ScenarioConfig(num_nodes=50, duration=duration, algorithm="regular", seed=71),
+            [SweepSpec("routing", ("aodv", "oracle"))],
+        )
 
-    out = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    aodv, oracle = out["aodv"], out["oracle"]
+    aodv, oracle = benchmark.pedantic(run_both, rounds=1, iterations=1)
     print(
-        f"\nevents: aodv={aodv.events}, oracle={oracle.events} "
+        f"\nevents: aodv={aodv.events:.0f}, oracle={oracle.events:.0f} "
         f"({aodv.events / max(oracle.events, 1):.1f}x)"
     )
-    print(f"overlay degree: aodv={aodv.overlay_stats['mean_degree']:.2f}, "
-          f"oracle={oracle.overlay_stats['mean_degree']:.2f}")
-    print(f"connect totals: aodv={aodv.totals['connect']}, oracle={oracle.totals['connect']}")
+    print(f"overlay degree: aodv={aodv.mean_degree:.2f}, oracle={oracle.mean_degree:.2f}")
+    print(
+        f"connect totals: aodv={aodv.totals['connect']:.0f}, "
+        f"oracle={oracle.totals['connect']:.0f}"
+    )
     # The oracle is cheaper...
     assert oracle.events < aodv.events
     # ...and overlay-level outcomes land in the same band (within 2x --
     # AODV discovery latency loses some handshakes the oracle wins).
-    da, do = aodv.overlay_stats["mean_degree"], oracle.overlay_stats["mean_degree"]
+    da, do = aodv.mean_degree, oracle.mean_degree
     assert 0.5 <= (da / max(do, 1e-9)) <= 2.0
     ca, co = aodv.totals["connect"], oracle.totals["connect"]
     assert 0.4 <= (ca / max(co, 1)) <= 2.5

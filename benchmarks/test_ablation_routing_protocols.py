@@ -8,7 +8,8 @@ workload over AODV, DSDV, DSR and the oracle, reporting overlay health,
 query service and ad-hoc-level cost (kernel events as the proxy).
 """
 
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import SweepSpec, run_sweep
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -19,33 +20,26 @@ def test_routing_protocol_comparison(benchmark):
     duration = env_duration(500.0)
 
     def sweep():
-        rows = {}
-        for routing in PROTOCOLS:
-            res = run_scenario(
-                ScenarioConfig(
-                    num_nodes=50,
-                    duration=duration,
-                    algorithm="regular",
-                    routing=routing,
-                    seed=101,
-                )
-            )
-            answered = sum(s.answered for s in res.file_stats)
-            total_q = sum(s.queries for s in res.file_stats)
-            rows[routing] = {
-                "degree": res.overlay_stats["mean_degree"],
-                "answer_rate": answered / total_q if total_q else 0.0,
-                "events": res.events,
-                "energy": float(res.energy.sum()),
+        points = run_sweep(
+            ScenarioConfig(num_nodes=50, duration=duration, algorithm="regular", seed=101),
+            [SweepSpec("routing", PROTOCOLS)],
+        )
+        return {
+            routing: {
+                "degree": p.mean_degree,
+                "answer_rate": p.answer_rate,
+                "events": p.events,
+                "energy": p.energy,
             }
-        return rows
+            for routing, p in zip(PROTOCOLS, points)
+        }
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print()
     for proto, r in rows.items():
         print(
             f"{proto:>7}: degree={r['degree']:.2f} answer_rate={r['answer_rate']:.2f} "
-            f"events={r['events']:8d} energy={r['energy']:8.3f} J"
+            f"events={r['events']:8.0f} energy={r['energy']:8.3f} J"
         )
     # Every real protocol must sustain a functional overlay.
     for proto in ("aodv", "dsdv", "dsr"):

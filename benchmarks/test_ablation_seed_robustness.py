@@ -8,10 +8,10 @@ ordering holds -- the number behind "the results show that the
 algorithms achieved their goals".
 """
 
-from repro.experiments import ordering_stability
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ALGORITHM_ORDER, SweepSpec, ordering_stability, run_sweep
+from repro.scenarios import ScenarioConfig
 
-from .conftest import env_duration, env_reps
+from .conftest import env_duration
 
 SEEDS = tuple(range(5))
 
@@ -20,30 +20,17 @@ def test_headline_orderings_across_seeds(benchmark):
     duration = env_duration(400.0)
 
     def evaluate():
-        cache = {}
-
-        def totals_for(seed):
-            if seed not in cache:
-                cache[seed] = {
-                    alg: run_scenario(
-                        ScenarioConfig(
-                            num_nodes=50, duration=duration, algorithm=alg, seed=seed
-                        )
-                    ).totals
-                    for alg in ("basic", "regular", "random", "hybrid")
-                }
-            return cache[seed]
-
-        connect = ordering_stability(
-            lambda seed: {a: t["connect"] for a, t in totals_for(seed).items()},
-            ("basic", "random", "regular"),
-            SEEDS,
+        points = run_sweep(
+            ScenarioConfig(num_nodes=50, duration=duration),
+            [SweepSpec("seed", SEEDS), SweepSpec("algorithm", ALGORITHM_ORDER)],
         )
-        ping = ordering_stability(
-            lambda seed: {a: t["ping"] for a, t in totals_for(seed).items()},
-            ("basic", "regular"),
-            SEEDS,
-        )
+        totals = {(p.point["seed"], p.point["algorithm"]): p.totals for p in points}
+
+        def family(name):
+            return lambda seed: {a: totals[seed, a][name] for a in ALGORITHM_ORDER}
+
+        connect = ordering_stability(family("connect"), ("basic", "random", "regular"), SEEDS)
+        ping = ordering_stability(family("ping"), ("basic", "regular"), SEEDS)
         return connect, ping
 
     connect, ping = benchmark.pedantic(evaluate, rounds=1, iterations=1)

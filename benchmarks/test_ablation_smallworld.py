@@ -12,7 +12,8 @@ characteristic path length.
 import numpy as np
 
 from repro.core import P2pConfig
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration, env_reps
 
@@ -22,23 +23,25 @@ def test_random_links_shorten_paths(benchmark):
     reps = env_reps(1)
 
     def run_both():
-        out = {"regular": [], "random": []}
-        for alg in out:
-            for rep in range(reps):
-                cfg = ScenarioConfig(
-                    num_nodes=120,
-                    p2p_fraction=1.0,
-                    area_width=120.0,
-                    area_height=120.0,
-                    mobility="static",  # links survive: small-world gets a chance
-                    duration=duration,
-                    algorithm=alg,
-                    seed=51 + rep,
-                    queries=False,
-                    p2p=P2pConfig(max_connections=4),
-                )
-                out[alg].append(run_scenario(cfg).overlay_stats)
-        return out
+        algs = ("regular", "random")
+        base = ScenarioConfig(
+            num_nodes=120,
+            p2p_fraction=1.0,
+            area_width=120.0,
+            area_height=120.0,
+            mobility="static",  # links survive: small-world gets a chance
+            duration=duration,
+            seed=51,
+            queries=False,
+            p2p=P2pConfig(max_connections=4),
+        )
+        runs = ExperimentExecutor().run_configs(
+            [base.with_(algorithm=alg).for_repetition(r) for alg in algs for r in range(reps)]
+        )
+        return {
+            alg: [res.overlay_stats for res in runs[i * reps : (i + 1) * reps]]
+            for i, alg in enumerate(algs)
+        }
 
     out = benchmark.pedantic(run_both, rounds=1, iterations=1)
     summary = {}

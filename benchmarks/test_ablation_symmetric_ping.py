@@ -7,7 +7,8 @@ endpoint maintains its own asymmetric reference, so mutual references
 are pinged from both sides).
 """
 
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.experiments import ExperimentExecutor
+from repro.scenarios import ScenarioConfig
 
 from .conftest import env_duration
 
@@ -16,16 +17,17 @@ def test_one_sided_ping_halves_keepalive_traffic(benchmark):
     duration = env_duration(900.0)
 
     def run_both():
+        algs = ("basic", "regular")
+        runs = ExperimentExecutor().run_configs(
+            [
+                ScenarioConfig(
+                    num_nodes=50, duration=duration, algorithm=alg, seed=31, queries=False
+                )
+                for alg in algs
+            ]
+        )
         out = {}
-        for alg in ("basic", "regular"):
-            cfg = ScenarioConfig(
-                num_nodes=50,
-                duration=duration,
-                algorithm=alg,
-                seed=31,
-                queries=False,
-            )
-            res = run_scenario(cfg)
+        for alg, res in zip(algs, runs):
             # Normalize by the overlay size actually built: pings per
             # connection-second is the honest comparison.
             edges = max(res.overlay_stats["mean_degree"] * len(res.members) / 2, 1e-9)

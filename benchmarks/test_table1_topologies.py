@@ -6,12 +6,12 @@ it: decentralized and hybrid overlays keep working when nodes die
 (fault-tolerant) and accept new members at runtime (extensible).
 """
 
-import numpy as np
-
 from repro.experiments import render_table, table1_rows
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.scenarios import ScenarioConfig, build_scenario
 
-from .conftest import env_duration
+#: the live check's fixed horizon (the REPRO_BENCH_* knobs do not scale
+#: it): survivors need time after the kill to re-link and get answers
+KILL_AT, END_AT = 150.0, 450.0
 
 
 def test_table1(benchmark):
@@ -32,27 +32,26 @@ def test_table1(benchmark):
 
 def test_fault_tolerance_claim_live(benchmark):
     """Half the overlay dies mid-run; the survivors keep answering."""
-    duration = env_duration(300.0)
-    cfg = ScenarioConfig(num_nodes=40, duration=duration, algorithm="regular", seed=11)
+    cfg = ScenarioConfig(num_nodes=40, duration=END_AT, algorithm="regular", seed=11)
 
     def run():
-        from repro.scenarios import build_scenario
-
         s = build_scenario(cfg)
         s.overlay.start()
-        s.sim.run(until=duration / 2)
+        s.sim.run(until=KILL_AT)
         victims = s.members[: len(s.members) // 2]
         for v in victims:
             s.world.set_down(v)
-        s.sim.run(until=duration)
+        s.sim.run(until=END_AT)
         survivors = [m for m in s.members if m not in victims]
+        # closed queries the survivors issued after the kill
         return [
             r
             for m in survivors
             for r in s.overlay.servents[m].query_engine.records
-            if r.issued_at > duration / 2 and r.answered
+            if r.issued_at > KILL_AT
         ]
 
-    late_answers = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nanswered queries by survivors after the kill: {len(late_answers)}")
-    assert late_answers, "overlay did not survive losing half its members"
+    late = benchmark.pedantic(run, rounds=1, iterations=1)
+    answered = [r for r in late if r.answered]
+    print(f"\nsurvivors' queries after the kill: {len(answered)} of {len(late)} answered")
+    assert answered, "overlay did not survive losing half its members"

@@ -1,48 +1,52 @@
 #!/usr/bin/env python3
 """Regenerate EXPERIMENTS.md from live runs.
 
-Runs every paper figure at the bench scale (50-node figures: 400 s x 2
-reps; 150-node figures: 240 s x 1 rep; override with
-REPRO_BENCH_DURATION / REPRO_BENCH_REPS to go paper-scale) and writes
-the paper-vs-measured record the deliverables require.
+Runs every paper figure in one ``reproduce_all`` batch at the
+``DEFAULT_FIGURE_SETTINGS`` scale (50-node figures: 400 s x 2 reps;
+150-node figures: 240 s x 1 rep; override with REPRO_BENCH_DURATION /
+REPRO_BENCH_REPS to go paper-scale) and writes the paper-vs-measured
+record the deliverables require.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import time
 
 from repro.experiments import (
     PAPER_FIGURES,
+    ExperimentExecutor,
     compare_with_paper,
     render_figure,
-    run_figure,
+    render_table,
+    reproduce_all,
     table1_rows,
     table2_rows,
-    render_table,
 )
-from repro.scenarios import ScenarioConfig, run_scenario
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "EXPERIMENTS.md")
 
-FIG_SETTINGS = {
-    "fig5": (400.0, 2),
-    "fig6": (240.0, 1),
-    "fig7": (400.0, 2),
-    "fig8": (240.0, 1),
-    "fig9": (400.0, 2),
-    "fig10": (240.0, 1),
-    "fig11": (400.0, 2),
-    "fig12": (240.0, 1),
-}
 
-
-def env(name, default):
-    return float(os.environ[name]) if name in os.environ else default
+def env(name, cast):
+    return cast(os.environ[name]) if name in os.environ else None
 
 
 def main() -> None:
+    executor = ExperimentExecutor()
+    t0 = time.time()
+    with tempfile.TemporaryDirectory() as out_dir:
+        results = reproduce_all(
+            out_dir,
+            duration=env("REPRO_BENCH_DURATION", float),
+            reps=env("REPRO_BENCH_REPS", int),
+            executor=executor,
+            progress=lambda line: print(line, file=sys.stderr),
+        )
+    elapsed = time.time() - t0
+    stats = executor.stats()
+
     lines: list[str] = []
     w = lines.append
     w("# EXPERIMENTS — paper vs measured")
@@ -58,17 +62,20 @@ def main() -> None:
     w("constants the paper does not publish, and the MAC abstraction, so they")
     w("are NOT expected to match the paper's axes; every comparison below is")
     w("about *shape*: orderings, skews and decays the paper states in §7.4.")
-    w("The settings used for this file are printed per figure.")
+    w("The settings used for this file are printed per figure.  All eight")
+    w(f"figures ran as one `reproduce_all` batch: {stats['jobs_executed']:g} runs")
+    w(f"executed, {stats['jobs_deduped']:g} shared between figures, wall-clock {elapsed:.0f} s.")
     w("")
     w("## Orchestration — cache key contract and resume semantics")
     w("")
     w("Every evaluation (`p2p-manet reproduce`, `run_figure`, `run_sweep`,")
-    w("the benches) plans its runs through one engine,")
-    w("`repro.experiments.executor.ExperimentExecutor`: the requested")
-    w("(config, seed) jobs are flattened into a deduplicated unit-of-work")
-    w("list -- figures 5/7/9/11 build *identical* scenarios and only differ")
-    w("in what they harvest (as do 6/8/10/12), so one `reproduce` pass runs")
-    w("each underlying simulation exactly once -- and the remainder executes")
+    w("the benches, this file) executes its runs through one engine,")
+    w("`repro.experiments.executor.ExperimentExecutor`; a figure's runs are")
+    w("defined once, by `figure_configs`.  The requested (config, seed) jobs")
+    w("are flattened into a deduplicated unit-of-work list -- figures")
+    w("5/7/9/11 build *identical* scenarios and only differ in what they")
+    w("harvest (as do 6/8/10/12), so one `reproduce` pass runs each")
+    w("underlying simulation exactly once -- and the remainder executes")
     w("serially or on a process pool, byte-identically either way.")
     w("")
     w("With a cache attached (`--cache PATH` or `--resume`), completed runs")
@@ -111,19 +118,12 @@ def main() -> None:
     w("")
 
     # ---- figures ------------------------------------------------------
-    for exp_id in [f"fig{i}" for i in range(5, 13)]:
-        dur, reps = FIG_SETTINGS[exp_id]
-        dur = env("REPRO_BENCH_DURATION", dur)
-        reps = int(env("REPRO_BENCH_REPS", reps))
-        t0 = time.time()
-        result = run_figure(exp_id, duration=dur, reps=reps, seed=0)
-        elapsed = time.time() - t0
+    for exp_id, result in results.items():
         paper = PAPER_FIGURES[exp_id]
         w(f"## Figure {exp_id[3:]} — {paper.caption}")
         w("")
-        w(f"Settings: {result.num_nodes} nodes, {dur:g} s x {reps} reps "
-          f"(paper: 3600 s x 33); bench target "
-          f"`benchmarks/test_{exp_id}_*.py`; wall-clock {elapsed:.0f} s.")
+        w(f"Settings: {result.num_nodes} nodes, {result.duration:g} s x {result.reps} reps "
+          f"(paper: 3600 s x 33); bench target `benchmarks/test_figures.py`.")
         w("")
         w("```")
         w(render_figure(result))
@@ -135,7 +135,6 @@ def main() -> None:
             verdict = {True: "**agrees**", False: "DIFFERS", None: "n/a"}[row["holds"]]
             w(f"| {row['paper_says']} | {verdict} | {row['measured']} |")
         w("")
-        print(f"{exp_id} done in {elapsed:.0f}s", file=sys.stderr)
 
     # ---- beyond the paper ---------------------------------------------
     w("## Beyond the paper: measured answers to §7.4 / §8 open questions")

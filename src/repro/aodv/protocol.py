@@ -25,16 +25,15 @@ the message families the paper measures.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
 from ..net.suppression import RebroadcastPolicy, make_rebroadcast_policy, parse_policy_spec
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
-from ..routing.base import Router
+from ..routing.base import Router, RreqSeenTable
 from .messages import SEQ_UNKNOWN, DataPacket, Hello, Rerr, Rrep, Rreq
 from .table import RouteTable
 
@@ -102,54 +101,6 @@ class AodvConfig:
         ``2 * NET_TRAVERSAL_TIME``; 3.2 s at the defaults, several times
         the longest a copy can still be in flight)."""
         return 2.0 * (2.0 * self.node_traversal_time * self.net_diameter)
-
-
-RreqKey = Tuple[int, int]
-
-
-class RreqSeenTable:
-    """RREQ dedup state of all agents of one router.
-
-    ``(origin, rreq_id) -> ids of the nodes that processed it``: the
-    single source of truth for :meth:`AodvAgent._on_rreq`'s duplicate
-    check, and -- read-only, via :meth:`seen_by` -- what the router's
-    no-op hint hands the radio.  A key is forgotten once it is older
-    than ``lifetime`` seconds, lazily and in FIFO order when a new key
-    arrives, so memory tracks the discoveries in flight, not the run.
-    """
-
-    __slots__ = ("_sim", "lifetime", "_nodes", "_born")
-
-    def __init__(self, sim: Simulator, lifetime: float) -> None:
-        self._sim = sim
-        self.lifetime = float(lifetime)
-        self._nodes: Dict[RreqKey, Set[int]] = {}
-        #: (first seen, key) in arrival order
-        self._born: Deque[Tuple[float, RreqKey]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def seen_by(self, key: RreqKey) -> Optional[Set[int]]:
-        """The live set of node ids that processed ``key`` (do not
-        mutate), or ``None`` for an unknown key."""
-        return self._nodes.get(key)
-
-    def mark(self, key: RreqKey, nid: int) -> bool:
-        """Record that ``nid`` processes ``key``; False if it already has."""
-        nodes = self._nodes.get(key)
-        if nodes is None:
-            now = self._sim.now
-            born = self._born
-            while born and now > born[0][0] + self.lifetime:
-                del self._nodes[born.popleft()[1]]
-            self._nodes[key] = {nid}
-            born.append((now, key))
-            return True
-        if nid in nodes:
-            return False
-        nodes.add(nid)
-        return True
 
 
 class AodvAgent:

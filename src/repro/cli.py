@@ -294,7 +294,8 @@ def _add_processes_arg(parser: argparse.ArgumentParser, what: str) -> None:
         "--processes",
         type=int,
         default=None,
-        help=f"worker processes for {what} (default: all cores)",
+        help=f"worker processes for {what} (default: run in-process; "
+        "0: all cores)",
     )
 
 

@@ -8,9 +8,11 @@ state (only an opportunistic route cache).
 
 Implemented subset:
 
-* RREQ flooding with per-(origin, id) dedup and hop limit, route record
-  accumulation, and loop suppression (a node never forwards a request
-  already listing it);
+* RREQ flooding with per-(origin, id) dedup (one router-wide
+  :class:`~repro.routing.base.RreqSeenTable`, which forgets a request
+  once its discovery can no longer be pending) and hop limit, route
+  record accumulation, and loop suppression (a node never forwards a
+  request already listing it);
 * RREP carrying the complete route, returned along its reverse
   (bidirectional links, as everywhere in this reproduction);
 * per-node route cache (shortest known path per destination), fed by
@@ -35,11 +37,11 @@ reachability semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
-from ..routing.base import Router
+from ..routing.base import Router, RreqSeenTable
 from ..sim.kernel import Simulator
 
 __all__ = ["DsrConfig", "DsrAgent", "DsrRouter"]
@@ -154,6 +156,7 @@ class DsrAgent:
         sim: Simulator,
         config: DsrConfig,
         deliver_up: Callable[[str, int, int, Any, int], None],
+        seen: RreqSeenTable,
     ) -> None:
         self.node = node
         self.nid = node.nid
@@ -163,7 +166,8 @@ class DsrAgent:
         self.deliver_up = deliver_up
         self.cache = RouteCache(self.nid)
         self.rreq_id = 0
-        self._seen: Set[Tuple[int, int]] = set()
+        #: the router's RREQ dedup table, shared by all its agents
+        self._seen = seen
         self._pending: Dict[int, List[Tuple[DsrData, Optional[Callable[[Any], None]]]]] = {}
         self._attempt: Dict[int, int] = {}
         self.rreq_sent = 0
@@ -276,7 +280,7 @@ class DsrAgent:
                     on_fail(pkt.payload)
             return
         self.rreq_id += 1
-        self._seen.add((self.nid, self.rreq_id))
+        self._seen.mark((self.nid, self.rreq_id), self.nid)
         self.rreq_sent += 1
         rreq = DsrRreq(
             origin=self.nid,
@@ -327,10 +331,10 @@ class DsrAgent:
             self._on_rerr(msg)
 
     def _on_rreq(self, rreq: DsrRreq) -> None:
-        key = (rreq.origin, rreq.rreq_id)
-        if key in self._seen or self.nid in rreq.route:
+        if self.nid in rreq.route or not self._seen.mark(
+            (rreq.origin, rreq.rreq_id), self.nid
+        ):
             return
-        self._seen.add(key)
         route_here = rreq.route + [self.nid]
         # Free learning: we now know a route back to the origin.
         self.cache.offer(list(reversed(route_here)))
@@ -435,8 +439,14 @@ class DsrRouter(Router):
         self.sim = sim
         self.channel = channel
         self.cfg = config if config is not None else DsrConfig()
+        # Remember a request id for as long as a whole discovery (first
+        # try plus every retry) may take, far longer than a copy is in
+        # flight.
+        self._seen = RreqSeenTable(
+            sim, self.cfg.discovery_timeout * (self.cfg.rreq_retries + 1)
+        )
         self.agents = [
-            DsrAgent(node, channel, sim, self.cfg, self._deliver_up)
+            DsrAgent(node, channel, sim, self.cfg, self._deliver_up, self._seen)
             for node in channel.nodes
         ]
 

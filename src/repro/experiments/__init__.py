@@ -4,12 +4,9 @@ from .cache import RunCache, run_key
 from .executor import ExperimentExecutor
 from .figures import (
     ALGORITHM_ORDER,
-    FIGURES,
     FigureResult,
     figure_configs,
-    run_distance_answers_figure,
     run_figure,
-    run_message_curve_figure,
     shape_checks,
 )
 from .export import (
@@ -50,11 +47,8 @@ __all__ = [
     "means_differ",
     "ordering_stability",
     "ALGORITHM_ORDER",
-    "FIGURES",
     "FigureResult",
-    "run_distance_answers_figure",
     "run_figure",
-    "run_message_curve_figure",
     "shape_checks",
     "render_checks",
     "render_figure",

@@ -1,13 +1,10 @@
 """Experiment orchestration: dedup, cache, and fan runs out on a pool.
 
-Every consumer of simulation runs -- :func:`~repro.experiments.reproduce.reproduce_all`,
+Every consumer of repeated simulation runs --
+:func:`~repro.experiments.reproduce.reproduce_all`,
 :func:`~repro.experiments.figures.run_figure`,
-:func:`~repro.experiments.sweeps.run_sweep`, the benches -- used to
-execute its own loop of :func:`~repro.scenarios.runner.run_scenario`
-calls: figures ran serially, sweeps parallelized only at grid-point
-granularity with repetitions nested serially inside one worker, and a
-run requested by two figures executed twice.  The
-:class:`ExperimentExecutor` is the one engine behind all of them:
+:func:`~repro.experiments.sweeps.run_sweep`, the benches -- executes
+them through one :class:`ExperimentExecutor`:
 
 * a batch of requested :class:`~repro.scenarios.config.ScenarioConfig`\\ s
   is flattened into a **deduplicated unit-of-work list** keyed on the

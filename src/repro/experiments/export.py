@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Dict
 
 import numpy as np
 
 from ..obs.export import to_plain
-from .figures import FigureResult
+
+if TYPE_CHECKING:  # annotations only: figures imports the executor
+    from .figures import FigureResult
 
 __all__ = [
     "figure_result_to_dict",

@@ -1,11 +1,12 @@
 """Experiment definitions for every figure in the paper's evaluation.
 
-Each ``figN`` function reproduces one paper figure: it runs the four
-algorithms through the scenario of that figure and returns a
+:func:`figure_configs` is the one definition of a figure's runs (the
+four algorithms x repetitions of that figure's scenario);
+:func:`run_figure` executes them through an
+:class:`~repro.experiments.executor.ExperimentExecutor` and returns a
 :class:`FigureResult` holding the same series the paper plots.  The
-paper-scale parameters (50/150 nodes, 3600 s, 33 repetitions) are the
-``full()`` presets; benchmarks run scaled-down variants (fewer seconds /
-repetitions -- same shape, laptop-friendly) via the ``scale`` knobs.
+paper scale is 3600 s x 33 repetitions at 50 / 150 nodes; the benches
+and ``reproduce`` run shorter horizons (same shape, laptop-friendly).
 
 Figure index (paper §7.4):
 
@@ -20,26 +21,26 @@ Figure index (paper §7.4):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..metrics.aggregate import mean_ci, per_file_stats, sorted_curve_mean
+from ..metrics.aggregate import mean_ci, sorted_curve_mean
 from ..scenarios.config import ScenarioConfig
-from ..scenarios.runner import RunResult, run_repetitions
+from .executor import ExperimentExecutor
 
 __all__ = [
     "ALGORITHM_ORDER",
     "FigureResult",
     "figure_configs",
-    "run_distance_answers_figure",
-    "run_message_curve_figure",
-    "FIGURES",
     "run_figure",
     "shape_checks",
 ]
 
 ALGORITHM_ORDER = ("basic", "regular", "random", "hybrid")
+
+#: file-popularity ranks plotted by figures 5/6
+TOP_FILES = 10
 
 #: message family plotted by each curve figure
 _CURVE_FAMILY = {
@@ -84,26 +85,6 @@ class FigureResult:
         return [a for a in ALGORITHM_ORDER if a in self.series]
 
 
-def _base_config(num_nodes: int, duration: float, seed: int, routing: str) -> ScenarioConfig:
-    return ScenarioConfig(
-        num_nodes=num_nodes, duration=duration, seed=seed, routing=routing
-    )
-
-
-def _alg_config(
-    num_nodes: int,
-    duration: float,
-    seed: int,
-    routing: str,
-    alg: str,
-    overrides: Optional[Dict[str, Any]],
-) -> ScenarioConfig:
-    cfg = _base_config(num_nodes, duration, seed, routing).with_(algorithm=alg)
-    if overrides:
-        cfg = cfg.with_(**overrides)
-    return cfg
-
-
 def figure_configs(
     exp_id: str,
     *,
@@ -112,117 +93,84 @@ def figure_configs(
     seed: int = 0,
     routing: str = "aodv",
     overrides: Optional[Dict[str, Any]] = None,
-    **_ignored: Any,
 ) -> List[ScenarioConfig]:
-    """Every run a figure needs, as configs (algorithm x repetition).
+    """Every run a figure needs, as configs (algorithm-major, then
+    repetition with consecutive seed offsets).
 
-    This is the planning surface of the experiment executor: callers
-    flatten the config lists of several figures into one batch, the
-    executor deduplicates them by content address (figures 5/7/9/11
-    share identical runs), and :func:`run_figure` then harvests each
-    figure from the memoized results.  Extra keyword arguments that
-    only affect harvesting (``top_files``) are accepted and ignored so
-    one settings dict can drive both planning and harvest.
+    This is the one definition of a figure's runs: :func:`run_figure`
+    executes this list, and callers that want several figures flatten
+    their lists into one batch, which the executor deduplicates by
+    content address (figures 5/7/9/11 share identical runs, as do
+    6/8/10/12).
     """
     if exp_id not in _FIG_NODES:
         raise ValueError(f"unknown figure {exp_id!r}; choose from {sorted(_FIG_NODES)}")
-    nodes = _FIG_NODES[exp_id]
-    return [
-        _alg_config(nodes, duration, seed, routing, alg, overrides).for_repetition(r)
-        for alg in ALGORITHM_ORDER
-        for r in range(reps)
-    ]
+    if reps < 1:
+        raise ValueError(f"need reps >= 1, got {reps}")
+    base = ScenarioConfig(
+        num_nodes=_FIG_NODES[exp_id], duration=duration, seed=seed, routing=routing
+    )
+    configs = []
+    for alg in ALGORITHM_ORDER:
+        cfg = base.with_(algorithm=alg)
+        if overrides:
+            cfg = cfg.with_(**overrides)
+        configs.extend(cfg.for_repetition(r) for r in range(reps))
+    return configs
 
 
-def _runs_for(
-    cfg: ScenarioConfig, reps: int, executor
-) -> Sequence[RunResult]:
-    """The figure's repetitions: direct loop, or through an executor."""
-    if executor is None:
-        return run_repetitions(cfg, reps)
-    return executor.run_configs([cfg.for_repetition(r) for r in range(reps)])
-
-
-def run_distance_answers_figure(
+def run_figure(
     exp_id: str,
-    num_nodes: int,
     *,
     duration: float = 3600.0,
     reps: int = 33,
     seed: int = 0,
     routing: str = "aodv",
-    top_files: int = 10,
     overrides: Optional[Dict[str, Any]] = None,
-    executor=None,
+    executor: Optional[ExperimentExecutor] = None,
 ) -> FigureResult:
-    """Figures 5/6: distance-to-file and answers-per-request by rank."""
-    result = FigureResult(
-        exp_id=exp_id,
-        kind="distance_answers",
-        num_nodes=num_nodes,
+    """Run any paper figure by id (``fig5`` ... ``fig12``).
+
+    Plans the runs with :func:`figure_configs`, executes them in one
+    :meth:`~repro.experiments.executor.ExperimentExecutor.run_configs`
+    call (a fresh in-process executor unless one is passed, e.g. with a
+    cache, a pool, or the runs of a prefetched batch), and harvests the
+    figure's series: distance and answers by file rank for figures 5/6,
+    sorted per-node message curves for figures 7-12.  ``overrides``
+    are extra ScenarioConfig fields (e.g. a rebroadcast policy).
+    """
+    configs = figure_configs(
+        exp_id,
         duration=duration,
         reps=reps,
+        seed=seed,
+        routing=routing,
+        overrides=overrides,
     )
-    for alg in ALGORITHM_ORDER:
-        cfg = _alg_config(num_nodes, duration, seed, routing, alg, overrides)
-        runs = _runs_for(cfg, reps, executor)
-        dist = mean_ci([r.distance_series()[:top_files] for r in runs])["mean"]
-        answers = mean_ci([r.answers_series()[:top_files] for r in runs])["mean"]
-        result.series[alg] = {"distance": dist, "answers": answers}
-        result.totals[alg] = float(np.mean([r.num_queries for r in runs]))
-    return result
-
-
-def run_message_curve_figure(
-    exp_id: str,
-    num_nodes: int,
-    family: str,
-    *,
-    duration: float = 3600.0,
-    reps: int = 33,
-    seed: int = 0,
-    routing: str = "aodv",
-    overrides: Optional[Dict[str, Any]] = None,
-    executor=None,
-) -> FigureResult:
-    """Figures 7-12: per-node received-message curves, sorted decreasing."""
+    if executor is None:
+        executor = ExperimentExecutor()
+    runs = executor.run_configs(configs)
+    family = _CURVE_FAMILY.get(exp_id)
     result = FigureResult(
         exp_id=exp_id,
-        kind="message_curve",
-        num_nodes=num_nodes,
+        kind="distance_answers" if family is None else "message_curve",
+        num_nodes=_FIG_NODES[exp_id],
         duration=duration,
         reps=reps,
         family=family,
     )
-    for alg in ALGORITHM_ORDER:
-        cfg = _alg_config(num_nodes, duration, seed, routing, alg, overrides)
-        runs = _runs_for(cfg, reps, executor)
-        curve = sorted_curve_mean([r.sorted_received[family] for r in runs])
-        result.series[alg] = {"curve": curve}
-        result.totals[alg] = float(np.mean([r.totals[family] for r in runs]))
+    for i, alg in enumerate(ALGORITHM_ORDER):
+        alg_runs = runs[i * reps : (i + 1) * reps]
+        if family is None:
+            dist = mean_ci([r.distance_series()[:TOP_FILES] for r in alg_runs])["mean"]
+            answers = mean_ci([r.answers_series()[:TOP_FILES] for r in alg_runs])["mean"]
+            result.series[alg] = {"distance": dist, "answers": answers}
+            result.totals[alg] = float(np.mean([r.num_queries for r in alg_runs]))
+        else:
+            curve = sorted_curve_mean([r.sorted_received[family] for r in alg_runs])
+            result.series[alg] = {"curve": curve}
+            result.totals[alg] = float(np.mean([r.totals[family] for r in alg_runs]))
     return result
-
-
-def run_figure(exp_id: str, **kwargs) -> FigureResult:
-    """Run any paper figure by id (``fig5`` ... ``fig12``).
-
-    ``overrides`` (extra ScenarioConfig fields, e.g. a rebroadcast
-    policy for the suppression-ablation ladder) and ``executor`` (an
-    :class:`~repro.experiments.executor.ExperimentExecutor` providing
-    dedup / cache / parallelism) pass through to the figure runners.
-    """
-    if exp_id not in _FIG_NODES:
-        raise ValueError(f"unknown figure {exp_id!r}; choose from {sorted(_FIG_NODES)}")
-    nodes = _FIG_NODES[exp_id]
-    if exp_id in ("fig5", "fig6"):
-        return run_distance_answers_figure(exp_id, nodes, **kwargs)
-    return run_message_curve_figure(exp_id, nodes, _CURVE_FAMILY[exp_id], **kwargs)
-
-
-#: callable registry (used by the CLI and the benches)
-FIGURES: Dict[str, Callable[..., FigureResult]] = {
-    fid: (lambda fid=fid: (lambda **kw: run_figure(fid, **kw)))() for fid in _FIG_NODES
-}
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,15 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
 from ..obs.registry import Registry, default_registry
 from ..obs.schema import SchemaError, validate_run_dict
 from ..scenarios.runner import RunResult
 from .export import figure_result_to_dict
-from .figures import FigureResult
+
+if TYPE_CHECKING:  # annotations only: figures imports the executor
+    from .figures import FigureResult
 
 __all__ = ["ResultStore"]
 

@@ -1,10 +1,11 @@
 """Shared process-pool sizing helpers.
 
-The experiment orchestrator (:mod:`repro.experiments.sweeps` and the
-executor behind ``reproduce``, one run per task) fans work out over a
-``ProcessPoolExecutor``; this module is the single definition of the
-``--processes`` flag semantics and the chunking policy, so the CLI
-knobs behave identically everywhere.
+The experiment executor (behind ``sweep`` and ``reproduce``, one run
+per task) fans work out over a ``ProcessPoolExecutor``.  Its
+``--processes`` flag means the same on both commands: unset or ``1``
+runs every job in-process, ``n > 1`` uses ``n`` workers, and ``0``
+uses every core (:func:`resolve_processes`).  This module holds the
+core count and the chunking policy behind that flag.
 
 Nothing here creates a pool or touches simulation state -- these are
 pure sizing functions, trivially unit-testable.
@@ -19,12 +20,12 @@ __all__ = ["resolve_processes", "default_chunksize"]
 
 
 def resolve_processes(processes: Optional[int] = None) -> int:
-    """Worker count for a ``--processes``-style knob.
+    """Worker count of a pool: ``processes``, or every core for ``None``.
 
-    ``None`` means "use every core" (``os.cpu_count()``, floor 1);
-    explicit values must be >= 1.  Every pool in the package sizes
-    itself through this one function so the flag means the same thing
-    on ``sweep`` and on ``reproduce``.
+    ``None`` resolves to ``os.cpu_count()`` (floor 1); explicit values
+    must be >= 1.  The executor calls it as ``resolve_processes(None)``
+    for ``--processes 0``; an unset ``--processes`` never gets here,
+    it runs in-process.
     """
     if processes is None:
         return max(1, os.cpu_count() or 1)

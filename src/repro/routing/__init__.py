@@ -1,6 +1,6 @@
 """Routing abstraction and the oracle shortest-path router."""
 
-from .base import Router
+from .base import Router, RreqSeenTable
 from .oracle import OracleRouter
 
-__all__ = ["Router", "OracleRouter"]
+__all__ = ["Router", "OracleRouter", "RreqSeenTable"]

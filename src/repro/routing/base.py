@@ -24,9 +24,12 @@ Semantics shared by all routers:
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
-__all__ = ["Router", "DeliveryHandler"]
+from ..sim.kernel import Simulator
+
+__all__ = ["Router", "DeliveryHandler", "RreqSeenTable"]
 
 DeliveryHandler = Callable[[int, int, Any, int], None]
 
@@ -69,3 +72,51 @@ class Router(abc.ABC):
     @abc.abstractmethod
     def route_hops(self, src: int, dst: int) -> int:
         """Best-known hop distance from ``src`` to ``dst`` or UNKNOWN."""
+
+
+RreqKey = Tuple[int, int]
+
+
+class RreqSeenTable:
+    """Route-request dedup state of all agents of one router.
+
+    ``(origin, rreq_id) -> ids of the nodes that processed it``: the
+    single source of truth for an on-demand router's duplicate check
+    (AODV and DSR), and -- read-only, via :meth:`seen_by` -- what AODV's
+    no-op hint hands the radio.  A key is forgotten once it is older
+    than ``lifetime`` seconds, lazily and in FIFO order when a new key
+    arrives, so memory tracks the discoveries in flight, not the run.
+    """
+
+    __slots__ = ("_sim", "lifetime", "_nodes", "_born")
+
+    def __init__(self, sim: Simulator, lifetime: float) -> None:
+        self._sim = sim
+        self.lifetime = float(lifetime)
+        self._nodes: Dict[RreqKey, Set[int]] = {}
+        #: (first seen, key) in arrival order
+        self._born: Deque[Tuple[float, RreqKey]] = deque()
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def seen_by(self, key: RreqKey) -> Optional[Set[int]]:
+        """The live set of node ids that processed ``key`` (do not
+        mutate), or ``None`` for an unknown key."""
+        return self._nodes.get(key)
+
+    def mark(self, key: RreqKey, nid: int) -> bool:
+        """Record that ``nid`` processes ``key``; False if it already has."""
+        nodes = self._nodes.get(key)
+        if nodes is None:
+            now = self._sim.now
+            born = self._born
+            while born and now > born[0][0] + self.lifetime:
+                del self._nodes[born.popleft()[1]]
+            self._nodes[key] = {nid}
+            born.append((now, key))
+            return True
+        if nid in nodes:
+            return False
+        nodes.add(nid)
+        return True

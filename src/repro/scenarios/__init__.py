@@ -3,7 +3,7 @@
 from .builder import Simulation, build_scenario
 from .churn import ChurnEvent, ChurnProcess
 from .config import ScenarioConfig
-from .runner import RunResult, run_repetitions, run_scenario
+from .runner import RunResult, run_scenario
 
 __all__ = [
     "Simulation",
@@ -12,6 +12,5 @@ __all__ = [
     "ChurnProcess",
     "ScenarioConfig",
     "RunResult",
-    "run_repetitions",
     "run_scenario",
 ]

@@ -1,8 +1,9 @@
 """Scenario runner: execute scenarios and harvest results.
 
 A :class:`RunResult` carries everything the paper's figures need from
-one run; ``run_repetitions`` reproduces the paper's repeated-simulation
-methodology (33 repetitions in the paper; configurable here).
+one run.  Repeated runs (the paper's 33 repetitions) are planned by
+:func:`repro.experiments.figures.figure_configs` and executed by
+:class:`repro.experiments.executor.ExperimentExecutor`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..obs.schema import RUN_SCHEMA_VERSION, validate_run_dict
 from .builder import Simulation, build_scenario
 from .config import ScenarioConfig
 
-__all__ = ["RunResult", "run_scenario", "run_repetitions"]
+__all__ = ["RunResult", "run_scenario"]
 
 
 @dataclass
@@ -230,9 +231,3 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     result.wall = registry.wall_times()
     return result
 
-
-def run_repetitions(cfg: ScenarioConfig, reps: int) -> List[RunResult]:
-    """Run ``reps`` repetitions with consecutive seed offsets."""
-    if reps < 1:
-        raise ValueError(f"need reps >= 1, got {reps}")
-    return [run_scenario(cfg.for_repetition(r)) for r in range(reps)]

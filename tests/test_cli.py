@@ -57,6 +57,19 @@ class TestParser:
         assert "unrecognized arguments: --processes" in capsys.readouterr().err
         assert build_parser().parse_args(["reproduce", "--processes", "2"]).processes == 2
 
+    @pytest.mark.parametrize("argv", [["sweep", "nodes", "10"], ["reproduce"]])
+    def test_processes_help_matches_executor(self, argv, capsys):
+        # an unset --processes runs in-process; only 0 means every core
+        from repro.experiments import ExperimentExecutor
+        from repro.obs.registry import Registry
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([argv[0], "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: run in-process; 0: all cores)" in text
+        default = build_parser().parse_args(argv).processes
+        assert ExperimentExecutor(processes=default, registry=Registry()).processes == 1
+
 
 class TestCommands:
     def test_tables(self, capsys):

@@ -158,6 +158,28 @@ class TestRepair:
         assert sorted(failed) == [f"m{i}" for i in range(5)]
 
 
+class TestRreqDedup:
+    def test_table_holds_only_live_keys(self):
+        # Node 2 is unreachable, so every send is a full failed discovery
+        # (first try + 2 retries, 2 s apart).  After 20 of them the
+        # router's dedup table holds the last discovery's keys only.
+        sim, _, _, router, _ = make_dsr([[0, 0], [8, 0], [500, 500]])
+        failed = []
+        for k in range(20):
+            sim.schedule(
+                10.0 * k,
+                lambda k=k: router.send(0, 2, k, kind="app", on_fail=failed.append),
+            )
+        sim.run(until=200.0)
+        assert failed == list(range(20))
+        assert router.agents[0].rreq_id == 60
+        seen = router._seen
+        assert seen.lifetime == 6.0  # discovery_timeout * (rreq_retries + 1)
+        assert len(seen) == 3
+        assert seen.seen_by((0, 57)) is None
+        assert seen.seen_by((0, 60)) == {0, 1}
+
+
 class TestLoopFreedom:
     def test_source_routes_never_loop(self):
         rng = np.random.default_rng(17)

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    ExperimentExecutor,
     FigureResult,
+    figure_configs,
+    figure_result_to_json,
     render_checks,
     render_figure,
     render_table,
+    reproduce_all,
     run_figure,
     shape_checks,
     table1_rows,
     table2_rows,
 )
+from repro.obs.registry import Registry
 from repro.scenarios import ScenarioConfig
 
 
@@ -62,6 +67,29 @@ class TestRunFigure:
             curve = payload["curve"]
             assert len(curve) == 38  # members of a 50-node scenario
             assert (np.diff(curve) <= 1e-9).all()
+
+    def test_one_plan_one_batch(self, monkeypatch, tmp_path):
+        # run_figure executes exactly figure_configs' list in one call,
+        # and its figure is the one reproduce_all writes
+        calls = []
+        original = ExperimentExecutor.run_configs
+
+        def spy(self, configs):
+            calls.append(list(configs))
+            return original(self, configs)
+
+        monkeypatch.setattr(ExperimentExecutor, "run_configs", spy)
+        settings = dict(duration=30.0, reps=1, seed=5)
+        res = run_figure("fig7", **settings)
+        assert calls == [figure_configs("fig7", **settings)]
+        monkeypatch.undo()
+        reproduce_all(
+            str(tmp_path),
+            figures=["fig7"],
+            executor=ExperimentExecutor(registry=Registry()),
+            **settings,
+        )
+        assert figure_result_to_json(res) == (tmp_path / "fig7.json").read_text()
 
     def test_distance_answers_figure_small(self):
         res = run_figure("fig5", duration=150.0, reps=1, seed=4, routing="oracle")

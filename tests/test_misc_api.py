@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.algorithms import ALGORITHMS, make_algorithm
-from repro.experiments.figures import FIGURES
+from repro.experiments import DEFAULT_FIGURE_SETTINGS, figure_configs, run_figure
 from repro.net import Frame
 from repro.routing import OracleRouter
 
@@ -30,10 +30,13 @@ class TestAlgorithmRegistry:
 
 class TestFiguresRegistry:
     def test_all_eight_registered(self):
-        assert set(FIGURES) == {f"fig{i}" for i in range(5, 13)}
+        # one settings table, and figure_configs plans every id in it
+        assert set(DEFAULT_FIGURE_SETTINGS) == {f"fig{i}" for i in range(5, 13)}
+        for fid, (duration, reps) in DEFAULT_FIGURE_SETTINGS.items():
+            assert len(figure_configs(fid, duration=duration, reps=reps)) == 4 * reps
 
     def test_registry_callable(self):
-        res = FIGURES["fig9"](duration=60.0, reps=1, seed=3, routing="oracle")
+        res = run_figure("fig9", duration=60.0, reps=1, seed=3, routing="oracle")
         assert res.exp_id == "fig9" and res.family == "ping"
 
 

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.scenarios import (
-    ScenarioConfig,
-    build_scenario,
-    run_repetitions,
-    run_scenario,
-)
+from repro.experiments import ExperimentExecutor, figure_configs
+from repro.obs.registry import Registry
+from repro.scenarios import ScenarioConfig, build_scenario, run_scenario
 
 
 class TestConfig:
@@ -138,14 +135,16 @@ class TestRunner:
         assert np.array_equal(a.energy, b.energy)
 
     def test_repetitions_differ(self):
+        # repetitions are consecutive seed offsets, run as one batch
         cfg = ScenarioConfig(num_nodes=20, duration=120.0, seed=0)
-        results = run_repetitions(cfg, 2)
+        executor = ExperimentExecutor(registry=Registry())
+        results = executor.run_configs([cfg.for_repetition(r) for r in range(2)])
         assert len(results) == 2
         assert results[0].totals != results[1].totals
 
     def test_repetitions_validation(self):
         with pytest.raises(ValueError):
-            run_repetitions(ScenarioConfig(), 0)
+            figure_configs("fig7", reps=0)
 
     def test_queries_can_be_disabled(self):
         res = run_scenario(
