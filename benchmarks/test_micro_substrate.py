@@ -110,9 +110,9 @@ def _flood_round(batched):
     channel = Channel(sim, world)
     if not batched:
         pin_per_copy_delivery(channel)
-    managers = [FloodManager(i, channel, "bench.flood") for i in channel.nodes]
+    flood = FloodManager(channel, "bench.flood")
     for origin in range(0, 150, 15):
-        managers[origin].originate(payload=origin, nhops=3)
+        flood.originate(origin, payload=origin, nhops=3)
         sim.run()
     return sim
 

@@ -1,7 +1,7 @@
 """AODV on-demand routing (draft-ietf-manet-aodv-11 subset)."""
 
 from .messages import SEQ_UNKNOWN, DataPacket, Hello, Rerr, Rrep, Rreq
-from .protocol import AodvAgent, AodvConfig, AodvRouter, RreqSeenTable
+from .protocol import AodvAgent, AodvConfig, AodvRouter
 from .table import RouteEntry, RouteTable
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "AodvAgent",
     "AodvConfig",
     "AodvRouter",
-    "RreqSeenTable",
     "RouteEntry",
     "RouteTable",
 ]

@@ -5,7 +5,7 @@ paper's simulations:
 
 * expanding-ring RREQ flooding with per-(origin, rreq_id) dedup — the
   "controlled broadcast" cache the authors added to ns-2 is inherent
-  here: a node processes each RREQ id once (:class:`RreqSeenTable`,
+  here: a node processes each RREQ id once (:class:`~repro.net.broadcast.SeenTable`,
   which also lets the radio skip the handlers of duplicate copies);
 * reverse-route installation at every hop an RREQ crosses;
 * RREP generation by the destination (always) and by intermediate nodes
@@ -28,16 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..net.broadcast import SeenTable
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
 from ..net.suppression import RebroadcastPolicy, make_rebroadcast_policy, parse_policy_spec
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
-from ..routing.base import Router, RreqSeenTable
+from ..routing.base import Router
 from .messages import SEQ_UNKNOWN, DataPacket, Hello, Rerr, Rrep, Rreq
 from .table import RouteTable
 
-__all__ = ["AodvConfig", "AodvAgent", "AodvRouter", "RreqSeenTable"]
+__all__ = ["AodvConfig", "AodvAgent", "AodvRouter"]
 
 KIND_CTRL = "aodv.ctrl"
 KIND_DATA = "aodv.data"
@@ -113,7 +114,7 @@ class AodvAgent:
         sim: Simulator,
         config: AodvConfig,
         deliver_up: Callable[[str, int, int, Any, int], None],
-        seen: RreqSeenTable,
+        seen: SeenTable,
         ring_ttls: List[int],
         *,
         policy: Optional[RebroadcastPolicy] = None,
@@ -124,10 +125,9 @@ class AodvAgent:
         self.sim = sim
         self.cfg = config
         self.deliver_up = deliver_up
-        #: RREQ rebroadcast policy; reference policies fold to None so
-        #: the flood lane keeps the historical inline broadcast.
+        #: RREQ rebroadcast policy; None rebroadcasts every first copy
+        #: inline (the draft's plain flood)
         self.policy = policy
-        self._policy = None if policy is None or policy.reference else policy
         self.table = RouteTable(self.nid)
         self.seq = 0
         self.rreq_id = 0
@@ -334,13 +334,13 @@ class AodvAgent:
     def _on_rreq(self, frame: Frame, rreq: Rreq) -> None:
         key = (rreq.origin, rreq.rreq_id)
         if not self._seen.mark(key, self.nid):
-            if self._policy is not None:
-                self._policy.duplicate(key)
+            if self.policy is not None:
+                self.policy.duplicate(key)
             return
         now = self.sim.now
         hops_to_origin = rreq.hop_count + 1
-        if self._policy is not None:
-            self._policy.overhear(rreq.origin, hops_to_origin)
+        if self.policy is not None:
+            self.policy.overhear(rreq.origin, hops_to_origin)
         # Reverse route to the origin via the node we heard this from.
         self.table.offer(
             rreq.origin,
@@ -393,10 +393,10 @@ class AodvAgent:
             out = Frame(
                 src=self.nid, dst=-1, kind=KIND_CTRL, payload=fwd, size=frame.size
             )
-            if self._policy is None:
+            if self.policy is None:
                 self.channel.broadcast(out)
             else:
-                self._policy.forward(key, lambda: self.channel.broadcast(out))
+                self.policy.forward(key, lambda: self.channel.broadcast(out))
 
     def _send_rrep(self, rrep: Rrep) -> None:
         """Unicast an RREP one hop toward its origin along reverse route."""
@@ -471,8 +471,8 @@ class AodvRouter(Router):
         Protocol constants.
     rebroadcast:
         RREQ rebroadcast-policy spec (see :mod:`repro.net.suppression`);
-        the default ``"flood"`` keeps the draft's plain expanding-ring
-        flood bit-identically.
+        the default ``"flood"`` (no policy) keeps the draft's plain
+        expanding-ring flood.
     rng:
         :class:`~repro.sim.rng.RngRegistry` providing the policies'
         private random streams (``suppression.aodv.rreq.<nid>``); a
@@ -499,7 +499,7 @@ class AodvRouter(Router):
         if registry is None:
             registry = sim.registry
         world = channel.world
-        self._seen = RreqSeenTable(sim, self.cfg.path_discovery_time)
+        self._seen = SeenTable(sim, self.cfg.path_discovery_time)
         registry.gauge("aodv.rreq_keys_live", fn=self._seen.__len__)
         ring_ttls = self.cfg.ring_ttls()
         self.agents = [
@@ -528,10 +528,10 @@ class AodvRouter(Router):
             for node in channel.nodes
         ]
         # A duplicate RREQ's handler returns at once only when nothing
-        # else reads the copy: the reference flood policy (the others
-        # must see ``policy.duplicate(key)``) with HELLO sensing off
+        # else reads the copy: no rebroadcast policy anywhere (a policy
+        # must see ``policy.duplicate(key)``) and HELLO sensing off
         # (``_on_ctrl`` timestamps every control frame it hears).
-        if self.cfg.hello_interval <= 0 and all(a._policy is None for a in self.agents):
+        if self.cfg.hello_interval <= 0 and all(a.policy is None for a in self.agents):
             channel.register_noop_hint(KIND_CTRL, self._rreq_noop_hint)
 
     def _rreq_noop_hint(self, frame: Frame) -> Optional[Set[int]]:

@@ -1,11 +1,11 @@
 """Overlay network manager: builds and wires all servents.
 
 One :class:`OverlayNetwork` owns the p2p side of a simulation: it
-creates a flood plane on *every* ad-hoc node (non-members still forward
-discovery broadcasts -- they are part of the ad-hoc network), a servent
-with the chosen (re)configuration algorithm on each *member*, places
-files by the Zipf law, and dispatches routed p2p messages to the right
-servent.
+creates the discovery flood plane, relayed by *every* ad-hoc node
+(non-members still forward discovery broadcasts -- they are part of the
+ad-hoc network), a servent with the chosen (re)configuration algorithm
+on each *member*, places files by the Zipf law, and dispatches routed
+p2p messages to the right servent.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class OverlayNetwork:
     rebroadcast:
         Rebroadcast-policy spec for the discovery flood plane
         (``"flood" | "probabilistic[:p]" | "counter[:c]" | "contact"``,
-        see :mod:`repro.net.suppression`).  ``"flood"`` keeps the
-        historical always-forward behaviour bit-identically.
+        see :mod:`repro.net.suppression`).  ``"flood"`` forwards every
+        first copy at once.
     query_policy:
         Query-plane policy: ``"flood"`` (reference Gnutella flood) or
         ``"contact"`` (route to known holders first, scoped-flood
@@ -124,36 +124,32 @@ class OverlayNetwork:
             )
         self.query_policy = query_policy
 
-        # Flood plane on every node; non-members forward but don't listen.
-        # One suppression policy per node decides its rebroadcasts; the
-        # rng stream and degree view are created lazily so the reference
-        # lane touches neither.
-        self.flood_policies = [
-            make_rebroadcast_policy(
-                spec,
-                plane=FLOOD_KIND,
-                node=node.nid,
-                registry=self.registry,
-                sim=sim,
-                rng_factory=(
-                    lambda nid=node.nid: self.rng.stream(
-                        f"suppression.{FLOOD_KIND}.{nid}"
-                    )
-                ),
-                degree=(lambda nid=node.nid: len(world.neighbors(nid))),
-            )
-            for node in channel.nodes
-        ]
-        self.floods: List[FloodManager] = [
-            FloodManager(
-                node,
-                channel,
-                FLOOD_KIND,
-                registry=self.registry,
-                policy=self.flood_policies[node.nid],
-            )
-            for node in channel.nodes
-        ]
+        # One flood plane that every node relays; non-members forward but
+        # don't listen.  A per-node suppression policy (None: always
+        # forward) decides its rebroadcasts; the rng stream and degree
+        # view are created lazily so a node that never draws touches
+        # neither.
+        self.flood = FloodManager(
+            channel,
+            FLOOD_KIND,
+            registry=self.registry,
+            policies=[
+                make_rebroadcast_policy(
+                    spec,
+                    plane=FLOOD_KIND,
+                    node=node.nid,
+                    registry=self.registry,
+                    sim=sim,
+                    rng_factory=(
+                        lambda nid=node.nid: self.rng.stream(
+                            f"suppression.{FLOOD_KIND}.{nid}"
+                        )
+                    ),
+                    degree=(lambda nid=node.nid: len(world.neighbors(nid))),
+                )
+                for node in channel.nodes
+            ],
+        )
 
         holdings = place_files(
             self.members, num_files, max_freq, self.rng.stream("files")
@@ -171,7 +167,7 @@ class OverlayNetwork:
                 # Share the member's flood-plane contact table when the
                 # broadcast plane harvests one too; otherwise the query
                 # plane keeps its own (fed by query answers only).
-                flood_policy = self.flood_policies[m]
+                flood_policy = self.flood.policies[m]
                 qpolicy = (
                     flood_policy
                     if isinstance(flood_policy, ContactPolicy)
@@ -184,7 +180,7 @@ class OverlayNetwork:
                 sim,
                 world,
                 router,
-                self.floods[m],
+                self.flood,
                 config=self.cfg,
                 query_config=self.query_cfg,
                 store=FileStore(m, holdings[m]),

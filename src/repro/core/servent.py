@@ -48,7 +48,8 @@ class Servent:
     sim, world, router:
         Substrate handles.
     flood:
-        This node's discovery-plane flood manager.
+        The discovery flood plane; this servent installs its node's
+        callbacks on it.
     config, query_config:
         Protocol constants.
     store:
@@ -61,7 +62,7 @@ class Servent:
         Metrics hook ``count_received(nid, family)`` fired for every
         p2p message copy this node receives.
     registry:
-        Observability registry; defaults to the flood manager's (and
+        Observability registry; defaults to the flood plane's (and
         hence the whole simulation's) registry.
     """
 
@@ -87,7 +88,7 @@ class Servent:
         self.sim = sim
         self.world = world
         self.router = router
-        self.flood_mgr = flood
+        self.flood_plane = flood
         self.cfg = config
         self.store = store
         self.num_files = num_files
@@ -105,8 +106,8 @@ class Servent:
             "p2p.flood_hops", node=nid
         )
         # Wire the flood plane into this servent.
-        flood.deliver = self._on_flood
-        flood.count_duplicate = self._on_flood_duplicate
+        flood.deliver[nid] = self._on_flood
+        flood.count_duplicate[nid] = self._on_flood_duplicate
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -138,7 +139,7 @@ class Servent:
 
     def flood(self, msg: P2pMessage, nhops: int) -> None:
         """Controlled-broadcast ``msg`` within ``nhops`` ad-hoc hops."""
-        self.flood_mgr.originate(msg, nhops=nhops, size=msg.SIZE)
+        self.flood_plane.originate(self.nid, msg, nhops=nhops, size=msg.SIZE)
 
     # ------------------------------------------------------------------
     # inbound

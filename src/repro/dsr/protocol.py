@@ -9,7 +9,7 @@ state (only an opportunistic route cache).
 Implemented subset:
 
 * RREQ flooding with per-(origin, id) dedup (one router-wide
-  :class:`~repro.routing.base.RreqSeenTable`, which forgets a request
+  :class:`~repro.net.broadcast.SeenTable`, which forgets a request
   once its discovery can no longer be pending) and hop limit, route
   record accumulation, and loop suppression (a node never forwards a
   request already listing it);
@@ -39,9 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..net.broadcast import SeenTable
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
-from ..routing.base import Router, RreqSeenTable
+from ..routing.base import Router
 from ..sim.kernel import Simulator
 
 __all__ = ["DsrConfig", "DsrAgent", "DsrRouter"]
@@ -156,7 +157,7 @@ class DsrAgent:
         sim: Simulator,
         config: DsrConfig,
         deliver_up: Callable[[str, int, int, Any, int], None],
-        seen: RreqSeenTable,
+        seen: SeenTable,
     ) -> None:
         self.node = node
         self.nid = node.nid
@@ -442,7 +443,7 @@ class DsrRouter(Router):
         # Remember a request id for as long as a whole discovery (first
         # try plus every retry) may take, far longer than a copy is in
         # flight.
-        self._seen = RreqSeenTable(
+        self._seen = SeenTable(
             sim, self.cfg.discovery_timeout * (self.cfg.rreq_retries + 1)
         )
         self.agents = [

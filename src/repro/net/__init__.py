@@ -1,6 +1,6 @@
 """Network substrate: unit-disk radio world, frames, flooding, energy."""
 
-from .broadcast import FloodManager, FloodMessage
+from .broadcast import FloodManager, FloodMessage, SeenTable
 from .energy import EnergyModel
 from .packet import BROADCAST, DEFAULT_FRAME_BYTES, Frame
 from .radio import Channel, NetNode
@@ -10,7 +10,6 @@ from .suppression import (
     REBROADCAST_KINDS,
     ContactPolicy,
     CounterPolicy,
-    FloodPolicy,
     PolicySpec,
     ProbabilisticPolicy,
     RebroadcastPolicy,
@@ -23,6 +22,7 @@ from .world import UNREACHABLE, World
 __all__ = [
     "FloodManager",
     "FloodMessage",
+    "SeenTable",
     "EnergyModel",
     "BROADCAST",
     "DEFAULT_FRAME_BYTES",
@@ -34,7 +34,6 @@ __all__ = [
     "QUERY_POLICY_KINDS",
     "REBROADCAST_KINDS",
     "RebroadcastPolicy",
-    "FloodPolicy",
     "ProbabilisticPolicy",
     "CounterPolicy",
     "ContactPolicy",

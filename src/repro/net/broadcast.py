@@ -8,26 +8,77 @@ carries a globally unique ``(origin, seq)`` id; each node forwards a
 given id at most once, and forwarding stops when the hop budget is
 spent.
 
-Upper layers (p2p discovery, AODV RREQ) use a :class:`FloodManager`
-per node and receive deliveries through a callback that also reports the
-hop count the copy travelled -- which is how peers learn their ad-hoc
-distance to a discovered neighbour.
+A :class:`FloodManager` is one flood *plane* -- every node's agent for
+one frame kind on one channel (the p2p discovery flood).  Upper layers
+install per-node callbacks that also report the hop count the copy
+travelled -- which is how peers learn their ad-hoc distance to a
+discovered neighbour.  The dedup caches of all its nodes are one
+:class:`SeenTable`, the same expiring table AODV and DSR keep for their
+route requests.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.registry import Registry
+from ..sim.kernel import Simulator
 from .packet import DEFAULT_FRAME_BYTES, Frame
-from .radio import Channel, NetNode
+from .radio import Channel
 from .suppression import RebroadcastPolicy
 
-__all__ = ["FloodMessage", "FloodManager"]
+__all__ = ["FloodMessage", "FloodManager", "SeenTable"]
 
 FloodId = Tuple[int, int]
+
+
+class SeenTable:
+    """Duplicate-suppression state of every node of one broadcast plane.
+
+    ``(origin, id) -> ids of the nodes that processed it``: the single
+    source of truth for a plane's duplicate check (the p2p discovery
+    flood, AODV and DSR route requests), and -- read-only, via
+    :meth:`seen_by` -- what AODV's no-op hint hands the radio.  A key is
+    forgotten once it is older than ``lifetime`` seconds, lazily and in
+    FIFO order when a new key arrives, so memory tracks the floods in
+    flight, not the run.
+    """
+
+    __slots__ = ("_sim", "lifetime", "_nodes", "_born")
+
+    def __init__(self, sim: Simulator, lifetime: float) -> None:
+        self._sim = sim
+        self.lifetime = float(lifetime)
+        self._nodes: Dict[FloodId, Set[int]] = {}
+        #: (first seen, key) in arrival order
+        self._born: Deque[Tuple[float, FloodId]] = deque()
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def seen_by(self, key: FloodId) -> Optional[Set[int]]:
+        """The live set of node ids that processed ``key`` (do not
+        mutate), or ``None`` for an unknown key."""
+        return self._nodes.get(key)
+
+    def mark(self, key: FloodId, nid: int) -> bool:
+        """Record that ``nid`` processes ``key``; False if it already has."""
+        nodes = self._nodes.get(key)
+        if nodes is None:
+            now = self._sim.now
+            born = self._born
+            while born and now > born[0][0] + self.lifetime:
+                del self._nodes[born.popleft()[1]]
+            self._nodes[key] = {nid}
+            born.append((now, key))
+            return True
+        if nid in nodes:
+            return False
+        nodes.add(nid)
+        return True
 
 
 @dataclass(slots=True)
@@ -57,122 +108,85 @@ class FloodMessage:
 
 
 class FloodManager:
-    """Per-node controlled-broadcast agent.
+    """One controlled-broadcast plane: every node's flood agent for one
+    frame kind on one channel.
 
     Parameters
     ----------
-    node:
-        The owning network node.
     channel:
-        The radio channel.
+        The radio channel; each of its nodes relays the plane.
     kind:
         Frame kind to claim; lets several independent flood planes
-        coexist (e.g. ``"p2p.flood"`` vs ``"aodv.rreq"``).
-    deliver:
-        Callback ``deliver(origin, payload, hops)`` invoked exactly once
-        per flood id heard (first copy wins, matching the dedup cache).
-    count_duplicate:
-        Optional callback invoked for each suppressed duplicate copy
-        (metrics; the radio energy was already charged by the channel).
+        coexist (e.g. ``"p2p.flood"`` vs ``"bench.flood"``).
     registry:
-        Observability registry; counters are labeled
-        ``plane=<kind>, node=<nid>``.  Defaults to the channel's
-        registry, so a whole simulation's flood planes aggregate in one
-        place.
-    policy:
-        Optional :class:`~repro.net.suppression.RebroadcastPolicy`
-        deciding whether/when a first copy is re-broadcast.  ``None``
-        (and any policy whose ``reference`` flag is set) keeps the
-        historical always-forward fast path, operation for operation.
+        Observability registry for the plane's counters, labeled
+        ``plane=<kind>``.  Defaults to the channel's registry.
+    policies:
+        Per-node :class:`~repro.net.suppression.RebroadcastPolicy`,
+        indexed by node id, deciding whether/when a first copy is
+        re-broadcast.  ``None`` (the list, or a node's entry) forwards
+        every first copy at once.
+
+    Per node ``nid``, ``deliver[nid](origin, payload, hops)`` runs
+    exactly once per flood id heard (first copy wins, matching the
+    dedup table) and ``count_duplicate[nid](origin, payload)`` for each
+    dropped duplicate copy (metrics; the radio energy was already
+    charged by the channel).  ``None`` entries mark relay-only nodes.
     """
 
-    #: Bound on the dedup cache: the oldest flood ids are evicted FIFO
-    #: once more than this many are remembered.  A flood id only matters
-    #: while copies of that flood are still in flight (a handful of hop
-    #: latencies), so the cache needs to cover the set of *active*
-    #: floods, not the full history of a 3600 s run; 4096 is sized
-    #: generously above any burst the paper's workloads produce.
-    seen_limit = 4096
+    #: Seconds a flood id stays in the dedup table.  The slowest flood
+    #: finishes well inside it: 12 hops (2 x MAXNHOPS) x at most ~53 ms
+    #: per hop (2 ms radio latency + 48 ms counter-policy assessment +
+    #: CSMA backoff) is ~0.64 s.
+    LIFETIME = 10.0
 
     def __init__(
         self,
-        node: NetNode,
         channel: Channel,
         kind: str,
-        deliver: Optional[Callable[[int, Any, int], None]] = None,
-        count_duplicate: Optional[Callable[[int, Any], None]] = None,
         *,
         registry: Optional[Registry] = None,
-        policy: Optional[RebroadcastPolicy] = None,
+        policies: Optional[Sequence[Optional[RebroadcastPolicy]]] = None,
     ) -> None:
-        self.node = node
         self.channel = channel
         self.kind = kind
-        self.deliver = deliver
-        self.count_duplicate = count_duplicate
-        self._seq = 0
-        self._inserts = 0
-        # FIFO dedup cache: insertion-ordered ids, oldest evicted first.
-        self._seen: "OrderedDict[FloodId, None]" = OrderedDict()
-        #: the configured policy (introspection); ``_policy`` is the hot
-        #: path view with reference policies folded to None so the flood
-        #: lane pays no indirection.
-        self.policy = policy
-        self._policy = None if policy is None or policy.reference else policy
+        n = len(channel.nodes)
+        self.deliver: List[Optional[Callable[[int, Any, int], None]]] = [None] * n
+        self.count_duplicate: List[Optional[Callable[[int, Any], None]]] = [None] * n
+        self.policies: List[Optional[RebroadcastPolicy]] = (
+            list(policies) if policies is not None else [None] * n
+        )
+        self._seq = [0] * n
+        self.seen = SeenTable(channel.sim, self.LIFETIME)
         if registry is None:
             registry = getattr(channel, "registry", None)
         self.registry = registry if registry is not None else Registry()
-        labels = {"plane": kind, "node": node.nid}
-        self._c_evictions = self.registry.counter("flood.evictions", **labels)
-        self._c_originated = self.registry.counter("flood.originated", **labels)
-        self._c_forwarded = self.registry.counter("flood.forwarded", **labels)
-        self._c_duplicates = self.registry.counter("flood.duplicates", **labels)
-        # Live cache-pressure views: fill fraction of the dedup cache and
-        # the fraction of remembered ids that have been evicted so far.
-        self.registry.gauge(
-            "flood.cache_occupancy", fn=self._occupancy, **labels
-        )
-        self.registry.gauge(
-            "flood.eviction_rate", fn=self._eviction_rate, **labels
-        )
-        node.register(kind, self._on_frame)
+        self._c_originated = self.registry.counter("flood.originated", plane=kind)
+        self._c_forwarded = self.registry.counter("flood.forwarded", plane=kind)
+        self._c_duplicates = self.registry.counter("flood.duplicates", plane=kind)
+        self.registry.gauge("flood.ids_live", fn=self.seen.__len__, plane=kind)
+        for node in channel.nodes:
+            node.register(kind, partial(self._on_frame, node.nid))
 
     # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def _occupancy(self) -> float:
-        """Dedup-cache fill fraction (0..1 of ``seen_limit``)."""
-        return len(self._seen) / self.seen_limit
-
-    def _eviction_rate(self) -> float:
-        """Fraction of remembered flood ids evicted before they aged out."""
-        if self._inserts == 0:
-            return 0.0
-        return self._c_evictions.value / self._inserts
-
-    def _remember(self, fid: FloodId) -> None:
-        self._inserts += 1
-        self._seen[fid] = None
-        if len(self._seen) > self.seen_limit:
-            self._seen.popitem(last=False)
-            self._c_evictions.inc()
-
-    # ------------------------------------------------------------------
-    def originate(self, payload: Any, nhops: int, size: int = DEFAULT_FRAME_BYTES) -> FloodId:
-        """Flood ``payload`` to every node within ``nhops`` ad-hoc hops.
+    def originate(
+        self, src: int, payload: Any, nhops: int, size: int = DEFAULT_FRAME_BYTES
+    ) -> FloodId:
+        """Flood ``payload`` from node ``src`` to every node within
+        ``nhops`` ad-hoc hops.
 
         Returns the flood id.  ``nhops`` must be >= 1 (a 0-hop flood
         reaches nobody and is rejected to catch caller bugs).
         """
         if nhops < 1:
             raise ValueError(f"nhops must be >= 1, got {nhops}")
-        fid = (self.node.nid, self._seq)
-        self._seq += 1
+        fid = (src, self._seq[src])
+        self._seq[src] += 1
         self._c_originated.inc()
-        self._remember(fid)  # the origin never re-forwards its own flood
-        msg = FloodMessage(fid=fid, origin=self.node.nid, hops=0, budget=int(nhops), payload=payload)
+        self.seen.mark(fid, src)  # the origin never re-forwards its own flood
+        msg = FloodMessage(fid=fid, origin=src, hops=0, budget=int(nhops), payload=payload)
         self.channel.broadcast(
-            Frame(src=self.node.nid, dst=-1, kind=self.kind, payload=msg, size=size)
+            Frame(src=src, dst=-1, kind=self.kind, payload=msg, size=size)
         )
         return fid
 
@@ -182,21 +196,23 @@ class FloodManager:
         self._c_forwarded.inc()
         self.channel.broadcast(frame)
 
-    def _on_frame(self, frame: Frame) -> None:
+    def _on_frame(self, nid: int, frame: Frame) -> None:
         msg: FloodMessage = frame.payload
-        if msg.fid in self._seen:
+        policy = self.policies[nid]
+        if not self.seen.mark(msg.fid, nid):
             self._c_duplicates.inc()
-            if self._policy is not None:
-                self._policy.duplicate(msg.fid)
-            if self.count_duplicate is not None:
-                self.count_duplicate(msg.origin, msg.payload)
+            if policy is not None:
+                policy.duplicate(msg.fid)
+            count_duplicate = self.count_duplicate[nid]
+            if count_duplicate is not None:
+                count_duplicate(msg.origin, msg.payload)
             return
-        self._remember(msg.fid)
         hops_here = msg.hops + 1
-        if self._policy is not None:
-            self._policy.overhear(msg.origin, hops_here)
-        if self.deliver is not None:
-            self.deliver(msg.origin, msg.payload, hops_here)
+        if policy is not None:
+            policy.overhear(msg.origin, hops_here)
+        deliver = self.deliver[nid]
+        if deliver is not None:
+            deliver(msg.origin, msg.payload, hops_here)
         remaining = msg.budget - 1
         if remaining > 0:
             fwd = FloodMessage(
@@ -206,20 +222,8 @@ class FloodManager:
                 budget=remaining,
                 payload=msg.payload,
             )
-            out = Frame(
-                src=self.node.nid, dst=-1, kind=self.kind, payload=fwd, size=frame.size
-            )
-            if self._policy is None:
+            out = Frame(src=nid, dst=-1, kind=self.kind, payload=fwd, size=frame.size)
+            if policy is None:
                 self._transmit(out)
             else:
-                self._policy.forward(msg.fid, lambda: self._transmit(out))
-
-    # ------------------------------------------------------------------
-    def reset_cache(self) -> None:
-        """Forget seen flood ids (tests / very long runs)."""
-        self._seen.clear()
-
-    @property
-    def cache_size(self) -> int:
-        """Number of flood ids remembered by the dedup cache."""
-        return len(self._seen)
+                policy.forward(msg.fid, lambda: self._transmit(out))

@@ -12,16 +12,16 @@ the flood plane (:mod:`repro.net.broadcast`), AODV's RREQ dissemination
 (:mod:`repro.core.query`) can switch policy per scenario:
 
 ``flood``
-    The reference: always rebroadcast the first copy.  Bit-identical to
-    the historical behaviour (callers keep their inline fast path when
-    the policy's :attr:`~RebroadcastPolicy.reference` flag is set).
+    The reference: always rebroadcast the first copy.  It is no policy
+    object at all -- :func:`make_rebroadcast_policy` returns ``None`` and
+    callers transmit inline.
 ``probabilistic``
     Gossip-p (Preetha et al., arXiv:1204.1820): rebroadcast with
     probability ``p``, with a *degree-adaptive floor* -- nodes whose
     radio degree is at or below ``degree_floor`` always forward, so
-    sparse regions (where every copy matters) never starve.  At
-    ``p >= 1`` the policy short-circuits before touching its RNG and is
-    bit-identical to ``flood``.
+    sparse regions (where every copy matters) never starve.  A spec with
+    ``p >= 1`` always forwards, so it builds no policy either: it *is*
+    ``flood``.
 ``counter``
     Counter-based suppression (the classic broadcast-storm scheme):
     hold the rebroadcast for a random assessment delay; if ``threshold``
@@ -53,7 +53,6 @@ from ..obs.registry import Registry
 
 __all__ = [
     "RebroadcastPolicy",
-    "FloodPolicy",
     "ProbabilisticPolicy",
     "CounterPolicy",
     "ContactPolicy",
@@ -110,13 +109,6 @@ class RebroadcastPolicy:
     feed).  All hooks must be cheap: they sit on the radio hot path.
     """
 
-    #: spec kind this policy implements
-    kind = "flood"
-    #: True when the policy is provably a no-op (always send now);
-    #: callers keep their historical inline fast path in that case, so
-    #: the reference lane stays operation-for-operation identical.
-    reference = False
-
     def forward(self, key: Hashable, send: Callable[[], None]) -> None:
         """Decide the rebroadcast of flood id ``key``; default: send now."""
         send()
@@ -128,32 +120,22 @@ class RebroadcastPolicy:
         """A first copy originated by ``origin`` arrived after ``hops``."""
 
 
-class FloodPolicy(RebroadcastPolicy):
-    """The reference policy: every first copy is rebroadcast at once."""
-
-    kind = "flood"
-    reference = True
-
-
 class ProbabilisticPolicy(RebroadcastPolicy):
     """Gossip-p rebroadcast with a degree-adaptive floor.
 
     Parameters
     ----------
     p:
-        Rebroadcast probability; ``p >= 1`` makes the policy a
-        reference no-op (bit-identical to :class:`FloodPolicy` -- it
-        never touches its RNG).
+        Rebroadcast probability in ``(0, 1)`` (at ``p >= 1`` the spec
+        builds no policy: see :func:`make_rebroadcast_policy`).
     degree_floor:
         Nodes with radio degree <= this always forward.
     rng_factory:
         Lazily invoked to obtain the policy's private random stream
-        (so reference-equivalent configurations create no stream).
+        (so a node that never draws creates no stream).
     degree:
         Callable returning the node's current radio degree.
     """
-
-    kind = "probabilistic"
 
     def __init__(
         self,
@@ -166,11 +148,10 @@ class ProbabilisticPolicy(RebroadcastPolicy):
         plane: str = "",
         node: int = -1,
     ) -> None:
-        if not 0.0 < p:
-            raise ValueError(f"gossip p must be > 0, got {p}")
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"gossip p must be in (0, 1), got {p}")
         self.p = float(p)
         self.degree_floor = int(degree_floor)
-        self.reference = self.p >= 1.0
         self._rng_factory = rng_factory
         self._rng: Optional[np.random.Generator] = None
         self._degree = degree
@@ -180,9 +161,6 @@ class ProbabilisticPolicy(RebroadcastPolicy):
         )
 
     def forward(self, key: Hashable, send: Callable[[], None]) -> None:
-        if self.reference:
-            send()
-            return
         if self._degree is not None and self._degree() <= self.degree_floor:
             send()  # sparse guard: every copy matters here
             return
@@ -217,8 +195,6 @@ class CounterPolicy(RebroadcastPolicy):
     the kernel's O(1) lazy event cancellation, so a suppressed
     rebroadcast costs no dispatch.
     """
-
-    kind = "counter"
 
     def __init__(
         self,
@@ -296,8 +272,6 @@ class ContactPolicy(RebroadcastPolicy):
     All tables are small LRU maps (CARD's "small number of contacts"),
     so state per node is O(1) regardless of network size.
     """
-
-    kind = "contact"
 
     def __init__(
         self,
@@ -444,19 +418,24 @@ def make_rebroadcast_policy(
     sim=None,
     rng_factory: Optional[Callable[[], np.random.Generator]] = None,
     degree: Optional[Callable[[], int]] = None,
-) -> RebroadcastPolicy:
+) -> Optional[RebroadcastPolicy]:
     """Build one node's policy for one broadcast plane from ``spec``.
 
-    ``rng_factory`` is only invoked when the policy actually draws
-    (so reference lanes create no random stream), ``degree`` only when
-    the gossip floor is evaluated, and ``sim`` only by ``counter``.
+    Returns ``None`` for the reference flood -- ``flood`` itself and
+    ``probabilistic:p`` with ``p >= 1`` -- which callers run as an
+    inline always-forward.  ``rng_factory`` is only invoked when the
+    policy actually draws, ``degree`` only when the gossip floor is
+    evaluated, and ``sim`` only by ``counter``.
     """
     spec = parse_policy_spec(spec)
     if spec.kind == "flood":
-        return FloodPolicy()
+        return None
     if spec.kind == "probabilistic":
+        p = spec.param if spec.param is not None else DEFAULT_GOSSIP_P
+        if p >= 1.0:
+            return None
         return ProbabilisticPolicy(
-            p=spec.param if spec.param is not None else DEFAULT_GOSSIP_P,
+            p=p,
             rng_factory=rng_factory,
             degree=degree,
             registry=registry,

@@ -66,13 +66,11 @@ TOPOLOGY_COST_METRICS: Tuple[str, ...] = (
 #: Rebroadcast-suppression policy accounting
 #: (:mod:`repro.net.suppression`): how many transmissions a policy
 #: skipped, cancelled or contact-routed measures the *policy's* work,
-#: not the paper's semantics.  Classifying these as cost also keeps
-#: reference-equivalent lanes comparable: ``probabilistic:1.0``
-#: registers its (zero-valued) ``flood.suppressed`` counters while the
-#: plain ``flood`` lane registers none, and the semantic surface must
-#: not see that difference.  (``flood.originated`` / ``forwarded`` /
-#: ``duplicates`` stay semantic: suppression legitimately changes them
-#: and the equivalence suite must notice when it claims not to.)
+#: not the paper's semantics.  Lanes that build no policy (``flood``,
+#: and ``probabilistic:p`` with ``p >= 1``) register none of these
+#: series.  ``flood.originated`` / ``forwarded`` / ``duplicates`` stay
+#: semantic: suppression legitimately changes them and the equivalence
+#: suite must notice when it claims not to.
 SUPPRESSION_COST_METRICS: Tuple[str, ...] = (
     "flood.suppressed",
     "flood.assessment_cancels",
@@ -81,10 +79,11 @@ SUPPRESSION_COST_METRICS: Tuple[str, ...] = (
     "card.contacts_learned",
 )
 
-#: Dedup-cache occupancy: how many RREQ ids the AODV router currently
-#: remembers is the memory cost of duplicate suppression (bounded by the
-#: eviction horizon), not something the simulated network did.
-DEDUP_COST_METRICS: Tuple[str, ...] = ("aodv.rreq_keys_live",)
+#: Dedup-table occupancy: how many RREQ ids the AODV router, and how
+#: many flood ids a flood plane, currently remembers is the memory cost
+#: of duplicate suppression (bounded by the table's lifetime), not
+#: something the simulated network did.
+DEDUP_COST_METRICS: Tuple[str, ...] = ("aodv.rreq_keys_live", "flood.ids_live")
 
 #: Prefix covering the vectorized graph-kernel counters
 #: (:mod:`repro.metrics.graphfast`): kernel invocation counts measure

@@ -6,7 +6,7 @@ to read it.  A component asks its :class:`Registry` for a
 named like ``"kernel.events_dispatched"`` and optionally *labeled*
 (``node=3``, ``family="ping"``, ``layer="radio"``) and keeps a direct
 reference for the hot path; readers call :meth:`Registry.value`
-(``registry.value("flood.evictions", plane="p2p.flood")``) or take the
+(``registry.value("flood.duplicates", plane="p2p.flood")``) or take the
 run's aggregated ``RunResult.counters``, and the registry enumerates,
 aggregates and exports everything uniformly.  Components expose no
 counter properties of their own.
@@ -466,8 +466,8 @@ class Registry:
         """Sum of every counter/gauge named ``name`` matching ``labels``.
 
         Label aggregation: passing a subset of labels sums over the
-        unspecified ones (``value("flood.evictions", plane="p2p.flood")``
-        totals all nodes of that plane).
+        unspecified ones (``value("alg.pings_sent", alg="hybrid")``
+        totals all nodes running that algorithm).
         """
         want = _freeze_labels(labels)
         total = 0.0

@@ -1,6 +1,6 @@
 """Routing abstraction and the oracle shortest-path router."""
 
-from .base import Router, RreqSeenTable
+from .base import Router
 from .oracle import OracleRouter
 
-__all__ = ["Router", "OracleRouter", "RreqSeenTable"]
+__all__ = ["Router", "OracleRouter"]

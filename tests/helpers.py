@@ -67,3 +67,14 @@ def pin_per_copy_delivery(channel):
 
     channel._schedule_copies = per_copy
     return channel
+
+
+def pin_never_forget(flood):
+    """Make ``flood``'s dedup table remember every flood id for the whole run.
+
+    Sets the plane's :class:`~repro.net.broadcast.SeenTable` lifetime to
+    infinity -- the never-evicting per-node caches the expiring table
+    must match bit for bit.  Returns ``flood``.
+    """
+    flood.seen.lifetime = float("inf")
+    return flood

@@ -1,9 +1,11 @@
-"""docs/API.md generation is deterministic.
+"""docs/API.md generation is deterministic, and the committed file is fresh.
 
 ``scripts/generate_api_docs.py`` renders constants by ``repr``; a
 default repr carries a memory address that changes every process, which
 used to make two regenerations differ.  Two interpreters with different
-hash seeds must render byte-identical text.
+hash seeds must render byte-identical text, and that text must be the
+committed docs/API.md, so a public signature or docstring change cannot
+leave the reference stale.
 """
 
 import os
@@ -35,3 +37,10 @@ def test_two_renders_are_byte_equal():
     assert first.startswith("# API reference")
     assert " at 0x" not in first
     assert first == second
+
+
+def test_committed_reference_is_fresh():
+    committed = (ROOT / "docs" / "API.md").read_text()
+    assert committed == _render(0), (
+        "docs/API.md is stale: run python scripts/generate_api_docs.py"
+    )

@@ -31,11 +31,9 @@ class TestFloodVsBfs:
     def test_flood_reaches_exactly_the_bfs_ball(self, seed, ttl):
         sim, world, channel = random_world(seed)
         heard = set()
-        mgrs = [
-            FloodManager(node, channel, "f", deliver=lambda o, p, h, i=i: heard.add(i))
-            for i, node in enumerate(channel.nodes)
-        ]
-        mgrs[0].originate("x", nhops=ttl)
+        flood = FloodManager(channel, "f")
+        flood.deliver[:] = [lambda o, p, h, i=i: heard.add(i) for i in range(world.n)]
+        flood.originate(0, "x", nhops=ttl)
         sim.run()
         dist = world.hops_from(0)
         expected = {i for i in range(world.n) if 0 < dist[i] <= ttl}
@@ -46,13 +44,11 @@ class TestFloodVsBfs:
     def test_flood_hop_counts_match_bfs(self, seed):
         sim, world, channel = random_world(seed)
         hops_seen = {}
-        mgrs = [
-            FloodManager(
-                node, channel, "f", deliver=lambda o, p, h, i=i: hops_seen.setdefault(i, h)
-            )
-            for i, node in enumerate(channel.nodes)
+        flood = FloodManager(channel, "f")
+        flood.deliver[:] = [
+            lambda o, p, h, i=i: hops_seen.setdefault(i, h) for i in range(world.n)
         ]
-        mgrs[0].originate("x", nhops=8)
+        flood.originate(0, "x", nhops=8)
         sim.run()
         dist = world.hops_from(0)
         for node, h in hops_seen.items():

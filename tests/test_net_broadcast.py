@@ -1,60 +1,59 @@
-"""Tests for TTL-limited controlled flooding with dedup cache."""
+"""Tests for TTL-limited controlled flooding with its expiring dedup table."""
 
+import numpy as np
 import pytest
 
-from repro.net import FloodManager
+from repro.core.overlay import FLOOD_KIND
+from repro.net import FloodManager, Frame
+from repro.net.broadcast import FloodMessage
+from repro.obs.compare import semantic_snapshot, snapshot_diff
+from repro.scenarios import ScenarioConfig, build_scenario
 
-from .helpers import line_positions, make_world
+from .helpers import line_positions, make_world, pin_never_forget
 
 
 def setup_flood(positions, radio_range=10.0, kind="flood"):
     sim, world, ch = make_world(positions, radio_range=radio_range)
     inboxes = [[] for _ in ch.nodes]
     dups = [[] for _ in ch.nodes]
-    mgrs = [
-        FloodManager(
-            node,
-            ch,
-            kind,
-            deliver=lambda o, p, h, i=i: inboxes[i].append((o, p, h)),
-            count_duplicate=lambda o, p, i=i: dups[i].append((o, p)),
-        )
-        for i, node in enumerate(ch.nodes)
-    ]
-    return sim, world, ch, mgrs, inboxes, dups
+    flood = FloodManager(ch, kind)
+    for i in range(len(ch.nodes)):
+        flood.deliver[i] = lambda o, p, h, i=i: inboxes[i].append((o, p, h))
+        flood.count_duplicate[i] = lambda o, p, i=i: dups[i].append((o, p))
+    return sim, world, ch, flood, inboxes, dups
 
 
 class TestFloodReach:
     def test_ttl_limits_reach_on_line(self):
         # 6 nodes in a line; flood with budget 3 reaches nodes 1..3 only.
-        sim, _, _, mgrs, inboxes, _ = setup_flood(line_positions(6, spacing=8.0))
-        mgrs[0].originate("hello", nhops=3)
+        sim, _, _, flood, inboxes, _ = setup_flood(line_positions(6, spacing=8.0))
+        flood.originate(0, "hello", nhops=3)
         sim.run()
         reached = [i for i, box in enumerate(inboxes) if box]
         assert reached == [1, 2, 3]
 
     def test_hop_counts_reported(self):
-        sim, _, _, mgrs, inboxes, _ = setup_flood(line_positions(5, spacing=8.0))
-        mgrs[0].originate("x", nhops=4)
+        sim, _, _, flood, inboxes, _ = setup_flood(line_positions(5, spacing=8.0))
+        flood.originate(0, "x", nhops=4)
         sim.run()
         for i in (1, 2, 3, 4):
             (origin, payload, hops) = inboxes[i][0]
             assert origin == 0 and payload == "x" and hops == i
 
     def test_nhops_one_is_neighbors_only(self):
-        sim, _, _, mgrs, inboxes, _ = setup_flood(line_positions(4, spacing=8.0))
-        mgrs[1].originate("y", nhops=1)
+        sim, _, _, flood, inboxes, _ = setup_flood(line_positions(4, spacing=8.0))
+        flood.originate(1, "y", nhops=1)
         sim.run()
         assert [bool(b) for b in inboxes] == [True, False, True, False]
 
     def test_zero_nhops_rejected(self):
-        _, _, _, mgrs, _, _ = setup_flood(line_positions(2))
+        _, _, _, flood, _, _ = setup_flood(line_positions(2))
         with pytest.raises(ValueError):
-            mgrs[0].originate("z", nhops=0)
+            flood.originate(0, "z", nhops=0)
 
     def test_origin_does_not_deliver_to_itself(self):
-        sim, _, _, mgrs, inboxes, _ = setup_flood([[0, 0], [5, 0], [0, 5]])
-        mgrs[0].originate("p", nhops=6)
+        sim, _, _, flood, inboxes, _ = setup_flood([[0, 0], [5, 0], [0, 5]])
+        flood.originate(0, "p", nhops=6)
         sim.run()
         assert inboxes[0] == []
 
@@ -63,8 +62,8 @@ class TestDedup:
     def test_each_node_delivers_once_in_dense_mesh(self):
         # fully connected 5-clique: plenty of duplicate copies fly around
         pts = [[0, 0], [3, 0], [0, 3], [3, 3], [1, 1]]
-        sim, _, _, mgrs, inboxes, dups = setup_flood(pts)
-        mgrs[0].originate("m", nhops=5)
+        sim, _, _, flood, inboxes, dups = setup_flood(pts)
+        flood.originate(0, "m", nhops=5)
         sim.run()
         for i in (1, 2, 3, 4):
             assert len(inboxes[i]) == 1
@@ -75,62 +74,96 @@ class TestDedup:
         # Each node forwards each flood at most once: in a clique of k
         # nodes a single flood causes at most k transmissions.
         pts = [[0, 0], [3, 0], [0, 3], [3, 3], [1, 1]]
-        sim, _, ch, mgrs, _, _ = setup_flood(pts)
+        sim, _, ch, flood, _, _ = setup_flood(pts)
         before = ch.registry.value("net.frames_sent")
-        mgrs[0].originate("m", nhops=10)
+        flood.originate(0, "m", nhops=10)
         sim.run()
         assert ch.registry.value("net.frames_sent") - before <= len(pts)
 
     def test_two_floods_independent(self):
-        sim, _, _, mgrs, inboxes, _ = setup_flood(line_positions(3, spacing=8.0))
-        mgrs[0].originate("a", nhops=2)
-        mgrs[0].originate("b", nhops=2)
+        sim, _, _, flood, inboxes, _ = setup_flood(line_positions(3, spacing=8.0))
+        flood.originate(0, "a", nhops=2)
+        flood.originate(0, "b", nhops=2)
         sim.run()
         assert [p for _, p, _ in inboxes[1]] == ["a", "b"]
 
-    def test_cache_size_and_reset(self):
-        sim, _, _, mgrs, _, _ = setup_flood(line_positions(3, spacing=8.0))
-        mgrs[0].originate("a", nhops=2)
-        sim.run()
-        assert mgrs[1].cache_size == 1
-        mgrs[1].reset_cache()
-        assert mgrs[1].cache_size == 0
-
     def test_seen_cache_bounded_fifo(self):
-        # Long runs must not grow the dedup cache without limit: the
-        # oldest ids are evicted first and cache_size stays accurate.
-        sim, world, ch = make_world(line_positions(2, spacing=8.0))
-        mgr = FloodManager(ch.nodes[0], ch, "bounded")
-        assert mgr.seen_limit == FloodManager.seen_limit == 4096
-        mgr.seen_limit = 5
-        for _ in range(12):
-            mgr.originate("x", nhops=1)
+        # Long runs must not grow the dedup table without limit: an id is
+        # forgotten LIFETIME seconds after it was first seen, oldest
+        # first, when a newer id arrives; flood.ids_live tracks the size.
+        sim, _, ch, flood, inboxes, _ = setup_flood(line_positions(2), kind="bounded")
+        assert FloodManager.LIFETIME == 10.0
+        for t in range(12):
+            sim.schedule_at(float(t), flood.originate, 0, t, 1)
         sim.run()
-        assert mgr.cache_size == 5
-        assert ch.registry.value("flood.evictions", plane="bounded") == 7
-        # survivors are the 5 most recent ids
-        assert list(mgr._seen) == [(0, s) for s in range(7, 12)]
+        assert [p for _, p, _ in inboxes[1]] == list(range(12))
+        # (0, 0) was first seen at t = 0, more than 10 s before (0, 11).
+        assert ch.registry.value("flood.ids_live", plane="bounded") == 11
+        assert flood.seen.seen_by((0, 0)) is None
+        assert all(flood.seen.seen_by((0, s)) == {0, 1} for s in range(1, 12))
+        # A forgotten id is fresh again: node 1 takes a late copy as new.
+        late = FloodMessage(fid=(0, 0), origin=0, hops=0, budget=1, payload="late")
+        ch.broadcast(Frame(src=0, dst=-1, kind="bounded", payload=late))
+        sim.run()
+        assert inboxes[1][-1] == (0, "late", 1)
 
     def test_seen_limit_validated(self):
-        # The bound is a class attribute, not a constructor knob.
+        # The lifetime is a class constant, not a constructor knob.
         _, _, ch = make_world(line_positions(2, spacing=8.0))
-        with pytest.raises(TypeError):
-            FloodManager(ch.nodes[0], ch, "bad", seen_limit=0)
+        for knob in ("seen_limit", "lifetime"):
+            with pytest.raises(TypeError):
+                FloodManager(ch, "bad", **{knob: 0})
 
 
 class TestMultiplePlanes:
     def test_independent_kinds_do_not_interfere(self):
         sim, world, ch = make_world(line_positions(3, spacing=8.0))
         got_a, got_b = [], []
-        fa = [
-            FloodManager(n, ch, "plane.a", deliver=lambda o, p, h: got_a.append(p))
-            for n in ch.nodes
-        ]
-        fb = [
-            FloodManager(n, ch, "plane.b", deliver=lambda o, p, h: got_b.append(p))
-            for n in ch.nodes
-        ]
-        fa[0].originate("A", nhops=2)
-        fb[0].originate("B", nhops=2)
+        series = len(ch.registry)
+        fa = FloodManager(ch, "plane.a")
+        fb = FloodManager(ch, "plane.b")
+        # four series per plane, no per-node cells
+        assert len(ch.registry) - series == 2 * 4
+        fa.deliver[:] = [lambda o, p, h: got_a.append(p)] * world.n
+        fb.deliver[:] = [lambda o, p, h: got_b.append(p)] * world.n
+        fa.originate(0, "A", nhops=2)
+        fb.originate(0, "B", nhops=2)
         sim.run()
         assert set(got_a) == {"A"} and set(got_b) == {"B"}
+        for plane in ("plane.a", "plane.b"):
+            assert ch.registry.value("flood.originated", plane=plane) == 1
+            assert ch.registry.value("flood.forwarded", plane=plane) == 1
+
+
+class TestLifetimeNeverBinds:
+    """On paper shapes no copy of a flood outlives ``LIFETIME``: the
+    expiring table behaves exactly like one that never forgets."""
+
+    @staticmethod
+    def _run(cfg, pinned):
+        simulation = build_scenario(cfg)
+        if pinned:
+            pin_never_forget(simulation.overlay.flood)
+        simulation.run()
+        return simulation
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(num_nodes=150, algorithm="hybrid", duration=600.0, seed=1),
+            ScenarioConfig(
+                num_nodes=50, algorithm="random", duration=300.0, seed=1,
+                rebroadcast="counter:2", mac="csma",
+            ),
+        ],
+        ids=["hybrid_150", "random_50_counter_csma"],
+    )
+    def test_expiring_table_equals_never_forget(self, cfg):
+        ref = self._run(cfg, pinned=True)
+        run = self._run(cfg, pinned=False)
+        assert snapshot_diff(semantic_snapshot(ref.registry), semantic_snapshot(run.registry)) == {}
+        np.testing.assert_array_equal(ref.world.energy.consumed, run.world.energy.consumed)
+        # ... and the oracle is not vacuous: the default table did forget.
+        live = lambda s: s.registry.value("flood.ids_live", plane=FLOOD_KIND)
+        assert live(ref) == ref.registry.value("flood.originated", plane=FLOOD_KIND)
+        assert live(run) < live(ref) / 10

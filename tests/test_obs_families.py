@@ -403,13 +403,14 @@ class TestScaleGuard:
             )
         )
         registry = simulation.registry
-        # Same series as the flat store held: 6 flood + 3 alg + 1 histogram
-        # per member, 6 flood per non-member (750 members), 23 globals
-        # (the flat store's 34 less the three topology horizon counters,
-        # the proof-gate gauge, analytics.bfs_shards and the six
-        # counters of the incremental analytics lane).
+        # 3 alg + 1 histogram per member (750 members), nothing per
+        # non-member, 23 globals (the flat store's 34 less the three
+        # topology horizon counters, the proof-gate gauge,
+        # analytics.bfs_shards and the six counters of the incremental
+        # analytics lane) and the flood plane's 4 series.  Before the
+        # plane was one object it also held 6 series per node: 9·n + 23.
         assert len(simulation.members) == 750
-        assert len(registry) == 9 * n + 23
+        assert len(registry) == 3 * n + 23 + 4
 
         flattens = _Calls(monkeypatch, "flatten_key")
         sort_keys = _Calls(monkeypatch, "_series_sort_key")
@@ -423,7 +424,7 @@ class TestScaleGuard:
         flattens.n = sort_keys.n = 0
         registry.counter("graphfast.triangle_runs", layer="metrics").inc()  # as harvest does
         out = registry.aggregated(skip_kinds=("timer",))
-        assert len(registry) > 100 * len(out)
+        assert len(registry) > 50 * len(out)
         assert sort_keys.n <= len(out)
         assert flattens.n <= len(out)
         assert samples.n == 0
@@ -445,7 +446,9 @@ class TestScaleGuard:
         # refresh path and the parallel analytics lane, and the six
         # ``analytics.*`` counters and ``graphfast.component_runs``,
         # which left with the incremental analytics lane (the harvest
-        # no longer labels components).
+        # no longer labels components), and the three per-node
+        # ``flood.*`` cache gauges and eviction counter, which left with
+        # the per-node flood managers (``flood.ids_live`` replaced them).
         result = run_scenario(
             ScenarioConfig(num_nodes=150, duration=20.0, algorithm="hybrid", seed=5)
         )
@@ -456,9 +459,9 @@ _RECORDED_N150 = """{
 "alg.connections_closed{alg=hybrid}": 5.0, "alg.connections_established{alg=hybrid}": 48.0,
 "alg.pings_sent{alg=hybrid}": 112.0,
 "aodv.rreq_keys_live": 28.0, "energy.consumed": 2.078592999999996,
-"flood.cache_occupancy{plane=p2p.flood}": 0.24609375, "flood.duplicates{plane=p2p.flood}": 1983.0,
-"flood.eviction_rate{plane=p2p.flood}": 0.0, "flood.evictions{plane=p2p.flood}": 0.0,
-"flood.forwarded{plane=p2p.flood}": 514.0, "flood.originated{plane=p2p.flood}": 106.0,
+"flood.duplicates{plane=p2p.flood}": 1983.0,
+"flood.forwarded{plane=p2p.flood}": 514.0, "flood.ids_live{plane=p2p.flood}": 53.0,
+"flood.originated{plane=p2p.flood}": 106.0,
 "graphfast.bfs_sources{layer=metrics}": 112.0, "graphfast.triangle_runs{layer=metrics}": 1.0,
 "kernel.events_daemon": 0.0, "kernel.events_dispatched": 12874.0, "kernel.events_skipped": 0.0,
 "kernel.heap": 395.0, "kernel.heap_compactions": 0.0, "kernel.heap_pushes": 5193.0,

@@ -177,16 +177,16 @@ class TestDeprecatedShims:
             s.channel,
             s.overlay,
             s.metrics,
-            *s.overlay.floods,
-            *s.overlay.flood_policies,
+            s.overlay.flood,
             *s.overlay.servents.values(),
         ]
         for component in components:
             assert not hasattr(component, "stats"), type(component).__name__
-        for flood in s.overlay.floods:
-            assert not hasattr(flood, "evictions")
-        assert s.registry.value("flood.evictions", plane="p2p.flood") == 0
+        assert not hasattr(s.overlay.flood, "evictions")
+        assert s.overlay.flood.policies == [None] * 8  # the reference flood
         assert s.registry.value("flood.originated", plane="p2p.flood") > 0
+        with pytest.raises(KeyError):  # one series per plane, none per node
+            s.registry.value("flood.originated", plane="p2p.flood", node=0)
         # The algorithm snapshot stays: the benchmark's overlay check reads it.
         for servent in s.overlay.servents.values():
             assert isinstance(servent.algorithm.stats(), dict)

@@ -3,8 +3,8 @@
 Two proof obligations (DESIGN.md, broadcast-suppression plane):
 
 1. The reference lanes are *bit-identical*: ``rebroadcast="flood"`` and
-   ``rebroadcast="probabilistic:1.0"`` (which short-circuits before
-   touching an RNG) must produce equal semantic registry snapshots,
+   ``rebroadcast="probabilistic:1.0"`` (which builds no policy, so it
+   never touches an RNG) must produce equal semantic registry snapshots,
    time series and derived figures over full scenarios -- dense/sparse
    topologies, csma/lossy channels, several seeds.
 2. The suppressing lanes stay *correct*: every answer recorded under
@@ -26,7 +26,6 @@ from repro.aodv.protocol import AodvConfig
 from repro.net.suppression import (
     ContactPolicy,
     CounterPolicy,
-    FloodPolicy,
     PolicySpec,
     ProbabilisticPolicy,
     make_rebroadcast_policy,
@@ -96,11 +95,14 @@ def _explode():
 
 class TestProbabilisticPolicy:
     def test_p_one_is_reference_and_never_draws(self):
-        pol = ProbabilisticPolicy(p=1.0, rng_factory=_explode)
-        assert pol.reference
-        sent = []
-        pol.forward("k", lambda: sent.append(1))
-        assert sent == [1]
+        # p >= 1 always forwards: the spec builds no policy (no RNG) and
+        # the policy class refuses it.
+        for spec in ("probabilistic:1", "probabilistic:1.5"):
+            assert make_rebroadcast_policy(
+                spec, plane="t", node=0, registry=Registry(), rng_factory=_explode
+            ) is None
+        with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
+            ProbabilisticPolicy(p=1.0, rng_factory=_explode)
 
     def test_degree_floor_always_sends(self):
         pol = ProbabilisticPolicy(
@@ -242,10 +244,7 @@ class TestContactPolicy:
 class TestFactory:
     def test_kinds(self):
         reg = Registry()
-        assert isinstance(
-            make_rebroadcast_policy("flood", plane="t", node=0, registry=reg),
-            FloodPolicy,
-        )
+        assert make_rebroadcast_policy("flood", plane="t", node=0, registry=reg) is None
         pol = make_rebroadcast_policy("probabilistic:0.4", plane="t", node=0, registry=reg)
         assert isinstance(pol, ProbabilisticPolicy) and pol.p == 0.4
         pol = make_rebroadcast_policy(
@@ -258,7 +257,11 @@ class TestFactory:
         )
 
     def test_flood_is_reference(self):
-        assert FloodPolicy().reference
+        # The reference flood is no policy object: nothing to call, no
+        # counters registered.
+        reg = Registry()
+        assert make_rebroadcast_policy("flood", plane="t", node=0, registry=reg) is None
+        assert len(reg) == 0
 
 
 def test_suppression_counters_are_cost_keys():
