@@ -199,7 +199,7 @@ def _render_run_stats(res) -> str:
     ):
         lines.append(f"  {section:<28} {seconds:>10.4f} {calls:>8}")
     lines.append("")
-    lines.append("counters (per-node labels folded):")
+    lines.append("counters:")
     lines.append(f"  {'metric':<44} {'value':>12}")
     for key, value in sorted(res.counters.items()):
         shown = f"{value:g}" if isinstance(value, float) else str(value)

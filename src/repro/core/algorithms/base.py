@@ -63,11 +63,10 @@ class ReconfigAlgorithm(abc.ABC):
         # initiator-side: peers whose ping is awaiting a pong, with the
         # time the ping went out
         self._await_pong: dict[int, float] = {}
-        labels = {"alg": self.name, "node": servent.nid}
         registry = servent.registry
-        self._c_pings = registry.counter("alg.pings_sent", **labels)
-        self._c_established = registry.counter("alg.connections_established", **labels)
-        self._c_closed = registry.counter("alg.connections_closed", **labels)
+        self._c_pings = registry.counter("alg.pings_sent", alg=self.name)
+        self._c_established = registry.counter("alg.connections_established", alg=self.name)
+        self._c_closed = registry.counter("alg.connections_closed", alg=self.name)
 
     # ------------------------------------------------------------------
     # lifecycle

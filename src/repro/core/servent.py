@@ -102,9 +102,7 @@ class Servent:
         if registry is None:
             registry = getattr(flood, "registry", None)
         self.registry = registry if registry is not None else Registry()
-        self._h_flood_hops = self.registry.histogram(
-            "p2p.flood_hops", node=nid
-        )
+        self._h_flood_hops = self.registry.histogram("p2p.flood_hops")
         # Wire the flood plane into this servent.
         flood.deliver[nid] = self._on_flood
         flood.count_duplicate[nid] = self._on_flood_duplicate

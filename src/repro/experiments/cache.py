@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Union
 
 from ..obs.manifest import config_hash
-from ..obs.registry import Registry, default_registry
+from ..obs.registry import Registry
 from ..obs.schema import RUN_SCHEMA_VERSION, SchemaError
 from ..scenarios.config import ScenarioConfig
 from ..scenarios.runner import RunResult
@@ -68,8 +68,8 @@ class RunCache:
         lookup and kept in memory (latest entry per key wins).
     registry:
         Metrics registry for the ``experiments.cache_hits`` /
-        ``experiments.cache_misses`` counters (default: the
-        process-wide registry).
+        ``experiments.cache_misses`` counters (default: a private one,
+        which a store created from a path shares).
     schema_version:
         Run-schema version baked into every key (tests bump it to
         prove version invalidation; production leaves the default).
@@ -82,7 +82,7 @@ class RunCache:
         registry: Optional[Registry] = None,
         schema_version: int = RUN_SCHEMA_VERSION,
     ) -> None:
-        self._registry = registry if registry is not None else default_registry()
+        self._registry = registry if registry is not None else Registry()
         if not isinstance(store, ResultStore):
             store = ResultStore(str(store), registry=self._registry)
         self.store = store

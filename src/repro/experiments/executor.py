@@ -32,7 +32,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
-from ..obs.registry import Registry, default_registry
+from ..obs.registry import Registry
 from ..parallel import default_chunksize, resolve_processes
 from ..scenarios.config import ScenarioConfig
 from ..scenarios.runner import RunResult, run_scenario
@@ -61,8 +61,8 @@ class ExperimentExecutor:
         Optional :class:`RunCache` (or a store path) consulted before
         executing and written back after -- always from this process.
     registry:
-        Metrics registry for the orchestration counters (default: the
-        process-wide registry; a cache created from a path shares it).
+        Metrics registry for the orchestration counters (default: a
+        private one; a cache created from a path shares it).
     """
 
     def __init__(
@@ -77,7 +77,7 @@ class ExperimentExecutor:
         self.processes = (
             resolve_processes(None) if processes == 0 else (processes or 1)
         )
-        self._registry = registry if registry is not None else default_registry()
+        self._registry = registry if registry is not None else Registry()
         if cache is not None and not isinstance(cache, RunCache):
             cache = RunCache(cache, registry=self._registry)
         self.cache = cache

@@ -95,8 +95,6 @@ def reproduce_all(
     os.makedirs(out_dir, exist_ok=True)
     say = progress if progress is not None else (lambda s: None)
     if executor is None:
-        if cache is not None and not isinstance(cache, RunCache):
-            cache = RunCache(cache)
         executor = ExperimentExecutor(processes=processes, cache=cache)
 
     tables_txt = (

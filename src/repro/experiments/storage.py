@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
-from ..obs.registry import Registry, default_registry
+from ..obs.registry import Registry
 from ..obs.schema import SchemaError, validate_run_dict
 from ..scenarios.runner import RunResult
 from .export import figure_result_to_dict
@@ -37,12 +37,12 @@ class ResultStore:
         exist).
     registry:
         Metrics registry for the ``storage.corrupt_lines`` counter
-        (default: the process-wide :func:`~repro.obs.registry.default_registry`).
+        (default: a private one).
     """
 
     def __init__(self, path: str, *, registry: Optional[Registry] = None) -> None:
         self.path = str(path)
-        self._registry = registry if registry is not None else default_registry()
+        self._registry = registry if registry is not None else Registry()
         self._corrupt_lines = self._registry.counter("storage.corrupt_lines")
         #: open append handle while inside :meth:`batch`, else None
         self._batch_fh = None

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..obs.registry import Registry, default_registry
+from ..obs.registry import Registry
 from .balance import load_balance_report
 from .collector import FAMILIES, MetricsCollector
 from .graphfast import (
@@ -49,11 +49,11 @@ class AnalyticsEngine:
     ----------
     registry:
         Obs registry for the ``graphfast.*`` kernel counters and wall
-        timers; defaults to the process-local default registry.
+        timers (default: a private one).
     """
 
     def __init__(self, *, registry: Optional[Registry] = None) -> None:
-        self.registry = registry if registry is not None else default_registry()
+        self.registry = registry if registry is not None else Registry()
 
     def _path_length(self, indptr: np.ndarray, indices: np.ndarray) -> float:
         total, pairs = path_length_sums(indptr, indices, registry=self.registry)

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs.registry import Registry, default_registry
+from ..obs.registry import Registry
 
 __all__ = [
     "UNREACHABLE",
@@ -74,7 +74,7 @@ _TRIANGLE_BLOCK = 1 << 20
 
 
 def _registry(registry: Optional[Registry]) -> Registry:
-    return registry if registry is not None else default_registry()
+    return registry if registry is not None else Registry()
 
 
 if hasattr(np, "bitwise_count"):

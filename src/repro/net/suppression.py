@@ -36,9 +36,10 @@ the flood plane (:mod:`repro.net.broadcast`), AODV's RREQ dissemination
     answer arrives within ``fallback_wait`` -- a repeat query costs a
     couple of unicasts instead of a network-wide flood.
 
-Policy objects are per node and per plane; their counters are labeled
-``plane=<kind>, node=<nid>`` and classified as *cost* metrics in
-:mod:`repro.obs.compare` (suppression accounting, not paper semantics).
+Policy objects are per node and per plane; every node's policy on a
+plane charges the same counters, labeled ``plane=<kind>`` and
+classified as *cost* metrics in :mod:`repro.obs.compare` (suppression
+accounting, not paper semantics).
 """
 
 from __future__ import annotations
@@ -146,7 +147,6 @@ class ProbabilisticPolicy(RebroadcastPolicy):
         degree: Optional[Callable[[], int]] = None,
         registry: Optional[Registry] = None,
         plane: str = "",
-        node: int = -1,
     ) -> None:
         if not 0.0 < p < 1.0:
             raise ValueError(f"gossip p must be in (0, 1), got {p}")
@@ -156,9 +156,7 @@ class ProbabilisticPolicy(RebroadcastPolicy):
         self._rng: Optional[np.random.Generator] = None
         self._degree = degree
         registry = registry if registry is not None else Registry()
-        self._c_suppressed = registry.counter(
-            "flood.suppressed", plane=plane, node=node
-        )
+        self._c_suppressed = registry.counter("flood.suppressed", plane=plane)
 
     def forward(self, key: Hashable, send: Callable[[], None]) -> None:
         if self._degree is not None and self._degree() <= self.degree_floor:
@@ -205,7 +203,6 @@ class CounterPolicy(RebroadcastPolicy):
         rng_factory: Optional[Callable[[], np.random.Generator]] = None,
         registry: Optional[Registry] = None,
         plane: str = "",
-        node: int = -1,
     ) -> None:
         if threshold < 1:
             raise ValueError(f"counter threshold must be >= 1, got {threshold}")
@@ -222,9 +219,8 @@ class CounterPolicy(RebroadcastPolicy):
         self._rng: Optional[np.random.Generator] = None
         self._pending: Dict[Hashable, _Assessment] = {}
         registry = registry if registry is not None else Registry()
-        labels = {"plane": plane, "node": node}
-        self._c_suppressed = registry.counter("flood.suppressed", **labels)
-        self._c_cancels = registry.counter("flood.assessment_cancels", **labels)
+        self._c_suppressed = registry.counter("flood.suppressed", plane=plane)
+        self._c_cancels = registry.counter("flood.assessment_cancels", plane=plane)
 
     def forward(self, key: Hashable, send: Callable[[], None]) -> None:
         if self._rng is None:
@@ -296,10 +292,9 @@ class ContactPolicy(RebroadcastPolicy):
         #: vicinity: origin -> hops of the most recent overhear
         self._peers: "OrderedDict[int, int]" = OrderedDict()
         registry = registry if registry is not None else Registry()
-        labels = {"plane": plane, "node": node}
-        self._c_hits = registry.counter("card.contact_hits", **labels)
-        self._c_fallbacks = registry.counter("card.fallback_floods", **labels)
-        self._c_learned = registry.counter("card.contacts_learned", **labels)
+        self._c_hits = registry.counter("card.contact_hits", plane=plane)
+        self._c_fallbacks = registry.counter("card.fallback_floods", plane=plane)
+        self._c_learned = registry.counter("card.contacts_learned", plane=plane)
 
     # -- broadcast-plane hooks -----------------------------------------
     def overhear(self, origin: int, hops: int) -> None:
@@ -440,7 +435,6 @@ def make_rebroadcast_policy(
             degree=degree,
             registry=registry,
             plane=plane,
-            node=node,
         )
     if spec.kind == "counter":
         return CounterPolicy(
@@ -449,6 +443,5 @@ def make_rebroadcast_policy(
             rng_factory=rng_factory,
             registry=registry,
             plane=plane,
-            node=node,
         )
     return ContactPolicy(registry=registry, plane=plane, node=node)

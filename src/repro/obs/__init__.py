@@ -20,8 +20,8 @@ One surface for everything a run can tell you about itself:
   metrics, the contract the batched-delivery fast lane is proven
   against.
 
-:func:`timed` adds wall-clock section timing for the ``run --stats``
-breakdown.
+:meth:`Registry.timed` adds wall-clock section timing for the
+``run --stats`` breakdown.
 """
 
 from .compare import (
@@ -46,8 +46,6 @@ from .registry import (
     Registry,
     Sample,
     Timer,
-    default_registry,
-    timed,
 )
 from .sampler import Sampler
 from .schema import RUN_SCHEMA_VERSION, SchemaError, validate_run_dict
@@ -63,8 +61,6 @@ __all__ = [
     "RunManifest",
     "config_hash",
     "git_revision",
-    "default_registry",
-    "timed",
     "to_plain",
     "registry_to_ndjson",
     "registry_to_csv",

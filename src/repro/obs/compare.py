@@ -119,9 +119,7 @@ def is_cost_key(key: str) -> bool:
     )
 
 
-def semantic_snapshot(
-    registry: Registry, *, drop_labels: Tuple[str, ...] = ("node",)
-) -> Dict[str, float]:
+def semantic_snapshot(registry: Registry) -> Dict[str, float]:
     """Aggregated registry snapshot with cost metrics removed.
 
     Wall-clock timers are also excluded (they measure the host, not the
@@ -131,9 +129,7 @@ def semantic_snapshot(
     """
     return {
         k: v
-        for k, v in registry.aggregated(
-            drop_labels=drop_labels, skip_kinds=("timer",)
-        ).items()
+        for k, v in registry.aggregated(skip_kinds=("timer",)).items()
         if not is_cost_key(k)
     }
 

@@ -74,7 +74,7 @@ class RunManifest:
     started_at: float = 0.0
     #: total wall-clock seconds (set by :meth:`finish`)
     wall_seconds: float = 0.0
-    #: peak/final counter values, per-node labels folded
+    #: peak/final counter values (``Registry.aggregated``)
     peaks: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------

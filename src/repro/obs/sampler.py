@@ -2,7 +2,7 @@
 
 A :class:`Sampler` is a lightweight kernel process that, every
 ``interval`` simulated seconds, snapshots the registry (counters and
-gauges, per-node labels folded) into one row of a time-series.  Typical
+gauges) into one row of a time-series.  Typical
 registered sources make the rows read like a flight recorder: overlay
 size, open connections, cumulative messages by family, kernel heap
 depth, consumed energy.
@@ -42,9 +42,6 @@ class Sampler:
         The metrics to snapshot.
     interval:
         Simulated seconds between rows (must be positive).
-    drop_labels:
-        Labels folded (summed over) when snapshotting; per-node detail
-        stays live in the registry but out of the time-series.
     skip_kinds:
         Metric kinds excluded from rows.  Wall-clock timers are excluded
         by default: they measure the host machine, not the simulation,
@@ -57,7 +54,6 @@ class Sampler:
         registry: Registry,
         interval: float,
         *,
-        drop_labels: Tuple[str, ...] = ("node",),
         skip_kinds: Tuple[str, ...] = ("timer",),
     ) -> None:
         if interval <= 0:
@@ -65,7 +61,6 @@ class Sampler:
         self.sim = sim
         self.registry = registry
         self.interval = float(interval)
-        self.drop_labels = drop_labels
         self.skip_kinds = skip_kinds
         #: collected rows: ``{"t": time, "<metric-key>": value, ...}``
         self.rows: List[Dict[str, float]] = []
@@ -97,11 +92,7 @@ class Sampler:
     def sample_now(self) -> Dict[str, float]:
         """Snapshot one row at the current sim time (also appended)."""
         row: Dict[str, float] = {"t": float(self.sim.now)}
-        row.update(
-            self.registry.aggregated(
-                drop_labels=self.drop_labels, skip_kinds=self.skip_kinds
-            )
-        )
+        row.update(self.registry.aggregated(skip_kinds=self.skip_kinds))
         self.rows.append(row)
         return row
 

@@ -50,7 +50,7 @@ class RunResult:
     balance: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: lifetime stats of closed connections by class (regular / random)
     connection_lifetimes: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: final registry counters/gauges, per-node labels folded
+    #: final registry counters/gauges/histograms (``Registry.aggregated``)
     counters: Dict[str, float] = field(default_factory=dict)
     #: sampled time-series rows (empty unless ``config.obs_interval > 0``)
     timeseries: List[Dict[str, float]] = field(default_factory=list)

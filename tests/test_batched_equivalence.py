@@ -153,7 +153,7 @@ def _run_wavefront(seed, topology, routing, case, batched):
     simulation.run()
     harvest(simulation)
     energy = simulation.world.energy
-    raw = simulation.registry.aggregated(drop_labels=("node",), skip_kinds=("timer",))
+    raw = simulation.registry.aggregated(skip_kinds=("timer",))
     return {
         "snapshot": semantic_snapshot(simulation.registry),
         "consumed": energy.consumed.copy(),

@@ -1,13 +1,12 @@
-"""Per-node instrument families: oracle equivalence and a scale guard.
+"""One series per (kind, name, labels): oracle equivalence and a size guard.
 
-The registry stores one family per ``(kind, name, non-node labels)`` and
-folds through a per-``(name, kind)`` index.  ``FlatRegistry`` below is
-the implementation it replaced -- one flat ``{(kind, name, labels):
-metric}`` dict, sorted and folded series by series on every call -- kept
-as the reference: every enumeration, sum (bit for bit) and export must
-agree with it on arbitrary registries.  The scale guard then checks, by
-counting calls instead of reading a clock, that a fold no longer does
-per-series bookkeeping.
+The registry is one flat ``{(kind, name, labels): metric}`` dict whose
+enumeration order is sorted once and reused until the next
+registration.  ``FlatRegistry`` below sorts every key and folds series
+by series on every call; it is the reference: every enumeration, sum
+(bit for bit) and export must agree with it on arbitrary registries,
+including series registered after a read.  The size guard then checks
+that nothing in a simulation's registry grows with the number of nodes.
 """
 
 import json
@@ -18,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.obs.registry as registry_mod
+from repro.core.config import P2pConfig
 from repro.obs import Registry, registry_to_csv, registry_to_ndjson
 from repro.scenarios import ScenarioConfig, build_scenario, run_scenario
+from tests.helpers import pin_backend
 
 
 # ----------------------------------------------------------------------
-# the oracle: the flat per-series store, as it was before families
+# the oracle: a flat store that sorts on every call
 # ----------------------------------------------------------------------
 def _flat_freeze(labels: Dict[str, Any]) -> tuple:
     return tuple(sorted((str(k), v) for k, v in labels.items()))
@@ -133,7 +133,7 @@ _ABSENT = object()
 
 
 class FlatRegistry:
-    """The pre-family ``Registry``: sort every key, fold every series."""
+    """The reference ``Registry``: sort every key, fold every series."""
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, str, tuple], _FlatMetric] = {}
@@ -190,15 +190,10 @@ class FlatRegistry:
             raise KeyError(name)
         return total
 
-    def snapshot(self, *, skip_kinds=()):
-        return {s.key: s.value for s in self.collect(skip_kinds=skip_kinds)}
-
-    def aggregated(self, *, drop_labels=("node",), skip_kinds=()):
+    def aggregated(self, *, skip_kinds=()):
         out: Dict[str, float] = {}
         for s in self.collect(skip_kinds=skip_kinds):
-            kept = tuple((k, v) for k, v in s.labels if k not in drop_labels)
-            key = _flat_key(s.name, kept)
-            out[key] = out.get(key, 0.0) + s.value
+            out[s.key] = out.get(s.key, 0.0) + s.value
         return out
 
     def wall_times(self):
@@ -221,8 +216,8 @@ class FlatRegistry:
 NAMES = ("m", "m.count", "flood.x", "wall")
 #: string order differs from numeric order (10 < 100 < 2), and "10"
 #: flattens like 10 while being another series
-NODES = (2, 10, 100, "10")
-#: keys on both sides of "node" in the sorted label tuple; 1 and "1"
+IDS = (2, 10, 100, "10")
+#: keys on both sides of "id" in the sorted label tuple; 1 and "1"
 #: flatten to the same output key
 LABELS = {"alg": ("r", "h"), "plane": ("a", "b", 1, "1"), "section": ("run", "build")}
 
@@ -233,7 +228,7 @@ _floats = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sample
 _labels = st.fixed_dictionaries(
     {},
     optional={
-        "node": st.sampled_from(NODES),
+        "id": st.sampled_from(IDS),
         **{k: st.sampled_from(vs) for k, vs in LABELS.items()},
     },
 )
@@ -273,7 +268,6 @@ def _bits(d: Dict[str, Any]) -> List[Tuple[str, str, str]]:
     return [(k, type(v).__name__, float(v).hex()) for k, v in d.items()]
 
 
-DROPS = ((), ("node",), ("plane",), ("node", "plane"), ("alg", "node", "plane", "section"))
 SKIPS = ((), ("timer",), ("counter", "histogram"))
 
 
@@ -283,16 +277,12 @@ def _assert_same(new: Registry, old: FlatRegistry) -> None:
         (m.kind, m.name, m.labels) for m in old.metrics()
     ]
     for skip in SKIPS:
-        assert _bits(new.snapshot(skip_kinds=skip)) == _bits(old.snapshot(skip_kinds=skip))
-        for drop in DROPS:
-            got = new.aggregated(drop_labels=drop, skip_kinds=skip)
-            want = old.aggregated(drop_labels=drop, skip_kinds=skip)
-            assert _bits(got) == _bits(want), (drop, skip)
-    assert _bits(new.aggregated()) == _bits(old.aggregated())
+        got = new.aggregated(skip_kinds=skip)
+        assert _bits(got) == _bits(old.aggregated(skip_kinds=skip)), skip
     assert new.wall_times() == old.wall_times()
     assert list(new.wall_times()) == list(old.wall_times())
     for name in NAMES + ("absent",):
-        for want in ({}, {"node": 10}, {"plane": "a"}, {"plane": 1, "alg": "r"}, {"node": "10", "plane": "b"}):
+        for want in ({}, {"id": 10}, {"plane": "a"}, {"plane": 1, "alg": "r"}, {"id": "10", "plane": "b"}):
             try:
                 expected = old.value(name, **want)
             except KeyError:
@@ -311,133 +301,107 @@ class TestOracleEquivalence:
         new, old = Registry(), FlatRegistry()
         _apply(new, first)
         _apply(old, first)
-        _assert_same(new, old)  # also primes every cached order and key list
-        # Late registration: series and families added after a fold must
-        # show up, in the right place, in the next one.
+        _assert_same(new, old)  # also caches the enumeration order
+        # Late registration: series added after a read must show up, in
+        # the right place, in the next one.
         _apply(new, later)
         _apply(old, later)
         _assert_same(new, old)
 
     def test_float_sum_follows_repr_order_of_nodes(self):
-        # 10 < 100 < 2 as strings: the non-associative sum below only
-        # matches when cells are added in that order.
+        # Ids compare as their repr strings (10 < 100 < 2): the
+        # non-associative sum below only matches in that order.
         values = {2: 1.0, 10: 1e16, 100: -1e16}
         new, old = Registry(), FlatRegistry()
         for reg in (new, old):
             for node, v in values.items():
-                reg.gauge("g", fn=lambda v=v: v, plane="p", node=node)
+                reg.gauge("g", fn=lambda v=v: v, plane="p", id=node)
         assert [m.labels[0][1] for m in new.metrics()] == [10, 100, 2]
-        assert new.aggregated()["g{plane=p}"] == old.aggregated()["g{plane=p}"] == 1.0
+        assert new.value("g", plane="p") == old.value("g", plane="p") == 1.0
         assert 1.0 + 1e16 + -1e16 == 0.0  # numeric order would have lost the 1.0
 
     def test_interleaved_families_keep_global_order(self):
-        # Two planes share the (name, kind): label order puts node first,
-        # so their cells interleave; dropping plane too merges them.
+        # Two planes share the name: label order puts id first, so their
+        # series interleave, and a sum over both follows that order.
         new, old = Registry(), FlatRegistry()
         for reg in (new, old):
             for node, plane, v in ((2, "a", 0.1), (2, "b", 0.2), (10, "a", 0.3), (10, "b", 1e16)):
-                reg.gauge("g", fn=lambda v=v: v, plane=plane, node=node)
+                reg.gauge("g", fn=lambda v=v: v, plane=plane, id=node)
         assert [m.labels for m in new.metrics()] == [m.labels for m in old.metrics()]
-        both = ("node", "plane")
-        assert _bits(new.aggregated(drop_labels=both)) == _bits(old.aggregated(drop_labels=both))
+        assert new.value("g").hex() == old.value("g").hex()
+        assert _bits(new.aggregated()) == _bits(old.aggregated())
 
 
 class TestFamilies:
     def test_get_or_create_identity(self):
         reg = Registry()
-        a = reg.counter("c", node=1)
-        assert reg.counter("c", node=1) is a
-        assert reg.counter("c", node=2) is not a
-        assert reg.counter("c") is not a  # the node-less series is its own cell
-        assert reg.counter("c", plane="p", node=1) is reg.counter("c", node=1, plane="p")
-        assert reg.gauge("c", node=1) is not a  # kinds never share
+        a = reg.counter("c", plane="p")
+        assert reg.counter("c", plane="p") is a
+        assert reg.counter("c", plane="q") is not a
+        assert reg.counter("c") is not a  # the unlabeled series is its own
+        assert reg.counter("c", plane="p", alg="h") is reg.counter("c", alg="h", plane="p")
+        assert reg.gauge("c", plane="p") is not a  # kinds never share
         assert len(reg) == 5
 
     def test_cells_read_identity_from_the_family(self):
+        # An instrument holds its own name and sorted labels.
         reg = Registry()
-        c = reg.counter("alg.pings", alg="h", node=7, zone="z")
-        assert c.name == "alg.pings" and c.kind == "counter" and c.node == 7
-        assert c.labels == (("alg", "h"), ("node", 7), ("zone", "z"))
-        assert c.label_dict == {"alg": "h", "node": 7, "zone": "z"}
-        assert c.key == "alg.pings{alg=h,node=7,zone=z}"
+        c = reg.counter("alg.pings", alg="h", zone="z", layer="l")
+        assert c.name == "alg.pings" and c.kind == "counter"
+        assert c.labels == (("alg", "h"), ("layer", "l"), ("zone", "z"))
+        assert c.label_dict == {"alg": "h", "layer": "l", "zone": "z"}
+        assert c.key == "alg.pings{alg=h,layer=l,zone=z}"
         assert reg.counter("plain").labels == ()
-        assert not hasattr(c, "__dict__")  # a cell stays a slot object
+        assert not hasattr(c, "__dict__")  # an instrument stays a slot object
+        assert not hasattr(c, "node")
 
     def test_late_cell_is_seen_by_the_next_fold(self):
         reg = Registry()
-        reg.counter("c", plane="p", node=1).inc(3)
-        assert reg.aggregated() == {"c{plane=p}": 3.0}
-        reg.counter("c", plane="p", node=0).inc(4)  # grows the family
-        reg.counter("c", plane="q", node=0).inc(5)  # a new family, same bucket
-        reg.counter("d").inc()  # a new bucket
-        assert reg.aggregated() == {"c{plane=p}": 7.0, "c{plane=q}": 5.0, "d": 1.0}
-        assert reg.value("c", node=0) == 9.0
-        assert [s.key for s in reg.collect()][:2] == ["c{node=0,plane=p}", "c{node=0,plane=q}"]
+        reg.counter("c", plane="q").inc(3)
+        assert reg.aggregated() == {"c{plane=q}": 3.0}
+        reg.counter("c", plane="p").inc(4)  # sorts before the first series
+        reg.counter("b").inc()  # a new name, first of all
+        assert list(reg.aggregated().items()) == [
+            ("b", 1.0), ("c{plane=p}", 4.0), ("c{plane=q}", 3.0)
+        ]
+        assert reg.value("c") == 7.0
 
 
 # ----------------------------------------------------------------------
-# scale guard
+# size guard and the recorded run
 # ----------------------------------------------------------------------
-class _Calls:
-    """Counts calls of a module global while passing them through."""
-
-    def __init__(self, monkeypatch, name: str) -> None:
-        self.n = 0
-        real = getattr(registry_mod, name)
-
-        def counted(*args, **kwargs):
-            self.n += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(registry_mod, name, counted)
+@pytest.fixture(scope="module")
+def n150_counters() -> Dict[str, float]:
+    result = run_scenario(ScenarioConfig(num_nodes=150, duration=20.0, algorithm="hybrid", seed=5))
+    return result.counters
 
 
 class TestScaleGuard:
-    def test_fold_work_tracks_output_keys_not_series(self, monkeypatch):
+    def test_fold_work_tracks_output_keys_not_series(self):
         # The metro_mobility smoke shape: paper density, queries off.
-        n = 1000
-        side = 100.0 * math.sqrt(n / 50.0)
-        simulation = build_scenario(
-            ScenarioConfig(
-                num_nodes=n, area_width=side, area_height=side, queries=False, duration=1.0, seed=1,
-            )
-        )
-        registry = simulation.registry
-        # 3 alg + 1 histogram per member (750 members), nothing per
-        # non-member, 23 globals (the flat store's 34 less the three
-        # topology horizon counters, the proof-gate gauge,
-        # analytics.bfs_shards and the six counters of the incremental
-        # analytics lane) and the flood plane's 4 series.  Before the
-        # plane was one object it also held 6 series per node: 9·n + 23.
-        assert len(simulation.members) == 750
-        assert len(registry) == 3 * n + 23 + 4
+        # Every member charges the same shared instruments, so the
+        # registry has as many series at n = 1 000 as at n = 100.  (It
+        # held 3 series per member, 3·n + 27 in all, while each member
+        # kept its own alg counters and flood-hop histogram.)  Both sizes
+        # run the sparse grid, metro's backend: the dense matrix that
+        # n = 100 gets by default registers one counter fewer.
+        sizes = {}
+        for n in (100, 1000):
+            side = 100.0 * math.sqrt(n / 50.0)
+            with pin_backend("sparse"):
+                simulation = build_scenario(
+                    ScenarioConfig(
+                        num_nodes=n, area_width=side, area_height=side, queries=False,
+                        duration=1.0, seed=1,
+                    )
+                )
+            simulation.run()
+            sizes[n] = len(simulation.registry)
+        assert sizes[100] == sizes[1000]
+        first, *others = [s._h_flood_hops for s in simulation.overlay.servents.values()]
+        assert others and all(h is first for h in others)
 
-        flattens = _Calls(monkeypatch, "flatten_key")
-        sort_keys = _Calls(monkeypatch, "_series_sort_key")
-        samples = _Calls(monkeypatch, "Sample")
-
-        simulation.run()  # RunManifest.finish folds once: orders every bucket
-        assert sort_keys.n <= len(registry)  # one key per series, once
-        assert flattens.n <= 2 * len(simulation.manifest.peaks)
-        assert samples.n == 0
-
-        flattens.n = sort_keys.n = 0
-        registry.counter("graphfast.triangle_runs", layer="metrics").inc()  # as harvest does
-        out = registry.aggregated(skip_kinds=("timer",))
-        assert len(registry) > 50 * len(out)
-        assert sort_keys.n <= len(out)
-        assert flattens.n <= len(out)
-        assert samples.n == 0
-        assert out["flood.forwarded{plane=p2p.flood}"] == sum(
-            m.value for m in registry.metrics() if m.name == "flood.forwarded"
-        )
-
-        flattens.n = sort_keys.n = 0
-        walls = registry.wall_times()  # reads the timers, nothing per node
-        assert list(walls) == ["topology.rebuild"]
-        assert sort_keys.n <= len(walls) and flattens.n <= len(walls) and samples.n == 0
-
-    def test_counters_equal_the_flat_store_recording(self):
+    def test_counters_equal_the_flat_store_recording(self, n150_counters):
         # RunResult.counters of this scenario at the last flat-store
         # commit (09a47a0), keys in its order -- less the four
         # ``kernel.calq_*`` series, which left with the calendar queue,
@@ -449,10 +413,17 @@ class TestScaleGuard:
         # no longer labels components), and the three per-node
         # ``flood.*`` cache gauges and eviction counter, which left with
         # the per-node flood managers (``flood.ids_live`` replaced them).
-        result = run_scenario(
-            ScenarioConfig(num_nodes=150, duration=20.0, algorithm="hybrid", seed=5)
-        )
-        assert list(result.counters.items()) == list(json.loads(_RECORDED_N150).items())
+        # ``p2p.flood_hops.min`` / ``.max`` were 123 / 303 while every
+        # member kept its own histogram and the fold summed their
+        # extrema; one shared histogram reports the true ones.
+        assert list(n150_counters.items()) == list(json.loads(_RECORDED_N150).items())
+
+
+class TestHistogramExtrema:
+    def test_flood_hops_extrema_are_real(self, n150_counters):
+        cfg = P2pConfig()
+        lo, hi = n150_counters["p2p.flood_hops.min"], n150_counters["p2p.flood_hops.max"]
+        assert 1 <= lo <= hi <= max(cfg.max_nhops, cfg.nhops_basic)
 
 
 _RECORDED_N150 = """{
@@ -467,7 +438,7 @@ _RECORDED_N150 = """{
 "kernel.heap": 395.0, "kernel.heap_compactions": 0.0, "kernel.heap_pushes": 5193.0,
 "net.frames_delivered{layer=radio}": 11545.0, "net.frames_sent{layer=radio}": 3484.0,
 "overlay.connections": 112.0, "overlay.members": 112.0, "p2p.flood_hops.count": 651.0,
-"p2p.flood_hops.sum": 1151.0, "p2p.flood_hops.min": 123.0, "p2p.flood_hops.max": 303.0,
+"p2p.flood_hops.sum": 1151.0, "p2p.flood_hops.min": 1.0, "p2p.flood_hops.max": 4.0,
 "p2p.received{family=connect}": 2212.0, "p2p.received{family=other}": 0.0,
 "p2p.received{family=ping}": 212.0, "p2p.received{family=query}": 0.0,
 "p2p.received{family=transfer}": 0.0,

@@ -53,9 +53,9 @@ class TestInstruments:
 class TestRegistry:
     def test_get_or_create_identity(self):
         reg = Registry()
-        a = reg.counter("c", node=1)
-        b = reg.counter("c", node=1)
-        c = reg.counter("c", node=2)
+        a = reg.counter("c", family="ping")
+        b = reg.counter("c", family="ping")
+        c = reg.counter("c", family="query")
         assert a is b and a is not c
         # Label order must not matter.
         x = reg.counter("d", a=1, b=2)
@@ -64,28 +64,48 @@ class TestRegistry:
 
     def test_label_aggregation(self):
         reg = Registry()
-        reg.counter("msgs", family="ping", node=0).inc(3)
-        reg.counter("msgs", family="ping", node=1).inc(4)
-        reg.counter("msgs", family="query", node=0).inc(5)
+        reg.counter("msgs", family="ping", layer="p2p").inc(3)
+        reg.counter("msgs", family="ping", layer="radio").inc(4)
+        reg.counter("msgs", family="query", layer="p2p").inc(5)
         assert reg.value("msgs") == 12
         assert reg.value("msgs", family="ping") == 7
-        assert reg.value("msgs", family="ping", node=1) == 4
+        assert reg.value("msgs", family="ping", layer="radio") == 4
         with pytest.raises(KeyError):
             reg.value("msgs", family="absent")
 
     def test_aggregated_folds_node_label(self):
+        # Nodes share one instrument, so there is no node label to fold:
+        # every member's charges land in one series.
         reg = Registry()
-        reg.counter("msgs", family="ping", node=0).inc(3)
-        reg.counter("msgs", family="ping", node=1).inc(4)
-        agg = reg.aggregated()
-        assert agg["msgs{family=ping}"] == 7
-        assert not any("node=" in k for k in agg)
+        for _member in range(2):
+            reg.counter("msgs", family="ping").inc(3)
+        assert reg.aggregated() == {"msgs{family=ping}": 6}
+        assert len(reg) == 1
+        with pytest.raises(TypeError):
+            reg.aggregated(drop_labels=("node",))
 
     def test_snapshot_keys_deterministic(self):
         reg = Registry()
         reg.counter("b").inc()
         reg.counter("a").inc()
-        assert list(reg.snapshot()) == sorted(reg.snapshot())
+        assert list(reg.aggregated()) == sorted(reg.aggregated()) == ["a", "b"]
+        assert not hasattr(reg, "snapshot")
+
+    def test_one_series_per_name_surface(self):
+        # No per-node store, no label folding knob, no process-wide
+        # registry: each owner builds its own Registry().
+        import repro.obs
+        import repro.obs.registry as registry_mod
+        from repro.obs import Sampler, semantic_snapshot
+
+        for name in ("_Family", "_Bucket", "_MISSING", "NODE", "default_registry", "timed"):
+            assert not hasattr(registry_mod, name), name
+            assert not hasattr(repro.obs, name), name
+        reg = Registry()
+        with pytest.raises(TypeError):
+            Sampler(Simulator(), reg, 1.0, drop_labels=())
+        with pytest.raises(TypeError):
+            semantic_snapshot(reg, drop_labels=())
 
     def test_wall_times(self):
         reg = Registry()

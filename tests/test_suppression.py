@@ -120,12 +120,11 @@ class TestProbabilisticPolicy:
             rng_factory=lambda: np.random.default_rng(7),
             registry=reg,
             plane="t",
-            node=0,
         )
         sent = []
         for i in range(200):
             pol.forward(i, lambda: sent.append(1))
-        suppressed = reg.value("flood.suppressed", plane="t", node=0)
+        suppressed = reg.value("flood.suppressed", plane="t")
         assert suppressed == 200 - len(sent)
         assert 50 < suppressed < 150  # p=0.5, 200 trials
 
@@ -142,7 +141,6 @@ class TestCounterPolicy:
             rng_factory=lambda: np.random.default_rng(3),
             registry=sim.registry,
             plane="t",
-            node=0,
         )
 
     def test_fires_without_duplicates(self):
@@ -265,7 +263,7 @@ class TestFactory:
 
 
 def test_suppression_counters_are_cost_keys():
-    assert is_cost_key('flood.suppressed{node="3",plane="p2p.flood"}')
+    assert is_cost_key("flood.suppressed{plane=p2p.flood}")
     assert is_cost_key("flood.assessment_cancels")
     assert is_cost_key("card.contact_hits")
     assert is_cost_key("card.fallback_floods")
