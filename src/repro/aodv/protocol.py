@@ -26,7 +26,7 @@ the message families the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..net.broadcast import SeenTable
 from ..net.packet import Frame
@@ -34,9 +34,9 @@ from ..net.radio import Channel, NetNode
 from ..net.suppression import RebroadcastPolicy, make_rebroadcast_policy, parse_policy_spec
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
-from ..routing.base import Router
+from ..routing.base import AgentRouter, OnDemandAgent, Router
 from .messages import SEQ_UNKNOWN, DataPacket, Hello, Rerr, Rrep, Rreq
-from .table import RouteTable
+from .table import RouteEntry, RouteTable
 
 __all__ = ["AodvConfig", "AodvAgent", "AodvRouter"]
 
@@ -104,27 +104,15 @@ class AodvConfig:
         return 2.0 * (2.0 * self.node_traversal_time * self.net_diameter)
 
 
-class AodvAgent:
+class AodvAgent(OnDemandAgent):
     """The AODV state machine of one node."""
 
+    PACKET = DataPacket
+
     def __init__(
-        self,
-        node: NetNode,
-        channel: Channel,
-        sim: Simulator,
-        config: AodvConfig,
-        deliver_up: Callable[[str, int, int, Any, int], None],
-        seen: SeenTable,
-        ring_ttls: List[int],
-        *,
-        policy: Optional[RebroadcastPolicy] = None,
+        self, router: AodvRouter, node: NetNode, *, policy: Optional[RebroadcastPolicy] = None
     ) -> None:
-        self.node = node
-        self.nid = node.nid
-        self.channel = channel
-        self.sim = sim
-        self.cfg = config
-        self.deliver_up = deliver_up
+        super().__init__(router, node, len(router._ring_ttls))
         #: RREQ rebroadcast policy; None rebroadcasts every first copy
         #: inline (the draft's plain flood)
         self.policy = policy
@@ -133,60 +121,32 @@ class AodvAgent:
         self.rreq_id = 0
         #: the router's RREQ dedup table and TTL sequence, shared by
         #: all its agents
-        self._seen = seen
-        self._ring_ttls = ring_ttls
-        # Pending discoveries: dest -> (queued packets, on_fail callbacks)
-        self._pending: Dict[int, List[Tuple[DataPacket, Optional[Callable[[Any], None]]]]] = {}
-        self._attempt: Dict[int, int] = {}
-        # Stats (ad-hoc-level overhead; used by the routing ablation)
-        self.rreq_sent = 0
-        self.rrep_sent = 0
-        self.rerr_sent = 0
-        self.hello_sent = 0
-        self.data_forwarded = 0
+        self._seen = router._seen
+        self._ring_ttls = router._ring_ttls
+        c = router.counters
+        self._c_rreq, self._c_rrep, self._c_rerr = c["rreq_sent"], c["rrep_sent"], c["rerr_sent"]
+        self._c_hello, self._c_forwarded = c["hello_sent"], c["data_forwarded"]
         #: neighbour -> last time a HELLO (or any ctrl frame) was heard
         self._neighbor_heard: Dict[int, float] = {}
         node.register(KIND_CTRL, self._on_ctrl)
         node.register(KIND_DATA, self._on_data)
-        if config.hello_interval > 0:
+        if self.cfg.hello_interval > 0:
             from ..sim.process import Process
 
             self._hello_proc = Process(
-                sim, self._hello_loop(), name=f"aodv.hello[{self.nid}]"
+                self.sim, self._hello_loop(), name=f"aodv.hello[{self.nid}]"
             )
 
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def send_data(
-        self,
-        dst: int,
-        payload: Any,
-        kind_upper: str,
-        size: int,
-        on_fail: Optional[Callable[[Any], None]] = None,
-    ) -> None:
-        """Send an upper-layer payload to ``dst``, discovering if needed."""
-        if dst == self.nid:
-            self.sim.schedule(0.0, self.deliver_up, kind_upper, dst, self.nid, payload, 0)
-            return
-        pkt = DataPacket(src=self.nid, dst=dst, kind_upper=kind_upper, payload=payload, size=size)
-        entry = self.table.lookup(dst, self.sim.now)
-        if entry is not None:
-            self._forward(pkt, entry.next_hop, on_fail)
-        else:
-            self._enqueue(pkt, on_fail)
+    def _route(self, dest: int) -> Optional[RouteEntry]:
+        return self.table.lookup(dest, self.sim.now)
 
-    def _enqueue(self, pkt: DataPacket, on_fail: Optional[Callable[[Any], None]]) -> None:
-        queue = self._pending.setdefault(pkt.dst, [])
-        if len(queue) >= self.cfg.queue_per_dest:
-            if on_fail is not None:
-                on_fail(pkt.payload)
-            return
-        queue.append((pkt, on_fail))
-        if len(queue) == 1 and pkt.dst not in self._attempt:
-            self._attempt[pkt.dst] = 0
-            self._start_discovery(pkt.dst)
+    def _send_on(
+        self, pkt: DataPacket, route: RouteEntry, on_fail: Optional[Callable[[Any], None]]
+    ) -> None:
+        self._forward(pkt, route.next_hop, on_fail)
 
     def _forward(
         self,
@@ -202,7 +162,7 @@ class AodvAgent:
             now = self.sim.now
             self.table.refresh(pkt.dst, now + self.cfg.active_route_timeout)
             if pkt.src != self.nid:
-                self.data_forwarded += 1
+                self._c_forwarded.value += 1
             return
         # Link broke: drop routes through that neighbour and tell ours.
         pkt.hops -= 1
@@ -230,20 +190,8 @@ class AodvAgent:
     # ------------------------------------------------------------------
     # route discovery
     # ------------------------------------------------------------------
-    def _start_discovery(self, dest: int) -> None:
-        attempt = self._attempt.get(dest)
-        if attempt is None:
-            return
-        ttls = self._ring_ttls
-        if attempt >= len(ttls):
-            # Discovery exhausted: fail every queued packet.
-            queue = self._pending.pop(dest, [])
-            self._attempt.pop(dest, None)
-            for pkt, on_fail in queue:
-                if on_fail is not None:
-                    on_fail(pkt.payload)
-            return
-        ttl = ttls[attempt]
+    def _request(self, dest: int, attempt: int) -> float:
+        ttl = self._ring_ttls[attempt]
         self.seq += 1
         self.rreq_id += 1
         known = self.table.get(dest)
@@ -257,34 +205,11 @@ class AodvAgent:
             ttl=ttl,
         )
         self._seen.mark((self.nid, self.rreq_id), self.nid)
-        self.rreq_sent += 1
+        self._c_rreq.value += 1
         self.channel.broadcast(
             Frame(src=self.nid, dst=-1, kind=KIND_CTRL, payload=rreq, size=self.cfg.ctrl_size)
         )
-        self.sim.schedule(self.cfg.discovery_timeout(ttl), self._discovery_check, dest, attempt)
-
-    def _discovery_check(self, dest: int, attempt: int) -> None:
-        if dest not in self._pending:
-            return  # already resolved (or failed)
-        if self.table.lookup(dest, self.sim.now) is not None:
-            self._flush(dest)
-            return
-        if self._attempt.get(dest) != attempt:
-            return  # a newer attempt is in flight
-        self._attempt[dest] = attempt + 1
-        self._start_discovery(dest)
-
-    def _flush(self, dest: int) -> None:
-        entry = self.table.lookup(dest, self.sim.now)
-        queue = self._pending.pop(dest, [])
-        self._attempt.pop(dest, None)
-        if entry is None:
-            for pkt, on_fail in queue:
-                if on_fail is not None:
-                    on_fail(pkt.payload)
-            return
-        for pkt, on_fail in queue:
-            self._forward(pkt, entry.next_hop, on_fail)
+        return self.cfg.discovery_timeout(ttl)
 
     # ------------------------------------------------------------------
     # HELLO link sensing (draft §6.9; optional)
@@ -294,7 +219,7 @@ class AodvAgent:
         # desynchronize beacons across nodes
         yield (self.nid % 16) / 16.0 * interval
         while True:
-            self.hello_sent += 1
+            self._c_hello.value += 1
             self.channel.broadcast(
                 Frame(
                     src=self.nid,
@@ -405,7 +330,7 @@ class AodvAgent:
         entry = self.table.lookup(rrep.origin, self.sim.now)
         if entry is None:
             return  # reverse route evaporated; origin will retry
-        self.rrep_sent += 1
+        self._c_rrep.value += 1
         self.channel.unicast(
             Frame(
                 src=self.nid,
@@ -441,7 +366,7 @@ class AodvAgent:
         self._send_rrep(fwd)
 
     def _broadcast_rerr(self, dest: int, dest_seq: int) -> None:
-        self.rerr_sent += 1
+        self._c_rerr.value += 1
         self.channel.broadcast(
             Frame(
                 src=self.nid,
@@ -460,13 +385,13 @@ class AodvAgent:
             self._broadcast_rerr(rerr.dest, max(rerr.dest_seq, entry.dest_seq))
 
 
-class AodvRouter(Router):
+class AodvRouter(AgentRouter):
     """Router facade: one :class:`AodvAgent` per node.
 
     Parameters
     ----------
-    sim, world, channel:
-        Shared substrate (the channel must belong to ``world``).
+    sim, channel:
+        Shared substrate.
     config:
         Protocol constants.
     rebroadcast:
@@ -480,6 +405,9 @@ class AodvRouter(Router):
         instantiated by policies that actually draw.
     """
 
+    PROTOCOL = "aodv"
+    COUNTERS = ("rreq_sent", "rrep_sent", "rerr_sent", "hello_sent", "data_forwarded")
+
     def __init__(
         self,
         sim: Simulator,
@@ -489,33 +417,22 @@ class AodvRouter(Router):
         rebroadcast: str = "flood",
         rng: Optional[RngRegistry] = None,
     ) -> None:
-        super().__init__()
-        self.sim = sim
-        self.channel = channel
-        self.cfg = config if config is not None else AodvConfig()
+        super().__init__(sim, channel, config if config is not None else AodvConfig())
         spec = parse_policy_spec(rebroadcast)
         self._rng = rng if rng is not None else RngRegistry(0)
-        registry = getattr(channel, "registry", None)
-        if registry is None:
-            registry = sim.registry
         world = channel.world
         self._seen = SeenTable(sim, self.cfg.path_discovery_time)
-        registry.gauge("aodv.rreq_keys_live", fn=self._seen.__len__)
-        ring_ttls = self.cfg.ring_ttls()
+        self.registry.gauge("aodv.rreq_keys_live", fn=self._seen.__len__)
+        self._ring_ttls = self.cfg.ring_ttls()
         self.agents = [
             AodvAgent(
+                self,
                 node,
-                channel,
-                sim,
-                self.cfg,
-                self._deliver_up,
-                self._seen,
-                ring_ttls,
                 policy=make_rebroadcast_policy(
                     spec,
                     plane=KIND_RREQ_PLANE,
                     node=node.nid,
-                    registry=registry,
+                    registry=self.registry,
                     sim=sim,
                     rng_factory=(
                         lambda nid=node.nid: self._rng.stream(
@@ -542,30 +459,8 @@ class AodvRouter(Router):
             return self._seen.seen_by((msg.origin, msg.rreq_id))
         return None
 
-    def send(
-        self,
-        src: int,
-        dst: int,
-        payload: Any,
-        *,
-        kind: str = "data",
-        size: int = 64,
-        on_fail: Optional[Callable[[Any], None]] = None,
-    ) -> None:
-        self.agents[src].send_data(dst, payload, kind, size, on_fail)
-
     def route_hops(self, src: int, dst: int) -> int:
         if src == dst:
             return 0
         entry = self.agents[src].table.lookup(dst, self.sim.now)
         return entry.hop_count if entry is not None else Router.UNKNOWN
-
-    # convenience for diagnostics / ablations -------------------------------
-    def control_overhead(self) -> dict:
-        """Aggregate AODV control-plane counters across all agents."""
-        return {
-            "rreq_sent": sum(a.rreq_sent for a in self.agents),
-            "rrep_sent": sum(a.rrep_sent for a in self.agents),
-            "rerr_sent": sum(a.rerr_sent for a in self.agents),
-            "data_forwarded": sum(a.data_forwarded for a in self.agents),
-        }

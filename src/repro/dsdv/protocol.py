@@ -29,12 +29,12 @@ control-plane volume constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
-from ..routing.base import Router
+from ..routing.base import Agent, AgentRouter, Router
 from ..sim.kernel import Simulator
 from ..sim.process import Process
 
@@ -90,34 +90,21 @@ class DsdvData:
     hops: int = 0
 
 
-class DsdvAgent:
+class DsdvAgent(Agent):
     """The DSDV state machine of one node."""
 
-    def __init__(
-        self,
-        node: NetNode,
-        channel: Channel,
-        sim: Simulator,
-        config: DsdvConfig,
-        deliver_up: Callable[[str, int, int, Any, int], None],
-        jitter: float = 0.0,
-    ) -> None:
-        self.node = node
-        self.nid = node.nid
-        self.channel = channel
-        self.sim = sim
-        self.cfg = config
-        self.deliver_up = deliver_up
+    def __init__(self, router: DsdvRouter, node: NetNode, jitter: float = 0.0) -> None:
+        super().__init__(router, node)
         self.seq = 0  # own even sequence number
         self.table: Dict[int, VectorEntry] = {
             self.nid: VectorEntry(self.nid, self.nid, 0, 0, 0.0)
         }
-        self.updates_sent = 0
-        self.data_forwarded = 0
+        self._c_updates = router.counters["updates_sent"]
+        self._c_forwarded = router.counters["data_forwarded"]
         self._trigger_pending = False
         node.register(KIND_UPDATE, self._on_update)
         node.register(KIND_DATA, self._on_data)
-        self._proc = Process(sim, self._update_loop(jitter), name=f"dsdv[{self.nid}]")
+        self._proc = Process(self.sim, self._update_loop(jitter), name=f"dsdv[{self.nid}]")
 
     # ------------------------------------------------------------------
     # control plane
@@ -134,7 +121,7 @@ class DsdvAgent:
         self.table[self.nid] = VectorEntry(self.nid, self.nid, 0, self.seq, now)
         self._expire_stale(now)
         rows = [(e.dest, e.metric, e.seq) for e in self.table.values()]
-        self.updates_sent += 1
+        self._c_updates.value += 1
         self.channel.broadcast(
             Frame(
                 src=self.nid,
@@ -183,9 +170,6 @@ class DsdvAgent:
         size: int,
         on_fail: Optional[Callable[[Any], None]] = None,
     ) -> None:
-        if dst == self.nid:
-            self.sim.schedule(0.0, self.deliver_up, kind_upper, dst, self.nid, payload, 0)
-            return
         pkt = DsdvData(src=self.nid, dst=dst, kind_upper=kind_upper, payload=payload, size=size)
         if not self._forward(pkt) and on_fail is not None:
             on_fail(payload)
@@ -206,7 +190,7 @@ class DsdvAgent:
         )
         if ok:
             if pkt.src != self.nid:
-                self.data_forwarded += 1
+                self._c_forwarded.value += 1
             return True
         pkt.hops -= 1
         self._link_broken(entry.next_hop)
@@ -239,12 +223,15 @@ class DsdvAgent:
         self._proc.kill()
 
 
-class DsdvRouter(Router):
+class DsdvRouter(AgentRouter):
     """Router facade: one :class:`DsdvAgent` per node.
 
     Updates are jittered across nodes so the periodic dumps don't
     synchronize into network-wide bursts.
     """
+
+    PROTOCOL = "dsdv"
+    COUNTERS = ("updates_sent", "data_forwarded")
 
     def __init__(
         self,
@@ -253,43 +240,15 @@ class DsdvRouter(Router):
         *,
         config: Optional[DsdvConfig] = None,
     ) -> None:
-        super().__init__()
-        self.sim = sim
-        self.channel = channel
-        self.cfg = config if config is not None else DsdvConfig()
+        super().__init__(sim, channel, config if config is not None else DsdvConfig())
         n = len(channel.nodes)
         self.agents = [
-            DsdvAgent(
-                node,
-                channel,
-                sim,
-                self.cfg,
-                self._deliver_up,
-                jitter=(i / max(n, 1)) * self.cfg.periodic_update,
-            )
+            DsdvAgent(self, node, jitter=(i / max(n, 1)) * self.cfg.periodic_update)
             for i, node in enumerate(channel.nodes)
         ]
-
-    def send(
-        self,
-        src: int,
-        dst: int,
-        payload: Any,
-        *,
-        kind: str = "data",
-        size: int = 64,
-        on_fail: Optional[Callable[[Any], None]] = None,
-    ) -> None:
-        self.agents[src].send_data(dst, payload, kind, size, on_fail)
 
     def route_hops(self, src: int, dst: int) -> int:
         if src == dst:
             return 0
         entry = self.agents[src]._route(dst)
         return entry.metric if entry is not None else Router.UNKNOWN
-
-    def control_overhead(self) -> dict:
-        return {
-            "updates_sent": sum(a.updates_sent for a in self.agents),
-            "data_forwarded": sum(a.data_forwarded for a in self.agents),
-        }

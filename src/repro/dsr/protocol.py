@@ -37,12 +37,12 @@ reachability semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..net.broadcast import SeenTable
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
-from ..routing.base import Router
+from ..routing.base import AgentRouter, OnDemandAgent, Router
 from ..sim.kernel import Simulator
 
 __all__ = ["DsrConfig", "DsrAgent", "DsrRouter"]
@@ -147,71 +147,35 @@ class RouteCache:
         return len(self._routes)
 
 
-class DsrAgent:
+class DsrAgent(OnDemandAgent):
     """The DSR state machine of one node."""
 
-    def __init__(
-        self,
-        node: NetNode,
-        channel: Channel,
-        sim: Simulator,
-        config: DsrConfig,
-        deliver_up: Callable[[str, int, int, Any, int], None],
-        seen: SeenTable,
-    ) -> None:
-        self.node = node
-        self.nid = node.nid
-        self.channel = channel
-        self.sim = sim
-        self.cfg = config
-        self.deliver_up = deliver_up
+    PACKET = DsrData
+
+    def __init__(self, router: DsrRouter, node: NetNode) -> None:
+        super().__init__(router, node, router.cfg.rreq_retries + 1)
         self.cache = RouteCache(self.nid)
         self.rreq_id = 0
         #: the router's RREQ dedup table, shared by all its agents
-        self._seen = seen
-        self._pending: Dict[int, List[Tuple[DsrData, Optional[Callable[[Any], None]]]]] = {}
-        self._attempt: Dict[int, int] = {}
-        self.rreq_sent = 0
-        self.rrep_sent = 0
-        self.rerr_sent = 0
-        self.data_forwarded = 0
-        self.salvaged = 0
+        self._seen = router._seen
+        c = router.counters
+        self._c_rreq, self._c_rrep, self._c_rerr = c["rreq_sent"], c["rrep_sent"], c["rerr_sent"]
+        self._c_forwarded, self._c_salvaged = c["data_forwarded"], c["salvaged"]
         node.register(KIND_CTRL, self._on_ctrl)
         node.register(KIND_DATA, self._on_data)
 
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def send_data(
-        self,
-        dst: int,
-        payload: Any,
-        kind_upper: str,
-        size: int,
-        on_fail: Optional[Callable[[Any], None]] = None,
-    ) -> None:
-        if dst == self.nid:
-            self.sim.schedule(0.0, self.deliver_up, kind_upper, dst, self.nid, payload, 0)
-            return
-        pkt = DsrData(src=self.nid, dst=dst, kind_upper=kind_upper, payload=payload, size=size)
-        route = self.cache.get(dst)
-        if route is not None:
-            pkt.route = route
-            pkt.index = 0
-            self._transmit(pkt, on_fail)
-        else:
-            self._enqueue(pkt, on_fail)
+    def _route(self, dest: int) -> Optional[List[int]]:
+        return self.cache.get(dest)
 
-    def _enqueue(self, pkt: DsrData, on_fail: Optional[Callable[[Any], None]]) -> None:
-        queue = self._pending.setdefault(pkt.dst, [])
-        if len(queue) >= self.cfg.queue_per_dest:
-            if on_fail is not None:
-                on_fail(pkt.payload)
-            return
-        queue.append((pkt, on_fail))
-        if len(queue) == 1 and pkt.dst not in self._attempt:
-            self._attempt[pkt.dst] = 0
-            self._discover(pkt.dst)
+    def _send_on(
+        self, pkt: DsrData, route: List[int], on_fail: Optional[Callable[[Any], None]]
+    ) -> None:
+        pkt.route = list(route)
+        pkt.index = 0
+        self._transmit(pkt, on_fail)
 
     def _transmit(self, pkt: DsrData, on_fail: Optional[Callable[[Any], None]] = None) -> None:
         next_hop = pkt.route[pkt.index + 1]
@@ -221,7 +185,7 @@ class DsrAgent:
         )
         if ok:
             if pkt.src != self.nid:
-                self.data_forwarded += 1
+                self._c_forwarded.value += 1
             return
         pkt.index -= 1
         # Broken hop: purge, notify the origin, requeue if we ARE it.
@@ -240,14 +204,14 @@ class DsrAgent:
                 pkt.salvaged += 1
                 pkt.route = alt
                 pkt.index = 0
-                self.salvaged += 1
+                self._c_salvaged.value += 1
                 self._transmit(pkt)
 
     def _send_rerr(self, pkt: DsrData, dead_hop: int) -> None:
         back = list(reversed(pkt.route[: pkt.index + 1]))  # us ... origin
         if len(back) < 2:
             return
-        self.rerr_sent += 1
+        self._c_rerr.value += 1
         rerr = DsrRerr(
             origin=pkt.src, from_node=self.nid, to_node=dead_hop, back_route=back
         )
@@ -269,20 +233,10 @@ class DsrAgent:
     # ------------------------------------------------------------------
     # discovery
     # ------------------------------------------------------------------
-    def _discover(self, target: int) -> None:
-        attempt = self._attempt.get(target)
-        if attempt is None:
-            return
-        if attempt > self.cfg.rreq_retries:
-            queue = self._pending.pop(target, [])
-            self._attempt.pop(target, None)
-            for pkt, on_fail in queue:
-                if on_fail is not None:
-                    on_fail(pkt.payload)
-            return
+    def _request(self, target: int, attempt: int) -> float:
         self.rreq_id += 1
         self._seen.mark((self.nid, self.rreq_id), self.nid)
-        self.rreq_sent += 1
+        self._c_rreq.value += 1
         rreq = DsrRreq(
             origin=self.nid,
             rreq_id=self.rreq_id,
@@ -293,31 +247,7 @@ class DsrAgent:
         self.channel.broadcast(
             Frame(src=self.nid, dst=-1, kind=KIND_CTRL, payload=rreq, size=self.cfg.ctrl_size)
         )
-        self.sim.schedule(self.cfg.discovery_timeout, self._discovery_check, target, attempt)
-
-    def _discovery_check(self, target: int, attempt: int) -> None:
-        if target not in self._pending:
-            return
-        if self.cache.get(target) is not None:
-            self._flush(target)
-            return
-        if self._attempt.get(target) != attempt:
-            return
-        self._attempt[target] = attempt + 1
-        self._discover(target)
-
-    def _flush(self, target: int) -> None:
-        route = self.cache.get(target)
-        queue = self._pending.pop(target, [])
-        self._attempt.pop(target, None)
-        for pkt, on_fail in queue:
-            if route is None:
-                if on_fail is not None:
-                    on_fail(pkt.payload)
-            else:
-                pkt.route = list(route)
-                pkt.index = 0
-                self._transmit(pkt, on_fail)
+        return self.cfg.discovery_timeout
 
     # ------------------------------------------------------------------
     # control plane
@@ -365,7 +295,7 @@ class DsrAgent:
     def _reply(self, origin: int, full_route: List[int]) -> None:
         """Send an RREP carrying ``full_route`` back toward the origin."""
         rrep = DsrRrep(origin=origin, target=full_route[-1], route=list(full_route))
-        self.rrep_sent += 1
+        self._c_rrep.value += 1
         back = list(reversed(full_route))
         my_pos = back.index(self.nid)
         if my_pos + 1 >= len(back):
@@ -405,11 +335,6 @@ class DsrAgent:
     def _on_rerr(self, rerr: DsrRerr) -> None:
         self.cache.purge_link(rerr.from_node, rerr.to_node)
         if rerr.origin == self.nid:
-            # Re-discover for any still-queued traffic.
-            for dest in list(self._pending):
-                if self._attempt.get(dest) is None:
-                    self._attempt[dest] = 0
-                    self._discover(dest)
             return
         back = rerr.back_route
         if self.nid in back:
@@ -426,8 +351,11 @@ class DsrAgent:
                 )
 
 
-class DsrRouter(Router):
+class DsrRouter(AgentRouter):
     """Router facade: one :class:`DsrAgent` per node."""
+
+    PROTOCOL = "dsr"
+    COUNTERS = ("rreq_sent", "rrep_sent", "rerr_sent", "data_forwarded", "salvaged")
 
     def __init__(
         self,
@@ -436,44 +364,17 @@ class DsrRouter(Router):
         *,
         config: Optional[DsrConfig] = None,
     ) -> None:
-        super().__init__()
-        self.sim = sim
-        self.channel = channel
-        self.cfg = config if config is not None else DsrConfig()
+        super().__init__(sim, channel, config if config is not None else DsrConfig())
         # Remember a request id for as long as a whole discovery (first
         # try plus every retry) may take, far longer than a copy is in
         # flight.
         self._seen = SeenTable(
             sim, self.cfg.discovery_timeout * (self.cfg.rreq_retries + 1)
         )
-        self.agents = [
-            DsrAgent(node, channel, sim, self.cfg, self._deliver_up, self._seen)
-            for node in channel.nodes
-        ]
-
-    def send(
-        self,
-        src: int,
-        dst: int,
-        payload: Any,
-        *,
-        kind: str = "data",
-        size: int = 64,
-        on_fail: Optional[Callable[[Any], None]] = None,
-    ) -> None:
-        self.agents[src].send_data(dst, payload, kind, size, on_fail)
+        self.agents = [DsrAgent(self, node) for node in channel.nodes]
 
     def route_hops(self, src: int, dst: int) -> int:
         if src == dst:
             return 0
         route = self.agents[src].cache.get(dst)
         return len(route) - 1 if route is not None else Router.UNKNOWN
-
-    def control_overhead(self) -> dict:
-        return {
-            "rreq_sent": sum(a.rreq_sent for a in self.agents),
-            "rrep_sent": sum(a.rrep_sent for a in self.agents),
-            "rerr_sent": sum(a.rerr_sent for a in self.agents),
-            "data_forwarded": sum(a.data_forwarded for a in self.agents),
-            "salvaged": sum(a.salvaged for a in self.agents),
-        }

@@ -37,15 +37,16 @@ class OracleRouter(Router):
         Delivery delay per hop in seconds.
     """
 
+    PROTOCOL = "oracle"
+    #: ``send_failures``: sends with no path or an endpoint down
+    COUNTERS = ("send_failures",)
+
     def __init__(self, sim: Simulator, world: World, *, per_hop_latency: float = 0.002) -> None:
-        super().__init__()
+        super().__init__(world.registry)
         self.sim = sim
         self.world = world
         self.per_hop_latency = float(per_hop_latency)
-        #: payloads successfully handed to the delivery scheduler
-        self.sent = 0
-        #: sends that failed for lack of a path
-        self.failed = 0
+        self._c_failures = self.counters["send_failures"]
 
     def send(
         self,
@@ -57,23 +58,17 @@ class OracleRouter(Router):
         size: int = 64,
         on_fail: Optional[Callable[[Any], None]] = None,
     ) -> None:
-        if not (self.world.is_up(src) and self.world.is_up(dst)):
-            self.failed += 1
-            if on_fail is not None:
-                on_fail(payload)
-            return
-        hops = self.world.hop_distance(src, dst)
+        up = self.world.is_up(src) and self.world.is_up(dst)
+        hops = self.world.hop_distance(src, dst) if up else UNREACHABLE
         if hops == UNREACHABLE:
-            self.failed += 1
+            self._c_failures.value += 1
             if on_fail is not None:
                 on_fail(payload)
             return
         if hops == 0:  # loopback
             self.sim.schedule(0.0, self._deliver_up, kind, dst, src, payload, 0)
-            self.sent += 1
             return
         self.world.energy.charge_tx(src, size)
-        self.sent += 1
         self.sim.schedule(
             hops * self.per_hop_latency, self._finish, kind, dst, src, payload, hops, size
         )

@@ -27,7 +27,8 @@ class TestHello:
     def test_hellos_sent_when_enabled(self):
         sim, _, router, _ = make(line_positions(3, spacing=8.0))
         sim.run(until=10.0)
-        assert all(a.hello_sent >= 8 for a in router.agents)
+        # every node beacons about once a second from its offset on
+        assert sim.registry.value("routing.hello_sent", protocol="aodv") >= 8 * len(router.agents)
 
     def test_disabled_by_default(self):
         pts = np.asarray(line_positions(2), dtype=float)
@@ -37,7 +38,7 @@ class TestHello:
         channel = Channel(sim, world)
         router = AodvRouter(sim, channel)
         sim.run(until=10.0)
-        assert all(a.hello_sent == 0 for a in router.agents)
+        assert sim.registry.value("routing.hello_sent", protocol="aodv") == 0
 
     def test_silent_neighbor_invalidates_routes(self):
         sim, world, router, inbox = make(line_positions(3, spacing=8.0))

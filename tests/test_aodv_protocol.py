@@ -95,14 +95,14 @@ class TestIntermediateReply:
         # Prime node 2's table with a route to 4.
         router.send(2, 4, "prime", kind="app")
         sim.run(until=2.0)
-        rreqs_before = sum(a.rreq_sent for a in router.agents)
+        rreqs_before = sim.registry.value("routing.rreq_sent", protocol="aodv")
         router.send(0, 4, "main", kind="app")
         sim.run(until=4.0)
         assert (4, 0, "main", 4) in inbox
         # Node 0 originated a RREQ but node 2 answered from its cache:
         # only ONE new rreq origination (node 0's ring), and node 2
         # produced an intermediate RREP.
-        assert sum(a.rreq_sent for a in router.agents) == rreqs_before + 1
+        assert sim.registry.value("routing.rreq_sent", protocol="aodv") == rreqs_before + 1
 
     def test_intermediate_reply_can_be_disabled(self):
         cfg = AodvConfig(intermediate_reply=False)

@@ -29,6 +29,10 @@ def make(config=None):
     return sim, world, router, inbox
 
 
+def salvaged(sim):
+    return sim.registry.value("routing.salvaged", protocol="dsr")
+
+
 class TestSalvage:
     def _prime_relay_with_alternate(self, sim, router):
         # Give relay 1 a cached route to 3 via 2 as the alternate by
@@ -58,10 +62,10 @@ class TestSalvage:
             src=0, dst=3, kind_upper="app", payload="salvaged!", size=64,
             route=[0, relay, 4], index=1,  # next hop 4: out of range
         )
-        before = agent.salvaged
+        before = salvaged(sim)
         agent._transmit(pkt)
         sim.run(until=6.0)
-        assert agent.salvaged == before + 1
+        assert salvaged(sim) == before + 1
         assert any(p == "salvaged!" for _, _, p, _ in inbox)
 
     def test_salvage_disabled(self):
@@ -82,7 +86,7 @@ class TestSalvage:
         )
         agent._transmit(pkt)
         sim.run(until=6.0)
-        assert agent.salvaged == 0
+        assert salvaged(sim) == 0
         assert not any(p == "lost" for _, _, p, _ in inbox)
 
     def test_salvage_budget_respected(self):
@@ -97,7 +101,7 @@ class TestSalvage:
         )
         agent._transmit(pkt)
         sim.run(until=6.0)
-        assert agent.salvaged == 0
+        assert salvaged(sim) == 0
         assert not any(p == "tired" for _, _, p, _ in inbox)
 
     def test_control_overhead_reports_salvages(self):

@@ -415,7 +415,11 @@ class TestScaleGuard:
         # the per-node flood managers (``flood.ids_live`` replaced them).
         # ``p2p.flood_hops.min`` / ``.max`` were 123 / 303 while every
         # member kept its own histogram and the fold summed their
-        # extrema; one shared histogram reports the true ones.
+        # extrema; one shared histogram reports the true ones.  The five
+        # ``routing.*{protocol=aodv}`` counters were added when the
+        # router counters moved into the registry; their values equal
+        # the previous commit's ``router.control_overhead()`` for this
+        # run (``hello_sent``, never reported then, its per-agent sum).
         assert list(n150_counters.items()) == list(json.loads(_RECORDED_N150).items())
 
 
@@ -442,6 +446,9 @@ _RECORDED_N150 = """{
 "p2p.received{family=connect}": 2212.0, "p2p.received{family=other}": 0.0,
 "p2p.received{family=ping}": 212.0, "p2p.received{family=query}": 0.0,
 "p2p.received{family=transfer}": 0.0,
+"routing.data_forwarded{protocol=aodv}": 293.0, "routing.hello_sent{protocol=aodv}": 0.0,
+"routing.rerr_sent{protocol=aodv}": 25.0, "routing.rrep_sent{protocol=aodv}": 538.0,
+"routing.rreq_sent{protocol=aodv}": 280.0,
 "topology.delta_rebuilds{backend=dense,layer=topology}": 60.0,
 "topology.dist_cache_hits{backend=dense,layer=topology}": 0.0,
 "topology.moved_nodes{backend=dense,layer=topology}": 1004.0,

@@ -42,7 +42,8 @@ class TestOracle:
         failed = []
         router.send(0, 1, "x", kind="app", on_fail=failed.append)
         sim.run()
-        assert failed == ["x"] and inbox == [] and router.failed == 1
+        assert failed == ["x"] and inbox == []
+        assert sim.registry.value("routing.send_failures", protocol="oracle") == 1
 
     def test_down_endpoint_fails(self):
         sim, world, router, _ = make_oracle(line_positions(2, spacing=5.0))
