@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from ..net.broadcast import SeenTable
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
-from ..net.suppression import RebroadcastPolicy, make_rebroadcast_policy, parse_policy_spec
+from ..net.suppression import make_rebroadcast_policy
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from ..routing.base import AgentRouter, OnDemandAgent, Router
@@ -109,19 +109,15 @@ class AodvAgent(OnDemandAgent):
 
     PACKET = DataPacket
 
-    def __init__(
-        self, router: AodvRouter, node: NetNode, *, policy: Optional[RebroadcastPolicy] = None
-    ) -> None:
+    def __init__(self, router: AodvRouter, node: NetNode) -> None:
         super().__init__(router, node, len(router._ring_ttls))
-        #: RREQ rebroadcast policy; None rebroadcasts every first copy
-        #: inline (the draft's plain flood)
-        self.policy = policy
         self.table = RouteTable(self.nid)
         self.seq = 0
         self.rreq_id = 0
-        #: the router's RREQ dedup table and TTL sequence, shared by
-        #: all its agents
+        #: the router's RREQ dedup table, rebroadcast policy and TTL
+        #: sequence, shared by all its agents
         self._seen = router._seen
+        self._policy = router.policy
         self._ring_ttls = router._ring_ttls
         c = router.counters
         self._c_rreq, self._c_rrep, self._c_rerr = c["rreq_sent"], c["rrep_sent"], c["rerr_sent"]
@@ -259,13 +255,11 @@ class AodvAgent(OnDemandAgent):
     def _on_rreq(self, frame: Frame, rreq: Rreq) -> None:
         key = (rreq.origin, rreq.rreq_id)
         if not self._seen.mark(key, self.nid):
-            if self.policy is not None:
-                self.policy.duplicate(key)
+            if self._policy is not None:
+                self._policy.duplicate(self.nid, key)
             return
         now = self.sim.now
         hops_to_origin = rreq.hop_count + 1
-        if self.policy is not None:
-            self.policy.overhear(rreq.origin, hops_to_origin)
         # Reverse route to the origin via the node we heard this from.
         self.table.offer(
             rreq.origin,
@@ -318,10 +312,10 @@ class AodvAgent(OnDemandAgent):
             out = Frame(
                 src=self.nid, dst=-1, kind=KIND_CTRL, payload=fwd, size=frame.size
             )
-            if self.policy is None:
+            if self._policy is None:
                 self.channel.broadcast(out)
             else:
-                self.policy.forward(key, lambda: self.channel.broadcast(out))
+                self._policy.forward(self.nid, key, lambda: self.channel.broadcast(out))
 
     def _send_rrep(self, rrep: Rrep) -> None:
         """Unicast an RREP one hop toward its origin along reverse route."""
@@ -399,10 +393,10 @@ class AodvRouter(AgentRouter):
         the default ``"flood"`` (no policy) keeps the draft's plain
         expanding-ring flood.
     rng:
-        :class:`~repro.sim.rng.RngRegistry` providing the policies'
-        private random streams (``suppression.aodv.rreq.<nid>``); a
-        seed-0 registry is created when omitted.  Streams are only
-        instantiated by policies that actually draw.
+        :class:`~repro.sim.rng.RngRegistry` providing the policy's
+        per-node random streams (``suppression.aodv.rreq.<nid>``); a
+        seed-0 registry is used when omitted.  A stream is only
+        instantiated when its node actually draws.
     """
 
     PROTOCOL = "aodv"
@@ -418,37 +412,25 @@ class AodvRouter(AgentRouter):
         rng: Optional[RngRegistry] = None,
     ) -> None:
         super().__init__(sim, channel, config if config is not None else AodvConfig())
-        spec = parse_policy_spec(rebroadcast)
-        self._rng = rng if rng is not None else RngRegistry(0)
-        world = channel.world
+        #: the RREQ plane's rebroadcast policy; None rebroadcasts every
+        #: first copy inline (the draft's plain flood)
+        self.policy = make_rebroadcast_policy(
+            rebroadcast,
+            plane=KIND_RREQ_PLANE,
+            registry=self.registry,
+            sim=sim,
+            rng=rng,
+            world=channel.world,
+        )
         self._seen = SeenTable(sim, self.cfg.path_discovery_time)
         self.registry.gauge("aodv.rreq_keys_live", fn=self._seen.__len__)
         self._ring_ttls = self.cfg.ring_ttls()
-        self.agents = [
-            AodvAgent(
-                self,
-                node,
-                policy=make_rebroadcast_policy(
-                    spec,
-                    plane=KIND_RREQ_PLANE,
-                    node=node.nid,
-                    registry=self.registry,
-                    sim=sim,
-                    rng_factory=(
-                        lambda nid=node.nid: self._rng.stream(
-                            f"suppression.{KIND_RREQ_PLANE}.{nid}"
-                        )
-                    ),
-                    degree=(lambda nid=node.nid: len(world.neighbors(nid))),
-                ),
-            )
-            for node in channel.nodes
-        ]
+        self.agents = [AodvAgent(self, node) for node in channel.nodes]
         # A duplicate RREQ's handler returns at once only when nothing
-        # else reads the copy: no rebroadcast policy anywhere (a policy
-        # must see ``policy.duplicate(key)``) and HELLO sensing off
+        # else reads the copy: no rebroadcast policy (it must see
+        # ``policy.duplicate(nid, key)``) and HELLO sensing off
         # (``_on_ctrl`` timestamps every control frame it hears).
-        if self.cfg.hello_interval <= 0 and all(a.policy is None for a in self.agents):
+        if self.cfg.hello_interval <= 0 and self.policy is None:
             channel.register_noop_hint(KIND_CTRL, self._rreq_noop_hint)
 
     def _rreq_noop_hint(self, frame: Frame) -> Optional[Set[int]]:

@@ -35,8 +35,18 @@ from .experiments import (
 )
 from .experiments.report import render_paper_comparison
 from .scenarios import ScenarioConfig, build_scenario, run_scenario
+from .scenarios.config import ALGORITHMS, QUERY_POLICY_KINDS, ROUTINGS
 
 __all__ = ["main"]
+
+
+def _scenario(args: argparse.Namespace, **fields) -> ScenarioConfig:
+    """``ScenarioConfig(**fields)``; a value it rejects ends the command
+    with a one-line usage error (exit 2) instead of a traceback."""
+    try:
+        return ScenarioConfig(**fields)
+    except ValueError as err:
+        args.error(str(err))
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -93,7 +103,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = tuple(
         int(v) if args.parameter == "nodes" else v for v in args.values
     )
-    base = ScenarioConfig(
+    base = _scenario(
+        args,
         duration=args.duration,
         seed=args.seed,
         rebroadcast=args.rebroadcast,
@@ -170,7 +181,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
     from .net.render import render_overlay_summary, render_world
 
     s = build_scenario(
-        ScenarioConfig(
+        _scenario(
+            args,
             num_nodes=args.nodes,
             duration=args.duration,
             algorithm=args.algorithm,
@@ -208,7 +220,8 @@ def _render_run_stats(res) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = ScenarioConfig(
+    cfg = _scenario(
+        args,
         num_nodes=args.nodes,
         duration=args.duration,
         algorithm=args.algorithm,
@@ -305,13 +318,12 @@ def _add_policy_args(parser: argparse.ArgumentParser) -> None:
         default="flood",
         metavar="POLICY",
         help="broadcast-plane rebroadcast policy: flood (reference, "
-        "default), probabilistic[:p] (gossip-p, degree-adaptive floor), "
-        "counter[:c] (cancel after c duplicate overhears) or contact "
-        "(flood + CARD contact harvesting)",
+        "default), probabilistic[:p] (gossip-p, degree-adaptive floor) "
+        "or counter[:c] (cancel after hearing c duplicates)",
     )
     parser.add_argument(
         "--query-policy",
-        choices=("flood", "contact"),
+        choices=QUERY_POLICY_KINDS,
         default="flood",
         help="query-plane policy: flood (reference Gnutella flood, "
         "default) or contact (route to known holders first, "
@@ -349,9 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--duration", type=float, default=600.0, help="seconds per run")
     fig.add_argument("--reps", type=int, default=3, help="repetitions (paper: 33)")
     fig.add_argument("--seed", type=int, default=0)
-    fig.add_argument(
-        "--routing", choices=("aodv", "dsdv", "dsr", "oracle"), default="aodv"
-    )
+    fig.add_argument("--routing", choices=ROUTINGS, default="aodv")
     fig.add_argument("--json", action="store_true", help="emit JSON instead of text")
     fig.add_argument("--csv", action="store_true", help="emit long-format CSV")
     fig.add_argument("--chart", action="store_true", help="add an ASCII chart")
@@ -364,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     world = sub.add_parser("map", help="render the world + overlay as ASCII")
     world.add_argument("--nodes", type=int, default=50)
     world.add_argument("--duration", type=float, default=300.0)
-    world.add_argument(
-        "--algorithm", choices=("basic", "regular", "random", "hybrid"), default="regular"
-    )
+    world.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="regular")
     world.add_argument("--seed", type=int, default=0)
     world.set_defaults(func=_cmd_map)
 
@@ -376,12 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario and print a summary")
     run.add_argument("--nodes", type=int, default=50)
     run.add_argument("--duration", type=float, default=600.0)
-    run.add_argument(
-        "--algorithm", choices=("basic", "regular", "random", "hybrid"), default="regular"
-    )
-    run.add_argument(
-        "--routing", choices=("aodv", "dsdv", "dsr", "oracle"), default="aodv"
-    )
+    run.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="regular")
+    run.add_argument("--routing", choices=ROUTINGS, default="aodv")
     run.add_argument("--seed", type=int, default=0)
     _add_policy_args(run)
     run.add_argument("--json", action="store_true", help="emit the full RunResult as JSON")
@@ -448,6 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     # resolving to a longer surviving one that it happens to prefix.
     for p in (parser, *sub.choices.values()):
         p.allow_abbrev = False
+    for p in sub.choices.values():
+        p.set_defaults(error=p.error)
     return parser
 
 

@@ -17,12 +17,7 @@ import numpy as np
 
 from ..net.broadcast import FloodManager
 from ..net.radio import Channel
-from ..net.suppression import (
-    QUERY_POLICY_KINDS,
-    ContactPolicy,
-    make_rebroadcast_policy,
-    parse_policy_spec,
-)
+from ..net.suppression import make_rebroadcast_policy, parse_policy_spec
 from ..net.world import World
 from ..obs.registry import Registry
 from ..routing.base import Router
@@ -32,7 +27,7 @@ from .algorithms import HybridAlgorithm, make_algorithm
 from .config import P2pConfig
 from .files import FileStore, place_files
 from .messages import P2pMessage
-from .query import QueryConfig
+from .query import QUERY_POLICY_KINDS, ContactTable, QueryConfig
 from .servent import P2P_KIND, Servent
 
 __all__ = ["OverlayNetwork", "FLOOD_KIND"]
@@ -68,13 +63,14 @@ class OverlayNetwork:
         defaults to the channel's registry.
     rebroadcast:
         Rebroadcast-policy spec for the discovery flood plane
-        (``"flood" | "probabilistic[:p]" | "counter[:c]" | "contact"``,
-        see :mod:`repro.net.suppression`).  ``"flood"`` forwards every
-        first copy at once.
+        (``"flood" | "probabilistic[:p]" | "counter[:c]"``, see
+        :mod:`repro.net.suppression`).  ``"flood"`` forwards every first
+        copy at once.
     query_policy:
         Query-plane policy: ``"flood"`` (reference Gnutella flood) or
-        ``"contact"`` (route to known holders first, scoped-flood
-        fallback).
+        ``"contact"`` (each member keeps a
+        :class:`~repro.core.query.ContactTable` and routes to known
+        holders first, scoped-flood fallback).
     """
 
     def __init__(
@@ -125,30 +121,20 @@ class OverlayNetwork:
         self.query_policy = query_policy
 
         # One flood plane that every node relays; non-members forward but
-        # don't listen.  A per-node suppression policy (None: always
-        # forward) decides its rebroadcasts; the rng stream and degree
-        # view are created lazily so a node that never draws touches
-        # neither.
+        # don't listen.  One suppression policy (None: always forward)
+        # decides every node's rebroadcasts.
         self.flood = FloodManager(
             channel,
             FLOOD_KIND,
             registry=self.registry,
-            policies=[
-                make_rebroadcast_policy(
-                    spec,
-                    plane=FLOOD_KIND,
-                    node=node.nid,
-                    registry=self.registry,
-                    sim=sim,
-                    rng_factory=(
-                        lambda nid=node.nid: self.rng.stream(
-                            f"suppression.{FLOOD_KIND}.{nid}"
-                        )
-                    ),
-                    degree=(lambda nid=node.nid: len(world.neighbors(nid))),
-                )
-                for node in channel.nodes
-            ],
+            policy=make_rebroadcast_policy(
+                spec,
+                plane=FLOOD_KIND,
+                registry=self.registry,
+                sim=sim,
+                rng=self.rng,
+                world=world,
+            ),
         )
 
         holdings = place_files(
@@ -162,19 +148,6 @@ class OverlayNetwork:
 
         self.servents: Dict[int, Servent] = {}
         for m in self.members:
-            qpolicy = None
-            if query_policy == "contact":
-                # Share the member's flood-plane contact table when the
-                # broadcast plane harvests one too; otherwise the query
-                # plane keeps its own (fed by query answers only).
-                flood_policy = self.flood.policies[m]
-                qpolicy = (
-                    flood_policy
-                    if isinstance(flood_policy, ContactPolicy)
-                    else ContactPolicy(
-                        registry=self.registry, plane="p2p.query", node=m
-                    )
-                )
             servent = Servent(
                 m,
                 sim,
@@ -189,7 +162,11 @@ class OverlayNetwork:
                 count_received=count_received,
                 lifetime_log=lifetime_log,
                 registry=self.registry,
-                query_policy=qpolicy,
+                contacts=(
+                    ContactTable(node=m, registry=self.registry)
+                    if query_policy == "contact"
+                    else None
+                ),
             )
             alg = make_algorithm(
                 algorithm,

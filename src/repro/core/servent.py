@@ -27,7 +27,7 @@ from .config import P2pConfig
 from .connection import ConnectionTable
 from .files import FileStore
 from .messages import FileData, FileRequest, P2pMessage, Ping, Pong, Query, QueryHit
-from .query import QueryConfig, QueryEngine
+from .query import ContactTable, QueryConfig, QueryEngine
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algorithms.base import ReconfigAlgorithm
@@ -64,6 +64,9 @@ class Servent:
     registry:
         Observability registry; defaults to the flood plane's (and
         hence the whole simulation's) registry.
+    contacts:
+        The member's query-plane :class:`~repro.core.query.ContactTable`
+        (``query_policy="contact"``); ``None`` floods every query.
     """
 
     def __init__(
@@ -82,7 +85,7 @@ class Servent:
         count_received: Optional[Callable[[int, str], None]] = None,
         lifetime_log=None,
         registry: Optional[Registry] = None,
-        query_policy=None,
+        contacts: Optional[ContactTable] = None,
     ) -> None:
         self.nid = nid
         self.sim = sim
@@ -97,7 +100,7 @@ class Servent:
         #: optional LifetimeLog for closed-connection statistics
         self.lifetime_log = lifetime_log
         self.connections = ConnectionTable(nid, config.max_connections)
-        self.query_engine = QueryEngine(self, query_config, rng, policy=query_policy)
+        self.query_engine = QueryEngine(self, query_config, rng, contacts=contacts)
         self.algorithm: Optional["ReconfigAlgorithm"] = None
         if registry is None:
             registry = getattr(flood, "registry", None)

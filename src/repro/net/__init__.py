@@ -6,9 +6,7 @@ from .packet import BROADCAST, DEFAULT_FRAME_BYTES, Frame
 from .radio import Channel, NetNode
 from .render import render_overlay_summary, render_world
 from .suppression import (
-    QUERY_POLICY_KINDS,
     REBROADCAST_KINDS,
-    ContactPolicy,
     CounterPolicy,
     PolicySpec,
     ProbabilisticPolicy,
@@ -31,12 +29,10 @@ __all__ = [
     "NetNode",
     "render_overlay_summary",
     "render_world",
-    "QUERY_POLICY_KINDS",
     "REBROADCAST_KINDS",
     "RebroadcastPolicy",
     "ProbabilisticPolicy",
     "CounterPolicy",
-    "ContactPolicy",
     "PolicySpec",
     "parse_policy_spec",
     "make_rebroadcast_policy",

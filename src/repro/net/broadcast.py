@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..obs.registry import Registry
 from ..sim.kernel import Simulator
@@ -121,11 +121,10 @@ class FloodManager:
     registry:
         Observability registry for the plane's counters, labeled
         ``plane=<kind>``.  Defaults to the channel's registry.
-    policies:
-        Per-node :class:`~repro.net.suppression.RebroadcastPolicy`,
-        indexed by node id, deciding whether/when a first copy is
-        re-broadcast.  ``None`` (the list, or a node's entry) forwards
-        every first copy at once.
+    policy:
+        The plane's :class:`~repro.net.suppression.RebroadcastPolicy`,
+        deciding whether/when each node re-broadcasts a first copy.
+        ``None`` forwards every first copy at once.
 
     Per node ``nid``, ``deliver[nid](origin, payload, hops)`` runs
     exactly once per flood id heard (first copy wins, matching the
@@ -146,16 +145,14 @@ class FloodManager:
         kind: str,
         *,
         registry: Optional[Registry] = None,
-        policies: Optional[Sequence[Optional[RebroadcastPolicy]]] = None,
+        policy: Optional[RebroadcastPolicy] = None,
     ) -> None:
         self.channel = channel
         self.kind = kind
         n = len(channel.nodes)
         self.deliver: List[Optional[Callable[[int, Any, int], None]]] = [None] * n
         self.count_duplicate: List[Optional[Callable[[int, Any], None]]] = [None] * n
-        self.policies: List[Optional[RebroadcastPolicy]] = (
-            list(policies) if policies is not None else [None] * n
-        )
+        self.policy = policy
         self._seq = [0] * n
         self.seen = SeenTable(channel.sim, self.LIFETIME)
         if registry is None:
@@ -198,18 +195,16 @@ class FloodManager:
 
     def _on_frame(self, nid: int, frame: Frame) -> None:
         msg: FloodMessage = frame.payload
-        policy = self.policies[nid]
+        policy = self.policy
         if not self.seen.mark(msg.fid, nid):
             self._c_duplicates.inc()
             if policy is not None:
-                policy.duplicate(msg.fid)
+                policy.duplicate(nid, msg.fid)
             count_duplicate = self.count_duplicate[nid]
             if count_duplicate is not None:
                 count_duplicate(msg.origin, msg.payload)
             return
         hops_here = msg.hops + 1
-        if policy is not None:
-            policy.overhear(msg.origin, hops_here)
         deliver = self.deliver[nid]
         if deliver is not None:
             deliver(msg.origin, msg.payload, hops_here)
@@ -226,4 +221,4 @@ class FloodManager:
             if policy is None:
                 self._transmit(out)
             else:
-                policy.forward(msg.fid, lambda: self._transmit(out))
+                policy.forward(nid, msg.fid, lambda: self._transmit(out))

@@ -142,6 +142,7 @@ class CsmaChannel(Channel):
         self._tx_until[frame.src] = end
         self._h_airtime.observe(duration)
         self.world.energy.charge_tx(frame.src, frame.size)
+        self.world.check_depletion()
         self._c_sent.inc()
         world = self.world
         if frame.dst == BROADCAST:

@@ -1,4 +1,4 @@
-"""Pluggable rebroadcast-suppression policies for the broadcast planes.
+"""Pluggable rebroadcast suppression for the broadcast planes.
 
 Plain TTL-scoped flooding (the paper's "controlled broadcast") makes
 every first-copy receiver rebroadcast once, so a flood over a region of
@@ -6,10 +6,9 @@ n nodes with mean radio degree d costs ~n transmissions and ~n*d frame
 receptions -- the dominant event source at large n.  The broadcast-storm
 literature offers well-understood suppression schemes that cut the
 redundant constant factor while keeping reachability; this module packs
-four of them behind one small :class:`RebroadcastPolicy` contract so
-the flood plane (:mod:`repro.net.broadcast`), AODV's RREQ dissemination
-(:mod:`repro.aodv.protocol`) and the Gnutella query plane
-(:mod:`repro.core.query`) can switch policy per scenario:
+two of them behind one small :class:`RebroadcastPolicy` contract so the
+flood plane (:mod:`repro.net.broadcast`) and AODV's RREQ dissemination
+(:mod:`repro.aodv.protocol`) can switch policy per scenario:
 
 ``flood``
     The reference: always rebroadcast the first copy.  It is no policy
@@ -25,60 +24,50 @@ the flood plane (:mod:`repro.net.broadcast`), AODV's RREQ dissemination
 ``counter``
     Counter-based suppression (the classic broadcast-storm scheme):
     hold the rebroadcast for a random assessment delay; if ``threshold``
-    duplicate copies are overheard before the timer fires, the
+    duplicate copies are heard before the timer fires, the
     neighbourhood is already covered and the transmission is cancelled.
-``contact``
-    CARD-style contact tables (Helmy et al., arXiv:cs/0208024): forward
-    like ``flood`` but harvest overheard traffic into a bounded contact
-    table (vicinity peers + file -> holder bindings learned from query
-    answers).  The query plane sends new queries *directly* to known
-    holders first and only falls back to the TTL-scoped flood when no
-    answer arrives within ``fallback_wait`` -- a repeat query costs a
-    couple of unicasts instead of a network-wide flood.
 
-Policy objects are per node and per plane; every node's policy on a
-plane charges the same counters, labeled ``plane=<kind>`` and
-classified as *cost* metrics in :mod:`repro.obs.compare` (suppression
-accounting, not paper semantics).
+A plane holds one policy object for all its nodes: every hook takes the
+deciding node's id.  Each node draws from its own lazily created stream
+``suppression.<plane>.<nid>``, and the policy's counters are labeled
+``plane=<kind>`` and classified as *cost* metrics in
+:mod:`repro.obs.compare` (suppression accounting, not paper semantics).
+CARD-style contact tables live on the query plane
+(:class:`repro.core.query.ContactTable`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from ..obs.registry import Registry
+from ..sim.rng import RngRegistry
 
 __all__ = [
     "RebroadcastPolicy",
     "ProbabilisticPolicy",
     "CounterPolicy",
-    "ContactPolicy",
     "PolicySpec",
     "parse_policy_spec",
     "make_rebroadcast_policy",
     "REBROADCAST_KINDS",
-    "QUERY_POLICY_KINDS",
     "DEFAULT_GOSSIP_P",
     "DEFAULT_DEGREE_FLOOR",
     "DEFAULT_COUNTER_THRESHOLD",
     "DEFAULT_ASSESSMENT_DELAY",
-    "DEFAULT_FALLBACK_WAIT",
 ]
 
 #: accepted ``ScenarioConfig.rebroadcast`` / ``--rebroadcast`` kinds
-REBROADCAST_KINDS = ("flood", "probabilistic", "counter", "contact")
-#: accepted ``ScenarioConfig.query_policy`` / ``--query-policy`` kinds
-QUERY_POLICY_KINDS = ("flood", "contact")
+REBROADCAST_KINDS = ("flood", "probabilistic", "counter")
 
 #: gossip probability when ``probabilistic`` is given without a parameter
 DEFAULT_GOSSIP_P = 0.65
 #: radio degree at or below which gossip always forwards (sparse guard)
 DEFAULT_DEGREE_FLOOR = 3
-#: duplicate overhears that cancel a pending counter-policy rebroadcast
+#: duplicates heard that cancel a pending counter-policy rebroadcast
 DEFAULT_COUNTER_THRESHOLD = 3
 #: upper bound of the uniform random assessment delay (seconds).  A
 #: duplicate can only arrive after a *neighbour's* timer fired plus a
@@ -88,37 +77,43 @@ DEFAULT_COUNTER_THRESHOLD = 3
 #: discovery timeouts (2 x 40 ms x (ttl+2)), so route discovery is
 #: unaffected.
 DEFAULT_ASSESSMENT_DELAY = 0.048
-#: seconds a contact-routed query waits for an answer before falling
-#: back to the reference TTL-scoped flood (well inside the 30 s
-#: response window, so fallback answers still count)
-DEFAULT_FALLBACK_WAIT = 5.0
-
-#: bounded contact-table sizes (CARD keeps "a small number of contacts")
-MAX_HOLDERS_PER_FILE = 4
-MAX_TRACKED_FILES = 512
-MAX_VICINITY_PEERS = 64
 
 
 class RebroadcastPolicy:
-    """Per-node, per-plane rebroadcast decision point.
+    """One broadcast plane's rebroadcast decision, for every node.
 
-    The owning broadcast agent calls :meth:`forward` instead of
-    transmitting directly; the policy invokes ``send`` now, later, or
-    never.  :meth:`duplicate` notifies the policy of each suppressed
-    duplicate copy overheard (the counter scheme's signal), and
-    :meth:`overhear` of each *first* copy (the contact scheme's harvest
-    feed).  All hooks must be cheap: they sit on the radio hot path.
+    The owning plane calls :meth:`forward` instead of transmitting
+    directly; the policy invokes ``send`` now, later, or never.
+    :meth:`duplicate` notifies the policy of each suppressed duplicate
+    copy a node heard (the counter scheme's signal).  Both hooks sit
+    on the radio hot path and must be cheap.
+
+    Node ``nid``'s random stream is ``suppression.<plane>.<nid>`` of
+    ``rng``, created on its first draw.
     """
 
-    def forward(self, key: Hashable, send: Callable[[], None]) -> None:
-        """Decide the rebroadcast of flood id ``key``; default: send now."""
+    def __init__(
+        self,
+        *,
+        plane: str = "",
+        registry: Optional[Registry] = None,
+        rng: Optional[RngRegistry] = None,
+    ) -> None:
+        self.plane = plane
+        self.registry = registry if registry is not None else Registry()
+        self._rng = rng if rng is not None else RngRegistry(0)
+        self._c_suppressed = self.registry.counter("flood.suppressed", plane=plane)
+
+    def _stream(self, nid: int) -> np.random.Generator:
+        return self._rng.stream(f"suppression.{self.plane}.{nid}")
+
+    def forward(self, nid: int, key: Hashable, send: Callable[[], None]) -> None:
+        """Decide node ``nid``'s rebroadcast of flood id ``key``;
+        default: send now."""
         send()
 
-    def duplicate(self, key: Hashable) -> None:
-        """A duplicate copy of ``key`` was overheard (dedup-cache hit)."""
-
-    def overhear(self, origin: int, hops: int) -> None:
-        """A first copy originated by ``origin`` arrived after ``hops``."""
+    def duplicate(self, nid: int, key: Hashable) -> None:
+        """Node ``nid`` heard a duplicate copy of ``key``."""
 
 
 class ProbabilisticPolicy(RebroadcastPolicy):
@@ -129,44 +124,31 @@ class ProbabilisticPolicy(RebroadcastPolicy):
     p:
         Rebroadcast probability in ``(0, 1)`` (at ``p >= 1`` the spec
         builds no policy: see :func:`make_rebroadcast_policy`).
+    world:
+        Its ``neighbors(nid)`` is the node's current radio degree.
     degree_floor:
         Nodes with radio degree <= this always forward.
-    rng_factory:
-        Lazily invoked to obtain the policy's private random stream
-        (so a node that never draws creates no stream).
-    degree:
-        Callable returning the node's current radio degree.
     """
 
     def __init__(
         self,
         *,
         p: float = DEFAULT_GOSSIP_P,
+        world,
         degree_floor: int = DEFAULT_DEGREE_FLOOR,
-        rng_factory: Optional[Callable[[], np.random.Generator]] = None,
-        degree: Optional[Callable[[], int]] = None,
-        registry: Optional[Registry] = None,
-        plane: str = "",
+        **kw,
     ) -> None:
         if not 0.0 < p < 1.0:
             raise ValueError(f"gossip p must be in (0, 1), got {p}")
+        super().__init__(**kw)
         self.p = float(p)
+        self.world = world
         self.degree_floor = int(degree_floor)
-        self._rng_factory = rng_factory
-        self._rng: Optional[np.random.Generator] = None
-        self._degree = degree
-        registry = registry if registry is not None else Registry()
-        self._c_suppressed = registry.counter("flood.suppressed", plane=plane)
 
-    def forward(self, key: Hashable, send: Callable[[], None]) -> None:
-        if self._degree is not None and self._degree() <= self.degree_floor:
+    def forward(self, nid: int, key: Hashable, send: Callable[[], None]) -> None:
+        if len(self.world.neighbors(nid)) <= self.degree_floor:
             send()  # sparse guard: every copy matters here
-            return
-        if self._rng is None:
-            if self._rng_factory is None:
-                raise RuntimeError("probabilistic policy needs an rng_factory")
-            self._rng = self._rng_factory()
-        if float(self._rng.random()) < self.p:
+        elif float(self._stream(nid).random()) < self.p:
             send()
         else:
             self._c_suppressed.inc()
@@ -187,8 +169,8 @@ class CounterPolicy(RebroadcastPolicy):
     """Counter-based suppression with a random assessment delay.
 
     A first copy arms a timer at ``U(0, assessment_delay)``; every
-    duplicate overheard while the timer is pending increments a
-    counter, and reaching ``threshold`` cancels the rebroadcast (the
+    duplicate the node hears while the timer is pending increments
+    a counter, and reaching ``threshold`` cancels the rebroadcast (the
     neighbourhood provably received the flood from others).  Timers use
     the kernel's O(1) lazy event cancellation, so a suppressed
     rebroadcast costs no dispatch.
@@ -197,12 +179,10 @@ class CounterPolicy(RebroadcastPolicy):
     def __init__(
         self,
         *,
+        sim,
         threshold: int = DEFAULT_COUNTER_THRESHOLD,
         assessment_delay: float = DEFAULT_ASSESSMENT_DELAY,
-        sim=None,
-        rng_factory: Optional[Callable[[], np.random.Generator]] = None,
-        registry: Optional[Registry] = None,
-        plane: str = "",
+        **kw,
     ) -> None:
         if threshold < 1:
             raise ValueError(f"counter threshold must be >= 1, got {threshold}")
@@ -212,150 +192,42 @@ class CounterPolicy(RebroadcastPolicy):
             )
         if sim is None:
             raise ValueError("counter policy needs the simulator for its timers")
+        super().__init__(**kw)
         self.threshold = int(threshold)
         self.assessment_delay = float(assessment_delay)
         self.sim = sim
-        self._rng_factory = rng_factory
-        self._rng: Optional[np.random.Generator] = None
-        self._pending: Dict[Hashable, _Assessment] = {}
-        registry = registry if registry is not None else Registry()
-        self._c_suppressed = registry.counter("flood.suppressed", plane=plane)
-        self._c_cancels = registry.counter("flood.assessment_cancels", plane=plane)
+        #: (nid, key) -> the node's armed assessment of that flood
+        self._pending: Dict[Tuple[int, Hashable], _Assessment] = {}
+        self._c_cancels = self.registry.counter(
+            "flood.assessment_cancels", plane=self.plane
+        )
 
-    def forward(self, key: Hashable, send: Callable[[], None]) -> None:
-        if self._rng is None:
-            if self._rng_factory is None:
-                raise RuntimeError("counter policy needs an rng_factory")
-            self._rng = self._rng_factory()
-        delay = float(self._rng.uniform(0.0, self.assessment_delay))
-        event = self.sim.schedule(delay, self._fire, key)
-        self._pending[key] = _Assessment(send, event)
+    def forward(self, nid: int, key: Hashable, send: Callable[[], None]) -> None:
+        delay = float(self._stream(nid).uniform(0.0, self.assessment_delay))
+        pending = (nid, key)
+        event = self.sim.schedule(delay, self._fire, pending)
+        self._pending[pending] = _Assessment(send, event)
 
-    def _fire(self, key: Hashable) -> None:
-        entry = self._pending.pop(key, None)
+    def _fire(self, pending: Tuple[int, Hashable]) -> None:
+        entry = self._pending.pop(pending, None)
         if entry is not None:
             entry.send()
 
-    def duplicate(self, key: Hashable) -> None:
-        entry = self._pending.get(key)
+    def duplicate(self, nid: int, key: Hashable) -> None:
+        entry = self._pending.get((nid, key))
         if entry is None:
             return
         entry.dups += 1
         if entry.dups >= self.threshold:
-            del self._pending[key]
+            del self._pending[(nid, key)]
             entry.event.cancel()
             self._c_cancels.inc()
             self._c_suppressed.inc()
 
     @property
     def pending(self) -> int:
-        """Assessments currently armed (observability)."""
+        """Assessments currently armed, over all nodes (observability)."""
         return len(self._pending)
-
-
-class ContactPolicy(RebroadcastPolicy):
-    """CARD-style bounded contact table harvested from overheard traffic.
-
-    On the broadcast plane the policy forwards like ``flood`` (CARD
-    does not suppress the floods it still needs) while harvesting a
-    vicinity table of recently heard origins.  Its real surface is the
-    *query plane*: :meth:`learn_holder` records ``file -> holder``
-    bindings from query answers, and :meth:`contacts_for` lets the
-    query engine route a repeat query directly to known holders --
-    falling back to the scoped flood only on a miss (see
-    :meth:`QueryEngine.issue_query <repro.core.query.QueryEngine>`).
-
-    All tables are small LRU maps (CARD's "small number of contacts"),
-    so state per node is O(1) regardless of network size.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_holders: int = MAX_HOLDERS_PER_FILE,
-        max_files: int = MAX_TRACKED_FILES,
-        max_peers: int = MAX_VICINITY_PEERS,
-        fallback_wait: float = DEFAULT_FALLBACK_WAIT,
-        registry: Optional[Registry] = None,
-        plane: str = "",
-        node: int = -1,
-    ) -> None:
-        if fallback_wait <= 0:
-            raise ValueError(f"fallback_wait must be > 0, got {fallback_wait}")
-        self.max_holders = int(max_holders)
-        self.max_files = int(max_files)
-        self.max_peers = int(max_peers)
-        self.fallback_wait = float(fallback_wait)
-        self.node = node
-        #: file_id -> LRU of holder ids (most recently confirmed last)
-        self._holders: "OrderedDict[int, OrderedDict[int, None]]" = OrderedDict()
-        #: vicinity: origin -> hops of the most recent overhear
-        self._peers: "OrderedDict[int, int]" = OrderedDict()
-        registry = registry if registry is not None else Registry()
-        self._c_hits = registry.counter("card.contact_hits", plane=plane)
-        self._c_fallbacks = registry.counter("card.fallback_floods", plane=plane)
-        self._c_learned = registry.counter("card.contacts_learned", plane=plane)
-
-    # -- broadcast-plane hooks -----------------------------------------
-    def overhear(self, origin: int, hops: int) -> None:
-        if origin == self.node:
-            return
-        if origin in self._peers:
-            self._peers.move_to_end(origin)
-        elif len(self._peers) >= self.max_peers:
-            self._peers.popitem(last=False)
-        self._peers[origin] = hops
-
-    # -- query-plane surface -------------------------------------------
-    def learn_holder(self, file_id: int, holder: int) -> None:
-        """Record that ``holder`` answered (or served) ``file_id``."""
-        if holder == self.node:
-            return
-        entry = self._holders.get(file_id)
-        if entry is None:
-            if len(self._holders) >= self.max_files:
-                self._holders.popitem(last=False)
-            entry = self._holders[file_id] = OrderedDict()
-        else:
-            self._holders.move_to_end(file_id)
-        if holder in entry:
-            entry.move_to_end(holder)
-        else:
-            if len(entry) >= self.max_holders:
-                entry.popitem(last=False)
-            entry[holder] = None
-            self._c_learned.inc()
-
-    def contacts_for(self, file_id: int) -> List[int]:
-        """Known holders of ``file_id``, most recently confirmed first."""
-        entry = self._holders.get(file_id)
-        if not entry:
-            return []
-        self._holders.move_to_end(file_id)
-        return list(reversed(entry))
-
-    def forget(self, file_id: int) -> None:
-        """Drop stale holder bindings (a contact-routed query missed)."""
-        self._holders.pop(file_id, None)
-
-    def observe_query(self, requirer: int, file_id: int, p2p_hops: int) -> None:
-        """Harvest the requirer of a forwarded query into the vicinity."""
-        self.overhear(requirer, p2p_hops)
-
-    def count_contact_hit(self) -> None:
-        self._c_hits.inc()
-
-    def count_fallback(self) -> None:
-        self._c_fallbacks.inc()
-
-    # -- observability --------------------------------------------------
-    @property
-    def known_files(self) -> int:
-        return len(self._holders)
-
-    @property
-    def known_peers(self) -> int:
-        return len(self._peers)
 
 
 # ----------------------------------------------------------------------
@@ -375,11 +247,11 @@ class PolicySpec:
 
 
 def parse_policy_spec(spec: str) -> PolicySpec:
-    """Parse ``"flood" | "probabilistic[:p]" | "counter[:c]" | "contact"``.
+    """Parse ``"flood" | "probabilistic[:p]" | "counter[:c]"``.
 
     The optional numeric parameter is the gossip probability for
     ``probabilistic`` and the duplicate threshold for ``counter``;
-    ``flood`` and ``contact`` take none.
+    ``flood`` takes none.
     """
     if isinstance(spec, PolicySpec):
         return spec
@@ -391,7 +263,7 @@ def parse_policy_spec(spec: str) -> PolicySpec:
         )
     if not sep:
         return PolicySpec(kind)
-    if kind in ("flood", "contact"):
+    if kind == "flood":
         raise ValueError(f"policy {kind!r} takes no parameter, got {spec!r}")
     try:
         param = float(raw)
@@ -408,40 +280,26 @@ def make_rebroadcast_policy(
     spec,
     *,
     plane: str,
-    node: int,
     registry: Registry,
     sim=None,
-    rng_factory: Optional[Callable[[], np.random.Generator]] = None,
-    degree: Optional[Callable[[], int]] = None,
+    rng: Optional[RngRegistry] = None,
+    world=None,
 ) -> Optional[RebroadcastPolicy]:
-    """Build one node's policy for one broadcast plane from ``spec``.
+    """Build one broadcast plane's policy from ``spec``.
 
     Returns ``None`` for the reference flood -- ``flood`` itself and
     ``probabilistic:p`` with ``p >= 1`` -- which callers run as an
-    inline always-forward.  ``rng_factory`` is only invoked when the
-    policy actually draws, ``degree`` only when the gossip floor is
-    evaluated, and ``sim`` only by ``counter``.
+    inline always-forward.  ``world`` is read by ``probabilistic`` (the
+    degree floor), ``sim`` by ``counter`` (its timers), and ``rng``
+    only when a node actually draws.
     """
     spec = parse_policy_spec(spec)
-    if spec.kind == "flood":
-        return None
+    common = dict(plane=plane, registry=registry, rng=rng)
     if spec.kind == "probabilistic":
         p = spec.param if spec.param is not None else DEFAULT_GOSSIP_P
-        if p >= 1.0:
-            return None
-        return ProbabilisticPolicy(
-            p=p,
-            rng_factory=rng_factory,
-            degree=degree,
-            registry=registry,
-            plane=plane,
-        )
-    if spec.kind == "counter":
-        return CounterPolicy(
-            threshold=int(spec.param) if spec.param is not None else DEFAULT_COUNTER_THRESHOLD,
-            sim=sim,
-            rng_factory=rng_factory,
-            registry=registry,
-            plane=plane,
-        )
-    return ContactPolicy(registry=registry, plane=plane, node=node)
+        if p < 1.0:
+            return ProbabilisticPolicy(p=p, world=world, **common)
+    elif spec.kind == "counter":
+        threshold = int(spec.param) if spec.param is not None else DEFAULT_COUNTER_THRESHOLD
+        return CounterPolicy(threshold=threshold, sim=sim, **common)
+    return None

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict
 
+from ..core.algorithms import ALGORITHMS
 from ..core.config import P2pConfig
-from ..core.query import QueryConfig
-from ..net.suppression import QUERY_POLICY_KINDS, parse_policy_spec
+from ..core.query import QUERY_POLICY_KINDS, QueryConfig
+from ..net.suppression import parse_policy_spec
 from ..net.topology import SPARSE_MIN_NODES
 
 __all__ = ["ScenarioConfig"]
@@ -27,8 +28,8 @@ _MOBILITY_MODELS = (
     "manhattan",
     "static",
 )
-_ROUTINGS = ("aodv", "dsdv", "dsr", "oracle")
-_ALGORITHMS = ("basic", "regular", "random", "hybrid")
+#: accepted ``ScenarioConfig.routing`` / ``--routing`` values
+ROUTINGS = ("aodv", "dsdv", "dsr", "oracle")
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,12 @@ class ScenarioConfig:
     #: RREQ dissemination): ``"flood"`` (reference, bit-identical to the
     #: historical behaviour), ``"probabilistic[:p]"`` (gossip-p with a
     #: degree-adaptive floor), ``"counter[:c]"`` (suppress after c
-    #: duplicate overhears within a random assessment delay) or
-    #: ``"contact"`` (flood + CARD contact harvesting).  See
+    #: duplicates heard within a random assessment delay).  See
     #: :mod:`repro.net.suppression`.
     rebroadcast: str = "flood"
     #: query-plane policy: ``"flood"`` (reference Gnutella flood) or
-    #: ``"contact"`` (route to known holders first; scoped-flood
-    #: fallback after a miss)
+    #: ``"contact"`` (CARD contact tables: route to known holders
+    #: first; scoped-flood fallback after a miss)
     query_policy: str = "flood"
 
     p2p: P2pConfig = field(default_factory=P2pConfig)
@@ -98,9 +98,9 @@ class ScenarioConfig:
             raise ValueError(f"need >= 2 nodes, got {self.num_nodes}")
         if not 0 < self.p2p_fraction <= 1:
             raise ValueError(f"p2p_fraction must be in (0, 1], got {self.p2p_fraction}")
-        if self.algorithm not in _ALGORITHMS:
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.routing not in _ROUTINGS:
+        if self.routing not in ROUTINGS:
             raise ValueError(f"unknown routing {self.routing!r}")
         if self.mac not in ("ideal", "csma", "lossy"):
             raise ValueError(f"unknown mac {self.mac!r}")

@@ -171,6 +171,27 @@ class TestRunSchemaSmoke:
         assert proc.returncode == 0 and "valid run dict" in proc.stdout, proc.stderr
 
 
+class TestRunRejectsBadConfig:
+    @pytest.mark.parametrize(
+        "flags, value",
+        [
+            (["--rebroadcast", "contact"], "'contact'"),
+            (["--rebroadcast", "nope"], "'nope'"),
+            (["--nodes", "1"], "got 1"),
+        ],
+        ids=["retired-contact-lane", "unknown-policy", "one-node"],
+    )
+    def test_exits_2_with_one_line(self, flags, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--duration", "5"] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and value in errors[0], err
+        assert errors[0].startswith("p2p-manet run: error: ")
+
+
 class TestSweepJson:
     def test_sweep_json(self, capsys):
         assert (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mobility import Area, Static
-from repro.net import Frame, World
+from repro.net import EnergyModel, Frame, World
 from repro.net.mac import CsmaChannel
 from repro.sim import Simulator
 
@@ -98,6 +98,21 @@ class TestBroadcastUnderMac:
         sim.run()
         assert [f.payload for f in got1] == ["hello"]
         assert [f.payload for f in got2] == ["hello"]
+
+
+class TestEnergyDepletion:
+    def test_drained_sender_goes_down_like_on_the_other_channels(self):
+        # One broadcast drains node 0's 1 nJ battery: the channel marks
+        # it down at once, as Channel and LossyChannel do.
+        pts = np.asarray([[0, 0], [5, 0]], dtype=float)
+        sim = Simulator()
+        mobility = Static(2, Area(1000, 1000), np.random.default_rng(0), positions=pts)
+        world = World(sim, mobility, radio_range=10.0, energy=EnergyModel(2, capacity=1e-9))
+        ch = CsmaChannel(sim, world)
+        ch.broadcast(Frame(src=0, dst=-1, kind="t", payload="last words"))
+        assert world.down_mask()[0]
+        assert 0 not in world.neighbors(1)
+        sim.run()
 
 
 class TestFullScenarioOnCsma:

@@ -203,7 +203,7 @@ class TestDeprecatedShims:
         for component in components:
             assert not hasattr(component, "stats"), type(component).__name__
         assert not hasattr(s.overlay.flood, "evictions")
-        assert s.overlay.flood.policies == [None] * 8  # the reference flood
+        assert s.overlay.flood.policy is None  # the reference flood
         assert s.registry.value("flood.originated", plane="p2p.flood") > 0
         with pytest.raises(KeyError):  # one series per plane, none per node
             s.registry.value("flood.originated", plane="p2p.flood", node=0)

@@ -136,6 +136,47 @@ class TestArchiveWithRemovedQueueField:
         assert registry.counter("storage.corrupt_lines").value == 1
 
 
+#: One archive line written at 41da6e7 by a run with
+#: ``rebroadcast="contact"`` -- a lane that only filled a vicinity table
+#: nothing read, and that ``parse_policy_spec`` no longer accepts.
+CONTACT_ARCHIVE = os.path.join(
+    os.path.dirname(__file__), "data", "run_with_contact_rebroadcast.ndjson"
+)
+CONTACT_KEY = "v1:e9b4aa3abe5534c695304e0b6810787b74486ea942a9d3a1abfe5feff7c68151:4"
+
+
+class TestArchiveWithRetiredContactLane:
+    """A run archived on the retired ``rebroadcast="contact"`` lane is
+    one cache miss and one corrupt line, never a crash, and needs no
+    run-schema bump."""
+
+    def _copy(self, tmp_path):
+        return shutil.copy(CONTACT_ARCHIVE, str(tmp_path / "runs.ndjson"))
+
+    def test_cache_get_is_one_miss(self, tmp_path, monkeypatch):
+        cache = RunCache(self._copy(tmp_path), registry=Registry())
+        assert len(cache) == 1  # indexed under its old key
+        monkeypatch.setattr(cache, "key_for", lambda config: CONTACT_KEY)
+        assert cache.get(OLD_CFG) is None
+        assert (cache.hits.value, cache.misses.value) == (0, 1)
+
+    def test_load_runs_counts_a_corrupt_line(self, tmp_path):
+        registry = Registry()
+        store = ResultStore(self._copy(tmp_path), registry=registry)
+        assert store.load_runs() == []
+        assert registry.counter("storage.corrupt_lines").value == 1
+
+    def test_from_dict_names_the_spec(self):
+        with open(CONTACT_ARCHIVE) as fh:
+            config = json.loads(fh.readline())["payload"]["config"]
+        assert config["rebroadcast"] == "contact"
+        with pytest.raises(ValueError, match="unknown rebroadcast policy 'contact'"):
+            ScenarioConfig.from_dict(config)
+        # The rest of the line is a valid current config.
+        assert ScenarioConfig.from_dict({**config, "rebroadcast": "flood"}) == OLD_CFG
+        assert CONTACT_KEY.startswith(f"v{RUN_SCHEMA_VERSION}:")
+
+
 class TestRunCache:
     def _cache(self, tmp_path, **kw):
         return RunCache(str(tmp_path / "runs.ndjson"), registry=Registry(), **kw)

@@ -8,13 +8,15 @@ Two proof obligations (DESIGN.md, broadcast-suppression plane):
    time series and derived figures over full scenarios -- dense/sparse
    topologies, csma/lossy channels, several seeds.
 2. The suppressing lanes stay *correct*: every answer recorded under
-   ``counter`` or ``contact`` must come from a node that truly holds
-   the file (suppression may lose answers, never fabricate them).
+   ``rebroadcast="counter"`` or ``query_policy="contact"`` must come
+   from a node that truly holds the file (suppression may lose
+   answers, never fabricate them).
 
-Plus unit coverage of the policy objects and the spec parser, the
-``ring_ttls`` edge-case regression (ttl_start >= ttl_threshold), and a
-guard that suppression pays: on a dense query-heavy world ``counter:2``
-halves the dispatched events at flood's answer rate.
+Plus unit coverage of the policy objects, the query plane's contact
+table and the spec parser, pinned outputs of three suppressing runs,
+the ``ring_ttls`` edge-case regression (ttl_start >= ttl_threshold),
+and a guard that suppression pays: on a dense query-heavy world
+``counter:2`` halves the dispatched events at flood's answer rate.
 """
 
 import math
@@ -23,11 +25,13 @@ import numpy as np
 import pytest
 
 from repro.aodv.protocol import AodvConfig
+from repro.core.query import QUERY_POLICY_KINDS, ContactTable
 from repro.net.suppression import (
-    ContactPolicy,
+    REBROADCAST_KINDS,
     CounterPolicy,
     PolicySpec,
     ProbabilisticPolicy,
+    RebroadcastPolicy,
     make_rebroadcast_policy,
     parse_policy_spec,
 )
@@ -37,6 +41,7 @@ from repro.scenarios.builder import build_scenario
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest, run_scenario
 from repro.sim import Simulator
+from repro.sim.rng import RngRegistry
 
 from .helpers import pin_backend
 
@@ -48,7 +53,8 @@ SEEDS = (1, 2, 3)
 # ----------------------------------------------------------------------
 class TestParsePolicySpec:
     def test_bare_kinds(self):
-        for kind in ("flood", "probabilistic", "counter", "contact"):
+        assert REBROADCAST_KINDS == ("flood", "probabilistic", "counter")
+        for kind in REBROADCAST_KINDS:
             spec = parse_policy_spec(kind)
             assert spec == PolicySpec(kind)
             assert str(spec) == kind
@@ -63,13 +69,13 @@ class TestParsePolicySpec:
         assert parse_policy_spec(spec) is spec
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown rebroadcast"):
-            parse_policy_spec("telepathy")
+        for bad in ("telepathy", "contact", "contact:3"):
+            with pytest.raises(ValueError, match="unknown rebroadcast policy 'contact|telepathy"):
+                parse_policy_spec(bad)
 
     def test_rejects_parameter_on_parameterless_kinds(self):
-        for bad in ("flood:1", "contact:3"):
-            with pytest.raises(ValueError, match="takes no parameter"):
-                parse_policy_spec(bad)
+        with pytest.raises(ValueError, match="takes no parameter"):
+            parse_policy_spec("flood:1")
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="bad parameter"):
@@ -80,8 +86,9 @@ class TestParsePolicySpec:
             parse_policy_spec("counter:0.5")
 
     def test_scenario_config_validates_spec(self):
-        with pytest.raises(ValueError, match="unknown rebroadcast"):
-            ScenarioConfig(rebroadcast="nope")
+        for bad in ("nope", "contact"):
+            with pytest.raises(ValueError, match=f"unknown rebroadcast policy '{bad}'"):
+                ScenarioConfig(rebroadcast=bad)
         with pytest.raises(ValueError, match="unknown query policy"):
             ScenarioConfig(query_policy="counter")
 
@@ -89,8 +96,31 @@ class TestParsePolicySpec:
 # ----------------------------------------------------------------------
 # policy units
 # ----------------------------------------------------------------------
-def _explode():
-    raise AssertionError("reference lane must not create an RNG stream")
+class _Degrees:
+    """World stand-in: node ``nid`` has ``degrees[nid]`` radio neighbours."""
+
+    def __init__(self, *degrees):
+        self.degrees = degrees
+
+    def neighbors(self, nid):
+        return [None] * self.degrees[nid]
+
+
+class _ExplodingRng:
+    def stream(self, name):
+        raise AssertionError(f"reference lane must not create stream {name!r}")
+
+
+class _RecordingRng(RngRegistry):
+    """An RngRegistry that logs every stream request."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.requests = []
+
+    def stream(self, name):
+        self.requests.append(name)
+        return super().stream(name)
 
 
 class TestProbabilisticPolicy:
@@ -99,38 +129,51 @@ class TestProbabilisticPolicy:
         # the policy class refuses it.
         for spec in ("probabilistic:1", "probabilistic:1.5"):
             assert make_rebroadcast_policy(
-                spec, plane="t", node=0, registry=Registry(), rng_factory=_explode
+                spec, plane="t", registry=Registry(), rng=_ExplodingRng()
             ) is None
         with pytest.raises(ValueError, match=r"p must be in \(0, 1\)"):
-            ProbabilisticPolicy(p=1.0, rng_factory=_explode)
+            ProbabilisticPolicy(p=1.0, world=_Degrees(10), rng=_ExplodingRng())
 
     def test_degree_floor_always_sends(self):
-        pol = ProbabilisticPolicy(
-            p=0.0001, degree=lambda: 2, degree_floor=3, rng_factory=_explode
-        )
+        # Node 0 sits at the floor and sends without drawing; node 1
+        # does not and gets suppressed at p ~ 0.
+        rng = _RecordingRng()
+        pol = ProbabilisticPolicy(p=0.0001, world=_Degrees(2, 10), degree_floor=3, rng=rng)
         sent = []
-        pol.forward("k", lambda: sent.append(1))
-        assert sent == [1]
+        pol.forward(0, "k", lambda: sent.append(0))
+        assert sent == [0] and rng.requests == []
+        pol.forward(1, "k", lambda: sent.append(1))
+        assert sent == [0] and rng.requests == ["suppression..1"]
 
     def test_suppression_is_counted(self):
         reg = Registry()
         pol = ProbabilisticPolicy(
-            p=0.5,
-            degree=lambda: 10,
-            rng_factory=lambda: np.random.default_rng(7),
-            registry=reg,
-            plane="t",
+            p=0.5, world=_Degrees(10, 10), rng=RngRegistry(7), registry=reg, plane="t"
         )
         sent = []
         for i in range(200):
-            pol.forward(i, lambda: sent.append(1))
+            pol.forward(i % 2, i, lambda: sent.append(1))
         suppressed = reg.value("flood.suppressed", plane="t")
         assert suppressed == 200 - len(sent)
         assert 50 < suppressed < 150  # p=0.5, 200 trials
 
+    def test_one_lazy_stream_per_node(self):
+        # Node nid draws from suppression.<plane>.<nid> -- the stream a
+        # per-node policy object used to own -- in its own draw order.
+        rng = _RecordingRng(3)
+        pol = ProbabilisticPolicy(p=0.5, world=_Degrees(10, 10, 10), rng=rng, plane="t")
+        got = {0: [], 2: []}
+        for nid in (0, 2, 0, 2, 2):
+            pol.forward(nid, None, lambda nid=nid: got[nid].append(1))
+        assert sorted(set(rng.requests)) == ["suppression.t.0", "suppression.t.2"]
+        ref = RngRegistry(3)
+        for nid, draws in ((0, 2), (2, 3)):
+            stream = ref.stream(f"suppression.t.{nid}")
+            assert len(got[nid]) == sum(stream.random() < 0.5 for _ in range(draws))
+
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError):
-            ProbabilisticPolicy(p=0.0)
+            ProbabilisticPolicy(p=0.0, world=_Degrees(10))
 
 
 class TestCounterPolicy:
@@ -138,7 +181,7 @@ class TestCounterPolicy:
         return CounterPolicy(
             threshold=threshold,
             sim=sim,
-            rng_factory=lambda: np.random.default_rng(3),
+            rng=RngRegistry(3),
             registry=sim.registry,
             plane="t",
         )
@@ -147,7 +190,7 @@ class TestCounterPolicy:
         sim = Simulator()
         pol = self._policy(sim)
         sent = []
-        pol.forward("k", lambda: sent.append(1))
+        pol.forward(0, "k", lambda: sent.append(1))
         assert pol.pending == 1
         sim.run()
         assert sent == [1] and pol.pending == 0
@@ -156,9 +199,9 @@ class TestCounterPolicy:
         sim = Simulator()
         pol = self._policy(sim, threshold=2)
         sent = []
-        pol.forward("k", lambda: sent.append(1))
-        pol.duplicate("k")
-        pol.duplicate("k")
+        pol.forward(0, "k", lambda: sent.append(1))
+        pol.duplicate(0, "k")
+        pol.duplicate(0, "k")
         sim.run()
         assert sent == []
         assert sim.registry.value("flood.assessment_cancels", plane="t") == 1
@@ -168,17 +211,30 @@ class TestCounterPolicy:
         sim = Simulator()
         pol = self._policy(sim, threshold=3)
         sent = []
-        pol.forward("k", lambda: sent.append(1))
-        pol.duplicate("k")
-        pol.duplicate("other-key-ignored")
+        pol.forward(0, "k", lambda: sent.append(1))
+        pol.duplicate(0, "k")
+        pol.duplicate(0, "other-key-ignored")
         sim.run()
         assert sent == [1]
+
+    def test_assessments_are_per_node(self):
+        # Two nodes assess the same flood id; duplicates one overhears
+        # never cancel the other's rebroadcast.
+        sim = Simulator()
+        pol = self._policy(sim, threshold=1)
+        sent = []
+        pol.forward(0, "k", lambda: sent.append(0))
+        pol.forward(1, "k", lambda: sent.append(1))
+        assert pol.pending == 2
+        pol.duplicate(1, "k")
+        sim.run()
+        assert sent == [0]
 
     def test_cancelled_assessment_costs_no_dispatch(self):
         sim = Simulator()
         pol = self._policy(sim, threshold=1)
-        pol.forward("k", lambda: pytest.fail("cancelled send must not fire"))
-        pol.duplicate("k")
+        pol.forward(0, "k", lambda: pytest.fail("cancelled send must not fire"))
+        pol.duplicate(0, "k")
         dispatched = lambda: sim.registry.value("kernel.events_dispatched")
         before = dispatched()
         sim.run()
@@ -194,72 +250,78 @@ class TestCounterPolicy:
 
 
 class TestContactPolicy:
+    """The query plane's :class:`ContactTable` (once ``ContactPolicy``)."""
+
     def test_learn_and_order(self):
-        pol = ContactPolicy(node=0)
-        pol.learn_holder(7, 1)
-        pol.learn_holder(7, 2)
-        pol.learn_holder(7, 3)
-        assert pol.contacts_for(7) == [3, 2, 1]  # most recent first
-        pol.learn_holder(7, 1)  # re-confirmed: moves to front
-        assert pol.contacts_for(7) == [1, 3, 2]
+        table = ContactTable(node=0)
+        table.learn_holder(7, 1)
+        table.learn_holder(7, 2)
+        table.learn_holder(7, 3)
+        assert table.contacts_for(7) == [3, 2, 1]  # most recent first
+        table.learn_holder(7, 1)  # re-confirmed: moves to front
+        assert table.contacts_for(7) == [1, 3, 2]
 
     def test_never_learns_self(self):
-        pol = ContactPolicy(node=5)
-        pol.learn_holder(7, 5)
-        assert pol.contacts_for(7) == []
+        table = ContactTable(node=5)
+        table.learn_holder(7, 5)
+        assert table.contacts_for(7) == []
 
     def test_holder_lru_bound(self):
-        pol = ContactPolicy(node=0, max_holders=2)
+        table = ContactTable(node=0, max_holders=2)
         for holder in (1, 2, 3):
-            pol.learn_holder(7, holder)
-        assert pol.contacts_for(7) == [3, 2]  # 1 evicted
+            table.learn_holder(7, holder)
+        assert table.contacts_for(7) == [3, 2]  # 1 evicted
 
     def test_file_lru_bound(self):
-        pol = ContactPolicy(node=0, max_files=2)
+        table = ContactTable(node=0, max_files=2)
         for fid in (1, 2, 3):
-            pol.learn_holder(fid, 9)
-        assert pol.known_files == 2
-        assert pol.contacts_for(1) == []  # oldest file evicted
+            table.learn_holder(fid, 9)
+        assert table.known_files == 2
+        assert table.contacts_for(1) == []  # oldest file evicted
 
     def test_forget(self):
-        pol = ContactPolicy(node=0)
-        pol.learn_holder(7, 1)
-        pol.forget(7)
-        assert pol.contacts_for(7) == []
-
-    def test_vicinity_bound_and_self_skip(self):
-        pol = ContactPolicy(node=0, max_peers=2)
-        pol.overhear(0, 1)  # self: ignored
-        for origin in (1, 2, 3):
-            pol.overhear(origin, 2)
-        assert pol.known_peers == 2
+        table = ContactTable(node=0)
+        table.learn_holder(7, 1)
+        table.forget(7)
+        assert table.contacts_for(7) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ContactPolicy(fallback_wait=0.0)
+            ContactTable(fallback_wait=0.0)
+        # A query-plane table, not a broadcast-plane policy.
+        assert not isinstance(ContactTable(), RebroadcastPolicy)
+        assert QUERY_POLICY_KINDS == ("flood", "contact")
 
 
 class TestFactory:
     def test_kinds(self):
         reg = Registry()
-        assert make_rebroadcast_policy("flood", plane="t", node=0, registry=reg) is None
-        pol = make_rebroadcast_policy("probabilistic:0.4", plane="t", node=0, registry=reg)
-        assert isinstance(pol, ProbabilisticPolicy) and pol.p == 0.4
+        assert make_rebroadcast_policy("flood", plane="t", registry=reg) is None
         pol = make_rebroadcast_policy(
-            "counter:2", plane="t", node=0, registry=reg, sim=Simulator()
+            "probabilistic:0.4", plane="t", registry=reg, world=_Degrees(10)
         )
+        assert isinstance(pol, ProbabilisticPolicy) and pol.p == 0.4
+        pol = make_rebroadcast_policy("counter:2", plane="t", registry=reg, sim=Simulator())
         assert isinstance(pol, CounterPolicy) and pol.threshold == 2
-        assert isinstance(
-            make_rebroadcast_policy("contact", plane="t", node=0, registry=reg),
-            ContactPolicy,
-        )
+        with pytest.raises(ValueError, match="unknown rebroadcast policy 'contact'"):
+            make_rebroadcast_policy("contact", plane="t", registry=reg)
 
     def test_flood_is_reference(self):
         # The reference flood is no policy object: nothing to call, no
         # counters registered.
         reg = Registry()
-        assert make_rebroadcast_policy("flood", plane="t", node=0, registry=reg) is None
+        assert make_rebroadcast_policy("flood", plane="t", registry=reg) is None
         assert len(reg) == 0
+
+    def test_one_policy_per_plane(self):
+        simulation = build_scenario(
+            ScenarioConfig(num_nodes=12, duration=5.0, rebroadcast="counter:2")
+        )
+        flood_policy = simulation.overlay.flood.policy
+        rreq_policy = simulation.router.policy
+        assert isinstance(flood_policy, CounterPolicy) and flood_policy.plane == "p2p.flood"
+        assert isinstance(rreq_policy, CounterPolicy) and rreq_policy.plane == "aodv.rreq"
+        assert all(a._policy is rreq_policy for a in simulation.router.agents)
 
 
 def test_suppression_counters_are_cost_keys():
@@ -272,6 +334,122 @@ def test_suppression_counters_are_cost_keys():
     assert not is_cost_key("flood.forwarded")
     assert not is_cost_key("flood.duplicates")
     assert not is_cost_key("flood.originated")
+
+
+# ----------------------------------------------------------------------
+# pinned suppressing lanes: RNG stream names and draw order
+# ----------------------------------------------------------------------
+_PIN_QUERY = dict(warmup=10.0, response_wait=8.0, gap_min=4.0, gap_max=10.0, target="zipf")
+
+#: ``RunResult`` events, ``energy.sum()`` and ``counters`` of three
+#: suppressing runs, recorded at 41da6e7 -- when every node still owned
+#: its own policy object per plane.  One policy per plane must draw the
+#: same per-node streams in the same order, so every value stays.
+PINNED_LANES = {
+    "counter2-aodv": (
+        dict(num_nodes=50, duration=300.0, seed=1, rebroadcast="counter:2"),
+        55547,
+        9.33617599999999,
+        {
+            "alg.connections_closed{alg=regular}": 351, "alg.connections_established{alg=regular}": 418,
+            "alg.pings_sent{alg=regular}": 825, "aodv.rreq_keys_live": 30,
+            "energy.consumed": 9.33617599999999,
+            "flood.assessment_cancels{plane=aodv.rreq}": 801,
+            "flood.assessment_cancels{plane=p2p.flood}": 92, "flood.duplicates{plane=p2p.flood}": 1963,
+            "flood.forwarded{plane=p2p.flood}": 1113, "flood.ids_live{plane=p2p.flood}": 18,
+            "flood.originated{plane=p2p.flood}": 559, "flood.suppressed{plane=aodv.rreq}": 801,
+            "flood.suppressed{plane=p2p.flood}": 92, "graphfast.bfs_sources{layer=metrics}": 38,
+            "graphfast.triangle_runs{layer=metrics}": 1, "kernel.events_daemon": 0,
+            "kernel.events_dispatched": 55547, "kernel.events_skipped": 893, "kernel.heap": 135,
+            "kernel.heap_compactions": 0, "kernel.heap_pushes": 36873,
+            "net.frames_delivered{layer=radio}": 39534, "net.frames_sent{layer=radio}": 20389,
+            "overlay.connections": 67, "overlay.members": 38, "p2p.flood_hops.count": 1035,
+            "p2p.flood_hops.sum": 1894, "p2p.flood_hops.min": 1, "p2p.flood_hops.max": 6,
+            "p2p.received{family=connect}": 2667, "p2p.received{family=other}": 0,
+            "p2p.received{family=ping}": 1299, "p2p.received{family=query}": 773,
+            "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=aodv}": 1955,
+            "routing.hello_sent{protocol=aodv}": 0, "routing.rerr_sent{protocol=aodv}": 531,
+            "routing.rrep_sent{protocol=aodv}": 1874, "routing.rreq_sent{protocol=aodv}": 3004,
+            "topology.delta_rebuilds{backend=dense,layer=topology}": 895,
+            "topology.dist_cache_hits{backend=dense,layer=topology}": 8,
+            "topology.moved_nodes{backend=dense,layer=topology}": 29971,
+            "topology.rebuilds{backend=dense,layer=topology}": 896,
+        },
+    ),
+    "gossip05-aodv-lossy": (
+        dict(num_nodes=50, duration=300.0, seed=1, rebroadcast="probabilistic:0.5", mac="lossy"),
+        35595,
+        7.197351000000034,
+        {
+            "alg.connections_closed{alg=regular}": 329, "alg.connections_established{alg=regular}": 382,
+            "alg.pings_sent{alg=regular}": 654, "aodv.rreq_keys_live": 31,
+            "energy.consumed": 7.197351000000034,
+            "flood.duplicates{plane=p2p.flood}": 1635, "flood.forwarded{plane=p2p.flood}": 1041,
+            "flood.ids_live{plane=p2p.flood}": 21, "flood.originated{plane=p2p.flood}": 619,
+            "flood.suppressed{plane=aodv.rreq}": 998, "flood.suppressed{plane=p2p.flood}": 124,
+            "graphfast.bfs_sources{layer=metrics}": 38, "graphfast.triangle_runs{layer=metrics}": 1,
+            "kernel.events_daemon": 0, "kernel.events_dispatched": 35595, "kernel.events_skipped": 0,
+            "kernel.heap": 132, "kernel.heap_compactions": 0, "kernel.heap_pushes": 22134,
+            "net.frames_delivered{layer=lossy}": 29311, "net.frames_sent{layer=lossy}": 17120,
+            "net.losses{layer=lossy}": 4355, "overlay.connections": 53, "overlay.members": 38,
+            "p2p.flood_hops.count": 978, "p2p.flood_hops.sum": 1600, "p2p.flood_hops.min": 1,
+            "p2p.flood_hops.max": 6, "p2p.received{family=connect}": 2334,
+            "p2p.received{family=other}": 0, "p2p.received{family=ping}": 999,
+            "p2p.received{family=query}": 499, "p2p.received{family=transfer}": 0,
+            "routing.data_forwarded{protocol=aodv}": 956, "routing.hello_sent{protocol=aodv}": 0,
+            "routing.rerr_sent{protocol=aodv}": 1067, "routing.rrep_sent{protocol=aodv}": 1878,
+            "routing.rreq_sent{protocol=aodv}": 3045,
+            "topology.delta_rebuilds{backend=dense,layer=topology}": 838,
+            "topology.dist_cache_hits{backend=dense,layer=topology}": 4,
+            "topology.moved_nodes{backend=dense,layer=topology}": 27426,
+            "topology.rebuilds{backend=dense,layer=topology}": 839,
+        },
+    ),
+    "counter2-contact": (
+        dict(num_nodes=40, duration=120.0, seed=2, rebroadcast="counter:2", query_policy="contact"),
+        14970,
+        2.7026280000000025,
+        {
+            "alg.connections_closed{alg=regular}": 64, "alg.connections_established{alg=regular}": 122,
+            "alg.pings_sent{alg=regular}": 209, "aodv.rreq_keys_live": 54,
+            "card.contact_hits{plane=p2p.query}": 14, "card.contacts_learned{plane=p2p.query}": 50,
+            "card.fallback_floods{plane=p2p.query}": 7, "energy.consumed": 2.7026280000000025,
+            "flood.assessment_cancels{plane=aodv.rreq}": 224,
+            "flood.assessment_cancels{plane=p2p.flood}": 21, "flood.duplicates{plane=p2p.flood}": 452,
+            "flood.forwarded{plane=p2p.flood}": 297, "flood.ids_live{plane=p2p.flood}": 11,
+            "flood.originated{plane=p2p.flood}": 210, "flood.suppressed{plane=aodv.rreq}": 224,
+            "flood.suppressed{plane=p2p.flood}": 21, "graphfast.bfs_sources{layer=metrics}": 30,
+            "graphfast.triangle_runs{layer=metrics}": 1, "kernel.events_daemon": 0,
+            "kernel.events_dispatched": 14970, "kernel.events_skipped": 245, "kernel.heap": 124,
+            "kernel.heap_compactions": 0, "kernel.heap_pushes": 11075,
+            "net.frames_delivered{layer=radio}": 10098, "net.frames_sent{layer=radio}": 6061,
+            "overlay.connections": 58, "overlay.members": 30, "p2p.flood_hops.count": 262,
+            "p2p.flood_hops.sum": 401, "p2p.flood_hops.min": 1, "p2p.flood_hops.max": 4,
+            "p2p.received{family=connect}": 625, "p2p.received{family=other}": 0,
+            "p2p.received{family=ping}": 336, "p2p.received{family=query}": 551,
+            "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=aodv}": 643,
+            "routing.hello_sent{protocol=aodv}": 0, "routing.rerr_sent{protocol=aodv}": 167,
+            "routing.rrep_sent{protocol=aodv}": 475, "routing.rreq_sent{protocol=aodv}": 1037,
+            "topology.delta_rebuilds{backend=dense,layer=topology}": 342,
+            "topology.dist_cache_hits{backend=dense,layer=topology}": 11,
+            "topology.moved_nodes{backend=dense,layer=topology}": 6655,
+            "topology.rebuilds{backend=dense,layer=topology}": 343,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(PINNED_LANES))
+def test_suppressing_lane_is_pinned(lane):
+    from repro.core.query import QueryConfig
+
+    fields, events, energy_total, counters = PINNED_LANES[lane]
+    if fields.get("query_policy") == "contact":
+        fields = {**fields, "query": QueryConfig(**_PIN_QUERY)}
+    result = run_scenario(ScenarioConfig(**fields))
+    assert result.events == events
+    assert float(result.energy.sum()) == energy_total
+    assert result.counters == counters
 
 
 # ----------------------------------------------------------------------
@@ -377,13 +555,13 @@ def test_counter_lane_answers_are_truthful():
 
 
 def test_contact_lane_answers_are_truthful():
-    cfg = _query_cfg(rebroadcast="contact", query_policy="contact")
+    cfg = _query_cfg(query_policy="contact")
     records, answers = _answer_correctness(cfg)
     assert records > 0 and answers > 0
 
 
 def test_contact_lane_actually_contact_routes():
-    cfg = _query_cfg(rebroadcast="contact", query_policy="contact")
+    cfg = _query_cfg(query_policy="contact")
     simulation = build_scenario(cfg)
     simulation.run()
     # Repeat zipf queries find learned holders at least once.
