@@ -21,18 +21,19 @@ Hot-path contract
 -----------------
 Liveness queries run once per frame copy, so they must not touch numpy
 scalars.  The ledger detects capacity crossings *at charge time* and
-maintains a plain-Python set of depleted node ids: :meth:`alive` is a
-set lookup, and :meth:`poll_depleted` hands the world only the nodes
-that crossed since the last poll -- a no-op for infinite-capacity runs
-and O(changed) otherwise.  ``consumed`` must therefore only be mutated
-through ``charge_tx`` / ``charge_rx`` / ``charge_rx_many`` (or followed
-by :meth:`resync`).
+keeps a plain-Python set of depleted node ids, so :meth:`alive` is a
+set lookup.  Each crossing fires :attr:`EnergyModel.on_depleted` once,
+inside the charge that caused it: the world points that hook at
+``World.set_down``, so whoever charged, the drained node leaves the
+up-set and the topology at that charge, with no poll to forget.
+``consumed`` must therefore only be mutated through ``charge_tx`` /
+``charge_rx`` / ``charge_rx_many``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -78,13 +79,10 @@ class EnergyModel:
         self.rx_count = np.zeros(self.n, dtype=np.int64)
         #: whether depletion can happen at all (skips every threshold check)
         self.finite = math.isfinite(self.capacity)
-        # Incremental depletion state: ids that crossed the threshold,
-        # and the subset not yet handed out by poll_depleted().
+        #: ids that crossed the capacity threshold
         self._depleted_ids: set = set()
-        self._newly_depleted: List[int] = []
-        #: immediate threshold-crossing hook (the world points this at
-        #: its up-set so ``is_up`` flips the instant a charge drains a
-        #: node, matching the pre-incremental live-read semantics)
+        #: threshold-crossing hook, called once per node inside the
+        #: charge that drains it (the world points it at ``set_down``)
         self.on_depleted: Optional[Callable[[int], None]] = None
 
     # ------------------------------------------------------------------
@@ -120,40 +118,8 @@ class EnergyModel:
         node = int(node)
         if node not in self._depleted_ids:
             self._depleted_ids.add(node)
-            self._newly_depleted.append(node)
             if self.on_depleted is not None:
                 self.on_depleted(node)
-
-    # ------------------------------------------------------------------
-    def poll_depleted(self) -> Tuple[int, ...]:
-        """Nodes that crossed the capacity threshold since the last poll.
-
-        O(1) when nothing changed (the common case, and always for
-        infinite capacity); O(changed) otherwise.  The world drains this
-        after charging to keep its up-set current.
-        """
-        if not self._newly_depleted:
-            return ()
-        out = tuple(self._newly_depleted)
-        self._newly_depleted.clear()
-        return out
-
-    def resync(self) -> Tuple[int, ...]:
-        """Rebuild the depletion set from ``consumed`` (after bulk edits).
-
-        Returns the newly discovered depleted nodes; they are also
-        queued for the next :meth:`poll_depleted`.
-        """
-        if not self.finite:
-            return ()
-        found = [
-            int(i)
-            for i in np.flatnonzero(self.consumed >= self.capacity)
-            if int(i) not in self._depleted_ids
-        ]
-        for i in found:
-            self._mark_depleted(i)
-        return tuple(found)
 
     # ------------------------------------------------------------------
     def remaining(self, node: int) -> float:

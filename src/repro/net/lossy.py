@@ -16,12 +16,10 @@ every message as droppable).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..sim.kernel import Simulator
-from .packet import BROADCAST, Frame
+from .packet import Frame
 from .radio import Channel
 from .world import World
 
@@ -87,42 +85,13 @@ class LossyChannel(Channel):
         self._c_losses.inc()
         return False
 
-    # ------------------------------------------------------------------
-    def unicast(self, frame: Frame) -> bool:
-        if frame.dst == BROADCAST:
-            raise ValueError("use broadcast() for broadcast frames")
-        if not self.world.is_up(frame.src):
-            return False
-        self.world.energy.charge_tx(frame.src, frame.size)
-        self._c_sent.inc()
-        ok = (
-            self.world.link(frame.src, frame.dst)
-            and self.world.is_up(frame.dst)
-            and self._accept(frame.src, frame.dst)
-        )
-        if ok:
-            self.sim.schedule(self.latency, self._deliver, frame.dst, frame)
-        self.world.check_depletion()
-        return ok
-
-    def broadcast(self, frame: Frame) -> int:
-        # Loss draws happen at SEND time in ascending-nid order on both
-        # lanes, so the RNG stream is consumed identically whether the
-        # surviving receiver set then rides one batch event or one event
-        # per copy.
-        world = self.world
+    def _receivers(self, frame: Frame) -> np.ndarray:
+        # Loss draws happen at SEND time in ascending-nid order, so the
+        # RNG stream is consumed identically whether the surviving
+        # receivers then ride one batch event or one event per copy.
         src = frame.src
-        if not world.is_up(src):
-            return 0
-        world.energy.charge_tx(src, frame.size)
-        self._c_sent.inc()
         accept = self._accept
-        receivers = np.array(
-            [dst for dst in world.up_among(world.neighbors(src)).tolist() if accept(src, dst)],
+        return np.array(
+            [dst for dst in map(int, super()._receivers(frame)) if accept(src, dst)],
             dtype=np.int64,
         )
-        self._schedule_copies(
-            self.latency, receivers, self._deliver_batch, self._deliver, frame
-        )
-        world.check_depletion()
-        return len(receivers)

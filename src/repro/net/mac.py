@@ -19,12 +19,12 @@ checks the figure orderings survive contention.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..sim.kernel import Simulator
-from .packet import BROADCAST, Frame
+from .packet import Frame
 from .radio import Channel
 from .world import World
 
@@ -99,29 +99,18 @@ class CsmaChannel(Channel):
         return False
 
     # ------------------------------------------------------------------
-    # public API (mirrors Channel)
+    # the transmission sequence's hooks
     # ------------------------------------------------------------------
-    def unicast(self, frame: Frame) -> bool:
-        if frame.dst == BROADCAST:
-            raise ValueError("use broadcast() for broadcast frames")
-        if not self.world.is_up(frame.src):
-            return False
-        in_range = self.world.link(frame.src, frame.dst) and self.world.is_up(frame.dst)
-        self._try_send(frame, attempt=0)
-        # Like the base channel, report reachability at send time; the
-        # MAC may still destroy the copy (upper layers use timeouts).
-        return in_range
-
-    def broadcast(self, frame: Frame) -> int:
+    def _send(self, frame: Frame) -> int:
+        # Defer the shared sequence behind carrier sense.  Like the base
+        # channel, report reachability at call time; the MAC may still
+        # defer, drop or destroy the copies (upper layers use timeouts).
         if not self.world.is_up(frame.src):
             return 0
-        in_range = len(self.world.up_among(self.world.neighbors(frame.src)))
+        in_range = len(self._receivers(frame))
         self._try_send(frame, attempt=0)
         return in_range
 
-    # ------------------------------------------------------------------
-    # MAC machinery
-    # ------------------------------------------------------------------
     def _try_send(self, frame: Frame, attempt: int) -> None:
         if not self.world.is_up(frame.src):
             return
@@ -133,31 +122,19 @@ class CsmaChannel(Channel):
             backoff = (1 + int(self._rng.integers(self.max_backoff_slots))) * self.slot
             self.sim.schedule(backoff, self._try_send, frame, attempt + 1)
             return
-        self._transmit(frame)
+        super()._send(frame)
 
-    def _transmit(self, frame: Frame) -> None:
+    def _launch(self, frame: Frame, receivers) -> None:
         now = self.sim.now
         duration = self.airtime(frame)
         end = now + duration
         self._tx_until[frame.src] = end
         self._h_airtime.observe(duration)
-        self.world.energy.charge_tx(frame.src, frame.size)
-        self.world.check_depletion()
-        self._c_sent.inc()
-        world = self.world
-        if frame.dst == BROADCAST:
-            receivers = world.up_among(world.neighbors(frame.src)).tolist()
-        else:
-            receivers = (
-                [frame.dst]
-                if world.link(frame.src, frame.dst) and world.is_up(frame.dst)
-                else []
-            )
         # All copies of one transmission complete at the same instant, so
         # the surviving registrations can share ONE completion event
         # (ascending-nid order == the reference's consecutive-seq order).
         registered = np.array(
-            [dst for dst in receivers if self._register_arrival(dst, now, end, frame)],
+            [dst for dst in map(int, receivers) if self._register_arrival(dst, now, end, frame)],
             dtype=np.int64,
         )
         self._schedule_copies(

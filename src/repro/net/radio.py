@@ -5,11 +5,16 @@ substitution preserves the paper's compared effects): a transmission
 reaches exactly the nodes within ``radio_range`` of the sender at the
 moment of transmission, after a fixed per-hop ``latency``.
 
+Every channel runs one transmission sequence, :meth:`Channel._send`:
+sender liveness, receiver set, tx charge, ``net.frames_sent``, launch.
+Subclasses override only its hooks -- the receiver set (lossy), the
+deferral in front of it and the launch (CSMA).
+
 Energy is charged per the world's :class:`~repro.net.energy.EnergyModel`
 -- once per transmission for the sender and once per delivered copy for
 each receiver (broadcasts charge every listener: radios cannot refuse to
 hear).  Depleted or administratively-down nodes neither send nor
-receive.
+receive; a charge that drains a node takes it down at that charge.
 
 A batched broadcast does that accounting once per *transmission*: one
 liveness pass, one vectorized rx charge and one counter bump for all
@@ -136,18 +141,9 @@ class Channel:
         transmission cost either way -- the radio does not know in
         advance whether anyone is listening.
         """
-        src, dst = frame.src, frame.dst
-        if dst == BROADCAST:
+        if frame.dst == BROADCAST:
             raise ValueError("use broadcast() for broadcast frames")
-        if not self.world.is_up(src):
-            return False
-        self.world.energy.charge_tx(src, frame.size)
-        self._c_sent.inc()
-        ok = self.world.link(src, dst) and self.world.is_up(dst)
-        if ok:
-            self.sim.schedule(self.latency, self._deliver, dst, frame)
-        self.world.check_depletion()
-        return ok
+        return self._send(frame) > 0
 
     def broadcast(self, frame: Frame) -> int:
         """Send ``frame`` to every node in range; returns receiver count.
@@ -157,18 +153,42 @@ class Channel:
         is up -- and rides ONE kernel event (``weight=len(receivers)``
         keeps ``events_dispatched`` comparable with one event per copy).
         """
+        return self._send(frame)
+
+    # ------------------------------------------------------------------
+    # the transmission sequence; subclasses override its hooks only
+    # ------------------------------------------------------------------
+    def _send(self, frame: Frame) -> int:
+        """Sender liveness, receiver set, tx charge, ``net.frames_sent``,
+        launch; returns the receiver count.
+
+        The receiver set is fixed before the charge, so a sender that
+        this very frame drains still sends it.
+        """
         world = self.world
         src = frame.src
         if not world.is_up(src):
             return 0
+        receivers = self._receivers(frame)
         world.energy.charge_tx(src, frame.size)
         self._c_sent.inc()
-        receivers = world.up_among(world.neighbors(src))
+        self._launch(frame, receivers)
+        return len(receivers)
+
+    def _receivers(self, frame: Frame):
+        """Who hears ``frame`` now: ``(dst,)`` or ``()`` for a unicast,
+        the ascending int64 array of up neighbours for a broadcast."""
+        world = self.world
+        src, dst = frame.src, frame.dst
+        if dst == BROADCAST:
+            return world.up_among(world.neighbors(src))
+        return (dst,) if world.link(src, dst) and world.is_up(dst) else ()
+
+    def _launch(self, frame: Frame, receivers) -> None:
+        """Put one transmission's copies in flight."""
         self._schedule_copies(
             self.latency, receivers, self._deliver_batch, self._deliver, frame
         )
-        world.check_depletion()
-        return len(receivers)
 
     def _schedule_copies(
         self,
@@ -180,18 +200,17 @@ class Channel:
     ) -> None:
         """Schedule one transmission's copies ``delay`` seconds from now.
 
-        ``receivers`` is the frozen int64 id array, ascending.  Several
-        receivers share ONE weight-k event ``batch_fn(receivers, *args)``,
-        equal to one ``copy_fn(dst, *args)`` per receiver in the same
-        order (DESIGN.md §5); a lone receiver gets ``copy_fn``.
+        ``receivers`` is the frozen receiver set, ascending (an int64
+        array whenever it can hold several ids).  Several receivers
+        share ONE weight-k event ``batch_fn(receivers, *args)``, equal to
+        one ``copy_fn(dst, *args)`` per receiver in the same order
+        (DESIGN.md §5); a lone receiver gets ``copy_fn``.
         """
         k = len(receivers)
         if k > 1:
             self.sim.schedule(delay, batch_fn, receivers, *args, weight=k)
-        else:
-            schedule = self.sim.schedule
-            for dst in receivers.tolist():
-                schedule(delay, copy_fn, dst, *args)
+        elif k:
+            self.sim.schedule(delay, copy_fn, int(receivers[0]), *args)
 
     # ------------------------------------------------------------------
     def _deliver_batch(self, receivers: np.ndarray, frame: Frame) -> None:
@@ -245,7 +264,6 @@ class Channel:
         if self.on_deliver is not None:
             self.on_deliver(dst, frame)
         self.nodes[dst].on_frame(frame)
-        self.world.check_depletion()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

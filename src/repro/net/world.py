@@ -97,17 +97,16 @@ class World:
         # Per-timestamp position cache.
         self._pos_time = -1.0
         self._pos: np.ndarray = np.empty((self.n, 2))
-        #: nodes administratively removed (churn experiments)
-        self._down = np.zeros(self.n, dtype=bool)
-        #: incremental up-set: ids that are neither down nor depleted.
-        #: is_up() is a plain set lookup (no per-call numpy coercion);
-        #: set_down() and check_depletion() keep it current.
-        self._up_ids: set = set(range(self.n)) - {
-            int(i) for i in np.flatnonzero(self.energy.depleted())
-        }
-        # A charge that drains a node flips is_up immediately (the
-        # pre-incremental semantics read the ledger live on every call).
-        self.energy.on_depleted = self._up_ids.discard
+        #: nodes taken out of the topology: administratively down (churn
+        #: experiments) or drained by the energy ledger
+        self._down = self.energy.depleted()
+        #: incremental up-set, the complement of ``_down``: is_up() is a
+        #: plain set lookup (no per-call numpy coercion); set_down()
+        #: keeps it current.
+        self._up_ids: set = set(np.flatnonzero(~self._down).tolist())
+        # The one depletion signal: a charge that drains a node takes it
+        # down at that charge, whoever charged.
+        self.energy.on_depleted = self.set_down
         #: the connectivity backend
         self.topology: TopologyBackend = (topology or make_topology)(self)
 
@@ -123,7 +122,8 @@ class World:
         return self._pos
 
     def down_mask(self) -> np.ndarray:
-        """Boolean (n,) mask of administratively-down nodes (read-only)."""
+        """Boolean (n,) mask of nodes that are down, administratively or
+        drained (read-only)."""
         return self._down
 
     def invalidate(self) -> None:
@@ -221,31 +221,20 @@ class World:
         return frozenset(self._up_ids)
 
     def set_down(self, i: int, down: bool = True) -> None:
-        """Administratively kill (or revive) a node; invalidates caches."""
+        """Administratively kill (or revive) a node; invalidates caches.
+
+        Reviving a drained node is a no-op: it stays out of the up-set
+        and the topology.
+        """
         i = int(i)
-        self._down[i] = down
         if down:
             self._up_ids.discard(i)
         elif self.energy.alive(i):
-            # Revival only brings a node back if its battery isn't drained.
             self._up_ids.add(i)
+        else:
+            return
+        self._down[i] = down
         self.topology.invalidate()
-
-    def check_depletion(self) -> None:
-        """Mark energy-depleted nodes as down (call after charging).
-
-        O(1) when nothing crossed the capacity threshold (always, for
-        infinite-capacity runs) and O(changed) otherwise: the energy
-        ledger records threshold crossings at charge time and this drains
-        them.
-        """
-        for i in self.energy.poll_depleted():
-            if not self._down[i]:
-                self.set_down(i)
-            else:
-                # Already administratively down: just ensure it cannot
-                # come back up while depleted.
-                self._up_ids.discard(i)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

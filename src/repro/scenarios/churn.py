@@ -107,10 +107,10 @@ class ChurnProcess:
         self._schedule_next_death()
 
     def _revive(self, node: int) -> None:
-        # Only revive nodes that are administratively down (a node that
-        # also drained its battery stays dead).
-        if self.world._down[node] and self.world.energy.alive(node):
-            self.world.set_down(node, down=False)
+        # A node that drained its battery meanwhile stays dead: set_down
+        # leaves it down, and no birth is recorded.
+        self.world.set_down(node, down=False)
+        if self.world.is_up(node):
             self.events.append(ChurnEvent(self.sim.now, node, "birth"))
 
     # ------------------------------------------------------------------

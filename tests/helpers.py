@@ -62,7 +62,7 @@ def pin_per_copy_delivery(channel):
     must match bit for bit.  Returns ``channel``."""
 
     def per_copy(delay, receivers, batch_fn, copy_fn, *args):
-        for dst in receivers.tolist():
+        for dst in map(int, receivers):
             channel.sim.schedule(delay, copy_fn, dst, *args)
 
     channel._schedule_copies = per_copy

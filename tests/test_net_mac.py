@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.mobility import Area, Static
-from repro.net import EnergyModel, Frame, World
+from repro.net import Channel, EnergyModel, Frame, World
+from repro.net.lossy import LossyChannel
 from repro.net.mac import CsmaChannel
 from repro.sim import Simulator
 
-from .helpers import line_positions
+from .helpers import line_positions, make_world
 
 
 def make_csma(positions, radio_range=10.0, **kw):
@@ -113,6 +114,26 @@ class TestEnergyDepletion:
         assert world.down_mask()[0]
         assert 0 not in world.neighbors(1)
         sim.run()
+
+    @pytest.mark.parametrize("channel_cls", [Channel, LossyChannel, CsmaChannel])
+    @pytest.mark.parametrize("mode", ["broadcast", "unicast"])
+    def test_drained_sender_still_sends_its_last_frame(self, channel_cls, mode):
+        # The receiver set is fixed before the tx charge, so the frame
+        # that drains node 1's 1 nJ battery still reaches its receivers
+        # on every channel.
+        sim, world, _ = make_world(line_positions(3, spacing=5.0), capacity=1e-9)
+        ch = channel_cls(sim, world)
+        got0, got2 = collect(ch, 0), collect(ch, 2)
+        if mode == "broadcast":
+            sent = ch.broadcast(Frame(src=1, dst=-1, kind="t", payload="last words"))
+            assert sent == 2
+        else:
+            sent = ch.unicast(Frame(src=1, dst=2, kind="t", payload="last words"))
+            assert sent is True
+        assert not world.is_up(1) and world.down_mask()[1]
+        sim.run()
+        assert [f.payload for f in got2] == ["last words"]
+        assert [f.payload for f in got0] == (["last words"] if mode == "broadcast" else [])
 
 
 class TestFullScenarioOnCsma:

@@ -261,7 +261,6 @@ class TestWorldEdgeCases:
         _, world = static_world([[0, 0], [8, 0], [16, 0]], backend, capacity=1e-4)
         assert 1 in world.neighbors(0)
         world.energy.charge_tx(1, 10_000)  # drains node 1's battery
-        world.check_depletion()
         assert list(world.neighbors(0)) == []
         assert not world.link(0, 1)
         assert world.hop_distance(0, 2) == UNREACHABLE

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.mobility import Area, RandomWaypoint, Static
 from repro.net import UNREACHABLE, EnergyModel, World
+from repro.scenarios import ScenarioConfig, run_scenario
 from repro.sim import Simulator
 
 from .helpers import line_positions, make_world
@@ -165,19 +166,26 @@ class TestLivenessFastPath:
         assert world.up_ids() == frozenset({0, 1, 2})
 
     def test_depleted_node_cannot_be_revived(self):
-        _, world, _ = make_world([[0, 0], [5, 0]], capacity=1e-4)
-        world.energy.charge_tx(0, 10_000)
-        world.check_depletion()
-        world.set_down(0, down=False)  # administrative revival attempt
-        assert not world.is_up(0)
+        _, world, _ = make_world(line_positions(3, spacing=8.0), capacity=1e-4)
+        world.energy.charge_tx(1, 10_000)  # drains node 1, the only relay
+        world.set_down(1, down=False)  # administrative revival attempt
+        assert not world.is_up(1)
+        # ... and it does not come back as a relay either.
+        assert world.down_mask()[1]
+        assert list(world.neighbors(0)) == []
+        assert world.hop_distance(0, 2) == UNREACHABLE
 
     def test_check_depletion_on_administratively_down_node(self):
+        # Depleting a node that churn already took down keeps it down,
+        # and a later revival leaves it down.
         _, world, _ = make_world([[0, 0], [5, 0]], capacity=1e-4)
         world.set_down(0)
         world.energy.charge_tx(0, 10_000)
-        world.check_depletion()
         assert not world.is_up(0)
         assert world.up_ids() == frozenset({1})
+        world.set_down(0, down=False)
+        assert world.up_ids() == frozenset({1})
+        assert world.down_mask()[0]
 
     def test_up_among_filters_in_order_and_is_identity_when_all_up(self):
         import numpy as np
@@ -200,24 +208,18 @@ class TestLivenessFastPath:
 
 class TestEnergyProtocol:
     """Threshold-crossing protocol: crossings are detected at charge
-    time and handed out exactly once by poll_depleted()."""
-
-    def test_poll_returns_each_crossing_once(self):
-        em = EnergyModel(3, capacity=1e-4)
-        assert em.poll_depleted() == ()
-        em.charge_tx(1, 10_000)
-        assert em.poll_depleted() == (1,)
-        assert em.poll_depleted() == ()
-        em.charge_rx(1, 10_000)  # still depleted: no second crossing
-        assert em.poll_depleted() == ()
+    time and signalled exactly once, inside that charge, through
+    on_depleted()."""
 
     def test_infinite_capacity_never_depletes(self):
         em = EnergyModel(2)
+        fired = []
+        em.on_depleted = fired.append
         em.charge_tx(0, 10**9)
+        em.charge_rx_many(np.array([0, 1], dtype=np.int64), 10**9)
         assert not em.finite
-        assert em.alive(0)
-        assert em.poll_depleted() == ()
-        assert em.resync() == ()
+        assert em.alive(0) and em.alive(1)
+        assert fired == []
 
     def test_on_depleted_fires_once_per_node(self):
         em = EnergyModel(3, capacity=1e-4)
@@ -228,9 +230,10 @@ class TestEnergyProtocol:
         assert fired == [2]
 
     def test_charge_rx_many_equals_per_node_charges(self):
-        import numpy as np
-
         one, many = EnergyModel(4, capacity=1e-3), EnergyModel(4, capacity=1e-3)
+        fired_one, fired_many = [], []
+        one.on_depleted = fired_one.append
+        many.on_depleted = fired_many.append
         nodes = np.array([0, 2, 3], dtype=np.int64)
         one.charge_tx(2, 200)  # 850 uJ: node 2 crosses 1 mJ on its second rx
         many.charge_tx(2, 200)
@@ -240,16 +243,7 @@ class TestEnergyProtocol:
             many.charge_rx_many(nodes, size)
         assert np.array_equal(one.consumed, many.consumed)  # bitwise
         assert np.array_equal(one.rx_count, many.rx_count)
-        assert many.poll_depleted() == one.poll_depleted() == (2,)
-
-    def test_resync_after_bulk_edit(self):
-        em = EnergyModel(3, capacity=1.0)
-        em.consumed[0] = 2.0  # direct edit, bypassing charge_*
-        assert em.alive(0)  # stale until resync
-        assert em.resync() == (0,)
-        assert not em.alive(0)
-        assert em.poll_depleted() == (0,)
-        assert em.resync() == ()  # idempotent
+        assert fired_many == fired_one == [2]
 
     def test_alive_agrees_with_depleted_mask(self):
         em = EnergyModel(4, capacity=1e-4)
@@ -258,3 +252,142 @@ class TestEnergyProtocol:
         mask = em.depleted()
         for i in range(4):
             assert em.alive(i) == (not mask[i])
+
+
+# ----------------------------------------------------------------------
+# pinned finite-energy runs: depletion order
+# ----------------------------------------------------------------------
+#: ``RunResult`` events, ``energy.sum()`` and ``counters`` of four runs
+#: in which a third to two thirds of the nodes drain, recorded at
+#: 14ef157 -- when a send charged the sender before it fixed the
+#: receiver set, and a poll after each send took drained nodes down.
+#: Fixing the receiver set first and taking a node down inside the
+#: charge that drains it must keep every value.
+PINNED_FINITE_ENERGY = {
+    "aodv-regular": (
+        dict(num_nodes=50, duration=300.0, seed=1, energy_capacity=0.05),
+        11092,
+        1.959330000000003,
+        {
+            "alg.connections_closed{alg=regular}": 162,
+            "alg.connections_established{alg=regular}": 166, "alg.pings_sent{alg=regular}": 309,
+            "aodv.rreq_keys_live": 5, "energy.consumed": 1.959330000000003,
+            "flood.duplicates{plane=p2p.flood}": 607, "flood.forwarded{plane=p2p.flood}": 399,
+            "flood.ids_live{plane=p2p.flood}": 8, "flood.originated{plane=p2p.flood}": 509,
+            "graphfast.bfs_sources{layer=metrics}": 38,
+            "graphfast.triangle_runs{layer=metrics}": 1, "kernel.events_daemon": 0,
+            "kernel.events_dispatched": 11092, "kernel.events_skipped": 0, "kernel.heap": 116,
+            "kernel.heap_compactions": 0, "kernel.heap_pushes": 8377,
+            "net.frames_delivered{layer=radio}": 7404, "net.frames_sent{layer=radio}": 4959,
+            "overlay.connections": 4, "overlay.members": 38, "p2p.flood_hops.count": 313,
+            "p2p.flood_hops.max": 5, "p2p.flood_hops.min": 1, "p2p.flood_hops.sum": 463,
+            "p2p.received{family=connect}": 768, "p2p.received{family=other}": 0,
+            "p2p.received{family=ping}": 455, "p2p.received{family=query}": 169,
+            "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=aodv}": 412,
+            "routing.hello_sent{protocol=aodv}": 0, "routing.rerr_sent{protocol=aodv}": 62,
+            "routing.rrep_sent{protocol=aodv}": 505, "routing.rreq_sent{protocol=aodv}": 1082,
+            "topology.delta_rebuilds{backend=dense,layer=topology}": 479,
+            "topology.dist_cache_hits{backend=dense,layer=topology}": 3,
+            "topology.moved_nodes{backend=dense,layer=topology}": 14149,
+            "topology.rebuilds{backend=dense,layer=topology}": 505,
+        },
+    ),
+    "lossy-basic": (
+        dict(num_nodes=50, duration=300.0, seed=7, algorithm="basic", mac="lossy",
+             energy_capacity=0.05),
+        11826,
+        2.098280000000002,
+        {
+            "alg.connections_closed{alg=basic}": 152,
+            "alg.connections_established{alg=basic}": 154, "alg.pings_sent{alg=basic}": 442,
+            "aodv.rreq_keys_live": 1, "energy.consumed": 2.098280000000002,
+            "flood.duplicates{plane=p2p.flood}": 837, "flood.forwarded{plane=p2p.flood}": 662,
+            "flood.ids_live{plane=p2p.flood}": 39, "flood.originated{plane=p2p.flood}": 1114,
+            "graphfast.bfs_sources{layer=metrics}": 38,
+            "graphfast.triangle_runs{layer=metrics}": 1, "kernel.events_daemon": 0,
+            "kernel.events_dispatched": 11826, "kernel.events_skipped": 0, "kernel.heap": 115,
+            "kernel.heap_compactions": 0, "kernel.heap_pushes": 9921,
+            "net.frames_delivered{layer=lossy}": 7086, "net.frames_sent{layer=lossy}": 6101,
+            "net.losses{layer=lossy}": 1022, "overlay.connections": 2, "overlay.members": 38,
+            "p2p.flood_hops.count": 397, "p2p.flood_hops.max": 5, "p2p.flood_hops.min": 1,
+            "p2p.flood_hops.sum": 555, "p2p.received{family=connect}": 977,
+            "p2p.received{family=other}": 0, "p2p.received{family=ping}": 588,
+            "p2p.received{family=query}": 78, "p2p.received{family=transfer}": 0,
+            "routing.data_forwarded{protocol=aodv}": 240, "routing.hello_sent{protocol=aodv}": 0,
+            "routing.rerr_sent{protocol=aodv}": 309, "routing.rrep_sent{protocol=aodv}": 578,
+            "routing.rreq_sent{protocol=aodv}": 1551,
+            "topology.delta_rebuilds{backend=dense,layer=topology}": 617,
+            "topology.dist_cache_hits{backend=dense,layer=topology}": 0,
+            "topology.moved_nodes{backend=dense,layer=topology}": 19389,
+            "topology.rebuilds{backend=dense,layer=topology}": 648,
+        },
+    ),
+    "dsr-regular": (
+        dict(num_nodes=50, duration=300.0, seed=9, routing="dsr", energy_capacity=0.05),
+        11259,
+        2.0835050000000033,
+        {
+            "alg.connections_closed{alg=regular}": 214,
+            "alg.connections_established{alg=regular}": 226, "alg.pings_sent{alg=regular}": 421,
+            "energy.consumed": 2.0835050000000033, "flood.duplicates{plane=p2p.flood}": 1137,
+            "flood.forwarded{plane=p2p.flood}": 609, "flood.ids_live{plane=p2p.flood}": 10,
+            "flood.originated{plane=p2p.flood}": 547, "graphfast.bfs_sources{layer=metrics}": 38,
+            "graphfast.triangle_runs{layer=metrics}": 1, "kernel.events_daemon": 0,
+            "kernel.events_dispatched": 11259, "kernel.events_skipped": 0, "kernel.heap": 120,
+            "kernel.heap_compactions": 0, "kernel.heap_pushes": 8275,
+            "net.frames_delivered{layer=radio}": 7819, "net.frames_sent{layer=radio}": 5297,
+            "overlay.connections": 12, "overlay.members": 38, "p2p.flood_hops.count": 462,
+            "p2p.flood_hops.max": 5, "p2p.flood_hops.min": 1, "p2p.flood_hops.sum": 703,
+            "p2p.received{family=connect}": 1250, "p2p.received{family=other}": 0,
+            "p2p.received{family=ping}": 641, "p2p.received{family=query}": 228,
+            "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=dsr}": 564,
+            "routing.rerr_sent{protocol=dsr}": 101, "routing.rrep_sent{protocol=dsr}": 323,
+            "routing.rreq_sent{protocol=dsr}": 623, "routing.salvaged{protocol=dsr}": 11,
+            "topology.delta_rebuilds{backend=dense,layer=topology}": 487,
+            "topology.dist_cache_hits{backend=dense,layer=topology}": 1,
+            "topology.moved_nodes{backend=dense,layer=topology}": 16373,
+            "topology.rebuilds{backend=dense,layer=topology}": 517,
+        },
+    ),
+    "counter2": (
+        dict(num_nodes=50, duration=300.0, seed=11, rebroadcast="counter:2",
+             energy_capacity=0.04),
+        11610,
+        1.6940760000000001,
+        {
+            "alg.connections_closed{alg=regular}": 148,
+            "alg.connections_established{alg=regular}": 152, "alg.pings_sent{alg=regular}": 266,
+            "aodv.rreq_keys_live": 2, "energy.consumed": 1.6940760000000001,
+            "flood.assessment_cancels{plane=aodv.rreq}": 40,
+            "flood.assessment_cancels{plane=p2p.flood}": 10,
+            "flood.duplicates{plane=p2p.flood}": 537, "flood.forwarded{plane=p2p.flood}": 372,
+            "flood.ids_live{plane=p2p.flood}": 9, "flood.originated{plane=p2p.flood}": 500,
+            "flood.suppressed{plane=aodv.rreq}": 40, "flood.suppressed{plane=p2p.flood}": 10,
+            "graphfast.bfs_sources{layer=metrics}": 38,
+            "graphfast.triangle_runs{layer=metrics}": 1, "kernel.events_daemon": 0,
+            "kernel.events_dispatched": 11610, "kernel.events_skipped": 50, "kernel.heap": 116,
+            "kernel.heap_compactions": 0, "kernel.heap_pushes": 9361,
+            "net.frames_delivered{layer=radio}": 6438, "net.frames_sent{layer=radio}": 4339,
+            "overlay.connections": 4, "overlay.members": 38, "p2p.flood_hops.count": 300,
+            "p2p.flood_hops.max": 6, "p2p.flood_hops.min": 1, "p2p.flood_hops.sum": 452,
+            "p2p.received{family=connect}": 728, "p2p.received{family=other}": 0,
+            "p2p.received{family=ping}": 390, "p2p.received{family=query}": 97,
+            "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=aodv}": 311,
+            "routing.hello_sent{protocol=aodv}": 0, "routing.rerr_sent{protocol=aodv}": 72,
+            "routing.rrep_sent{protocol=aodv}": 428, "routing.rreq_sent{protocol=aodv}": 1036,
+            "topology.delta_rebuilds{backend=dense,layer=topology}": 443,
+            "topology.dist_cache_hits{backend=dense,layer=topology}": 1,
+            "topology.moved_nodes{backend=dense,layer=topology}": 12292,
+            "topology.rebuilds{backend=dense,layer=topology}": 476,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(PINNED_FINITE_ENERGY))
+def test_finite_energy_run_is_pinned(lane):
+    fields, events, energy_total, counters = PINNED_FINITE_ENERGY[lane]
+    result = run_scenario(ScenarioConfig(**fields))
+    assert result.events == events
+    assert float(result.energy.sum()) == energy_total
+    assert result.counters == counters

@@ -3,18 +3,19 @@
 import numpy as np
 
 from repro.mobility import Area, Static
-from repro.net import Channel, World
+from repro.net import UNREACHABLE, Channel, EnergyModel, World
 from repro.routing import OracleRouter, Router
 from repro.sim import Simulator
 
 from .helpers import line_positions
 
 
-def make_oracle(positions, radio_range=10.0):
+def make_oracle(positions, radio_range=10.0, capacity=float("inf")):
     pts = np.asarray(positions, dtype=float)
     sim = Simulator()
     mobility = Static(len(pts), Area(1000, 1000), np.random.default_rng(0), positions=pts)
-    world = World(sim, mobility, radio_range=radio_range)
+    energy = EnergyModel(len(pts), capacity=capacity)
+    world = World(sim, mobility, radio_range=radio_range, energy=energy)
     router = OracleRouter(sim, world)
     inbox = []
     router.register("app", lambda dst, src, p, h: inbox.append((dst, src, p, h)))
@@ -52,6 +53,16 @@ class TestOracle:
         router.send(0, 1, "x", kind="app", on_fail=failed.append)
         sim.run()
         assert failed == ["x"]
+
+    def test_drained_relay_leaves_the_topology_at_the_charge(self):
+        # A huge frame drains node 1 at the tx charge: hop distances
+        # stop routing through it at once, not at the next radio send.
+        _, world, router, _ = make_oracle(line_positions(3, spacing=8.0), capacity=1e-4)
+        assert world.hop_distance(0, 2) == 2
+        router.send(1, 2, "x", size=10_000)
+        assert not world.is_up(1)
+        assert world.hop_distance(0, 2) == UNREACHABLE
+        assert list(world.neighbors(0)) == []
 
     def test_loopback(self):
         sim, _, router, inbox = make_oracle(line_positions(2))
