@@ -6,7 +6,7 @@ paper's simulations:
 * expanding-ring RREQ flooding with per-(origin, rreq_id) dedup — the
   "controlled broadcast" cache the authors added to ns-2 is inherent
   here: a node processes each RREQ id once (:class:`~repro.net.broadcast.SeenTable`,
-  which also lets the radio skip the handlers of duplicate copies);
+  read once per transmission by the router's ``aodv.ctrl`` plane);
 * reverse-route installation at every hop an RREQ crosses;
 * RREP generation by the destination (always) and by intermediate nodes
   with a fresh-enough route (configurable), unicast back hop-by-hop;
@@ -26,7 +26,8 @@ the message families the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..net.broadcast import SeenTable
 from ..net.packet import Frame
@@ -114,17 +115,15 @@ class AodvAgent(OnDemandAgent):
         self.table = RouteTable(self.nid)
         self.seq = 0
         self.rreq_id = 0
-        #: the router's RREQ dedup table, rebroadcast policy and TTL
-        #: sequence, shared by all its agents
+        #: the router's RREQ dedup table and TTL sequence, shared by all
+        #: its agents
         self._seen = router._seen
-        self._policy = router.policy
         self._ring_ttls = router._ring_ttls
         c = router.counters
         self._c_rreq, self._c_rrep, self._c_rerr = c["rreq_sent"], c["rrep_sent"], c["rerr_sent"]
         self._c_hello, self._c_forwarded = c["hello_sent"], c["data_forwarded"]
         #: neighbour -> last time a HELLO (or any ctrl frame) was heard
         self._neighbor_heard: Dict[int, float] = {}
-        node.register(KIND_CTRL, self._on_ctrl)
         node.register(KIND_DATA, self._on_data)
         if self.cfg.hello_interval > 0:
             from ..sim.process import Process
@@ -238,37 +237,11 @@ class AodvAgent(OnDemandAgent):
                     self._broadcast_rerr(entry.dest, entry.dest_seq)
 
     # ------------------------------------------------------------------
-    # control plane
+    # control plane (the router's ``aodv.ctrl`` plane calls in here)
     # ------------------------------------------------------------------
-    def _on_ctrl(self, frame: Frame) -> None:
-        if self.cfg.hello_interval > 0:
-            self._neighbor_heard[frame.src] = self.sim.now
-        msg = frame.payload
-        if isinstance(msg, Rreq):
-            self._on_rreq(frame, msg)
-        elif isinstance(msg, Rrep):
-            self._on_rrep(frame, msg)
-        elif isinstance(msg, Rerr):
-            self._on_rerr(frame, msg)
-        # Hello needs no handling beyond the timestamp above.
-
-    def _on_rreq(self, frame: Frame, rreq: Rreq) -> None:
-        key = (rreq.origin, rreq.rreq_id)
-        if not self._seen.mark(key, self.nid):
-            if self._policy is not None:
-                self._policy.duplicate(self.nid, key)
-            return
-        now = self.sim.now
-        hops_to_origin = rreq.hop_count + 1
-        # Reverse route to the origin via the node we heard this from.
-        self.table.offer(
-            rreq.origin,
-            next_hop=frame.src,
-            hop_count=hops_to_origin,
-            dest_seq=rreq.origin_seq,
-            expires_at=now + self.cfg.active_route_timeout,
-            now=now,
-        )
+    def _answer(self, rreq: Rreq, now: float) -> bool:
+        """Reply to a fresh ``rreq`` as its destination, or as an
+        intermediate node with a fresh-enough route; False if neither."""
         if rreq.dest == self.nid:
             # Destination replies with a freshly incremented sequence
             # number (>= any the requester has seen), so the RREP always
@@ -282,7 +255,7 @@ class AodvAgent(OnDemandAgent):
                 lifetime=self.cfg.my_route_timeout,
             )
             self._send_rrep(rrep)
-            return
+            return True
         if self.cfg.intermediate_reply:
             entry = self.table.lookup(rreq.dest, now)
             if (
@@ -298,24 +271,8 @@ class AodvAgent(OnDemandAgent):
                     lifetime=max(entry.expires_at - now, 0.0),
                 )
                 self._send_rrep(rrep)
-                return
-        if rreq.ttl > 1:
-            fwd = Rreq(
-                origin=rreq.origin,
-                origin_seq=rreq.origin_seq,
-                rreq_id=rreq.rreq_id,
-                dest=rreq.dest,
-                dest_seq=rreq.dest_seq,
-                hop_count=hops_to_origin,
-                ttl=rreq.ttl - 1,
-            )
-            out = Frame(
-                src=self.nid, dst=-1, kind=KIND_CTRL, payload=fwd, size=frame.size
-            )
-            if self._policy is None:
-                self.channel.broadcast(out)
-            else:
-                self._policy.forward(self.nid, key, lambda: self.channel.broadcast(out))
+                return True
+        return False
 
     def _send_rrep(self, rrep: Rrep) -> None:
         """Unicast an RREP one hop toward its origin along reverse route."""
@@ -426,20 +383,70 @@ class AodvRouter(AgentRouter):
         self.registry.gauge("aodv.rreq_keys_live", fn=self._seen.__len__)
         self._ring_ttls = self.cfg.ring_ttls()
         self.agents = [AodvAgent(self, node) for node in channel.nodes]
-        # A duplicate RREQ's handler returns at once only when nothing
-        # else reads the copy: no rebroadcast policy (it must see
-        # ``policy.duplicate(nid, key)``) and HELLO sensing off
-        # (``_on_ctrl`` timestamps every control frame it hears).
-        if self.cfg.hello_interval <= 0 and self.policy is None:
-            channel.register_noop_hint(KIND_CTRL, self._rreq_noop_hint)
+        channel.register_plane(KIND_CTRL, self._on_ctrl)
 
-    def _rreq_noop_hint(self, frame: Frame) -> Optional[Set[int]]:
-        """Nodes that already processed the RREQ ``frame`` carries (a
-        pure read of the dedup table); ``None`` for any other payload."""
+    # ------------------------------------------------------------------
+    # the aodv.ctrl plane
+    # ------------------------------------------------------------------
+    def _on_ctrl(self, receivers: Sequence[int], frame: Frame) -> None:
+        """``frame`` heard by ``receivers`` (ascending), each handled as
+        its own per-copy delivery would be, in that order."""
+        agents = self.agents
+        if self.cfg.hello_interval > 0:
+            # Any control frame heard proves the link (draft §6.9).
+            now, src = self.sim.now, frame.src
+            for nid in receivers:
+                agents[nid]._neighbor_heard[src] = now
         msg = frame.payload
         if isinstance(msg, Rreq):
-            return self._seen.seen_by((msg.origin, msg.rreq_id))
-        return None
+            self._on_rreq(receivers, frame, msg)
+        elif isinstance(msg, Rrep):
+            for nid in receivers:
+                agents[nid]._on_rrep(frame, msg)
+        elif isinstance(msg, Rerr):
+            for nid in receivers:
+                agents[nid]._on_rerr(frame, msg)
+        # Hello needs no handling beyond the timestamp above.
+
+    def _on_rreq(self, receivers: Sequence[int], frame: Frame, rreq: Rreq) -> None:
+        # The dedup set is fetched once: receivers are distinct, and a
+        # receiver's processing marks only itself (nothing it does
+        # synchronously marks another key), so testing and adding to the
+        # live set equals each copy's own ``mark``.
+        key = (rreq.origin, rreq.rreq_id)
+        seen = self._seen.entry(key)
+        policy = self.policy
+        agents = self.agents
+        now, src = self.sim.now, frame.src
+        hops_to_origin = rreq.hop_count + 1
+        expires_at = now + self.cfg.active_route_timeout
+        fwd: Optional[Rreq] = None
+        for nid in receivers:
+            if nid in seen:
+                if policy is not None:
+                    policy.duplicate(nid, key)
+                continue
+            seen.add(nid)
+            agent = agents[nid]
+            # Reverse route to the origin via the node we heard this from.
+            agent.table.offer(rreq.origin, src, hops_to_origin, rreq.origin_seq, expires_at, now)
+            if agent._answer(rreq, now) or rreq.ttl <= 1:
+                continue
+            if fwd is None:  # one forwarded RREQ, shared by every forwarder
+                fwd = Rreq(
+                    origin=rreq.origin,
+                    origin_seq=rreq.origin_seq,
+                    rreq_id=rreq.rreq_id,
+                    dest=rreq.dest,
+                    dest_seq=rreq.dest_seq,
+                    hop_count=hops_to_origin,
+                    ttl=rreq.ttl - 1,
+                )
+            out = Frame(src=nid, dst=-1, kind=KIND_CTRL, payload=fwd, size=frame.size)
+            if policy is None:
+                self.channel.broadcast(out)
+            else:
+                policy.forward(nid, key, partial(self.channel.broadcast, out))
 
     def route_hops(self, src: int, dst: int) -> int:
         if src == dst:

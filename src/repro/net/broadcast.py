@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.registry import Registry
 from ..sim.kernel import Simulator
@@ -40,8 +40,7 @@ class SeenTable:
 
     ``(origin, id) -> ids of the nodes that processed it``: the single
     source of truth for a plane's duplicate check (the p2p discovery
-    flood, AODV and DSR route requests), and -- read-only, via
-    :meth:`seen_by` -- what AODV's no-op hint hands the radio.  A key is
+    flood, AODV and DSR route requests).  A key is
     forgotten once it is older than ``lifetime`` seconds, lazily and in
     FIFO order when a new key arrives, so memory tracks the floods in
     flight, not the run.
@@ -64,17 +63,23 @@ class SeenTable:
         mutate), or ``None`` for an unknown key."""
         return self._nodes.get(key)
 
-    def mark(self, key: FloodId, nid: int) -> bool:
-        """Record that ``nid`` processes ``key``; False if it already has."""
+    def entry(self, key: FloodId) -> Set[int]:
+        """The live set of node ids that processed ``key``, created empty
+        (evicting expired keys first) if ``key`` is new; adding ``nid``
+        to it is :meth:`mark`."""
         nodes = self._nodes.get(key)
         if nodes is None:
             now = self._sim.now
             born = self._born
             while born and now > born[0][0] + self.lifetime:
                 del self._nodes[born.popleft()[1]]
-            self._nodes[key] = {nid}
+            nodes = self._nodes[key] = set()
             born.append((now, key))
-            return True
+        return nodes
+
+    def mark(self, key: FloodId, nid: int) -> bool:
+        """Record that ``nid`` processes ``key``; False if it already has."""
+        nodes = self.entry(key)
         if nid in nodes:
             return False
         nodes.add(nid)
@@ -162,8 +167,7 @@ class FloodManager:
         self._c_forwarded = self.registry.counter("flood.forwarded", plane=kind)
         self._c_duplicates = self.registry.counter("flood.duplicates", plane=kind)
         self.registry.gauge("flood.ids_live", fn=self.seen.__len__, plane=kind)
-        for node in channel.nodes:
-            node.register(kind, partial(self._on_frame, node.nid))
+        channel.register_plane(kind, self._on_frame)
 
     # ------------------------------------------------------------------
     def originate(
@@ -193,32 +197,43 @@ class FloodManager:
         self._c_forwarded.inc()
         self.channel.broadcast(frame)
 
-    def _on_frame(self, nid: int, frame: Frame) -> None:
+    def _on_frame(self, receivers: Sequence[int], frame: Frame) -> None:
+        """The plane: ``frame`` heard by ``receivers`` (ascending), each
+        handled as its own per-copy delivery would be, in that order."""
         msg: FloodMessage = frame.payload
+        fid = msg.fid
         policy = self.policy
-        if not self.seen.mark(msg.fid, nid):
-            self._c_duplicates.inc()
-            if policy is not None:
-                policy.duplicate(nid, msg.fid)
-            count_duplicate = self.count_duplicate[nid]
-            if count_duplicate is not None:
-                count_duplicate(msg.origin, msg.payload)
-            return
+        # Fetched once: receivers are distinct, and the key, at most a
+        # second old, cannot expire under a nested origination.
+        seen = self.seen.entry(fid)
         hops_here = msg.hops + 1
-        deliver = self.deliver[nid]
-        if deliver is not None:
-            deliver(msg.origin, msg.payload, hops_here)
         remaining = msg.budget - 1
-        if remaining > 0:
-            fwd = FloodMessage(
-                fid=msg.fid,
-                origin=msg.origin,
-                hops=hops_here,
-                budget=remaining,
-                payload=msg.payload,
-            )
+        fwd: Optional[FloodMessage] = None
+        for nid in receivers:
+            if nid in seen:
+                self._c_duplicates.inc()
+                if policy is not None:
+                    policy.duplicate(nid, fid)
+                count_duplicate = self.count_duplicate[nid]
+                if count_duplicate is not None:
+                    count_duplicate(msg.origin, msg.payload)
+                continue
+            seen.add(nid)
+            deliver = self.deliver[nid]
+            if deliver is not None:
+                deliver(msg.origin, msg.payload, hops_here)
+            if remaining <= 0:
+                continue
+            if fwd is None:  # one forwarded envelope, shared by every forwarder
+                fwd = FloodMessage(
+                    fid=fid,
+                    origin=msg.origin,
+                    hops=hops_here,
+                    budget=remaining,
+                    payload=msg.payload,
+                )
             out = Frame(src=nid, dst=-1, kind=self.kind, payload=fwd, size=frame.size)
             if policy is None:
                 self._transmit(out)
             else:
-                policy.forward(nid, msg.fid, lambda: self._transmit(out))
+                policy.forward(nid, fid, partial(self._transmit, out))

@@ -52,4 +52,4 @@ class Frame:
     kind: str
     payload: Any
     size: int = DEFAULT_FRAME_BYTES
-    uid: int = field(default_factory=lambda: next(_uid))
+    uid: int = field(default_factory=_uid.__next__)

@@ -18,14 +18,14 @@ receive; a charge that drains a node takes it down at that charge.
 
 A batched broadcast does that accounting once per *transmission*: one
 liveness pass, one vectorized rx charge and one counter bump for all
-receivers, then the handlers -- minus the receivers a routing layer's
-*no-op hint* vouches for (see :meth:`Channel.register_noop_hint`).
-DESIGN.md §5 carries the exactness argument.
+receivers, then the handlers -- or, for a kind a protocol claimed as a
+*plane* (see :meth:`Channel.register_plane`), one call that takes every
+receiver at once.  DESIGN.md §5 carries the exactness argument.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Container, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -114,23 +114,22 @@ class Channel:
         self.registry = registry if registry is not None else Registry()
         self._c_sent = self.registry.counter("net.frames_sent", layer=self.LAYER)
         self._c_delivered = self.registry.counter("net.frames_delivered", layer=self.LAYER)
-        self._noop_hints: Dict[str, Callable[[Frame], Optional[Container[int]]]] = {}
+        self._planes: Dict[str, Callable[[Sequence[int], Frame], None]] = {}
 
-    def register_noop_hint(
-        self, kind: str, hint: Callable[[Frame], Optional[Container[int]]]
+    def register_plane(
+        self, kind: str, fn: Callable[[Sequence[int], Frame], None]
     ) -> None:
-        """Install the no-op hint for frames tagged ``kind`` (one per kind).
+        """Claim frames tagged ``kind`` for one plane handler (one per kind).
 
-        ``hint(frame)`` returns a container of node ids whose registered
-        ``kind`` handler is guaranteed to return at once, without side
-        effects, if handed ``frame`` now -- or ``None`` when it cannot
-        vouch for anyone.  A batched broadcast still charges and counts
-        those receivers (radios cannot refuse to hear) but does not call
-        their handlers.  The hint must be a pure read.
+        ``fn(receivers, frame)`` replaces the per-node handlers: it gets
+        the ids that received ``frame``, ascending, once per batched
+        transmission (after their rx charge and delivered count), and
+        ``[dst]`` for each copy on the per-copy path.  It must handle
+        them as consecutive per-copy deliveries would, in that order.
         """
-        if kind in self._noop_hints:
-            raise ValueError(f"no-op hint for {kind!r} already set")
-        self._noop_hints[kind] = hint
+        if kind in self._planes:
+            raise ValueError(f"plane for {kind!r} already set")
+        self._planes[kind] = fn
 
     # ------------------------------------------------------------------
     def unicast(self, frame: Frame) -> bool:
@@ -171,7 +170,7 @@ class Channel:
             return 0
         receivers = self._receivers(frame)
         world.energy.charge_tx(src, frame.size)
-        self._c_sent.inc()
+        self._c_sent.value += 1
         self._launch(frame, receivers)
         return len(receivers)
 
@@ -225,7 +224,7 @@ class Channel:
         #  * with infinite capacity nothing inside a batch changes the
         #    up-set (only churn events and depletion call `set_down`),
         #    so one liveness pass equals the per-copy re-check;
-        #  * a hinted receiver's handler would have returned at once.
+        #  * a plane walks the receivers in the same ascending order.
         # When the run can observe per-copy order -- a receiver may
         # deplete mid-batch and change the topology for later receivers'
         # rebroadcasts, or an `on_deliver` observer is installed -- each
@@ -242,14 +241,14 @@ class Channel:
         if not len(live):
             return
         energy.charge_rx_many(live, frame.size)
-        self._c_delivered.inc(len(live))
+        self._c_delivered.value += len(live)
         kind = frame.kind
-        hint = self._noop_hints.get(kind)
-        skip = (hint(frame) if hint is not None else None) or ()
+        plane = self._planes.get(kind)
+        if plane is not None:
+            plane(live.tolist(), frame)
+            return
         nodes = self.nodes
         for dst in live.tolist():
-            if dst in skip:
-                continue
             # The callable passed to NetNode.register, called directly.
             handler = nodes[dst]._handlers.get(kind)
             if handler is not None:
@@ -263,7 +262,11 @@ class Channel:
         self._c_delivered.inc()
         if self.on_deliver is not None:
             self.on_deliver(dst, frame)
-        self.nodes[dst].on_frame(frame)
+        plane = self._planes.get(frame.kind)
+        if plane is not None:
+            plane([dst], frame)
+        else:
+            self.nodes[dst].on_frame(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -20,13 +20,14 @@ from the node count (sparse from :data:`SPARSE_MIN_NODES` nodes up):
 
 :class:`SparseGridTopology`
     A uniform-grid spatial index with cell size equal to the radio
-    range, so a neighbor query inspects at most 9 cells instead of a
-    row of n.  A CSR-style adjacency is built lazily (first graph-wide
-    query per snapshot), BFS runs frontier-at-a-time over the CSR
-    arrays, and per-source distance vectors are memoized under an LRU
-    bound.  O(n·k) time and memory per snapshot at bounded density k --
-    the regime where n grows but the node density (and hence the mean
-    degree) stays fixed.
+    range, so a node's candidates live in at most 9 cells instead of a
+    row of n.  One CSR adjacency per adjacency epoch, built by whichever
+    read first needs it in nine vectorized cell-offset passes, answers
+    ``neighbors`` (a row slice), ``degrees`` and BFS (frontier-at-a-time
+    over the CSR arrays); per-source distance vectors are memoized
+    under an LRU bound.  O(n·k) time and memory per snapshot at bounded
+    density k -- the regime where n grows but the node density (and
+    hence the mean degree) stays fixed.
 
 Both backends share snapshot lifecycle and staleness policy (the
 ``snapshot_interval`` quantum, backwards-clock protection, churn
@@ -36,13 +37,17 @@ on neighbor sets and hop distances.
 
 Every refresh after the first is a *delta* against the previous
 snapshot: the backend diffs the new positions/down mask, unmoved nodes
-keep their state, the sparse grid re-bins only nodes whose cell
-changed, and -- when few enough nodes moved to be worth proving (at
-most ``max(8, n // 4)``) and a cache exists -- an unchanged adjacency
-keeps the BFS distance cache and the CSR across the refresh.  The
-from-scratch rebuild survives as :meth:`TopologyBackend._update`'s base
-fallback, which the test suite binds onto a backend as the reference
-the delta path must match bit for bit.
+keep their state, the sparse grid re-keys only the movers, and -- when
+few enough nodes moved to be worth proving (at most ``max(8, n // 4)``)
+and a cache exists -- an unchanged adjacency keeps the BFS distance
+cache and the CSR across the refresh.  The from-scratch rebuild
+survives as :meth:`TopologyBackend._update`'s base fallback, which the
+test suite binds onto a backend as the reference the delta path must
+match bit for bit.
+
+Every array a query hands out -- neighbour rows, the CSR, the dense
+matrix, cached hop-distance vectors -- is shared snapshot state and
+read-only: writing to one raises ``ValueError``.
 
 Cache validity is tracked by an **adjacency epoch**
 (:attr:`TopologyBackend.adjacency_epoch`): a counter that advances only
@@ -56,7 +61,7 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -85,6 +90,9 @@ UNREACHABLE = -1
 #: a deployment area of ~10,000 km per axis.
 _KOFF = 1 << 20
 _KSTRIDE = 1 << 21
+#: packed-key offsets of the three cell columns of a 3x3 block; within a
+#: column, cells ``cy - 1 .. cy + 1`` are consecutive keys
+_COLUMN_OFFSETS = np.array([-_KSTRIDE, 0, _KSTRIDE])
 
 
 class TopologyBackend(abc.ABC):
@@ -248,7 +256,8 @@ class TopologyBackend(abc.ABC):
         """Uncached single-source hop distances on the current snapshot."""
 
     def hops_from(self, src: int) -> np.ndarray:
-        """Hop distance from ``src`` to every node (LRU-memoized BFS)."""
+        """Hop distance from ``src`` to every node (LRU-memoized BFS;
+        the vector is read-only, shared by every caller in the epoch)."""
         self.refresh()
         cached = self._dist.get(src)
         if cached is not None:
@@ -256,6 +265,7 @@ class TopologyBackend(abc.ABC):
             self._c_dist_hits.value += 1
             return cached
         dist = self._bfs(src)
+        dist.flags.writeable = False
         self._dist[src] = dist
         if len(self._dist) > self.dist_cache_size:
             self._dist.popitem(last=False)
@@ -308,6 +318,7 @@ class DenseTopology(TopologyBackend):
         if down.any():
             adj[down, :] = False
             adj[:, down] = False
+        adj.flags.writeable = False
         self._adj = adj
         self._down = down.copy()
         self._pos = pos.copy()
@@ -349,7 +360,10 @@ class DenseTopology(TopologyBackend):
             np.cumsum(adj.sum(axis=1), out=indptr[1:])
             # Row-major flatnonzero yields each row's columns ascending.
             indices = np.flatnonzero(adj) % n
-            self._csr = (indptr, indices.astype(np.int64, copy=False))
+            indices = indices.astype(np.int64, copy=False)
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
+            self._csr = (indptr, indices)
         return self._csr
 
     def _bfs(self, src: int) -> np.ndarray:
@@ -376,28 +390,28 @@ class DenseTopology(TopologyBackend):
 
 
 class SparseGridTopology(TopologyBackend):
-    """Sparse backend: uniform-grid spatial index + lazy CSR adjacency.
+    """Sparse backend: uniform-grid spatial index + one CSR per epoch.
 
     The deployment area is partitioned into square cells of side
     ``radio_range``; a node's neighbors can then only live in its own
-    cell or the 8 surrounding ones, so a neighbor query touches O(k)
+    cell or the 8 surrounding ones, so finding them touches O(k)
     candidates (k = nodes per 9-cell block) regardless of n.
 
-    Per snapshot the backend stores only node->cell assignments and a
-    cell->members index (O(n)).  The full CSR adjacency (``indptr`` /
-    ``indices``) is built *lazily* -- only when a graph-wide query (BFS,
-    degrees) first needs it -- by intersecting each occupied cell with
-    its 3x3 neighborhood, vectorized per cell.  Administratively-down
-    nodes are excluded from the grid entirely: they neither appear as
-    neighbors nor relay.
+    Per snapshot the backend stores each node's packed cell key (O(n)).
+    The CSR adjacency (``indptr`` / ``indices``) is built once per
+    adjacency epoch by the first read that needs it -- ``neighbors``,
+    ``degrees``, BFS or ``csr`` -- for all up nodes at once
+    (:meth:`_build_csr`); ``neighbors(i)`` is then row ``i``.  ``link``
+    needs no CSR: it tests the pair's distance on per-snapshot float
+    lists.  Administratively-down nodes are excluded from the grid
+    entirely: they neither appear as neighbors nor relay.
 
     A refresh diffs positions against the previous snapshot: paused
     nodes (bitwise-identical positions -- the common case under
-    random-waypoint pauses) cost nothing, only nodes whose grid cell
-    changed are re-binned, and when few enough nodes moved the
-    backend proves whether any link actually flipped (old vs new
-    neighbor sets of the movers) to keep the CSR, the per-node neighbor
-    memos and the BFS distance cache alive across the refresh.
+    random-waypoint pauses) cost nothing, only movers get new cell keys,
+    and when few enough nodes moved the backend proves whether any link
+    actually flipped (old vs new in-range pairs of the movers) to keep
+    the CSR and the BFS distance cache alive across the refresh.
     """
 
     name = "sparse"
@@ -407,29 +421,28 @@ class SparseGridTopology(TopologyBackend):
         n = world.n
         self._pos: np.ndarray = np.empty((n, 2))
         self._down = np.zeros(n, dtype=bool)
-        self._cell: np.ndarray = np.zeros((n, 2), dtype=np.int64)
+        #: packed grid-cell key of every node
         self._key: np.ndarray = np.zeros(n, dtype=np.int64)
-        #: cell key -> np.ndarray of member node ids (up nodes only)
-        self._grid: Dict[int, np.ndarray] = {}
-        #: lazily-built CSR adjacency (indptr, indices) or None
+        #: CSR adjacency (indptr, indices) of the adjacency epoch, built
+        #: by the first read that needs it, or None
         self._csr: Tuple[np.ndarray, np.ndarray] | None = None
-        #: per-node neighbor memo for the current snapshot
-        self._nbr: Dict[int, np.ndarray] = {}
+        #: ``indptr`` as a list, so a row slice takes plain ints
+        self._rows: list = []
+        #: per-snapshot x and y float lists for ``link`` (NaN x for a down
+        #: node), built by its first call, or None
+        self._xy: Optional[Tuple[list, list]] = None
         r = world.radio_range
         self._r2 = r * r
         #: most movers an adjacency-preservation proof is attempted for:
-        #: the proof costs O(movers · degree) and past a quarter of the
-        #: nodes it almost never succeeds
+        #: past a quarter of the nodes it almost never succeeds
         self.max_proof_movers = max(8, n // 4)
-        # CSR builds performed (should be << rebuilds for neighbor-only
-        # workloads)
         self._c_csr_builds = self.registry.counter(
             "topology.csr_builds", layer="topology", backend=type(self).name
         )
 
     # ------------------------------------------------------------------
-    def _cells_of(self, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Grid cells ``(m, 2)`` and packed cell keys ``(m,)`` of ``pos``."""
+    def _keys_of(self, pos: np.ndarray) -> np.ndarray:
+        """Packed grid-cell keys ``(m,)`` of the positions ``pos``."""
         r = self.world.radio_range
         cell = np.floor(pos / r).astype(np.int64) + _KOFF
         if cell.size and (cell.min() < 1 or cell.max() >= _KSTRIDE - 1):
@@ -437,25 +450,16 @@ class SparseGridTopology(TopologyBackend):
                 "node positions exceed the sparse grid's coordinate range "
                 f"(±{(_KOFF - 2) * r:.0f} m at radio range {r})"
             )
-        return cell, cell[:, 0] * _KSTRIDE + cell[:, 1]
+        return cell[:, 0] * _KSTRIDE + cell[:, 1]
 
     def _rebuild(self, pos: np.ndarray, down: np.ndarray) -> None:
         r = self.world.radio_range
         self._pos = pos.copy()
         self._down = down.copy()
         self._r2 = r * r
-        self._cell, keys = self._cells_of(pos)
-        self._key = keys
-        up = np.flatnonzero(~down)
-        order = up[np.argsort(keys[up], kind="stable")]
-        sorted_keys = keys[order]
-        uniq, starts = np.unique(sorted_keys, return_index=True)
-        bounds = np.append(starts, len(order))
-        self._grid = {
-            int(k): order[s:e] for k, s, e in zip(uniq, bounds[:-1], bounds[1:])
-        }
+        self._key = self._keys_of(pos)
         self._csr = None
-        self._nbr = {}
+        self._xy = None
 
     # -- delta refresh -------------------------------------------------
     def _update(self, pos: np.ndarray, down: np.ndarray) -> bool:
@@ -468,130 +472,80 @@ class SparseGridTopology(TopologyBackend):
         if touched.size == 0:
             return False  # every node paused: the snapshot carries over
         self._c_moved.value += int(touched.size)
+        self._xy = None
         new_pos = pos[touched]
-        # Proving "no link flipped" costs two neighbor computations per
-        # mover and only preserves anything if a distance cache / CSR
-        # exists.
+        # Proving "no link flipped" only preserves anything if a CSR
+        # (and with it maybe a distance cache) exists.
         movers = touched[~self._down[touched]]
         prove = (
             self._dist or self._csr is not None
         ) and movers.size <= self.max_proof_movers
-        old_lists = self._mover_neighbor_lists(movers, self._pos) if prove else None
-
-        # Surgical re-bin: only movers whose cell changed.
-        new_cell, new_key = self._cells_of(new_pos)
-        for idx in np.flatnonzero(new_key != self._key[touched]):
-            i = int(touched[idx])
-            if self._down[i]:
-                continue  # down nodes are not in the grid
-            self._grid_remove(int(self._key[i]), i)
-            self._grid_add(int(new_key[idx]), i)
-        self._cell[touched] = new_cell
-        self._key[touched] = new_key
+        old_pairs = self._mover_neighbor_lists(movers, self._pos) if prove else None
+        self._key[touched] = self._keys_of(new_pos)
         self._pos[touched] = new_pos
-
-        if old_lists is not None:
-            new_lists = self._mover_neighbor_lists(movers, self._pos)
-            if all(
-                np.array_equal(a, b) for a, b in zip(old_lists, new_lists)
-            ):
+        if old_pairs is not None:
+            new_pairs = self._mover_neighbor_lists(movers, self._pos)
+            if all(np.array_equal(a, b) for a, b in zip(old_pairs, new_pairs)):
                 # Links between two movers and mover--pauser links both
-                # surface in some mover's list, and pauser--pauser links
+                # surface in some mover's pairs, and pauser--pauser links
                 # cannot change: the adjacency is provably intact, so
-                # the CSR, neighbor memos and distance cache stay warm.
+                # the CSR and the distance cache stay warm.
                 return False
         self._csr = None
-        self._nbr = {}
         return True
 
-    def _grid_remove(self, key: int, i: int) -> None:
-        members = self._grid.get(key)
-        if members is None:
-            return
-        members = members[members != i]
-        if members.size:
-            self._grid[key] = members
-        else:
-            del self._grid[key]
+    def _mover_neighbor_lists(
+        self, movers: np.ndarray, pos: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The adjacency proof's read: the in-range pairs of ``movers``
+        under ``pos`` and the current cell keys, as :meth:`_pairs`."""
+        return self._pairs(movers, pos)
 
-    def _grid_add(self, key: int, i: int) -> None:
-        members = self._grid.get(key)
-        if members is None:
-            self._grid[key] = np.array([i], dtype=np.int64)
-        else:
-            at = int(np.searchsorted(members, i))
-            self._grid[key] = np.insert(members, at, i)
+    def _pairs(self, nodes: np.ndarray, pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every in-range pair ``(src, dst)`` of up nodes with ``src`` in
+        ``nodes``, sorted by ``src`` then ``dst``; vectorized over nodes.
 
-    def _mover_neighbor_lists(self, movers: np.ndarray, pos: np.ndarray) -> list:
-        """Neighbor sets of ``movers`` under ``pos`` + the current grid.
-
-        Grouped by cell so each 3x3 block is intersected once,
-        vectorized -- the same arithmetic as :meth:`neighbors`, so the
-        adjacency proof uses the query plane's own answers.
+        With the up nodes sorted by cell key, the members of one column
+        of a node's 3x3 block are one run of that order: ``searchsorted``
+        finds the three runs of every node, ``_gather`` expands them into
+        candidate pairs, and the same ``d2 <= r²`` test as :meth:`link`
+        filters those.
         """
-        out: list = [None] * len(movers)
-        if not len(movers):
-            return out
-        keys = self._key[movers]
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        group_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-        )
-        bounds = np.append(group_starts, len(movers))
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            rows = order[s:e]
-            members = movers[rows]
-            i0 = int(members[0])
-            cand = self._cell_block(int(self._cell[i0, 0]), int(self._cell[i0, 1]))
-            if not cand.size:
-                for row in rows:
-                    out[row] = np.empty(0, dtype=np.int64)
-                continue
-            diff = pos[members][:, None, :] - pos[cand][None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            in_range = d2 <= self._r2
-            for local, row in enumerate(rows):
-                i = int(members[local])
-                hits = cand[in_range[local]]
-                out[row] = np.sort(hits[hits != i])
-        return out
-
-    def _cell_block(self, cx: int, cy: int) -> np.ndarray:
-        """Candidate node ids in the 3x3 cell block around ``(cx, cy)``."""
-        chunks = []
-        for dx in (-1, 0, 1):
-            base = (cx + dx) * _KSTRIDE + cy
-            for dy in (-1, 0, 1):
-                members = self._grid.get(base + dy)
-                if members is not None:
-                    chunks.append(members)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        key = self._key
+        up = np.flatnonzero(~self._down)
+        members = up[np.argsort(key[up])]
+        sorted_keys = key[members]
+        nodes = nodes[np.argsort(key[nodes])]  # ascending needles search faster
+        column = (_COLUMN_OFFSETS[:, None] + key[nodes]).ravel()
+        lo = np.searchsorted(sorted_keys, column - 1, side="left")
+        counts = np.searchsorted(sorted_keys, column + 1, side="right") - lo
+        src = np.repeat(np.tile(nodes, len(_COLUMN_OFFSETS)), counts)
+        dst = members[_gather(lo, counts)]
+        x, y = pos[:, 0], pos[:, 1]
+        dx, dy = x[src] - x[dst], y[src] - y[dst]
+        keep = (dx * dx + dy * dy <= self._r2) & (src != dst)
+        src, dst = src[keep], dst[keep]
+        row_major = np.argsort(src * self.world.n + dst)
+        return src[row_major], dst[row_major]
 
     # -- queries -------------------------------------------------------
     def neighbors(self, i: int) -> np.ndarray:
         self.refresh()
-        cached = self._nbr.get(i)
-        if cached is not None:
-            return cached
-        if self._down[i]:
-            result = np.empty(0, dtype=np.int64)
-        else:
-            cand = self._cell_block(int(self._cell[i, 0]), int(self._cell[i, 1]))
-            diff = self._pos[cand] - self._pos[i]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            result = np.sort(cand[(d2 <= self._r2) & (cand != i)])
-        self._nbr[i] = result
-        return result
+        if self._csr is None:
+            self._require_csr()
+        lo, hi = self._rows[i], self._rows[i + 1]
+        return self._csr[1][lo:hi]
 
     def link(self, i: int, j: int) -> bool:
         self.refresh()
-        if i == j or self._down[i] or self._down[j]:
-            return False
-        diff = self._pos[i] - self._pos[j]
-        return bool(diff[0] * diff[0] + diff[1] * diff[1] <= self._r2)
+        if self._xy is None:
+            xs = np.where(self._down, np.nan, self._pos[:, 0])
+            self._xy = (xs.tolist(), self._pos[:, 1].tolist())
+        xs, ys = self._xy
+        dx = xs[i] - xs[j]
+        dy = ys[i] - ys[j]
+        # a NaN (down) x fails the test, as a down end has no link
+        return i != j and dx * dx + dy * dy <= self._r2
 
     def degrees(self) -> np.ndarray:
         indptr, _ = self._require_csr()
@@ -604,6 +558,7 @@ class SparseGridTopology(TopologyBackend):
         adj = np.zeros((n, n), dtype=bool)
         rows = np.repeat(np.arange(n), np.diff(indptr))
         adj[rows, indices] = True
+        adj.flags.writeable = False
         return adj
 
     # -- CSR adjacency -------------------------------------------------
@@ -614,30 +569,18 @@ class SparseGridTopology(TopologyBackend):
         self.refresh()
         if self._csr is None:
             self._csr = self._build_csr()
+            self._rows = self._csr[0].tolist()
             self._c_csr_builds.value += 1
         return self._csr
 
     def _build_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Intersect each occupied cell with its 3x3 block, vectorized."""
+        """Every up node's row at once, from :meth:`_pairs`."""
         n = self.world.n
-        nbr_lists: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        empty = np.empty(0, dtype=np.int64)
-        for key, members in self._grid.items():
-            cx, cy = divmod(key, _KSTRIDE)
-            cand = self._cell_block(int(cx), int(cy))
-            diff = self._pos[members][:, None, :] - self._pos[cand][None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            in_range = d2 <= self._r2
-            for row, i in enumerate(members):
-                hits = cand[in_range[row]]
-                nbr_lists[i] = np.sort(hits[hits != i])
-        counts = np.array(
-            [0 if lst is None else len(lst) for lst in nbr_lists], dtype=np.int64
-        )
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        if int(indptr[-1]) == 0:
-            return indptr, empty
-        indices = np.concatenate([lst for lst in nbr_lists if lst is not None and len(lst)])
+        src, indices = self._pairs(np.flatnonzero(~self._down), self._pos)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
         return indptr, indices
 
     # -- BFS -----------------------------------------------------------
@@ -650,16 +593,24 @@ class SparseGridTopology(TopologyBackend):
         dist[src] = 0
         frontier = np.array([src], dtype=np.int64)
         d = 0
-        while frontier.size:
-            d += 1
-            chunks = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-            cand = np.unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
+        while True:
+            # every CSR row of the frontier in one gather; a node reached
+            # twice is just assigned twice
+            starts = indptr[frontier]
+            cand = indices[_gather(starts, indptr[frontier + 1] - starts)]
             nxt = cand[dist[cand] == UNREACHABLE]
             if not nxt.size:
-                break
+                return dist
+            d += 1
             dist[nxt] = d
-            frontier = nxt
-        return dist
+            frontier = np.flatnonzero(dist == d)
+
+
+def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index runs ``starts[k] .. starts[k] + counts[k]``, concatenated."""
+    total = int(counts.sum())
+    run_base = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return run_base + np.arange(total, dtype=np.int64)
 
 
 #: Node count from which :func:`make_topology` picks the sparse grid.

@@ -11,8 +11,8 @@ quantum -- and delegates every connectivity *query* to the backend
 
 * n < 400 -- the reference O(n²) adjacency matrix + vectorized BFS;
   sub-millisecond at the paper's n = 50..150.
-* n >= 400 -- a uniform-grid spatial index with lazily-built CSR
-  adjacency; O(n·k) at bounded density, which is what lets scenarios
+* n >= 400 -- a uniform-grid spatial index with one CSR adjacency per
+  adjacency epoch; O(n·k) at bounded density, which is what lets scenarios
   scale to thousands of nodes (see ``benchmarks/test_micro_topology.py``).
 
 Consumers must go through the query interface (:meth:`World.link`,

@@ -8,7 +8,7 @@ import numpy as np
 from repro.mobility import Area, Static
 from repro.net import Channel, DenseTopology, EnergyModel, SparseGridTopology, World
 from repro.net import world as world_module
-from repro.net.topology import TopologyBackend
+from repro.net.topology import UNREACHABLE, TopologyBackend, _KSTRIDE
 from repro.sim import Simulator
 
 #: the two topology backends, by the name their test ids carry
@@ -78,3 +78,49 @@ def pin_never_forget(flood):
     """
     flood.seen.lifetime = float("inf")
     return flood
+
+
+def reference_sparse_csr(topo):
+    """CSR of a sparse grid's current snapshot, one occupied cell at a time.
+
+    The per-cell build the vectorized ``SparseGridTopology._build_csr``
+    replaced: a cell -> members dict of the up nodes, each cell's
+    members against the members of its 3x3 block, the same
+    ``d2 <= r²`` test, each row sorted.
+    """
+    n = topo.world.n
+    grid = {}
+    for i in np.flatnonzero(~topo._down).tolist():
+        grid.setdefault(int(topo._key[i]), []).append(i)
+    rows = [np.empty(0, dtype=np.int64)] * n
+    for key, members in grid.items():
+        block = [key + dx * _KSTRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        cand = np.array([j for k in block for j in grid.get(k, ())], dtype=np.int64)
+        diff = topo._pos[members][:, None, :] - topo._pos[cand][None, :, :]
+        in_range = np.einsum("ijk,ijk->ij", diff, diff) <= topo._r2
+        for row, i in enumerate(members):
+            hits = cand[in_range[row]]
+            rows[i] = np.sort(hits[hits != i])
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+    return indptr, np.concatenate(rows + [np.empty(0, dtype=np.int64)])
+
+
+def reference_bfs(indptr, indices, src, down):
+    """Hop distances from ``src`` over a CSR, one Python-gathered row at a
+    time per frontier node (the sparse grid's former BFS)."""
+    dist = np.full(len(indptr) - 1, UNREACHABLE, dtype=np.int32)
+    if down[src]:
+        return dist
+    dist[src] = 0
+    frontier = np.array([src], dtype=np.int64)
+    d = 0
+    while frontier.size:
+        d += 1
+        chunks = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
+        cand = np.unique(np.concatenate(chunks))
+        nxt = cand[dist[cand] == UNREACHABLE]
+        if not nxt.size:
+            break
+        dist[nxt] = d
+        frontier = nxt
+    return dist

@@ -151,61 +151,88 @@ class TestRepair:
 
 
 class TestRreqDedup:
-    """The router-owned dedup table and the no-op hint it gives the radio."""
+    """The router-owned dedup table, read by the ``aodv.ctrl`` plane."""
 
     #: four nodes all in range of each other: every broadcast is a batch of 3
     CLIQUE = [[0, 0], [4, 0], [0, 4], [4, 4]]
 
-    def _discover_in_clique(self, batched):
-        sim, world, channel, router, inbox = make_aodv(self.CLIQUE, batched=batched)
-        rreq_handler_calls = []
-        for node in channel.nodes:
-            handler = node._handlers[KIND_CTRL]
+    def _discover_in_clique(self, batched, rebroadcast="flood"):
+        """Discover 3 from 0; returns the world, the channel, per plane
+        call on an RREQ ``(receivers, the fresh ones among them)`` and
+        the ``(nid, key)`` of every ``policy.duplicate`` call."""
+        sim = Simulator()
+        mobility = Static(
+            4, Area(1000, 1000), np.random.default_rng(0), positions=np.asarray(self.CLIQUE, float)
+        )
+        world = World(sim, mobility)
+        channel = Channel(sim, world)
+        if not batched:
+            pin_per_copy_delivery(channel)
+        router = AodvRouter(sim, channel, rebroadcast=rebroadcast)
+        inbox = []
+        router.register("app", lambda *delivery: inbox.append(delivery))
+        plane = channel._planes[KIND_CTRL]
+        rreq_calls = []
 
-            def spy(frame, nid=node.nid, handler=handler):
-                if isinstance(frame.payload, Rreq):
-                    rreq_handler_calls.append(nid)
-                handler(frame)
+        def spy(receivers, frame):
+            msg = frame.payload
+            if isinstance(msg, Rreq):
+                seen = router._seen.seen_by((msg.origin, msg.rreq_id)) or set()
+                rreq_calls.append((list(receivers), [d for d in receivers if d not in seen]))
+            plane(receivers, frame)
 
-            node._handlers[KIND_CTRL] = spy
+        channel._planes[KIND_CTRL] = spy
+        duplicates = []
+        if router.policy is not None:
+            duplicate = router.policy.duplicate
+
+            def spy_duplicate(nid, key):
+                duplicates.append((nid, key))
+                duplicate(nid, key)
+
+            router.policy.duplicate = spy_duplicate
         router.send(0, 3, "x", kind="app")
         sim.run(until=2.0)
         assert inbox == [(3, 0, "x", 1)]
-        return world, channel, rreq_handler_calls
+        return world, channel, rreq_calls, duplicates
 
     def test_hinted_duplicate_is_charged_and_counted_but_not_handled(self):
-        world, channel, calls = self._discover_in_clique(batched=True)
-        ref_world, ref_channel, ref_calls = self._discover_in_clique(batched=False)
+        world, channel, calls, _ = self._discover_in_clique(batched=True)
+        ref_world, ref_channel, ref_calls, _ = self._discover_in_clique(batched=False)
         # Origin 0 floods, relays 1 and 2 rebroadcast (3 is the
         # destination): 9 RREQ copies, 3 fresh and 6 duplicates.  The
-        # reference lane hands all 9 to ``_on_ctrl``; the batch only the
-        # fresh ones ...
-        assert sorted(ref_calls) == [0, 0, 1, 1, 2, 2, 3, 3, 3]
-        assert sorted(calls) == [1, 2, 3]
-        # ... yet every copy was heard: same delivery count, same
+        # reference lane hands the plane one copy per call, the batch
+        # one transmission per call ...
+        assert len(ref_calls) == 9 and len(calls) == 3
+        for lane in (calls, ref_calls):
+            assert sorted(d for receivers, _ in lane for d in receivers) == [0, 0, 1, 1, 2, 2, 3, 3, 3]
+            assert sorted(d for _, fresh in lane for d in fresh) == [1, 2, 3]
+        # ... and every copy was heard: same delivery count, same
         # per-node rx counts and energy as the per-copy reference.
         delivered = channel.registry.value("net.frames_delivered")
-        assert delivered == ref_channel.registry.value("net.frames_delivered")
+        assert delivered == ref_channel.registry.value("net.frames_delivered") == 9 + 2
         assert np.array_equal(world.energy.rx_count, ref_world.energy.rx_count)
         assert np.array_equal(world.energy.consumed, ref_world.energy.consumed)
         assert int(world.energy.rx_count.sum()) == delivered
 
     def test_no_hint_with_hello_sensing_or_a_suppression_policy(self):
-        # Both make a duplicate's handler do work, so nobody may skip it.
+        # HELLO sensing and a suppression policy both read duplicates;
+        # the plane is registered either way and hands them every copy.
         _, _, hello_channel, _, _ = make_aodv(self.CLIQUE, config=AodvConfig(hello_interval=1.0))
-        assert KIND_CTRL not in hello_channel._noop_hints
-        sim = Simulator()
-        mobility = Static(
-            4, Area(1000, 1000), np.random.default_rng(0), positions=np.asarray(self.CLIQUE, float)
-        )
-        channel = Channel(sim, World(sim, mobility))
-        AodvRouter(sim, channel, rebroadcast="counter:2")
-        assert KIND_CTRL not in channel._noop_hints
+        assert KIND_CTRL in hello_channel._planes
+        _, _, calls, duplicates = self._discover_in_clique(True, "counter:2")
+        _, _, ref_calls, ref_duplicates = self._discover_in_clique(False, "counter:2")
+        # Every RREQ copy a node had already processed reached the policy,
+        # in the per-copy reference's order.
+        copies = [(d, fresh) for receivers, fresh in calls for d in receivers]
+        expected = sorted(d for d, fresh in copies if d not in fresh)
+        assert duplicates and sorted(nid for nid, _ in duplicates) == expected
+        assert duplicates == ref_duplicates
 
     def test_second_hint_for_a_kind_raises(self):
         _, _, channel, _, _ = make_aodv(self.CLIQUE)
         with pytest.raises(ValueError):
-            channel.register_noop_hint(KIND_CTRL, lambda frame: None)
+            channel.register_plane(KIND_CTRL, lambda receivers, frame: None)
 
     def test_evicted_key_is_accepted_again(self):
         # Node 2 is unreachable: node 0 burns through all six discovery

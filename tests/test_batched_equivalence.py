@@ -10,18 +10,22 @@ sampled time-series must be equal to the last bit between the two lanes,
 while heap traffic must strictly drop.
 
 ``test_wavefront_bit_identical`` does the same for the batch body that
-charges a transmission's receivers in one step and skips hinted
-duplicate-RREQ handlers (ideal MAC, infinite energy -- the conditions it
-runs under), down to the per-node energy ledger, plus the runs that must
-take the per-copy fallback instead (finite energy, an ``on_deliver``
-observer) and the policy that must see every duplicate (``counter``).
+charges a transmission's receivers in one step and hands the AODV and
+flood planes all of them in one call (ideal MAC, infinite energy -- the
+conditions it runs under), down to the per-node energy ledger, plus the
+runs that must take the per-copy fallback instead (finite energy, an
+``on_deliver`` observer) and the readers of every duplicate copy (the
+``counter`` policy, AODV HELLO sensing).
 """
 
 import itertools
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.aodv import AodvConfig, AodvRouter
 from repro.core.query import QueryConfig
 from repro.net import Channel
 from repro.obs.compare import (
@@ -125,8 +129,10 @@ WAVEFRONT_CASES = {
     "finite_energy": ({"energy_capacity": 0.01}, ("aodv", "oracle", "dsr")),
     # (c) an on_deliver observer is installed: per-copy fallback
     "tracer": ({}, ("aodv", "oracle", "dsr")),
-    # (d) a non-reference policy must see every duplicate: no hint
+    # (d) a non-reference policy must see every duplicate
     "counter": ({"rebroadcast": "counter:2"}, ("aodv",)),
+    # (e) HELLO sensing timestamps every control copy, duplicates too
+    "hello": ({}, ("aodv",)),
 }
 
 
@@ -143,7 +149,12 @@ def _run_wavefront(seed, topology, routing, case, batched):
         routing=routing,
         **overrides,
     )
-    with pin_backend(topology):
+    # ScenarioConfig does not reach AodvConfig: make build_scenario's
+    # AODV router beacon HELLOs every 2 s.
+    router = AodvRouter
+    if case == "hello":
+        router = partial(AodvRouter, config=AodvConfig(hello_interval=2.0))
+    with pin_backend(topology), mock.patch("repro.scenarios.builder.AodvRouter", router):
         simulation = build_scenario(cfg)
     if not batched:
         pin_per_copy_delivery(simulation.channel)
@@ -166,7 +177,12 @@ def _run_wavefront(seed, topology, routing, case, batched):
             for k, v in raw.items()
             if k.startswith(("flood.suppressed", "flood.assessment_cancels"))
         },
-        "hinted_kinds": sorted(simulation.channel._noop_hints),
+        "plane_kinds": sorted(simulation.channel._planes),
+        "hello_sent": (
+            simulation.registry.value("routing.hello_sent", protocol="aodv")
+            if routing == "aodv"
+            else 0
+        ),
         "heap_pushes": simulation.registry.value("kernel.heap_pushes"),
     }
 
@@ -191,10 +207,12 @@ def test_wavefront_bit_identical(seed, topology, routing, case):
     if case == "tracer":
         assert bat["trace"] and bat["trace"] == ref["trace"]
     if case == "counter":
-        assert bat["hinted_kinds"] == []
         assert bat["suppression"] and bat["suppression"] == ref["suppression"]
-    elif routing == "aodv":
-        assert bat["hinted_kinds"] == ["aodv.ctrl"]
+    if case == "hello":
+        assert bat["hello_sent"] > 0
+    # The control planes take whole transmissions on the batched lane.
+    aodv_plane = ["aodv.ctrl"] if routing == "aodv" else []
+    assert bat["plane_kinds"] == aodv_plane + ["p2p.flood"]
 
 
 def test_per_copy_reference_is_no_channel_option():

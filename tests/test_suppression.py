@@ -321,7 +321,8 @@ class TestFactory:
         rreq_policy = simulation.router.policy
         assert isinstance(flood_policy, CounterPolicy) and flood_policy.plane == "p2p.flood"
         assert isinstance(rreq_policy, CounterPolicy) and rreq_policy.plane == "aodv.rreq"
-        assert all(a._policy is rreq_policy for a in simulation.router.agents)
+        # the aodv.ctrl plane reads the router's policy; agents hold none
+        assert not any(hasattr(a, "_policy") for a in simulation.router.agents)
 
 
 def test_suppression_counters_are_cost_keys():
