@@ -1,12 +1,13 @@
-"""Scaling benchmark: dense vs. sparse topology backends.
+"""Scaling benchmark: the grid topology backend at n = 500.
 
 Runs a fixed neighbors+BFS workload at *bounded node density* -- the
 deployment area grows with n so the mean radio degree stays at the
-paper's ~1.6 -- and records wall-clock timings per backend at n = 500.
-This is the regime where the dense O(n²) snapshot stops being viable
-while the sparse grid backend stays O(n·k).  The sparse backend must
-finish inside a 60 s wall-clock guard, so a substrate regression fails
-loudly.
+paper's ~1.6 -- and records the grid backend's wall-clock timings at
+n = 500, where a dense O(n²) snapshot stops being viable and the grid
+stays O(n·k).  The grid must finish inside a 60 s wall-clock guard, so a
+substrate regression fails loudly; the dense-matrix oracle
+(``tests.helpers.DenseOracle``) replays the workload untimed as a check
+of its aggregate connectivity.
 
 Timings are printed as a table (run with ``pytest -s``) so the numbers
 are recorded in the job log.
@@ -19,7 +20,7 @@ import numpy as np
 from repro.mobility import Area, RandomWaypoint
 from repro.net import World
 from repro.sim import Simulator
-from tests.helpers import BACKENDS
+from tests.helpers import DenseOracle
 
 #: paper density: 50 nodes on 100 m x 100 m -> 200 m² per node
 AREA_PER_NODE = 200.0
@@ -30,11 +31,11 @@ BENCH_N = 500
 GUARD_S = 60.0
 
 
-def make_world(n: int, backend: str) -> World:
+def make_world(n: int) -> World:
     side = float(np.sqrt(n * AREA_PER_NODE))
     sim = Simulator()
     mobility = RandomWaypoint(n, Area(side, side), np.random.default_rng(7))
-    return World(sim, mobility, radio_range=RADIO_RANGE, topology=BACKENDS[backend])
+    return World(sim, mobility, radio_range=RADIO_RANGE)
 
 
 def run_workload(world: World) -> dict:
@@ -64,47 +65,43 @@ def run_workload(world: World) -> dict:
 
 
 def test_topology_scaling():
-    results = {
-        backend: run_workload(make_world(BENCH_N, backend))
-        for backend in ("dense", "sparse")
-    }
+    grid = run_workload(make_world(BENCH_N))
     print("\ntopology scaling (fixed density, {} snapshots, {} BFS sources):".format(
         len(TIMESTAMPS), BFS_SOURCES
     ))
-    for backend, res in results.items():
-        print(
-            f"{backend:>6} n={BENCH_N:<5d} neighbors={res['neighbors_s']*1e3:9.1f}ms "
-            f"bfs={res['bfs_s']*1e3:9.1f}ms total={res['total_s']*1e3:9.1f}ms "
-            f"degree={res['mean_degree']:.2f}"
-        )
+    print(
+        f"grid n={BENCH_N:<5d} neighbors={grid['neighbors_s']*1e3:9.1f}ms "
+        f"bfs={grid['bfs_s']*1e3:9.1f}ms total={grid['total_s']*1e3:9.1f}ms "
+        f"degree={grid['mean_degree']:.2f}"
+    )
 
-    # The substrate-regression alarm: the sparse backend must complete
-    # the workload inside the wall-clock guard.
-    sparse = results["sparse"]
-    assert sparse["total_s"] < GUARD_S, (
-        f"sparse backend took {sparse['total_s']:.1f}s at n={BENCH_N}, "
+    # The substrate-regression alarm: the grid must complete the
+    # workload inside the wall-clock guard.
+    assert grid["total_s"] < GUARD_S, (
+        f"grid backend took {grid['total_s']:.1f}s at n={BENCH_N}, "
         f"guard is {GUARD_S:.0f}s"
     )
     # Density is actually bounded (the benchmark measures what it claims).
-    for backend, res in results.items():
-        assert res["mean_degree"] < 5.0, (backend, res["mean_degree"])
+    assert grid["mean_degree"] < 5.0, grid["mean_degree"]
 
-    # Both backends agree on the workload's aggregate connectivity --
-    # a cheap cross-check that we timed equivalent work.
-    assert abs(results["dense"]["mean_degree"] - sparse["mean_degree"]) < 1e-12
+    # The dense oracle agrees on the workload's aggregate connectivity --
+    # a cheap cross-check that we timed the work we claim.
+    world = make_world(BENCH_N)
+    world.topology = DenseOracle(world)
+    assert abs(run_workload(world)["mean_degree"] - grid["mean_degree"]) < 1e-12
 
 
 def test_sparse_scales_past_dense():
-    """At n=2000 the sparse per-snapshot footprint is O(n·k), not O(n²).
+    """At n=2000 the grid's per-snapshot footprint is O(n·k), not O(n²).
 
-    The dense backend's snapshot alone allocates an (n, n) boolean plus
-    an (n, n) float distance pass -- ~36 MB of transient arrays at
-    n=2000 and ~900 MB at n=10000.  The sparse backend's grid + CSR for
-    the same graph is a few hundred KB.  We assert the structural fact
-    (CSR size tracks edges, not n²) rather than machine-dependent RSS.
+    A dense snapshot alone allocates an (n, n) boolean plus an (n, n)
+    float distance pass -- ~36 MB of transient arrays at n=2000 and
+    ~900 MB at n=10000.  The grid + CSR for the same graph is a few
+    hundred KB.  We assert the structural fact (CSR size tracks edges,
+    not n²) rather than machine-dependent RSS.
     """
     n = 2000
-    world = make_world(n, "sparse")
+    world = make_world(n)
     world.hops_from(0)  # forces grid + CSR build
     topo = world.topology
     indptr, indices = topo._require_csr()

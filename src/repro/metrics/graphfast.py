@@ -9,7 +9,7 @@ metric sampling dominates the run.
 
 This module is the replacement: every kernel operates on a CSR adjacency
 ``(indptr, indices)`` -- ``indices[indptr[i]:indptr[i+1]]`` are node
-``i``'s neighbors ascending -- exactly the arrays the topology backends
+``i``'s neighbors ascending -- exactly the arrays the topology backend
 (:meth:`repro.net.topology.TopologyBackend.csr`) and
 :func:`graph_csr` (for networkx graphs) hand out.
 

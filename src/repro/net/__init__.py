@@ -14,7 +14,7 @@ from .suppression import (
     make_rebroadcast_policy,
     parse_policy_spec,
 )
-from .topology import DenseTopology, SparseGridTopology, TopologyBackend, make_topology
+from .topology import TopologyBackend
 from .world import UNREACHABLE, World
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "parse_policy_spec",
     "make_rebroadcast_policy",
     "TopologyBackend",
-    "DenseTopology",
-    "SparseGridTopology",
-    "make_topology",
     "UNREACHABLE",
     "World",
 ]

@@ -1,51 +1,33 @@
-"""Physical-topology backends, chosen by node count.
+"""Physical-topology service: one uniform-grid connectivity backend.
 
 The physical substrate answers four questions for every layer above it:
 "who is in range of ``i``?", "is there a link ``i``--``j``?", "how many
 ad-hoc hops from ``src`` to everyone?" and "are ``a`` and ``b``
-connected at all?".  :class:`~repro.net.world.World` used to answer them
-from one dense O(n²) adjacency matrix -- exactly right at the paper's
-n = 50..150, hopeless at the thousands of nodes large-MANET work (CARD,
-unstructured-overlay studies) cares about.
+connected at all?".  :class:`TopologyBackend` answers all of them at
+every node count, from the paper's n = 50..150 to the thousands of nodes
+large-MANET work (CARD, unstructured-overlay studies) cares about.
 
-This module extracts those queries into a backend interface with two
-interchangeable implementations, and :func:`make_topology` picks one
-from the node count (sparse from :data:`SPARSE_MIN_NODES` nodes up):
-
-:class:`DenseTopology`
-    The reference implementation, and the backend at paper scale: one
-    vectorized O(n²) pairwise-distance pass per snapshot, a boolean
-    (n, n) matrix, BFS by vectorized frontier expansion over matrix
-    rows.  O(1) ``link``, O(n) ``neighbors``, O(n²) memory.
-
-:class:`SparseGridTopology`
-    A uniform-grid spatial index with cell size equal to the radio
-    range, so a node's candidates live in at most 9 cells instead of a
-    row of n.  One CSR adjacency per adjacency epoch, built by whichever
-    read first needs it in nine vectorized cell-offset passes, answers
-    ``neighbors`` (a row slice), ``degrees`` and BFS (frontier-at-a-time
-    over the CSR arrays); per-source distance vectors are memoized
-    under an LRU bound.  O(n·k) time and memory per snapshot at bounded
-    density k -- the regime where n grows but the node density (and
-    hence the mean degree) stays fixed.
-
-Both backends share snapshot lifecycle and staleness policy (the
-``snapshot_interval`` quantum, backwards-clock protection, churn
-invalidation) through :class:`TopologyBackend`, and are required by the
-A/B equivalence suite (``tests/test_net_topology.py``) to agree exactly
-on neighbor sets and hop distances.
+It is a uniform-grid spatial index with cell size equal to the radio
+range, so a node's candidates live in at most 9 cells instead of a row
+of n.  One CSR adjacency per adjacency epoch, built by whichever read
+first needs it in nine vectorized cell-offset passes, answers
+``neighbors`` (a row slice), ``degrees`` and BFS (frontier-at-a-time
+over the CSR arrays); per-source distance vectors are memoized under an
+LRU bound.  O(n·k) time and memory per snapshot at bounded density k --
+the regime where n grows but the node density (and hence the mean
+degree) stays fixed.  The test suite holds it to an O(n²) dense-matrix
+oracle (``tests/test_net_topology.py``): neighbor sets and hop distances
+must agree exactly.
 
 Every refresh after the first is a *delta* against the previous
 snapshot: the backend diffs the new positions/down mask, unmoved nodes
-keep their state, the sparse grid re-keys only the movers, and -- when
-few enough nodes moved to be worth proving (at most ``max(8, n // 4)``)
-and a cache exists -- an unchanged adjacency keeps the BFS distance
-cache and the CSR across the refresh.  The from-scratch rebuild
-survives as :meth:`TopologyBackend._update`'s base fallback, which the
-test suite binds onto a backend as the reference the delta path must
-match bit for bit.
+keep their state, only the movers are re-keyed, and -- when few enough
+nodes moved to be worth proving (at most ``max(8, n // 4)``) and a cache
+exists -- an unchanged adjacency keeps the BFS distance cache and the
+CSR across the refresh.  The test suite checks the delta path bit for
+bit against a from-scratch rebuild on every refresh.
 
-Every array a query hands out -- neighbour rows, the CSR, the dense
+Every array a query hands out -- neighbour rows, the CSR, the adjacency
 matrix, cached hop-distance vectors -- is shared snapshot state and
 read-only: writing to one raises ``ValueError``.
 
@@ -58,7 +40,6 @@ the epoch instead of ``snapshot_time`` (see DESIGN.md).
 
 from __future__ import annotations
 
-import abc
 from collections import OrderedDict
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -70,14 +51,7 @@ from ..obs.registry import Registry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (world imports us)
     from .world import World
 
-__all__ = [
-    "UNREACHABLE",
-    "TopologyBackend",
-    "DenseTopology",
-    "SparseGridTopology",
-    "SPARSE_MIN_NODES",
-    "make_topology",
-]
+__all__ = ["UNREACHABLE", "TopologyBackend"]
 
 #: Sentinel hop distance for disconnected pairs.
 UNREACHABLE = -1
@@ -95,14 +69,35 @@ _KSTRIDE = 1 << 21
 _COLUMN_OFFSETS = np.array([-_KSTRIDE, 0, _KSTRIDE])
 
 
-class TopologyBackend(abc.ABC):
-    """Snapshot lifecycle + query interface shared by all backends.
+class TopologyBackend:
+    """Uniform-grid spatial index + one CSR adjacency per epoch.
 
     A backend owns the connectivity state derived from one *snapshot* of
     node positions.  Queries transparently refresh the snapshot when it
     is stale; staleness follows the owning world's
     ``snapshot_interval`` (0 means exact per-timestamp snapshots) and a
     backwards-moving clock always forces a refresh.
+
+    The deployment area is partitioned into square cells of side
+    ``radio_range``; a node's neighbors can then only live in its own
+    cell or the 8 surrounding ones, so finding them touches O(k)
+    candidates (k = nodes per 9-cell block) regardless of n.
+
+    Per snapshot the backend stores each node's packed cell key (O(n)).
+    The CSR adjacency (``indptr`` / ``indices``) is built once per
+    adjacency epoch by the first read that needs it -- ``neighbors``,
+    ``degrees``, BFS or ``csr`` -- for all up nodes at once
+    (:meth:`_build_csr`); ``neighbors(i)`` is then row ``i``.  ``link``
+    needs no CSR: it tests the pair's distance on per-snapshot float
+    lists.  Administratively-down nodes are excluded from the grid
+    entirely: they neither appear as neighbors nor relay.
+
+    A refresh diffs positions against the previous snapshot: paused
+    nodes (bitwise-identical positions -- the common case under
+    random-waypoint pauses) cost nothing, only movers get new cell keys,
+    and when few enough nodes moved the backend proves whether any link
+    actually flipped (old vs new in-range pairs of the movers) to keep
+    the CSR and the BFS distance cache alive across the refresh.
 
     Per-source hop-distance vectors are memoized in an LRU-bounded cache
     (``dist_cache_size``).  The cache is keyed to the **adjacency
@@ -118,26 +113,41 @@ class TopologyBackend(abc.ABC):
         range, down mask, clock).
     """
 
-    #: ``backend`` label on the topology counters ("dense" / "sparse")
-    name = "abstract"
-
     def __init__(self, world: "World") -> None:
         self.world = world
+        n = world.n
         #: most per-source distance vectors kept per snapshot
         self.dist_cache_size = 256
         self._snap_time = -1.0
         self._epoch = 0
         self._dist: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        #: down mask of the current snapshot (subclasses refresh it)
-        self._down = np.zeros(world.n, dtype=bool)
+        self._pos: np.ndarray = np.empty((n, 2))
+        #: down mask of the current snapshot
+        self._down = np.zeros(n, dtype=bool)
+        #: packed grid-cell key of every node
+        self._key: np.ndarray = np.zeros(n, dtype=np.int64)
+        #: CSR adjacency (indptr, indices) of the adjacency epoch, built
+        #: by the first read that needs it, or None
+        self._csr: Tuple[np.ndarray, np.ndarray] | None = None
+        #: ``indptr`` as a list, so a row slice takes plain ints
+        self._rows: list = []
+        #: per-snapshot x and y float lists for ``link`` (NaN x for a down
+        #: node), built by its first call, or None
+        self._xy: Optional[Tuple[list, list]] = None
+        r = world.radio_range
+        self._r2 = r * r
+        #: most movers an adjacency-preservation proof is attempted for:
+        #: past a quarter of the nodes it almost never succeeds
+        self.max_proof_movers = max(8, n // 4)
         registry = getattr(world, "registry", None)
         self.registry = registry if registry is not None else Registry()
-        labels = {"layer": "topology", "backend": type(self).name}
-        self._c_rebuilds = self.registry.counter("topology.rebuilds", **labels)
-        self._c_delta = self.registry.counter("topology.delta_rebuilds", **labels)
-        self._c_moved = self.registry.counter("topology.moved_nodes", **labels)
-        self._c_dist_hits = self.registry.counter("topology.dist_cache_hits", **labels)
+        counter = self.registry.counter
+        self._c_rebuilds = counter("topology.rebuilds", layer="topology")
+        self._c_delta = counter("topology.delta_rebuilds", layer="topology")
+        self._c_moved = counter("topology.moved_nodes", layer="topology")
+        self._c_dist_hits = counter("topology.dist_cache_hits", layer="topology")
         self._t_rebuild = self.registry.timer("wall", section="topology.rebuild")
+        self._c_csr_builds = counter("topology.csr_builds", layer="topology")
 
     # ------------------------------------------------------------------
     # snapshot lifecycle
@@ -200,259 +210,19 @@ class TopologyBackend(abc.ABC):
         """Forget memoized per-source distance vectors (benchmarks)."""
         self._dist.clear()
 
-    @abc.abstractmethod
-    def _rebuild(self, pos: np.ndarray, down: np.ndarray) -> None:
-        """Recompute connectivity from ``pos`` (n,2), excluding ``down``."""
-
-    def _update(self, pos: np.ndarray, down: np.ndarray) -> bool:
-        """Incrementally refresh from the previous snapshot.
-
-        Returns whether the adjacency may have changed (``True`` forces
-        an epoch bump and a distance-cache flush).  This base fallback
-        is a full rebuild -- the reference the backends' real deltas
-        are tested against.
-        """
-        self._rebuild(pos, down)
-        return True
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def neighbors(self, i: int) -> np.ndarray:
-        """Ascending node ids within radio range of ``i`` right now."""
-
-    @abc.abstractmethod
-    def link(self, i: int, j: int) -> bool:
-        """Whether a radio link ``i``--``j`` exists right now."""
-
-    @abc.abstractmethod
-    def degrees(self) -> np.ndarray:
-        """(n,) int array of radio degrees right now."""
-
-    @abc.abstractmethod
-    def adjacency_matrix(self) -> np.ndarray:
-        """Boolean (n, n) in-range matrix (may be materialized on demand).
-
-        Kept for analytics and debugging; hot paths must use
-        :meth:`link` / :meth:`neighbors` instead, which every backend
-        answers without touching an O(n²) structure.
-        """
-
-    @abc.abstractmethod
-    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR adjacency ``(indptr, indices)`` of the current snapshot.
-
-        ``indices[indptr[i]:indptr[i+1]]`` are node ``i``'s neighbors in
-        ascending order; down nodes have empty rows and appear in no
-        row.  This is the zero-copy analytics surface the vectorized
-        graph kernels (:mod:`repro.metrics.graphfast`) operate on --
-        callers must not mutate the returned arrays and must not hold
-        them across refreshes (re-fetch per :attr:`adjacency_epoch`).
-        """
-
-    @abc.abstractmethod
-    def _bfs(self, src: int) -> np.ndarray:
-        """Uncached single-source hop distances on the current snapshot."""
-
-    def hops_from(self, src: int) -> np.ndarray:
-        """Hop distance from ``src`` to every node (LRU-memoized BFS;
-        the vector is read-only, shared by every caller in the epoch)."""
-        self.refresh()
-        cached = self._dist.get(src)
-        if cached is not None:
-            self._dist.move_to_end(src)
-            self._c_dist_hits.value += 1
-            return cached
-        dist = self._bfs(src)
-        dist.flags.writeable = False
-        self._dist[src] = dist
-        if len(self._dist) > self.dist_cache_size:
-            self._dist.popitem(last=False)
-        return dist
-
-    def link_count(self) -> int:
-        """Number of undirected radio links right now."""
-        return int(self.degrees().sum()) // 2
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Hops between ``a`` and ``b`` now; UNREACHABLE if disconnected."""
-        return int(self.hops_from(a)[b])
-
-    def reachable(self, a: int, b: int) -> bool:
-        """Whether a multi-hop path currently exists between the nodes."""
-        return self.hop_distance(a, b) != UNREACHABLE
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} n={self.world.n} t={self._snap_time:.3f}>"
-
-
-class DenseTopology(TopologyBackend):
-    """Reference backend: boolean (n, n) matrix + vectorized BFS.
-
-    One O(n²) pairwise-distance pass per snapshot; every query is then a
-    matrix row / element.  Sub-millisecond at the paper's n = 50..150
-    and the ground truth the sparse backend is checked against.
-
-    A refresh short-circuits when nothing moved and otherwise compares
-    the freshly built matrix against the previous one (O(n²) bool
-    compare, cheap next to the rebuild itself) so an unchanged
-    adjacency keeps the distance cache and the epoch.
-    """
-
-    name = "dense"
-
-    def __init__(self, world: "World") -> None:
-        super().__init__(world)
-        n = world.n
-        self._adj: np.ndarray = np.zeros((n, n), dtype=bool)
-        self._down = np.zeros(n, dtype=bool)
-        self._pos: Optional[np.ndarray] = None
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def _rebuild(self, pos: np.ndarray, down: np.ndarray) -> None:
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        adj = d2 <= self.world.radio_range**2
-        np.fill_diagonal(adj, False)
-        if down.any():
-            adj[down, :] = False
-            adj[:, down] = False
-        adj.flags.writeable = False
-        self._adj = adj
-        self._down = down.copy()
-        self._pos = pos.copy()
-        self._csr = None
-
-    def _update(self, pos: np.ndarray, down: np.ndarray) -> bool:
-        if self._pos is not None and np.array_equal(down, self._down):
-            touched = np.flatnonzero((pos != self._pos).any(axis=1))
-            if touched.size == 0:
-                return False  # nobody moved: snapshot carries over wholesale
-            self._c_moved.value += int(touched.size)
-        old_adj = self._adj
-        self._rebuild(pos, down)
-        return not np.array_equal(old_adj, self._adj)
-
-    # -- queries -------------------------------------------------------
-    def neighbors(self, i: int) -> np.ndarray:
-        self.refresh()
-        return np.flatnonzero(self._adj[i])
-
-    def link(self, i: int, j: int) -> bool:
-        self.refresh()
-        return bool(self._adj[i, j])
-
-    def degrees(self) -> np.ndarray:
-        self.refresh()
-        return self._adj.sum(axis=1)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        self.refresh()
-        return self._adj
-
-    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        self.refresh()
-        if self._csr is None:
-            adj = self._adj
-            n = adj.shape[0]
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(adj.sum(axis=1), out=indptr[1:])
-            # Row-major flatnonzero yields each row's columns ascending.
-            indices = np.flatnonzero(adj) % n
-            indices = indices.astype(np.int64, copy=False)
-            indptr.flags.writeable = False
-            indices.flags.writeable = False
-            self._csr = (indptr, indices)
-        return self._csr
-
-    def _bfs(self, src: int) -> np.ndarray:
-        n = self.world.n
-        dist = np.full(n, UNREACHABLE, dtype=np.int32)
-        if self._down[src]:
-            return dist
-        adj = self._adj
-        dist[src] = 0
-        frontier = np.zeros(n, dtype=bool)
-        frontier[src] = True
-        visited = frontier.copy()
-        d = 0
-        while frontier.any():
-            d += 1
-            # all nodes adjacent to the frontier, not yet visited
-            nxt = adj[frontier].any(axis=0) & ~visited
-            if not nxt.any():
-                break
-            dist[nxt] = d
-            visited |= nxt
-            frontier = nxt
-        return dist
-
-
-class SparseGridTopology(TopologyBackend):
-    """Sparse backend: uniform-grid spatial index + one CSR per epoch.
-
-    The deployment area is partitioned into square cells of side
-    ``radio_range``; a node's neighbors can then only live in its own
-    cell or the 8 surrounding ones, so finding them touches O(k)
-    candidates (k = nodes per 9-cell block) regardless of n.
-
-    Per snapshot the backend stores each node's packed cell key (O(n)).
-    The CSR adjacency (``indptr`` / ``indices``) is built once per
-    adjacency epoch by the first read that needs it -- ``neighbors``,
-    ``degrees``, BFS or ``csr`` -- for all up nodes at once
-    (:meth:`_build_csr`); ``neighbors(i)`` is then row ``i``.  ``link``
-    needs no CSR: it tests the pair's distance on per-snapshot float
-    lists.  Administratively-down nodes are excluded from the grid
-    entirely: they neither appear as neighbors nor relay.
-
-    A refresh diffs positions against the previous snapshot: paused
-    nodes (bitwise-identical positions -- the common case under
-    random-waypoint pauses) cost nothing, only movers get new cell keys,
-    and when few enough nodes moved the backend proves whether any link
-    actually flipped (old vs new in-range pairs of the movers) to keep
-    the CSR and the BFS distance cache alive across the refresh.
-    """
-
-    name = "sparse"
-
-    def __init__(self, world: "World") -> None:
-        super().__init__(world)
-        n = world.n
-        self._pos: np.ndarray = np.empty((n, 2))
-        self._down = np.zeros(n, dtype=bool)
-        #: packed grid-cell key of every node
-        self._key: np.ndarray = np.zeros(n, dtype=np.int64)
-        #: CSR adjacency (indptr, indices) of the adjacency epoch, built
-        #: by the first read that needs it, or None
-        self._csr: Tuple[np.ndarray, np.ndarray] | None = None
-        #: ``indptr`` as a list, so a row slice takes plain ints
-        self._rows: list = []
-        #: per-snapshot x and y float lists for ``link`` (NaN x for a down
-        #: node), built by its first call, or None
-        self._xy: Optional[Tuple[list, list]] = None
-        r = world.radio_range
-        self._r2 = r * r
-        #: most movers an adjacency-preservation proof is attempted for:
-        #: past a quarter of the nodes it almost never succeeds
-        self.max_proof_movers = max(8, n // 4)
-        self._c_csr_builds = self.registry.counter(
-            "topology.csr_builds", layer="topology", backend=type(self).name
-        )
-
-    # ------------------------------------------------------------------
     def _keys_of(self, pos: np.ndarray) -> np.ndarray:
         """Packed grid-cell keys ``(m,)`` of the positions ``pos``."""
         r = self.world.radio_range
         cell = np.floor(pos / r).astype(np.int64) + _KOFF
         if cell.size and (cell.min() < 1 or cell.max() >= _KSTRIDE - 1):
             raise ValueError(
-                "node positions exceed the sparse grid's coordinate range "
+                "node positions exceed the grid's coordinate range "
                 f"(±{(_KOFF - 2) * r:.0f} m at radio range {r})"
             )
         return cell[:, 0] * _KSTRIDE + cell[:, 1]
 
     def _rebuild(self, pos: np.ndarray, down: np.ndarray) -> None:
+        """Recompute connectivity from ``pos`` (n,2), excluding ``down``."""
         r = self.world.radio_range
         self._pos = pos.copy()
         self._down = down.copy()
@@ -463,6 +233,11 @@ class SparseGridTopology(TopologyBackend):
 
     # -- delta refresh -------------------------------------------------
     def _update(self, pos: np.ndarray, down: np.ndarray) -> bool:
+        """Incrementally refresh from the previous snapshot.
+
+        Returns whether the adjacency may have changed (``True`` forces
+        an epoch bump and a distance-cache flush).
+        """
         if not np.array_equal(down, self._down):
             # Up-set changes normally arrive via invalidate(); if one
             # reaches us directly, the conservative answer is a rebuild.
@@ -528,8 +303,11 @@ class SparseGridTopology(TopologyBackend):
         row_major = np.argsort(src * self.world.n + dst)
         return src[row_major], dst[row_major]
 
-    # -- queries -------------------------------------------------------
+    # ------------------------------------------------------------------
+    # queries
+    # ------------------------------------------------------------------
     def neighbors(self, i: int) -> np.ndarray:
+        """Ascending node ids within radio range of ``i`` right now."""
         self.refresh()
         if self._csr is None:
             self._require_csr()
@@ -537,6 +315,7 @@ class SparseGridTopology(TopologyBackend):
         return self._csr[1][lo:hi]
 
     def link(self, i: int, j: int) -> bool:
+        """Whether a radio link ``i``--``j`` exists right now."""
         self.refresh()
         if self._xy is None:
             xs = np.where(self._down, np.nan, self._pos[:, 0])
@@ -548,11 +327,16 @@ class SparseGridTopology(TopologyBackend):
         return i != j and dx * dx + dy * dy <= self._r2
 
     def degrees(self) -> np.ndarray:
+        """(n,) int array of radio degrees right now."""
         indptr, _ = self._require_csr()
         return np.diff(indptr)
 
     def adjacency_matrix(self) -> np.ndarray:
-        # Materialized on demand for analytics/tests; not a hot path.
+        """Boolean (n, n) in-range matrix, materialized on demand.
+
+        Kept for analytics and debugging; hot paths must use
+        :meth:`link` / :meth:`neighbors` instead.
+        """
         indptr, indices = self._require_csr()
         n = self.world.n
         adj = np.zeros((n, n), dtype=bool)
@@ -561,8 +345,16 @@ class SparseGridTopology(TopologyBackend):
         adj.flags.writeable = False
         return adj
 
-    # -- CSR adjacency -------------------------------------------------
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR adjacency ``(indptr, indices)`` of the current snapshot.
+
+        ``indices[indptr[i]:indptr[i+1]]`` are node ``i``'s neighbors in
+        ascending order; down nodes have empty rows and appear in no
+        row.  This is the zero-copy analytics surface the vectorized
+        graph kernels (:mod:`repro.metrics.graphfast`) operate on --
+        callers must not mutate the returned arrays and must not hold
+        them across refreshes (re-fetch per :attr:`adjacency_epoch`).
+        """
         return self._require_csr()
 
     def _require_csr(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -583,8 +375,24 @@ class SparseGridTopology(TopologyBackend):
         indices.flags.writeable = False
         return indptr, indices
 
-    # -- BFS -----------------------------------------------------------
+    def hops_from(self, src: int) -> np.ndarray:
+        """Hop distance from ``src`` to every node (LRU-memoized BFS;
+        the vector is read-only, shared by every caller in the epoch)."""
+        self.refresh()
+        cached = self._dist.get(src)
+        if cached is not None:
+            self._dist.move_to_end(src)
+            self._c_dist_hits.value += 1
+            return cached
+        dist = self._bfs(src)
+        dist.flags.writeable = False
+        self._dist[src] = dist
+        if len(self._dist) > self.dist_cache_size:
+            self._dist.popitem(last=False)
+        return dist
+
     def _bfs(self, src: int) -> np.ndarray:
+        """Uncached single-source hop distances on the current snapshot."""
         n = self.world.n
         dist = np.full(n, UNREACHABLE, dtype=np.int32)
         if self._down[src]:
@@ -605,28 +413,24 @@ class SparseGridTopology(TopologyBackend):
             dist[nxt] = d
             frontier = np.flatnonzero(dist == d)
 
+    def link_count(self) -> int:
+        """Number of undirected radio links right now."""
+        return int(self.degrees().sum()) // 2
+
+    def hop_distance(self, a: int, b: int) -> int:
+        """Hops between ``a`` and ``b`` now; UNREACHABLE if disconnected."""
+        return int(self.hops_from(a)[b])
+
+    def reachable(self, a: int, b: int) -> bool:
+        """Whether a multi-hop path currently exists between the nodes."""
+        return self.hop_distance(a, b) != UNREACHABLE
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<{type(self).__name__} n={self.world.n} t={self._snap_time:.3f}>"
+
 
 def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The index runs ``starts[k] .. starts[k] + counts[k]``, concatenated."""
     total = int(counts.sum())
     run_base = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     return run_base + np.arange(total, dtype=np.int64)
-
-
-#: Node count from which :func:`make_topology` picks the sparse grid.
-#: Below it the dense matrix is faster end to end: at paper size
-#: ``neighbors()`` reads outnumber refreshes 20-70 to one, and the grid
-#: answers them ~2.3x slower (docs/PERFORMANCE.md, "Sizing one backend").
-SPARSE_MIN_NODES = 400
-
-
-def make_topology(world: "World") -> TopologyBackend:
-    """The backend for ``world``, chosen from its node count alone.
-
-    :class:`SparseGridTopology` iff ``world.n >= SPARSE_MIN_NODES``,
-    :class:`DenseTopology` otherwise.  The two answer every query
-    identically, so the choice moves wall time, never a result.
-    """
-    if world.n >= SPARSE_MIN_NODES:
-        return SparseGridTopology(world)
-    return DenseTopology(world)

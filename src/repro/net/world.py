@@ -6,25 +6,21 @@ transmission asks "who is in range right now?", and the p2p layer asks
 
 :class:`World` owns the *state* -- positions (one vectorized mobility
 evaluation per timestamp), the churn/energy down mask, and the snapshot
-quantum -- and delegates every connectivity *query* to the backend
-:func:`~repro.net.topology.make_topology` picks from the node count:
+quantum -- and delegates every connectivity *query* to one
+:class:`~repro.net.topology.TopologyBackend`: a uniform-grid spatial
+index with one CSR adjacency per adjacency epoch, O(n·k) at bounded
+density, from the paper's n = 50..150 to scenarios of thousands of nodes
+(see ``benchmarks/test_micro_topology.py``).
 
-* n < 400 -- the reference O(n²) adjacency matrix + vectorized BFS;
-  sub-millisecond at the paper's n = 50..150.
-* n >= 400 -- a uniform-grid spatial index with one CSR adjacency per
-  adjacency epoch; O(n·k) at bounded density, which is what lets scenarios
-  scale to thousands of nodes (see ``benchmarks/test_micro_topology.py``).
-
-Consumers must go through the query interface (:meth:`World.link`,
-:meth:`World.neighbors`, :meth:`World.hops_from`, ...) rather than
-poking an adjacency matrix, so either backend can answer.
-:meth:`World.adjacency` survives for analytics and tests; the sparse
-backend materializes it on demand.
+Consumers go through the query interface (:meth:`World.link`,
+:meth:`World.neighbors`, :meth:`World.hops_from`, ...), which never
+touches an O(n²) structure.  :meth:`World.adjacency` survives for
+analytics and tests; the backend materializes it on demand.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Type
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +28,7 @@ from ..mobility.base import Area, MobilityModel
 from ..obs.registry import Registry
 from ..sim.kernel import Simulator
 from .energy import EnergyModel
-from .topology import UNREACHABLE, TopologyBackend, make_topology
+from .topology import UNREACHABLE, TopologyBackend
 
 __all__ = ["World", "UNREACHABLE"]
 
@@ -57,10 +53,6 @@ class World:
         0.25 s quantum moves a node <= 0.25 m (2.5 % of the radio
         range), a negligible error that removes the snapshot recompute
         from event-burst hot paths.
-    topology:
-        Test seam: a :class:`~repro.net.topology.TopologyBackend`
-        subclass to use instead of the one ``make_topology`` picks from
-        the node count (``None``, the default).
     registry:
         Observability registry shared with the topology backend; the
         simulator's registry is used when not supplied.
@@ -74,7 +66,6 @@ class World:
         radio_range: float = 10.0,
         energy: Optional[EnergyModel] = None,
         snapshot_interval: float = 0.0,
-        topology: Optional[Type[TopologyBackend]] = None,
         registry: Optional[Registry] = None,
     ) -> None:
         if radio_range <= 0:
@@ -108,7 +99,7 @@ class World:
         # down at that charge, whoever charged.
         self.energy.on_depleted = self.set_down
         #: the connectivity backend
-        self.topology: TopologyBackend = (topology or make_topology)(self)
+        self.topology = TopologyBackend(self)
 
     # ------------------------------------------------------------------
     # snapshots
@@ -148,8 +139,8 @@ class World:
 
         ``adj[i, j]`` is True iff ``i != j``, both nodes are up, and
         their distance is <= the radio range.  Analytics/debugging
-        surface: the sparse backend materializes this on demand, so hot
-        paths must use :meth:`link` / :meth:`neighbors` instead.
+        surface: the backend materializes this on demand, so hot paths
+        must use :meth:`link` / :meth:`neighbors` instead.
         """
         return self.topology.adjacency_matrix()
 
@@ -238,6 +229,5 @@ class World:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<World n={self.n} range={self.radio_range} "
-            f"topology={self.topology.name} t={self.sim.now:.1f}>"
+            f"<World n={self.n} range={self.radio_range} t={self.sim.now:.1f}>"
         )

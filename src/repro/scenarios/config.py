@@ -16,7 +16,6 @@ from ..core.algorithms import ALGORITHMS
 from ..core.config import P2pConfig
 from ..core.query import QUERY_POLICY_KINDS, QueryConfig
 from ..net.suppression import parse_policy_spec
-from ..net.topology import SPARSE_MIN_NODES
 
 __all__ = ["ScenarioConfig"]
 
@@ -70,8 +69,8 @@ class ScenarioConfig:
     #: paper's <= 1 m/s this trades <= 0.25 m of position accuracy for a
     #: large event-burst speedup
     snapshot_interval: float = 0.25
-    #: "auto", the only legal value: the topology backend is chosen from
-    #: num_nodes (:func:`repro.net.topology.make_topology`)
+    #: "auto", the only legal value: there is one topology backend
+    #: (:class:`repro.net.topology.TopologyBackend`)
     topology: str = "auto"
     #: whether the query plane runs (off for pure-reconfiguration studies)
     queries: bool = True
@@ -108,9 +107,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown mobility model {self.mobility!r}")
         if self.topology != "auto":
             raise ValueError(
-                f"topology {self.topology!r} cannot be selected: the backend is "
-                f"chosen from num_nodes (sparse grid from {SPARSE_MIN_NODES} "
-                'nodes, dense matrix below); "auto" is the only value'
+                f"topology {self.topology!r} cannot be selected: one topology "
+                'backend; "auto" is the only value'
             )
         parse_policy_spec(self.rebroadcast)  # raises on a bad spec
         if self.query_policy not in QUERY_POLICY_KINDS:

@@ -1,18 +1,13 @@
 """Shared test fixtures: hand-placed static topologies, the reference oracles."""
 
 import types
-from unittest import mock
 
 import numpy as np
 
 from repro.mobility import Area, Static
-from repro.net import Channel, DenseTopology, EnergyModel, SparseGridTopology, World
-from repro.net import world as world_module
+from repro.net import Channel, EnergyModel, World
 from repro.net.topology import UNREACHABLE, TopologyBackend, _KSTRIDE
 from repro.sim import Simulator
-
-#: the two topology backends, by the name their test ids carry
-BACKENDS = {cls.name: cls for cls in (DenseTopology, SparseGridTopology)}
 
 
 def make_world(positions, radio_range=10.0, capacity=float("inf"), area=None):
@@ -37,23 +32,100 @@ def line_positions(n, spacing=8.0):
     return [[i * spacing, 0.0] for i in range(n)]
 
 
-def pin_backend(name):
-    """Context manager: every ``World`` built inside runs backend ``name``
-    ("dense" / "sparse") whatever its node count."""
-    return mock.patch.object(world_module, "make_topology", BACKENDS[name])
+def _full_rebuild(topology, pos, down):
+    """A refresh that recomputes connectivity from scratch and reports
+    the adjacency as changed."""
+    topology._rebuild(pos, down)
+    return True
 
 
 def pin_full_rebuild(world):
     """Make ``world``'s topology backend rebuild from scratch on every refresh.
 
-    Binds the base-class ``TopologyBackend._update`` fallback onto the
-    backend instance, so each refresh recomputes connectivity, advances
-    the adjacency epoch and flushes every memo -- the reference the
-    delta refresh must match bit for bit.  Returns ``world``.
+    Binds :func:`_full_rebuild` over the backend's delta ``_update``, so
+    each refresh recomputes connectivity, advances the adjacency epoch
+    and flushes every memo -- the reference the delta refresh must match
+    bit for bit.  Returns ``world``.
     """
-    backend = world.topology
-    backend._update = types.MethodType(TopologyBackend._update, backend)
+    world.topology._update = types.MethodType(_full_rebuild, world.topology)
     return world
+
+
+class DenseOracle(TopologyBackend):
+    """The O(n²) reference connectivity the grid must equal exactly.
+
+    One pairwise-distance pass per refresh into a boolean (n, n) matrix
+    (no delta: every refresh is a full rebuild), neighbour rows and
+    degrees read off the matrix, BFS by frontier expansion over matrix
+    rows.  Snapshot lifecycle, distance cache and counters are the
+    grid's.  Install it with ``world.topology = DenseOracle(world)``.
+    """
+
+    _update = _full_rebuild
+
+    def _rebuild(self, pos, down):
+        diff = pos[:, None, :] - pos[None, :, :]
+        adj = np.einsum("ijk,ijk->ij", diff, diff) <= self.world.radio_range**2
+        np.fill_diagonal(adj, False)
+        adj[down, :] = False
+        adj[:, down] = False
+        adj.flags.writeable = False
+        self._adj = adj
+        self._down = down.copy()
+
+    def neighbors(self, i):
+        self.refresh()
+        return np.flatnonzero(self._adj[i])
+
+    def link(self, i, j):
+        self.refresh()
+        return bool(self._adj[i, j])
+
+    def degrees(self):
+        self.refresh()
+        return self._adj.sum(axis=1)
+
+    def adjacency_matrix(self):
+        self.refresh()
+        return self._adj
+
+    def csr(self):
+        self.refresh()
+        adj = self._adj
+        n = adj.shape[0]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(adj.sum(axis=1), out=indptr[1:])
+        # row-major flatnonzero yields each row's columns ascending
+        indices = (np.flatnonzero(adj) % n).astype(np.int64)
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        return indptr, indices
+
+    def _bfs(self, src):
+        dist = np.full(self.world.n, UNREACHABLE, dtype=np.int32)
+        if self._down[src]:
+            return dist
+        dist[src] = 0
+        frontier = np.zeros(self.world.n, dtype=bool)
+        frontier[src] = True
+        visited = frontier.copy()
+        d = 0
+        while frontier.any():
+            d += 1
+            frontier = self._adj[frontier].any(axis=0) & ~visited
+            dist[frontier] = d
+            visited |= frontier
+        return dist
+
+
+def pin_oracle(world, oracle):
+    """Make ``world`` answer from an oracle: the dense matrix
+    (``"dense"``) or the grid rebuilt from scratch on every refresh
+    (``"sparse"``).  Returns ``world``."""
+    if oracle == "dense":
+        world.topology = DenseOracle(world)
+        return world
+    return pin_full_rebuild(world)
 
 
 def pin_per_copy_delivery(channel):
@@ -81,9 +153,9 @@ def pin_never_forget(flood):
 
 
 def reference_sparse_csr(topo):
-    """CSR of a sparse grid's current snapshot, one occupied cell at a time.
+    """CSR of the grid's current snapshot, one occupied cell at a time.
 
-    The per-cell build the vectorized ``SparseGridTopology._build_csr``
+    The per-cell build the vectorized ``TopologyBackend._build_csr``
     replaced: a cell -> members dict of the up nodes, each cell's
     members against the members of its 3x3 block, the same
     ``d2 <= r²`` test, each row sorted.
@@ -107,7 +179,7 @@ def reference_sparse_csr(topo):
 
 def reference_bfs(indptr, indices, src, down):
     """Hop distances from ``src`` over a CSR, one Python-gathered row at a
-    time per frontier node (the sparse grid's former BFS)."""
+    time per frontier node (the grid's former BFS)."""
     dist = np.full(len(indptr) - 1, UNREACHABLE, dtype=np.int32)
     if down[src]:
         return dist

@@ -3,11 +3,12 @@
 Batched delivery collapses a broadcast's k per-receiver heap entries
 into one batch event dispatched in ascending-nid order (DESIGN.md §5).
 These tests are the proof obligation: for full scenarios -- churn,
-finite energy, lossy/CSMA channels, dense and sparse topologies, several
-seeds -- the *semantic* registry snapshot (everything except the
-scheduler-cost metrics enumerated in ``repro.obs.compare``) and the
-sampled time-series must be equal to the last bit between the two lanes,
-while heap traffic must strictly drop.
+finite energy, lossy/CSMA channels, the grid topology and the dense
+oracle (``helpers.DenseOracle``), several seeds -- the *semantic*
+registry snapshot (everything except the scheduler-cost metrics
+enumerated in ``repro.obs.compare``) and the sampled time-series must be
+equal to the last bit between the two lanes, while heap traffic must
+strictly drop.
 
 ``test_wavefront_bit_identical`` does the same for the batch body that
 charges a transmission's receivers in one step and hands the AODV and
@@ -40,7 +41,7 @@ from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest
 from repro.sim.trace import attach_tracer
 
-from .helpers import make_world, pin_backend, pin_per_copy_delivery
+from .helpers import DenseOracle, make_world, pin_per_copy_delivery
 
 SEEDS = (1, 2, 3)
 
@@ -51,14 +52,15 @@ def _run_lane(seed: int, topology: str, batched: bool, *, churn: bool = True):
         num_nodes=40,
         duration=40.0,
         seed=seed,
-        # Exercise both non-ideal channels across the grid: collisions on
-        # the dense backend, probabilistic loss on the sparse one.
+        # Exercise both non-ideal channels: collisions on the dense
+        # oracle, probabilistic loss on the grid.
         mac="csma" if topology == "dense" else "lossy",
         energy_capacity=0.05,
         obs_interval=10.0,
     )
-    with pin_backend(topology):
-        simulation = build_scenario(cfg)
+    simulation = build_scenario(cfg)
+    if topology == "dense":
+        simulation.world.topology = DenseOracle(simulation.world)
     if not batched:
         pin_per_copy_delivery(simulation.channel)
     if churn:
@@ -154,8 +156,10 @@ def _run_wavefront(seed, topology, routing, case, batched):
     router = AodvRouter
     if case == "hello":
         router = partial(AodvRouter, config=AodvConfig(hello_interval=2.0))
-    with pin_backend(topology), mock.patch("repro.scenarios.builder.AodvRouter", router):
+    with mock.patch("repro.scenarios.builder.AodvRouter", router):
         simulation = build_scenario(cfg)
+    if topology == "dense":
+        simulation.world.topology = DenseOracle(simulation.world)
     if not batched:
         pin_per_copy_delivery(simulation.channel)
     recorder = attach_tracer(simulation.channel) if case == "tracer" else None

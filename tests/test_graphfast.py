@@ -4,8 +4,8 @@ Exactness (``==``, not ``allclose``) is the point: path-length totals
 are integer sums (order-independent in float64), and clustering divides
 the same integer-valued rationals the reference formulations divide, so
 IEEE correct rounding makes the results bit-identical.  Random geometric
-graphs over seeds 1-3, dense and sparse topology backends, fragmented
-and fully-down-node graphs.
+graphs over seeds 1-3, on the grid topology and the dense oracle,
+fragmented and fully-down-node graphs.
 """
 
 import math
@@ -29,7 +29,7 @@ from repro.mobility import Area, Static
 from repro.net import EnergyModel, World
 from repro.sim import Simulator
 
-from .helpers import BACKENDS
+from .helpers import DenseOracle
 
 SEEDS = (1, 2, 3)
 
@@ -57,7 +57,8 @@ def reachable_pair_fraction(world):
 
 
 def rgg_world(seed, topology, *, n=40, side=80.0, radio=12.0):
-    """A random-geometric-graph world on the requested backend."""
+    """A random-geometric-graph world on the grid (``"sparse"``) or the
+    dense oracle (``"dense"``)."""
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2)) * side
     mobility = Static(n, Area(side, side), rng, positions=pts)
@@ -66,8 +67,9 @@ def rgg_world(seed, topology, *, n=40, side=80.0, radio=12.0):
         mobility,
         radio_range=radio,
         energy=EnergyModel(n),
-        topology=BACKENDS[topology],
     )
+    if topology == "dense":
+        world.topology = DenseOracle(world)
     return world
 
 

@@ -1,11 +1,10 @@
-"""Topology service tests: A/B backend equivalence + World edge cases.
+"""Topology service tests: grid vs dense-oracle equivalence + World edge cases.
 
-The dense matrix backend is the reference implementation; the sparse
-grid backend must agree with it *exactly* -- same neighbor sets, same
-hop distances -- on randomized mobility traces.  The World edge cases
+The dense matrix (``helpers.DenseOracle``) is the reference; the grid
+backend must agree with it *exactly* -- same neighbor sets, same hop
+distances -- on randomized mobility traces.  The World edge cases
 (snapshot reuse/invalidation, churn mid-snapshot, depletion, backwards
-clock) run against both backends, since the node count may hand a
-scenario either one.
+clock) run against the grid.
 """
 
 import json
@@ -16,27 +15,27 @@ import pytest
 from repro.cli import main
 from repro.experiments import run_key
 from repro.mobility import Area, RandomWaypoint, Static
-from repro.net import DenseTopology, EnergyModel, SparseGridTopology, World, make_topology
-from repro.net.topology import SPARSE_MIN_NODES, UNREACHABLE
-from repro.scenarios import ScenarioConfig, build_scenario, run_scenario
+from repro.net import EnergyModel, TopologyBackend, World
+from repro.net.topology import UNREACHABLE
+from repro.scenarios import ScenarioConfig, build_scenario
+from repro.scenarios.runner import harvest
 from repro.sim import Simulator
 
-from .helpers import BACKENDS, pin_backend, reference_bfs, reference_sparse_csr
+from .helpers import DenseOracle, reference_bfs, reference_sparse_csr
 
 
 def make_pair(n, seed, *, radio_range=10.0, area=(100.0, 100.0), snapshot_interval=0.0):
-    """Two worlds over identical mobility traces, one per backend."""
+    """Two worlds over identical mobility traces: the dense oracle and the grid."""
     worlds = {}
-    for backend, cls in BACKENDS.items():
-        sim = Simulator()
+    for name in ("dense", "sparse"):
         mobility = RandomWaypoint(n, Area(*area), np.random.default_rng(seed))
-        worlds[backend] = World(
-            sim,
+        worlds[name] = World(
+            Simulator(),
             mobility,
             radio_range=radio_range,
             snapshot_interval=snapshot_interval,
-            topology=cls,
         )
+    worlds["dense"].topology = DenseOracle(worlds["dense"])
     return worlds
 
 
@@ -45,7 +44,7 @@ def advance(world, t):
     world.sim.run(until=t)
 
 
-def static_world(positions, backend, *, radio_range=10.0, capacity=float("inf")):
+def static_world(positions, *, radio_range=10.0, capacity=float("inf")):
     pts = np.asarray(positions, dtype=float)
     sim = Simulator()
     mobility = Static(len(pts), Area(1000.0, 1000.0), np.random.default_rng(0), positions=pts)
@@ -54,13 +53,12 @@ def static_world(positions, backend, *, radio_range=10.0, capacity=float("inf"))
         mobility,
         radio_range=radio_range,
         energy=EnergyModel(len(pts), capacity=capacity),
-        topology=BACKENDS[backend],
     )
     return sim, world
 
 
 class TestEquivalence:
-    """Dense and sparse must agree exactly (acceptance criterion)."""
+    """The grid must agree with the dense oracle exactly."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_neighbors_and_hops_identical(self, seed):
@@ -111,12 +109,13 @@ class TestEquivalence:
                 assert np.array_equal(dense.hops_from(i), sparse.hops_from(i))
 
     def test_boundary_distance_inclusive_both(self):
-        # Exactly at the radio range: both backends must include the link
-        # (the grid block search must not lose boundary cells).
-        for backend in BACKENDS:
-            _, world = static_world([[0.0, 0.0], [10.0, 0.0]], backend)
-            assert world.link(0, 1), backend
-            assert list(world.neighbors(0)) == [1], backend
+        # Exactly at the radio range: the grid and the oracle must include
+        # the link (the grid block search must not lose boundary cells).
+        _, world = static_world([[0.0, 0.0], [10.0, 0.0]])
+        oracle = DenseOracle(world)
+        for topology in (world.topology, oracle):
+            assert topology.link(0, 1), topology
+            assert list(topology.neighbors(0)) == [1], topology
 
 
 class TestSparseInternals:
@@ -127,7 +126,7 @@ class TestSparseInternals:
         mobility = RandomWaypoint(
             40, Area(60.0, 60.0), np.random.default_rng(1), max_speed=8.0, max_pause=40.0
         )
-        world = World(Simulator(), mobility, radio_range=12.0, topology=SparseGridTopology)
+        world = World(Simulator(), mobility, radio_range=12.0)
         topo = world.topology
 
         def builds():
@@ -159,7 +158,7 @@ class TestSparseInternals:
     def test_distance_cache_lru_bound(self):
         sim = Simulator()
         mobility = RandomWaypoint(30, Area(100, 100), np.random.default_rng(0))
-        world = World(sim, mobility, topology=SparseGridTopology)
+        world = World(sim, mobility)
         world.topology.dist_cache_size = 4
         for src in range(10):
             world.hops_from(src)
@@ -205,7 +204,7 @@ class TestSparseOracles:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 120))
         pts = rng.random((n, 2)) * rng.uniform(30.0, 150.0)
-        _, world = static_world(pts, "sparse")
+        _, world = static_world(pts)
         for i in rng.choice(n, size=n // 6, replace=False):
             world.set_down(int(i))
         indptr, _ = self._check(world)
@@ -215,50 +214,51 @@ class TestSparseOracles:
         # a 10 m lattice: every axis neighbour sits exactly at range,
         # across cell borders, and the diagonals (14.1 m) fall outside
         pts = [[10.0 * x + 5.0, 10.0 * y + 5.0] for x in range(5) for y in range(4)]
-        _, world = static_world(pts, "sparse")
+        _, world = static_world(pts)
         indptr, _ = self._check(world)
         assert np.diff(indptr).tolist() == [
             (x > 0) + (x < 4) + (y > 0) + (y < 3) for x in range(5) for y in range(4)
         ]
 
     def test_isolated_nodes(self):
-        _, world = static_world([[0.0, 0.0], [8.0, 0.0], [500.0, 500.0], [900.0, 10.0]], "sparse")
+        _, world = static_world([[0.0, 0.0], [8.0, 0.0], [500.0, 500.0], [900.0, 10.0]])
         indptr, _ = self._check(world)
         assert np.diff(indptr).tolist() == [1, 1, 0, 0]
 
     def test_single_node(self):
-        _, world = static_world([[3.0, 4.0]], "sparse")
+        _, world = static_world([[3.0, 4.0]])
         indptr, indices = self._check(world)
         assert indptr.tolist() == [0, 0] and indices.size == 0
 
     def test_all_down(self):
-        _, world = static_world([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], "sparse")
+        _, world = static_world([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
         for i in range(3):
             world.set_down(i)
         indptr, indices = self._check(world)
         assert indptr.tolist() == [0, 0, 0, 0] and indices.size == 0
 
 
-@pytest.mark.parametrize("backend", list(BACKENDS))
+# one backend: the parameter only keeps these tests' ids
+@pytest.mark.parametrize("backend", ["sparse"])
 class TestReadOnlySnapshots:
     """Arrays a query hands out are shared snapshot state: writes raise."""
 
     POSITIONS = [[0.0, 0.0], [6.0, 0.0], [12.0, 0.0], [40.0, 40.0]]
 
     def test_cached_hop_vector(self, backend):
-        _, world = static_world(self.POSITIONS, backend)
+        _, world = static_world(self.POSITIONS)
         with pytest.raises(ValueError):
             world.hops_from(0)[2] = 0
         assert world.hop_distance(0, 2) == 2
 
     def test_adjacency_matrix(self, backend):
-        _, world = static_world(self.POSITIONS, backend)
+        _, world = static_world(self.POSITIONS)
         with pytest.raises(ValueError):
             world.adjacency()[0, 3] = True
         assert not world.link(0, 3)
 
     def test_csr_arrays(self, backend):
-        _, world = static_world(self.POSITIONS, backend)
+        _, world = static_world(self.POSITIONS)
         indptr, indices = world.csr()
         with pytest.raises(ValueError):
             indptr[1] = 0
@@ -266,13 +266,10 @@ class TestReadOnlySnapshots:
             indices[0] = 3
 
     def test_neighbor_row(self, backend):
-        _, world = static_world(self.POSITIONS, backend)
+        _, world = static_world(self.POSITIONS)
         row = world.neighbors(1)
-        if backend == "dense":
-            row[0] = 3  # a fresh array per call: the write stays local
-        else:
-            with pytest.raises(ValueError):  # a view of the CSR
-                row[0] = 3
+        with pytest.raises(ValueError):  # a view of the CSR
+            row[0] = 3
         assert world.neighbors(1).tolist() == [0, 2]
 
 
@@ -281,38 +278,20 @@ def static_n(n):
 
 
 class TestFactory:
-    def test_make_topology_by_name_and_class(self):
-        # The node count alone picks the backend; a class is the only
-        # override (a test seam), and names are gone.
-        assert SPARSE_MIN_NODES == 400
-        small = World(Simulator(), static_n(399))
-        assert isinstance(small.topology, DenseTopology)
-        assert isinstance(make_topology(World(Simulator(), static_n(400))), SparseGridTopology)
-        pinned = World(Simulator(), static_n(3), topology=SparseGridTopology)
-        assert isinstance(pinned.topology, SparseGridTopology)
-        with pytest.raises(TypeError):
-            World(Simulator(), static_n(3), topology="sparse")
-
     def test_world_rejects_bad_cache_size(self):
         # The distance-cache bound is no parameter; tests set the attribute.
         with pytest.raises(TypeError):
             World(Simulator(), static_n(3), dist_cache_size=4)
         with pytest.raises(TypeError):
-            SparseGridTopology(World(Simulator(), static_n(3)), dist_cache_size=4)
+            TopologyBackend(World(Simulator(), static_n(3)), dist_cache_size=4)
 
     def test_scenario_config_topology_knob(self):
         assert ScenarioConfig().topology == "auto"
         assert ScenarioConfig(topology="auto", num_nodes=500).topology == "auto"
         for value in ("dense", "sparse", "hexgrid"):
-            with pytest.raises(ValueError, match="chosen from num_nodes") as err:
+            with pytest.raises(ValueError, match="one topology backend") as err:
                 ScenarioConfig(topology=value)
-            assert repr(value) in str(err.value) and "400" in str(err.value)
-
-    def test_builder_selects_backend(self):
-        below = build_scenario(ScenarioConfig(num_nodes=399, duration=1))
-        assert isinstance(below.world.topology, DenseTopology)
-        at = build_scenario(ScenarioConfig(num_nodes=400, duration=1))
-        assert isinstance(at.world.topology, SparseGridTopology)
+            assert repr(value) in str(err.value)
 
     def test_cli_and_api_configs_share_run_key(self, capsys):
         # `run` used to pass topology="auto" where ScenarioConfig()
@@ -323,27 +302,29 @@ class TestFactory:
             assert run_key(cli_cfg) == run_key(ScenarioConfig(num_nodes=n, duration=1.0))
 
     def test_full_scenario_identical_across_backends(self):
-        # The backends are exact-equivalent, so a whole simulation must
-        # be bit-for-bit identical regardless of which one runs it.
+        # The grid is exact-equivalent to the dense oracle, so a whole
+        # simulation must be bit-for-bit identical on either.
         runs = {}
-        for backend in BACKENDS:
-            with pin_backend(backend):
-                runs[backend] = run_scenario(
-                    ScenarioConfig(duration=60.0, seed=3, routing="oracle")
-                )
+        for name in ("dense", "sparse"):
+            simulation = build_scenario(ScenarioConfig(duration=60.0, seed=3, routing="oracle"))
+            if name == "dense":
+                simulation.world.topology = DenseOracle(simulation.world)
+            simulation.run()
+            runs[name] = harvest(simulation)
         dense, sparse = runs["dense"], runs["sparse"]
         assert dense.totals == sparse.totals
         assert dense.events == sparse.events
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+# one backend: the parameter only keeps these tests' ids
+@pytest.mark.parametrize("backend", ["sparse"])
 class TestWorldEdgeCases:
-    """Satellite: World edge cases, identical across backends."""
+    """World edge cases on the grid."""
 
     def test_snapshot_interval_reuses_within_quantum(self, backend):
         sim = Simulator()
         mobility = RandomWaypoint(20, Area(50, 50), np.random.default_rng(2), max_pause=0.5)
-        world = World(sim, mobility, snapshot_interval=1.0, topology=BACKENDS[backend])
+        world = World(sim, mobility, snapshot_interval=1.0)
         world.neighbors(0)
         t0 = world.topology.snapshot_time
         rebuilds = world.registry.value("topology.rebuilds")
@@ -359,7 +340,7 @@ class TestWorldEdgeCases:
     def test_invalidate_forces_recompute_same_timestamp(self, backend):
         sim = Simulator()
         mobility = RandomWaypoint(10, Area(50, 50), np.random.default_rng(3))
-        world = World(sim, mobility, snapshot_interval=5.0, topology=BACKENDS[backend])
+        world = World(sim, mobility, snapshot_interval=5.0)
         world.neighbors(0)
         rebuilds = world.registry.value("topology.rebuilds")
         world.invalidate()
@@ -369,7 +350,7 @@ class TestWorldEdgeCases:
     def test_set_down_mid_snapshot(self, backend):
         # Killing a node must take effect immediately, even with a
         # coarse snapshot quantum and no clock movement.
-        _, world = static_world([[0, 0], [8, 0], [16, 0]], backend)
+        _, world = static_world([[0, 0], [8, 0], [16, 0]])
         world.snapshot_interval = 10.0
         assert world.hop_distance(0, 2) == 2
         world.set_down(1)
@@ -380,7 +361,7 @@ class TestWorldEdgeCases:
         assert world.hop_distance(0, 2) == 2
 
     def test_depleted_node_excluded_from_neighbors(self, backend):
-        _, world = static_world([[0, 0], [8, 0], [16, 0]], backend, capacity=1e-4)
+        _, world = static_world([[0, 0], [8, 0], [16, 0]], capacity=1e-4)
         assert 1 in world.neighbors(0)
         world.energy.charge_tx(1, 10_000)  # drains node 1's battery
         assert list(world.neighbors(0)) == []
@@ -392,7 +373,7 @@ class TestWorldEdgeCases:
         # earlier time than its snapshot must rebuild, not reuse.
         sim = Simulator(start_time=100.0)
         mobility = RandomWaypoint(15, Area(50, 50), np.random.default_rng(4), max_pause=0.5)
-        world = World(sim, mobility, snapshot_interval=1000.0, topology=BACKENDS[backend])
+        world = World(sim, mobility, snapshot_interval=1000.0)
         world.neighbors(0)
         assert world.topology.snapshot_time == 100.0
         # Simulate a fresh kernel attached at an earlier clock (resume /
@@ -404,7 +385,7 @@ class TestWorldEdgeCases:
 
     def test_neighbors_sorted_ascending(self, backend):
         pts = np.random.default_rng(5).random((40, 2)) * 60
-        _, world = static_world(pts, backend, radio_range=20.0)
+        _, world = static_world(pts, radio_range=20.0)
         for i in range(40):
             nbrs = world.neighbors(i)
             assert np.array_equal(nbrs, np.sort(nbrs))

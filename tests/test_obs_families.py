@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core.config import P2pConfig
 from repro.obs import Registry, registry_to_csv, registry_to_ndjson
 from repro.scenarios import ScenarioConfig, build_scenario, run_scenario
-from tests.helpers import pin_backend
 
 
 # ----------------------------------------------------------------------
@@ -382,19 +381,16 @@ class TestScaleGuard:
         # Every member charges the same shared instruments, so the
         # registry has as many series at n = 1 000 as at n = 100.  (It
         # held 3 series per member, 3·n + 27 in all, while each member
-        # kept its own alg counters and flood-hop histogram.)  Both sizes
-        # run the sparse grid, metro's backend: the dense matrix that
-        # n = 100 gets by default registers one counter fewer.
+        # kept its own alg counters and flood-hop histogram.)
         sizes = {}
         for n in (100, 1000):
             side = 100.0 * math.sqrt(n / 50.0)
-            with pin_backend("sparse"):
-                simulation = build_scenario(
-                    ScenarioConfig(
-                        num_nodes=n, area_width=side, area_height=side, queries=False,
-                        duration=1.0, seed=1,
-                    )
+            simulation = build_scenario(
+                ScenarioConfig(
+                    num_nodes=n, area_width=side, area_height=side, queries=False,
+                    duration=1.0, seed=1,
                 )
+            )
             simulation.run()
             sizes[n] = len(simulation.registry)
         assert sizes[100] == sizes[1000]
@@ -420,6 +416,9 @@ class TestScaleGuard:
         # router counters moved into the registry; their values equal
         # the previous commit's ``router.control_overhead()`` for this
         # run (``hello_sent``, never reported then, its per-agent sum).
+        # The ``topology.*`` counters lost their ``backend=dense`` label
+        # and gained ``topology.csr_builds`` when the grid became the one
+        # backend at every n; their other values are unchanged.
         assert list(n150_counters.items()) == list(json.loads(_RECORDED_N150).items())
 
 
@@ -449,8 +448,9 @@ _RECORDED_N150 = """{
 "routing.data_forwarded{protocol=aodv}": 293.0, "routing.hello_sent{protocol=aodv}": 0.0,
 "routing.rerr_sent{protocol=aodv}": 25.0, "routing.rrep_sent{protocol=aodv}": 538.0,
 "routing.rreq_sent{protocol=aodv}": 280.0,
-"topology.delta_rebuilds{backend=dense,layer=topology}": 60.0,
-"topology.dist_cache_hits{backend=dense,layer=topology}": 0.0,
-"topology.moved_nodes{backend=dense,layer=topology}": 1004.0,
-"topology.rebuilds{backend=dense,layer=topology}": 61.0
+"topology.csr_builds{layer=topology}": 41.0,
+"topology.delta_rebuilds{layer=topology}": 60.0,
+"topology.dist_cache_hits{layer=topology}": 0.0,
+"topology.moved_nodes{layer=topology}": 1004.0,
+"topology.rebuilds{layer=topology}": 61.0
 }"""

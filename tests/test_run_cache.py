@@ -110,10 +110,12 @@ class TestArchiveWithRemovedQueueField:
             "unknown ScenarioConfig keys: " + ", ".join(REMOVED_KEYS)
         )
         # Without them, the retired backend name is the one value left
-        # to reject, named with the rule that replaced it ...
+        # to reject, and the message says there is one backend ...
         for key in REMOVED_KEYS:
             del config[key]
-        with pytest.raises(ValueError, match="topology 'dense' cannot be selected: the"):
+        with pytest.raises(
+            ValueError, match="topology 'dense' cannot be selected: one topology backend"
+        ):
             ScenarioConfig.from_dict(config)
         # ... and the rest of the line is a valid current config.
         assert ScenarioConfig.from_dict({**config, "topology": "auto"}) == OLD_CFG

@@ -1,18 +1,18 @@
-"""Delta topology refresh is bit-identical to the full-rebuild oracle.
+"""Delta topology refresh is bit-identical to its oracles.
 
 Every snapshot refresh diffs positions against the previous snapshot,
 re-bins only nodes whose grid cell changed, and keeps the CSR /
 neighbor memos / BFS distance cache alive whenever it can prove no link
-flipped.  The oracle is the base-class ``TopologyBackend._update``
-fallback (a from-scratch rebuild), bound onto a backend by
-``helpers.pin_full_rebuild``.  These tests are the proof obligation:
-full scenarios -- random-waypoint mobility, churn, finite energy,
-lossy/CSMA channels, dense and sparse backends, several seeds -- must
-produce *semantically* equal registry snapshots, time series, energy
-ledgers and totals against the oracle (only the topology cache-effort
-counters enumerated in ``repro.obs.compare.TOPOLOGY_COST_METRICS`` may
-differ), plus unit coverage of the adjacency-epoch contract and of the
-fixed proof gate.
+flipped.  The oracles are the grid rebuilt from scratch on every
+refresh (``helpers.pin_full_rebuild``) and the dense matrix
+(``helpers.DenseOracle``).  These tests are the proof obligation: full
+scenarios -- random-waypoint mobility, churn, finite energy, lossy/CSMA
+channels, several seeds -- must produce *semantically* equal registry
+snapshots, time series, energy ledgers and totals against an oracle
+(only the topology cache-effort counters enumerated in
+``repro.obs.compare.TOPOLOGY_COST_METRICS`` may differ), plus unit
+coverage of the adjacency-epoch contract, in a dense and a sparse
+deployment, and of the fixed proof gate.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest
 from repro.sim import Simulator
 
-from .helpers import BACKENDS, pin_backend, pin_full_rebuild
+from .helpers import pin_full_rebuild, pin_oracle
 
 SEEDS = (1, 2, 3)
 
@@ -43,22 +43,21 @@ def advance(world, t):
     world.sim.run(until=t)
 
 
-def _run_lane(seed: int, topology: str, delta: bool, *, churn: bool = True):
-    """One full scenario, delta refresh or the full-rebuild oracle."""
+def _run_lane(seed: int, oracle: str, delta: bool, *, churn: bool = True):
+    """One full scenario, delta refresh or the ``oracle`` lane."""
     cfg = ScenarioConfig(
         num_nodes=40,
         duration=40.0,
         seed=seed,
-        # Exercise both non-ideal channels across the grid: collisions on
-        # the dense backend, probabilistic loss on the sparse one.
-        mac="csma" if topology == "dense" else "lossy",
+        # Exercise both non-ideal channels: collisions against the dense
+        # oracle, probabilistic loss against the full rebuild.
+        mac="csma" if oracle == "dense" else "lossy",
         energy_capacity=0.05,
         obs_interval=10.0,
     )
-    with pin_backend(topology):
-        simulation = build_scenario(cfg)
+    simulation = build_scenario(cfg)
     if not delta:
-        pin_full_rebuild(simulation.world)
+        pin_oracle(simulation.world, oracle)
     if churn:
         ChurnProcess(
             simulation.sim,
@@ -80,11 +79,11 @@ def _run_lane(seed: int, topology: str, delta: bool, *, churn: bool = True):
     }
 
 
-@pytest.mark.parametrize("topology", ["dense", "sparse"])
+@pytest.mark.parametrize("oracle", ["dense", "sparse"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lanes_bit_identical(seed, topology):
-    full = _run_lane(seed, topology, delta=False)
-    fast = _run_lane(seed, topology, delta=True)
+def test_lanes_bit_identical(seed, oracle):
+    full = _run_lane(seed, oracle, delta=False)
+    fast = _run_lane(seed, oracle, delta=True)
     # Full semantic registry snapshot: equal key sets, equal values.
     assert snapshot_diff(full["snapshot"], fast["snapshot"]) == {}
     # Sampled time-series rows match bit-for-bit too.
@@ -104,7 +103,7 @@ def test_lanes_bit_identical(seed, topology):
 def test_topology_cost_keys_classified():
     for name in TOPOLOGY_COST_METRICS:
         assert is_cost_key(name)
-    assert is_cost_key("topology.dist_cache_hits{backend=sparse,layer=topology}")
+    assert is_cost_key("topology.dist_cache_hits{layer=topology}")
     assert is_cost_key("graphfast.bfs_sources{layer=metrics}")
     assert is_cost_key("kernel.heap_pushes")
     assert not is_cost_key("kernel.events_dispatched")
@@ -114,30 +113,32 @@ def test_topology_cost_keys_classified():
 # ----------------------------------------------------------------------
 # adjacency-epoch contract (unit level)
 # ----------------------------------------------------------------------
-def _static_world(n, topology, delta=True, seed=0):
+def _static_world(n, delta=True, seed=0, *, side=60.0):
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2)) * 60.0
+    pts = rng.random((n, 2)) * side
     mobility = Static(n, Area(1000.0, 1000.0), rng, positions=pts)
-    world = World(Simulator(), mobility, radio_range=12.0, topology=BACKENDS[topology])
+    world = World(Simulator(), mobility, radio_range=12.0)
     return world if delta else pin_full_rebuild(world)
 
 
-def _waypoint_world(n, topology, delta, seed=0, *, max_pause=1.0):
+def _waypoint_world(n, delta, seed=0, *, max_pause=1.0, side=60.0):
     mobility = RandomWaypoint(
         n,
-        Area(60.0, 60.0),
+        Area(side, side),
         np.random.default_rng(seed),
         max_speed=8.0,
         max_pause=max_pause,
     )
-    world = World(Simulator(), mobility, radio_range=12.0, topology=BACKENDS[topology])
+    world = World(Simulator(), mobility, radio_range=12.0)
     return world if delta else pin_full_rebuild(world)
 
 
-@pytest.mark.parametrize("topology", ["dense", "sparse"])
+# deployment sides at radio range 12 m: every node within one 3x3 cell
+# block ("dense") or spread over many cells ("sparse")
+@pytest.mark.parametrize("side", [15.0, 60.0], ids=["dense", "sparse"])
 class TestAdjacencyEpoch:
-    def test_epoch_stands_still_when_nothing_moves(self, topology):
-        world = _static_world(12, topology)
+    def test_epoch_stands_still_when_nothing_moves(self, side):
+        world = _static_world(12, side=side)
         world.neighbors(0)
         e0 = world.adjacency_epoch
         for t in (1.0, 2.0, 3.0):
@@ -147,16 +148,16 @@ class TestAdjacencyEpoch:
         assert world.adjacency_epoch == e0
         assert world.registry.value("topology.delta_rebuilds") == 3
 
-    def test_dist_cache_survives_static_refreshes(self, topology):
-        world = _static_world(12, topology)
+    def test_dist_cache_survives_static_refreshes(self, side):
+        world = _static_world(12, side=side)
         world.hops_from(0)
         hits0 = world.registry.value("topology.dist_cache_hits")
         advance(world, 5.0)
         world.hops_from(0)  # same epoch: memoized vector must survive
         assert world.registry.value("topology.dist_cache_hits") == hits0 + 1
 
-    def test_full_lane_always_advances_epoch(self, topology):
-        world = _static_world(12, topology, delta=False)
+    def test_full_lane_always_advances_epoch(self, side):
+        world = _static_world(12, delta=False, side=side)
         world.neighbors(0)
         e0 = world.adjacency_epoch
         advance(world, 1.0)
@@ -164,18 +165,18 @@ class TestAdjacencyEpoch:
         assert world.adjacency_epoch == e0 + 1
         assert world.registry.value("topology.moved_nodes") == 0
 
-    def test_invalidate_advances_epoch(self, topology):
-        world = _static_world(12, topology)
+    def test_invalidate_advances_epoch(self, side):
+        world = _static_world(12, side=side)
         world.neighbors(0)
         e0 = world.adjacency_epoch
         world.set_down(3)
         assert world.adjacency_epoch > e0
 
-    def test_motion_that_changes_links_advances_epoch(self, topology):
-        world = _waypoint_world(20, topology, delta=True, seed=2)
+    def test_motion_that_changes_links_advances_epoch(self, side):
+        world = _waypoint_world(20, delta=True, seed=2, side=side)
         world.hops_from(0)
         e0 = world.adjacency_epoch
-        # 10 s at up to 8 m/s across a 60 m square must flip some link.
+        # 10 s at up to 8 m/s across the square must flip some link.
         advance(world, 10.0)
         world.hops_from(0)
         assert world.adjacency_epoch > e0
@@ -183,7 +184,7 @@ class TestAdjacencyEpoch:
 
 class TestSparseDeltaInternals:
     def test_csr_survives_static_refreshes(self):
-        world = _static_world(15, "sparse")
+        world = _static_world(15)
         world.degrees()  # forces a CSR build
         builds0 = world.registry.value("topology.csr_builds")
         for t in (1.0, 2.0):
@@ -192,7 +193,7 @@ class TestSparseDeltaInternals:
         assert world.registry.value("topology.csr_builds") == builds0
 
     def test_moved_nodes_counted(self):
-        world = _waypoint_world(20, "sparse", delta=True, seed=3)
+        world = _waypoint_world(20, delta=True, seed=3)
         world.neighbors(0)
         advance(world, 5.0)
         world.neighbors(0)
@@ -203,7 +204,7 @@ class TestSparseDeltaInternals:
         # CSR exists and at most max(8, n // 4) up nodes moved -- no
         # back-off after failures, no adaptation after successes.
         n = 40
-        world = _waypoint_world(n, "sparse", delta=True, seed=1, max_pause=40.0)
+        world = _waypoint_world(n, delta=True, seed=1, max_pause=40.0)
         topo = world.topology
         assert topo.max_proof_movers == max(8, n // 4) == 10
         proofs = []
@@ -234,12 +235,12 @@ class TestSparseDeltaInternals:
         assert expected and too_many
 
 
-@pytest.mark.parametrize("topology", ["dense", "sparse"])
+@pytest.mark.parametrize("oracle", ["dense", "sparse"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lockstep_queries_identical_under_mobility(seed, topology):
-    """Every query answer matches the full-rebuild oracle at every step."""
-    fast = _waypoint_world(25, topology, delta=True, seed=seed)
-    full = _waypoint_world(25, topology, delta=False, seed=seed)
+def test_lockstep_queries_identical_under_mobility(seed, oracle):
+    """Every query answer matches the oracle at every step."""
+    fast = _waypoint_world(25, delta=True, seed=seed)
+    full = pin_oracle(_waypoint_world(25, delta=True, seed=seed), oracle)
     for t in np.linspace(0.5, 20.0, 14):
         advance(fast, float(t))
         advance(full, float(t))

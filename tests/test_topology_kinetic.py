@@ -5,7 +5,8 @@ path that used to sit beside the delta path; the delta refresh is now
 the only one, and each check runs it in lockstep against the
 full-rebuild oracle (``helpers.pin_full_rebuild``):
 
-* lockstep query identity at every step under sustained mobility;
+* lockstep query identity at every step under sustained mobility, also
+  against the dense matrix (``helpers.DenseOracle``);
 * a node dying (churn or energy depletion) must bump the epoch and
   disappear from answers immediately;
 * a mobility source that publishes nothing but ``positions(t)`` is
@@ -24,7 +25,7 @@ from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.config import ScenarioConfig
 from repro.sim import Simulator
 
-from .helpers import BACKENDS, pin_backend, pin_full_rebuild
+from .helpers import pin_full_rebuild, pin_oracle
 
 SEEDS = (1, 2, 3)
 
@@ -36,7 +37,6 @@ def advance(world, t):
 
 def _waypoint_world(
     n,
-    topology="sparse",
     full=False,
     seed=0,
     *,
@@ -52,16 +52,16 @@ def _waypoint_world(
         min_speed=min_speed,
         max_pause=max_pause,
     )
-    world = World(Simulator(), mobility, radio_range=12.0, topology=BACKENDS[topology])
+    world = World(Simulator(), mobility, radio_range=12.0)
     return pin_full_rebuild(world) if full else world
 
 
-@pytest.mark.parametrize("topology", ["dense", "sparse"])
+@pytest.mark.parametrize("oracle", ["dense", "sparse"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lockstep_queries_identical_under_mobility(seed, topology):
-    """Every query answer matches the full-rebuild oracle at every step."""
-    fast = _waypoint_world(25, topology, seed=seed)
-    full = _waypoint_world(25, topology, full=True, seed=seed)
+def test_lockstep_queries_identical_under_mobility(seed, oracle):
+    """Every query answer matches the oracle at every step."""
+    fast = _waypoint_world(25, seed=seed)
+    full = pin_oracle(_waypoint_world(25, seed=seed), oracle)
     for t in np.linspace(0.5, 20.0, 14):
         advance(fast, float(t))
         advance(full, float(t))
@@ -109,8 +109,7 @@ class TestDeathBeforePredictedCrossing:
                 seed=2,
                 energy_capacity=0.02,
             )
-            with pin_backend("sparse"):
-                simulation = build_scenario(cfg)
+            simulation = build_scenario(cfg)
             if full:
                 pin_full_rebuild(simulation.world)
             churn = ChurnProcess(
@@ -147,7 +146,7 @@ class TestGracefulDegradation:
             def positions(self, t):
                 return self._base + 0.01 * t
 
-        world = World(Simulator(), Trace(10), radio_range=12.0, topology=BACKENDS["sparse"])
+        world = World(Simulator(), Trace(10), radio_range=12.0)
         world.neighbors(0)
         for t in (1.0, 2.0):
             advance(world, t)
