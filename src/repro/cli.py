@@ -96,20 +96,30 @@ _SWEEP_FIELDS = {
 }
 
 
+def _sweep_value(args: argparse.Namespace, value: str):
+    """A swept value as its config field takes it: ``nodes`` are ints."""
+    if args.parameter != "nodes":
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        args.error(f"nodes values must be ints, got {value!r}")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.sweeps import SweepSpec, run_sweep
 
     fieldname = _SWEEP_FIELDS[args.parameter]
-    values = tuple(
-        int(v) if args.parameter == "nodes" else v for v in args.values
-    )
-    base = _scenario(
-        args,
+    values = tuple(_sweep_value(args, v) for v in args.values)
+    fields = dict(
         duration=args.duration,
         seed=args.seed,
         rebroadcast=args.rebroadcast,
         query_policy=args.query_policy,
     )
+    base = _scenario(args, **fields)
+    for value in values:  # a bad point is a usage error before anything runs
+        _scenario(args, **fields, **{fieldname: value})
     store = None
     if args.store:
         from .experiments import ResultStore

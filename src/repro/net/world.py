@@ -8,9 +8,11 @@ transmission asks "who is in range right now?", and the p2p layer asks
 evaluation per timestamp), the churn/energy down mask, and the snapshot
 quantum -- and delegates every connectivity *query* to one
 :class:`~repro.net.topology.TopologyBackend`: a uniform-grid spatial
-index with one CSR adjacency per adjacency epoch, O(n·k) at bounded
-density, from the paper's n = 50..150 to scenarios of thousands of nodes
-(see ``benchmarks/test_micro_topology.py``).
+index with one CSR adjacency per snapshot, O(n·k) at bounded density,
+from the paper's n = 50..150 to scenarios of thousands of nodes (see
+``benchmarks/test_micro_topology.py``).  A stale snapshot is kept when
+neither the positions nor the down mask changed and rebuilt otherwise;
+:meth:`World.set_down` and :meth:`World.invalidate` drop it outright.
 
 Consumers go through the query interface (:meth:`World.link`,
 :meth:`World.neighbors`, :meth:`World.hops_from`, ...), which never
@@ -121,16 +123,6 @@ class World:
         """Force the topology backend to recompute on the next query."""
         self.topology.invalidate()
 
-    @property
-    def adjacency_epoch(self) -> int:
-        """Counter advanced whenever the radio edge set may have changed.
-
-        Memoize graph-derived state against this, never against
-        timestamps: the epoch stands still across snapshot refreshes
-        that provably kept the adjacency (see DESIGN.md).
-        """
-        return self.topology.adjacency_epoch
-
     # ------------------------------------------------------------------
     # connectivity queries (delegated to the backend)
     # ------------------------------------------------------------------
@@ -148,8 +140,8 @@ class World:
         """CSR adjacency ``(indptr, indices)`` of the current snapshot.
 
         The zero-copy surface the vectorized graph kernels
-        (:mod:`repro.metrics.graphfast`) run on; do not mutate, and
-        re-fetch whenever :attr:`adjacency_epoch` advances.
+        (:mod:`repro.metrics.graphfast`) run on; do not mutate, and do
+        not hold across refreshes.
         """
         return self.topology.csr()
 

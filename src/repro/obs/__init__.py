@@ -3,10 +3,10 @@
 One surface for everything a run can tell you about itself:
 
 * :class:`Registry` with :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` / :class:`Timer` instruments, labeled by node /
-  family / layer -- every counter in the simulator is registered here,
-  and ``registry.value(name, **labels)`` (or ``RunResult.counters``
-  after a run) is the one place to read it;
+  :class:`Histogram` / :class:`Timer` instruments, labeled by layer /
+  family / plane / protocol, never by node -- every counter in the
+  simulator is registered here, and ``registry.value(name, **labels)``
+  (or ``RunResult.counters`` after a run) is the one place to read it;
 * :class:`Sampler` -- the one time-series sampler: snapshots the
   registry on a sim-time interval (``ScenarioConfig.obs_interval``)
   into a deterministic time-series;

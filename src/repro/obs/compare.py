@@ -51,10 +51,12 @@ SCHEDULER_COST_METRICS: Tuple[str, ...] = (
 )
 
 #: Metric names that measure topology *cache effort*, not connectivity.
-#: Delta refreshes legitimately keep the BFS distance cache warm and
-#: build fewer CSRs than the full-rebuild reference the tests pin, so
-#: these counters differ between the two while every query answer stays
-#: bit-identical.
+#: A refresh that keeps an unchanged snapshot keeps the BFS distance
+#: cache warm and builds fewer CSRs than the full-rebuild reference the
+#: tests pin, so these counters differ between the two while every query
+#: answer stays bit-identical.  ``delta_rebuilds`` and ``moved_nodes``
+#: were counted by the removed delta refresh; runs archived before its
+#: removal still carry them.
 TOPOLOGY_COST_METRICS: Tuple[str, ...] = (
     "topology.rebuilds",
     "topology.delta_rebuilds",

@@ -34,7 +34,7 @@ def line_positions(n, spacing=8.0):
 
 def _full_rebuild(topology, pos, down):
     """A refresh that recomputes connectivity from scratch and reports
-    the adjacency as changed."""
+    that it rebuilt."""
     topology._rebuild(pos, down)
     return True
 
@@ -42,10 +42,10 @@ def _full_rebuild(topology, pos, down):
 def pin_full_rebuild(world):
     """Make ``world``'s topology backend rebuild from scratch on every refresh.
 
-    Binds :func:`_full_rebuild` over the backend's delta ``_update``, so
-    each refresh recomputes connectivity, advances the adjacency epoch
-    and flushes every memo -- the reference the delta refresh must match
-    bit for bit.  Returns ``world``.
+    Binds :func:`_full_rebuild` over the backend's keep-or-rebuild
+    ``_update``, so each refresh recomputes connectivity and flushes
+    every memo, even when nothing changed -- the reference the refresh
+    rule must match bit for bit.  Returns ``world``.
     """
     world.topology._update = types.MethodType(_full_rebuild, world.topology)
     return world
@@ -55,9 +55,8 @@ class DenseOracle(TopologyBackend):
     """The O(n²) reference connectivity the grid must equal exactly.
 
     One pairwise-distance pass per refresh into a boolean (n, n) matrix
-    (no delta: every refresh is a full rebuild), neighbour rows and
-    degrees read off the matrix, BFS by frontier expansion over matrix
-    rows.  Snapshot lifecycle, distance cache and counters are the
+    (every refresh is a full rebuild), neighbour rows and degrees read
+    off the matrix, BFS by frontier expansion over matrix rows.  Snapshot lifecycle, distance cache and counters are the
     grid's.  Install it with ``world.topology = DenseOracle(world)``.
     """
 

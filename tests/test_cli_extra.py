@@ -192,6 +192,34 @@ class TestRunRejectsBadConfig:
         assert errors[0].startswith("p2p-manet run: error: ")
 
 
+class TestSweepRejectsBadConfig:
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["nodes", "1", "--duration", "5"], "got 1"),
+            (["mobility", "teleport"], "'teleport'"),
+            (["nodes", "abc"], "'abc'"),
+        ],
+        ids=["one-node", "unknown-mobility", "non-int-nodes"],
+    )
+    def test_exits_2_with_one_line(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and value in errors[0], err
+        assert errors[0].startswith("p2p-manet sweep: error: ")
+
+    def test_bad_point_fails_before_any_run(self, capsys):
+        # The good first point must not run (and print) before the bad
+        # second one is rejected.
+        with pytest.raises(SystemExit):
+            main(["sweep", "nodes", "10", "1", "--duration", "5"])
+        assert capsys.readouterr().out == ""
+
+
 class TestSweepJson:
     def test_sweep_json(self, capsys):
         assert (

@@ -1,16 +1,17 @@
-"""Delta refresh under sustained motion, deaths and clock jumps.
+"""The snapshot refresh rule under sustained motion, deaths and clock jumps.
 
 These regressions were written for the kinetic (horizon-driven) refresh
-path that used to sit beside the delta path; the delta refresh is now
-the only one, and each check runs it in lockstep against the
-full-rebuild oracle (``helpers.pin_full_rebuild``):
+path that used to sit beside the delta path; both are gone, and a stale
+snapshot is now kept when neither the positions nor the down mask
+changed and rebuilt otherwise.  Each check runs that rule in lockstep
+against the full-rebuild oracle (``helpers.pin_full_rebuild``):
 
 * lockstep query identity at every step under sustained mobility, also
   against the dense matrix (``helpers.DenseOracle``);
-* a node dying (churn or energy depletion) must bump the epoch and
-  disappear from answers immediately;
+* a node dying (churn or energy depletion) must drop the snapshot and
+  its distance cache and disappear from answers immediately;
 * a mobility source that publishes nothing but ``positions(t)`` is
-  enough for the delta refresh;
+  enough for the refresh rule;
 * a backwards clock jump is answered from fresh positions.
 """
 
@@ -71,31 +72,34 @@ def test_lockstep_queries_identical_under_mobility(seed, oracle):
             np.testing.assert_array_equal(fast.hops_from(src), full.hops_from(src))
         np.testing.assert_array_equal(fast.degrees(), full.degrees())
         np.testing.assert_array_equal(fast.adjacency(), full.adjacency())
-    assert fast.registry.value("topology.delta_rebuilds") > 0
 
 
 class TestDeathBeforePredictedCrossing:
     def test_churn_death_disarms_horizons_and_bumps_epoch(self):
-        # Long pauses: the early refreshes move nobody and keep the epoch.
+        # Long pauses: the early refreshes move nobody and keep the snapshot.
         world = _waypoint_world(12, seed=5, max_pause=200.0)
         world.hops_from(0)
         advance(world, 0.1)
         world.neighbors(0)
-        e0 = world.adjacency_epoch
+        builds0 = world.registry.value("topology.csr_builds")
+        hits0 = world.registry.value("topology.dist_cache_hits")
         victim = int(world.neighbors(0)[0]) if world.neighbors(0).size else 1
         world.set_down(victim)
-        # The death dropped the snapshot and bumped the epoch, and the
+        # The death dropped the snapshot and its distance cache, and the
         # node vanishes from answers immediately.
         assert world.topology.snapshot_time == -1.0
-        assert world.adjacency_epoch > e0
         advance(world, 0.2)
         assert victim not in world.neighbors(0)
+        world.hops_from(0)
+        assert world.registry.value("topology.dist_cache_hits") == hits0
         assert world.hops_from(victim).max() == -1  # UNREACHABLE everywhere
-        # The refresh after the death rebuilt; the next one is a delta.
-        deltas0 = world.registry.value("topology.delta_rebuilds")
+        # The refresh after the death rebuilt; the next one, with nobody
+        # moving, keeps that snapshot's CSR.
+        builds = world.registry.value("topology.csr_builds")
+        assert builds == builds0 + 1
         advance(world, 0.3)
         world.neighbors(0)
-        assert world.registry.value("topology.delta_rebuilds") == deltas0 + 1
+        assert world.registry.value("topology.csr_builds") == builds
         assert victim not in world.neighbors(0)
 
     def test_energy_depletion_death_matches_full_lane(self):
@@ -151,9 +155,10 @@ class TestGracefulDegradation:
         for t in (1.0, 2.0):
             advance(world, t)
             world.neighbors(0)
-        # The delta diff runs on it and answers stay live.
-        assert world.registry.value("topology.delta_rebuilds") == 2
-        assert world.registry.value("topology.moved_nodes") == 20
+        # Every node moved each time, so every refresh rebuilt and each
+        # read saw a fresh CSR.
+        assert world.registry.value("topology.rebuilds") == 3
+        assert world.registry.value("topology.csr_builds") == 3
 
     def test_backwards_clock_takes_the_safe_path(self):
         world = _waypoint_world(10, seed=3)
