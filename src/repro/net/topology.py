@@ -271,8 +271,8 @@ class TopologyBackend:
         ascending order; down nodes have empty rows and appear in no
         row.  This is the zero-copy analytics surface the vectorized
         graph kernels (:mod:`repro.metrics.graphfast`) operate on --
-        callers must not mutate the returned arrays, and the arrays do
-        not hold across refreshes (re-fetch after one).
+        callers must not mutate the returned arrays and must not hold
+        them across refreshes (re-fetch after one).
         """
         return self._require_csr()
 
