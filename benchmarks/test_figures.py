@@ -5,21 +5,23 @@ deduplicated ``ExperimentExecutor`` batch: figures 5/7/9/11 harvest the
 same 50-node runs and 6/8/10/12 the same 150-node runs, so every run
 executes once.  Settings are ``DEFAULT_FIGURE_SETTINGS`` unless the
 ``REPRO_BENCH_*`` knobs (see benchmarks/conftest.py) override them.
-Prints each figure's series and asserts its qualitative shape.
+Prints each figure's series and its paper comparison, and asserts the
+claims each figure must reproduce.
 """
 
 from repro.experiments import (
     ExperimentExecutor,
-    render_checks,
+    compare_with_paper,
     render_figure,
+    render_paper_comparison,
     reproduce_all,
-    shape_checks,
 )
 from repro.obs.registry import Registry
 
 from .conftest import env_duration, env_reps
 
-#: shape checks each figure must pass (the others are printed only)
+#: paper claims (exact ids) each figure must agree with; the others are
+#: printed only
 REQUIRED_CHECKS = {
     "fig5": (),
     "fig6": (),
@@ -58,8 +60,8 @@ def test_figures(benchmark, tmp_path):
     for exp_id, required in REQUIRED_CHECKS.items():
         result = results[exp_id]
         print(render_figure(result))
-        print(render_checks(result))
-        checks = {name: (holds, detail) for name, holds, detail in shape_checks(result)}
-        for name in required:
-            holds, detail = checks[name]
-            assert holds, f"{exp_id}: shape expectation failed: {name} ({detail})"
+        print(render_paper_comparison(result))
+        rows = {row["claim"]: row for row in compare_with_paper(result)}
+        for claim in required:
+            row = rows[claim]
+            assert row["holds"], f"{exp_id}: paper claim failed: {claim} ({row['measured']})"

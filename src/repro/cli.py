@@ -23,17 +23,17 @@ import os
 import sys
 
 from .experiments import (
+    PAPER_FIGURES,
     figure_chart,
     figure_result_to_csv,
     figure_result_to_json,
-    render_checks,
     render_figure,
+    render_paper_comparison,
     render_table,
     run_figure,
     table1_rows,
     table2_rows,
 )
-from .experiments.report import render_paper_comparison
 from .scenarios import ScenarioConfig, build_scenario, run_scenario
 from .scenarios.config import ALGORITHMS, QUERY_POLICY_KINDS, ROUTINGS
 
@@ -49,18 +49,24 @@ def _scenario(args: argparse.Namespace, **fields) -> ScenarioConfig:
         args.error(str(err))
 
 
+def _positive(kind):
+    """An argparse type: ``kind(text)``, which must be > 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
-    result = run_figure(
-        args.figure,
-        duration=args.duration,
-        reps=args.reps,
-        seed=args.seed,
-        routing=args.routing,
-        overrides={
-            "rebroadcast": args.rebroadcast,
-            "query_policy": args.query_policy,
-        },
-    )
+    settings = dict(duration=args.duration, seed=args.seed, routing=args.routing)
+    policies = dict(rebroadcast=args.rebroadcast, query_policy=args.query_policy)
+    _scenario(args, **settings, **policies)  # a bad value is a usage error before any run
+    result = run_figure(args.figure, reps=args.reps, overrides=policies, **settings)
     if args.json:
         print(figure_result_to_json(result))
         return 0
@@ -73,10 +79,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         key = "curve" if result.kind == "message_curve" else "answers"
         print(figure_chart(result, key=key))
     print()
-    print(render_checks(result))
-    if args.compare:
-        print()
-        print(render_paper_comparison(result))
+    print(render_paper_comparison(result))
     return 0
 
 
@@ -367,17 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig = sub.add_parser("figure", help="reproduce a paper figure (fig5..fig12)")
-    fig.add_argument("figure", choices=[f"fig{i}" for i in range(5, 13)])
-    fig.add_argument("--duration", type=float, default=600.0, help="seconds per run")
-    fig.add_argument("--reps", type=int, default=3, help="repetitions (paper: 33)")
+    fig.add_argument("figure", choices=tuple(PAPER_FIGURES))
+    fig.add_argument("--duration", type=_positive(float), default=600.0, help="seconds per run")
+    fig.add_argument("--reps", type=_positive(int), default=3, help="repetitions (paper: 33)")
     fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--routing", choices=ROUTINGS, default="aodv")
     fig.add_argument("--json", action="store_true", help="emit JSON instead of text")
     fig.add_argument("--csv", action="store_true", help="emit long-format CSV")
     fig.add_argument("--chart", action="store_true", help="add an ASCII chart")
-    fig.add_argument(
-        "--compare", action="store_true", help="compare against the paper's claims"
-    )
     _add_policy_args(fig)
     fig.set_defaults(func=_cmd_figure)
 
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("values", nargs="+", help="values to sweep over")
     sweep.add_argument("--duration", type=float, default=300.0)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--reps", type=int, default=1, help="repetitions per point")
+    sweep.add_argument("--reps", type=_positive(int), default=1, help="repetitions per point")
     _add_policy_args(sweep)
     _add_processes_arg(sweep, "grid points (one simulation each)")
     sweep.add_argument("--json", action="store_true", help="emit point results as JSON")
@@ -450,10 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--out", default="results", help="output directory")
     rep.add_argument(
-        "--figures", nargs="*", default=None, help="subset (default: fig5..fig12)"
+        "--figures", nargs="*", choices=tuple(PAPER_FIGURES), help="subset (default: fig5..fig12)"
     )
-    rep.add_argument("--duration", type=float, default=None, help="override seconds/run")
-    rep.add_argument("--reps", type=int, default=None, help="override repetitions")
+    rep.add_argument("--duration", type=_positive(float), help="override seconds/run")
+    rep.add_argument("--reps", type=_positive(int), help="override repetitions")
     rep.add_argument("--seed", type=int, default=0)
     _add_processes_arg(rep, "the deduplicated run batch")
     _add_cache_args(rep, "<out>/runs.ndjson")

@@ -7,7 +7,6 @@ from .figures import (
     FigureResult,
     figure_configs,
     run_figure,
-    shape_checks,
 )
 from .export import (
     figure_result_to_csv,
@@ -16,7 +15,7 @@ from .export import (
 )
 from .paper_values import PAPER_FIGURES, PaperFigure, compare_with_paper
 from .plots import ascii_chart, figure_chart
-from .report import render_checks, render_figure, render_table
+from .report import render_figure, render_paper_comparison, render_table
 from .reproduce import DEFAULT_FIGURE_SETTINGS, reproduce_all
 from .storage import ResultStore
 from .sweeps import SweepPointResult, SweepSpec, run_sweep, sweep_grid
@@ -49,9 +48,8 @@ __all__ = [
     "ALGORITHM_ORDER",
     "FigureResult",
     "run_figure",
-    "shape_checks",
-    "render_checks",
     "render_figure",
+    "render_paper_comparison",
     "render_table",
     "TOPOLOGIES",
     "TopologyTraits",

@@ -34,7 +34,6 @@ __all__ = [
     "FigureResult",
     "figure_configs",
     "run_figure",
-    "shape_checks",
 ]
 
 ALGORITHM_ORDER = ("basic", "regular", "random", "hybrid")
@@ -171,102 +170,3 @@ def run_figure(
             result.series[alg] = {"curve": curve}
             result.totals[alg] = float(np.mean([r.totals[family] for r in alg_runs]))
     return result
-
-
-# ----------------------------------------------------------------------
-# shape expectations (§7.4 qualitative claims; see DESIGN.md §3)
-# ----------------------------------------------------------------------
-def shape_checks(result: FigureResult) -> List[tuple]:
-    """Evaluate the paper's qualitative claims against a result.
-
-    Returns ``[(claim, holds, detail), ...]``.  Benches assert the
-    critical ones; EXPERIMENTS.md records them all.
-    """
-    checks: List[tuple] = []
-    s = result.series
-    if result.kind == "distance_answers":
-        for alg in result.algorithms():
-            answers = s[alg]["answers"]
-            # Zipf decay: most popular file gets the most answers; the
-            # first rank dominates the tail ranks.
-            tail = answers[5:].mean() if len(answers) > 5 else answers[-1]
-            checks.append(
-                (
-                    f"{alg}: answers decay with rank",
-                    bool(answers[0] >= tail),
-                    f"rank1={answers[0]:.2f} tail_mean={tail:.2f}",
-                )
-            )
-            dist = s[alg]["distance"]
-            finite = dist[np.isfinite(dist)]
-            if len(finite) >= 4:
-                first = finite[: len(finite) // 2].mean()
-                second = finite[len(finite) // 2 :].mean()
-                checks.append(
-                    (
-                        f"{alg}: distance tends to increase with rank",
-                        bool(second >= first * 0.85),
-                        f"first_half={first:.2f} second_half={second:.2f}",
-                    )
-                )
-    else:
-        fam = result.family
-        t = result.totals
-        if fam == "connect":
-            checks.append(
-                (
-                    "basic generates the most connect traffic",
-                    bool(t["basic"] >= max(t["regular"], t["hybrid"])),
-                    f"totals={t}",
-                )
-            )
-            checks.append(
-                (
-                    "random sits above regular (long-range TTLs)",
-                    bool(t["random"] >= t["regular"]),
-                    f"random={t['random']:.0f} regular={t['regular']:.0f}",
-                )
-            )
-        elif fam == "ping":
-            checks.append(
-                (
-                    "basic generates the most ping traffic (2x effect)",
-                    bool(t["basic"] >= max(t["regular"], t["random"], t["hybrid"])),
-                    f"totals={t}",
-                )
-            )
-            # Hybrid skew: its top (master) node receives a larger share
-            # of pings than regular's top node.
-            skew = {
-                alg: float(s[alg]["curve"][0] / max(s[alg]["curve"].sum(), 1))
-                for alg in result.algorithms()
-            }
-            checks.append(
-                (
-                    "hybrid load is skewed toward masters",
-                    bool(skew["hybrid"] >= skew["regular"]),
-                    f"top-node share={ {k: round(v, 3) for k, v in skew.items()} }",
-                )
-            )
-        elif fam == "query":
-            skew = {
-                alg: float(s[alg]["curve"][0] / max(s[alg]["curve"].sum(), 1))
-                for alg in result.algorithms()
-            }
-            checks.append(
-                (
-                    "hybrid queries are skewed toward masters",
-                    bool(skew["hybrid"] >= skew["regular"]),
-                    f"top-node share={ {k: round(v, 3) for k, v in skew.items()} }",
-                )
-            )
-        for alg in result.algorithms():
-            curve = s[alg]["curve"]
-            checks.append(
-                (
-                    f"{alg}: curve sorted decreasing",
-                    bool((np.diff(curve) <= 1e-9).all()),
-                    f"head={curve[:3]}",
-                )
-            )
-    return checks

@@ -11,9 +11,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .figures import FigureResult, shape_checks
+from .figures import FigureResult
+from .paper_values import PAPER_FIGURES, compare_with_paper
 
-__all__ = ["render_table", "render_figure", "render_checks"]
+__all__ = ["render_table", "render_figure", "render_paper_comparison"]
 
 
 def render_table(rows: Sequence[Sequence[str]], title: str = "") -> str:
@@ -81,19 +82,8 @@ def render_figure(result: FigureResult, max_rows: int = 12) -> str:
     return "\n".join(lines)
 
 
-def render_checks(result: FigureResult) -> str:
-    """Render the shape-expectation checklist for a result."""
-    lines = [f"shape checks for {result.exp_id}:"]
-    for claim, holds, detail in shape_checks(result):
-        mark = "PASS" if holds else "FAIL"
-        lines.append(f"  [{mark}] {claim}  ({detail})")
-    return "\n".join(lines)
-
-
 def render_paper_comparison(result: FigureResult) -> str:
     """Render the paper-claim vs measured comparison for a result."""
-    from .paper_values import PAPER_FIGURES, compare_with_paper
-
     paper = PAPER_FIGURES[result.exp_id]
     lines = [f'paper vs measured for {result.exp_id} ("{paper.caption}"):']
     for row in compare_with_paper(result):

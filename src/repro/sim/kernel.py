@@ -17,11 +17,15 @@ Design notes
   ties left to break, so the dispatch order does not depend on the
   heap's internal layout (a compaction may re-heapify freely).
 * Cancellation is lazy (events carry a ``cancelled`` flag and are skipped
-  when popped) so cancelling the thousands of ping timeouts a p2p run
-  creates is O(1) each.  To keep lazy cancellation from bloating the
-  queue on long runs, the kernel counts dead entries and *compacts* (one
-  O(live) filter pass) whenever cancelled events outnumber live
-  ones; the registry counters ``kernel.events_skipped`` and
+  when popped), so a cancel is O(1).  Few events are ever cancelled:
+  a ping's pong deadline is left to fire when the pong arrives (it then
+  finds nothing awaited), and the only cancellers are a counter
+  rebroadcast policy calling off an assessment once it hears enough
+  duplicates (``CounterPolicy.duplicate``) and ``Process.kill``
+  dropping a killed process's pending wake-up.  Should cancelled
+  events pile up anyway, the kernel counts dead entries and *compacts*
+  (one O(live) filter pass) whenever they outnumber live ones; the
+  registry counters ``kernel.events_skipped`` and
   ``kernel.heap_compactions`` expose the cost.
 * The live-event count is maintained incrementally (+1 on schedule, -1
   on dispatch or cancel), so ``pending()`` / ``len(sim)`` / the obs

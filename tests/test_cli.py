@@ -88,4 +88,4 @@ class TestCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "fig9" in out and "shape checks" in out
+        assert "fig9" in out and "paper vs measured" in out

@@ -49,10 +49,17 @@ class TestFigureFormats:
         assert out.startswith("exp_id,algorithm,series,index,value")
 
     def test_chart_and_compare(self, capsys):
-        assert main(self.ARGS + ["--chart", "--compare"]) == 0
+        assert main(self.ARGS + ["--chart"]) == 0
         out = capsys.readouterr().out
         assert "paper vs measured" in out
         assert "|" in out  # chart axis
+
+    def test_compare_flag_removed(self, capsys):
+        # the paper comparison is always printed; the old flag is an error
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--compare"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --compare" in capsys.readouterr().err
 
 
 class TestReproduceCommand:
@@ -218,6 +225,44 @@ class TestSweepRejectsBadConfig:
         with pytest.raises(SystemExit):
             main(["sweep", "nodes", "10", "1", "--duration", "5"])
         assert capsys.readouterr().out == ""
+
+
+class TestBadValuesRejected:
+    """``figure``, ``reproduce`` and ``sweep`` reject a bad value with one
+    usage line (exit 2) before anything runs or is written."""
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["figure", "fig9", "--rebroadcast", "bogus"], "'bogus'"),
+            (["figure", "fig9", "--reps", "0"], "--reps: must be positive"),
+            (["figure", "fig9", "--duration", "-5"], "--duration: must be positive"),
+            (["reproduce", "--figures", "fig99"], "'fig99'"),
+            (["reproduce", "--reps", "0"], "--reps: must be positive"),
+            (["sweep", "nodes", "20", "--reps", "0"], "--reps: must be positive"),
+        ],
+        ids=[
+            "figure-rebroadcast",
+            "figure-reps",
+            "figure-duration",
+            "reproduce-figures",
+            "reproduce-reps",
+            "sweep-reps",
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv, value, tmp_path, capsys):
+        if argv[0] == "reproduce":
+            argv = argv + ["--out", str(tmp_path / "res")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and value in errors[0], captured.err
+        assert errors[0].startswith(f"p2p-manet {argv[0]}: error: ")
+        assert not (tmp_path / "res").exists()  # nothing written
 
 
 class TestSweepJson:

@@ -6,14 +6,13 @@ import pytest
 from repro.experiments import (
     ExperimentExecutor,
     FigureResult,
+    compare_with_paper,
     figure_configs,
     figure_result_to_json,
-    render_checks,
     render_figure,
     render_table,
     reproduce_all,
     run_figure,
-    shape_checks,
     table1_rows,
     table2_rows,
 )
@@ -126,25 +125,6 @@ class TestRender:
         out = render_figure(res)
         assert "figX" in out and "5.00" in out and "totals" in out
 
-    def test_render_checks_marks(self):
-        res = FigureResult(
-            exp_id="figY",
-            kind="message_curve",
-            num_nodes=4,
-            duration=10.0,
-            reps=1,
-            family="ping",
-        )
-        res.series = {
-            "basic": {"curve": np.array([5.0, 1.0])},
-            "regular": {"curve": np.array([2.0, 1.0])},
-            "random": {"curve": np.array([2.0, 1.0])},
-            "hybrid": {"curve": np.array([3.0, 0.5])},
-        }
-        res.totals = {"basic": 6.0, "regular": 3.0, "random": 3.0, "hybrid": 3.5}
-        out = render_checks(res)
-        assert "PASS" in out
-
 
 class TestShapeChecks:
     def test_connect_shape_detects_violation(self):
@@ -160,5 +140,5 @@ class TestShapeChecks:
             a: {"curve": np.array([1.0])} for a in ("basic", "regular", "random", "hybrid")
         }
         res.totals = {"basic": 1.0, "regular": 100.0, "random": 1.0, "hybrid": 1.0}
-        checks = {c[0]: c[1] for c in shape_checks(res)}
-        assert checks["basic generates the most connect traffic"] is False
+        holds = {r["claim"]: r["holds"] for r in compare_with_paper(res)}
+        assert holds["basic generates the most connect traffic"] is False

@@ -200,3 +200,20 @@ class TestSortedCurveMean:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sorted_curve_mean([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=1000), max_size=12),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_ragged_sorted_curves_stay_sorted_decreasing(self, counts):
+        # repetitions' sorted, non-negative per-node counts (ragged under
+        # churn) average to a curve that is still sorted decreasing, so
+        # the figures 7-12 curves need no runtime check
+        curves = [np.array(sorted(c, reverse=True), dtype=float) for c in counts]
+        out = sorted_curve_mean(curves)
+        assert len(out) == max(len(c) for c in curves)
+        assert (np.diff(out) <= 1e-9).all()

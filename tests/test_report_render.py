@@ -1,9 +1,9 @@
-"""Tests for report rendering helpers (paper comparison, checks)."""
+"""Tests for report rendering helpers (paper comparison)."""
 
 import numpy as np
 
 from repro.experiments.figures import FigureResult
-from repro.experiments.report import render_checks, render_paper_comparison
+from repro.experiments.report import render_paper_comparison
 
 
 def curve_result(totals, exp_id="fig7", family="connect"):
@@ -39,12 +39,3 @@ class TestRenderPaperComparison:
         res = curve_result({"basic": 100, "regular": 40, "random": 60, "hybrid": 40})
         out = render_paper_comparison(res)
         assert "indiscriminately" in out  # quoted paper text
-
-
-class TestRenderChecks:
-    def test_pass_and_fail_marks(self):
-        good = curve_result({"basic": 100, "regular": 40, "random": 60, "hybrid": 40})
-        out = render_checks(good)
-        assert "[PASS]" in out
-        bad = curve_result({"basic": 1, "regular": 400, "random": 2, "hybrid": 1})
-        assert "[FAIL]" in render_checks(bad)
