@@ -43,7 +43,7 @@ def overlay_timeline(algorithm: str, *, snapshots=None):
     rows = []
     for t in snapshots:
         s.sim.run(until=t)
-        rows.append((t, s.analytics.smallworld_stats(s.overlay.graph())))
+        rows.append((t, s.analytics.smallworld_stats(*s.overlay.csr())))
     return rows
 
 

@@ -3,10 +3,12 @@
 Every overlay/graph-metric consumer in the package (the scenario
 harvest, the connectivity bundle, the small-world stats, the message
 curves) asks one :class:`AnalyticsEngine`.  The engine keeps no state
-between calls: each method builds the view it needs (the topology's CSR
-for world views, :func:`~repro.metrics.graphfast.graph_csr` for
-networkx graphs) and runs the vectorized kernels in
-:mod:`repro.metrics.graphfast`.
+between calls: each method takes or builds the CSR view it needs (the
+topology's CSR for world views, the overlay's own CSR for the
+small-world harvest, :func:`~repro.metrics.graphfast.graph_csr` for the
+networkx graphs that :mod:`repro.theory` and the test oracles generate)
+and runs the vectorized kernels in :mod:`repro.metrics.graphfast`.
+Nothing here imports networkx.
 
 There is one path and no mode.  ``scenarios.runner.harvest`` asks once,
 at the end of a run, so per-view state maintained between calls would
@@ -126,7 +128,7 @@ class AnalyticsEngine:
         }
 
     # ------------------------------------------------------------------
-    # graph-view analytics (nx input tolerated at the API edge only)
+    # graph-view analytics (networkx input at the theory API edge only)
     # ------------------------------------------------------------------
     def clustering_coefficient(self, g) -> float:
         """Average clustering coefficient of a networkx graph.
@@ -143,18 +145,26 @@ class AnalyticsEngine:
         indptr, indices, _ = graph_csr(g)
         return self._path_length(indptr, indices)
 
-    def smallworld_stats(self, g) -> Dict[str, float]:
+    def smallworld_stats(
+        self, indptr: np.ndarray, indices: np.ndarray
+    ) -> Dict[str, float]:
         """Clustering + path length + the paper's reference values.
 
-        One ``graph_csr`` build feeds both metrics (the legacy module
-        built the CSR once per metric).
+        Takes a CSR adjacency -- the harvest passes
+        :meth:`repro.core.overlay.OverlayNetwork.csr`; a networkx graph
+        goes through ``graph_csr(g)[:2]`` -- so one CSR feeds both
+        metrics and the run path needs no graph library.
+
+        >>> import numpy as np
+        >>> triangle = np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 0, 1])
+        >>> stats = AnalyticsEngine().smallworld_stats(*triangle)
+        >>> stats["n"], stats["mean_degree"], stats["clustering"], stats["path_length"]
+        (3.0, 2.0, 1.0, 1.0)
         """
         from .smallworld import random_graph_pathlength, regular_graph_pathlength
 
-        n = g.number_of_nodes()
-        degrees = [d for _, d in g.degree]
-        k = float(np.mean(degrees)) if degrees else 0.0
-        indptr, indices, _ = graph_csr(g)
+        n = len(indptr) - 1
+        k = float(np.mean(np.diff(indptr))) if n else 0.0
         stats = {
             "n": float(n),
             "mean_degree": k,

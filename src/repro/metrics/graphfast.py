@@ -10,8 +10,9 @@ metric sampling dominates the run.
 This module is the replacement: every kernel operates on a CSR adjacency
 ``(indptr, indices)`` -- ``indices[indptr[i]:indptr[i+1]]`` are node
 ``i``'s neighbors ascending -- exactly the arrays the topology backend
-(:meth:`repro.net.topology.TopologyBackend.csr`) and
-:func:`graph_csr` (for networkx graphs) hand out.
+(:meth:`repro.net.topology.TopologyBackend.csr`), the overlay
+(:meth:`repro.core.overlay.OverlayNetwork.csr`) and :func:`graph_csr`
+(for networkx graphs) hand out.  Nothing here imports networkx.
 
 * :func:`multi_source_hops` -- bit-parallel level-synchronous BFS: 64
   sources share each uint64 bit lane, and one ``bitwise_or.reduceat``
@@ -115,6 +116,8 @@ def graph_csr(g) -> Tuple[np.ndarray, np.ndarray, List]:
     ``nodes`` is ``list(g.nodes)`` and row ``i`` belongs to ``nodes[i]``;
     neighbor indices within each row are ascending.  Only the graph's
     *structure* is read (nodes/edges) -- no networkx algorithms run.
+    The simulation never needs it (the overlay builds its own CSR); it
+    serves the graphs :mod:`repro.theory` and the test oracles generate.
     """
     nodes = list(g.nodes)
     n = len(nodes)

@@ -8,12 +8,14 @@ reference values the paper quotes (``n/2k`` and ``log n / log k``).
 
 Measured graph metrics (clustering coefficient, characteristic path
 length, the combined small-world bundle) live on
-:class:`repro.metrics.analytics.AnalyticsEngine`, which builds the CSR
-once per call and feeds both metrics from it:
+:class:`repro.metrics.analytics.AnalyticsEngine`.  The bundle takes one
+CSR and feeds both metrics from it -- the overlay hands out its own, a
+networkx graph goes through ``graph_csr``:
 
 >>> from repro.metrics.analytics import AnalyticsEngine
 >>> engine = AnalyticsEngine()
->>> engine.smallworld_stats(g)          # doctest: +SKIP
+>>> engine.smallworld_stats(*simulation.overlay.csr())    # doctest: +SKIP
+>>> engine.smallworld_stats(*graph_csr(g)[:2])            # doctest: +SKIP
 """
 
 from __future__ import annotations

@@ -26,22 +26,33 @@ set lookup.  Each crossing fires :attr:`EnergyModel.on_depleted` once,
 inside the charge that caused it: the world points that hook at
 ``World.set_down``, so whoever charged, the drained node leaves the
 up-set and the topology at that charge, with no poll to forget.
-``consumed`` must therefore only be mutated through ``charge_tx`` /
-``charge_rx`` / ``charge_rx_many``.
+The ledger itself is three plain-Python lists: a charge is one float
+addition and one int increment on list items, with no numpy scalar
+boxing.  ``consumed``, ``tx_count`` and ``rx_count`` read them out as
+fresh read-only numpy arrays, so a stray write raises instead of
+silently editing a copy; the ledger changes only through
+``charge_tx`` / ``charge_rx`` / ``charge_rx_many``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = ["EnergyModel"]
 
 
+def _frozen(values: list, dtype) -> np.ndarray:
+    """A fresh read-only array of ``values``."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 class EnergyModel:
-    """Vectorized energy ledger for ``n`` nodes.
+    """Energy ledger for ``n`` nodes.
 
     Parameters
     ----------
@@ -74,9 +85,9 @@ class EnergyModel:
         self.tx_per_byte = tx_per_byte
         self.rx_fixed = rx_fixed
         self.rx_per_byte = rx_per_byte
-        self.consumed = np.zeros(self.n)
-        self.tx_count = np.zeros(self.n, dtype=np.int64)
-        self.rx_count = np.zeros(self.n, dtype=np.int64)
+        self._consumed: List[float] = [0.0] * self.n
+        self._tx_count: List[int] = [0] * self.n
+        self._rx_count: List[int] = [0] * self.n
         #: whether depletion can happen at all (skips every threshold check)
         self.finite = math.isfinite(self.capacity)
         #: ids that crossed the capacity threshold
@@ -86,33 +97,58 @@ class EnergyModel:
         self.on_depleted: Optional[Callable[[int], None]] = None
 
     # ------------------------------------------------------------------
+    @property
+    def consumed(self) -> np.ndarray:
+        """Joules consumed per node (a fresh read-only float64 array)."""
+        return _frozen(self._consumed, np.float64)
+
+    @property
+    def tx_count(self) -> np.ndarray:
+        """Transmissions charged per node (a fresh read-only int64 array)."""
+        return _frozen(self._tx_count, np.int64)
+
+    @property
+    def rx_count(self) -> np.ndarray:
+        """Receptions charged per node (a fresh read-only int64 array)."""
+        return _frozen(self._rx_count, np.int64)
+
+    # ------------------------------------------------------------------
     def charge_tx(self, node: int, size: int) -> None:
         """Charge ``node`` for transmitting ``size`` bytes."""
-        self.consumed[node] += self.tx_fixed + self.tx_per_byte * size
-        self.tx_count[node] += 1
-        if self.finite and self.consumed[node] >= self.capacity:
+        consumed = self._consumed
+        consumed[node] += self.tx_fixed + self.tx_per_byte * size
+        self._tx_count[node] += 1
+        if self.finite and consumed[node] >= self.capacity:
             self._mark_depleted(node)
 
     def charge_rx(self, node: int, size: int) -> None:
         """Charge ``node`` for receiving ``size`` bytes."""
-        self.consumed[node] += self.rx_fixed + self.rx_per_byte * size
-        self.rx_count[node] += 1
-        if self.finite and self.consumed[node] >= self.capacity:
+        consumed = self._consumed
+        consumed[node] += self.rx_fixed + self.rx_per_byte * size
+        self._rx_count[node] += 1
+        if self.finite and consumed[node] >= self.capacity:
             self._mark_depleted(node)
 
-    def charge_rx_many(self, nodes: np.ndarray, size: int) -> None:
+    def charge_rx_many(self, nodes: Sequence[int], size: int) -> None:
         """Charge every node in ``nodes`` for receiving ``size`` bytes.
 
-        ``nodes`` must hold *distinct* ids (a fancy-indexed add applies
-        once per distinct index).  Each node gets the same single float
-        addition :meth:`charge_rx` would make, so ``consumed`` stays
-        bit-identical to ``len(nodes)`` per-node calls.
+        ``nodes`` must hold *distinct* ids.  Each node gets the same
+        single float addition :meth:`charge_rx` would make, so
+        ``consumed`` stays bit-identical to ``len(nodes)`` per-node
+        calls; capacity crossings fire after all charges, in the order
+        of ``nodes``.
         """
-        self.consumed[nodes] += self.rx_fixed + self.rx_per_byte * size
-        self.rx_count[nodes] += 1
+        cost = self.rx_fixed + self.rx_per_byte * size
+        consumed = self._consumed
+        rx_count = self._rx_count
+        for node in nodes:
+            consumed[node] += cost
+            rx_count[node] += 1
         if self.finite:
-            for node in nodes[self.consumed[nodes] >= self.capacity].tolist():
-                self._mark_depleted(node)
+            capacity = self.capacity
+            for node in nodes:
+                if consumed[node] >= capacity:
+                    self._mark_depleted(node)
 
     def _mark_depleted(self, node: int) -> None:
         node = int(node)
@@ -124,7 +160,7 @@ class EnergyModel:
     # ------------------------------------------------------------------
     def remaining(self, node: int) -> float:
         """Energy left for ``node`` (may be ``inf``)."""
-        return self.capacity - float(self.consumed[node])
+        return self.capacity - self._consumed[node]
 
     def depleted(self) -> np.ndarray:
         """Boolean mask of nodes that have run out of energy."""

@@ -237,18 +237,18 @@ class Channel:
                 deliver(dst, frame)
             return
         # Re-check liveness at delivery time (nodes may have died in flight).
-        live = world.up_among(receivers)
-        if not len(live):
+        live = world.up_among(receivers).tolist()
+        if not live:
             return
         energy.charge_rx_many(live, frame.size)
         self._c_delivered.value += len(live)
         kind = frame.kind
         plane = self._planes.get(kind)
         if plane is not None:
-            plane(live.tolist(), frame)
+            plane(live, frame)
             return
         nodes = self.nodes
-        for dst in live.tolist():
+        for dst in live:
             # The callable passed to NetNode.register, called directly.
             handler = nodes[dst]._handlers.get(kind)
             if handler is not None:

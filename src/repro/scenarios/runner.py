@@ -198,7 +198,7 @@ def harvest(simulation: Simulation) -> RunResult:
         sorted_received=engine.message_curves(metrics, members),
         totals=engine.message_totals(metrics),
         file_stats=per_file_stats(records, cfg.num_files),
-        overlay_stats=engine.smallworld_stats(simulation.overlay.graph()),
+        overlay_stats=engine.smallworld_stats(*simulation.overlay.csr()),
         energy=simulation.world.energy.consumed.copy(),
         num_queries=len(records),
         events=int(registry.value("kernel.events_dispatched")),

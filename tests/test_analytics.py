@@ -204,15 +204,35 @@ class TestConfigAndCli:
 
 
 def test_smallworld_stats_builds_one_csr_per_harvest(monkeypatch):
-    """The legacy module built the CSR once per metric; the engine once."""
-    g = _rgg(40, 15.0, seed=13)
+    """The harvest reads the overlay's own CSR once and builds no graph CSR."""
+    from repro.core.overlay import OverlayNetwork
+    from repro.metrics import graphfast as graphfast_mod
+    from repro.scenarios import build_scenario
+    from repro.scenarios.runner import harvest
+
+    simulation = build_scenario(
+        ScenarioConfig(num_nodes=20, duration=60.0, routing="oracle")
+    )
+    simulation.run()
     builds = []
-    real = analytics_mod.graph_csr
+    real = OverlayNetwork.csr
 
-    def counting(graph):
+    def counting(self):
         builds.append(1)
-        return real(graph)
+        return real(self)
 
-    monkeypatch.setattr(analytics_mod, "graph_csr", counting)
-    AnalyticsEngine().smallworld_stats(g)
+    def forbidden(g):
+        raise AssertionError("graph_csr called by the harvest")
+
+    monkeypatch.setattr(OverlayNetwork, "csr", counting)
+    monkeypatch.setattr(analytics_mod, "graph_csr", forbidden)
+    monkeypatch.setattr(graphfast_mod, "graph_csr", forbidden)
+    harvest(simulation)
     assert len(builds) == 1
+
+
+def test_module_doctests():
+    import doctest
+
+    result = doctest.testmod(analytics_mod)
+    assert result.attempted > 0 and result.failed == 0

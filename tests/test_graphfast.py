@@ -371,6 +371,6 @@ def test_smallworld_stats_records_kernel_counters():
 
     g = rgg_graph(1)
     reg = Registry()
-    AnalyticsEngine(registry=reg).smallworld_stats(g)
+    AnalyticsEngine(registry=reg).smallworld_stats(*graph_csr(g)[:2])
     assert reg.value("graphfast.bfs_sources") == g.number_of_nodes()
     assert reg.value("graphfast.triangle_runs") == 1.0

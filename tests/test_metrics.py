@@ -10,6 +10,7 @@ from repro.core.query import QueryRecord
 from repro.metrics import (
     AnalyticsEngine,
     MetricsCollector,
+    graph_csr,
     mean_ci,
     per_file_stats,
     random_graph_pathlength,
@@ -29,7 +30,7 @@ def characteristic_path_length(g):
 
 
 def smallworld_stats(g):
-    return _engine.smallworld_stats(g)
+    return _engine.smallworld_stats(*graph_csr(g)[:2])
 
 
 class TestCollector:

@@ -245,6 +245,52 @@ class TestEnergyProtocol:
         assert np.array_equal(one.rx_count, many.rx_count)
         assert fired_many == fired_one == [2]
 
+    def test_charges_equal_numpy_ledger(self):
+        # Reference: the float64-array ledger (scalar add per tx, one
+        # fancy-indexed add per rx batch, then crossings in batch order).
+        rng = np.random.default_rng(5)
+        em = EnergyModel(6, capacity=2e-3)
+        fired = []
+        em.on_depleted = fired.append
+        consumed = np.zeros(6)
+        tx = np.zeros(6, dtype=np.int64)
+        rx = np.zeros(6, dtype=np.int64)
+        ref_fired = []
+        for _ in range(40):
+            src = int(rng.integers(6))
+            size = int(rng.integers(20, 120))
+            em.charge_tx(src, size)
+            consumed[src] += em.tx_fixed + em.tx_per_byte * size
+            tx[src] += 1
+            if consumed[src] >= em.capacity and src not in ref_fired:
+                ref_fired.append(src)
+            nodes = np.sort(rng.choice(6, size=3, replace=False))
+            em.charge_rx_many(nodes.tolist(), size)
+            consumed[nodes] += em.rx_fixed + em.rx_per_byte * size
+            rx[nodes] += 1
+            for node in nodes[consumed[nodes] >= em.capacity].tolist():
+                if node not in ref_fired:
+                    ref_fired.append(node)
+        assert np.array_equal(em.consumed, consumed)  # bitwise
+        assert np.array_equal(em.tx_count, tx)
+        assert np.array_equal(em.rx_count, rx)
+        assert em.total_consumed() == float(consumed.sum())
+        assert fired == ref_fired and len(fired) > 1
+
+    def test_ledger_views_are_read_only_snapshots(self):
+        em = EnergyModel(3)
+        em.charge_tx(1, 100)
+        consumed, tx, rx = em.consumed, em.tx_count, em.rx_count
+        assert consumed.dtype == np.float64
+        assert tx.dtype == rx.dtype == np.int64
+        for view in (consumed, tx, rx):
+            with pytest.raises(ValueError):
+                view[0] = 1
+        em.charge_rx_many([0, 1], 100)
+        assert list(rx) == [0, 0, 0]  # a snapshot, not a live view
+        assert list(em.rx_count) == [1, 1, 0]
+        assert em.consumed.copy().flags.writeable
+
     def test_alive_agrees_with_depleted_mask(self):
         em = EnergyModel(4, capacity=1e-4)
         em.charge_tx(1, 10_000)
