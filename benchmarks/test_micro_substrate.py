@@ -1,12 +1,16 @@
 """Micro-benchmarks of the hot substrate paths.
 
-These are classic pytest-benchmark timings (many rounds) of the three
+These are classic pytest-benchmark timings (many rounds) of the
 operations DESIGN.md §5 identifies as performance-critical: vectorized
-position evaluation, the O(n^2) adjacency snapshot, and the vectorized
-BFS.  They exist to catch performance regressions, not paper claims.
+position evaluation, the connectivity snapshot (the full adjacency at
+n = 150 and the n = 50 rebuild + CSR the paper world pays every 0.25 s),
+the vectorized BFS and the event queue (throughput, cancellation churn
+and the hold model at the bench workloads' queue depths).  They exist to
+catch performance regressions, not paper claims.
 """
 
 import numpy as np
+import pytest
 
 from repro.mobility import Area, RandomWaypoint
 from repro.net import World
@@ -129,3 +133,57 @@ def test_broadcast_fanout_batched(benchmark):
     ref = _flood_round(batched=False)
     assert count(sim, "events_dispatched") == count(ref, "events_dispatched")
     assert count(sim, "heap_pushes") < count(ref, "heap_pushes")
+
+
+# Hold model: every dispatched event schedules one successor, so the
+# queue stays at its starting depth.  The depths are ``sim.peak_pending``
+# of the bench's paper_table2 and metro_mobility workloads.
+HOLD_DEPTHS = (225, 20_731)
+HOLD_OPS = 20_000
+
+
+def _hold_queue(depth):
+    """A simulator holding ``depth`` self-rescheduling events (LCG delays)."""
+    sim = Simulator()
+    state = [1]
+
+    def hold():
+        state[0] = (state[0] * 1103515245 + 12345) % (1 << 31)
+        sim.schedule(state[0] / (1 << 31), hold)
+
+    for _ in range(depth):
+        hold()
+    return (sim,), {}
+
+
+def _hold_ops(sim):
+    sim.run(max_events=HOLD_OPS)
+    return sim
+
+
+@pytest.mark.parametrize("depth", HOLD_DEPTHS)
+def test_kernel_hold(benchmark, depth):
+    sim = benchmark.pedantic(_hold_ops, setup=lambda: _hold_queue(depth), rounds=10)
+    assert sim.pending() == depth
+    assert count(sim, "events_dispatched") == HOLD_OPS
+
+
+def test_snapshot_rebuild_csr_n50(benchmark):
+    # The paper world's per-snapshot cost: positions, grid keys and the
+    # CSR of 50 nodes at Table-2 density, one snapshot per round, 0.25 s
+    # (the scenarios' snapshot quantum) after the last.
+    sim = Simulator()
+    mobility = RandomWaypoint(50, Area(100, 100), np.random.default_rng(1))
+    world = World(sim, mobility, radio_range=10.0)
+
+    def snapshot():
+        sim.run(until=sim.now + 0.25)
+        return world.csr()
+
+    indptr, _ = benchmark(snapshot)
+    assert len(indptr) == 51
+    # every round moved a node: each snapshot rebuilt and built its CSR
+    value = world.registry.value
+    assert value("topology.csr_builds", layer="topology") == value(
+        "topology.rebuilds", layer="topology"
+    )

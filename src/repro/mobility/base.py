@@ -137,7 +137,7 @@ class MobilityModel(abc.ABC):
     # ------------------------------------------------------------------
     def _refresh(self, t: float) -> None:
         """Roll expired segments forward so every segment covers ``t``."""
-        expired = np.flatnonzero(self._t1 < t)
+        expired = (self._t1 < t).nonzero()[0]
         for i in expired:
             # A node may complete several segments between queries.
             while self._t1[i] < t:
@@ -159,10 +159,14 @@ class MobilityModel(abc.ABC):
         The returned array is freshly allocated; callers may mutate it.
         """
         self._refresh(t)
-        span = self._t1 - self._t0
+        t0 = self._t0
         # Pauses have span>0 too, so no division guard needed beyond this.
-        frac = np.clip((t - self._t0) / span, 0.0, 1.0)[:, None]
-        return self._origin + frac * (self._dest - self._origin)
+        frac = (t - t0) / (self._t1 - t0)
+        # np.clip(frac, 0, 1), in place through the ufuncs
+        np.maximum(frac, 0.0, out=frac)
+        np.minimum(frac, 1.0, out=frac)
+        origin = self._origin
+        return origin + frac[:, None] * (self._dest - origin)
 
     def position(self, i: int, t: float) -> np.ndarray:
         """Position of node ``i`` at time ``t`` (shape (2,))."""

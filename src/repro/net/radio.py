@@ -166,7 +166,7 @@ class Channel:
         """
         world = self.world
         src = frame.src
-        if not world.is_up(src):
+        if src not in world._up_ids:
             return 0
         receivers = self._receivers(frame)
         world.energy.charge_tx(src, frame.size)
@@ -181,7 +181,7 @@ class Channel:
         src, dst = frame.src, frame.dst
         if dst == BROADCAST:
             return world.up_among(world.neighbors(src))
-        return (dst,) if world.link(src, dst) and world.is_up(dst) else ()
+        return (dst,) if world.link(src, dst) and dst in world._up_ids else ()
 
     def _launch(self, frame: Frame, receivers) -> None:
         """Put one transmission's copies in flight."""
@@ -206,10 +206,13 @@ class Channel:
         (DESIGN.md §5); a lone receiver gets ``copy_fn``.
         """
         k = len(receivers)
-        if k > 1:
-            self.sim.schedule(delay, batch_fn, receivers, *args, weight=k)
-        elif k:
-            self.sim.schedule(delay, copy_fn, int(receivers[0]), *args)
+        if k:
+            # ``schedule()``'s own time expression, pushed directly
+            sim = self.sim
+            if k > 1:
+                sim.schedule_at(sim.now + delay, batch_fn, receivers, *args, weight=k)
+            else:
+                sim.schedule_at(sim.now + delay, copy_fn, int(receivers[0]), *args)
 
     # ------------------------------------------------------------------
     def _deliver_batch(self, receivers: np.ndarray, frame: Frame) -> None:
@@ -256,9 +259,10 @@ class Channel:
 
     def _deliver(self, dst: int, frame: Frame) -> None:
         # Re-check liveness at delivery time (node may have died in flight).
-        if not self.world.is_up(dst):
+        world = self.world
+        if dst not in world._up_ids:
             return
-        self.world.energy.charge_rx(dst, frame.size)
+        world.energy.charge_rx(dst, frame.size)
         self._c_delivered.inc()
         if self.on_deliver is not None:
             self.on_deliver(dst, frame)

@@ -195,9 +195,10 @@ class TopologyBackend:
         self._csr = None
         self._xy = None
 
-    def _pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Every in-range pair ``(src, dst)`` of up nodes, sorted by
-        ``src`` then ``dst``; vectorized over nodes.
+    def _pairs(self) -> np.ndarray:
+        """Every in-range pair ``(src, dst)`` of up nodes, packed as
+        ``src * n + dst`` and ascending (so sorted by ``src`` then
+        ``dst``); vectorized over nodes.
 
         With the up nodes sorted by cell key, the members of one column
         of a node's 3x3 block are one run of that order: ``searchsorted``
@@ -206,21 +207,21 @@ class TopologyBackend:
         filters those.
         """
         key = self._key
-        up = np.flatnonzero(~self._down)
-        members = up[np.argsort(key[up])]
+        up = (~self._down).nonzero()[0]
+        members = up[key[up].argsort()]
         sorted_keys = key[members]
         # the members double as the needles: ascending keys search faster
         column = (_COLUMN_OFFSETS[:, None] + sorted_keys).ravel()
-        lo = np.searchsorted(sorted_keys, column - 1, side="left")
-        counts = np.searchsorted(sorted_keys, column + 1, side="right") - lo
-        src = np.repeat(np.tile(members, len(_COLUMN_OFFSETS)), counts)
+        lo = sorted_keys.searchsorted(column - 1, "left")
+        counts = sorted_keys.searchsorted(column + 1, "right") - lo
+        src = np.concatenate((members, members, members)).repeat(counts)
         dst = members[_gather(lo, counts)]
-        x, y = self._pos[:, 0], self._pos[:, 1]
+        x, y = self._pos.T
         dx, dy = x[src] - x[dst], y[src] - y[dst]
         keep = (dx * dx + dy * dy <= self._r2) & (src != dst)
-        src, dst = src[keep], dst[keep]
-        row_major = np.argsort(src * self.world.n + dst)
-        return src[row_major], dst[row_major]
+        packed = (src * self.world.n + dst)[keep]
+        packed.sort()
+        return packed
 
     # ------------------------------------------------------------------
     # queries
@@ -287,9 +288,10 @@ class TopologyBackend:
     def _build_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every up node's row at once, from :meth:`_pairs`."""
         n = self.world.n
-        src, indices = self._pairs()
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        packed = self._pairs()
+        # row i holds the keys in [i * n, (i + 1) * n)
+        indptr = packed.searchsorted(np.arange(0, n * n + 1, n))
+        indices = packed % n
         indptr.flags.writeable = False
         indices.flags.writeable = False
         return indptr, indices
@@ -350,6 +352,6 @@ class TopologyBackend:
 
 def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The index runs ``starts[k] .. starts[k] + counts[k]``, concatenated."""
-    total = int(counts.sum())
-    run_base = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return run_base + np.arange(total, dtype=np.int64)
+    run_base = (starts - counts.cumsum() + counts).repeat(counts)
+    run_base += np.arange(run_base.size, dtype=np.int64)
+    return run_base

@@ -27,9 +27,16 @@ Design notes
   (one O(live) filter pass) whenever they outnumber live ones; the
   registry counters ``kernel.events_skipped`` and
   ``kernel.heap_compactions`` expose the cost.
-* The live-event count is maintained incrementally (+1 on schedule, -1
-  on dispatch or cancel), so ``pending()`` / ``len(sim)`` / the obs
-  sampler's snapshots are O(1) instead of an O(queue) scan per call.
+* The live-event count is derived, not kept: the kernel already counts
+  the cancelled entries still on the queue, so ``pending()`` is
+  ``len(queue) - cancelled`` -- O(1) for ``len(sim)`` and the obs
+  sampler's snapshots, and no bookkeeping on a push or a pop.
+* ``run()`` drains the queue in one loop: it reads the head, skips a
+  cancelled one, checks the horizon and dispatches, with no
+  ``peek_time()`` or ``step()`` call per event.  The two stay public
+  with the same meaning, and a loop over them (``while peek_time() is
+  not None and ...: step()``) dispatches the same events in the same
+  order with the same counters.
 * An event may carry ``weight=k``: one queue entry standing for k logical
   events (batched broadcast delivery).  Dispatch counts the weight, so
   ``kernel.events_dispatched`` is comparable across batched and
@@ -45,6 +52,8 @@ Design notes
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import inf
+from operator import attrgetter
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from ..obs.registry import Registry
@@ -106,17 +115,12 @@ class Simulator:
         self.registry.gauge("kernel.heap", fn=lambda: float(len(self._heap)))
         #: cancelled events currently sitting on the queue
         self._cancelled_pending = 0
-        #: live (scheduled, not yet dispatched or cancelled) events;
-        #: maintained incrementally so pending() is O(1)
-        self._live = 0
 
     # ------------------------------------------------------------------
     # clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
+    # Read on nearly every event; a C getter costs no Python frame.
+    now = property(attrgetter("_now"), doc="Current simulation time in seconds.")
 
     # ------------------------------------------------------------------
     # scheduling
@@ -174,7 +178,6 @@ class Simulator:
         ev = Event(time, priority, seq, fn, args, False, daemon, weight, False, self)
         heappush(self._heap, (time, priority, seq, ev))
         self._c_pushes.value += 1
-        self._live += 1
         return ev
 
     # ------------------------------------------------------------------
@@ -183,7 +186,6 @@ class Simulator:
     def _note_cancel(self) -> None:
         """Called by :meth:`Event.cancel`; compacts when dead weight wins."""
         self._cancelled_pending += 1
-        self._live -= 1
         size = len(self._heap)
         if size >= MIN_COMPACT_SIZE and self._cancelled_pending * 2 > size:
             self.compact()
@@ -229,7 +231,6 @@ class Simulator:
                 continue
             self._now = ev.time
             ev.done = True
-            self._live -= 1
             if ev.daemon:
                 self._c_daemon.value += ev.weight
             else:
@@ -266,16 +267,32 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stopped = False
-        dispatched = 0
+        # The body of ``peek_time()`` + ``step()``, fused: the same
+        # checks in the same order, without two calls per event.
+        heap = self._heap  # compact() rewrites it in place
+        horizon = inf if until is None else until
+        budget = inf if max_events is None else max_events
+        dispatched = self._c_dispatched
+        daemon = self._c_daemon
+        count = 0
         try:
-            while not self._stopped:
-                nxt = self.peek_time()
-                if nxt is None or (until is not None and nxt > until):
+            while heap and not self._stopped:
+                time, _, _, ev = heap[0]
+                if ev.cancelled:
+                    heappop(heap)
+                    self._note_skip(ev)
+                    continue
+                if time > horizon or count >= budget:
                     break
-                if max_events is not None and dispatched >= max_events:
-                    break
-                self.step()
-                dispatched += 1
+                heappop(heap)
+                self._now = time
+                ev.done = True
+                if ev.daemon:
+                    daemon.value += ev.weight
+                else:
+                    dispatched.value += ev.weight
+                ev.fn(*ev.args)
+                count += 1
             if until is not None and self._now < until and not self._stopped:
                 self._now = until
         finally:
@@ -291,11 +308,11 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.
 
-        O(1): the count is maintained incrementally on schedule,
-        dispatch and cancel (see :meth:`_brute_pending` for the
-        reference O(queue) scan the kernel tests check against).
+        O(1): the queue length less the cancelled entries still on it
+        (see :meth:`_brute_pending` for the reference O(queue) scan the
+        kernel tests check against).
         """
-        return self._live
+        return len(self._heap) - self._cancelled_pending
 
     def _brute_pending(self) -> int:
         """O(queue) reference count of live queued events (tests only)."""

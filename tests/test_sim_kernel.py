@@ -628,6 +628,68 @@ class TestAgainstReference:
         assert seen[-1][10] >= 1  # heap_compactions: one happened mid-run
 
 
+class SteppedSimulator(Simulator):
+    """The kernel with ``run()`` written over the public ``peek_time()``
+    and ``step()``: the loop the bench's traced child puts in place of
+    ``run()``, plus the ``stop()`` and ``max_events`` checks that
+    ``run()`` itself makes."""
+
+    def run(self, until=None, max_events=None):
+        self._stopped = False
+        dispatched = 0
+        while not self._stopped:
+            nxt = self.peek_time()
+            if nxt is None or (until is not None and nxt > until):
+                break
+            if max_events is not None and dispatched >= max_events:
+                break
+            self.step()
+            dispatched += 1
+        if until is not None and self.now < until and not self._stopped:
+            self._now = until
+
+
+#: A program that opens on a deep queue and cancels among it, so the
+#: ops after it run over compactions, mid-run ones included.
+_BURSTY_PROGRAMS = st.builds(
+    lambda burst, ops: [burst, *ops],
+    st.tuples(
+        st.just("burst"),
+        st.integers(2 * MIN_COMPACT_SIZE, 3 * MIN_COMPACT_SIZE),
+        _DELAYS,
+        st.integers(MIN_COMPACT_SIZE, 3 * MIN_COMPACT_SIZE),
+    ),
+    st.lists(_OPS, max_size=30),
+)
+
+
+class TestFusedRunLoop:
+    """``run()`` drains the queue in one loop; it must dispatch exactly
+    what a ``peek_time()`` / ``step()`` loop dispatches."""
+
+    @given(st.one_of(st.lists(_OPS, min_size=1, max_size=40), _BURSTY_PROGRAMS))
+    @settings(max_examples=300, deadline=None)
+    def test_run_equals_the_peek_step_loop(self, ops):
+        seen = _play(Simulator(), ops)
+        assert seen == _play(SteppedSimulator(), ops)
+        # the derived live count agrees with the O(queue) scan throughout
+        assert all(row[4] == row[5] for row in seen)
+
+    def test_bursts_compact_on_both_loops(self):
+        ops = [
+            ("burst", 3 * MIN_COMPACT_SIZE, 1.0, 2 * MIN_COMPACT_SIZE),
+            ("schedule", 0.5, Priority.HIGH, False, 1, ("cancel", 7)),
+            ("burst", 2 * MIN_COMPACT_SIZE, 0.0, 2 * MIN_COMPACT_SIZE),
+            ("run_until", 1.0),
+            ("run_max", 3),
+            ("run",),
+        ]
+        seen = _play(Simulator(), ops)
+        assert seen == _play(SteppedSimulator(), ops)
+        assert seen[-1][10] >= 2  # heap_compactions
+        assert seen[-1][4] == seen[-1][5] == 0
+
+
 def test_no_python_level_ordering_calls_on_events(monkeypatch):
     """Count-based guard: the heap orders ``(time, priority, seq, ...)``
     tuples in C and never reaches the Event, so no Python comparison
