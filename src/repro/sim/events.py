@@ -69,7 +69,8 @@ class Event:
         Set by the kernel once the entry has left the heap (dispatched
         or skipped).  Guards :meth:`cancel` so cancelling an
         already-fired handle (timeout races do this) cannot corrupt the
-        kernel's incremental live-event accounting.
+        kernel's count of cancelled entries on the heap, from which
+        ``pending()`` is derived.
     owner:
         The scheduler that queued this event, if any.  Cancellation
         notifies it so it can track dead weight on the heap and compact
