@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench bench-full repo-bench repo-bench-compare reproduce examples clean
+.PHONY: install test bench bench-full repo-bench repo-bench-compare reproduce examples loc clean
 
 install:
 	$(PY) setup.py develop
@@ -32,6 +32,13 @@ reproduce:
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; REPRO_EXAMPLE_SCALE=0.2 $(PY) $$f; done
+
+# lines of python per code directory: the size figures simplicity work quotes
+LOC_DIRS = src tests bench benchmarks scripts
+loc:
+	@for d in $(LOC_DIRS); do \
+		printf '%-12s %6d\n' "$$d/" "$$(find $$d -name '*.py' -exec cat {} + | wc -l)"; \
+	done
 
 clean:
 	rm -rf .pytest_cache src/repro.egg-info bench/.work-*

@@ -4,8 +4,7 @@ Long evaluations (33-rep sweeps) should survive the Python process.
 :class:`ResultStore` appends tagged records -- one JSON object per line,
 so files are greppable, diffable and stream-loadable -- and supports
 filtered loading.  RunResults serialize through
-:meth:`RunResult.to_dict`, FigureResults through
-:mod:`repro.experiments.export`.
+:meth:`RunResult.to_dict`.
 """
 
 from __future__ import annotations
@@ -14,15 +13,11 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..obs.registry import Registry
 from ..obs.schema import SchemaError, validate_run_dict
 from ..scenarios.runner import RunResult
-from .export import figure_result_to_dict
-
-if TYPE_CHECKING:  # annotations only: figures imports the executor
-    from .figures import FigureResult
 
 __all__ = ["ResultStore"]
 
@@ -94,10 +89,6 @@ class ResultStore:
         payload = result.to_dict()
         validate_run_dict(payload)
         return self.append("run", payload, **tags)
-
-    def append_figure(self, result: FigureResult, **tags: Any) -> Dict[str, Any]:
-        """Archive a reproduced figure."""
-        return self.append("figure", figure_result_to_dict(result), **tags)
 
     # ------------------------------------------------------------------
     # reading

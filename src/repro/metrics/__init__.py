@@ -10,7 +10,6 @@ from .graphfast import (
     component_labels,
     graph_csr,
     local_clustering,
-    multi_source_hops,
     path_length_sums,
     triangle_counts,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "component_labels",
     "graph_csr",
     "local_clustering",
-    "multi_source_hops",
     "path_length_sums",
     "triangle_counts",
     "ClosedConnection",

@@ -3,12 +3,13 @@
 Every overlay/graph-metric consumer in the package (the scenario
 harvest, the connectivity bundle, the small-world stats, the message
 curves) asks one :class:`AnalyticsEngine`.  The engine keeps no state
-between calls: each method takes or builds the CSR view it needs (the
-topology's CSR for world views, the overlay's own CSR for the
-small-world harvest, :func:`~repro.metrics.graphfast.graph_csr` for the
-networkx graphs that :mod:`repro.theory` and the test oracles generate)
-and runs the vectorized kernels in :mod:`repro.metrics.graphfast`.
-Nothing here imports networkx.
+between calls: world views read the topology's CSR, and
+:meth:`~AnalyticsEngine.smallworld_stats` -- the one small-world entry
+point -- takes a CSR from its caller (the overlay's own for the
+harvest, :func:`~repro.metrics.graphfast.graph_csr` for the networkx
+graphs that :mod:`repro.theory` and the test oracles generate).  Each
+metric runs its one kernel in :mod:`repro.metrics.graphfast`.  Nothing
+here imports networkx.
 
 There is one path and no mode.  ``scenarios.runner.harvest`` asks once,
 at the end of a run, so per-view state maintained between calls would
@@ -34,12 +35,8 @@ import numpy as np
 from ..obs.registry import Registry
 from .balance import load_balance_report
 from .collector import FAMILIES, MetricsCollector
-from .graphfast import (
-    average_clustering,
-    component_labels,
-    graph_csr,
-    path_length_sums,
-)
+from .graphfast import average_clustering, component_labels, path_length_sums
+from .smallworld import random_graph_pathlength, regular_graph_pathlength
 
 __all__ = ["AnalyticsEngine"]
 
@@ -56,10 +53,6 @@ class AnalyticsEngine:
 
     def __init__(self, *, registry: Optional[Registry] = None) -> None:
         self.registry = registry if registry is not None else Registry()
-
-    def _path_length(self, indptr: np.ndarray, indices: np.ndarray) -> float:
-        total, pairs = path_length_sums(indptr, indices, registry=self.registry)
-        return total / pairs if pairs else float("nan")
 
     # ------------------------------------------------------------------
     # world-view analytics (legacy connectivity semantics, exactly)
@@ -100,15 +93,6 @@ class AnalyticsEngine:
         out.sort(key=len, reverse=True)
         return out
 
-    def reachable_pair_fraction(self, world) -> float:
-        """Fraction of ordered node pairs with a multi-hop path right now."""
-        comps = self.components(world)
-        n = world.n
-        if n < 2:
-            return 1.0
-        reachable = sum(len(c) * (len(c) - 1) for c in comps)
-        return reachable / (n * (n - 1))
-
     def connectivity_stats(self, world) -> Dict[str, float]:
         """Bundle: component count/sizes, isolated nodes, degree, pairs."""
         comps = self.components(world)
@@ -128,23 +112,8 @@ class AnalyticsEngine:
         }
 
     # ------------------------------------------------------------------
-    # graph-view analytics (networkx input at the theory API edge only)
+    # graph-view analytics (any CSR: the overlay's, or graph_csr(g)[:2])
     # ------------------------------------------------------------------
-    def clustering_coefficient(self, g) -> float:
-        """Average clustering coefficient of a networkx graph.
-
-        Bit-identical to the historical
-        ``smallworld.clustering_coefficient`` (sequential node-order
-        accumulation over the same per-node rationals).
-        """
-        indptr, indices, _ = graph_csr(g)
-        return float(average_clustering(indptr, indices, registry=self.registry))
-
-    def characteristic_path_length(self, g) -> float:
-        """Mean shortest-path length over connected ordered pairs (nan if none)."""
-        indptr, indices, _ = graph_csr(g)
-        return self._path_length(indptr, indices)
-
     def smallworld_stats(
         self, indptr: np.ndarray, indices: np.ndarray
     ) -> Dict[str, float]:
@@ -161,17 +130,15 @@ class AnalyticsEngine:
         >>> stats["n"], stats["mean_degree"], stats["clustering"], stats["path_length"]
         (3.0, 2.0, 1.0, 1.0)
         """
-        from .smallworld import random_graph_pathlength, regular_graph_pathlength
-
         n = len(indptr) - 1
         k = float(np.mean(np.diff(indptr))) if n else 0.0
+        clustering = average_clustering(indptr, indices, registry=self.registry)
+        total, pairs = path_length_sums(indptr, indices, registry=self.registry)
         stats = {
             "n": float(n),
             "mean_degree": k,
-            "clustering": float(
-                average_clustering(indptr, indices, registry=self.registry)
-            ),
-            "path_length": self._path_length(indptr, indices),
+            "clustering": float(clustering),
+            "path_length": total / pairs if pairs else float("nan"),
         }
         if n > 1 and k > 1:
             stats["regular_ref"] = regular_graph_pathlength(n, max(int(round(k)), 1))

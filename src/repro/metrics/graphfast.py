@@ -1,33 +1,26 @@
 """Vectorized graph-metric kernels over CSR adjacency arrays.
 
-The analytics layer (``metrics/connectivity.py``, ``metrics/smallworld.py``)
-used to answer whole-graph questions with per-source python loops --
-``world.hops_from(src)`` once per start node, networkx all-pairs BFS,
-an O(n²) python clustering loop.  At paper scale (n = 50..150) that is
-merely wasteful; at the n = 600..2000 the small-world evaluation wants,
-metric sampling dominates the run.
-
-This module is the replacement: every kernel operates on a CSR adjacency
-``(indptr, indices)`` -- ``indices[indptr[i]:indptr[i+1]]`` are node
-``i``'s neighbors ascending -- exactly the arrays the topology backend
+One kernel per graph metric, with no per-source python loop.  Every
+kernel operates on a CSR adjacency ``(indptr, indices)`` --
+``indices[indptr[i]:indptr[i+1]]`` are node ``i``'s neighbors
+ascending -- exactly the arrays the topology backend
 (:meth:`repro.net.topology.TopologyBackend.csr`), the overlay
 (:meth:`repro.core.overlay.OverlayNetwork.csr`) and :func:`graph_csr`
 (for networkx graphs) hand out.  Nothing here imports networkx.
 
-* :func:`multi_source_hops` -- bit-parallel level-synchronous BFS: 64
-  sources share each uint64 bit lane, and one ``bitwise_or.reduceat``
-  over the CSR rows advances every source in the chunk one level.
 * :func:`component_labels` -- connected components by min-label
   propagation with pointer jumping (no per-node python BFS).
-* :func:`triangle_counts` -- per-node triangle counts; vectorized wedge
-  expansion with binary-searched edge membership on sparse graphs, a
-  float32 matmul (exact: counts stay far below 2^24) when the graph is
-  dense enough to justify O(n³) BLAS work.
-* :func:`local_clustering` / :func:`average_clustering` and
-  :func:`path_length_sums` -- the small-world metrics, bit-identical to
-  the python/networkx formulations (same rational operands, same
-  summation order), which is what lets the test oracles demand *exact*
-  agreement rather than ``allclose``.
+* :func:`triangle_counts` -- per-node triangle counts by vectorized
+  wedge expansion with binary-searched edge membership.
+* :func:`local_clustering` / :func:`average_clustering` -- clustering,
+  bit-identical to the python/networkx formulation (same rational
+  operands, same summation order), which is what lets the test oracles
+  demand *exact* agreement rather than ``allclose``.
+* :func:`path_length_sums` -- the all-pairs hop total and connected
+  pair count behind the characteristic path length: bit-parallel
+  level-synchronous BFS, 64 sources per uint64 bit lane, one
+  ``bitwise_or.reduceat`` over the CSR rows advancing every source in a
+  chunk one level.
 
 Every kernel reports invocation counters (``graphfast.*``) and wall time
 (``wall{section=graphfast.<kernel>}``) to a registry;
@@ -38,16 +31,14 @@ analytics implementation ran never leaks into semantic snapshots.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.registry import Registry
 
 __all__ = [
-    "UNREACHABLE",
     "graph_csr",
-    "multi_source_hops",
     "component_labels",
     "triangle_counts",
     "local_clustering",
@@ -55,21 +46,12 @@ __all__ = [
     "path_length_sums",
 ]
 
-#: Sentinel hop distance for disconnected pairs (matches net.topology).
-UNREACHABLE = -1
-
 #: Sources advanced together per BFS chunk.  Large enough to amortize
 #: the per-level python overhead, small enough that the per-level
 #: bitset scratch (edges x chunk/64 uint64 words) stays cache-friendly.
 DEFAULT_CHUNK = 256
 
-#: Above this node count the dense-matmul triangle path would allocate
-#: O(n²) float32 scratch; the edge-expansion path takes over.  The
-#: matmul also requires the graph to be dense enough (mean degree >=
-#: n/16) to beat the O(sum deg²) sparse path.
-_DENSE_TRIANGLE_LIMIT = 2048
-
-#: Edge-expansion block size for the sparse triangle path: caps the
+#: Edge-expansion block size for :func:`triangle_counts`: caps the
 #: scratch arrays at ~this many (edge, wedge) entries per block.
 _TRIANGLE_BLOCK = 1 << 20
 
@@ -136,77 +118,6 @@ def graph_csr(g) -> Tuple[np.ndarray, np.ndarray, List]:
     return indptr, cols, nodes
 
 
-def multi_source_hops(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: Sequence[int],
-    *,
-    chunk: int = DEFAULT_CHUNK,
-    registry: Optional[Registry] = None,
-) -> np.ndarray:
-    """Hop distances from every source at once: ``(len(sources), n)``.
-
-    Bit-parallel level-synchronous BFS: each chunk of sources becomes a
-    bit lane in per-node uint64 words (64 sources per word), a level
-    step gathers every node's neighbor words and OR-reduces them per
-    CSR row (``np.bitwise_or.reduceat``), and newly-reached (node,
-    source) bits are unpacked into the distance block.  No sorting, no
-    per-source python work -- one level costs O(E · chunk/64) word ops
-    regardless of frontier shape.  Entries are int32; unreachable pairs
-    get :data:`UNREACHABLE`.
-
-    Every requested source is treated as a live start vertex (distance
-    0 to itself).  ``TopologyBackend.hops_from`` reports a *down*
-    source as all-UNREACHABLE instead; callers replicating that
-    semantic must skip (or post-mask) down sources themselves, as
-    ``repro.metrics.connectivity`` does.
-    """
-    reg = _registry(registry)
-    t0 = perf_counter()
-    n = len(indptr) - 1
-    src = np.asarray(list(sources), dtype=np.int64)
-    out = np.full((len(src), n), UNREACHABLE, dtype=np.int32)
-    if len(src) == 0 or n == 0:
-        return out
-    deg = np.diff(indptr)
-    nz_rows, nz_starts = _nonempty_starts(indptr, deg)
-    for lo in range(0, len(src), max(1, int(chunk))):
-        block = src[lo : lo + max(1, int(chunk))]
-        width = len(block)
-        dist = out[lo : lo + width]
-        rows = np.arange(width, dtype=np.int64)
-        dist[rows, block] = 0
-        if len(indices) == 0:
-            continue
-        words = (width + 63) // 64
-        visited = np.zeros((n, words), dtype=np.uint64)
-        lane = np.left_shift(np.uint64(1), (rows % 64).astype(np.uint64))
-        np.bitwise_or.at(visited, (block, rows // 64), lane)
-        frontier = visited.copy()
-        d = 0
-        while True:
-            d += 1
-            nxt = np.zeros_like(visited)
-            nxt[nz_rows] = np.bitwise_or.reduceat(
-                frontier[indices], nz_starts, axis=0
-            )
-            new = nxt & ~visited
-            if not new.any():
-                break
-            visited |= new
-            bits = np.unpackbits(
-                new.astype("<u8", copy=False).view(np.uint8).reshape(n, -1),
-                axis=1,
-                bitorder="little",
-            )[:, :width]
-            node_idx, src_idx = np.nonzero(bits)
-            dist[src_idx, node_idx] = d
-            frontier = new
-    reg.counter("graphfast.bfs_sources", layer="metrics").inc(len(src))
-    reg.timer("wall", section="graphfast.bfs").add(perf_counter() - t0)
-    return out
-
-
 def component_labels(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -253,63 +164,48 @@ def triangle_counts(
 ) -> np.ndarray:
     """Per-node triangle counts (edges among each node's neighbors).
 
-    Dense path (n <= 2048 *and* mean degree >= n/16): one float32
-    matmul -- ``(A @ A) * A`` summed per row counts each
-    in-neighborhood edge twice.  Exact: every count is an integer far
-    below 2^24, so float32 arithmetic is lossless.  Sparse path (the
-    common MANET/overlay regime): vectorized wedge expansion -- for
-    every directed edge ``(i, u)`` gather ``N(u)`` and binary-search
-    each wedge endpoint in the sorted packed edge-key array, O(sum
-    deg² · log E) with no per-node python loop, blocked to bound
-    scratch memory.
+    Vectorized wedge expansion: for every directed edge ``(i, u)``
+    gather ``N(u)`` and binary-search each wedge endpoint in the sorted
+    packed edge-key array, O(sum deg² · log E) with no per-node python
+    loop, blocked to bound scratch memory.
     """
     reg = _registry(registry)
     t0 = perf_counter()
     n = len(indptr) - 1
     m2 = len(indices)  # directed edge count
-    if n <= _DENSE_TRIANGLE_LIMIT and 16 * m2 >= n * n:
-        adj = np.zeros((n, n), dtype=np.float32)
-        if m2:
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-            adj[rows, indices] = 1.0
-        paths = (adj @ adj) * adj
-        out = (paths.sum(axis=1) / 2.0).astype(np.int64)
-    else:
-        out = np.zeros(n, dtype=np.int64)
-        if m2:
-            deg = np.diff(indptr)
-            rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-            # CSR rows are ascending, so the packed (row, col) keys are
-            # globally sorted: membership is one searchsorted away.
-            keys = rows * np.int64(n) + indices
-            wedge_counts = deg[indices]
-            # Block the expansion so scratch stays ~_TRIANGLE_BLOCK.
-            csum = np.cumsum(wedge_counts)
-            grand = int(csum[-1])
-            marks = np.searchsorted(
-                csum, np.arange(_TRIANGLE_BLOCK, grand, _TRIANGLE_BLOCK)
+    out = np.zeros(n, dtype=np.int64)
+    if m2:
+        deg = np.diff(indptr)
+        rows = np.repeat(np.arange(n, dtype=np.int64), deg)
+        # CSR rows are ascending, so the packed (row, col) keys are
+        # globally sorted: membership is one searchsorted away.
+        keys = rows * np.int64(n) + indices
+        wedge_counts = deg[indices]
+        # Block the expansion so scratch stays ~_TRIANGLE_BLOCK.
+        csum = np.cumsum(wedge_counts)
+        grand = int(csum[-1])
+        marks = np.searchsorted(
+            csum, np.arange(_TRIANGLE_BLOCK, grand, _TRIANGLE_BLOCK)
+        )
+        cuts = np.unique(np.concatenate(([0], marks + 1, [m2])))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            counts = wedge_counts[lo:hi]
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            ends = np.cumsum(counts)
+            offsets = np.arange(total, dtype=np.int64) - np.repeat(
+                ends - counts, counts
             )
-            cuts = np.unique(np.concatenate(([0], marks + 1, [m2])))
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                counts = wedge_counts[lo:hi]
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                ends = np.cumsum(counts)
-                offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                    ends - counts, counts
-                )
-                # wedge i -- u -- w: expand N(u) for each edge (i, u)
-                w = indices[
-                    np.repeat(indptr[indices[lo:hi]], counts) + offsets
-                ]
-                src = np.repeat(rows[lo:hi], counts)
-                probe = src * np.int64(n) + w
-                at = np.searchsorted(keys, probe)
-                at[at == len(keys)] = 0  # any valid slot; equality fails
-                closed = keys[at] == probe
-                out += np.bincount(src[closed], minlength=n)
-            out //= 2
+            # wedge i -- u -- w: expand N(u) for each edge (i, u)
+            w = indices[np.repeat(indptr[indices[lo:hi]], counts) + offsets]
+            src = np.repeat(rows[lo:hi], counts)
+            probe = src * np.int64(n) + w
+            at = np.searchsorted(keys, probe)
+            at[at == len(keys)] = 0  # any valid slot; equality fails
+            closed = keys[at] == probe
+            out += np.bincount(src[closed], minlength=n)
+        out //= 2
     reg.counter("graphfast.triangle_runs", layer="metrics").inc()
     reg.timer("wall", section="graphfast.triangles").add(perf_counter() - t0)
     return out
@@ -362,8 +258,6 @@ def path_length_sums(
     indptr: np.ndarray,
     indices: np.ndarray,
     *,
-    sources: Optional[Sequence[int]] = None,
-    chunk: int = DEFAULT_CHUNK,
     registry: Optional[Registry] = None,
 ) -> Tuple[int, int]:
     """``(total_hops, connected_ordered_pairs)`` over all-pairs BFS.
@@ -372,34 +266,28 @@ def path_length_sums(
     summation order; ``total / pairs`` then reproduces the reference
     characteristic-path-length float bit-for-bit.
 
-    ``sources`` restricts the BFS start set (default: every node).
-    Because both outputs are plain integer sums over (source, target)
-    pairs, any partition of the sources -- e.g. the analytics engine's
-    process-pool shards -- sums back to exactly the full-range answer,
-    whatever the partition boundaries or chunk grouping.
-
-    Never materializes the (n, n) distance matrix: a pair reached at
-    level ``d`` contributes ``d`` = the number of levels it spent
-    unreached, so ``sum(dist) = sum over levels d of (reached_final -
-    reached_by(d))`` -- one popcount of the newly-visited bitset per
-    BFS level is all the bookkeeping the bit-parallel sweep needs.
+    Bit-parallel level-synchronous BFS: each chunk of
+    :data:`DEFAULT_CHUNK` sources becomes a bit lane in per-node uint64
+    words (64 sources per word), and a level step gathers every node's
+    neighbor words and OR-reduces them per CSR row
+    (``np.bitwise_or.reduceat``) -- one level costs O(E · chunk/64)
+    word ops regardless of frontier shape.  Never materializes the
+    (n, n) distance matrix: a pair reached at level ``d`` contributes
+    ``d`` = the number of levels it spent unreached, so ``sum(dist) =
+    sum over levels d of (reached_final - reached_by(d))`` -- one
+    popcount of the newly-visited bitset per BFS level is all the
+    bookkeeping the sweep needs.
     """
     reg = _registry(registry)
     t0 = perf_counter()
     n = len(indptr) - 1
-    src = (
-        np.arange(n, dtype=np.int64)
-        if sources is None
-        else np.asarray(list(sources), dtype=np.int64)
-    )
     total = 0
     pairs = 0
-    if len(src) and len(indices):
+    if n and len(indices):
         deg = np.diff(indptr)
         nz_rows, nz_starts = _nonempty_starts(indptr, deg)
-        step = max(1, int(chunk))
-        for lo in range(0, len(src), step):
-            block = src[lo : lo + step]
+        for lo in range(0, n, DEFAULT_CHUNK):
+            block = np.arange(lo, min(lo + DEFAULT_CHUNK, n), dtype=np.int64)
             width = len(block)
             words = (width + 63) // 64
             rows = np.arange(width, dtype=np.int64)
@@ -423,6 +311,6 @@ def path_length_sums(
             reached = counts[-1]
             total += sum(reached - c for c in counts[:-1])
             pairs += reached - width
-    reg.counter("graphfast.bfs_sources", layer="metrics").inc(len(src))
+    reg.counter("graphfast.bfs_sources", layer="metrics").inc(n)
     reg.timer("wall", section="graphfast.bfs").add(perf_counter() - t0)
     return total, pairs

@@ -35,7 +35,7 @@ def regular_graph_pathlength(n: int, k: int) -> float:
     return n / (2.0 * k)
 
 
-def random_graph_pathlength(n: int, k: int) -> float:
+def random_graph_pathlength(n: int, k: float) -> float:
     """The paper's large-random-graph approximation ``log n / log k``."""
     if n <= 1 or k <= 1:
         raise ValueError("need n > 1 and k > 1")

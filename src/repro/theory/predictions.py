@@ -11,11 +11,19 @@ Watts-Strogatz results needed for the §8 theoretical study:
   signals small-world structure;
 * Newman-Moore-Watts scaling for the expected path length of a rewired
   lattice (first-order approximation).
+
+The two path-length closed forms are the ones the harvest reports,
+defined once in :mod:`repro.metrics.smallworld` (numpy only, so the
+run path never imports this networkx-backed package) and re-exported
+here under the theory's names.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..metrics.smallworld import random_graph_pathlength as random_pathlength
+from ..metrics.smallworld import regular_graph_pathlength as lattice_pathlength
 
 __all__ = [
     "lattice_clustering",
@@ -36,25 +44,11 @@ def lattice_clustering(k: int) -> float:
     return 3.0 * (k - 2) / (4.0 * (k - 1))
 
 
-def lattice_pathlength(n: int, k: int) -> float:
-    """Characteristic path length of the ring lattice, ``~ n / 2k``."""
-    if n <= 0 or k <= 0:
-        raise ValueError("n and k must be positive")
-    return n / (2.0 * k)
-
-
 def random_clustering(n: int, k: float) -> float:
     """Expected clustering of an Erdos-Renyi graph with mean degree k."""
     if n <= 1:
         raise ValueError(f"need n > 1, got {n}")
     return float(k) / n
-
-
-def random_pathlength(n: int, k: float) -> float:
-    """Expected path length of a random graph: ``log n / log k``."""
-    if n <= 1 or k <= 1:
-        raise ValueError("need n > 1 and k > 1")
-    return float(np.log(n) / np.log(k))
 
 
 def smallworld_sigma(

@@ -22,6 +22,7 @@ import networkx as nx
 import numpy as np
 
 from ..metrics.analytics import AnalyticsEngine
+from ..metrics.graphfast import graph_csr
 from .lattice import watts_strogatz
 from .predictions import (
     lattice_clustering,
@@ -61,8 +62,9 @@ def rewiring_sweep(
         cs, ls = [], []
         for _ in range(reps):
             g = watts_strogatz(n, k, p, rng)
-            cs.append(engine.clustering_coefficient(g))
-            ls.append(engine.characteristic_path_length(g))
+            stats = engine.smallworld_stats(*graph_csr(g)[:2])
+            cs.append(stats["clustering"])
+            ls.append(stats["path_length"])
         c, l = float(np.mean(cs)), float(np.nanmean(ls))
         if base_c is None:
             base_c, base_l = c, l
@@ -85,12 +87,11 @@ def overlay_smallworldness(g: nx.Graph) -> dict:
     and random reference values at the overlay's (n, mean degree), and
     the sigma coefficient.
     """
-    n = g.number_of_nodes()
-    degrees = [d for _, d in g.degree]
-    k = float(np.mean(degrees)) if degrees else 0.0
-    engine = AnalyticsEngine()
-    c = engine.clustering_coefficient(g)
-    l = engine.characteristic_path_length(g)
+    stats = AnalyticsEngine().smallworld_stats(*graph_csr(g)[:2])
+    n = int(stats["n"])
+    k = stats["mean_degree"]
+    c = stats["clustering"]
+    l = stats["path_length"]
     out = {
         "n": n,
         "mean_degree": k,

@@ -136,6 +136,11 @@ class TestLegacyModuleSurface:
             "smallworld_stats",
         ):
             assert not hasattr(smallworld_mod, name)
+        # ...and they are the only copy: repro.theory re-exports them
+        from repro.theory import predictions
+
+        assert predictions.lattice_pathlength is smallworld_mod.regular_graph_pathlength
+        assert predictions.random_pathlength is smallworld_mod.random_graph_pathlength
 
     def test_connectivity_keeps_only_closed_form(self):
         assert connectivity_mod.__all__ == ["expected_mean_degree"]
@@ -162,7 +167,21 @@ class TestConfigAndCli:
     def test_lane_validation(self):
         # One path: no maintenance mode, no BFS chunk, no execution lane
         # and no worker pool to pick or size.
+        import inspect
+
+        from repro.metrics import graphfast as graphfast_mod
+
         assert analytics_mod.__all__ == ["AnalyticsEngine"]
+        # one small-world entry point (smallworld_stats), one BFS sweep
+        for name in (
+            "clustering_coefficient",
+            "characteristic_path_length",
+            "reachable_pair_fraction",
+        ):
+            assert not hasattr(AnalyticsEngine, name)
+        assert not hasattr(graphfast_mod, "multi_source_hops")
+        sweep = inspect.signature(graphfast_mod.path_length_sums).parameters
+        assert list(sweep) == ["indptr", "indices", "registry"]
         for removed in (
             {"mode": "full"},
             {"chunk": 64},
@@ -225,7 +244,6 @@ def test_smallworld_stats_builds_one_csr_per_harvest(monkeypatch):
         raise AssertionError("graph_csr called by the harvest")
 
     monkeypatch.setattr(OverlayNetwork, "csr", counting)
-    monkeypatch.setattr(analytics_mod, "graph_csr", forbidden)
     monkeypatch.setattr(graphfast_mod, "graph_csr", forbidden)
     harvest(simulation)
     assert len(builds) == 1

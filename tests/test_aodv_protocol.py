@@ -50,12 +50,15 @@ class TestDiscoveryAndDelivery:
         sim, _, _, router, inbox = make_aodv(line_positions(4, spacing=8.0))
         router.send(0, 3, "a", kind="app")
         sim.run(until=2.0)
-        rreqs_after_first = router.control_overhead()["rreq_sent"]
+        rreqs_after_first = router.registry.value("routing.rreq_sent", protocol="aodv")
         router.send(0, 3, "b", kind="app")
         sim.run(until=2.5)
         assert [p for _, _, p, _ in inbox] == ["a", "b"]
         # Second send reused the cached route: no new RREQ.
-        assert router.control_overhead()["rreq_sent"] == rreqs_after_first
+        assert (
+            router.registry.value("routing.rreq_sent", protocol="aodv")
+            == rreqs_after_first
+        )
 
     def test_route_hops_reported(self):
         sim, _, _, router, _ = make_aodv(line_positions(4, spacing=8.0))

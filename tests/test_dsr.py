@@ -23,6 +23,10 @@ def make_dsr(positions, radio_range=10.0, config=None):
     return sim, world, channel, router, inbox
 
 
+def rreq_sent(router):
+    return router.registry.value("routing.rreq_sent", protocol="dsr")
+
+
 class TestRouteCache:
     def test_offer_and_get(self):
         c = RouteCache(0)
@@ -74,11 +78,11 @@ class TestDiscoveryAndDelivery:
         sim, _, _, router, inbox = make_dsr(line_positions(4, spacing=8.0))
         router.send(0, 3, "a", kind="app")
         sim.run(until=3.0)
-        rreqs = router.control_overhead()["rreq_sent"]
+        rreqs = rreq_sent(router)
         router.send(0, 3, "b", kind="app")
         sim.run(until=4.0)
         assert [p for _, _, p, _ in inbox] == ["a", "b"]
-        assert router.control_overhead()["rreq_sent"] == rreqs
+        assert rreq_sent(router) == rreqs
 
     def test_reverse_route_learned_for_free(self):
         sim, _, _, router, inbox = make_dsr(line_positions(4, spacing=8.0))
@@ -106,12 +110,12 @@ class TestDiscoveryAndDelivery:
         sim, _, _, router, inbox = make_dsr(line_positions(5, spacing=8.0))
         router.send(2, 4, "prime", kind="app")
         sim.run(until=3.0)
-        rreqs = router.control_overhead()["rreq_sent"]
+        rreqs = rreq_sent(router)
         router.send(0, 4, "main", kind="app")
         sim.run(until=6.0)
         assert (4, 0, "main", 4) in inbox
         # node 0 originated one RREQ; node 2 answered from its cache
-        assert router.control_overhead()["rreq_sent"] == rreqs + 1
+        assert rreq_sent(router) == rreqs + 1
 
     def test_cache_replies_can_be_disabled(self):
         cfg = DsrConfig(cache_replies=False)

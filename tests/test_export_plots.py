@@ -16,7 +16,9 @@ from repro.experiments.figures import FigureResult
 from repro.scenarios import ScenarioConfig, run_scenario
 
 
+@pytest.fixture(scope="module")
 def small_run():
+    """One run shared by every TestRunExport test (each serializes it)."""
     return run_scenario(ScenarioConfig(num_nodes=15, duration=90.0, seed=6))
 
 
@@ -38,19 +40,19 @@ def fig_result():
 
 
 class TestRunExport:
-    def test_json_parses(self):
-        out = json.loads(json.dumps(small_run().to_dict()))
+    def test_json_parses(self, small_run):
+        out = json.loads(json.dumps(small_run.to_dict()))
         assert out["num_nodes"] == 15
         assert "totals" in out and "file_stats" in out
         assert isinstance(out["sorted_received"]["connect"], list)
 
-    def test_nan_becomes_null(self):
-        out = small_run().to_dict()
+    def test_nan_becomes_null(self, small_run):
+        out = small_run.to_dict()
         for s in out["file_stats"]:
             v = s["avg_min_p2p_hops"]
             assert v is None or isinstance(v, float)
 
-    def test_plain_types_only(self):
+    def test_plain_types_only(self, small_run):
         def check(obj):
             if isinstance(obj, dict):
                 for v in obj.values():
@@ -61,7 +63,7 @@ class TestRunExport:
             else:
                 assert obj is None or isinstance(obj, (bool, int, float, str))
 
-        check(small_run().to_dict())
+        check(small_run.to_dict())
 
 
 class TestFigureExport:

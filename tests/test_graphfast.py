@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from repro.metrics.graphfast import (
-    UNREACHABLE,
+    DEFAULT_CHUNK,
     average_clustering,
     component_labels,
     graph_csr,
     local_clustering,
-    multi_source_hops,
     path_length_sums,
     triangle_counts,
 )
@@ -37,11 +36,11 @@ _engine = AnalyticsEngine()
 
 
 def clustering_coefficient(g):
-    return _engine.clustering_coefficient(g)
+    return _engine.smallworld_stats(*graph_csr(g)[:2])["clustering"]
 
 
 def characteristic_path_length(g):
-    return _engine.characteristic_path_length(g)
+    return _engine.smallworld_stats(*graph_csr(g)[:2])["path_length"]
 
 
 def components(world):
@@ -53,7 +52,7 @@ def connectivity_stats(world):
 
 
 def reachable_pair_fraction(world):
-    return AnalyticsEngine(registry=world.registry).reachable_pair_fraction(world)
+    return connectivity_stats(world)["reachable_pairs"]
 
 
 def rgg_world(seed, topology, *, n=40, side=80.0, radio=12.0):
@@ -85,21 +84,22 @@ def rgg_graph(seed, *, n=40, side=80.0, radio=12.0):
     return g
 
 
+def nx_path_totals(g):
+    """networkx's ``(total_hops, connected_ordered_pairs)`` over all pairs."""
+    total = pairs = 0
+    for _, lengths in nx.all_pairs_shortest_path_length(g):
+        for d in lengths.values():
+            if d > 0:
+                total += d
+                pairs += 1
+    return total, pairs
+
+
 # ----------------------------------------------------------------------
 # raw kernels vs networkx
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 class TestKernelsVsNetworkx:
-    def test_multi_source_hops(self, seed):
-        g = rgg_graph(seed)
-        indptr, indices, nodes = graph_csr(g)
-        dist = multi_source_hops(indptr, indices, range(len(nodes)), chunk=7)
-        sp = dict(nx.all_pairs_shortest_path_length(g))
-        for i in range(len(nodes)):
-            for j in range(len(nodes)):
-                expect = sp[i].get(j, UNREACHABLE)
-                assert dist[i, j] == expect
-
     def test_component_labels(self, seed):
         g = rgg_graph(seed)
         indptr, indices, _ = graph_csr(g)
@@ -110,15 +110,17 @@ class TestKernelsVsNetworkx:
                 assert labels[v] == want
 
     def test_triangles_and_local_clustering(self, seed):
-        g = rgg_graph(seed)
-        indptr, indices, _ = graph_csr(g)
-        tri = triangle_counts(indptr, indices)
-        ctri = nx.triangles(g)
-        cc = nx.clustering(g)
-        mine = local_clustering(indptr, indices)
-        for v in g.nodes:
-            assert tri[v] == ctri[v]
-            assert mine[v] == cc[v]  # exact: same rational, IEEE division
+        # The default RGG (mean degree ~3) and a denser n = 60 one
+        # (mean degree ~5.5, seeds 5-7).
+        for g in (rgg_graph(seed), rgg_graph(seed + 4, n=60, side=70.0)):
+            indptr, indices, _ = graph_csr(g)
+            tri = triangle_counts(indptr, indices)
+            ctri = nx.triangles(g)
+            cc = nx.clustering(g)
+            mine = local_clustering(indptr, indices)
+            for v in g.nodes:
+                assert tri[v] == ctri[v]
+                assert mine[v] == cc[v]  # exact: same rational, IEEE division
 
     def test_average_clustering_exact(self, seed):
         g = rgg_graph(seed)
@@ -128,15 +130,7 @@ class TestKernelsVsNetworkx:
     def test_path_length_sums_exact(self, seed):
         g = rgg_graph(seed)
         indptr, indices, _ = graph_csr(g)
-        total, pairs = path_length_sums(indptr, indices)
-        want_total = 0
-        want_pairs = 0
-        for _, lengths in nx.all_pairs_shortest_path_length(g):
-            for d in lengths.values():
-                if d > 0:
-                    want_total += d
-                    want_pairs += 1
-        assert (total, pairs) == (want_total, want_pairs)
+        assert path_length_sums(indptr, indices) == nx_path_totals(g)
 
     def test_smallworld_metrics_match_oracle(self, seed):
         g = rgg_graph(seed)
@@ -150,28 +144,8 @@ class TestKernelsVsNetworkx:
         else:
             # Fragmented: our metric averages over every connected pair,
             # so recompute the oracle the same way.
-            total = pairs = 0
-            for _, lengths in nx.all_pairs_shortest_path_length(g):
-                for d in lengths.values():
-                    if d > 0:
-                        total += d
-                        pairs += 1
+            total, pairs = nx_path_totals(g)
             assert cpl == total / pairs
-
-
-def test_triangle_sparse_fallback_matches_dense():
-    g = rgg_graph(5, n=60, side=70.0)
-    indptr, indices, _ = graph_csr(g)
-    import repro.metrics.graphfast as gf
-
-    dense = triangle_counts(indptr, indices)
-    limit = gf._DENSE_TRIANGLE_LIMIT
-    try:
-        gf._DENSE_TRIANGLE_LIMIT = 0  # force the bitmask path
-        sparse = triangle_counts(indptr, indices)
-    finally:
-        gf._DENSE_TRIANGLE_LIMIT = limit
-    np.testing.assert_array_equal(dense, sparse)
 
 
 def isolated_tail_graph(seed, tail=3, **kw):
@@ -189,6 +163,16 @@ def isolated_tail_graph(seed, tail=3, **kw):
     return g
 
 
+def assert_trailing_empty_rows(g, indptr, indices):
+    """The shape under test: trailing CSR rows empty, and the last
+    non-empty row has >= 2 neighbors (so a dropped final neighbor would
+    be observable)."""
+    n = len(indptr) - 1
+    assert indptr[-1] == len(indices)
+    last = max(v for v in range(n) if g.degree[v] > 0)
+    assert last < n - 1 and g.degree[last] >= 2
+
+
 def test_last_nonempty_row_keeps_all_neighbors():
     # Minimal regression: node 3 isolated -> row 2 is the last non-empty
     # CSR row and has two neighbors; a clamped reduceat start used to
@@ -197,14 +181,7 @@ def test_last_nonempty_row_keeps_all_neighbors():
     g.add_nodes_from(range(4))
     g.add_edges_from([(0, 2), (1, 2)])
     indptr, indices, _ = graph_csr(g)
-    dist = multi_source_hops(indptr, indices, range(4))
-    u = UNREACHABLE
-    assert dist.tolist() == [
-        [0, 2, 1, u],
-        [2, 0, 1, u],
-        [1, 1, 0, u],
-        [u, u, u, 0],
-    ]
+    # ordered pairs among {0, 1, 2}: hops 2+1 from 0, 2+1 from 1, 1+1 from 2
     assert path_length_sums(indptr, indices) == (8, 6)
 
 
@@ -212,32 +189,11 @@ def test_last_nonempty_row_keeps_all_neighbors():
 class TestTrailingEmptyRows:
     """Oracle exactness when the max-id rows of the CSR are empty."""
 
-    def test_hops_match_networkx(self, seed):
-        g = isolated_tail_graph(seed)
-        indptr, indices, nodes = graph_csr(g)
-        n = len(nodes)
-        # The scenario under test: trailing rows empty, and the last
-        # non-empty row has >= 2 neighbors (so a dropped final neighbor
-        # would be observable).
-        assert indptr[-1] == len(indices)
-        last = max(v for v in range(n) if g.degree[v] > 0)
-        assert last < n - 1 and g.degree[last] >= 2
-        dist = multi_source_hops(indptr, indices, range(n), chunk=7)
-        sp = dict(nx.all_pairs_shortest_path_length(g))
-        for i in range(n):
-            for j in range(n):
-                assert dist[i, j] == sp[i].get(j, UNREACHABLE)
-
     def test_path_length_sums_match_networkx(self, seed):
         g = isolated_tail_graph(seed)
         indptr, indices, _ = graph_csr(g)
-        want_total = want_pairs = 0
-        for _, lengths in nx.all_pairs_shortest_path_length(g):
-            for d in lengths.values():
-                if d > 0:
-                    want_total += d
-                    want_pairs += 1
-        assert path_length_sums(indptr, indices) == (want_total, want_pairs)
+        assert_trailing_empty_rows(g, indptr, indices)
+        assert path_length_sums(indptr, indices) == nx_path_totals(g)
 
     def test_components_and_clustering(self, seed):
         g = isolated_tail_graph(seed)
@@ -248,6 +204,18 @@ class TestTrailingEmptyRows:
             for v in comp:
                 assert labels[v] == want
         assert average_clustering(indptr, indices) == nx.average_clustering(g)
+
+
+def test_path_length_sums_spans_chunks():
+    # More sources than one BFS chunk holds, so the sweep runs several
+    # chunks -- as on any overlay above DEFAULT_CHUNK members -- over a
+    # fragmented RGG whose max-id rows are empty.
+    g = isolated_tail_graph(4, n=300, side=150.0)
+    indptr, indices, _ = graph_csr(g)
+    assert g.number_of_nodes() > DEFAULT_CHUNK
+    assert nx.number_connected_components(g) > 1
+    assert_trailing_empty_rows(g, indptr, indices)
+    assert path_length_sums(indptr, indices) == nx_path_totals(g)
 
 
 def test_popcount_fallback_matches_bitwise_count():
@@ -270,11 +238,7 @@ def test_empty_and_trivial_graphs():
     g.add_nodes_from(range(3))  # edgeless
     indptr, indices, _ = graph_csr(g)
     assert list(component_labels(indptr, indices)) == [0, 1, 2]
-    assert multi_source_hops(indptr, indices, [1])[0].tolist() == [
-        UNREACHABLE,
-        0,
-        UNREACHABLE,
-    ]
+    assert path_length_sums(indptr, indices) == (0, 0)
 
 
 # ----------------------------------------------------------------------

@@ -21,16 +21,16 @@ from repro.metrics import (
 _engine = AnalyticsEngine()
 
 
+def smallworld_stats(g):
+    return _engine.smallworld_stats(*graph_csr(g)[:2])
+
+
 def clustering_coefficient(g):
-    return _engine.clustering_coefficient(g)
+    return smallworld_stats(g)["clustering"]
 
 
 def characteristic_path_length(g):
-    return _engine.characteristic_path_length(g)
-
-
-def smallworld_stats(g):
-    return _engine.smallworld_stats(*graph_csr(g)[:2])
+    return smallworld_stats(g)["path_length"]
 
 
 class TestCollector:

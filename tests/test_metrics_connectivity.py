@@ -20,7 +20,7 @@ def connectivity_stats(world):
 
 
 def reachable_pair_fraction(world):
-    return AnalyticsEngine(registry=world.registry).reachable_pair_fraction(world)
+    return connectivity_stats(world)["reachable_pairs"]
 
 
 class TestComponents:

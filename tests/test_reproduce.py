@@ -9,15 +9,27 @@ from repro.experiments import ExperimentExecutor, RunCache, reproduce_all
 from repro.obs.registry import Registry
 
 
+@pytest.fixture(scope="module")
+def executor_100s():
+    """An in-process executor shared by the two ``duration=100, seed=2``
+    tests: fig7 and fig9 harvest the same four runs, executed once."""
+    return ExperimentExecutor(registry=Registry())
+
+
 class TestReproduceAll:
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             reproduce_all(str(tmp_path), figures=["fig99"])
 
-    def test_artifacts_written(self, tmp_path):
+    def test_artifacts_written(self, tmp_path, executor_100s):
         out = str(tmp_path / "res")
         results = reproduce_all(
-            out, figures=["fig7"], duration=100.0, reps=1, seed=2
+            out,
+            figures=["fig7"],
+            duration=100.0,
+            reps=1,
+            seed=2,
+            executor=executor_100s,
         )
         assert set(results) == {"fig7"}
         for name in ("tables.txt", "SUMMARY.md", "fig7.txt", "fig7.json", "fig7.csv"):
@@ -27,9 +39,16 @@ class TestReproduceAll:
         assert data["exp_id"] == "fig7"
         assert set(data["series"]) == {"basic", "regular", "random", "hybrid"}
 
-    def test_summary_counts_claims(self, tmp_path):
+    def test_summary_counts_claims(self, tmp_path, executor_100s):
         out = str(tmp_path / "res")
-        reproduce_all(out, figures=["fig9"], duration=100.0, reps=1, seed=2)
+        reproduce_all(
+            out,
+            figures=["fig9"],
+            duration=100.0,
+            reps=1,
+            seed=2,
+            executor=executor_100s,
+        )
         summary = open(os.path.join(out, "SUMMARY.md")).read()
         assert "paper claims checked:" in summary
         assert "fig9" in summary

@@ -14,6 +14,12 @@ from repro.scenarios import ScenarioConfig, run_scenario
 CFG = ScenarioConfig(num_nodes=12, duration=60.0, seed=4)
 
 
+@pytest.fixture(scope="module")
+def cfg_result():
+    """``run_scenario(CFG)``, run once for every TestRunCache test."""
+    return run_scenario(CFG)
+
+
 class TestRunKey:
     def test_format(self):
         key = run_key(CFG)
@@ -183,36 +189,35 @@ class TestRunCache:
     def _cache(self, tmp_path, **kw):
         return RunCache(str(tmp_path / "runs.ndjson"), registry=Registry(), **kw)
 
-    def test_miss_then_hit(self, tmp_path):
+    def test_miss_then_hit(self, tmp_path, cfg_result):
         cache = self._cache(tmp_path)
         assert cache.get(CFG) is None
         assert cache.misses.value == 1
-        result = run_scenario(CFG)
-        cache.put(CFG, result)
+        cache.put(CFG, cfg_result)
         got = cache.get(CFG)
         assert got is not None
         assert cache.hits.value == 1
-        assert got.totals == result.totals
-        assert got.events == result.events
+        assert got.totals == cfg_result.totals
+        assert got.events == cfg_result.events
 
-    def test_hit_survives_process_restart(self, tmp_path):
+    def test_hit_survives_process_restart(self, tmp_path, cfg_result):
         cache = self._cache(tmp_path)
-        cache.put(CFG, run_scenario(CFG))
+        cache.put(CFG, cfg_result)
         # a fresh instance over the same archive = a new process
         warm = self._cache(tmp_path)
         assert CFG in warm
         assert warm.get(CFG) is not None
         assert warm.hits.value == 1
 
-    def test_config_change_misses(self, tmp_path):
+    def test_config_change_misses(self, tmp_path, cfg_result):
         cache = self._cache(tmp_path)
-        cache.put(CFG, run_scenario(CFG))
+        cache.put(CFG, cfg_result)
         assert cache.get(CFG.with_(rebroadcast="counter:2")) is None
         assert cache.get(CFG.with_(seed=5)) is None
 
-    def test_schema_bump_invalidates(self, tmp_path):
+    def test_schema_bump_invalidates(self, tmp_path, cfg_result):
         cache = self._cache(tmp_path)
-        cache.put(CFG, run_scenario(CFG))
+        cache.put(CFG, cfg_result)
         bumped = RunCache(
             cache.store.path,
             registry=Registry(),
@@ -220,27 +225,26 @@ class TestRunCache:
         )
         assert bumped.get(CFG) is None
 
-    def test_put_idempotent(self, tmp_path):
+    def test_put_idempotent(self, tmp_path, cfg_result):
         cache = self._cache(tmp_path)
-        result = run_scenario(CFG)
-        cache.put(CFG, result)
-        cache.put(CFG, result)
+        cache.put(CFG, cfg_result)
+        cache.put(CFG, cfg_result)
         assert len(cache) == 1
         assert len(cache.store.load(kind="run")) == 1
 
-    def test_accepts_store_instance(self, tmp_path):
+    def test_accepts_store_instance(self, tmp_path, cfg_result):
         store = ResultStore(str(tmp_path / "s.ndjson"), registry=Registry())
         cache = RunCache(store, registry=Registry())
-        cache.put(CFG, run_scenario(CFG))
+        cache.put(CFG, cfg_result)
         assert cache.store is store
 
-    def test_resume_after_kill(self, tmp_path):
+    def test_resume_after_kill(self, tmp_path, cfg_result):
         # A writer killed mid-append leaves a truncated final line; the
         # completed entries before it must still be served.
         registry = Registry()
         cache = RunCache(str(tmp_path / "runs.ndjson"), registry=registry)
         other = CFG.with_(seed=5)
-        cache.put(CFG, run_scenario(CFG))
+        cache.put(CFG, cfg_result)
         cache.put(other, run_scenario(other))
         raw = open(cache.store.path).read().rstrip("\n")
         with open(cache.store.path, "w") as fh:
@@ -251,21 +255,23 @@ class TestRunCache:
         assert registry.counter("storage.corrupt_lines").value == 1
 
     @pytest.mark.parametrize("nested", [None, "p2p", "query"])
-    def test_unknown_config_key_is_a_counted_miss(self, tmp_path, nested):
+    def test_unknown_config_key_is_a_counted_miss(
+        self, tmp_path, nested, cfg_result
+    ):
         cache = self._cache(tmp_path)
-        payload = run_scenario(CFG).to_dict()
+        payload = cfg_result.to_dict()
         config = payload["config"] if nested is None else payload["config"][nested]
         config["future_field"] = 1  # written by a newer build
         cache.store.append("run", payload, cache_key=cache.key_for(CFG))
         assert cache.get(CFG) is None
         assert (cache.hits.value, cache.misses.value) == (0, 1)
 
-    def test_refresh_rereads(self, tmp_path):
+    def test_refresh_rereads(self, tmp_path, cfg_result):
         cache = self._cache(tmp_path)
         assert len(cache) == 0
         # another writer appends behind our back
         writer = RunCache(cache.store.path, registry=Registry())
-        writer.put(CFG, run_scenario(CFG))
+        writer.put(CFG, cfg_result)
         assert len(cache) == 0  # stale index
         cache.refresh()
         assert len(cache) == 1

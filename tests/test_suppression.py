@@ -517,10 +517,14 @@ def test_probabilistic_one_bit_identical_to_flood(seed, topology):
 # ----------------------------------------------------------------------
 # suppressing lanes: answers must stay truthful
 # ----------------------------------------------------------------------
-def _answer_correctness(cfg: ScenarioConfig):
-    """Run ``cfg``; every recorded answer must come from a true holder."""
+def _run(cfg: ScenarioConfig):
     simulation = build_scenario(cfg)
     simulation.run()
+    return simulation
+
+
+def _answer_correctness(simulation):
+    """Every answer a finished run recorded must come from a true holder."""
     servents = simulation.overlay.servents
     answers = 0
     for servent in servents.values():
@@ -553,23 +557,26 @@ def _query_cfg(**kw):
     )
 
 
+@pytest.fixture(scope="module")
+def contact_run():
+    """One contact-lane run shared by the two tests that read it."""
+    return _run(_query_cfg(query_policy="contact"))
+
+
 def test_counter_lane_answers_are_truthful():
-    records, answers = _answer_correctness(_query_cfg(rebroadcast="counter:2"))
+    simulation = _run(_query_cfg(rebroadcast="counter:2"))
+    records, answers = _answer_correctness(simulation)
     assert records > 0 and answers > 0
 
 
-def test_contact_lane_answers_are_truthful():
-    cfg = _query_cfg(query_policy="contact")
-    records, answers = _answer_correctness(cfg)
+def test_contact_lane_answers_are_truthful(contact_run):
+    records, answers = _answer_correctness(contact_run)
     assert records > 0 and answers > 0
 
 
-def test_contact_lane_actually_contact_routes():
-    cfg = _query_cfg(query_policy="contact")
-    simulation = build_scenario(cfg)
-    simulation.run()
+def test_contact_lane_actually_contact_routes(contact_run):
     # Repeat zipf queries find learned holders at least once.
-    assert simulation.registry.value("card.contact_hits") > 0
+    assert contact_run.registry.value("card.contact_hits") > 0
 
 
 # ----------------------------------------------------------------------

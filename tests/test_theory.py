@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import AnalyticsEngine
+from repro.metrics import AnalyticsEngine, graph_csr
 from repro.theory import (
     lattice_clustering,
     lattice_pathlength,
@@ -25,11 +25,11 @@ _engine = AnalyticsEngine()
 
 
 def clustering_coefficient(g):
-    return _engine.clustering_coefficient(g)
+    return _engine.smallworld_stats(*graph_csr(g)[:2])["clustering"]
 
 
 def characteristic_path_length(g):
-    return _engine.characteristic_path_length(g)
+    return _engine.smallworld_stats(*graph_csr(g)[:2])["path_length"]
 
 
 class TestRingLattice:
