@@ -3,10 +3,12 @@
 Implements the on-demand core of draft-ietf-manet-aodv-11 as used by the
 paper's simulations:
 
-* expanding-ring RREQ flooding with per-(origin, rreq_id) dedup — the
-  "controlled broadcast" cache the authors added to ns-2 is inherent
-  here: a node processes each RREQ id once (:class:`~repro.net.broadcast.SeenTable`,
-  read once per transmission by the router's ``aodv.ctrl`` plane);
+* expanding-ring RREQ flooding with per-flood-id dedup — the
+  "controlled broadcast" cache the authors added to ns-2 is the same
+  mechanism as the p2p discovery flood's, so RREQs ride a
+  :class:`~repro.net.broadcast.FloodManager` plane of their own
+  (``aodv.rreq``): a node processes each RREQ once and relays it unless
+  it answered it;
 * reverse-route installation at every hop an RREQ crosses;
 * RREP generation by the destination (always) and by intermediate nodes
   with a fresh-enough route (configurable), unicast back hop-by-hop;
@@ -26,10 +28,9 @@ the message families the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..net.broadcast import SeenTable
+from ..net.broadcast import FloodManager
 from ..net.packet import Frame
 from ..net.radio import Channel, NetNode
 from ..net.suppression import make_rebroadcast_policy
@@ -43,8 +44,8 @@ __all__ = ["AodvConfig", "AodvAgent", "AodvRouter"]
 
 KIND_CTRL = "aodv.ctrl"
 KIND_DATA = "aodv.data"
-#: obs label of the RREQ dissemination plane (suppression counters)
-KIND_RREQ_PLANE = "aodv.rreq"
+#: frame kind of the RREQ flood plane (and ``plane`` label of its counters)
+KIND_RREQ = "aodv.rreq"
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,6 @@ class AodvConfig:
         """RREP wait time for a ring of radius ``ttl`` (2 x traversal)."""
         return 2.0 * self.node_traversal_time * (ttl + 2)
 
-    @property
-    def path_discovery_time(self) -> float:
-        """How long an RREQ id is remembered (draft §10:
-        ``2 * NET_TRAVERSAL_TIME``; 3.2 s at the defaults, several times
-        the longest a copy can still be in flight)."""
-        return 2.0 * (2.0 * self.node_traversal_time * self.net_diameter)
-
 
 class AodvAgent(OnDemandAgent):
     """The AODV state machine of one node."""
@@ -114,10 +108,9 @@ class AodvAgent(OnDemandAgent):
         super().__init__(router, node, len(router._ring_ttls))
         self.table = RouteTable(self.nid)
         self.seq = 0
-        self.rreq_id = 0
-        #: the router's RREQ dedup table and TTL sequence, shared by all
+        #: the router's RREQ flood plane and TTL sequence, shared by all
         #: its agents
-        self._seen = router._seen
+        self._flood = router.flood
         self._ring_ttls = router._ring_ttls
         c = router.counters
         self._c_rreq, self._c_rrep, self._c_rerr = c["rreq_sent"], c["rrep_sent"], c["rerr_sent"]
@@ -125,7 +118,12 @@ class AodvAgent(OnDemandAgent):
         #: neighbour -> last time a HELLO (or any ctrl frame) was heard
         self._neighbor_heard: Dict[int, float] = {}
         node.register(KIND_DATA, self._on_data)
+        self._flood.deliver[self.nid] = self._on_rreq
         if self.cfg.hello_interval > 0:
+            # Every RREQ copy heard proves its link too, as every
+            # aodv.ctrl frame does (draft §6.9).
+            self._flood.deliver[self.nid] = self._heard_rreq
+            self._flood.count_duplicate[self.nid] = self._heard_rreq_duplicate
             from ..sim.process import Process
 
             self._hello_proc = Process(
@@ -188,23 +186,59 @@ class AodvAgent(OnDemandAgent):
     def _request(self, dest: int, attempt: int) -> float:
         ttl = self._ring_ttls[attempt]
         self.seq += 1
-        self.rreq_id += 1
         known = self.table.get(dest)
         rreq = Rreq(
             origin=self.nid,
             origin_seq=self.seq,
-            rreq_id=self.rreq_id,
             dest=dest,
             dest_seq=known.dest_seq if known is not None else SEQ_UNKNOWN,
-            hop_count=0,
-            ttl=ttl,
         )
-        self._seen.mark((self.nid, self.rreq_id), self.nid)
         self._c_rreq.value += 1
-        self.channel.broadcast(
-            Frame(src=self.nid, dst=-1, kind=KIND_CTRL, payload=rreq, size=self.cfg.ctrl_size)
-        )
+        self._flood.originate(self.nid, rreq, ttl, self.cfg.ctrl_size)
         return self.cfg.discovery_timeout(ttl)
+
+    def _on_rreq(self, origin: int, rreq: Rreq, hops: int, via: int) -> bool:
+        """First copy of ``rreq`` (the ``aodv.rreq`` plane calls in here).
+
+        Install the reverse route to its origin via the neighbour ``via``
+        it came from, ``hops`` away, then reply as its destination or as
+        an intermediate node with a fresh-enough route.  True if we
+        replied: the plane then does not relay it.
+        """
+        now = self.sim.now
+        table = self.table
+        table.offer(origin, via, hops, rreq.origin_seq, now + self.cfg.active_route_timeout, now)
+        if rreq.dest == self.nid:
+            # Destination replies with a freshly incremented sequence
+            # number (>= any the requester has seen), so the RREP always
+            # displaces stale knowledge of us.
+            self.seq = max(self.seq + 1, rreq.dest_seq if rreq.dest_seq != SEQ_UNKNOWN else 0)
+            rrep = Rrep(
+                origin=origin,
+                dest=self.nid,
+                dest_seq=self.seq,
+                hop_count=0,
+                lifetime=self.cfg.my_route_timeout,
+            )
+            self._send_rrep(rrep)
+            return True
+        if self.cfg.intermediate_reply:
+            entry = table.lookup(rreq.dest, now)
+            if (
+                entry is not None
+                and entry.dest_seq != SEQ_UNKNOWN
+                and (rreq.dest_seq == SEQ_UNKNOWN or entry.dest_seq >= rreq.dest_seq)
+            ):
+                rrep = Rrep(
+                    origin=origin,
+                    dest=rreq.dest,
+                    dest_seq=entry.dest_seq,
+                    hop_count=entry.hop_count,
+                    lifetime=max(entry.expires_at - now, 0.0),
+                )
+                self._send_rrep(rrep)
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # HELLO link sensing (draft §6.9; optional)
@@ -227,6 +261,14 @@ class AodvAgent(OnDemandAgent):
             self._check_silent_neighbors()
             yield interval
 
+    def _heard_rreq(self, origin: int, rreq: Rreq, hops: int, via: int) -> bool:
+        """:meth:`_on_rreq` under HELLO sensing: the copy proves the link."""
+        self._neighbor_heard[via] = self.sim.now
+        return self._on_rreq(origin, rreq, hops, via)
+
+    def _heard_rreq_duplicate(self, origin: int, rreq: Rreq, via: int) -> None:
+        self._neighbor_heard[via] = self.sim.now
+
     def _check_silent_neighbors(self) -> None:
         deadline = self.cfg.hello_interval * (self.cfg.allowed_hello_loss + 0.5)
         now = self.sim.now
@@ -239,41 +281,6 @@ class AodvAgent(OnDemandAgent):
     # ------------------------------------------------------------------
     # control plane (the router's ``aodv.ctrl`` plane calls in here)
     # ------------------------------------------------------------------
-    def _answer(self, rreq: Rreq, now: float) -> bool:
-        """Reply to a fresh ``rreq`` as its destination, or as an
-        intermediate node with a fresh-enough route; False if neither."""
-        if rreq.dest == self.nid:
-            # Destination replies with a freshly incremented sequence
-            # number (>= any the requester has seen), so the RREP always
-            # displaces stale knowledge of us.
-            self.seq = max(self.seq + 1, rreq.dest_seq if rreq.dest_seq != SEQ_UNKNOWN else 0)
-            rrep = Rrep(
-                origin=rreq.origin,
-                dest=self.nid,
-                dest_seq=self.seq,
-                hop_count=0,
-                lifetime=self.cfg.my_route_timeout,
-            )
-            self._send_rrep(rrep)
-            return True
-        if self.cfg.intermediate_reply:
-            entry = self.table.lookup(rreq.dest, now)
-            if (
-                entry is not None
-                and entry.dest_seq != SEQ_UNKNOWN
-                and (rreq.dest_seq == SEQ_UNKNOWN or entry.dest_seq >= rreq.dest_seq)
-            ):
-                rrep = Rrep(
-                    origin=rreq.origin,
-                    dest=rreq.dest,
-                    dest_seq=entry.dest_seq,
-                    hop_count=entry.hop_count,
-                    lifetime=max(entry.expires_at - now, 0.0),
-                )
-                self._send_rrep(rrep)
-                return True
-        return False
-
     def _send_rrep(self, rrep: Rrep) -> None:
         """Unicast an RREP one hop toward its origin along reverse route."""
         if rrep.origin == self.nid:
@@ -346,9 +353,10 @@ class AodvRouter(AgentRouter):
     config:
         Protocol constants.
     rebroadcast:
-        RREQ rebroadcast-policy spec (see :mod:`repro.net.suppression`);
-        the default ``"flood"`` (no policy) keeps the draft's plain
-        expanding-ring flood.
+        RREQ rebroadcast-policy spec (see :mod:`repro.net.suppression`)
+        of the ``aodv.rreq`` flood plane (:attr:`flood`); the default
+        ``"flood"`` (no policy) keeps the draft's plain expanding-ring
+        flood.
     rng:
         :class:`~repro.sim.rng.RngRegistry` providing the policy's
         per-node random streams (``suppression.aodv.rreq.<nid>``); a
@@ -369,18 +377,21 @@ class AodvRouter(AgentRouter):
         rng: Optional[RngRegistry] = None,
     ) -> None:
         super().__init__(sim, channel, config if config is not None else AodvConfig())
-        #: the RREQ plane's rebroadcast policy; None rebroadcasts every
+        #: the RREQ flood plane; its ``policy`` None rebroadcasts every
         #: first copy inline (the draft's plain flood)
-        self.policy = make_rebroadcast_policy(
-            rebroadcast,
-            plane=KIND_RREQ_PLANE,
+        self.flood = FloodManager(
+            channel,
+            KIND_RREQ,
             registry=self.registry,
-            sim=sim,
-            rng=rng,
-            world=channel.world,
+            policy=make_rebroadcast_policy(
+                rebroadcast,
+                plane=KIND_RREQ,
+                registry=self.registry,
+                sim=sim,
+                rng=rng,
+                world=channel.world,
+            ),
         )
-        self._seen = SeenTable(sim, self.cfg.path_discovery_time)
-        self.registry.gauge("aodv.rreq_keys_live", fn=self._seen.__len__)
         self._ring_ttls = self.cfg.ring_ttls()
         self.agents = [AodvAgent(self, node) for node in channel.nodes]
         channel.register_plane(KIND_CTRL, self._on_ctrl)
@@ -398,55 +409,13 @@ class AodvRouter(AgentRouter):
             for nid in receivers:
                 agents[nid]._neighbor_heard[src] = now
         msg = frame.payload
-        if isinstance(msg, Rreq):
-            self._on_rreq(receivers, frame, msg)
-        elif isinstance(msg, Rrep):
+        if isinstance(msg, Rrep):
             for nid in receivers:
                 agents[nid]._on_rrep(frame, msg)
         elif isinstance(msg, Rerr):
             for nid in receivers:
                 agents[nid]._on_rerr(frame, msg)
         # Hello needs no handling beyond the timestamp above.
-
-    def _on_rreq(self, receivers: Sequence[int], frame: Frame, rreq: Rreq) -> None:
-        # The dedup set is fetched once: receivers are distinct, and a
-        # receiver's processing marks only itself (nothing it does
-        # synchronously marks another key), so testing and adding to the
-        # live set equals each copy's own ``mark``.
-        key = (rreq.origin, rreq.rreq_id)
-        seen = self._seen.entry(key)
-        policy = self.policy
-        agents = self.agents
-        now, src = self.sim.now, frame.src
-        hops_to_origin = rreq.hop_count + 1
-        expires_at = now + self.cfg.active_route_timeout
-        fwd: Optional[Rreq] = None
-        for nid in receivers:
-            if nid in seen:
-                if policy is not None:
-                    policy.duplicate(nid, key)
-                continue
-            seen.add(nid)
-            agent = agents[nid]
-            # Reverse route to the origin via the node we heard this from.
-            agent.table.offer(rreq.origin, src, hops_to_origin, rreq.origin_seq, expires_at, now)
-            if agent._answer(rreq, now) or rreq.ttl <= 1:
-                continue
-            if fwd is None:  # one forwarded RREQ, shared by every forwarder
-                fwd = Rreq(
-                    origin=rreq.origin,
-                    origin_seq=rreq.origin_seq,
-                    rreq_id=rreq.rreq_id,
-                    dest=rreq.dest,
-                    dest_seq=rreq.dest_seq,
-                    hop_count=hops_to_origin,
-                    ttl=rreq.ttl - 1,
-                )
-            out = Frame(src=nid, dst=-1, kind=KIND_CTRL, payload=fwd, size=frame.size)
-            if policy is None:
-                self.channel.broadcast(out)
-            else:
-                policy.forward(nid, key, partial(self.channel.broadcast, out))
 
     def route_hops(self, src: int, dst: int) -> int:
         if src == dst:

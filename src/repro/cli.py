@@ -315,7 +315,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _add_processes_arg(parser: argparse.ArgumentParser, what: str) -> None:
-    """The one ``--processes`` knob (shared semantics, see repro.parallel)."""
+    """The one ``--processes`` knob (shared semantics, see
+    :class:`repro.experiments.executor.ExperimentExecutor`)."""
     parser.add_argument(
         "--processes",
         type=int,

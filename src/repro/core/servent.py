@@ -163,14 +163,14 @@ class Servent:
         else:
             self.algorithm.on_message(src, msg, hops)
 
-    def _on_flood(self, origin: int, msg: P2pMessage, hops: int) -> None:
+    def _on_flood(self, origin: int, msg: P2pMessage, hops: int, via: int) -> None:
         if origin == self.nid:
             return
         self._count(msg.FAMILY)
         self._h_flood_hops.observe(hops)
         self.algorithm.on_discovery(origin, msg, hops)
 
-    def _on_flood_duplicate(self, origin: int, msg: P2pMessage) -> None:
+    def _on_flood_duplicate(self, origin: int, msg: P2pMessage, via: int) -> None:
         # The radio still received (and paid for) the duplicate copy;
         # it counts as a received message even though it is not processed.
         if origin != self.nid:

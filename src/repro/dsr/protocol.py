@@ -12,7 +12,10 @@ Implemented subset:
   :class:`~repro.net.broadcast.SeenTable`, which forgets a request
   once its discovery can no longer be pending) and hop limit, route
   record accumulation, and loop suppression (a node never forwards a
-  request already listing it);
+  request already listing it).  Each forwarder appends itself to the
+  route record, so DSR cannot share one forwarded envelope the way the
+  :class:`~repro.net.broadcast.FloodManager` planes (the p2p flood,
+  AODV's route requests) do;
 * RREP carrying the complete route, returned along its reverse
   (bidirectional links, as everywhere in this reproduction);
 * per-node route cache (shortest known path per destination), fed by

@@ -14,9 +14,8 @@ them through one :class:`ExperimentExecutor`:
 * unseen jobs consult the optional :class:`~repro.experiments.cache.RunCache`
   (``experiments.cache_hits`` / ``cache_misses``);
 * the remainder executes serially or on a shared
-  ``ProcessPoolExecutor`` sized by
-  :func:`repro.parallel.resolve_processes` and chunked by
-  :func:`repro.parallel.default_chunksize`, streaming completions back
+  ``ProcessPoolExecutor`` sized by :func:`resolve_processes` and
+  chunked by :func:`default_chunksize`, streaming completions back
   **in deterministic submission order** with cache write-back from the
   coordinating process only (workers never touch the store);
 * results return in request order, so serial, parallel and cached
@@ -29,16 +28,43 @@ is computed.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from ..obs.registry import Registry
-from ..parallel import default_chunksize, resolve_processes
 from ..scenarios.config import ScenarioConfig
 from ..scenarios.runner import RunResult, run_scenario
 from .cache import RunCache, run_key
 
-__all__ = ["ExperimentExecutor", "execute_config"]
+__all__ = ["ExperimentExecutor", "execute_config", "resolve_processes", "default_chunksize"]
+
+
+def resolve_processes(processes: Optional[int] = None) -> int:
+    """Worker count of a pool: ``processes``, or every core for ``None``.
+
+    ``None`` resolves to ``os.cpu_count()`` (floor 1); explicit values
+    must be >= 1.  The executor calls it as ``resolve_processes(None)``
+    for ``--processes 0``; an unset ``--processes`` never gets here,
+    it runs in-process.
+    """
+    if processes is None:
+        return max(1, os.cpu_count() or 1)
+    p = int(processes)
+    if p < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
+    return p
+
+
+def default_chunksize(n_jobs: int, processes: int) -> int:
+    """Tasks submitted per worker round trip: ``ceil(n/4p)`` capped at 32.
+
+    Large job lists amortize pickling instead of shipping one task at a
+    time, while ~4 rounds per worker keep the tail load-balanced.
+    """
+    if n_jobs < 0:
+        raise ValueError(f"n_jobs must be >= 0, got {n_jobs}")
+    return max(1, min(32, -(-n_jobs // (4 * max(1, processes)))))
 
 
 def execute_config(config: ScenarioConfig) -> RunResult:
@@ -54,9 +80,9 @@ class ExperimentExecutor:
     processes:
         ``None`` or ``1`` executes in-process (the reference lane);
         values > 1 fan jobs out over that many worker processes.
-        ``0`` means "every core" (:func:`~repro.parallel.resolve_processes`).
-        A pool ships :func:`~repro.parallel.default_chunksize` jobs per
-        worker round trip.
+        ``0`` means "every core" (:func:`resolve_processes`).
+        A pool ships :func:`default_chunksize` jobs per worker round
+        trip.
     cache:
         Optional :class:`RunCache` (or a store path) consulted before
         executing and written back after -- always from this process.

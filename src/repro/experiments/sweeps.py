@@ -137,7 +137,7 @@ def run_sweep(
         job is an independent, deterministic simulation so results are
         identical to the serial run.  Repetitions parallelize like grid
         points do -- a 1-point, 33-rep sweep fills the pool.  Each worker
-        round trip carries :func:`repro.parallel.default_chunksize` jobs --
+        round trip carries :func:`~repro.experiments.executor.default_chunksize` jobs --
         ``ceil(n_jobs / (4 * processes))`` capped at 32 -- so large
         grids of small points amortize pickling instead of shipping
         one-at-a-time, while keeping ~4 rounds per worker for load

@@ -9,12 +9,14 @@ given id at most once, and forwarding stops when the hop budget is
 spent.
 
 A :class:`FloodManager` is one flood *plane* -- every node's agent for
-one frame kind on one channel (the p2p discovery flood).  Upper layers
-install per-node callbacks that also report the hop count the copy
-travelled -- which is how peers learn their ad-hoc distance to a
-discovered neighbour.  The dedup caches of all its nodes are one
-:class:`SeenTable`, the same expiring table AODV and DSR keep for their
-route requests.
+one frame kind on one channel: the p2p discovery flood (``p2p.flood``)
+and AODV's route requests (``aodv.rreq``) are two planes of this one
+class.  Upper layers install per-node callbacks that also report the
+hop count the copy travelled -- which is how peers learn their ad-hoc
+distance to a discovered neighbour -- and the neighbour it came from,
+which is how AODV installs its reverse routes.  The dedup caches of all
+its nodes are one :class:`SeenTable`, the same expiring table DSR keeps
+for its route requests.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ class SeenTable:
     """Duplicate-suppression state of every node of one broadcast plane.
 
     ``(origin, id) -> ids of the nodes that processed it``: the single
-    source of truth for a plane's duplicate check (the p2p discovery
-    flood, AODV and DSR route requests).  A key is
+    source of truth for a plane's duplicate check (the flood planes and
+    DSR's route requests).  A key is
     forgotten once it is older than ``lifetime`` seconds, lazily and in
     FIFO order when a new key arrives, so memory tracks the floods in
     flight, not the run.
@@ -122,7 +124,7 @@ class FloodManager:
         The radio channel; each of its nodes relays the plane.
     kind:
         Frame kind to claim; lets several independent flood planes
-        coexist (e.g. ``"p2p.flood"`` vs ``"bench.flood"``).
+        coexist (e.g. ``"p2p.flood"`` vs ``"aodv.rreq"``).
     registry:
         Observability registry for the plane's counters, labeled
         ``plane=<kind>``.  Defaults to the channel's registry.
@@ -131,17 +133,21 @@ class FloodManager:
         deciding whether/when each node re-broadcasts a first copy.
         ``None`` forwards every first copy at once.
 
-    Per node ``nid``, ``deliver[nid](origin, payload, hops)`` runs
+    Per node ``nid``, ``deliver[nid](origin, payload, hops, via)`` runs
     exactly once per flood id heard (first copy wins, matching the
-    dedup table) and ``count_duplicate[nid](origin, payload)`` for each
-    dropped duplicate copy (metrics; the radio energy was already
-    charged by the channel).  ``None`` entries mark relay-only nodes.
+    dedup table; ``via`` is the neighbour the copy came from) and
+    returns True when the node consumed the flood, so it does not relay
+    it (an AODV node that answers a route request).
+    ``count_duplicate[nid](origin, payload, via)`` runs for each dropped
+    duplicate copy (metrics; the radio energy was already charged by the
+    channel).  ``None`` entries mark relay-only nodes.
     """
 
     #: Seconds a flood id stays in the dedup table.  The slowest flood
-    #: finishes well inside it: 12 hops (2 x MAXNHOPS) x at most ~53 ms
-    #: per hop (2 ms radio latency + 48 ms counter-policy assessment +
-    #: CSMA backoff) is ~0.64 s.
+    #: finishes well inside it: AODV's network-wide route request
+    #: (``net_diameter`` = 20 hops; p2p floods stop at 2 x MAXNHOPS = 12)
+    #: x at most ~53 ms per hop (2 ms radio latency + 48 ms
+    #: counter-policy assessment + CSMA backoff) is ~1.1 s.
     LIFETIME = 10.0
 
     def __init__(
@@ -155,8 +161,8 @@ class FloodManager:
         self.channel = channel
         self.kind = kind
         n = len(channel.nodes)
-        self.deliver: List[Optional[Callable[[int, Any, int], None]]] = [None] * n
-        self.count_duplicate: List[Optional[Callable[[int, Any], None]]] = [None] * n
+        self.deliver: List[Optional[Callable[[int, Any, int, int], Optional[bool]]]] = [None] * n
+        self.count_duplicate: List[Optional[Callable[[int, Any, int], None]]] = [None] * n
         self.policy = policy
         self._seq = [0] * n
         self.seen = SeenTable(channel.sim, self.LIFETIME)
@@ -183,8 +189,8 @@ class FloodManager:
             raise ValueError(f"nhops must be >= 1, got {nhops}")
         fid = (src, self._seq[src])
         self._seq[src] += 1
-        self._c_originated.inc()
-        self.seen.mark(fid, src)  # the origin never re-forwards its own flood
+        self._c_originated.value += 1
+        self.seen.entry(fid).add(src)  # the origin never re-forwards its own flood
         msg = FloodMessage(fid=fid, origin=src, hops=0, budget=int(nhops), payload=payload)
         self.channel.broadcast(
             Frame(src=src, dst=-1, kind=self.kind, payload=msg, size=size)
@@ -194,46 +200,48 @@ class FloodManager:
     # ------------------------------------------------------------------
     def _transmit(self, frame: Frame) -> None:
         """Count and broadcast one (possibly policy-delayed) forward."""
-        self._c_forwarded.inc()
+        self._c_forwarded.value += 1
         self.channel.broadcast(frame)
 
     def _on_frame(self, receivers: Sequence[int], frame: Frame) -> None:
         """The plane: ``frame`` heard by ``receivers`` (ascending), each
         handled as its own per-copy delivery would be, in that order."""
         msg: FloodMessage = frame.payload
-        fid = msg.fid
+        fid, origin, payload = msg.fid, msg.origin, msg.payload
+        via = frame.src
         policy = self.policy
+        deliver, count_duplicate = self.deliver, self.count_duplicate
         # Fetched once: receivers are distinct, and the key, at most a
         # second old, cannot expire under a nested origination.
         seen = self.seen.entry(fid)
         hops_here = msg.hops + 1
         remaining = msg.budget - 1
         fwd: Optional[FloodMessage] = None
+        first = forwarded = 0
         for nid in receivers:
             if nid in seen:
-                self._c_duplicates.inc()
                 if policy is not None:
                     policy.duplicate(nid, fid)
-                count_duplicate = self.count_duplicate[nid]
-                if count_duplicate is not None:
-                    count_duplicate(msg.origin, msg.payload)
+                on_duplicate = count_duplicate[nid]
+                if on_duplicate is not None:
+                    on_duplicate(origin, payload, via)
                 continue
             seen.add(nid)
-            deliver = self.deliver[nid]
-            if deliver is not None:
-                deliver(msg.origin, msg.payload, hops_here)
-            if remaining <= 0:
+            first += 1
+            on_first = deliver[nid]
+            consumed = on_first is not None and on_first(origin, payload, hops_here, via)
+            if consumed or remaining <= 0:
                 continue
             if fwd is None:  # one forwarded envelope, shared by every forwarder
                 fwd = FloodMessage(
-                    fid=fid,
-                    origin=msg.origin,
-                    hops=hops_here,
-                    budget=remaining,
-                    payload=msg.payload,
+                    fid=fid, origin=origin, hops=hops_here, budget=remaining, payload=payload
                 )
             out = Frame(src=nid, dst=-1, kind=self.kind, payload=fwd, size=frame.size)
             if policy is None:
-                self._transmit(out)
+                forwarded += 1
+                self.channel.broadcast(out)
             else:
                 policy.forward(nid, fid, partial(self._transmit, out))
+        # counted once per transmission; nothing the loop calls reads them
+        self._c_duplicates.value += len(receivers) - first
+        self._c_forwarded.value += forwarded

@@ -6,6 +6,9 @@ module lets the repository *measure* that argument instead of asserting
 it: :class:`CsmaChannel` is a drop-in Channel replacement where
 
 * every frame occupies airtime (``preamble + size / bitrate``);
+* a node sends one frame at a time: a frame it sends while its previous
+  one is still on air waits for that one to end, like an interface
+  queue, spending no backoff and no retry;
 * transmitters carrier-sense: if any neighbour is mid-transmission, the
   frame is deferred by a random backoff (up to ``max_backoff_slots``
   slots) and retried, up to ``max_retries`` times, then dropped;
@@ -93,8 +96,9 @@ class CsmaChannel(Channel):
     def _channel_busy(self, node: int) -> bool:
         """Carrier sense: any in-range transmitter currently on air?"""
         now = self.sim.now
-        for other, until in self._tx_until.items():
-            if until > now and other != node and self.world.link(node, other):
+        tx_until = self._tx_until
+        for other in self.world.neighbors(node).tolist():
+            if tx_until.get(other, now) > now:
                 return True
         return False
 
@@ -112,9 +116,15 @@ class CsmaChannel(Channel):
         return in_range
 
     def _try_send(self, frame: Frame, attempt: int) -> None:
-        if not self.world.is_up(frame.src):
+        src = frame.src
+        if not self.world.is_up(src):
             return
-        if self._channel_busy(frame.src):
+        own_until = self._tx_until.get(src, 0.0)
+        if own_until > self.sim.now:
+            # Our previous frame is still on air: queue behind it.
+            self.sim.schedule_at(own_until, self._try_send, frame, attempt)
+            return
+        if self._channel_busy(src):
             if attempt >= self.max_retries:
                 self._c_drops.inc()
                 return

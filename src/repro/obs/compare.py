@@ -81,10 +81,13 @@ SUPPRESSION_COST_METRICS: Tuple[str, ...] = (
     "card.contacts_learned",
 )
 
-#: Dedup-table occupancy: how many RREQ ids the AODV router, and how
-#: many flood ids a flood plane, currently remembers is the memory cost
-#: of duplicate suppression (bounded by the table's lifetime), not
-#: something the simulated network did.
+#: Dedup-table occupancy: how many flood ids a flood plane (the p2p
+#: discovery flood, AODV's route requests) currently remembers is the
+#: memory cost of duplicate suppression (bounded by the table's
+#: lifetime), not something the simulated network did.
+#: ``aodv.rreq_keys_live`` is a retired name: the AODV router's own RREQ
+#: table, gone since route requests ride the ``aodv.rreq`` flood plane
+#: (``flood.ids_live{plane=aodv.rreq}``); archived runs still carry it.
 DEDUP_COST_METRICS: Tuple[str, ...] = ("aodv.rreq_keys_live", "flood.ids_live")
 
 #: Prefix covering the vectorized graph-kernel counters

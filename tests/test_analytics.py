@@ -13,18 +13,18 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser
+from repro.experiments.executor import default_chunksize, resolve_processes
 from repro.metrics import smallworld as smallworld_mod
 from repro.metrics import analytics as analytics_mod
 from repro.metrics import connectivity as connectivity_mod
 from repro.metrics.analytics import AnalyticsEngine
-from repro.parallel import default_chunksize, resolve_processes
 from repro.scenarios import ScenarioConfig
 
 from .helpers import line_positions, make_world
 
 
 # ----------------------------------------------------------------------
-# shared pool-sizing helpers (repro.parallel)
+# the executor's pool-sizing helpers
 # ----------------------------------------------------------------------
 class TestPoolHelpers:
     def test_resolve_default_is_cpu_count(self):

@@ -5,9 +5,10 @@ import pytest
 
 from repro.aodv import AodvConfig, AodvRouter
 from repro.aodv.messages import Rreq
-from repro.aodv.protocol import KIND_CTRL
+from repro.aodv.protocol import KIND_CTRL, KIND_RREQ
 from repro.mobility import Area, Static
-from repro.net import Channel, Frame, World
+from repro.net import Channel, FloodManager, Frame, World
+from repro.net.broadcast import FloodMessage
 from repro.sim import Simulator
 
 from .helpers import line_positions, pin_per_copy_delivery
@@ -154,7 +155,9 @@ class TestRepair:
 
 
 class TestRreqDedup:
-    """The router-owned dedup table, read by the ``aodv.ctrl`` plane."""
+    """RREQ dedup is the router's ``aodv.rreq`` flood plane
+    (:class:`~repro.net.broadcast.FloodManager`), its table read once
+    per transmission."""
 
     #: four nodes all in range of each other: every broadcast is a batch of 3
     CLIQUE = [[0, 0], [4, 0], [0, 4], [4, 4]]
@@ -174,26 +177,27 @@ class TestRreqDedup:
         router = AodvRouter(sim, channel, rebroadcast=rebroadcast)
         inbox = []
         router.register("app", lambda *delivery: inbox.append(delivery))
-        plane = channel._planes[KIND_CTRL]
+        plane = channel._planes[KIND_RREQ]
         rreq_calls = []
 
         def spy(receivers, frame):
             msg = frame.payload
-            if isinstance(msg, Rreq):
-                seen = router._seen.seen_by((msg.origin, msg.rreq_id)) or set()
-                rreq_calls.append((list(receivers), [d for d in receivers if d not in seen]))
+            assert isinstance(msg.payload, Rreq)
+            seen = router.flood.seen.seen_by(msg.fid) or set()
+            rreq_calls.append((list(receivers), [d for d in receivers if d not in seen]))
             plane(receivers, frame)
 
-        channel._planes[KIND_CTRL] = spy
+        channel._planes[KIND_RREQ] = spy
         duplicates = []
-        if router.policy is not None:
-            duplicate = router.policy.duplicate
+        policy = router.flood.policy
+        if policy is not None:
+            duplicate = policy.duplicate
 
             def spy_duplicate(nid, key):
                 duplicates.append((nid, key))
                 duplicate(nid, key)
 
-            router.policy.duplicate = spy_duplicate
+            policy.duplicate = spy_duplicate
         router.send(0, 3, "x", kind="app")
         sim.run(until=2.0)
         assert inbox == [(3, 0, "x", 1)]
@@ -221,8 +225,11 @@ class TestRreqDedup:
     def test_no_hint_with_hello_sensing_or_a_suppression_policy(self):
         # HELLO sensing and a suppression policy both read duplicates;
         # the plane is registered either way and hands them every copy.
-        _, _, hello_channel, _, _ = make_aodv(self.CLIQUE, config=AodvConfig(hello_interval=1.0))
-        assert KIND_CTRL in hello_channel._planes
+        _, _, hello_channel, hello_router, _ = make_aodv(
+            self.CLIQUE, config=AodvConfig(hello_interval=1.0)
+        )
+        assert KIND_CTRL in hello_channel._planes and KIND_RREQ in hello_channel._planes
+        assert all(f is not None for f in hello_router.flood.count_duplicate)
         _, _, calls, duplicates = self._discover_in_clique(True, "counter:2")
         _, _, ref_calls, ref_duplicates = self._discover_in_clique(False, "counter:2")
         # Every RREQ copy a node had already processed reached the policy,
@@ -234,20 +241,23 @@ class TestRreqDedup:
 
     def test_second_hint_for_a_kind_raises(self):
         _, _, channel, _, _ = make_aodv(self.CLIQUE)
-        with pytest.raises(ValueError):
-            channel.register_plane(KIND_CTRL, lambda receivers, frame: None)
+        for kind in (KIND_CTRL, KIND_RREQ):
+            with pytest.raises(ValueError):
+                channel.register_plane(kind, lambda receivers, frame: None)
 
     def test_evicted_key_is_accepted_again(self):
         # Node 2 is unreachable: node 0 burns through all six discovery
-        # attempts (rreq ids 1..6, ~6.7 s), each heard by node 1 only.
+        # attempts (flood ids (0, 0)..(0, 5), ~6.7 s), each heard by
+        # node 1 only.
         sim, _, channel, router, _ = make_aodv([[0, 0], [8, 0], [500, 500]])
-        live = channel.registry.gauge("aodv.rreq_keys_live")
+        live = channel.registry.gauge("flood.ids_live", plane=KIND_RREQ)
 
         def replay_first_rreq():
-            """Re-air RREQ (0, 1); returns how many frames that caused."""
+            """Re-air RREQ (0, 0); returns how many frames that caused."""
             before = channel.registry.value("net.frames_sent")
-            rreq = Rreq(origin=0, origin_seq=1, rreq_id=1, dest=2, dest_seq=-1, hop_count=0, ttl=2)
-            channel.broadcast(Frame(src=0, dst=-1, kind=KIND_CTRL, payload=rreq, size=48))
+            rreq = Rreq(origin=0, origin_seq=1, dest=2, dest_seq=-1)
+            msg = FloodMessage(fid=(0, 0), origin=0, hops=0, budget=2, payload=rreq)
+            channel.broadcast(Frame(src=0, dst=-1, kind=KIND_RREQ, payload=msg, size=48))
             sim.run(until=sim.now + 0.01)
             return channel.registry.value("net.frames_sent") - before
 
@@ -255,11 +265,15 @@ class TestRreqDedup:
         sim.run(until=0.1)
         assert live.value == 1
         assert replay_first_rreq() == 1  # a duplicate: node 1 stays silent
-        sim.run(until=10.0)
-        # Ids older than PATH_DISCOVERY_TIME (3.2 s) were dropped as the
-        # later ones arrived -- the table does not grow with the run.
-        assert router.cfg.path_discovery_time == pytest.approx(3.2)
-        assert live.value == 2
+        sim.run(until=10.2)
+        assert live.value == 6
+        # A new discovery at 10.2 s: the ids older than LIFETIME (10 s),
+        # only (0, 0), are dropped as it arrives -- the table does not
+        # grow with the run.
+        assert FloodManager.LIFETIME == 10.0
+        router.send(0, 2, "nope again", kind="app")
+        sim.run(until=10.25)
+        assert live.value == 6  # (0, 0) gone, (0, 6) in
         assert replay_first_rreq() == 2  # fresh again: node 1 forwards it
 
 

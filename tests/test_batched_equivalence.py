@@ -214,8 +214,9 @@ def test_wavefront_bit_identical(seed, topology, routing, case):
         assert bat["suppression"] and bat["suppression"] == ref["suppression"]
     if case == "hello":
         assert bat["hello_sent"] > 0
-    # The control planes take whole transmissions on the batched lane.
-    aodv_plane = ["aodv.ctrl"] if routing == "aodv" else []
+    # The control planes take whole transmissions on the batched lane:
+    # AODV's control frames and its route-request flood plane.
+    aodv_plane = ["aodv.ctrl", "aodv.rreq"] if routing == "aodv" else []
     assert bat["plane_kinds"] == aodv_plane + ["p2p.flood"]
 
 

@@ -64,7 +64,7 @@ class TestServentDispatch:
         s0 = overlay.servents[0]
         from repro.core import Discover
 
-        s0._on_flood(0, Discover(seeker=0), hops=1)  # own origin: ignored
+        s0._on_flood(0, Discover(seeker=0), hops=1, via=1)  # own origin: ignored
         assert metrics.family_counts("connect")[0] == 0
 
     def test_duplicate_flood_copies_counted(self):
@@ -73,7 +73,7 @@ class TestServentDispatch:
         s0 = overlay.servents[0]
         from repro.core import Discover
 
-        s0._on_flood_duplicate(1, Discover(seeker=1))
+        s0._on_flood_duplicate(1, Discover(seeker=1), via=1)
         assert metrics.family_counts("connect")[0] == 1
 
     def test_double_algorithm_attach_rejected(self):

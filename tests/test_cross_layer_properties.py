@@ -32,7 +32,7 @@ class TestFloodVsBfs:
         sim, world, channel = random_world(seed)
         heard = set()
         flood = FloodManager(channel, "f")
-        flood.deliver[:] = [lambda o, p, h, i=i: heard.add(i) for i in range(world.n)]
+        flood.deliver[:] = [lambda o, p, h, v, i=i: heard.add(i) for i in range(world.n)]
         flood.originate(0, "x", nhops=ttl)
         sim.run()
         dist = world.hops_from(0)
@@ -45,8 +45,9 @@ class TestFloodVsBfs:
         sim, world, channel = random_world(seed)
         hops_seen = {}
         flood = FloodManager(channel, "f")
+        # (a truthy return would mean "consumed": the node would not relay)
         flood.deliver[:] = [
-            lambda o, p, h, i=i: hops_seen.setdefault(i, h) for i in range(world.n)
+            lambda o, p, h, v, i=i: hops_seen.__setitem__(i, h) for i in range(world.n)
         ]
         flood.originate(0, "x", nhops=8)
         sim.run()

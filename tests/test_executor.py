@@ -19,7 +19,7 @@ class TestValidation:
             ExperimentExecutor(processes=-1)
 
     def test_chunksize_is_not_a_parameter(self):
-        # repro.parallel.default_chunksize is the one chunking policy
+        # the executor's default_chunksize is the one chunking policy
         with pytest.raises(TypeError):
             ExperimentExecutor(processes=2, chunksize=2)
         with pytest.raises(TypeError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aodv.protocol import KIND_RREQ
 from repro.core.overlay import FLOOD_KIND
 from repro.net import FloodManager, Frame, SeenTable
 from repro.net.broadcast import FloodMessage
@@ -16,8 +17,8 @@ def setup_flood(positions, radio_range=10.0, kind="flood"):
     dups = [[] for _ in ch.nodes]
     flood = FloodManager(ch, kind)
     for i in range(len(ch.nodes)):
-        flood.deliver[i] = lambda o, p, h, i=i: inboxes[i].append((o, p, h))
-        flood.count_duplicate[i] = lambda o, p, i=i: dups[i].append((o, p))
+        flood.deliver[i] = lambda o, p, h, v, i=i: inboxes[i].append((o, p, h))
+        flood.count_duplicate[i] = lambda o, p, v, i=i: dups[i].append((o, p))
     return sim, world, ch, flood, inboxes, dups
 
 
@@ -37,6 +38,23 @@ class TestFloodReach:
         for i in (1, 2, 3, 4):
             (origin, payload, hops) = inboxes[i][0]
             assert origin == 0 and payload == "x" and hops == i
+
+    def test_first_copy_reports_the_neighbour_it_came_from(self):
+        sim, _, _, flood, _, _ = setup_flood(line_positions(4, spacing=8.0))
+        via = {}
+        flood.deliver[:] = [lambda o, p, h, v, i=i: via.__setitem__(i, v) for i in range(4)]
+        flood.originate(0, "v", nhops=3)
+        sim.run()
+        assert via == {1: 0, 2: 1, 3: 2}
+
+    def test_consuming_node_does_not_relay(self):
+        # Node 2 answers (consumes) the flood: node 3 never hears it.
+        sim, _, ch, flood, inboxes, _ = setup_flood(line_positions(4, spacing=8.0))
+        flood.deliver[2] = lambda o, p, h, v: inboxes[2].append((o, p, h)) or True
+        flood.originate(0, "c", nhops=3)
+        sim.run()
+        assert [bool(b) for b in inboxes] == [False, True, True, False]
+        assert ch.registry.value("flood.forwarded", plane="flood") == 1
 
     def test_nhops_one_is_neighbors_only(self):
         sim, _, _, flood, inboxes, _ = setup_flood(line_positions(4, spacing=8.0))
@@ -122,8 +140,8 @@ class TestMultiplePlanes:
         fb = FloodManager(ch, "plane.b")
         # four series per plane, no per-node cells
         assert len(ch.registry) - series == 2 * 4
-        fa.deliver[:] = [lambda o, p, h: got_a.append(p)] * world.n
-        fb.deliver[:] = [lambda o, p, h: got_b.append(p)] * world.n
+        fa.deliver[:] = [lambda o, p, h, v: got_a.append(p)] * world.n
+        fb.deliver[:] = [lambda o, p, h, v: got_b.append(p)] * world.n
         fa.originate(0, "A", nhops=2)
         fb.originate(0, "B", nhops=2)
         sim.run()
@@ -137,11 +155,15 @@ class TestLifetimeNeverBinds:
     """On paper shapes no copy of a flood outlives ``LIFETIME``: the
     expiring table behaves exactly like one that never forgets.
 
-    One never-forgetting run shows it.  The expiring table drops an id
-    only once the id is older than ``LIFETIME`` (when a newer id
-    arrives), so if every lookup of an id comes younger than that, each
-    lookup finds what the never-forgetting table finds, and the two
-    runs are one run.
+    One never-forgetting run shows it for both flood planes, the p2p
+    discovery flood and AODV's route requests.  The expiring table
+    drops an id only once the id is older than ``LIFETIME`` (when a
+    newer id arrives), so if every lookup of an id comes younger than
+    that, each lookup finds what the never-forgetting table finds, and
+    the two runs are one run.  For route requests the oldest lookup is
+    also below the 3.2 s (``2 * NET_TRAVERSAL_TIME``) the router's own
+    table used to keep them, so moving them onto a plane with the 10 s
+    lifetime changed no dedup decision.
     """
 
     @pytest.mark.parametrize(
@@ -157,26 +179,34 @@ class TestLifetimeNeverBinds:
     )
     def test_expiring_table_equals_never_forget(self, cfg, monkeypatch):
         simulation = build_scenario(cfg)
-        table = pin_never_forget(simulation.overlay.flood).seen
-        born = {}  # id -> time of its first insert
-        oldest = [0.0]  # greatest age of an id at a lookup
+        planes = {
+            FLOOD_KIND: pin_never_forget(simulation.overlay.flood).seen,
+            KIND_RREQ: pin_never_forget(simulation.router.flood).seen,
+        }
+        born = {plane: {} for plane in planes}  # id -> time of its first insert
+        oldest = dict.fromkeys(planes, 0.0)  # greatest age of an id at a lookup
         entry = SeenTable.entry
 
         def timed_entry(self, key):
-            if self is table:
-                now = self._sim.now
-                oldest[0] = max(oldest[0], now - born.setdefault(key, now))
+            for plane, table in planes.items():
+                if self is table:
+                    now = self._sim.now
+                    age = now - born[plane].setdefault(key, now)
+                    oldest[plane] = max(oldest[plane], age)
             return entry(self, key)
 
         monkeypatch.setattr(SeenTable, "entry", timed_entry)
         simulation.run()
         lifetime = FloodManager.LIFETIME
-        assert 0.0 < oldest[0] < lifetime
-        originated = simulation.registry.value("flood.originated", plane=FLOOD_KIND)
-        assert len(table) == len(born) == originated
+        for plane, table in planes.items():
+            assert 0.0 < oldest[plane] < lifetime
+            originated = simulation.registry.value("flood.originated", plane=plane)
+            assert len(table) == len(born[plane]) == originated
+        assert oldest[KIND_RREQ] < 3.2
         # ... and the check is not vacuous: ids do age past LIFETIME, so
         # the expiring table, evicting at the last new id, would keep
         # under a tenth of them.
-        last = max(born.values())
-        kept = sum(1 for first in born.values() if not last > first + lifetime)
-        assert kept < originated / 10
+        for plane in planes:
+            last = max(born[plane].values())
+            kept = sum(1 for first in born[plane].values() if not last > first + lifetime)
+            assert kept < len(born[plane]) / 10

@@ -68,6 +68,21 @@ class TestCollisions:
         sim.run()
         assert sorted(f.payload for f in got) == ["a", "b"]
 
+    def test_back_to_back_frames_queue_behind_their_own_sender(self):
+        # A node never collides with itself: frames it sends while its
+        # previous one is on air wait for it, like an interface queue,
+        # spending no backoff and no retry.
+        sim, _, ch = make_csma([[0, 0], [5, 0]], max_retries=0)
+        got = collect(ch, 1)
+        for payload in ("a", "b", "c"):
+            ch.unicast(Frame(src=0, dst=1, kind="t", payload=payload, size=200))
+        sim.run()
+        assert [f.payload for f in got] == ["a", "b", "c"]
+        assert ch.registry.value("net.collisions") == 0
+        assert ch.registry.value("net.backoffs") == 0
+        airtime = ch.airtime(Frame(src=0, dst=1, kind="t", payload=None, size=200))
+        assert sim.now == pytest.approx(3 * airtime)
+
     def test_carrier_sense_defers_neighbor(self):
         # 0 and 1 in range of each other; 1 senses 0's transmission and
         # backs off instead of colliding.

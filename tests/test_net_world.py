@@ -312,7 +312,11 @@ class TestEnergyProtocol:
 #: cache-effort counters are the grid backend's (it runs at every n),
 #: ``topology.csr_builds`` included; that one rose and
 #: ``topology.delta_rebuilds`` / ``moved_nodes`` left when a refresh
-#: became keep-or-rebuild.
+#: became keep-or-rebuild.  When AODV's route requests moved onto a flood
+#: plane, ``aodv.rreq_keys_live`` became ``flood.ids_live{plane=aodv.rreq}``
+#: (a 10 s instead of a 3.2 s lifetime, so a different live count) and
+#: that plane's ``flood.originated`` / ``forwarded`` / ``duplicates``
+#: joined; every other value stayed.
 PINNED_FINITE_ENERGY = {
     "aodv-regular": (
         dict(num_nodes=50, duration=300.0, seed=1, energy_capacity=0.05),
@@ -321,7 +325,9 @@ PINNED_FINITE_ENERGY = {
         {
             "alg.connections_closed{alg=regular}": 162,
             "alg.connections_established{alg=regular}": 166, "alg.pings_sent{alg=regular}": 309,
-            "aodv.rreq_keys_live": 5, "energy.consumed": 1.959330000000003,
+            "flood.ids_live{plane=aodv.rreq}": 6,
+            "flood.originated{plane=aodv.rreq}": 1082, "flood.forwarded{plane=aodv.rreq}": 1359,
+            "flood.duplicates{plane=aodv.rreq}": 2530, "energy.consumed": 1.959330000000003,
             "flood.duplicates{plane=p2p.flood}": 607, "flood.forwarded{plane=p2p.flood}": 399,
             "flood.ids_live{plane=p2p.flood}": 8, "flood.originated{plane=p2p.flood}": 509,
             "graphfast.bfs_sources{layer=metrics}": 38,
@@ -349,7 +355,9 @@ PINNED_FINITE_ENERGY = {
         {
             "alg.connections_closed{alg=basic}": 152,
             "alg.connections_established{alg=basic}": 154, "alg.pings_sent{alg=basic}": 442,
-            "aodv.rreq_keys_live": 1, "energy.consumed": 2.098280000000002,
+            "flood.ids_live{plane=aodv.rreq}": 2,
+            "flood.originated{plane=aodv.rreq}": 1551, "flood.forwarded{plane=aodv.rreq}": 1158,
+            "flood.duplicates{plane=aodv.rreq}": 1621, "energy.consumed": 2.098280000000002,
             "flood.duplicates{plane=p2p.flood}": 837, "flood.forwarded{plane=p2p.flood}": 662,
             "flood.ids_live{plane=p2p.flood}": 39, "flood.originated{plane=p2p.flood}": 1114,
             "graphfast.bfs_sources{layer=metrics}": 38,
@@ -404,7 +412,9 @@ PINNED_FINITE_ENERGY = {
         {
             "alg.connections_closed{alg=regular}": 148,
             "alg.connections_established{alg=regular}": 152, "alg.pings_sent{alg=regular}": 266,
-            "aodv.rreq_keys_live": 2, "energy.consumed": 1.6940760000000001,
+            "flood.ids_live{plane=aodv.rreq}": 5,
+            "flood.originated{plane=aodv.rreq}": 1036, "flood.forwarded{plane=aodv.rreq}": 1253,
+            "flood.duplicates{plane=aodv.rreq}": 2085, "energy.consumed": 1.6940760000000001,
             "flood.assessment_cancels{plane=aodv.rreq}": 40,
             "flood.assessment_cancels{plane=p2p.flood}": 10,
             "flood.duplicates{plane=p2p.flood}": 537, "flood.forwarded{plane=p2p.flood}": 372,

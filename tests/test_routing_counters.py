@@ -57,3 +57,20 @@ def test_aodv_hello_beacons_are_reported():
     assert router.control_overhead()["hello_sent"] == sim.registry.value(
         "routing.hello_sent", protocol="aodv"
     )
+
+
+def test_aodv_rreq_ledger_reads_from_the_flood_plane():
+    # Route requests ride the aodv.rreq flood plane: every RREQ the
+    # router counts is one flood the plane originated, and its forwards
+    # and dropped duplicate copies are registry series too.
+    simulation = build_scenario(
+        ScenarioConfig(num_nodes=30, duration=60.0, algorithm="regular", seed=2)
+    )
+    simulation.run()
+    counters = harvest(simulation).counters
+    sent = counters["routing.rreq_sent{protocol=aodv}"]
+    assert sent > 0
+    assert counters["flood.originated{plane=aodv.rreq}"] == sent
+    assert counters["flood.forwarded{plane=aodv.rreq}"] > 0
+    assert counters["flood.duplicates{plane=aodv.rreq}"] > 0
+    assert "flood.ids_live{plane=aodv.rreq}" in counters

@@ -318,10 +318,10 @@ class TestFactory:
             ScenarioConfig(num_nodes=12, duration=5.0, rebroadcast="counter:2")
         )
         flood_policy = simulation.overlay.flood.policy
-        rreq_policy = simulation.router.policy
+        rreq_policy = simulation.router.flood.policy
         assert isinstance(flood_policy, CounterPolicy) and flood_policy.plane == "p2p.flood"
         assert isinstance(rreq_policy, CounterPolicy) and rreq_policy.plane == "aodv.rreq"
-        # the aodv.ctrl plane reads the router's policy; agents hold none
+        # the aodv.rreq flood plane holds the router's policy; agents hold none
         assert not any(hasattr(a, "_policy") for a in simulation.router.agents)
 
 
@@ -350,7 +350,12 @@ _PIN_QUERY = dict(warmup=10.0, response_wait=8.0, gap_min=4.0, gap_max=10.0, tar
 #: at every n): ``topology.csr_builds`` joined them, and counter2-contact
 #: has one distance-cache hit fewer than the dense matrix had.  When a
 #: refresh became keep-or-rebuild, ``topology.csr_builds`` rose and
-#: ``topology.delta_rebuilds`` / ``moved_nodes`` left.
+#: ``topology.delta_rebuilds`` / ``moved_nodes`` left.  When AODV's route
+#: requests moved onto a flood plane, ``aodv.rreq_keys_live`` became
+#: ``flood.ids_live{plane=aodv.rreq}`` (a 10 s instead of a 3.2 s
+#: lifetime, so a different live count) and that plane's
+#: ``flood.originated`` / ``forwarded`` / ``duplicates`` joined; every
+#: other value stayed.
 PINNED_LANES = {
     "counter2-aodv": (
         dict(num_nodes=50, duration=300.0, seed=1, rebroadcast="counter:2"),
@@ -358,7 +363,9 @@ PINNED_LANES = {
         9.33617599999999,
         {
             "alg.connections_closed{alg=regular}": 351, "alg.connections_established{alg=regular}": 418,
-            "alg.pings_sent{alg=regular}": 825, "aodv.rreq_keys_live": 30,
+            "alg.pings_sent{alg=regular}": 825, "flood.ids_live{plane=aodv.rreq}": 96,
+            "flood.originated{plane=aodv.rreq}": 3004, "flood.forwarded{plane=aodv.rreq}": 8443,
+            "flood.duplicates{plane=aodv.rreq}": 16182,
             "energy.consumed": 9.33617599999999,
             "flood.assessment_cancels{plane=aodv.rreq}": 801,
             "flood.assessment_cancels{plane=p2p.flood}": 92, "flood.duplicates{plane=p2p.flood}": 1963,
@@ -387,7 +394,9 @@ PINNED_LANES = {
         7.197351000000034,
         {
             "alg.connections_closed{alg=regular}": 329, "alg.connections_established{alg=regular}": 382,
-            "alg.pings_sent{alg=regular}": 654, "aodv.rreq_keys_live": 31,
+            "alg.pings_sent{alg=regular}": 654, "flood.ids_live{plane=aodv.rreq}": 102,
+            "flood.originated{plane=aodv.rreq}": 3045, "flood.forwarded{plane=aodv.rreq}": 5862,
+            "flood.duplicates{plane=aodv.rreq}": 9999,
             "energy.consumed": 7.197351000000034,
             "flood.duplicates{plane=p2p.flood}": 1635, "flood.forwarded{plane=p2p.flood}": 1041,
             "flood.ids_live{plane=p2p.flood}": 21, "flood.originated{plane=p2p.flood}": 619,
@@ -415,7 +424,9 @@ PINNED_LANES = {
         2.7026280000000025,
         {
             "alg.connections_closed{alg=regular}": 64, "alg.connections_established{alg=regular}": 122,
-            "alg.pings_sent{alg=regular}": 209, "aodv.rreq_keys_live": 54,
+            "alg.pings_sent{alg=regular}": 209, "flood.ids_live{plane=aodv.rreq}": 127,
+            "flood.originated{plane=aodv.rreq}": 1037, "flood.forwarded{plane=aodv.rreq}": 2094,
+            "flood.duplicates{plane=aodv.rreq}": 3809,
             "card.contact_hits{plane=p2p.query}": 14, "card.contacts_learned{plane=p2p.query}": 50,
             "card.fallback_floods{plane=p2p.query}": 7, "energy.consumed": 2.7026280000000025,
             "flood.assessment_cancels{plane=aodv.rreq}": 224,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import ExperimentExecutor, SweepSpec, run_sweep, sweep_grid
 from repro.obs.registry import Registry
-from repro.parallel import default_chunksize
+from repro.experiments.executor import default_chunksize
 from repro.scenarios import ScenarioConfig
 
 
