@@ -98,6 +98,12 @@ class AodvConfig:
         """RREP wait time for a ring of radius ``ttl`` (2 x traversal)."""
         return 2.0 * self.node_traversal_time * (ttl + 2)
 
+    def path_discovery_time(self) -> float:
+        """RFC 3561's PATH_DISCOVERY_TIME: 2 x NET_TRAVERSAL_TIME, where
+        NET_TRAVERSAL_TIME = 2 x ``node_traversal_time`` x ``net_diameter``
+        (3.2 s at the defaults).  A node buffers a RREQ id this long."""
+        return 4.0 * self.node_traversal_time * self.net_diameter
+
 
 class AodvAgent(OnDemandAgent):
     """The AODV state machine of one node."""
@@ -378,11 +384,13 @@ class AodvRouter(AgentRouter):
     ) -> None:
         super().__init__(sim, channel, config if config is not None else AodvConfig())
         #: the RREQ flood plane; its ``policy`` None rebroadcasts every
-        #: first copy inline (the draft's plain flood)
+        #: first copy inline (the draft's plain flood), and it keeps each
+        #: RREQ id for PATH_DISCOVERY_TIME
         self.flood = FloodManager(
             channel,
             KIND_RREQ,
             registry=self.registry,
+            lifetime=self.cfg.path_discovery_time(),
             policy=make_rebroadcast_policy(
                 rebroadcast,
                 plane=KIND_RREQ,

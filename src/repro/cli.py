@@ -35,7 +35,7 @@ from .experiments import (
     table2_rows,
 )
 from .scenarios import ScenarioConfig, build_scenario, run_scenario
-from .scenarios.config import ALGORITHMS, QUERY_POLICY_KINDS, ROUTINGS
+from .scenarios.config import ALGORITHMS, ROUTINGS
 
 __all__ = ["main"]
 
@@ -64,7 +64,7 @@ def _positive(kind):
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     settings = dict(duration=args.duration, seed=args.seed, routing=args.routing)
-    policies = dict(rebroadcast=args.rebroadcast, query_policy=args.query_policy)
+    policies = dict(rebroadcast=args.rebroadcast)
     _scenario(args, **settings, **policies)  # a bad value is a usage error before any run
     result = run_figure(args.figure, reps=args.reps, overrides=policies, **settings)
     if args.json:
@@ -114,12 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     fieldname = _SWEEP_FIELDS[args.parameter]
     values = tuple(_sweep_value(args, v) for v in args.values)
-    fields = dict(
-        duration=args.duration,
-        seed=args.seed,
-        rebroadcast=args.rebroadcast,
-        query_policy=args.query_policy,
-    )
+    fields = dict(duration=args.duration, seed=args.seed, rebroadcast=args.rebroadcast)
     base = _scenario(args, **fields)
     for value in values:  # a bad point is a usage error before anything runs
         _scenario(args, **fields, **{fieldname: value})
@@ -242,7 +237,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         obs_interval=args.obs_interval,
         rebroadcast=args.rebroadcast,
-        query_policy=args.query_policy,
     )
     res = run_scenario(cfg)
     if args.store:
@@ -334,14 +328,6 @@ def _add_policy_args(parser: argparse.ArgumentParser) -> None:
         help="broadcast-plane rebroadcast policy: flood (reference, "
         "default), probabilistic[:p] (gossip-p, degree-adaptive floor) "
         "or counter[:c] (cancel after hearing c duplicates)",
-    )
-    parser.add_argument(
-        "--query-policy",
-        choices=QUERY_POLICY_KINDS,
-        default="flood",
-        help="query-plane policy: flood (reference Gnutella flood, "
-        "default) or contact (route to known holders first, "
-        "scoped-flood fallback)",
     )
 
 

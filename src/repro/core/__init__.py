@@ -30,7 +30,7 @@ from .messages import (
     SlaveRequest,
 )
 from .overlay import FLOOD_KIND, OverlayNetwork
-from .query import QUERY_POLICY_KINDS, ContactTable, QueryConfig, QueryEngine, QueryRecord
+from .query import QueryConfig, QueryEngine, QueryRecord
 from .servent import P2P_KIND, Servent
 
 __all__ = [
@@ -64,8 +64,6 @@ __all__ = [
     "SlaveRequest",
     "FLOOD_KIND",
     "OverlayNetwork",
-    "QUERY_POLICY_KINDS",
-    "ContactTable",
     "QueryConfig",
     "QueryEngine",
     "QueryRecord",

@@ -26,7 +26,7 @@ from .algorithms import HybridAlgorithm, make_algorithm
 from .config import P2pConfig
 from .files import FileStore, place_files
 from .messages import P2pMessage
-from .query import QUERY_POLICY_KINDS, ContactTable, QueryConfig
+from .query import QueryConfig
 from .servent import P2P_KIND, Servent
 
 __all__ = ["OverlayNetwork", "FLOOD_KIND"]
@@ -65,11 +65,6 @@ class OverlayNetwork:
         (``"flood" | "probabilistic[:p]" | "counter[:c]"``, see
         :mod:`repro.net.suppression`).  ``"flood"`` forwards every first
         copy at once.
-    query_policy:
-        Query-plane policy: ``"flood"`` (reference Gnutella flood) or
-        ``"contact"`` (each member keeps a
-        :class:`~repro.core.query.ContactTable` and routes to known
-        holders first, scoped-flood fallback).
     """
 
     def __init__(
@@ -91,7 +86,6 @@ class OverlayNetwork:
         lifetime_log=None,
         registry: Optional[Registry] = None,
         rebroadcast: str = "flood",
-        query_policy: str = "flood",
     ) -> None:
         self.sim = sim
         self.world = world
@@ -113,11 +107,6 @@ class OverlayNetwork:
 
         spec = parse_policy_spec(rebroadcast)
         self.rebroadcast = str(spec)
-        if query_policy not in QUERY_POLICY_KINDS:
-            raise ValueError(
-                f"unknown query policy {query_policy!r} (choose from {QUERY_POLICY_KINDS})"
-            )
-        self.query_policy = query_policy
 
         # One flood plane that every node relays; non-members forward but
         # don't listen.  One suppression policy (None: always forward)
@@ -161,11 +150,6 @@ class OverlayNetwork:
                 count_received=count_received,
                 lifetime_log=lifetime_log,
                 registry=self.registry,
-                contacts=(
-                    ContactTable(node=m, registry=self.registry)
-                    if query_policy == "contact"
-                    else None
-                ),
             )
             alg = make_algorithm(
                 algorithm,

@@ -14,45 +14,20 @@ answers for ``response_wait`` seconds (30 s), then waits a uniform
 15-45 s before the next query.
 
 The engine is written against the narrow servent surface (neighbours /
-send / store) so it can be unit-tested over a fake overlay.  With
-``ScenarioConfig.query_policy = "contact"`` it also keeps a CARD-style
-:class:`ContactTable` (Garg et al., arXiv:cs/0208024) of holders learned
-from answers, and routes repeat queries to them before flooding.
+send / store) so it can be unit-tested over a fake overlay.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..obs.registry import Registry
 from ..sim.process import Process
 from .messages import FileData, FileRequest, Query, QueryHit
 
-__all__ = [
-    "QueryConfig",
-    "QueryRecord",
-    "QueryEngine",
-    "ContactTable",
-    "QUERY_POLICY_KINDS",
-    "DEFAULT_FALLBACK_WAIT",
-]
-
-#: accepted ``ScenarioConfig.query_policy`` / ``--query-policy`` kinds
-QUERY_POLICY_KINDS = ("flood", "contact")
-#: seconds a contact-routed query waits for an answer before falling
-#: back to the reference TTL-scoped flood (well inside the 30 s
-#: response window, so fallback answers still count)
-DEFAULT_FALLBACK_WAIT = 5.0
-#: bounded contact-table sizes (CARD keeps "a small number of contacts")
-MAX_HOLDERS_PER_FILE = 4
-MAX_TRACKED_FILES = 512
-#: obs label of the query plane's contact counters
-QUERY_PLANE = "p2p.query"
-
+__all__ = ["QueryConfig", "QueryRecord", "QueryEngine"]
 
 @dataclass(frozen=True)
 class QueryConfig:
@@ -108,106 +83,13 @@ class QueryRecord:
         return min(hops) if hops else None
 
 
-class ContactTable:
-    """One member's CARD-style contact table: ``file -> holders``.
-
-    :meth:`learn_holder` records bindings from query answers and
-    downloads, and :meth:`contacts_for` lets the query engine route a
-    repeat query directly to known holders -- falling back to the
-    scoped flood after ``fallback_wait`` on a miss.  Both maps are
-    small LRUs, so state per member is O(1) regardless of network size.
-    The counters are shared by every member, labeled
-    ``plane=p2p.query``.
-    """
-
-    def __init__(
-        self,
-        *,
-        node: int = -1,
-        max_holders: int = MAX_HOLDERS_PER_FILE,
-        max_files: int = MAX_TRACKED_FILES,
-        fallback_wait: float = DEFAULT_FALLBACK_WAIT,
-        registry: Optional[Registry] = None,
-    ) -> None:
-        if fallback_wait <= 0:
-            raise ValueError(f"fallback_wait must be > 0, got {fallback_wait}")
-        self.node = node
-        self.max_holders = int(max_holders)
-        self.max_files = int(max_files)
-        self.fallback_wait = float(fallback_wait)
-        #: file_id -> LRU of holder ids (most recently confirmed last)
-        self._holders: "OrderedDict[int, OrderedDict[int, None]]" = OrderedDict()
-        registry = registry if registry is not None else Registry()
-        self._c_hits = registry.counter("card.contact_hits", plane=QUERY_PLANE)
-        self._c_fallbacks = registry.counter("card.fallback_floods", plane=QUERY_PLANE)
-        self._c_learned = registry.counter("card.contacts_learned", plane=QUERY_PLANE)
-
-    def learn_holder(self, file_id: int, holder: int) -> None:
-        """Record that ``holder`` answered (or served) ``file_id``."""
-        if holder == self.node:
-            return
-        entry = self._holders.get(file_id)
-        if entry is None:
-            if len(self._holders) >= self.max_files:
-                self._holders.popitem(last=False)
-            entry = self._holders[file_id] = OrderedDict()
-        else:
-            self._holders.move_to_end(file_id)
-        if holder in entry:
-            entry.move_to_end(holder)
-        else:
-            if len(entry) >= self.max_holders:
-                entry.popitem(last=False)
-            entry[holder] = None
-            self._c_learned.inc()
-
-    def contacts_for(self, file_id: int) -> List[int]:
-        """Known holders of ``file_id``, most recently confirmed first."""
-        entry = self._holders.get(file_id)
-        if not entry:
-            return []
-        self._holders.move_to_end(file_id)
-        return list(reversed(entry))
-
-    def forget(self, file_id: int) -> None:
-        """Drop stale holder bindings (a contact-routed query missed)."""
-        self._holders.pop(file_id, None)
-
-    def count_contact_hit(self) -> None:
-        self._c_hits.inc()
-
-    def count_fallback(self) -> None:
-        self._c_fallbacks.inc()
-
-    @property
-    def known_files(self) -> int:
-        return len(self._holders)
-
-
 class QueryEngine:
-    """Per-servent query issue/forward/answer logic.
+    """Per-servent query issue/forward/answer logic."""
 
-    When a :class:`ContactTable` is attached (``ScenarioConfig.query_policy
-    = "contact"``), the engine routes a query *directly* to holders it
-    learned from earlier answers and only falls back to the reference
-    TTL-scoped flood when no answer arrives within the table's
-    ``fallback_wait``; with none the behaviour is bit-identical to the
-    paper's Gnutella flood.
-    """
-
-    def __init__(
-        self,
-        servent,
-        config: QueryConfig,
-        rng: np.random.Generator,
-        *,
-        contacts: Optional[ContactTable] = None,
-    ) -> None:
+    def __init__(self, servent, config: QueryConfig, rng: np.random.Generator) -> None:
         self.servent = servent
         self.cfg = config
         self.rng = rng
-        #: the member's contact table (None = reference flood)
-        self.contacts = contacts
         self._seen: Set[int] = set()
         self._open: Dict[int, QueryRecord] = {}
         #: finished QueryRecords (harvested by the metrics layer)
@@ -267,42 +149,9 @@ class QueryEngine:
         )
         self._open[q.qid] = record
         self._seen.add(q.qid)  # never answer/forward our own query
-        if self.contacts is not None:
-            contacts = [h for h in self.contacts.contacts_for(fid) if h != self.servent.nid]
-            if contacts:
-                # Contact route: a couple of TTL-1 unicasts instead of a
-                # network-wide flood; receivers dedup on the same qid, so
-                # a later fallback flood can never double-answer.
-                self.contacts.count_contact_hit()
-                direct = Query(
-                    requirer=self.servent.nid, file_id=fid, ttl=1, p2p_hops=0, qid=q.qid
-                )
-                for holder in contacts:
-                    self.servent.send(holder, direct)
-                # The fallback must fire inside the response window or a
-                # stale-contact miss can never be recovered.
-                wait = min(self.contacts.fallback_wait, 0.5 * self.cfg.response_wait)
-                self.servent.sim.schedule(wait, self._fallback_flood, record)
-                return record
         for peer in neighbors:
             self.servent.send(peer, q)
         return record
-
-    def _fallback_flood(self, record: QueryRecord) -> None:
-        """Contact route missed: fall back to the reference scoped flood."""
-        if record.closed or record.answers:
-            return
-        self.contacts.count_fallback()
-        self.contacts.forget(record.file_id)  # the bindings were stale
-        fwd = Query(
-            requirer=record.requirer,
-            file_id=record.file_id,
-            ttl=self.cfg.ttl,
-            p2p_hops=0,
-            qid=record.qid,
-        )
-        for peer in self.servent.overlay_neighbors():
-            self.servent.send(peer, fwd)
 
     def _close(self, record: QueryRecord) -> None:
         record.closed = True
@@ -337,8 +186,6 @@ class QueryEngine:
         if not self.servent.store.has(data.file_id):
             self.servent.store.add(data.file_id)
             self.downloads.append(data.file_id)
-        if self.contacts is not None:
-            self.contacts.learn_holder(data.file_id, data.holder)
 
     # ------------------------------------------------------------------
     # receiving
@@ -378,8 +225,6 @@ class QueryEngine:
 
     def on_hit(self, src: int, hit: QueryHit) -> None:
         """Record an answer to one of our open queries."""
-        if self.contacts is not None:
-            self.contacts.learn_holder(hit.file_id, hit.holder)
         record = self._open.get(hit.qid)
         if record is None:
             return  # late answer after the 30 s window: discarded

@@ -27,7 +27,7 @@ from .config import P2pConfig
 from .connection import ConnectionTable
 from .files import FileStore
 from .messages import FileData, FileRequest, P2pMessage, Ping, Pong, Query, QueryHit
-from .query import ContactTable, QueryConfig, QueryEngine
+from .query import QueryConfig, QueryEngine
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algorithms.base import ReconfigAlgorithm
@@ -64,9 +64,6 @@ class Servent:
     registry:
         Observability registry; defaults to the flood plane's (and
         hence the whole simulation's) registry.
-    contacts:
-        The member's query-plane :class:`~repro.core.query.ContactTable`
-        (``query_policy="contact"``); ``None`` floods every query.
     """
 
     def __init__(
@@ -85,7 +82,6 @@ class Servent:
         count_received: Optional[Callable[[int, str], None]] = None,
         lifetime_log=None,
         registry: Optional[Registry] = None,
-        contacts: Optional[ContactTable] = None,
     ) -> None:
         self.nid = nid
         self.sim = sim
@@ -100,7 +96,7 @@ class Servent:
         #: optional LifetimeLog for closed-connection statistics
         self.lifetime_log = lifetime_log
         self.connections = ConnectionTable(nid, config.max_connections)
-        self.query_engine = QueryEngine(self, query_config, rng, contacts=contacts)
+        self.query_engine = QueryEngine(self, query_config, rng)
         self.algorithm: Optional["ReconfigAlgorithm"] = None
         if registry is None:
             registry = getattr(flood, "registry", None)

@@ -1,25 +1,21 @@
 """Mobility models from the Camp et al. survey the paper cites.
 
-Random waypoint is the paper's model; random walk, random direction and
-Gauss-Markov power the §8 "effects of mobility" studies; static is the
-zero-mobility baseline.
+Random waypoint is the paper's model; random direction and Gauss-Markov
+power the §8 "effects of mobility" studies; static is the zero-mobility
+baseline.
 """
 
 from .base import Area, MobilityModel
 from .direction import RandomDirection
 from .gauss_markov import GaussMarkov
-from .manhattan import ManhattanGrid
 from .static import Static
-from .walk import RandomWalk
 from .waypoint import RandomWaypoint
 
 __all__ = [
     "Area",
     "MobilityModel",
     "RandomWaypoint",
-    "RandomWalk",
     "RandomDirection",
     "GaussMarkov",
-    "ManhattanGrid",
     "Static",
 ]

@@ -132,6 +132,9 @@ class FloodManager:
         The plane's :class:`~repro.net.suppression.RebroadcastPolicy`,
         deciding whether/when each node re-broadcasts a first copy.
         ``None`` forwards every first copy at once.
+    lifetime:
+        Seconds a flood id stays in the dedup table (default
+        :attr:`LIFETIME`).
 
     Per node ``nid``, ``deliver[nid](origin, payload, hops, via)`` runs
     exactly once per flood id heard (first copy wins, matching the
@@ -143,11 +146,11 @@ class FloodManager:
     channel).  ``None`` entries mark relay-only nodes.
     """
 
-    #: Seconds a flood id stays in the dedup table.  The slowest flood
-    #: finishes well inside it: AODV's network-wide route request
-    #: (``net_diameter`` = 20 hops; p2p floods stop at 2 x MAXNHOPS = 12)
-    #: x at most ~53 ms per hop (2 ms radio latency + 48 ms
-    #: counter-policy assessment + CSMA backoff) is ~1.1 s.
+    #: Default seconds a flood id stays in the dedup table.  The slowest
+    #: p2p flood (2 x MAXNHOPS = 12 hops x at most ~53 ms per hop: 2 ms
+    #: radio latency + 48 ms counter-policy assessment + CSMA backoff)
+    #: finishes well inside it.  AODV's plane passes its own, shorter
+    #: PATH_DISCOVERY_TIME (``AodvConfig.path_discovery_time()``).
     LIFETIME = 10.0
 
     def __init__(
@@ -157,6 +160,7 @@ class FloodManager:
         *,
         registry: Optional[Registry] = None,
         policy: Optional[RebroadcastPolicy] = None,
+        lifetime: float = LIFETIME,
     ) -> None:
         self.channel = channel
         self.kind = kind
@@ -165,7 +169,7 @@ class FloodManager:
         self.count_duplicate: List[Optional[Callable[[int, Any, int], None]]] = [None] * n
         self.policy = policy
         self._seq = [0] * n
-        self.seen = SeenTable(channel.sim, self.LIFETIME)
+        self.seen = SeenTable(channel.sim, lifetime)
         if registry is None:
             registry = getattr(channel, "registry", None)
         self.registry = registry if registry is not None else Registry()

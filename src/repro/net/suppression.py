@@ -32,8 +32,6 @@ deciding node's id.  Each node draws from its own lazily created stream
 ``suppression.<plane>.<nid>``, and the policy's counters are labeled
 ``plane=<kind>`` and classified as *cost* metrics in
 :mod:`repro.obs.compare` (suppression accounting, not paper semantics).
-CARD-style contact tables live on the query plane
-(:class:`repro.core.query.ContactTable`).
 """
 
 from __future__ import annotations

@@ -67,12 +67,14 @@ TOPOLOGY_COST_METRICS: Tuple[str, ...] = (
 
 #: Rebroadcast-suppression policy accounting
 #: (:mod:`repro.net.suppression`): how many transmissions a policy
-#: skipped, cancelled or contact-routed measures the *policy's* work,
-#: not the paper's semantics.  Lanes that build no policy (``flood``,
-#: and ``probabilistic:p`` with ``p >= 1``) register none of these
-#: series.  ``flood.originated`` / ``forwarded`` / ``duplicates`` stay
-#: semantic: suppression legitimately changes them and the equivalence
-#: suite must notice when it claims not to.
+#: skipped or cancelled measures the *policy's* work, not the paper's
+#: semantics.  Lanes that build no policy (``flood``, and
+#: ``probabilistic:p`` with ``p >= 1``) register none of these series.
+#: ``flood.originated`` / ``forwarded`` / ``duplicates`` stay semantic:
+#: suppression legitimately changes them and the equivalence suite must
+#: notice when it claims not to.  The ``card.*`` names are retired: the
+#: contact-table query policy that counted them is gone, and runs
+#: archived with it still carry them.
 SUPPRESSION_COST_METRICS: Tuple[str, ...] = (
     "flood.suppressed",
     "flood.assessment_cancels",

@@ -21,10 +21,8 @@ from ..metrics.lifetimes import LifetimeLog
 from ..mobility import (
     Area,
     GaussMarkov,
-    ManhattanGrid,
     MobilityModel,
     RandomDirection,
-    RandomWalk,
     RandomWaypoint,
     Static,
 )
@@ -97,16 +95,12 @@ def _make_mobility(cfg: ScenarioConfig, rng: RngRegistry) -> MobilityModel:
             max_speed=cfg.max_speed,
             max_pause=cfg.max_pause,
         )
-    if cfg.mobility == "walk":
-        return RandomWalk(cfg.num_nodes, area, stream, speed=cfg.max_speed)
     if cfg.mobility == "direction":
         return RandomDirection(
             cfg.num_nodes, area, stream, max_speed=cfg.max_speed, max_pause=cfg.max_pause
         )
     if cfg.mobility == "gauss-markov":
         return GaussMarkov(cfg.num_nodes, area, stream, mean_speed=cfg.max_speed)
-    if cfg.mobility == "manhattan":
-        return ManhattanGrid(cfg.num_nodes, area, stream, max_speed=cfg.max_speed)
     return Static(cfg.num_nodes, area, stream)
 
 
@@ -166,7 +160,6 @@ def build_scenario(cfg: ScenarioConfig) -> Simulation:
         count_received=metrics.count_received,
         lifetime_log=lifetimes,
         rebroadcast=cfg.rebroadcast,
-        query_policy=cfg.query_policy,
     )
 
     # Top-level gauges: live views the sampler snapshots each interval.

@@ -14,19 +14,12 @@ from typing import Any, Dict
 
 from ..core.algorithms import ALGORITHMS
 from ..core.config import P2pConfig
-from ..core.query import QUERY_POLICY_KINDS, QueryConfig
+from ..core.query import QueryConfig
 from ..net.suppression import parse_policy_spec
 
 __all__ = ["ScenarioConfig"]
 
-_MOBILITY_MODELS = (
-    "waypoint",
-    "walk",
-    "direction",
-    "gauss-markov",
-    "manhattan",
-    "static",
-)
+_MOBILITY_MODELS = ("waypoint", "direction", "gauss-markov", "static")
 #: accepted ``ScenarioConfig.routing`` / ``--routing`` values
 ROUTINGS = ("aodv", "dsdv", "dsr", "oracle")
 
@@ -84,10 +77,6 @@ class ScenarioConfig:
     #: duplicates heard within a random assessment delay).  See
     #: :mod:`repro.net.suppression`.
     rebroadcast: str = "flood"
-    #: query-plane policy: ``"flood"`` (reference Gnutella flood) or
-    #: ``"contact"`` (CARD contact tables: route to known holders
-    #: first; scoped-flood fallback after a miss)
-    query_policy: str = "flood"
 
     p2p: P2pConfig = field(default_factory=P2pConfig)
     query: QueryConfig = field(default_factory=QueryConfig)
@@ -111,11 +100,6 @@ class ScenarioConfig:
                 'backend; "auto" is the only value'
             )
         parse_policy_spec(self.rebroadcast)  # raises on a bad spec
-        if self.query_policy not in QUERY_POLICY_KINDS:
-            raise ValueError(
-                f"unknown query policy {self.query_policy!r} "
-                f"(choose from {QUERY_POLICY_KINDS})"
-            )
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.obs_interval < 0:

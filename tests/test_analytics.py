@@ -206,9 +206,9 @@ class TestConfigAndCli:
 
     def test_old_config_dicts_still_load(self):
         d = ScenarioConfig().to_dict()
-        d.pop("query_policy")
+        d.pop("rebroadcast")
         cfg = ScenarioConfig.from_dict(d)
-        assert cfg.query_policy == "flood"
+        assert cfg.rebroadcast == "flood"
 
     def test_cli_run_flags(self):
         # Lane flags are rejected outright (tests/test_cli.py); the run

@@ -7,7 +7,7 @@ from repro.aodv import AodvConfig, AodvRouter
 from repro.aodv.messages import Rreq
 from repro.aodv.protocol import KIND_CTRL, KIND_RREQ
 from repro.mobility import Area, Static
-from repro.net import Channel, FloodManager, Frame, World
+from repro.net import Channel, Frame, World
 from repro.net.broadcast import FloodMessage
 from repro.sim import Simulator
 
@@ -247,10 +247,12 @@ class TestRreqDedup:
 
     def test_evicted_key_is_accepted_again(self):
         # Node 2 is unreachable: node 0 burns through all six discovery
-        # attempts (flood ids (0, 0)..(0, 5), ~6.7 s), each heard by
-        # node 1 only.
+        # attempts (flood ids (0, 0)..(0, 5), sent at 0, 0.32, 0.8,
+        # 1.44, 3.2 and 4.96 s), each heard by node 1 only.
         sim, _, channel, router, _ = make_aodv([[0, 0], [8, 0], [500, 500]])
         live = channel.registry.gauge("flood.ids_live", plane=KIND_RREQ)
+        # The plane keeps a RREQ id for PATH_DISCOVERY_TIME.
+        assert router.flood.seen.lifetime == AodvConfig().path_discovery_time() == 3.2
 
         def replay_first_rreq():
             """Re-air RREQ (0, 0); returns how many frames that caused."""
@@ -265,15 +267,13 @@ class TestRreqDedup:
         sim.run(until=0.1)
         assert live.value == 1
         assert replay_first_rreq() == 1  # a duplicate: node 1 stays silent
-        sim.run(until=10.2)
-        assert live.value == 6
-        # A new discovery at 10.2 s: the ids older than LIFETIME (10 s),
-        # only (0, 0), are dropped as it arrives -- the table does not
-        # grow with the run.
-        assert FloodManager.LIFETIME == 10.0
-        router.send(0, 2, "nope again", kind="app")
-        sim.run(until=10.25)
-        assert live.value == 6  # (0, 0) gone, (0, 6) in
+        sim.run(until=1.5)
+        assert live.value == 4
+        # The last attempt at 4.96 s: the ids older than the lifetime,
+        # (0, 0)..(0, 3), are dropped as it arrives -- the table does
+        # not grow with the run.
+        sim.run(until=5.0)
+        assert live.value == 2  # (0, 4) and (0, 5)
         assert replay_first_rreq() == 2  # fresh again: node 1 forwards it
 
 

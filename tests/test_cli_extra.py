@@ -133,8 +133,7 @@ class TestOrchestrationFlags:
     def test_figure_policy_flags(self, capsys):
         args = [
             "figure", "fig11", "--duration", "40", "--reps", "1",
-            "--rebroadcast", "counter:2", "--query-policy", "contact",
-            "--json",
+            "--rebroadcast", "counter:2", "--json",
         ]
         assert main(args) == 0
         data = json.loads(capsys.readouterr().out)
@@ -161,12 +160,12 @@ class TestRunStats:
 class TestRunSchemaSmoke:
     @pytest.mark.parametrize(
         "flags",
-        [[], ["--rebroadcast", "counter:2", "--query-policy", "contact"]],
-        ids=["default", "counter-contact"],
+        [[], ["--rebroadcast", "counter:2"]],
+        ids=["default", "counter"],
     )
     def test_run_json_validates(self, flags, tmp_path, capsys):
         # The run document the CLI prints must pass the standalone
-        # validator script, on the reference and a suppressing policy pair.
+        # validator script, on the reference and a suppressing policy.
         assert main(["run", "--nodes", "30", "--duration", "90", "--json"] + flags) == 0
         doc = tmp_path / "run.json"
         doc.write_text(capsys.readouterr().out)

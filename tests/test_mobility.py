@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mobility import Area, RandomWalk, RandomWaypoint, Static
+from repro.mobility import Area, RandomWaypoint, Static
 
 
 def rng(seed=0):
@@ -101,27 +101,6 @@ class TestRandomWaypoint:
         m = RandomWaypoint(4, Area(), rng(5), max_pause=1.0)
         p = m.positions(10_000.0)  # many segments per node in one refresh
         assert Area().contains(p).all()
-
-
-class TestRandomWalk:
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            RandomWalk(2, Area(), rng(), speed=0)
-        with pytest.raises(ValueError):
-            RandomWalk(2, Area(), rng(), epoch=0)
-
-    @given(st.integers(0, 500), st.floats(0.0, 2000.0))
-    @settings(max_examples=40, deadline=None)
-    def test_stays_in_area(self, seed, t):
-        area = Area(50, 50)
-        m = RandomWalk(6, area, rng(seed), speed=2.0, epoch=30.0)
-        assert area.contains(m.positions(t)).all()
-
-    def test_moves_continuously(self):
-        m = RandomWalk(5, Area(), rng(2), speed=1.0, epoch=20.0)
-        p0 = m.positions(0.0)
-        p1 = m.positions(10.0)
-        assert (np.hypot(*(p1 - p0).T) > 0.1).all()
 
 
 class TestPiecewiseLinearity:

@@ -16,19 +16,15 @@ import pytest
 from repro.mobility.base import Area
 from repro.mobility.direction import RandomDirection
 from repro.mobility.gauss_markov import GaussMarkov
-from repro.mobility.manhattan import ManhattanGrid
 from repro.mobility.static import Static
-from repro.mobility.walk import RandomWalk
 from repro.mobility.waypoint import RandomWaypoint
 
 AREA = Area(100.0, 100.0)
 
 MODELS = {
     "waypoint": lambda rng: RandomWaypoint(25, AREA, rng),
-    "walk": lambda rng: RandomWalk(25, AREA, rng),
     "direction": lambda rng: RandomDirection(25, AREA, rng),
     "gauss-markov": lambda rng: GaussMarkov(25, AREA, rng),
-    "manhattan": lambda rng: ManhattanGrid(25, AREA, rng),
     "static": lambda rng: Static(25, AREA, rng),
 }
 

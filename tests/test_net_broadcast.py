@@ -124,11 +124,13 @@ class TestDedup:
         assert inboxes[1][-1] == (0, "late", 1)
 
     def test_seen_limit_validated(self):
-        # The lifetime is a class constant, not a constructor knob.
+        # The table is bounded by age, not size: there is no size knob,
+        # and the age bound is the plane's own lifetime.
         _, _, ch = make_world(line_positions(2, spacing=8.0))
-        for knob in ("seen_limit", "lifetime"):
-            with pytest.raises(TypeError):
-                FloodManager(ch, "bad", **{knob: 0})
+        with pytest.raises(TypeError):
+            FloodManager(ch, "bad", seen_limit=0)
+        assert FloodManager(ch, "default").seen.lifetime == FloodManager.LIFETIME
+        assert FloodManager(ch, "short", lifetime=0.5).seen.lifetime == 0.5
 
 
 class TestMultiplePlanes:
@@ -152,18 +154,16 @@ class TestMultiplePlanes:
 
 
 class TestLifetimeNeverBinds:
-    """On paper shapes no copy of a flood outlives ``LIFETIME``: the
-    expiring table behaves exactly like one that never forgets.
+    """On paper shapes no copy of a flood outlives its plane's lifetime:
+    the expiring table behaves exactly like one that never forgets.
 
     One never-forgetting run shows it for both flood planes, the p2p
-    discovery flood and AODV's route requests.  The expiring table
-    drops an id only once the id is older than ``LIFETIME`` (when a
-    newer id arrives), so if every lookup of an id comes younger than
-    that, each lookup finds what the never-forgetting table finds, and
-    the two runs are one run.  For route requests the oldest lookup is
-    also below the 3.2 s (``2 * NET_TRAVERSAL_TIME``) the router's own
-    table used to keep them, so moving them onto a plane with the 10 s
-    lifetime changed no dedup decision.
+    discovery flood (``FloodManager.LIFETIME``, 10 s) and AODV's route
+    requests (PATH_DISCOVERY_TIME, 3.2 s).  The expiring table drops an
+    id only once the id is older than the lifetime (when a newer id
+    arrives), so if every lookup of an id comes younger than that, each
+    lookup finds what the never-forgetting table finds, and the two runs
+    are one run.
     """
 
     @pytest.mark.parametrize(
@@ -179,6 +179,11 @@ class TestLifetimeNeverBinds:
     )
     def test_expiring_table_equals_never_forget(self, cfg, monkeypatch):
         simulation = build_scenario(cfg)
+        lifetimes = {
+            FLOOD_KIND: simulation.overlay.flood.seen.lifetime,
+            KIND_RREQ: simulation.router.flood.seen.lifetime,
+        }
+        assert lifetimes == {FLOOD_KIND: FloodManager.LIFETIME, KIND_RREQ: 3.2}
         planes = {
             FLOOD_KIND: pin_never_forget(simulation.overlay.flood).seen,
             KIND_RREQ: pin_never_forget(simulation.router.flood).seen,
@@ -197,16 +202,14 @@ class TestLifetimeNeverBinds:
 
         monkeypatch.setattr(SeenTable, "entry", timed_entry)
         simulation.run()
-        lifetime = FloodManager.LIFETIME
         for plane, table in planes.items():
-            assert 0.0 < oldest[plane] < lifetime
+            assert 0.0 < oldest[plane] < lifetimes[plane]
             originated = simulation.registry.value("flood.originated", plane=plane)
             assert len(table) == len(born[plane]) == originated
-        assert oldest[KIND_RREQ] < 3.2
-        # ... and the check is not vacuous: ids do age past LIFETIME, so
-        # the expiring table, evicting at the last new id, would keep
+        # ... and the check is not vacuous: ids do age past the lifetime,
+        # so the expiring table, evicting at the last new id, would keep
         # under a tenth of them.
-        for plane in planes:
+        for plane, lifetime in lifetimes.items():
             last = max(born[plane].values())
             kept = sum(1 for first in born[plane].values() if not last > first + lifetime)
             assert kept < len(born[plane]) / 10

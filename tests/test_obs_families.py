@@ -422,9 +422,10 @@ class TestScaleGuard:
         # refresh became keep-or-rebuild, ``topology.delta_rebuilds`` and
         # ``topology.moved_nodes`` left and ``topology.csr_builds`` rose
         # from 41 to 61.  When AODV's route requests moved onto a flood
-        # plane, ``aodv.rreq_keys_live`` (28, ids younger than 3.2 s)
-        # became ``flood.ids_live{plane=aodv.rreq}`` (ids younger than
-        # 10 s) and the plane's three ``flood.*`` counters joined.
+        # plane, ``aodv.rreq_keys_live`` became
+        # ``flood.ids_live{plane=aodv.rreq}`` (28 ids, younger than
+        # PATH_DISCOVERY_TIME = 3.2 s, in both) and the plane's three
+        # ``flood.*`` counters joined.
         assert list(n150_counters.items()) == list(json.loads(_RECORDED_N150).items())
 
 
@@ -441,7 +442,7 @@ _RECORDED_N150 = """{
 "energy.consumed": 2.078592999999996,
 "flood.duplicates{plane=aodv.rreq}": 4666.0, "flood.duplicates{plane=p2p.flood}": 1983.0,
 "flood.forwarded{plane=aodv.rreq}": 1090.0, "flood.forwarded{plane=p2p.flood}": 514.0,
-"flood.ids_live{plane=aodv.rreq}": 134.0, "flood.ids_live{plane=p2p.flood}": 53.0,
+"flood.ids_live{plane=aodv.rreq}": 28.0, "flood.ids_live{plane=p2p.flood}": 53.0,
 "flood.originated{plane=aodv.rreq}": 280.0, "flood.originated{plane=p2p.flood}": 106.0,
 "graphfast.bfs_sources{layer=metrics}": 112.0, "graphfast.triangle_runs{layer=metrics}": 1.0,
 "kernel.events_daemon": 0.0, "kernel.events_dispatched": 12874.0, "kernel.events_skipped": 0.0,

@@ -130,11 +130,11 @@ class TestConfigSerialization:
         changed = dict(
             num_nodes=31, area_width=120.0, area_height=80.0, radio_range=12.5,
             p2p_fraction=0.5, algorithm="hybrid", routing="dsr", mac="lossy",
-            mobility="manhattan", max_speed=2.0, max_pause=30.0, num_files=7,
+            mobility="direction", max_speed=2.0, max_pause=30.0, num_files=7,
             max_freq=0.25, duration=45.0, seed=9, energy_capacity=3.5,
             snapshot_interval=0.5, queries=False,
             obs_interval=2.0,
-            rebroadcast="counter:2", query_policy="contact",
+            rebroadcast="counter:2",
             p2p=P2pConfig(max_connections=5), query=QueryConfig(ttl=3),
         )
         default = ScenarioConfig()

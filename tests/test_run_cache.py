@@ -41,7 +41,7 @@ class TestRunKey:
             {"routing": "dsdv"},
             {"rebroadcast": "counter:2"},
             {"rebroadcast": "probabilistic:0.7"},
-            {"query_policy": "contact"},
+            {"mobility": "direction"},
             {"mac": "csma"},
         ],
     )
@@ -70,6 +70,7 @@ REMOVED_KEYS = (
     "analytics_mode",
     "analytics_processes",
     "batched_delivery",
+    "query_policy",
     "queue",
     "topology_delta",
     "topology_refresh",
@@ -146,7 +147,8 @@ class TestArchiveWithRemovedQueueField:
 
 #: One archive line written at 41da6e7 by a run with
 #: ``rebroadcast="contact"`` -- a lane that only filled a vicinity table
-#: nothing read, and that ``parse_policy_spec`` no longer accepts.
+#: nothing read, and that ``parse_policy_spec`` no longer accepts.  Its
+#: config also carries the retired ``query_policy`` field.
 CONTACT_ARCHIVE = os.path.join(
     os.path.dirname(__file__), "data", "run_with_contact_rebroadcast.ndjson"
 )
@@ -178,6 +180,9 @@ class TestArchiveWithRetiredContactLane:
         with open(CONTACT_ARCHIVE) as fh:
             config = json.loads(fh.readline())["payload"]["config"]
         assert config["rebroadcast"] == "contact"
+        with pytest.raises(ValueError, match="^unknown ScenarioConfig keys: query_policy$"):
+            ScenarioConfig.from_dict(config)
+        del config["query_policy"]
         with pytest.raises(ValueError, match="unknown rebroadcast policy 'contact'"):
             ScenarioConfig.from_dict(config)
         # The rest of the line is a valid current config.

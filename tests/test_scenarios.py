@@ -48,8 +48,9 @@ class TestConfig:
             ScenarioConfig(algorithm="gnutella2")
         with pytest.raises(ValueError):
             ScenarioConfig(routing="ospf")
-        with pytest.raises(ValueError):
-            ScenarioConfig(mobility="teleport")
+        for retired in ("teleport", "walk", "manhattan"):
+            with pytest.raises(ValueError, match="unknown mobility model"):
+                ScenarioConfig(mobility=retired)
         with pytest.raises(ValueError):
             ScenarioConfig(duration=0)
 

@@ -8,12 +8,11 @@ Two proof obligations (DESIGN.md, broadcast-suppression plane):
    time series and derived figures over full scenarios -- the grid
    topology and the dense oracle, csma/lossy channels, several seeds.
 2. The suppressing lanes stay *correct*: every answer recorded under
-   ``rebroadcast="counter"`` or ``query_policy="contact"`` must come
-   from a node that truly holds the file (suppression may lose
-   answers, never fabricate them).
+   ``rebroadcast="counter"`` must come from a node that truly holds the
+   file (suppression may lose answers, never fabricate them).
 
-Plus unit coverage of the policy objects, the query plane's contact
-table and the spec parser, pinned outputs of three suppressing runs,
+Plus unit coverage of the policy objects and the spec parser, pinned
+outputs of two suppressing runs,
 the ``ring_ttls`` edge-case regression (ttl_start >= ttl_threshold),
 and a guard that suppression pays: on a dense query-heavy world
 ``counter:2`` halves the dispatched events at flood's answer rate.
@@ -25,13 +24,11 @@ import numpy as np
 import pytest
 
 from repro.aodv.protocol import AodvConfig
-from repro.core.query import QUERY_POLICY_KINDS, ContactTable
 from repro.net.suppression import (
     REBROADCAST_KINDS,
     CounterPolicy,
     PolicySpec,
     ProbabilisticPolicy,
-    RebroadcastPolicy,
     make_rebroadcast_policy,
     parse_policy_spec,
 )
@@ -89,8 +86,6 @@ class TestParsePolicySpec:
         for bad in ("nope", "contact"):
             with pytest.raises(ValueError, match=f"unknown rebroadcast policy '{bad}'"):
                 ScenarioConfig(rebroadcast=bad)
-        with pytest.raises(ValueError, match="unknown query policy"):
-            ScenarioConfig(query_policy="counter")
 
 
 # ----------------------------------------------------------------------
@@ -249,50 +244,6 @@ class TestCounterPolicy:
             CounterPolicy(sim=None)
 
 
-class TestContactPolicy:
-    """The query plane's :class:`ContactTable` (once ``ContactPolicy``)."""
-
-    def test_learn_and_order(self):
-        table = ContactTable(node=0)
-        table.learn_holder(7, 1)
-        table.learn_holder(7, 2)
-        table.learn_holder(7, 3)
-        assert table.contacts_for(7) == [3, 2, 1]  # most recent first
-        table.learn_holder(7, 1)  # re-confirmed: moves to front
-        assert table.contacts_for(7) == [1, 3, 2]
-
-    def test_never_learns_self(self):
-        table = ContactTable(node=5)
-        table.learn_holder(7, 5)
-        assert table.contacts_for(7) == []
-
-    def test_holder_lru_bound(self):
-        table = ContactTable(node=0, max_holders=2)
-        for holder in (1, 2, 3):
-            table.learn_holder(7, holder)
-        assert table.contacts_for(7) == [3, 2]  # 1 evicted
-
-    def test_file_lru_bound(self):
-        table = ContactTable(node=0, max_files=2)
-        for fid in (1, 2, 3):
-            table.learn_holder(fid, 9)
-        assert table.known_files == 2
-        assert table.contacts_for(1) == []  # oldest file evicted
-
-    def test_forget(self):
-        table = ContactTable(node=0)
-        table.learn_holder(7, 1)
-        table.forget(7)
-        assert table.contacts_for(7) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ContactTable(fallback_wait=0.0)
-        # A query-plane table, not a broadcast-plane policy.
-        assert not isinstance(ContactTable(), RebroadcastPolicy)
-        assert QUERY_POLICY_KINDS == ("flood", "contact")
-
-
 class TestFactory:
     def test_kinds(self):
         reg = Registry()
@@ -340,22 +291,19 @@ def test_suppression_counters_are_cost_keys():
 # ----------------------------------------------------------------------
 # pinned suppressing lanes: RNG stream names and draw order
 # ----------------------------------------------------------------------
-_PIN_QUERY = dict(warmup=10.0, response_wait=8.0, gap_min=4.0, gap_max=10.0, target="zipf")
-
-#: ``RunResult`` events, ``energy.sum()`` and ``counters`` of three
+#: ``RunResult`` events, ``energy.sum()`` and ``counters`` of two
 #: suppressing runs, recorded at 41da6e7 -- when every node still owned
 #: its own policy object per plane.  One policy per plane must draw the
 #: same per-node streams in the same order, so every value stays.  The
 #: ``topology.*`` cache-effort counters are the grid backend's (it runs
-#: at every n): ``topology.csr_builds`` joined them, and counter2-contact
-#: has one distance-cache hit fewer than the dense matrix had.  When a
-#: refresh became keep-or-rebuild, ``topology.csr_builds`` rose and
+#: at every n): ``topology.csr_builds`` joined them.  When a refresh
+#: became keep-or-rebuild, ``topology.csr_builds`` rose and
 #: ``topology.delta_rebuilds`` / ``moved_nodes`` left.  When AODV's route
 #: requests moved onto a flood plane, ``aodv.rreq_keys_live`` became
-#: ``flood.ids_live{plane=aodv.rreq}`` (a 10 s instead of a 3.2 s
-#: lifetime, so a different live count) and that plane's
-#: ``flood.originated`` / ``forwarded`` / ``duplicates`` joined; every
-#: other value stayed.
+#: ``flood.ids_live{plane=aodv.rreq}`` and that plane's
+#: ``flood.originated`` / ``forwarded`` / ``duplicates`` joined; with the
+#: plane keeping ids for PATH_DISCOVERY_TIME (3.2 s), the live count is
+#: the old table's again.  Every other value stayed.
 PINNED_LANES = {
     "counter2-aodv": (
         dict(num_nodes=50, duration=300.0, seed=1, rebroadcast="counter:2"),
@@ -363,7 +311,7 @@ PINNED_LANES = {
         9.33617599999999,
         {
             "alg.connections_closed{alg=regular}": 351, "alg.connections_established{alg=regular}": 418,
-            "alg.pings_sent{alg=regular}": 825, "flood.ids_live{plane=aodv.rreq}": 96,
+            "alg.pings_sent{alg=regular}": 825, "flood.ids_live{plane=aodv.rreq}": 30,
             "flood.originated{plane=aodv.rreq}": 3004, "flood.forwarded{plane=aodv.rreq}": 8443,
             "flood.duplicates{plane=aodv.rreq}": 16182,
             "energy.consumed": 9.33617599999999,
@@ -394,7 +342,7 @@ PINNED_LANES = {
         7.197351000000034,
         {
             "alg.connections_closed{alg=regular}": 329, "alg.connections_established{alg=regular}": 382,
-            "alg.pings_sent{alg=regular}": 654, "flood.ids_live{plane=aodv.rreq}": 102,
+            "alg.pings_sent{alg=regular}": 654, "flood.ids_live{plane=aodv.rreq}": 31,
             "flood.originated{plane=aodv.rreq}": 3045, "flood.forwarded{plane=aodv.rreq}": 5862,
             "flood.duplicates{plane=aodv.rreq}": 9999,
             "energy.consumed": 7.197351000000034,
@@ -418,48 +366,12 @@ PINNED_LANES = {
             "topology.rebuilds{layer=topology}": 839,
         },
     ),
-    "counter2-contact": (
-        dict(num_nodes=40, duration=120.0, seed=2, rebroadcast="counter:2", query_policy="contact"),
-        14970,
-        2.7026280000000025,
-        {
-            "alg.connections_closed{alg=regular}": 64, "alg.connections_established{alg=regular}": 122,
-            "alg.pings_sent{alg=regular}": 209, "flood.ids_live{plane=aodv.rreq}": 127,
-            "flood.originated{plane=aodv.rreq}": 1037, "flood.forwarded{plane=aodv.rreq}": 2094,
-            "flood.duplicates{plane=aodv.rreq}": 3809,
-            "card.contact_hits{plane=p2p.query}": 14, "card.contacts_learned{plane=p2p.query}": 50,
-            "card.fallback_floods{plane=p2p.query}": 7, "energy.consumed": 2.7026280000000025,
-            "flood.assessment_cancels{plane=aodv.rreq}": 224,
-            "flood.assessment_cancels{plane=p2p.flood}": 21, "flood.duplicates{plane=p2p.flood}": 452,
-            "flood.forwarded{plane=p2p.flood}": 297, "flood.ids_live{plane=p2p.flood}": 11,
-            "flood.originated{plane=p2p.flood}": 210, "flood.suppressed{plane=aodv.rreq}": 224,
-            "flood.suppressed{plane=p2p.flood}": 21, "graphfast.bfs_sources{layer=metrics}": 30,
-            "graphfast.triangle_runs{layer=metrics}": 1, "kernel.events_daemon": 0,
-            "kernel.events_dispatched": 14970, "kernel.events_skipped": 245, "kernel.heap": 124,
-            "kernel.heap_compactions": 0, "kernel.heap_pushes": 11075,
-            "net.frames_delivered{layer=radio}": 10098, "net.frames_sent{layer=radio}": 6061,
-            "overlay.connections": 58, "overlay.members": 30, "p2p.flood_hops.count": 262,
-            "p2p.flood_hops.sum": 401, "p2p.flood_hops.min": 1, "p2p.flood_hops.max": 4,
-            "p2p.received{family=connect}": 625, "p2p.received{family=other}": 0,
-            "p2p.received{family=ping}": 336, "p2p.received{family=query}": 551,
-            "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=aodv}": 643,
-            "routing.hello_sent{protocol=aodv}": 0, "routing.rerr_sent{protocol=aodv}": 167,
-            "routing.rrep_sent{protocol=aodv}": 475, "routing.rreq_sent{protocol=aodv}": 1037,
-            "topology.csr_builds{layer=topology}": 323,
-            "topology.dist_cache_hits{layer=topology}": 10,
-            "topology.rebuilds{layer=topology}": 343,
-        },
-    ),
 }
 
 
 @pytest.mark.parametrize("lane", sorted(PINNED_LANES))
 def test_suppressing_lane_is_pinned(lane):
-    from repro.core.query import QueryConfig
-
     fields, events, energy_total, counters = PINNED_LANES[lane]
-    if fields.get("query_policy") == "contact":
-        fields = {**fields, "query": QueryConfig(**_PIN_QUERY)}
     result = run_scenario(ScenarioConfig(**fields))
     assert result.events == events
     assert float(result.energy.sum()) == energy_total
@@ -568,26 +480,10 @@ def _query_cfg(**kw):
     )
 
 
-@pytest.fixture(scope="module")
-def contact_run():
-    """One contact-lane run shared by the two tests that read it."""
-    return _run(_query_cfg(query_policy="contact"))
-
-
 def test_counter_lane_answers_are_truthful():
     simulation = _run(_query_cfg(rebroadcast="counter:2"))
     records, answers = _answer_correctness(simulation)
     assert records > 0 and answers > 0
-
-
-def test_contact_lane_answers_are_truthful(contact_run):
-    records, answers = _answer_correctness(contact_run)
-    assert records > 0 and answers > 0
-
-
-def test_contact_lane_actually_contact_routes(contact_run):
-    # Repeat zipf queries find learned holders at least once.
-    assert contact_run.registry.value("card.contact_hits") > 0
 
 
 # ----------------------------------------------------------------------
