@@ -10,25 +10,24 @@ paper's simulations:
   (``aodv.rreq``): a node processes each RREQ once and relays it unless
   it answered it;
 * reverse-route installation at every hop an RREQ crosses;
-* RREP generation by the destination (always) and by intermediate nodes
-  with a fresh-enough route (configurable), unicast back hop-by-hop;
+* RREP generation by the destination and by intermediate nodes with a
+  fresh-enough route, unicast back hop-by-hop;
 * data forwarding with route-lifetime refresh;
 * link-failure handling on transmission failure: invalidate routes via
   the dead next hop, emit a one-hop RERR so neighbours drop their routes
   through us, and re-discover if we are the data source.
 
-HELLO beacons (draft §6.9) are supported but off by default
-(``AodvConfig.hello_interval = 0``): link failure is then detected on
-use, which the unit-disk channel reports synchronously.  Remaining
-simplifications (documented in DESIGN.md): no precursor lists (RERRs
-are one-hop broadcasts) and no gratuitous RREPs.  None of these affect
-the message families the paper measures.
+There are no HELLO beacons (draft §6.9), as in the paper's runs: link
+failure is detected on use, which the unit-disk channel reports
+synchronously.  Remaining simplifications (documented in DESIGN.md): no
+precursor lists (RERRs are one-hop broadcasts) and no gratuitous RREPs.
+None of these affect the message families the paper measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..net.broadcast import FloodManager
 from ..net.packet import Frame
@@ -37,7 +36,7 @@ from ..net.suppression import make_rebroadcast_policy
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from ..routing.base import AgentRouter, OnDemandAgent, Router
-from .messages import SEQ_UNKNOWN, DataPacket, Hello, Rerr, Rrep, Rreq
+from .messages import SEQ_UNKNOWN, DataPacket, Rerr, Rrep, Rreq
 from .table import RouteEntry, RouteTable
 
 __all__ = ["AodvConfig", "AodvAgent", "AodvRouter"]
@@ -66,16 +65,8 @@ class AodvConfig:
     rreq_retries: int = 2
     #: max data packets buffered per destination awaiting a route
     queue_per_dest: int = 16
-    #: whether intermediate nodes with fresh routes answer RREQs
-    intermediate_reply: bool = True
     ctrl_size: int = 48
     rerr_size: int = 20
-    #: HELLO beacon period (draft §6.9); 0 disables proactive link
-    #: sensing (links then break only when a transmission fails)
-    hello_interval: float = 0.0
-    #: HELLOs a neighbour may miss before the link is declared broken
-    allowed_hello_loss: int = 2
-    hello_size: int = 24
 
     def ring_ttls(self) -> List[int]:
         """The TTL sequence of the expanding-ring search + retries."""
@@ -120,21 +111,9 @@ class AodvAgent(OnDemandAgent):
         self._ring_ttls = router._ring_ttls
         c = router.counters
         self._c_rreq, self._c_rrep, self._c_rerr = c["rreq_sent"], c["rrep_sent"], c["rerr_sent"]
-        self._c_hello, self._c_forwarded = c["hello_sent"], c["data_forwarded"]
-        #: neighbour -> last time a HELLO (or any ctrl frame) was heard
-        self._neighbor_heard: Dict[int, float] = {}
+        self._c_forwarded = c["data_forwarded"]
         node.register(KIND_DATA, self._on_data)
         self._flood.deliver[self.nid] = self._on_rreq
-        if self.cfg.hello_interval > 0:
-            # Every RREQ copy heard proves its link too, as every
-            # aodv.ctrl frame does (draft §6.9).
-            self._flood.deliver[self.nid] = self._heard_rreq
-            self._flood.count_duplicate[self.nid] = self._heard_rreq_duplicate
-            from ..sim.process import Process
-
-            self._hello_proc = Process(
-                self.sim, self._hello_loop(), name=f"aodv.hello[{self.nid}]"
-            )
 
     # ------------------------------------------------------------------
     # data plane
@@ -228,61 +207,22 @@ class AodvAgent(OnDemandAgent):
             )
             self._send_rrep(rrep)
             return True
-        if self.cfg.intermediate_reply:
-            entry = table.lookup(rreq.dest, now)
-            if (
-                entry is not None
-                and entry.dest_seq != SEQ_UNKNOWN
-                and (rreq.dest_seq == SEQ_UNKNOWN or entry.dest_seq >= rreq.dest_seq)
-            ):
-                rrep = Rrep(
-                    origin=origin,
-                    dest=rreq.dest,
-                    dest_seq=entry.dest_seq,
-                    hop_count=entry.hop_count,
-                    lifetime=max(entry.expires_at - now, 0.0),
-                )
-                self._send_rrep(rrep)
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # HELLO link sensing (draft §6.9; optional)
-    # ------------------------------------------------------------------
-    def _hello_loop(self):
-        interval = self.cfg.hello_interval
-        # desynchronize beacons across nodes
-        yield (self.nid % 16) / 16.0 * interval
-        while True:
-            self._c_hello.value += 1
-            self.channel.broadcast(
-                Frame(
-                    src=self.nid,
-                    dst=-1,
-                    kind=KIND_CTRL,
-                    payload=Hello(sender=self.nid),
-                    size=self.cfg.hello_size,
-                )
+        entry = table.lookup(rreq.dest, now)
+        if (
+            entry is not None
+            and entry.dest_seq != SEQ_UNKNOWN
+            and (rreq.dest_seq == SEQ_UNKNOWN or entry.dest_seq >= rreq.dest_seq)
+        ):
+            rrep = Rrep(
+                origin=origin,
+                dest=rreq.dest,
+                dest_seq=entry.dest_seq,
+                hop_count=entry.hop_count,
+                lifetime=max(entry.expires_at - now, 0.0),
             )
-            self._check_silent_neighbors()
-            yield interval
-
-    def _heard_rreq(self, origin: int, rreq: Rreq, hops: int, via: int) -> bool:
-        """:meth:`_on_rreq` under HELLO sensing: the copy proves the link."""
-        self._neighbor_heard[via] = self.sim.now
-        return self._on_rreq(origin, rreq, hops, via)
-
-    def _heard_rreq_duplicate(self, origin: int, rreq: Rreq, via: int) -> None:
-        self._neighbor_heard[via] = self.sim.now
-
-    def _check_silent_neighbors(self) -> None:
-        deadline = self.cfg.hello_interval * (self.cfg.allowed_hello_loss + 0.5)
-        now = self.sim.now
-        for nbr, heard in list(self._neighbor_heard.items()):
-            if now - heard > deadline:
-                del self._neighbor_heard[nbr]
-                for entry in self.table.invalidate_via(nbr):
-                    self._broadcast_rerr(entry.dest, entry.dest_seq)
+            self._send_rrep(rrep)
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # control plane (the router's ``aodv.ctrl`` plane calls in here)
@@ -371,7 +311,7 @@ class AodvRouter(AgentRouter):
     """
 
     PROTOCOL = "aodv"
-    COUNTERS = ("rreq_sent", "rrep_sent", "rerr_sent", "hello_sent", "data_forwarded")
+    COUNTERS = ("rreq_sent", "rrep_sent", "rerr_sent", "data_forwarded")
 
     def __init__(
         self,
@@ -411,11 +351,6 @@ class AodvRouter(AgentRouter):
         """``frame`` heard by ``receivers`` (ascending), each handled as
         its own per-copy delivery would be, in that order."""
         agents = self.agents
-        if self.cfg.hello_interval > 0:
-            # Any control frame heard proves the link (draft §6.9).
-            now, src = self.sim.now, frame.src
-            for nid in receivers:
-                agents[nid]._neighbor_heard[src] = now
         msg = frame.payload
         if isinstance(msg, Rrep):
             for nid in receivers:
@@ -423,7 +358,6 @@ class AodvRouter(AgentRouter):
         elif isinstance(msg, Rerr):
             for nid in receivers:
                 agents[nid]._on_rerr(frame, msg)
-        # Hello needs no handling beyond the timestamp above.
 
     def route_hops(self, src: int, dst: int) -> int:
         if src == dst:

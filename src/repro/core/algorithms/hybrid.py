@@ -58,19 +58,18 @@ class PeerState(enum.Enum):
 class HybridAlgorithm(RegularAlgorithm):
     """Master/slave self-organization for heterogeneous networks.
 
-    The qualifier is static by default, but the paper allows it to "be
-    related to any characteristic of the node, e.g. energy level":
-    call :meth:`use_energy_qualifier` to make it track the node's
-    remaining battery, so drained masters lose their rank and the
-    hierarchy re-elects around them.
+    The qualifier is a static per-node value.  The paper allows it to
+    "be related to any characteristic of the node, e.g. energy level";
+    :class:`~repro.core.overlay.OverlayNetwork` takes one per node
+    (``qualifiers=``) and draws U(0, 1) values when none are given.
     """
 
     name = "hybrid"
 
     def __init__(self, servent, config, rng, qualifier: float = 1.0) -> None:
         super().__init__(servent, config, rng)
-        self._static_qualifier = float(qualifier)
-        self._energy_qualifier = False
+        #: rank in master elections (ties broken by node id)
+        self.qualifier = float(qualifier)
         self.state = PeerState.INITIAL
         self.master: Optional[int] = None
         #: master side: connections to our slaves (acceptor role)
@@ -81,28 +80,6 @@ class HybridAlgorithm(RegularAlgorithm):
         self._pending_slaves: Dict[int, float] = {}
         self._no_slaves_since = 0.0
 
-    # ------------------------------------------------------------------
-    # qualifier ordering (ties broken by node id, never ambiguous)
-    # ------------------------------------------------------------------
-    @property
-    def qualifier(self) -> float:
-        """Current qualifier (static, or live remaining-energy fraction)."""
-        if self._energy_qualifier:
-            energy = self.servent.world.energy
-            cap = energy.capacity
-            if cap == float("inf"):
-                return self._static_qualifier
-            return max(energy.remaining(self.servent.nid), 0.0) / cap
-        return self._static_qualifier
-
-    @qualifier.setter
-    def qualifier(self, value: float) -> None:
-        self._static_qualifier = float(value)
-
-    def use_energy_qualifier(self, enabled: bool = True) -> None:
-        """Tie the qualifier to the node's remaining battery fraction."""
-        self._energy_qualifier = bool(enabled)
-
     def stats(self) -> dict:
         """Base counters plus master/slave structure."""
         out = super().stats()
@@ -110,6 +87,9 @@ class HybridAlgorithm(RegularAlgorithm):
         out["slaves"] = self.slaves.count
         return out
 
+    # ------------------------------------------------------------------
+    # qualifier ordering (ties broken by node id, never ambiguous)
+    # ------------------------------------------------------------------
     def _beats(self, other_q: float, other_id: int) -> bool:
         """True if this peer outranks (qualifier, id) -- it can be master."""
         return (self.qualifier, self.servent.nid) > (other_q, other_id)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..messages import ConnectOffer, Discover, P2pMessage
+from ..messages import ConnectOffer, Discover
 from .regular import RegularAlgorithm
 
 __all__ = ["RandomAlgorithm"]
@@ -51,7 +51,9 @@ class RandomAlgorithm(RegularAlgorithm):
     def _needs_random(self) -> bool:
         # "The difference of the two algorithms lies in the LAST
         # connection": the long-range link is only sought once the
-        # MAXNCONN-1 regular slots are filled.
+        # MAXNCONN-1 regular slots are filled.  A dropped random
+        # connection is replaced on the next loop pass, through this
+        # same check.
         table = self.servent.connections
         return (
             self._regular_count() >= self._target_connections()
@@ -121,6 +123,9 @@ class RandomAlgorithm(RegularAlgorithm):
         return n
 
     def _willing(self, origin: int, msg: Discover) -> bool:
+        # Responders treat random discoveries like regular ones: willing
+        # if they have capacity.  The *seeker* is the one that insists on
+        # the farthest responder.
         table = self.servent.connections
         if msg.basic or msg.masters_only or table.has(origin):
             return False
@@ -163,14 +168,3 @@ class RandomAlgorithm(RegularAlgorithm):
         if src == self._pending_random_peer:
             self._pending_random_peer = None
         super()._on_confirm(src, msg)
-
-    def on_connection_closed(self, conn) -> None:
-        # A dropped random connection is replaced on the next loop pass
-        # (the _needs_random() check picks it up automatically).
-        super().on_connection_closed(conn)
-
-    def on_discovery(self, origin: int, msg: P2pMessage, hops: int) -> None:
-        # Responders treat random discoveries like regular ones: willing
-        # if they have capacity.  The *seeker* is the one that insists on
-        # the farthest responder.
-        super().on_discovery(origin, msg, hops)

@@ -24,10 +24,8 @@ Implemented subset:
   reports the dead link to the origin along the reversed prefix, every
   node on the way (and the origin) purges cached routes using that link,
   and the origin re-discovers;
-* optional cache replies: an intermediate node holding a cached route to
-  the target answers the RREQ by splicing it onto the accumulated
-  record.
-
+* cache replies: an intermediate node holding a cached route to the
+  target answers the RREQ by splicing it onto the accumulated record;
 * packet salvaging (spec §3.4.1): a relay whose next hop failed
   re-routes the packet over an alternate cached route (bounded by
   ``max_salvages``) instead of dropping it.
@@ -63,11 +61,8 @@ class DsrConfig:
     rreq_retries: int = 2
     discovery_timeout: float = 2.0
     queue_per_dest: int = 16
-    cache_replies: bool = True
-    #: relays with an alternate cached route re-route (salvage) a packet
-    #: whose next hop failed, instead of dropping it
-    salvage: bool = True
-    #: max times one packet may be salvaged (loop/staleness guard)
+    #: max times a relay may re-route (salvage) one packet whose next
+    #: hop failed over an alternate cached route (loop/staleness guard)
     max_salvages: int = 2
     ctrl_size: int = 48
 
@@ -201,7 +196,7 @@ class DsrAgent(OnDemandAgent):
         self._send_rerr(pkt, next_hop)
         # Salvaging: a relay with an alternate cached route re-routes the
         # packet instead of dropping it (DSR spec §3.4.1).
-        if self.cfg.salvage and pkt.salvaged < self.cfg.max_salvages:
+        if pkt.salvaged < self.cfg.max_salvages:
             alt = self.cache.get(pkt.dst)
             if alt is not None and len(alt) >= 2 and alt[1] != next_hop:
                 pkt.salvaged += 1
@@ -275,14 +270,13 @@ class DsrAgent(OnDemandAgent):
         if rreq.target == self.nid:
             self._reply(rreq.origin, route_here)
             return
-        if self.cfg.cache_replies:
-            cached = self.cache.get(rreq.target)
-            if cached is not None:
-                spliced = route_here + cached[1:]
-                # No node may appear twice in the spliced route.
-                if len(set(spliced)) == len(spliced) and len(spliced) <= self.cfg.max_route_len:
-                    self._reply(rreq.origin, spliced)
-                    return
+        cached = self.cache.get(rreq.target)
+        if cached is not None:
+            spliced = route_here + cached[1:]
+            # No node may appear twice in the spliced route.
+            if len(set(spliced)) == len(spliced) and len(spliced) <= self.cfg.max_route_len:
+                self._reply(rreq.origin, spliced)
+                return
         if rreq.ttl > 1 and len(route_here) < self.cfg.max_route_len:
             fwd = DsrRreq(
                 origin=rreq.origin,

@@ -2,7 +2,7 @@
 
 from .events import Event, Priority
 from .kernel import SimulationError, Simulator
-from .process import WAIT, Process
+from .process import Process
 from .rng import RngRegistry
 from .trace import TraceRecord, TraceRecorder, attach_tracer
 
@@ -15,6 +15,5 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Process",
-    "WAIT",
     "RngRegistry",
 ]

@@ -3,10 +3,8 @@
 The protocol state machines in this package are mostly written as plain
 callback chains, but long-lived control loops (the paper's
 ``while the node belongs to p2p network`` loops) read much more naturally
-as coroutines.  A :class:`Process` wraps a generator that *yields*:
-
-* a ``float``/``int`` -- sleep that many simulated seconds, or
-* :data:`WAIT` -- park until somebody calls :meth:`Process.wake`.
+as coroutines.  A :class:`Process` wraps a generator that *yields* a
+``float``/``int``: sleep that many simulated seconds.
 
 Example
 -------
@@ -30,10 +28,7 @@ from typing import Any, Generator, Optional
 from .events import Event, Priority
 from .kernel import Simulator
 
-__all__ = ["Process", "WAIT"]
-
-#: Sentinel a process yields to park until an external :meth:`Process.wake`.
-WAIT = object()
+__all__ = ["Process"]
 
 
 class Process:
@@ -58,43 +53,22 @@ class Process:
         self.gen = gen
         self.name = name
         self.alive = True
-        self._pending: Optional[Event] = None
-        self._waiting = False
-        self._pending = sim.schedule(0.0, self._advance, priority=Priority.HIGH)
+        self._pending: Optional[Event] = sim.schedule(0.0, self._advance, priority=Priority.HIGH)
 
-    def _advance(self, value: Any = None) -> None:
+    def _advance(self) -> None:
         self._pending = None
-        self._waiting = False
         if not self.alive:
             return
         try:
-            yielded = self.gen.send(value) if value is not None else next(self.gen)
+            yielded = next(self.gen)
         except StopIteration:
             self.alive = False
             return
-        if yielded is WAIT:
-            self._waiting = True
-        elif isinstance(yielded, (int, float)):
-            if yielded < 0:
-                raise ValueError(f"process {self.name!r} yielded negative delay {yielded!r}")
-            self._pending = self.sim.schedule(float(yielded), self._advance)
-        else:
-            raise TypeError(
-                f"process {self.name!r} yielded {yielded!r}; expected a delay or WAIT"
-            )
-
-    def wake(self, value: Any = True) -> None:
-        """Resume a process parked on :data:`WAIT`.
-
-        The resumption happens through a zero-delay event so the caller's
-        stack unwinds first.  Waking a process that is not parked is a
-        no-op (e.g. it already timed out).
-        """
-        if self.alive and self._waiting:
-            self._waiting = False
-            self._pending = self.sim.schedule(
-                0.0, self._advance, value, priority=Priority.HIGH
-            )
+        if not isinstance(yielded, (int, float)):
+            raise TypeError(f"process {self.name!r} yielded {yielded!r}; expected a delay")
+        if yielded < 0:
+            raise ValueError(f"process {self.name!r} yielded negative delay {yielded!r}")
+        self._pending = self.sim.schedule(float(yielded), self._advance)
 
     def kill(self) -> None:
         """Terminate the process; any pending wake-up is cancelled."""
@@ -105,5 +79,5 @@ class Process:
         self.gen.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "dead" if not self.alive else ("waiting" if self._waiting else "running")
+        state = "running" if self.alive else "dead"
         return f"<Process {self.name!r} {state}>"

@@ -1,5 +1,7 @@
-"""Tests for the energy-based Hybrid qualifier (§6.2: "this qualifier
-can be related to any characteristic of the node, e.g. energy level")."""
+"""Hybrid under a finite battery.  The qualifier is a static per-node
+value (§6.2: it "can be related to any characteristic of the node, e.g.
+energy level", and ``OverlayNetwork(qualifiers=...)`` sets it); what a
+battery adds is that a drained node goes down and leaves the topology."""
 
 import numpy as np
 
@@ -7,9 +9,12 @@ from repro.core import PeerState
 from repro.mobility import Area, Static
 from repro.net import Channel, EnergyModel, World
 from repro.aodv import AodvRouter
-from repro.core import OverlayNetwork, P2pConfig, QueryConfig
+from repro.core import OverlayNetwork
 from repro.metrics import MetricsCollector
 from repro.sim import RngRegistry, Simulator
+
+#: node 0 outranks node 1, which outranks node 2
+QUALIFIERS = {0: 0.9, 1: 0.5, 2: 0.3}
 
 
 def build_energy_overlay(positions, capacity=1.0):
@@ -33,72 +38,40 @@ def build_energy_overlay(positions, capacity=1.0):
         algorithm="hybrid",
         rng=rng,
         count_received=metrics.count_received,
+        qualifiers={i: QUALIFIERS[i] for i in range(n)},
     )
-    for servent in overlay.servents.values():
-        servent.algorithm.use_energy_qualifier()
     return sim, world, overlay
 
 
 class TestEnergyQualifier:
-    def test_qualifier_tracks_remaining_energy(self):
-        sim, world, overlay = build_energy_overlay([[10, 10], [15, 10]], capacity=1.0)
-        alg0 = overlay.servents[0].algorithm
-        assert alg0.qualifier == 1.0
-        world.energy.charge_tx(0, 50_000)  # drain some battery
-        assert 0.0 <= alg0.qualifier < 1.0
-
-    def test_fullest_battery_becomes_master(self):
-        sim, world, overlay = build_energy_overlay(
-            [[10, 10], [15, 10], [10, 15]], capacity=1.0
-        )
-        # Pre-drain nodes 1 and 2 so node 0 clearly outranks them.
-        world.energy.charge_tx(1, 60_000)
-        world.energy.charge_tx(2, 80_000)
-        overlay.start(queries=False)
-        sim.run(until=200.0)
-        states = {nid: s.algorithm.state for nid, s in overlay.servents.items()}
-        assert states[0] is PeerState.MASTER
-        assert states[1] is PeerState.SLAVE and states[2] is PeerState.SLAVE
-
     def test_static_fallback_when_infinite_capacity(self):
         sim, world, overlay = build_energy_overlay(
             [[10, 10], [15, 10]], capacity=float("inf")
         )
         alg0 = overlay.servents[0].algorithm
-        alg0.qualifier = 0.7
-        assert alg0.qualifier == 0.7  # static value used, no energy signal
+        world.energy.charge_tx(0, 50_000)
+        assert alg0.qualifier == 0.9  # spending energy leaves the rank alone
 
     def test_setter_updates_static_value(self):
         sim, world, overlay = build_energy_overlay([[10, 10], [15, 10]])
         alg0 = overlay.servents[0].algorithm
-        alg0.use_energy_qualifier(False)
         alg0.qualifier = 0.123
         assert alg0.qualifier == 0.123
 
     def test_drained_master_can_be_displaced(self):
-        # Start: node 0 is the strongest and masters 1 and 2.  Then node
-        # 0's battery is drained below the others; after the hierarchy
-        # breaks (master demotion or slave loss), node 0 must NOT become
-        # master again while weaker in energy.
+        # Node 0 has the highest qualifier and masters 1 and 2.  Then its
+        # battery runs dry: it goes down, its slaves lose their master
+        # and re-elect node 1, the strongest node still up.
         sim, world, overlay = build_energy_overlay(
             [[10, 10], [15, 10], [10, 15]], capacity=1.0
         )
-        world.energy.charge_tx(1, 40_000)
-        world.energy.charge_tx(2, 60_000)
         overlay.start(queries=False)
         sim.run(until=200.0)
-        assert overlay.servents[0].algorithm.state is PeerState.MASTER
-        # Drain node 0 heavily (below everyone).
-        world.energy.charge_tx(0, 200_000)
-        # Force reorganization by demoting it administratively.
-        overlay.servents[0].algorithm._become_initial()
-        sim.run(until=900.0)
         states = {nid: s.algorithm.state for nid, s in overlay.servents.items()}
-        masters = [nid for nid, st in states.items() if st is PeerState.MASTER]
-        if masters:
-            # the re-elected master is a higher-energy node
-            assert 0 not in masters or all(
-                world.energy.remaining(0) >= world.energy.remaining(m)
-                for m in masters
-                if m != 0
-            )
+        assert states == {0: PeerState.MASTER, 1: PeerState.SLAVE, 2: PeerState.SLAVE}
+        world.energy.charge_tx(0, 10**9)
+        assert not world.is_up(0)
+        sim.run(until=900.0)
+        alg1, alg2 = overlay.servents[1].algorithm, overlay.servents[2].algorithm
+        assert alg1.state is PeerState.MASTER
+        assert alg2.state is PeerState.SLAVE and alg2.master == 1

@@ -108,15 +108,6 @@ class TestIntermediateReply:
         # produced an intermediate RREP.
         assert sim.registry.value("routing.rreq_sent", protocol="aodv") == rreqs_before + 1
 
-    def test_intermediate_reply_can_be_disabled(self):
-        cfg = AodvConfig(intermediate_reply=False)
-        sim, _, _, router, inbox = make_aodv(line_positions(5, spacing=8.0), config=cfg)
-        router.send(2, 4, "prime", kind="app")
-        sim.run(until=2.0)
-        router.send(0, 4, "main", kind="app")
-        sim.run(until=4.0)
-        assert (4, 0, "main", 4) in inbox
-
 
 class TestRepair:
     def test_broken_route_triggers_rediscovery(self):
@@ -223,13 +214,12 @@ class TestRreqDedup:
         assert int(world.energy.rx_count.sum()) == delivered
 
     def test_no_hint_with_hello_sensing_or_a_suppression_policy(self):
-        # HELLO sensing and a suppression policy both read duplicates;
-        # the plane is registered either way and hands them every copy.
-        _, _, hello_channel, hello_router, _ = make_aodv(
-            self.CLIQUE, config=AodvConfig(hello_interval=1.0)
-        )
-        assert KIND_CTRL in hello_channel._planes and KIND_RREQ in hello_channel._planes
-        assert all(f is not None for f in hello_router.flood.count_duplicate)
+        # AODV itself reads no duplicate (it has no HELLO link sensing);
+        # only a suppression policy does, and then the plane hands it
+        # every copy.
+        _, _, channel, router, _ = make_aodv(self.CLIQUE)
+        assert KIND_CTRL in channel._planes and KIND_RREQ in channel._planes
+        assert all(f is None for f in router.flood.count_duplicate)
         _, _, calls, duplicates = self._discover_in_clique(True, "counter:2")
         _, _, ref_calls, ref_duplicates = self._discover_in_clique(False, "counter:2")
         # Every RREQ copy a node had already processed reached the policy,

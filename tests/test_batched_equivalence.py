@@ -15,18 +15,15 @@ charges a transmission's receivers in one step and hands the AODV and
 flood planes all of them in one call (ideal MAC, infinite energy -- the
 conditions it runs under), down to the per-node energy ledger, plus the
 runs that must take the per-copy fallback instead (finite energy, an
-``on_deliver`` observer) and the readers of every duplicate copy (the
-``counter`` policy, AODV HELLO sensing).
+``on_deliver`` observer) and the reader of every duplicate copy (the
+``counter`` policy).
 """
 
 import itertools
-from functools import partial
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.aodv import AodvConfig, AodvRouter
 from repro.core.query import QueryConfig
 from repro.net import Channel
 from repro.obs.compare import (
@@ -133,8 +130,6 @@ WAVEFRONT_CASES = {
     "tracer": ({}, ("aodv", "oracle", "dsr")),
     # (d) a non-reference policy must see every duplicate
     "counter": ({"rebroadcast": "counter:2"}, ("aodv",)),
-    # (e) HELLO sensing timestamps every control copy, duplicates too
-    "hello": ({}, ("aodv",)),
 }
 
 
@@ -151,13 +146,7 @@ def _run_wavefront(seed, topology, routing, case, batched):
         routing=routing,
         **overrides,
     )
-    # ScenarioConfig does not reach AodvConfig: make build_scenario's
-    # AODV router beacon HELLOs every 2 s.
-    router = AodvRouter
-    if case == "hello":
-        router = partial(AodvRouter, config=AodvConfig(hello_interval=2.0))
-    with mock.patch("repro.scenarios.builder.AodvRouter", router):
-        simulation = build_scenario(cfg)
+    simulation = build_scenario(cfg)
     if topology == "dense":
         simulation.world.topology = DenseOracle(simulation.world)
     if not batched:
@@ -182,11 +171,6 @@ def _run_wavefront(seed, topology, routing, case, batched):
             if k.startswith(("flood.suppressed", "flood.assessment_cancels"))
         },
         "plane_kinds": sorted(simulation.channel._planes),
-        "hello_sent": (
-            simulation.registry.value("routing.hello_sent", protocol="aodv")
-            if routing == "aodv"
-            else 0
-        ),
         "heap_pushes": simulation.registry.value("kernel.heap_pushes"),
     }
 
@@ -212,8 +196,6 @@ def test_wavefront_bit_identical(seed, topology, routing, case):
         assert bat["trace"] and bat["trace"] == ref["trace"]
     if case == "counter":
         assert bat["suppression"] and bat["suppression"] == ref["suppression"]
-    if case == "hello":
-        assert bat["hello_sent"] > 0
     # The control planes take whole transmissions on the batched lane:
     # AODV's control frames and its route-request flood plane.
     aodv_plane = ["aodv.ctrl", "aodv.rreq"] if routing == "aodv" else []

@@ -117,15 +117,6 @@ class TestDiscoveryAndDelivery:
         # node 0 originated one RREQ; node 2 answered from its cache
         assert rreq_sent(router) == rreqs + 1
 
-    def test_cache_replies_can_be_disabled(self):
-        cfg = DsrConfig(cache_replies=False)
-        sim, _, _, router, inbox = make_dsr(line_positions(5, spacing=8.0), config=cfg)
-        router.send(2, 4, "prime", kind="app")
-        sim.run(until=3.0)
-        router.send(0, 4, "main", kind="app")
-        sim.run(until=6.0)
-        assert (4, 0, "main", 4) in inbox
-
 
 class TestRepair:
     def test_broken_route_rediscovered(self):

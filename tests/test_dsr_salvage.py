@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.dsr import DsrConfig, DsrRouter
+from repro.dsr import DsrRouter
 from repro.mobility import Area, Static
 from repro.net import Channel, World
 from repro.sim import Simulator
@@ -17,13 +17,13 @@ def diamond_topology():
     return [[0.0, 0.0], [8.0, 0.0], [8.0, 6.0], [16.0, 0.0], [500.0, 500.0]]
 
 
-def make(config=None):
+def make():
     pts = np.asarray(diamond_topology(), dtype=float)
     sim = Simulator()
     mobility = Static(len(pts), Area(1000, 1000), np.random.default_rng(0), positions=pts)
     world = World(sim, mobility, radio_range=10.0)
     channel = Channel(sim, world)
-    router = DsrRouter(sim, channel, config=config)
+    router = DsrRouter(sim, channel)
     inbox = []
     router.register("app", lambda dst, src, p, h: inbox.append((dst, src, p, h)))
     return sim, world, router, inbox
@@ -67,27 +67,6 @@ class TestSalvage:
         sim.run(until=6.0)
         assert salvaged(sim) == before + 1
         assert any(p == "salvaged!" for _, _, p, _ in inbox)
-
-    def test_salvage_disabled(self):
-        cfg = DsrConfig(salvage=False)
-        sim, world, router, inbox = make(config=cfg)
-        router.send(0, 3, "x", kind="app")
-        sim.run(until=3.0)
-        route = router.agents[0].cache.get(3)
-        relay = route[1]
-        other = 2 if relay == 1 else 1
-        router.agents[relay].cache.offer([relay, other, 3])
-        from repro.dsr.protocol import DsrData
-
-        agent = router.agents[relay]
-        pkt = DsrData(
-            src=0, dst=3, kind_upper="app", payload="lost", size=64,
-            route=[0, relay, 4], index=1,
-        )
-        agent._transmit(pkt)
-        sim.run(until=6.0)
-        assert salvaged(sim) == 0
-        assert not any(p == "lost" for _, _, p, _ in inbox)
 
     def test_salvage_budget_respected(self):
         sim, world, router, inbox = make()

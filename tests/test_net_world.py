@@ -340,7 +340,7 @@ PINNED_FINITE_ENERGY = {
             "p2p.received{family=connect}": 768, "p2p.received{family=other}": 0,
             "p2p.received{family=ping}": 455, "p2p.received{family=query}": 169,
             "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=aodv}": 412,
-            "routing.hello_sent{protocol=aodv}": 0, "routing.rerr_sent{protocol=aodv}": 62,
+            "routing.rerr_sent{protocol=aodv}": 62,
             "routing.rrep_sent{protocol=aodv}": 505, "routing.rreq_sent{protocol=aodv}": 1082,
             "topology.csr_builds{layer=topology}": 492,
             "topology.dist_cache_hits{layer=topology}": 3,
@@ -370,7 +370,7 @@ PINNED_FINITE_ENERGY = {
             "p2p.flood_hops.sum": 555, "p2p.received{family=connect}": 977,
             "p2p.received{family=other}": 0, "p2p.received{family=ping}": 588,
             "p2p.received{family=query}": 78, "p2p.received{family=transfer}": 0,
-            "routing.data_forwarded{protocol=aodv}": 240, "routing.hello_sent{protocol=aodv}": 0,
+            "routing.data_forwarded{protocol=aodv}": 240,
             "routing.rerr_sent{protocol=aodv}": 309, "routing.rrep_sent{protocol=aodv}": 578,
             "routing.rreq_sent{protocol=aodv}": 1551,
             "topology.csr_builds{layer=topology}": 630,
@@ -430,7 +430,7 @@ PINNED_FINITE_ENERGY = {
             "p2p.received{family=connect}": 728, "p2p.received{family=other}": 0,
             "p2p.received{family=ping}": 390, "p2p.received{family=query}": 97,
             "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=aodv}": 311,
-            "routing.hello_sent{protocol=aodv}": 0, "routing.rerr_sent{protocol=aodv}": 72,
+            "routing.rerr_sent{protocol=aodv}": 72,
             "routing.rrep_sent{protocol=aodv}": 428, "routing.rreq_sent{protocol=aodv}": 1036,
             "topology.csr_builds{layer=topology}": 462,
             "topology.dist_cache_hits{layer=topology}": 1,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import WAIT, Process, Simulator
+from repro.sim import Process, Simulator
 
 
 class TestProcess:
@@ -32,32 +32,6 @@ class TestProcess:
         assert out == ["done"]
         assert not p.alive
 
-    def test_wait_and_wake(self):
-        sim = Simulator()
-        out = []
-
-        def waiter():
-            got = yield WAIT
-            out.append((sim.now, got))
-
-        p = Process(sim, waiter(), name="w")
-        sim.schedule(3.0, p.wake, "signal")
-        sim.run()
-        assert out == [(3.0, "signal")]
-
-    def test_wake_when_not_waiting_is_noop(self):
-        sim = Simulator()
-
-        def loop():
-            while True:
-                yield 1.0
-
-        p = Process(sim, loop())
-        sim.run(until=0.5)
-        p.wake()  # parked on a delay, not WAIT: must be ignored
-        sim.run(until=2.5)
-        assert p.alive
-
     def test_kill_stops_process(self):
         sim = Simulator()
         ticks = []
@@ -85,14 +59,16 @@ class TestProcess:
             sim.run()
 
     def test_non_numeric_yield_raises(self):
-        sim = Simulator()
+        # a bare sentinel is no delay either: a process cannot park
+        for value in ("soon", object()):
+            sim = Simulator()
 
-        def bad():
-            yield "soon"
+            def bad():
+                yield value
 
-        Process(sim, bad())
-        with pytest.raises(TypeError):
-            sim.run()
+            Process(sim, bad())
+            with pytest.raises(TypeError):
+                sim.run()
 
     def test_two_processes_interleave(self):
         sim = Simulator()

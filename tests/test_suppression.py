@@ -329,7 +329,7 @@ PINNED_LANES = {
             "p2p.received{family=connect}": 2667, "p2p.received{family=other}": 0,
             "p2p.received{family=ping}": 1299, "p2p.received{family=query}": 773,
             "p2p.received{family=transfer}": 0, "routing.data_forwarded{protocol=aodv}": 1955,
-            "routing.hello_sent{protocol=aodv}": 0, "routing.rerr_sent{protocol=aodv}": 531,
+            "routing.rerr_sent{protocol=aodv}": 531,
             "routing.rrep_sent{protocol=aodv}": 1874, "routing.rreq_sent{protocol=aodv}": 3004,
             "topology.csr_builds{layer=topology}": 888,
             "topology.dist_cache_hits{layer=topology}": 8,
@@ -358,7 +358,7 @@ PINNED_LANES = {
             "p2p.flood_hops.max": 6, "p2p.received{family=connect}": 2334,
             "p2p.received{family=other}": 0, "p2p.received{family=ping}": 999,
             "p2p.received{family=query}": 499, "p2p.received{family=transfer}": 0,
-            "routing.data_forwarded{protocol=aodv}": 956, "routing.hello_sent{protocol=aodv}": 0,
+            "routing.data_forwarded{protocol=aodv}": 956,
             "routing.rerr_sent{protocol=aodv}": 1067, "routing.rrep_sent{protocol=aodv}": 1878,
             "routing.rreq_sent{protocol=aodv}": 3045,
             "topology.csr_builds{layer=topology}": 829,
