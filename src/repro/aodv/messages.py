@@ -7,16 +7,13 @@ energy cost).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Rreq", "Rrep", "Rerr", "DataPacket", "SEQ_UNKNOWN"]
 
 #: Destination sequence number value meaning "no idea" in an RREQ.
 SEQ_UNKNOWN = -1
-
-_data_uid = itertools.count()
 
 
 @dataclass(slots=True)
@@ -74,4 +71,3 @@ class DataPacket:
     payload: Any
     size: int
     hops: int = 0
-    uid: int = field(default_factory=lambda: next(_data_uid))

@@ -133,9 +133,7 @@ class AodvAgent(OnDemandAgent):
         on_fail: Optional[Callable[[Any], None]] = None,
     ) -> None:
         pkt.hops += 1
-        ok = self.channel.unicast(
-            Frame(src=self.nid, dst=next_hop, kind=KIND_DATA, payload=pkt, size=pkt.size)
-        )
+        ok = self.channel.unicast(Frame(self.nid, next_hop, KIND_DATA, pkt, pkt.size))
         if ok:
             now = self.sim.now
             self.table.refresh(pkt.dst, now + self.cfg.active_route_timeout)
@@ -235,15 +233,7 @@ class AodvAgent(OnDemandAgent):
         if entry is None:
             return  # reverse route evaporated; origin will retry
         self._c_rrep.value += 1
-        self.channel.unicast(
-            Frame(
-                src=self.nid,
-                dst=entry.next_hop,
-                kind=KIND_CTRL,
-                payload=rrep,
-                size=self.cfg.ctrl_size,
-            )
-        )
+        self.channel.unicast(Frame(self.nid, entry.next_hop, KIND_CTRL, rrep, self.cfg.ctrl_size))
 
     def _on_rrep(self, frame: Frame, rrep: Rrep) -> None:
         now = self.sim.now
@@ -260,25 +250,13 @@ class AodvAgent(OnDemandAgent):
         if rrep.origin == self.nid:
             self._flush(rrep.dest)
             return
-        fwd = Rrep(
-            origin=rrep.origin,
-            dest=rrep.dest,
-            dest_seq=rrep.dest_seq,
-            hop_count=hops_to_dest,
-            lifetime=rrep.lifetime,
-        )
+        fwd = Rrep(rrep.origin, rrep.dest, rrep.dest_seq, hops_to_dest, rrep.lifetime)
         self._send_rrep(fwd)
 
     def _broadcast_rerr(self, dest: int, dest_seq: int) -> None:
         self._c_rerr.value += 1
         self.channel.broadcast(
-            Frame(
-                src=self.nid,
-                dst=-1,
-                kind=KIND_CTRL,
-                payload=Rerr(dest=dest, dest_seq=dest_seq),
-                size=self.cfg.rerr_size,
-            )
+            Frame(self.nid, -1, KIND_CTRL, Rerr(dest=dest, dest_seq=dest_seq), self.cfg.rerr_size)
         )
 
     def _on_rerr(self, frame: Frame, rerr: Rerr) -> None:

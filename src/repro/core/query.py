@@ -99,6 +99,11 @@ class QueryEngine:
         self.downloads: List[int] = []
         #: transfers served to other peers
         self.uploads: List[int] = []
+        if config.target == "zipf":
+            # popularity-proportional search (weight 1/rank), built once
+            self._ranks = np.arange(1, servent.num_files + 1, dtype=float)
+            w = 1.0 / self._ranks
+            self._p = w / w.sum()
 
     # ------------------------------------------------------------------
     # issuing
@@ -126,13 +131,9 @@ class QueryEngine:
             yield float(self.rng.uniform(self.cfg.gap_min, self.cfg.gap_max))
 
     def _pick_file(self) -> int:
-        num = self.servent.num_files
         if self.cfg.target == "uniform":
-            return int(self.rng.integers(1, num + 1))
-        # zipf: popularity-proportional search (weight 1/rank)
-        ranks = np.arange(1, num + 1, dtype=float)
-        w = 1.0 / ranks
-        return int(self.rng.choice(ranks, p=w / w.sum()))
+            return int(self.rng.integers(1, self.servent.num_files + 1))
+        return int(self.rng.choice(self._ranks, p=self._p))
 
     def issue_query(self, file_id: Optional[int] = None) -> Optional[QueryRecord]:
         """Send one query to all overlay neighbours; None if no neighbours."""
@@ -195,30 +196,13 @@ class QueryEngine:
         if q.qid in self._seen:
             return  # rule 1: process/forward once
         self._seen.add(q.qid)
-        arrived = Query(
-            requirer=q.requirer,
-            file_id=q.file_id,
-            ttl=q.ttl,
-            p2p_hops=q.p2p_hops + 1,
-            qid=q.qid,
-        )
+        arrived = Query(q.requirer, q.file_id, q.ttl, q.p2p_hops + 1, q.qid)
         if self.servent.store.has(q.file_id):
-            hit = QueryHit(
-                holder=self.servent.nid,
-                file_id=q.file_id,
-                qid=q.qid,
-                p2p_hops=arrived.p2p_hops,
-            )
+            hit = QueryHit(self.servent.nid, q.file_id, q.qid, arrived.p2p_hops)
             self.servent.send(q.requirer, hit)
         # Forward even when we hold the file (§7.2).
         if arrived.ttl > 1:
-            fwd = Query(
-                requirer=q.requirer,
-                file_id=q.file_id,
-                ttl=arrived.ttl - 1,
-                p2p_hops=arrived.p2p_hops,
-                qid=q.qid,
-            )
+            fwd = Query(q.requirer, q.file_id, arrived.ttl - 1, arrived.p2p_hops, q.qid)
             for peer in self.servent.overlay_neighbors():
                 if peer != src and peer != q.requirer:  # rules 2 and 3
                     self.servent.send(peer, fwd)

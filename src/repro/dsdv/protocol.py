@@ -124,11 +124,11 @@ class DsdvAgent(Agent):
         self._c_updates.value += 1
         self.channel.broadcast(
             Frame(
-                src=self.nid,
-                dst=-1,
-                kind=KIND_UPDATE,
-                payload=DsdvUpdate(sender=self.nid, rows=rows),
-                size=self.cfg.update_size + 4 * len(rows),
+                self.nid,
+                -1,
+                KIND_UPDATE,
+                DsdvUpdate(sender=self.nid, rows=rows),
+                self.cfg.update_size + 4 * len(rows),
             )
         )
 
@@ -185,9 +185,7 @@ class DsdvAgent(Agent):
         if entry is None:
             return False
         pkt.hops += 1
-        ok = self.channel.unicast(
-            Frame(src=self.nid, dst=entry.next_hop, kind=KIND_DATA, payload=pkt, size=pkt.size)
-        )
+        ok = self.channel.unicast(Frame(self.nid, entry.next_hop, KIND_DATA, pkt, pkt.size))
         if ok:
             if pkt.src != self.nid:
                 self._c_forwarded.value += 1

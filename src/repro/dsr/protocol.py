@@ -178,9 +178,7 @@ class DsrAgent(OnDemandAgent):
     def _transmit(self, pkt: DsrData, on_fail: Optional[Callable[[Any], None]] = None) -> None:
         next_hop = pkt.route[pkt.index + 1]
         pkt.index += 1
-        ok = self.channel.unicast(
-            Frame(src=self.nid, dst=next_hop, kind=KIND_DATA, payload=pkt, size=pkt.size)
-        )
+        ok = self.channel.unicast(Frame(self.nid, next_hop, KIND_DATA, pkt, pkt.size))
         if ok:
             if pkt.src != self.nid:
                 self._c_forwarded.value += 1
@@ -213,9 +211,7 @@ class DsrAgent(OnDemandAgent):
         rerr = DsrRerr(
             origin=pkt.src, from_node=self.nid, to_node=dead_hop, back_route=back
         )
-        self.channel.unicast(
-            Frame(src=self.nid, dst=back[1], kind=KIND_CTRL, payload=rerr, size=self.cfg.ctrl_size)
-        )
+        self.channel.unicast(Frame(self.nid, back[1], KIND_CTRL, rerr, self.cfg.ctrl_size))
 
     def _on_data(self, frame: Frame) -> None:
         pkt: DsrData = frame.payload
@@ -242,9 +238,7 @@ class DsrAgent(OnDemandAgent):
             route=[self.nid],
             ttl=self.cfg.rreq_ttl,
         )
-        self.channel.broadcast(
-            Frame(src=self.nid, dst=-1, kind=KIND_CTRL, payload=rreq, size=self.cfg.ctrl_size)
-        )
+        self.channel.broadcast(Frame(self.nid, -1, KIND_CTRL, rreq, self.cfg.ctrl_size))
         return self.cfg.discovery_timeout
 
     # ------------------------------------------------------------------
@@ -285,9 +279,7 @@ class DsrAgent(OnDemandAgent):
                 route=route_here,
                 ttl=rreq.ttl - 1,
             )
-            self.channel.broadcast(
-                Frame(src=self.nid, dst=-1, kind=KIND_CTRL, payload=fwd, size=self.cfg.ctrl_size)
-            )
+            self.channel.broadcast(Frame(self.nid, -1, KIND_CTRL, fwd, self.cfg.ctrl_size))
 
     def _reply(self, origin: int, full_route: List[int]) -> None:
         """Send an RREP carrying ``full_route`` back toward the origin."""
@@ -299,11 +291,11 @@ class DsrAgent(OnDemandAgent):
             return
         self.channel.unicast(
             Frame(
-                src=self.nid,
-                dst=back[my_pos + 1],
-                kind=KIND_CTRL,
-                payload=rrep,
-                size=self.cfg.ctrl_size + 2 * len(full_route),
+                self.nid,
+                back[my_pos + 1],
+                KIND_CTRL,
+                rrep,
+                self.cfg.ctrl_size + 2 * len(full_route),
             )
         )
 
@@ -321,11 +313,11 @@ class DsrAgent(OnDemandAgent):
         if my_pos + 1 < len(back):
             self.channel.unicast(
                 Frame(
-                    src=self.nid,
-                    dst=back[my_pos + 1],
-                    kind=KIND_CTRL,
-                    payload=rrep,
-                    size=self.cfg.ctrl_size + 2 * len(rrep.route),
+                    self.nid,
+                    back[my_pos + 1],
+                    KIND_CTRL,
+                    rrep,
+                    self.cfg.ctrl_size + 2 * len(rrep.route),
                 )
             )
 
@@ -338,13 +330,7 @@ class DsrAgent(OnDemandAgent):
             my_pos = back.index(self.nid)
             if my_pos + 1 < len(back):
                 self.channel.unicast(
-                    Frame(
-                        src=self.nid,
-                        dst=back[my_pos + 1],
-                        kind=KIND_CTRL,
-                        payload=rerr,
-                        size=self.cfg.ctrl_size,
-                    )
+                    Frame(self.nid, back[my_pos + 1], KIND_CTRL, rerr, self.cfg.ctrl_size)
                 )
 
 

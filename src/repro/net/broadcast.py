@@ -195,10 +195,8 @@ class FloodManager:
         self._seq[src] += 1
         self._c_originated.value += 1
         self.seen.entry(fid).add(src)  # the origin never re-forwards its own flood
-        msg = FloodMessage(fid=fid, origin=src, hops=0, budget=int(nhops), payload=payload)
-        self.channel.broadcast(
-            Frame(src=src, dst=-1, kind=self.kind, payload=msg, size=size)
-        )
+        msg = FloodMessage(fid, src, 0, int(nhops), payload)
+        self.channel.broadcast(Frame(src, -1, self.kind, msg, size))
         return fid
 
     # ------------------------------------------------------------------
@@ -237,10 +235,8 @@ class FloodManager:
             if consumed or remaining <= 0:
                 continue
             if fwd is None:  # one forwarded envelope, shared by every forwarder
-                fwd = FloodMessage(
-                    fid=fid, origin=origin, hops=hops_here, budget=remaining, payload=payload
-                )
-            out = Frame(src=nid, dst=-1, kind=self.kind, payload=fwd, size=frame.size)
+                fwd = FloodMessage(fid, origin, hops_here, remaining, payload)
+            out = Frame(nid, -1, self.kind, fwd, frame.size)
             if policy is None:
                 forwarded += 1
                 self.channel.broadcast(out)

@@ -12,8 +12,7 @@ a small control-message size.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["Frame", "BROADCAST", "DEFAULT_FRAME_BYTES"]
@@ -23,8 +22,6 @@ BROADCAST = -1
 
 #: Default frame size (bytes) used for control traffic.
 DEFAULT_FRAME_BYTES = 64
-
-_uid = itertools.count()
 
 
 @dataclass(slots=True)
@@ -43,8 +40,6 @@ class Frame:
         Upper-layer message object.
     size:
         Bytes on air (energy accounting).
-    uid:
-        Globally unique frame id (diagnostics).
     """
 
     src: int
@@ -52,4 +47,3 @@ class Frame:
     kind: str
     payload: Any
     size: int = DEFAULT_FRAME_BYTES
-    uid: int = field(default_factory=_uid.__next__)

@@ -62,12 +62,6 @@ class NetNode:
             raise ValueError(f"node {self.nid}: handler for {kind!r} already set")
         self._handlers[kind] = handler
 
-    def on_frame(self, frame: Frame) -> None:
-        """Dispatch a delivered frame to its registered handler."""
-        handler = self._handlers.get(frame.kind)
-        if handler is not None:
-            handler(frame)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<NetNode {self.nid} kinds={sorted(self._handlers)}>"
 
@@ -180,8 +174,8 @@ class Channel:
         world = self.world
         src, dst = frame.src, frame.dst
         if dst == BROADCAST:
-            return world.up_among(world.neighbors(src))
-        return (dst,) if world.link(src, dst) and dst in world._up_ids else ()
+            return world.up_among(world.topology.neighbors(src))
+        return (dst,) if world.topology.link(src, dst) and dst in world._up_ids else ()
 
     def _launch(self, frame: Frame, receivers) -> None:
         """Put one transmission's copies in flight."""
@@ -263,14 +257,17 @@ class Channel:
         if dst not in world._up_ids:
             return
         world.energy.charge_rx(dst, frame.size)
-        self._c_delivered.inc()
+        self._c_delivered.value += 1
         if self.on_deliver is not None:
             self.on_deliver(dst, frame)
-        plane = self._planes.get(frame.kind)
+        kind = frame.kind
+        plane = self._planes.get(kind)
         if plane is not None:
             plane([dst], frame)
-        else:
-            self.nodes[dst].on_frame(frame)
+            return
+        handler = self.nodes[dst]._handlers.get(kind)
+        if handler is not None:
+            handler(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -12,7 +12,9 @@ range, so a node's candidates live in at most 9 cells instead of a row
 of n.  One CSR adjacency per snapshot, built by whichever read first
 needs it in nine vectorized cell-offset passes, answers ``neighbors`` (a
 row slice), ``degrees`` and BFS (frontier-at-a-time over the CSR
-arrays); per-source distance vectors are memoized under an LRU bound.
+arrays); per-source BFS states are memoized under an LRU bound and
+expanded level by level only as far as a query needs (``hop_distance``
+stops once its target is labelled).
 O(n·k) time and memory per snapshot at bounded density k -- the regime
 where n grows but the node density (and hence the mean degree) stays
 fixed.  The test suite holds it to an O(n²) dense-matrix oracle
@@ -85,8 +87,8 @@ class TopologyBackend:
 
     A stale refresh whose positions and down mask both equal the
     snapshot's keeps the snapshot, and with it the CSR, the ``link``
-    lists and the memoized per-source hop-distance vectors (an
-    LRU-bounded cache of ``dist_cache_size``); any other refresh
+    lists and the memoized per-source BFS states, complete or expanded
+    part way (an LRU-bounded cache of ``dist_cache_size``); any other refresh
     rebuilds all of it from scratch (:meth:`_update`).
 
     Parameters
@@ -99,10 +101,11 @@ class TopologyBackend:
     def __init__(self, world: "World") -> None:
         self.world = world
         n = world.n
-        #: most per-source distance vectors kept per snapshot
+        #: most per-source BFS states kept per snapshot
         self.dist_cache_size = 256
         self._snap_time = -1.0
-        self._dist: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        #: per-source BFS states (:meth:`_bfs_state`), LRU order
+        self._dist: "OrderedDict[int, list]" = OrderedDict()
         self._pos: np.ndarray = np.empty((n, 2))
         #: down mask of the current snapshot
         self._down = np.zeros(n, dtype=bool)
@@ -168,7 +171,7 @@ class TopologyBackend:
         self._dist.clear()
 
     def clear_distance_cache(self) -> None:
-        """Forget memoized per-source distance vectors (benchmarks)."""
+        """Forget memoized per-source BFS states (benchmarks)."""
         self._dist.clear()
 
     def _update(self, pos: np.ndarray, down: np.ndarray) -> bool:
@@ -228,7 +231,10 @@ class TopologyBackend:
     # ------------------------------------------------------------------
     def neighbors(self, i: int) -> np.ndarray:
         """Ascending node ids within radio range of ``i`` right now."""
-        self.refresh()
+        t, snap = self.world.sim.now, self._snap_time
+        # refresh()'s staleness test, inline: most reads find it fresh
+        if snap < 0.0 or t < snap or (t - snap) > self.world.snapshot_interval:
+            self.refresh()
         if self._csr is None:
             self._require_csr()
         lo, hi = self._rows[i], self._rows[i + 1]
@@ -236,7 +242,9 @@ class TopologyBackend:
 
     def link(self, i: int, j: int) -> bool:
         """Whether a radio link ``i``--``j`` exists right now."""
-        self.refresh()
+        t, snap = self.world.sim.now, self._snap_time
+        if snap < 0.0 or t < snap or (t - snap) > self.world.snapshot_interval:
+            self.refresh()
         if self._xy is None:
             xs = np.where(self._down, np.nan, self._pos[:, 0])
             self._xy = (xs.tolist(), self._pos[:, 1].tolist())
@@ -300,47 +308,73 @@ class TopologyBackend:
         """Hop distance from ``src`` to every node (LRU-memoized BFS;
         the vector is read-only, shared by every caller in the snapshot)."""
         self.refresh()
-        cached = self._dist.get(src)
-        if cached is not None:
+        state = self._bfs_state(src)
+        while state[1] is not None:
+            self._expand(state)
+        return state[0]
+
+    def _bfs_state(self, src: int) -> list:
+        """``src``'s memoized BFS ``[dist, frontier, depth]``: ``dist``
+        holds every node within ``depth`` hops, ``frontier`` the nodes at
+        ``depth``, or None once ``dist`` is complete (and read-only).
+
+        A new state has its first level expanded, so an up source always
+        reads the CSR, whatever it is asked.
+        """
+        state = self._dist.get(src)
+        if state is not None:
             self._dist.move_to_end(src)
             self._c_dist_hits.value += 1
-            return cached
-        dist = self._bfs(src)
-        dist.flags.writeable = False
-        self._dist[src] = dist
+            return state
+        dist = np.full(self.world.n, UNREACHABLE, dtype=np.int32)
+        if self._down[src]:
+            dist.flags.writeable = False
+            state = [dist, None, 0]
+        else:
+            dist[src] = 0
+            state = [dist, np.array([src], dtype=np.int64), 0]
+            self._expand(state)
+        self._dist[src] = state
         if len(self._dist) > self.dist_cache_size:
             self._dist.popitem(last=False)
-        return dist
+        return state
 
-    def _bfs(self, src: int) -> np.ndarray:
-        """Uncached single-source hop distances on the current snapshot."""
-        n = self.world.n
-        dist = np.full(n, UNREACHABLE, dtype=np.int32)
-        if self._down[src]:
-            return dist
-        indptr, indices = self._require_csr()
-        dist[src] = 0
-        frontier = np.array([src], dtype=np.int64)
-        d = 0
-        while True:
-            # every CSR row of the frontier in one gather; a node reached
-            # twice is just assigned twice
-            starts = indptr[frontier]
-            cand = indices[_gather(starts, indptr[frontier + 1] - starts)]
-            nxt = cand[dist[cand] == UNREACHABLE]
-            if not nxt.size:
-                return dist
-            d += 1
-            dist[nxt] = d
-            frontier = np.flatnonzero(dist == d)
+    def _expand(self, state: list) -> None:
+        """Label the next BFS level of ``state`` (see :meth:`_bfs_state`)."""
+        dist, frontier, depth = state
+        nxt = self._level(dist, frontier)
+        if not nxt.size:
+            state[1] = None
+            dist.flags.writeable = False
+            return
+        depth += 1
+        dist[nxt] = depth
+        state[1] = np.flatnonzero(dist == depth)
+        state[2] = depth
+
+    def _level(self, dist: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+        """The unlabelled neighbours of ``frontier`` (repeats allowed):
+        every CSR row of the frontier in one gather."""
+        indptr, indices = self._csr or self._require_csr()
+        starts = indptr[frontier]
+        cand = indices[_gather(starts, indptr[frontier + 1] - starts)]
+        return cand[dist[cand] == UNREACHABLE]
 
     def link_count(self) -> int:
         """Number of undirected radio links right now."""
         return int(self.degrees().sum()) // 2
 
     def hop_distance(self, a: int, b: int) -> int:
-        """Hops between ``a`` and ``b`` now; UNREACHABLE if disconnected."""
-        return int(self.hops_from(a)[b])
+        """Hops between ``a`` and ``b`` now; UNREACHABLE if disconnected.
+
+        Expands ``a``'s memoized BFS only until ``b`` is labelled.
+        """
+        self.refresh()
+        state = self._bfs_state(a)
+        dist = state[0]
+        while dist[b] == UNREACHABLE and state[1] is not None:
+            self._expand(state)
+        return int(dist[b])
 
     def reachable(self, a: int, b: int) -> bool:
         """Whether a multi-hop path currently exists between the nodes."""

@@ -56,8 +56,10 @@ class DenseOracle(TopologyBackend):
 
     One pairwise-distance pass per refresh into a boolean (n, n) matrix
     (every refresh is a full rebuild), neighbour rows and degrees read
-    off the matrix, BFS by frontier expansion over matrix rows.  Snapshot lifecycle, distance cache and counters are the
-    grid's.  Install it with ``world.topology = DenseOracle(world)``.
+    off the matrix, each BFS level from the frontier's matrix rows.
+    Snapshot lifecycle, the resumable BFS states, the distance cache and
+    counters are the grid's.  Install it with
+    ``world.topology = DenseOracle(world)``.
     """
 
     _update = _full_rebuild
@@ -100,21 +102,9 @@ class DenseOracle(TopologyBackend):
         indices.flags.writeable = False
         return indptr, indices
 
-    def _bfs(self, src):
-        dist = np.full(self.world.n, UNREACHABLE, dtype=np.int32)
-        if self._down[src]:
-            return dist
-        dist[src] = 0
-        frontier = np.zeros(self.world.n, dtype=bool)
-        frontier[src] = True
-        visited = frontier.copy()
-        d = 0
-        while frontier.any():
-            d += 1
-            frontier = self._adj[frontier].any(axis=0) & ~visited
-            dist[frontier] = d
-            visited |= frontier
-        return dist
+    def _level(self, dist, frontier):
+        # the oracle's own level step: OR of the frontier's matrix rows
+        return np.flatnonzero(self._adj[frontier].any(axis=0) & (dist == UNREACHABLE))
 
 
 def pin_oracle(world, oracle):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.query import QueryConfig
-from repro.net import Channel
+from repro.net import BROADCAST, Channel, Frame
 from repro.obs.compare import (
     is_scheduler_cost_key,
     semantic_snapshot,
@@ -206,6 +206,26 @@ def test_per_copy_reference_is_no_channel_option():
     sim, world, _ = make_world([[0, 0], [4, 0]])
     with pytest.raises(TypeError):
         Channel(sim, world, batched=False)
+
+
+def test_per_copy_pin_bites_on_a_plain_channel():
+    """``pin_per_copy_delivery`` really reroutes a plain ``Channel``'s
+    broadcast: one weight-3 event becomes three heap pushes, while the
+    logical deliveries stay equal."""
+    pushes, got = [], []
+    for pin in (False, True):
+        sim, _, channel = make_world([[0, 0], [4, 0], [0, 4], [4, 4]])
+        if pin:
+            pin_per_copy_delivery(channel)
+        heard = []
+        for node in channel.nodes[1:]:
+            node.register("t", lambda frame, nid=node.nid: heard.append(nid))
+        assert channel.broadcast(Frame(0, BROADCAST, "t", None)) == 3
+        sim.run()
+        pushes.append(sim.registry.value("kernel.heap_pushes"))
+        got.append((heard, sim.registry.value("kernel.events_dispatched")))
+    assert pushes == [1, 3]
+    assert got[0] == got[1] == ([1, 2, 3], 3)
 
 
 def test_scheduler_cost_keys_classified():

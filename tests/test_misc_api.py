@@ -1,11 +1,10 @@
-"""Small API-surface tests: registries, frame ids, router base guards."""
+"""Small API-surface tests: registries and router base guards."""
 
 import numpy as np
 import pytest
 
 from repro.core.algorithms import ALGORITHMS, make_algorithm
 from repro.experiments import DEFAULT_FIGURE_SETTINGS, figure_configs, run_figure
-from repro.net import Frame
 from repro.routing import OracleRouter
 
 from .helpers import line_positions, make_world
@@ -38,12 +37,6 @@ class TestFiguresRegistry:
     def test_registry_callable(self):
         res = run_figure("fig9", duration=60.0, reps=1, seed=3, routing="oracle")
         assert res.exp_id == "fig9" and res.family == "ping"
-
-
-class TestFrame:
-    def test_uids_unique(self):
-        frames = [Frame(src=0, dst=1, kind="k", payload=None) for _ in range(50)]
-        assert len({f.uid for f in frames}) == 50
 
 
 class TestRouterBase:

@@ -240,6 +240,81 @@ class TestSparseOracles:
         assert indptr.tolist() == [0, 0, 0, 0] and indices.size == 0
 
 
+class TestResumableHopDistance:
+    """``hop_distance`` expands a source's memoized BFS only until its
+    target is labelled; ``hops_from`` finishes the same state.  Any
+    interleaving of the two must equal ``reference_bfs``, on the grid and
+    on the dense oracle's own level step, across churn, ``invalidate()``
+    and snapshot changes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_interleaving_equals_reference_bfs(self, seed):
+        n = 70
+        worlds = make_pair(n, seed)
+        rng = np.random.default_rng(seed + 7)
+        partial_finished = 0
+        for t in (0.0, 40.0, 40.0, 130.0, 260.0):
+            for w in worlds.values():
+                advance(w, t)
+            i = int(rng.integers(n))
+            event = rng.integers(3)
+            for w in worlds.values():
+                if event == 0:
+                    w.set_down(i)
+                elif event == 1:
+                    w.set_down(i, down=False)
+                else:
+                    w.invalidate()
+            sparse = worlds["sparse"].topology
+            sparse.refresh()
+            indptr, indices = reference_sparse_csr(sparse)
+            down = worlds["sparse"].down_mask()
+            ref = {}
+            # few sources, so states are revisited and resumed part way
+            sources = rng.choice(n, size=5, replace=False).tolist()
+            for _ in range(60):
+                a, b = int(rng.choice(sources)), int(rng.integers(n))
+                if a not in ref:
+                    ref[a] = reference_bfs(indptr, indices, a, down)
+                for w in worlds.values():
+                    state = w.topology._dist.get(a)
+                    partial = state is not None and state[1] is not None
+                    if rng.random() < 0.7:
+                        assert w.hop_distance(a, b) == ref[a][b]
+                        continue
+                    dist = w.hops_from(a)
+                    np.testing.assert_array_equal(dist, ref[a])
+                    assert not dist.flags.writeable
+                    partial_finished += partial
+        assert partial_finished > 0  # some hops_from resumed a partial state
+        hits = [w.registry.value("topology.dist_cache_hits") for w in worlds.values()]
+        assert hits[0] == hits[1] > 0
+
+    def test_partial_state_then_hops_from(self):
+        # a line 0 - 1 - ... - 7: asking for 1 hop expands one level only
+        _, world = static_world([[8.0 * i, 0.0] for i in range(8)])
+        assert world.hop_distance(0, 1) == 1
+        dist, frontier, depth = world.topology._dist[0]
+        assert frontier is not None and depth == 1
+        assert dist[2] == UNREACHABLE  # not labelled yet
+        full = world.hops_from(0)
+        assert full.tolist() == list(range(8))
+        assert not full.flags.writeable
+        assert world.topology._dist[0][1] is None
+        assert world.hop_distance(0, 7) == 7
+        # one miss, then one hit per repeated source
+        assert world.registry.value("topology.dist_cache_hits") == 2
+
+    def test_down_source_and_unreachable_target(self):
+        _, world = static_world([[0.0, 0.0], [8.0, 0.0], [500.0, 0.0]])
+        assert world.hop_distance(0, 2) == UNREACHABLE
+        assert world.topology._dist[0][1] is None  # exhausted: complete
+        world.set_down(1)
+        assert world.hop_distance(1, 0) == UNREACHABLE
+        assert world.hop_distance(0, 1) == UNREACHABLE
+        assert world.hops_from(1).tolist() == [UNREACHABLE] * 3
+
+
 # one backend: the parameter only keeps these tests' ids
 @pytest.mark.parametrize("backend", ["sparse"])
 class TestReadOnlySnapshots:
@@ -316,6 +391,81 @@ class TestFactory:
         dense, sparse = runs["dense"], runs["sparse"]
         assert dense.totals == sparse.totals
         assert dense.events == sparse.events
+
+
+class TestResumableHopDistance:
+    """``hop_distance`` expands a source's memoized BFS only until its
+    target is labelled; ``hops_from`` finishes the same state.  Any
+    interleaving of the two must equal ``reference_bfs``, on the grid and
+    on the dense oracle's own level step, across churn, ``invalidate()``
+    and snapshot changes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_interleaving_equals_reference_bfs(self, seed):
+        n = 70
+        worlds = make_pair(n, seed)
+        rng = np.random.default_rng(seed + 7)
+        partial_finished = 0
+        for t in (0.0, 40.0, 40.0, 130.0, 260.0):
+            for w in worlds.values():
+                advance(w, t)
+            i = int(rng.integers(n))
+            event = rng.integers(3)
+            for w in worlds.values():
+                if event == 0:
+                    w.set_down(i)
+                elif event == 1:
+                    w.set_down(i, down=False)
+                else:
+                    w.invalidate()
+            sparse = worlds["sparse"].topology
+            sparse.refresh()
+            indptr, indices = reference_sparse_csr(sparse)
+            down = worlds["sparse"].down_mask()
+            ref = {}
+            # few sources, so states are revisited and resumed part way
+            sources = rng.choice(n, size=5, replace=False).tolist()
+            for _ in range(60):
+                a, b = int(rng.choice(sources)), int(rng.integers(n))
+                if a not in ref:
+                    ref[a] = reference_bfs(indptr, indices, a, down)
+                for w in worlds.values():
+                    state = w.topology._dist.get(a)
+                    partial = state is not None and state[1] is not None
+                    if rng.random() < 0.7:
+                        assert w.hop_distance(a, b) == ref[a][b]
+                        continue
+                    dist = w.hops_from(a)
+                    np.testing.assert_array_equal(dist, ref[a])
+                    assert not dist.flags.writeable
+                    partial_finished += partial
+        assert partial_finished > 0  # some hops_from resumed a partial state
+        hits = [w.registry.value("topology.dist_cache_hits") for w in worlds.values()]
+        assert hits[0] == hits[1] > 0
+
+    def test_partial_state_then_hops_from(self):
+        # a line 0 - 1 - ... - 7: asking for 1 hop expands one level only
+        _, world = static_world([[8.0 * i, 0.0] for i in range(8)])
+        assert world.hop_distance(0, 1) == 1
+        dist, frontier, depth = world.topology._dist[0]
+        assert frontier is not None and depth == 1
+        assert dist[2] == UNREACHABLE  # not labelled yet
+        full = world.hops_from(0)
+        assert full.tolist() == list(range(8))
+        assert not full.flags.writeable
+        assert world.topology._dist[0][1] is None
+        assert world.hop_distance(0, 7) == 7
+        # one miss, then one hit per repeated source
+        assert world.registry.value("topology.dist_cache_hits") == 2
+
+    def test_down_source_and_unreachable_target(self):
+        _, world = static_world([[0.0, 0.0], [8.0, 0.0], [500.0, 0.0]])
+        assert world.hop_distance(0, 2) == UNREACHABLE
+        assert world.topology._dist[0][1] is None  # exhausted: complete
+        world.set_down(1)
+        assert world.hop_distance(1, 0) == UNREACHABLE
+        assert world.hop_distance(0, 1) == UNREACHABLE
+        assert world.hops_from(1).tolist() == [UNREACHABLE] * 3
 
 
 # one backend: the parameter only keeps these tests' ids
