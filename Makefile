@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench bench-full repo-bench repo-bench-compare reproduce examples loc clean
+.PHONY: install test bench bench-full repo-bench repo-bench-compare ab-digest reproduce examples loc clean
 
 install:
 	$(PY) setup.py develop
@@ -26,6 +26,10 @@ repo-bench:
 # judge two such documents: make repo-bench-compare A=parent.json B=change.json
 repo-bench-compare:
 	python3 bench/run.py --compare $(A) $(B)
+
+# one sha256 per 300 s seed-1 run: equal output at two commits = bit-identical runs
+ab-digest:
+	@$(PY) scripts/ab_digest.py
 
 reproduce:
 	$(PY) scripts/generate_experiments_md.py

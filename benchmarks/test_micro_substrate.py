@@ -49,7 +49,7 @@ def test_adjacency_snapshot(benchmark):
         t[0] += 1.0
         sim.schedule_at(t[0], lambda: None)
         sim.run(until=t[0])
-        return world.adjacency()
+        return world.topology.adjacency_matrix()
 
     adj = benchmark(step)
     assert adj.shape == (150, 150)
@@ -57,11 +57,11 @@ def test_adjacency_snapshot(benchmark):
 
 def test_bfs_all_distances(benchmark):
     sim, world = make_world()
-    world.adjacency()
+    world.topology.adjacency_matrix()
 
     def bfs():
         world.topology.clear_distance_cache()
-        return world.hops_from(0)
+        return world.topology.hops_from(0)
 
     d = benchmark(bfs)
     assert len(d) == 150
@@ -178,7 +178,7 @@ def test_snapshot_rebuild_csr_n50(benchmark):
 
     def snapshot():
         sim.run(until=sim.now + 0.25)
-        return world.csr()
+        return world.topology.csr()
 
     indptr, _ = benchmark(snapshot)
     assert len(indptr) == 51

@@ -57,10 +57,10 @@ def run_workload(world: World) -> dict:
         world.sim.run(until=ts)
         start = time.perf_counter()
         for i in range(n):
-            degree_total += len(world.neighbors(i))
+            degree_total += len(world.topology.neighbors(i))
         t_neighbors += time.perf_counter() - start
         start = time.perf_counter()
-        dists = [world.hops_from(s) for s in sources]
+        dists = [world.topology.hops_from(s) for s in sources]
         t_bfs += time.perf_counter() - start
         # the lowest id at each distance (untimed), as the queries' answers sit
         pairs = [
@@ -71,7 +71,7 @@ def run_workload(world: World) -> dict:
         ]
         world.topology.clear_distance_cache()
         start = time.perf_counter()
-        got = [world.hop_distance(s, t) for s, t, _ in pairs]
+        got = [world.topology.hop_distance(s, t) for s, t, _ in pairs]
         t_hop += time.perf_counter() - start
         assert got == [d for _, _, d in pairs]
         hop_pairs += pairs
@@ -129,7 +129,7 @@ def test_sparse_scales_past_dense():
     """
     n = 2000
     world = make_world(n)
-    world.hops_from(0)  # forces grid + CSR build
+    world.topology.hops_from(0)  # forces grid + CSR build
     topo = world.topology
     indptr, indices = topo._require_csr()
     edges = len(indices)

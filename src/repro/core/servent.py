@@ -185,7 +185,7 @@ class Servent:
 
     def adhoc_distance(self, peer: int) -> int:
         """Ground-truth ad-hoc hop distance to ``peer`` (metrics only)."""
-        d = self.world.hop_distance(self.nid, peer)
+        d = self.world.topology.hop_distance(self.nid, peer)
         return d if d != UNREACHABLE else -1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -96,7 +96,7 @@ class AnalyticsEngine:
     def connectivity_stats(self, world) -> Dict[str, float]:
         """Bundle: component count/sizes, isolated nodes, degree, pairs."""
         comps = self.components(world)
-        degrees = world.degrees()
+        degrees = world.topology.degrees()
         n = world.n
         if n < 2:
             reachable = 1.0

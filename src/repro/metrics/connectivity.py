@@ -9,10 +9,10 @@ components of the topology's current CSR on every call.  This module
 keeps only the closed-form sizing guide.
 
 The engine inherits the cache-discipline contract: analytics **never**
-call ``world.hops_from`` (that path memoizes per-source BFS vectors in
-the topology's LRU distance cache, and an analytics sweep over every
-start node used to evict the protocol-hot entries mid-run).  Sampling
-metrics must observe the run, not perturb its caches.
+call ``world.topology.hops_from`` (that path memoizes per-source BFS
+vectors in the topology's LRU distance cache, and an analytics sweep
+over every start node used to evict the protocol-hot entries mid-run).
+Sampling metrics must observe the run, not perturb its caches.
 """
 
 from __future__ import annotations

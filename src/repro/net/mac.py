@@ -97,7 +97,7 @@ class CsmaChannel(Channel):
         """Carrier sense: any in-range transmitter currently on air?"""
         now = self.sim.now
         tx_until = self._tx_until
-        for other in self.world.neighbors(node).tolist():
+        for other in self.world.topology.neighbors(node).tolist():
             if tx_until.get(other, now) > now:
                 return True
         return False

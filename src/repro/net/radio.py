@@ -142,9 +142,9 @@ class Channel:
         """Send ``frame`` to every node in range; returns receiver count.
 
         The receiver set (up neighbors, ascending nid) is frozen at send
-        time -- as the topology's own neighbour array while every node
-        is up -- and rides ONE kernel event (``weight=len(receivers)``
-        keeps ``events_dispatched`` comparable with one event per copy).
+        time -- as the topology snapshot's own neighbour row -- and rides
+        ONE kernel event (``weight=len(receivers)`` keeps
+        ``events_dispatched`` comparable with one event per copy).
         """
         return self._send(frame)
 
@@ -170,12 +170,16 @@ class Channel:
 
     def _receivers(self, frame: Frame):
         """Who hears ``frame`` now: ``(dst,)`` or ``()`` for a unicast,
-        the ascending int64 array of up neighbours for a broadcast."""
-        world = self.world
+        the ascending int64 array of up neighbours for a broadcast.
+
+        The snapshot's row and link test, unfiltered: ``World.set_down``
+        (the up-set's one writer) drops the snapshot, so the one they
+        read already leaves every down node out."""
+        topology = self.world.topology
         src, dst = frame.src, frame.dst
         if dst == BROADCAST:
-            return world.up_among(world.topology.neighbors(src))
-        return (dst,) if world.topology.link(src, dst) and dst in world._up_ids else ()
+            return topology.neighbors(src)
+        return (dst,) if topology.link(src, dst) else ()
 
     def _launch(self, frame: Frame, receivers) -> None:
         """Put one transmission's copies in flight."""

@@ -42,7 +42,7 @@ def render_world(
     border = "+" + "-" * width + "+"
     body = "\n".join("|" + "".join(row) + "|" for row in grid)
     stats = (
-        f"{world.n} nodes, {world.link_count()} radio links, "
+        f"{world.n} nodes, {world.topology.link_count()} radio links, "
         f"range {world.radio_range:g} m, t={world.sim.now:.1f}s"
     )
     return f"{border}\n{body}\n{border}\n{stats}"

@@ -123,7 +123,7 @@ class ProbabilisticPolicy(RebroadcastPolicy):
         Rebroadcast probability in ``(0, 1)`` (at ``p >= 1`` the spec
         builds no policy: see :func:`make_rebroadcast_policy`).
     world:
-        Its ``neighbors(nid)`` is the node's current radio degree.
+        ``len(world.topology.neighbors(nid))`` is the node's radio degree.
     degree_floor:
         Nodes with radio degree <= this always forward.
     """
@@ -144,7 +144,7 @@ class ProbabilisticPolicy(RebroadcastPolicy):
         self.degree_floor = int(degree_floor)
 
     def forward(self, nid: int, key: Hashable, send: Callable[[], None]) -> None:
-        if len(self.world.neighbors(nid)) <= self.degree_floor:
+        if len(self.world.topology.neighbors(nid)) <= self.degree_floor:
             send()  # sparse guard: every copy matters here
         elif float(self._stream(nid).random()) < self.p:
             send()

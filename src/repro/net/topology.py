@@ -1,11 +1,13 @@
 """Physical-topology service: one uniform-grid connectivity backend.
 
-The physical substrate answers four questions for every layer above it:
-"who is in range of ``i``?", "is there a link ``i``--``j``?", "how many
-ad-hoc hops from ``src`` to everyone?" and "are ``a`` and ``b``
-connected at all?".  :class:`TopologyBackend` answers all of them at
-every node count, from the paper's n = 50..150 to the thousands of nodes
-large-MANET work (CARD, unstructured-overlay studies) cares about.
+The physical substrate answers three questions for every layer above
+it: "who is in range of ``i``?", "is there a link ``i``--``j``?" and
+"how many ad-hoc hops from ``a`` to ``b`` (or to everyone)?", with
+:data:`UNREACHABLE` for a disconnected pair.  Callers ask
+``world.topology``, read at call time.  :class:`TopologyBackend`
+answers all of them at every node count, from the paper's n = 50..150
+to the thousands of nodes large-MANET work (CARD, unstructured-overlay
+studies) cares about.
 
 It is a uniform-grid spatial index with cell size equal to the radio
 range, so a node's candidates live in at most 9 cells instead of a row
@@ -375,10 +377,6 @@ class TopologyBackend:
         while dist[b] == UNREACHABLE and state[1] is not None:
             self._expand(state)
         return int(dist[b])
-
-    def reachable(self, a: int, b: int) -> bool:
-        """Whether a multi-hop path currently exists between the nodes."""
-        return self.hop_distance(a, b) != UNREACHABLE
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} n={self.world.n} t={self._snap_time:.3f}>"

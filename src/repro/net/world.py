@@ -6,18 +6,18 @@ transmission asks "who is in range right now?", and the p2p layer asks
 
 :class:`World` owns the *state* -- positions (one vectorized mobility
 evaluation per timestamp), the churn/energy down mask, and the snapshot
-quantum -- and delegates every connectivity *query* to one
+quantum -- while every connectivity *query* goes to one
 :class:`~repro.net.topology.TopologyBackend`: a uniform-grid spatial
 index with one CSR adjacency per snapshot, O(n·k) at bounded density,
 from the paper's n = 50..150 to scenarios of thousands of nodes (see
 ``benchmarks/test_micro_topology.py``).  A stale snapshot is kept when
 neither the positions nor the down mask changed and rebuilt otherwise;
-:meth:`World.set_down` and :meth:`World.invalidate` drop it outright.
+:meth:`World.set_down` drops it outright.
 
-Consumers go through the query interface (:meth:`World.link`,
-:meth:`World.neighbors`, :meth:`World.hops_from`, ...), which never
-touches an O(n²) structure.  :meth:`World.adjacency` survives for
-analytics and tests; the backend materializes it on demand.
+Consumers query the backend itself, ``world.topology`` (``link``,
+``neighbors``, ``hops_from``, ...), read at call time: tests swap it
+on built simulations.  Only ``adjacency_matrix``, kept for analytics and
+tests, materializes an O(n²) structure.
 """
 
 from __future__ import annotations
@@ -119,63 +119,6 @@ class World:
         drained (read-only)."""
         return self._down
 
-    def invalidate(self) -> None:
-        """Force the topology backend to recompute on the next query."""
-        self.topology.invalidate()
-
-    # ------------------------------------------------------------------
-    # connectivity queries (delegated to the backend)
-    # ------------------------------------------------------------------
-    def adjacency(self) -> np.ndarray:
-        """Boolean (n,n) in-range matrix at the current time.
-
-        ``adj[i, j]`` is True iff ``i != j``, both nodes are up, and
-        their distance is <= the radio range.  Analytics/debugging
-        surface: the backend materializes this on demand, so hot paths
-        must use :meth:`link` / :meth:`neighbors` instead.
-        """
-        return self.topology.adjacency_matrix()
-
-    def csr(self):
-        """CSR adjacency ``(indptr, indices)`` of the current snapshot.
-
-        The zero-copy surface the vectorized graph kernels
-        (:mod:`repro.metrics.graphfast`) run on; do not mutate, and do
-        not hold across refreshes.
-        """
-        return self.topology.csr()
-
-    def link(self, i: int, j: int) -> bool:
-        """Whether a radio link ``i``--``j`` exists right now."""
-        return self.topology.link(i, j)
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Node ids within radio range of ``i`` right now (ascending)."""
-        return self.topology.neighbors(i)
-
-    def degrees(self) -> np.ndarray:
-        """(n,) radio degree of every node right now."""
-        return self.topology.degrees()
-
-    def link_count(self) -> int:
-        """Number of undirected radio links right now."""
-        return self.topology.link_count()
-
-    def hops_from(self, src: int) -> np.ndarray:
-        """Ad-hoc hop distance from ``src`` to every node (cached BFS).
-
-        Returns an int array; unreachable nodes get :data:`UNREACHABLE`.
-        """
-        return self.topology.hops_from(src)
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Hops between ``a`` and ``b`` now; UNREACHABLE if disconnected."""
-        return self.topology.hop_distance(a, b)
-
-    def reachable(self, a: int, b: int) -> bool:
-        """Whether a multi-hop path currently exists between the nodes."""
-        return self.topology.reachable(a, b)
-
     # ------------------------------------------------------------------
     # churn / energy
     # ------------------------------------------------------------------
@@ -190,18 +133,16 @@ class World:
     def up_among(self, ids: np.ndarray) -> np.ndarray:
         """The up members of the int64 id array ``ids``, order kept.
 
-        Returns ``ids`` itself (no copy, do not mutate) while every node
-        is up -- the common case, which costs one length comparison per
-        *transmission* where :meth:`is_up` costs a lookup per copy.
+        The delivery-time liveness pass of a batched transmission, whose
+        receivers may die in flight.  Returns ``ids`` itself (no copy, do
+        not mutate) while every node is up -- the common case, which
+        costs one length comparison per *transmission* where
+        :meth:`is_up` costs a lookup per copy.
         """
         up = self._up_ids
         if len(up) == self.n:
             return ids
         return np.array([i for i in ids.tolist() if i in up], dtype=np.int64)
-
-    def up_ids(self) -> frozenset:
-        """The current up-set (ids neither down nor depleted), frozen."""
-        return frozenset(self._up_ids)
 
     def set_down(self, i: int, down: bool = True) -> None:
         """Administratively kill (or revive) a node; invalidates caches.

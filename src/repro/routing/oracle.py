@@ -58,8 +58,9 @@ class OracleRouter(Router):
         size: int = 64,
         on_fail: Optional[Callable[[Any], None]] = None,
     ) -> None:
+        # not redundant: the query it skips would refresh a stale snapshot early
         up = self.world.is_up(src) and self.world.is_up(dst)
-        hops = self.world.hop_distance(src, dst) if up else UNREACHABLE
+        hops = self.world.topology.hop_distance(src, dst) if up else UNREACHABLE
         if hops == UNREACHABLE:
             self._c_failures.value += 1
             if on_fail is not None:
@@ -80,5 +81,5 @@ class OracleRouter(Router):
         self._deliver_up(kind, dst, src, payload, hops)
 
     def route_hops(self, src: int, dst: int) -> int:
-        hops = self.world.hop_distance(src, dst)
+        hops = self.world.topology.hop_distance(src, dst)
         return Router.UNKNOWN if hops == UNREACHABLE else hops

@@ -78,7 +78,7 @@ class TestEstablishment:
         # Teleport node 1 next to node 0 (static model: poke positions).
         mob = overlay.servents[0].world.mobility
         mob._origin[1] = mob._dest[1] = np.array([15.0, 10.0])
-        world.invalidate()  # invalidate snapshot cache
+        world.topology.invalidate()  # invalidate snapshot cache
         sim.run(until=sim.now + 900.0)
         assert overlay.servents[0].connections.has(1)
         assert alg0.timer == cfg.timer_initial

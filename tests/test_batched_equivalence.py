@@ -109,7 +109,7 @@ def _snipe_receivers(simulation, every: int = 9) -> None:
     count = itertools.count(1)
 
     def broadcast(frame):
-        receivers = world.up_among(world.neighbors(frame.src))
+        receivers = world.topology.neighbors(frame.src)
         n = send(frame)
         if n and next(count) % every == 0:
             victim = int(receivers[0])

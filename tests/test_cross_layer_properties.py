@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.aodv import AodvRouter
 from repro.mobility import Area, Static
-from repro.net import Channel, FloodManager, World
+from repro.net import UNREACHABLE, Channel, FloodManager, World
 from repro.sim import Simulator
 
 
@@ -35,7 +35,7 @@ class TestFloodVsBfs:
         flood.deliver[:] = [lambda o, p, h, v, i=i: heard.add(i) for i in range(world.n)]
         flood.originate(0, "x", nhops=ttl)
         sim.run()
-        dist = world.hops_from(0)
+        dist = world.topology.hops_from(0)
         expected = {i for i in range(world.n) if 0 < dist[i] <= ttl}
         assert heard == expected
 
@@ -51,7 +51,7 @@ class TestFloodVsBfs:
         ]
         flood.originate(0, "x", nhops=8)
         sim.run()
-        dist = world.hops_from(0)
+        dist = world.topology.hops_from(0)
         for node, h in hops_seen.items():
             # The first copy to arrive travelled a shortest path.
             assert h == dist[node]
@@ -71,7 +71,7 @@ class TestAodvVsBfs:
                 router.send(a, b, "x", kind="t")
         sim.run(until=30.0)
         for src, dst, h in delivered:
-            bfs = world.hop_distance(src, dst)
+            bfs = world.topology.hop_distance(src, dst)
             assert bfs > 0
             assert h >= bfs  # can't beat the shortest path
             assert h <= world.n  # and never loops
@@ -85,7 +85,7 @@ class TestAodvVsBfs:
         router.register("t", lambda dst, src, p, h: ok.append(dst))
         router.send(0, 14, "x", kind="t", on_fail=lambda p: failed.append(p))
         sim.run(until=60.0)
-        if world.reachable(0, 14):
+        if world.topology.hop_distance(0, 14) != UNREACHABLE:
             assert ok == [14] and not failed
         else:
             assert failed == ["x"] and not ok

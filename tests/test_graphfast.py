@@ -252,7 +252,7 @@ def reference_components(world):
     for start in range(n):
         if seen[start]:
             continue
-        dist = world.hops_from(start)
+        dist = world.topology.hops_from(start)
         comp = np.flatnonzero(dist >= 0)
         seen[comp] = True
         out.append(comp)

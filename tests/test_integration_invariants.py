@@ -82,7 +82,7 @@ def test_connections_respect_distance_bound_modulo_transients(alg):
         for servent in s.overlay.servents.values():
             for conn in servent.connections:
                 allowed = cfg.p2p.max_dist * (2 if conn.random else 1)
-                d = s.world.hop_distance(servent.nid, conn.peer)
+                d = s.world.topology.hop_distance(servent.nid, conn.peer)
                 if 0 < d <= allowed:
                     ok += 1
                 elif d > allowed:

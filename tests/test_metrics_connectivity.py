@@ -87,7 +87,7 @@ class TestNoCachePollution:
         _, world, _ = make_world(pts, radio_range=12)
         # Protocol-hot state: a few memoized BFS vectors.
         for src in (0, 5, 9):
-            world.hops_from(src)
+            world.topology.hops_from(src)
         cached_before = set(world.topology._dist)
         hits_before = world.registry.value("topology.dist_cache_hits")
 
@@ -99,7 +99,7 @@ class TestNoCachePollution:
         assert set(world.topology._dist) == cached_before
         assert world.registry.value("topology.dist_cache_hits") == hits_before
         # The hot entries are still hits.
-        world.hops_from(5)
+        world.topology.hops_from(5)
         assert world.registry.value("topology.dist_cache_hits") == hits_before + 1
 
 

@@ -127,7 +127,7 @@ class TestEnergyDepletion:
         ch = CsmaChannel(sim, world)
         ch.broadcast(Frame(src=0, dst=-1, kind="t", payload="last words"))
         assert world.down_mask()[0]
-        assert 0 not in world.neighbors(1)
+        assert 0 not in world.topology.neighbors(1)
         sim.run()
 
     @pytest.mark.parametrize("channel_cls", [Channel, LossyChannel, CsmaChannel])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.query import QueryConfig
 from repro.experiments import run_key
 from repro.mobility import Area, RandomWaypoint, Static
 from repro.net import EnergyModel, TopologyBackend, World
@@ -69,11 +70,11 @@ class TestEquivalence:
                 advance(w, t)
             dense, sparse = worlds["dense"], worlds["sparse"]
             for i in range(n):
-                nd = dense.neighbors(i)
-                ns = sparse.neighbors(i)
+                nd = dense.topology.neighbors(i)
+                ns = sparse.topology.neighbors(i)
                 assert np.array_equal(nd, ns), f"neighbors({i}) differ at t={t}"
                 assert np.array_equal(
-                    dense.hops_from(i), sparse.hops_from(i)
+                    dense.topology.hops_from(i), sparse.topology.hops_from(i)
                 ), f"hops_from({i}) differ at t={t}"
 
     @pytest.mark.parametrize("seed", range(3))
@@ -83,13 +84,15 @@ class TestEquivalence:
             for w in worlds.values():
                 advance(w, t)
             dense, sparse = worlds["dense"], worlds["sparse"]
-            assert np.array_equal(dense.adjacency(), sparse.adjacency())
-            assert np.array_equal(dense.degrees(), sparse.degrees())
-            assert dense.link_count() == sparse.link_count()
+            assert np.array_equal(
+                dense.topology.adjacency_matrix(), sparse.topology.adjacency_matrix()
+            )
+            assert np.array_equal(dense.topology.degrees(), sparse.topology.degrees())
+            assert dense.topology.link_count() == sparse.topology.link_count()
             rng = np.random.default_rng(seed)
             for _ in range(50):
                 i, j = rng.integers(0, 40, size=2)
-                assert dense.link(int(i), int(j)) == sparse.link(int(i), int(j))
+                assert dense.topology.link(int(i), int(j)) == sparse.topology.link(int(i), int(j))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equivalence_under_churn(self, seed):
@@ -105,8 +108,8 @@ class TestEquivalence:
                     w.set_down(int(i), down=False)
             dense, sparse = worlds["dense"], worlds["sparse"]
             for i in range(50):
-                assert np.array_equal(dense.neighbors(i), sparse.neighbors(i))
-                assert np.array_equal(dense.hops_from(i), sparse.hops_from(i))
+                assert np.array_equal(dense.topology.neighbors(i), sparse.topology.neighbors(i))
+                assert np.array_equal(dense.topology.hops_from(i), sparse.topology.hops_from(i))
 
     def test_boundary_distance_inclusive_both(self):
         # Exactly at the radio range: the grid and the oracle must include
@@ -132,14 +135,14 @@ class TestSparseInternals:
         def builds():
             return world.registry.value("topology.csr_builds")
 
-        world.link(0, 1)  # a link test needs no CSR
+        world.topology.link(0, 1)  # a link test needs no CSR
         assert builds() == 0
         reads = (
-            lambda: world.neighbors(3),
-            lambda: world.hops_from(3),
-            world.degrees,
-            world.csr,
-            lambda: world.hops_from(7),
+            lambda: world.topology.neighbors(3),
+            lambda: world.topology.hops_from(3),
+            world.topology.degrees,
+            world.topology.csr,
+            lambda: world.topology.hops_from(7),
         )
         # The link test's snapshot has no CSR yet: the first read builds
         # one even if that refresh keeps the snapshot.
@@ -163,19 +166,19 @@ class TestSparseInternals:
         world = World(sim, mobility)
         world.topology.dist_cache_size = 4
         for src in range(10):
-            world.hops_from(src)
+            world.topology.hops_from(src)
         assert len(world.topology._dist) == 4
         # most-recently-used sources survive
         assert set(world.topology._dist) == {6, 7, 8, 9}
-        world.hops_from(7)
-        world.hops_from(20)
+        world.topology.hops_from(7)
+        world.topology.hops_from(20)
         assert 7 in world.topology._dist and 6 not in world.topology._dist
 
     def test_dist_cache_hit_counter(self):
         worlds = make_pair(20, 1)
         w = worlds["sparse"]
-        w.hops_from(0)
-        w.hops_from(0)
+        w.topology.hops_from(0)
+        w.topology.hops_from(0)
         assert w.registry.value("topology.dist_cache_hits") == 1
 
 
@@ -194,10 +197,10 @@ class TestSparseOracles:
         down = world.down_mask()
         for i in range(world.n):
             np.testing.assert_array_equal(
-                world.neighbors(i), indices[indptr[i] : indptr[i + 1]]
+                world.topology.neighbors(i), indices[indptr[i] : indptr[i + 1]]
             )
             np.testing.assert_array_equal(
-                world.hops_from(i), reference_bfs(ref_indptr, ref_indices, i, down)
+                world.topology.hops_from(i), reference_bfs(ref_indptr, ref_indices, i, down)
             )
         return indptr, indices
 
@@ -240,81 +243,6 @@ class TestSparseOracles:
         assert indptr.tolist() == [0, 0, 0, 0] and indices.size == 0
 
 
-class TestResumableHopDistance:
-    """``hop_distance`` expands a source's memoized BFS only until its
-    target is labelled; ``hops_from`` finishes the same state.  Any
-    interleaving of the two must equal ``reference_bfs``, on the grid and
-    on the dense oracle's own level step, across churn, ``invalidate()``
-    and snapshot changes."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_any_interleaving_equals_reference_bfs(self, seed):
-        n = 70
-        worlds = make_pair(n, seed)
-        rng = np.random.default_rng(seed + 7)
-        partial_finished = 0
-        for t in (0.0, 40.0, 40.0, 130.0, 260.0):
-            for w in worlds.values():
-                advance(w, t)
-            i = int(rng.integers(n))
-            event = rng.integers(3)
-            for w in worlds.values():
-                if event == 0:
-                    w.set_down(i)
-                elif event == 1:
-                    w.set_down(i, down=False)
-                else:
-                    w.invalidate()
-            sparse = worlds["sparse"].topology
-            sparse.refresh()
-            indptr, indices = reference_sparse_csr(sparse)
-            down = worlds["sparse"].down_mask()
-            ref = {}
-            # few sources, so states are revisited and resumed part way
-            sources = rng.choice(n, size=5, replace=False).tolist()
-            for _ in range(60):
-                a, b = int(rng.choice(sources)), int(rng.integers(n))
-                if a not in ref:
-                    ref[a] = reference_bfs(indptr, indices, a, down)
-                for w in worlds.values():
-                    state = w.topology._dist.get(a)
-                    partial = state is not None and state[1] is not None
-                    if rng.random() < 0.7:
-                        assert w.hop_distance(a, b) == ref[a][b]
-                        continue
-                    dist = w.hops_from(a)
-                    np.testing.assert_array_equal(dist, ref[a])
-                    assert not dist.flags.writeable
-                    partial_finished += partial
-        assert partial_finished > 0  # some hops_from resumed a partial state
-        hits = [w.registry.value("topology.dist_cache_hits") for w in worlds.values()]
-        assert hits[0] == hits[1] > 0
-
-    def test_partial_state_then_hops_from(self):
-        # a line 0 - 1 - ... - 7: asking for 1 hop expands one level only
-        _, world = static_world([[8.0 * i, 0.0] for i in range(8)])
-        assert world.hop_distance(0, 1) == 1
-        dist, frontier, depth = world.topology._dist[0]
-        assert frontier is not None and depth == 1
-        assert dist[2] == UNREACHABLE  # not labelled yet
-        full = world.hops_from(0)
-        assert full.tolist() == list(range(8))
-        assert not full.flags.writeable
-        assert world.topology._dist[0][1] is None
-        assert world.hop_distance(0, 7) == 7
-        # one miss, then one hit per repeated source
-        assert world.registry.value("topology.dist_cache_hits") == 2
-
-    def test_down_source_and_unreachable_target(self):
-        _, world = static_world([[0.0, 0.0], [8.0, 0.0], [500.0, 0.0]])
-        assert world.hop_distance(0, 2) == UNREACHABLE
-        assert world.topology._dist[0][1] is None  # exhausted: complete
-        world.set_down(1)
-        assert world.hop_distance(1, 0) == UNREACHABLE
-        assert world.hop_distance(0, 1) == UNREACHABLE
-        assert world.hops_from(1).tolist() == [UNREACHABLE] * 3
-
-
 # one backend: the parameter only keeps these tests' ids
 @pytest.mark.parametrize("backend", ["sparse"])
 class TestReadOnlySnapshots:
@@ -325,18 +253,18 @@ class TestReadOnlySnapshots:
     def test_cached_hop_vector(self, backend):
         _, world = static_world(self.POSITIONS)
         with pytest.raises(ValueError):
-            world.hops_from(0)[2] = 0
-        assert world.hop_distance(0, 2) == 2
+            world.topology.hops_from(0)[2] = 0
+        assert world.topology.hop_distance(0, 2) == 2
 
     def test_adjacency_matrix(self, backend):
         _, world = static_world(self.POSITIONS)
         with pytest.raises(ValueError):
-            world.adjacency()[0, 3] = True
-        assert not world.link(0, 3)
+            world.topology.adjacency_matrix()[0, 3] = True
+        assert not world.topology.link(0, 3)
 
     def test_csr_arrays(self, backend):
         _, world = static_world(self.POSITIONS)
-        indptr, indices = world.csr()
+        indptr, indices = world.topology.csr()
         with pytest.raises(ValueError):
             indptr[1] = 0
         with pytest.raises(ValueError):
@@ -344,10 +272,10 @@ class TestReadOnlySnapshots:
 
     def test_neighbor_row(self, backend):
         _, world = static_world(self.POSITIONS)
-        row = world.neighbors(1)
+        row = world.topology.neighbors(1)
         with pytest.raises(ValueError):  # a view of the CSR
             row[0] = 3
-        assert world.neighbors(1).tolist() == [0, 2]
+        assert world.topology.neighbors(1).tolist() == [0, 2]
 
 
 def static_n(n):
@@ -393,6 +321,56 @@ class TestFactory:
         assert dense.events == sparse.events
 
 
+
+class _SpyOracle(DenseOracle):
+    """The dense oracle, counting the queries it answers."""
+
+    def __init__(self, world):
+        super().__init__(world)
+        self.calls = dict.fromkeys(("neighbors", "link", "hop_distance"), 0)
+
+    def neighbors(self, i):
+        self.calls["neighbors"] += 1
+        return super().neighbors(i)
+
+    def link(self, i, j):
+        self.calls["link"] += 1
+        return super().link(i, j)
+
+    def hop_distance(self, a, b):
+        self.calls["hop_distance"] += 1
+        return super().hop_distance(a, b)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # carrier sense, the gossip degree floor, the oracle router,
+        # query answers' ad-hoc distance, the radio's receiver rows
+        {"mac": "csma", "rebroadcast": "probabilistic:0.5", "routing": "oracle"},
+        # AODV unicasts: the radio's link test
+        {"routing": "aodv"},
+    ],
+    ids=["csma-gossip-oracle", "ideal-aodv"],
+)
+def test_no_caller_caches_the_backend(overrides):
+    # The equivalence tests swap ``world.topology`` on a built
+    # simulation; a caller holding the old backend would make them
+    # compare the grid with itself.  After the swap, the spy answers
+    # every query and the replaced grid never takes a snapshot.  Queries
+    # start at t = 1 s, so answers ask their ad-hoc distance too.
+    query = QueryConfig(warmup=1.0, gap_min=1.0, gap_max=2.0)
+    cfg = ScenarioConfig(duration=8.0, seed=1, obs_interval=2.0, query=query, **overrides)
+    simulation = build_scenario(cfg)
+    grid = simulation.world.topology
+    spy = simulation.world.topology = _SpyOracle(simulation.world)
+    simulation.run()
+    harvest(simulation)
+    assert grid.snapshot_time == -1.0
+    asked = {"link"} if overrides["routing"] == "aodv" else {"hop_distance"}
+    assert {name for name, calls in spy.calls.items() if calls} >= asked | {"neighbors"}
+
+
 class TestResumableHopDistance:
     """``hop_distance`` expands a source's memoized BFS only until its
     target is labelled; ``hops_from`` finishes the same state.  Any
@@ -417,7 +395,7 @@ class TestResumableHopDistance:
                 elif event == 1:
                     w.set_down(i, down=False)
                 else:
-                    w.invalidate()
+                    w.topology.invalidate()
             sparse = worlds["sparse"].topology
             sparse.refresh()
             indptr, indices = reference_sparse_csr(sparse)
@@ -433,9 +411,9 @@ class TestResumableHopDistance:
                     state = w.topology._dist.get(a)
                     partial = state is not None and state[1] is not None
                     if rng.random() < 0.7:
-                        assert w.hop_distance(a, b) == ref[a][b]
+                        assert w.topology.hop_distance(a, b) == ref[a][b]
                         continue
-                    dist = w.hops_from(a)
+                    dist = w.topology.hops_from(a)
                     np.testing.assert_array_equal(dist, ref[a])
                     assert not dist.flags.writeable
                     partial_finished += partial
@@ -446,26 +424,26 @@ class TestResumableHopDistance:
     def test_partial_state_then_hops_from(self):
         # a line 0 - 1 - ... - 7: asking for 1 hop expands one level only
         _, world = static_world([[8.0 * i, 0.0] for i in range(8)])
-        assert world.hop_distance(0, 1) == 1
+        assert world.topology.hop_distance(0, 1) == 1
         dist, frontier, depth = world.topology._dist[0]
         assert frontier is not None and depth == 1
         assert dist[2] == UNREACHABLE  # not labelled yet
-        full = world.hops_from(0)
+        full = world.topology.hops_from(0)
         assert full.tolist() == list(range(8))
         assert not full.flags.writeable
         assert world.topology._dist[0][1] is None
-        assert world.hop_distance(0, 7) == 7
+        assert world.topology.hop_distance(0, 7) == 7
         # one miss, then one hit per repeated source
         assert world.registry.value("topology.dist_cache_hits") == 2
 
     def test_down_source_and_unreachable_target(self):
         _, world = static_world([[0.0, 0.0], [8.0, 0.0], [500.0, 0.0]])
-        assert world.hop_distance(0, 2) == UNREACHABLE
+        assert world.topology.hop_distance(0, 2) == UNREACHABLE
         assert world.topology._dist[0][1] is None  # exhausted: complete
         world.set_down(1)
-        assert world.hop_distance(1, 0) == UNREACHABLE
-        assert world.hop_distance(0, 1) == UNREACHABLE
-        assert world.hops_from(1).tolist() == [UNREACHABLE] * 3
+        assert world.topology.hop_distance(1, 0) == UNREACHABLE
+        assert world.topology.hop_distance(0, 1) == UNREACHABLE
+        assert world.topology.hops_from(1).tolist() == [UNREACHABLE] * 3
 
 
 # one backend: the parameter only keeps these tests' ids
@@ -477,15 +455,15 @@ class TestWorldEdgeCases:
         sim = Simulator()
         mobility = RandomWaypoint(20, Area(50, 50), np.random.default_rng(2), max_pause=0.5)
         world = World(sim, mobility, snapshot_interval=1.0)
-        world.neighbors(0)
+        world.topology.neighbors(0)
         t0 = world.topology.snapshot_time
         rebuilds = world.registry.value("topology.rebuilds")
         advance(world, 0.5)  # inside the quantum: snapshot reused
-        world.neighbors(0)
+        world.topology.neighbors(0)
         assert world.topology.snapshot_time == t0
         assert world.registry.value("topology.rebuilds") == rebuilds
         advance(world, 2.0)  # outside: recomputed
-        world.neighbors(0)
+        world.topology.neighbors(0)
         assert world.topology.snapshot_time == 2.0
         assert world.registry.value("topology.rebuilds") == rebuilds + 1
 
@@ -493,10 +471,10 @@ class TestWorldEdgeCases:
         sim = Simulator()
         mobility = RandomWaypoint(10, Area(50, 50), np.random.default_rng(3))
         world = World(sim, mobility, snapshot_interval=5.0)
-        world.neighbors(0)
+        world.topology.neighbors(0)
         rebuilds = world.registry.value("topology.rebuilds")
-        world.invalidate()
-        world.neighbors(0)
+        world.topology.invalidate()
+        world.topology.neighbors(0)
         assert world.registry.value("topology.rebuilds") == rebuilds + 1
 
     def test_set_down_mid_snapshot(self, backend):
@@ -504,21 +482,23 @@ class TestWorldEdgeCases:
         # coarse snapshot quantum and no clock movement.
         _, world = static_world([[0, 0], [8, 0], [16, 0]])
         world.snapshot_interval = 10.0
-        assert world.hop_distance(0, 2) == 2
+        assert world.topology.hop_distance(0, 2) == 2
         world.set_down(1)
-        assert list(world.neighbors(0)) == []
-        assert world.hop_distance(0, 2) == UNREACHABLE
-        assert world.hops_from(1).tolist() == [UNREACHABLE] * 3
+        assert list(world.topology.neighbors(0)) == []
+        assert not world.topology.link(0, 1)
+        assert world.topology.hop_distance(0, 2) == UNREACHABLE
+        assert world.topology.hops_from(1).tolist() == [UNREACHABLE] * 3
         world.set_down(1, down=False)
-        assert world.hop_distance(0, 2) == 2
+        assert world.topology.link(0, 1)
+        assert world.topology.hop_distance(0, 2) == 2
 
     def test_depleted_node_excluded_from_neighbors(self, backend):
         _, world = static_world([[0, 0], [8, 0], [16, 0]], capacity=1e-4)
-        assert 1 in world.neighbors(0)
+        assert 1 in world.topology.neighbors(0)
         world.energy.charge_tx(1, 10_000)  # drains node 1's battery
-        assert list(world.neighbors(0)) == []
-        assert not world.link(0, 1)
-        assert world.hop_distance(0, 2) == UNREACHABLE
+        assert list(world.topology.neighbors(0)) == []
+        assert not world.topology.link(0, 1)
+        assert world.topology.hop_distance(0, 2) == UNREACHABLE
 
     def test_backwards_clock_forces_rebuild(self, backend):
         # Two independent sims sharing nothing; a world re-queried at an
@@ -526,18 +506,18 @@ class TestWorldEdgeCases:
         sim = Simulator(start_time=100.0)
         mobility = RandomWaypoint(15, Area(50, 50), np.random.default_rng(4), max_pause=0.5)
         world = World(sim, mobility, snapshot_interval=1000.0)
-        world.neighbors(0)
+        world.topology.neighbors(0)
         assert world.topology.snapshot_time == 100.0
         # Simulate a fresh kernel attached at an earlier clock (resume /
         # reuse patterns): snapshot time is in the future -> stale.
         world.sim = Simulator(start_time=50.0)
         world._pos_time = -1.0
-        world.neighbors(0)
+        world.topology.neighbors(0)
         assert world.topology.snapshot_time == 50.0
 
     def test_neighbors_sorted_ascending(self, backend):
         pts = np.random.default_rng(5).random((40, 2)) * 60
         _, world = static_world(pts, radio_range=20.0)
         for i in range(40):
-            nbrs = world.neighbors(i)
+            nbrs = world.topology.neighbors(i)
             assert np.array_equal(nbrs, np.sort(nbrs))

@@ -16,7 +16,7 @@ from .helpers import line_positions, make_world
 class TestAdjacency:
     def test_line_topology(self):
         sim, world, _ = make_world(line_positions(4, spacing=8.0), radio_range=10.0)
-        adj = world.adjacency()
+        adj = world.topology.adjacency_matrix()
         # 8 m spacing, 10 m range: only consecutive nodes connect.
         expected = np.zeros((4, 4), dtype=bool)
         for i in range(3):
@@ -25,22 +25,22 @@ class TestAdjacency:
 
     def test_no_self_links(self):
         _, world, _ = make_world([[0, 0], [1, 0]], radio_range=5)
-        assert not world.adjacency().diagonal().any()
+        assert not world.topology.adjacency_matrix().diagonal().any()
 
     def test_symmetric(self):
         pts = np.random.default_rng(0).random((30, 2)) * 50
         _, world, _ = make_world(pts, radio_range=12)
-        adj = world.adjacency()
+        adj = world.topology.adjacency_matrix()
         assert np.array_equal(adj, adj.T)
 
     def test_range_boundary_inclusive(self):
         _, world, _ = make_world([[0, 0], [10.0, 0]], radio_range=10.0)
-        assert world.adjacency()[0, 1]
+        assert world.topology.adjacency_matrix()[0, 1]
 
     def test_neighbors(self):
         _, world, _ = make_world(line_positions(5, spacing=8.0))
-        assert list(world.neighbors(2)) == [1, 3]
-        assert list(world.neighbors(0)) == [1]
+        assert list(world.topology.neighbors(2)) == [1, 3]
+        assert list(world.topology.neighbors(0)) == [1]
 
     def test_invalid_range(self):
         sim = Simulator()
@@ -58,28 +58,27 @@ class TestAdjacency:
 class TestHops:
     def test_line_hops(self):
         _, world, _ = make_world(line_positions(5, spacing=8.0))
-        d = world.hops_from(0)
+        d = world.topology.hops_from(0)
         assert list(d) == [0, 1, 2, 3, 4]
-        assert world.hop_distance(1, 4) == 3
+        assert world.topology.hop_distance(1, 4) == 3
 
     def test_disconnected(self):
         _, world, _ = make_world([[0, 0], [8, 0], [500, 500]])
-        assert world.hop_distance(0, 2) == UNREACHABLE
-        assert not world.reachable(0, 2)
-        assert world.reachable(0, 1)
+        assert world.topology.hop_distance(0, 2) == UNREACHABLE
+        assert world.topology.hop_distance(0, 1) == 1
 
     def test_self_distance_zero(self):
         _, world, _ = make_world(line_positions(3))
-        assert world.hop_distance(1, 1) == 0
+        assert world.topology.hop_distance(1, 1) == 0
 
     def test_bfs_matches_networkx(self):
         import networkx as nx
 
         pts = np.random.default_rng(7).random((40, 2)) * 60
         _, world, _ = make_world(pts, radio_range=15)
-        g = nx.from_numpy_array(world.adjacency())
+        g = nx.from_numpy_array(world.topology.adjacency_matrix())
         lengths = nx.single_source_shortest_path_length(g, 5)
-        d = world.hops_from(5)
+        d = world.topology.hops_from(5)
         for j in range(40):
             expected = lengths.get(j, UNREACHABLE)
             assert d[j] == expected
@@ -89,11 +88,11 @@ class TestHops:
     def test_triangle_inequality_via_bfs(self, seed):
         pts = np.random.default_rng(seed).random((15, 2)) * 40
         _, world, _ = make_world(pts, radio_range=12)
-        d0 = world.hops_from(0)
+        d0 = world.topology.hops_from(0)
         for j in range(15):
             if d0[j] > 0:
                 # some neighbor of j must be exactly one hop closer to 0
-                nbrs = world.neighbors(j)
+                nbrs = world.topology.neighbors(j)
                 assert any(d0[k] == d0[j] - 1 for k in nbrs)
 
 
@@ -110,10 +109,10 @@ class TestCaching:
         sim = Simulator()
         mob = RandomWaypoint(10, Area(20, 20), np.random.default_rng(3), max_pause=1.0)
         world = World(sim, mob, radio_range=5)
-        a0 = world.adjacency().copy()
+        a0 = world.topology.adjacency_matrix().copy()
         sim.schedule(500.0, lambda: None)
         sim.run()
-        a1 = world.adjacency()
+        a1 = world.topology.adjacency_matrix()
         assert a0.shape == a1.shape  # and no exception: cache rebuilt
         assert world.topology.snapshot_time == 500.0
 
@@ -121,11 +120,11 @@ class TestCaching:
         sim = Simulator()
         mob = RandomWaypoint(8, Area(30, 30), np.random.default_rng(1), max_pause=0.5)
         world = World(sim, mob, radio_range=8)
-        world.hops_from(0)
+        world.topology.hops_from(0)
         assert 0 in world.topology._dist
         sim.schedule(200.0, lambda: None)
         sim.run()
-        world.adjacency()
+        world.topology.adjacency_matrix()
         assert 0 not in world.topology._dist
 
 
@@ -133,15 +132,15 @@ class TestChurn:
     def test_down_node_has_no_links(self):
         _, world, _ = make_world(line_positions(3, spacing=8.0))
         world.set_down(1)
-        adj = world.adjacency()
+        adj = world.topology.adjacency_matrix()
         assert not adj[1].any() and not adj[:, 1].any()
-        assert world.hop_distance(0, 2) == UNREACHABLE
+        assert world.topology.hop_distance(0, 2) == UNREACHABLE
 
     def test_revive(self):
         _, world, _ = make_world(line_positions(3, spacing=8.0))
         world.set_down(1)
         world.set_down(1, down=False)
-        assert world.hop_distance(0, 2) == 2
+        assert world.topology.hop_distance(0, 2) == 2
 
     def test_is_up_tracks_energy(self):
         _, world, _ = make_world([[0, 0], [5, 0]], capacity=1e-4)
@@ -150,20 +149,25 @@ class TestChurn:
         assert not world.is_up(0)
 
 
+def _up_ids(world):
+    """The up-set as ``is_up`` answers it, frozen."""
+    return frozenset(i for i in range(world.n) if world.is_up(i))
+
+
 class TestLivenessFastPath:
     """The incremental up-set must mirror the reference definition
     (not administratively down, not depleted) through every transition."""
 
     def test_up_ids_initial(self):
         _, world, _ = make_world(line_positions(3, spacing=8.0))
-        assert world.up_ids() == frozenset({0, 1, 2})
+        assert _up_ids(world) == frozenset({0, 1, 2})
 
     def test_up_ids_tracks_set_down(self):
         _, world, _ = make_world(line_positions(3, spacing=8.0))
         world.set_down(1)
-        assert world.up_ids() == frozenset({0, 2})
+        assert _up_ids(world) == frozenset({0, 2})
         world.set_down(1, down=False)
-        assert world.up_ids() == frozenset({0, 1, 2})
+        assert _up_ids(world) == frozenset({0, 1, 2})
 
     def test_depleted_node_cannot_be_revived(self):
         _, world, _ = make_world(line_positions(3, spacing=8.0), capacity=1e-4)
@@ -172,8 +176,8 @@ class TestLivenessFastPath:
         assert not world.is_up(1)
         # ... and it does not come back as a relay either.
         assert world.down_mask()[1]
-        assert list(world.neighbors(0)) == []
-        assert world.hop_distance(0, 2) == UNREACHABLE
+        assert list(world.topology.neighbors(0)) == []
+        assert world.topology.hop_distance(0, 2) == UNREACHABLE
 
     def test_check_depletion_on_administratively_down_node(self):
         # Depleting a node that churn already took down keeps it down,
@@ -182,9 +186,9 @@ class TestLivenessFastPath:
         world.set_down(0)
         world.energy.charge_tx(0, 10_000)
         assert not world.is_up(0)
-        assert world.up_ids() == frozenset({1})
+        assert _up_ids(world) == frozenset({1})
         world.set_down(0, down=False)
-        assert world.up_ids() == frozenset({1})
+        assert _up_ids(world) == frozenset({1})
         assert world.down_mask()[0]
 
     def test_up_among_filters_in_order_and_is_identity_when_all_up(self):

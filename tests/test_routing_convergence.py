@@ -48,7 +48,7 @@ class TestDsdvConvergence:
         # Enough periodic rounds for the diameter to propagate.
         sim.run(until=20 * router.cfg.periodic_update)
         for src in range(world.n):
-            dist = world.hops_from(src)
+            dist = world.topology.hops_from(src)
             for dst in range(world.n):
                 if src == dst:
                     continue
@@ -73,7 +73,7 @@ class TestDsrRouteValidity:
             if a != b:
                 router.send(a, b, "probe", kind="data")
         sim.run(until=30.0)
-        adj = world.adjacency()
+        adj = world.topology.adjacency_matrix()
         for agent in router.agents:
             for dst in range(world.n):
                 route = agent.cache.get(dst)
@@ -83,7 +83,7 @@ class TestDsrRouteValidity:
                 assert len(set(route)) == len(route)  # loop-free
                 for u, v in zip(route, route[1:]):
                     assert adj[u, v], f"cached route uses dead link {u}-{v}"
-                bfs = world.hop_distance(agent.nid, dst)
+                bfs = world.topology.hop_distance(agent.nid, dst)
                 assert len(route) - 1 >= bfs
 
 
@@ -103,6 +103,6 @@ class TestAodvNeverBeatsBfs:
                 known = router.route_hops(src, dst)
                 if known == AodvRouter.UNKNOWN or src == dst:
                     continue
-                bfs = world.hop_distance(src, dst)
+                bfs = world.topology.hop_distance(src, dst)
                 assert bfs > 0  # a known route implies connectivity
                 assert known >= bfs

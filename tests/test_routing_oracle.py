@@ -58,11 +58,11 @@ class TestOracle:
         # A huge frame drains node 1 at the tx charge: hop distances
         # stop routing through it at once, not at the next radio send.
         _, world, router, _ = make_oracle(line_positions(3, spacing=8.0), capacity=1e-4)
-        assert world.hop_distance(0, 2) == 2
+        assert world.topology.hop_distance(0, 2) == 2
         router.send(1, 2, "x", size=10_000)
         assert not world.is_up(1)
-        assert world.hop_distance(0, 2) == UNREACHABLE
-        assert list(world.neighbors(0)) == []
+        assert world.topology.hop_distance(0, 2) == UNREACHABLE
+        assert list(world.topology.neighbors(0)) == []
 
     def test_loopback(self):
         sim, _, router, inbox = make_oracle(line_positions(2))

@@ -96,6 +96,7 @@ class _Degrees:
 
     def __init__(self, *degrees):
         self.degrees = degrees
+        self.topology = self  # the policy asks world.topology.neighbors
 
     def neighbors(self, nid):
         return [None] * self.degrees[nid]

@@ -139,51 +139,51 @@ def _dist_hits(world):
 class TestAdjacencyEpoch:
     def test_epoch_stands_still_when_nothing_moves(self, side):
         world = _static_world(12, side=side)
-        world.neighbors(0)
+        world.topology.neighbors(0)
         builds0 = _csr_builds(world)
         for t in (1.0, 2.0, 3.0):
             advance(world, t)
-            world.neighbors(0)
+            world.topology.neighbors(0)
         # Static nodes: every refresh keeps the snapshot and its CSR.
         assert _csr_builds(world) == builds0 == 1
         assert world.registry.value("topology.rebuilds") == 4
 
     def test_dist_cache_survives_static_refreshes(self, side):
         world = _static_world(12, side=side)
-        world.hops_from(0)
+        world.topology.hops_from(0)
         hits0 = _dist_hits(world)
         advance(world, 5.0)
-        world.hops_from(0)  # kept snapshot: memoized vector must survive
+        world.topology.hops_from(0)  # kept snapshot: memoized vector must survive
         assert _dist_hits(world) == hits0 + 1
 
     def test_full_lane_always_advances_epoch(self, side):
         world = _static_world(12, delta=False, side=side)
-        world.hops_from(0)
+        world.topology.hops_from(0)
         builds0, hits0 = _csr_builds(world), _dist_hits(world)
         advance(world, 1.0)
-        world.hops_from(0)
+        world.topology.hops_from(0)
         assert _csr_builds(world) == builds0 + 1
         assert _dist_hits(world) == hits0
 
     def test_invalidate_advances_epoch(self, side):
         world = _static_world(12, side=side)
-        world.hops_from(0)
+        world.topology.hops_from(0)
         builds0, hits0 = _csr_builds(world), _dist_hits(world)
         world.set_down(3)
         assert world.topology.snapshot_time == -1.0
         # Same clock, same positions: the death alone forces a rebuild.
-        world.hops_from(0)
+        world.topology.hops_from(0)
         assert _csr_builds(world) == builds0 + 1
         assert _dist_hits(world) == hits0
-        assert 3 not in world.neighbors(0)
+        assert 3 not in world.topology.neighbors(0)
 
     def test_motion_that_changes_links_advances_epoch(self, side):
         world = _waypoint_world(20, delta=True, seed=2, side=side)
-        world.hops_from(0)
+        world.topology.hops_from(0)
         builds0, hits0 = _csr_builds(world), _dist_hits(world)
         # 10 s at up to 8 m/s across the square moves nodes.
         advance(world, 10.0)
-        world.hops_from(0)
+        world.topology.hops_from(0)
         assert _csr_builds(world) == builds0 + 1
         assert _dist_hits(world) == hits0
 
@@ -191,11 +191,11 @@ class TestAdjacencyEpoch:
 class TestSparseDeltaInternals:
     def test_csr_survives_static_refreshes(self):
         world = _static_world(15)
-        world.degrees()  # forces a CSR build
+        world.topology.degrees()  # forces a CSR build
         builds0 = _csr_builds(world)
         for t in (1.0, 2.0):
             advance(world, t)
-            world.degrees()
+            world.topology.degrees()
         assert _csr_builds(world) == builds0
 
 
@@ -209,11 +209,15 @@ def test_lockstep_queries_identical_under_mobility(seed, oracle):
         advance(fast, float(t))
         advance(full, float(t))
         for i in range(25):
-            np.testing.assert_array_equal(fast.neighbors(i), full.neighbors(i))
+            np.testing.assert_array_equal(fast.topology.neighbors(i), full.topology.neighbors(i))
         for src in (0, 7, 19):
-            np.testing.assert_array_equal(fast.hops_from(src), full.hops_from(src))
-        np.testing.assert_array_equal(fast.degrees(), full.degrees())
-        np.testing.assert_array_equal(fast.adjacency(), full.adjacency())
+            np.testing.assert_array_equal(
+                fast.topology.hops_from(src), full.topology.hops_from(src)
+            )
+        np.testing.assert_array_equal(fast.topology.degrees(), full.topology.degrees())
+        np.testing.assert_array_equal(
+            fast.topology.adjacency_matrix(), full.topology.adjacency_matrix()
+        )
 
 
 def test_lockstep_queries_identical_at_paper_density():
@@ -241,8 +245,10 @@ def test_lockstep_queries_identical_at_paper_density():
         advance(full, t)
         for k in range(4):
             i = (step * 4 + k) % n
-            np.testing.assert_array_equal(fast.neighbors(i), full.neighbors(i))
+            np.testing.assert_array_equal(fast.topology.neighbors(i), full.topology.neighbors(i))
         for k in range(2):
             src = hot[(step * 2 + k) % len(hot)]
-            np.testing.assert_array_equal(fast.hops_from(src), full.hops_from(src))
-        np.testing.assert_array_equal(fast.degrees(), full.degrees())
+            np.testing.assert_array_equal(
+                fast.topology.hops_from(src), full.topology.hops_from(src)
+            )
+        np.testing.assert_array_equal(fast.topology.degrees(), full.topology.degrees())

@@ -67,40 +67,44 @@ def test_lockstep_queries_identical_under_mobility(seed, oracle):
         advance(fast, float(t))
         advance(full, float(t))
         for i in range(25):
-            np.testing.assert_array_equal(fast.neighbors(i), full.neighbors(i))
+            np.testing.assert_array_equal(fast.topology.neighbors(i), full.topology.neighbors(i))
         for src in (0, 7, 19):
-            np.testing.assert_array_equal(fast.hops_from(src), full.hops_from(src))
-        np.testing.assert_array_equal(fast.degrees(), full.degrees())
-        np.testing.assert_array_equal(fast.adjacency(), full.adjacency())
+            np.testing.assert_array_equal(
+                fast.topology.hops_from(src), full.topology.hops_from(src)
+            )
+        np.testing.assert_array_equal(fast.topology.degrees(), full.topology.degrees())
+        np.testing.assert_array_equal(
+            fast.topology.adjacency_matrix(), full.topology.adjacency_matrix()
+        )
 
 
 class TestDeathBeforePredictedCrossing:
     def test_churn_death_disarms_horizons_and_bumps_epoch(self):
         # Long pauses: the early refreshes move nobody and keep the snapshot.
         world = _waypoint_world(12, seed=5, max_pause=200.0)
-        world.hops_from(0)
+        world.topology.hops_from(0)
         advance(world, 0.1)
-        world.neighbors(0)
+        world.topology.neighbors(0)
         builds0 = world.registry.value("topology.csr_builds")
         hits0 = world.registry.value("topology.dist_cache_hits")
-        victim = int(world.neighbors(0)[0]) if world.neighbors(0).size else 1
+        victim = int(world.topology.neighbors(0)[0]) if world.topology.neighbors(0).size else 1
         world.set_down(victim)
         # The death dropped the snapshot and its distance cache, and the
         # node vanishes from answers immediately.
         assert world.topology.snapshot_time == -1.0
         advance(world, 0.2)
-        assert victim not in world.neighbors(0)
-        world.hops_from(0)
+        assert victim not in world.topology.neighbors(0)
+        world.topology.hops_from(0)
         assert world.registry.value("topology.dist_cache_hits") == hits0
-        assert world.hops_from(victim).max() == -1  # UNREACHABLE everywhere
+        assert world.topology.hops_from(victim).max() == -1  # UNREACHABLE everywhere
         # The refresh after the death rebuilt; the next one, with nobody
         # moving, keeps that snapshot's CSR.
         builds = world.registry.value("topology.csr_builds")
         assert builds == builds0 + 1
         advance(world, 0.3)
-        world.neighbors(0)
+        world.topology.neighbors(0)
         assert world.registry.value("topology.csr_builds") == builds
-        assert victim not in world.neighbors(0)
+        assert victim not in world.topology.neighbors(0)
 
     def test_energy_depletion_death_matches_full_lane(self):
         # Finite energy + churn, lockstep against the oracle: depletion
@@ -151,10 +155,10 @@ class TestGracefulDegradation:
                 return self._base + 0.01 * t
 
         world = World(Simulator(), Trace(10), radio_range=12.0)
-        world.neighbors(0)
+        world.topology.neighbors(0)
         for t in (1.0, 2.0):
             advance(world, t)
-            world.neighbors(0)
+            world.topology.neighbors(0)
         # Every node moved each time, so every refresh rebuilt and each
         # read saw a fresh CSR.
         assert world.registry.value("topology.rebuilds") == 3
@@ -163,13 +167,13 @@ class TestGracefulDegradation:
     def test_backwards_clock_takes_the_safe_path(self):
         world = _waypoint_world(10, seed=3)
         advance(world, 5.0)
-        world.neighbors(0)
+        world.topology.neighbors(0)
         ref = _waypoint_world(10, full=True, seed=3)
         advance(ref, 5.0)
-        ref.neighbors(0)
+        ref.topology.neighbors(0)
         # A backwards jump must be answered from positions at the new
         # time (the kernel never rewinds on its own; poke the clock).
         world.sim._now = 2.0
         ref.sim._now = 2.0
         for i in range(10):
-            np.testing.assert_array_equal(world.neighbors(i), ref.neighbors(i))
+            np.testing.assert_array_equal(world.topology.neighbors(i), ref.topology.neighbors(i))
