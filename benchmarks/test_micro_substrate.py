@@ -5,7 +5,8 @@ operations DESIGN.md §5 identifies as performance-critical: vectorized
 position evaluation, the connectivity snapshot (the full adjacency at
 n = 150 and the n = 50 rebuild + CSR the paper world pays every 0.25 s),
 the vectorized BFS and the event queue (throughput, cancellation churn
-and the hold model at the bench workloads' queue depths).  They exist to
+and the hold model at the bench workloads' queue depths, through the
+heap's ``schedule`` and the FIFO's ``post_at``).  They exist to
 catch performance regressions, not paper claims.
 """
 
@@ -166,6 +167,29 @@ def test_kernel_hold(benchmark, depth):
     sim = benchmark.pedantic(_hold_ops, setup=lambda: _hold_queue(depth), rounds=10)
     assert sim.pending() == depth
     assert count(sim, "events_dispatched") == HOLD_OPS
+
+
+def _post_hold_queue(depth):
+    """The hold model through ``post_at``: a constant delay and no
+    handles, like the radio's copies, so every successor lands at the
+    tail of the kernel's FIFO and none on its heap."""
+    sim = Simulator()
+
+    def hold():
+        sim.post_at(sim.now + 1.0, hold)
+
+    for i in range(depth):
+        sim.post_at(i / depth, hold)
+    return (sim,), {}
+
+
+@pytest.mark.parametrize("depth", HOLD_DEPTHS)
+def test_kernel_post_hold(benchmark, depth):
+    sim = benchmark.pedantic(_hold_ops, setup=lambda: _post_hold_queue(depth), rounds=10)
+    ref = _hold_ops(*_hold_queue(depth)[0])
+    assert sim.pending() == ref.pending() == depth
+    assert count(sim, "events_dispatched") == count(ref, "events_dispatched") == HOLD_OPS
+    assert not sim._heap
 
 
 def test_snapshot_rebuild_csr_n50(benchmark):

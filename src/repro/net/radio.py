@@ -201,16 +201,18 @@ class Channel:
         array whenever it can hold several ids).  Several receivers
         share ONE weight-k event ``batch_fn(receivers, *args)``, equal to
         one ``copy_fn(dst, *args)`` per receiver in the same order
-        (DESIGN.md §5); a lone receiver gets ``copy_fn``.
+        (DESIGN.md §5); a lone receiver gets ``copy_fn``.  Copies are
+        never cancelled, so they go through the kernel's handle-free
+        :meth:`~repro.sim.kernel.Simulator.post_at`.
         """
         k = len(receivers)
         if k:
-            # ``schedule()``'s own time expression, pushed directly
+            # ``schedule()``'s own time expression, posted directly
             sim = self.sim
             if k > 1:
-                sim.schedule_at(sim.now + delay, batch_fn, receivers, *args, weight=k)
+                sim.post_at(sim.now + delay, batch_fn, (receivers, *args), k)
             else:
-                sim.schedule_at(sim.now + delay, copy_fn, int(receivers[0]), *args)
+                sim.post_at(sim.now + delay, copy_fn, (int(receivers[0]), *args))
 
     # ------------------------------------------------------------------
     def _deliver_batch(self, receivers: np.ndarray, frame: Frame) -> None:

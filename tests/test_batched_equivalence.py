@@ -17,6 +17,11 @@ conditions it runs under), down to the per-node energy ledger, plus the
 runs that must take the per-copy fallback instead (finite energy, an
 ``on_deliver`` observer) and the reader of every duplicate copy (the
 ``counter`` policy).
+
+The batched copies reach the kernel through ``Simulator.post_at``, a
+handle-free FIFO beside the event heap; the per-copy pin schedules
+through ``schedule()``.  ``test_per_copy_pin_matches_the_fifo_path``
+holds the two apart and counts the Events each builds.
 """
 
 import itertools
@@ -36,6 +41,7 @@ from repro.scenarios.builder import build_scenario
 from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest
+from repro.sim import kernel
 from repro.sim.trace import attach_tracer
 
 from .helpers import DenseOracle, make_world, pin_per_copy_delivery
@@ -200,6 +206,74 @@ def test_wavefront_bit_identical(seed, topology, routing, case):
     # AODV's control frames and its route-request flood plane.
     aodv_plane = ["aodv.ctrl", "aodv.rreq"] if routing == "aodv" else []
     assert bat["plane_kinds"] == aodv_plane + ["p2p.flood"]
+
+
+def _count_events(monkeypatch):
+    """Count every :class:`~repro.sim.events.Event` the kernel builds."""
+    built = []
+    event = kernel.Event
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return event(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "Event", counting)
+    return built
+
+
+def _count_copy_pushes(channel):
+    """Count the queue entries ``channel._schedule_copies`` makes."""
+    pushes = []
+    schedule_copies = channel._schedule_copies
+
+    def counting(delay, receivers, *rest):
+        if len(receivers):
+            pushes.append(1)
+        schedule_copies(delay, receivers, *rest)
+
+    channel._schedule_copies = counting
+    return pushes
+
+
+@pytest.mark.parametrize("mac", ["ideal", "lossy", "csma"])
+def test_per_copy_pin_matches_the_fifo_path(mac, monkeypatch):
+    """The pin's one ``schedule()`` per receiver -- an Event each --
+    against the batched copies posted to the FIFO: the same run to the
+    last bit.  On the FIFO path no radio copy builds an Event, except
+    CSMA completions posted behind a later one, which fall back to the
+    heap."""
+    built = _count_events(monkeypatch)
+    lanes = []
+    for pin in (True, False):
+        del built[:]
+        simulation = build_scenario(
+            ScenarioConfig(num_nodes=40, duration=60.0, seed=2, mac=mac, obs_interval=15.0)
+        )
+        if pin:
+            pin_per_copy_delivery(simulation.channel)
+        copies = _count_copy_pushes(simulation.channel)
+        simulation.run()
+        result = harvest(simulation)
+        lanes.append(
+            {
+                "snapshot": semantic_snapshot(simulation.registry),
+                "timeseries": semantic_timeseries(result.timeseries),
+                "totals": result.totals,
+                "energy": result.energy.tolist(),
+                "events": result.events,
+                "pushes": simulation.registry.value("kernel.heap_pushes"),
+                "built": len(built),
+                "copies": len(copies),
+            }
+        )
+    pinned, posted = lanes
+    assert pinned.pop("built") == pinned["pushes"]
+    fallbacks = posted.pop("built") - (posted["pushes"] - posted["copies"])
+    assert fallbacks > 0 if mac == "csma" else fallbacks == 0
+    assert pinned.pop("copies") == posted.pop("copies") > 500
+    assert posted.pop("pushes") < pinned.pop("pushes")
+    assert snapshot_diff(pinned.pop("snapshot"), posted.pop("snapshot")) == {}
+    assert pinned == posted
 
 
 def test_per_copy_reference_is_no_channel_option():

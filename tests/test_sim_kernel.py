@@ -1,13 +1,16 @@
 """Unit and property tests for the discrete-event kernel.
 
-The kernel keeps one pending-event structure -- a ``heapq`` list of
-``(time, priority, seq, event)`` tuples -- so there is no second lane
-to compare it with.  The order it must produce is instead stated by
-:class:`RefSimulator` below: a list re-sorted by ``(time, priority,
-seq)`` before every pop, with the same lazy-cancellation accounting.
+The kernel keeps its pending events in a ``heapq`` list of ``(time,
+priority, seq, event)`` tuples and, for handle-free posts
+(``Simulator.post_at``), a FIFO of plain tuples beside it; every read
+merges the two heads.  The order it must produce is stated by
+:class:`RefSimulator` below: one list re-sorted by ``(time, priority,
+seq)`` before every pop, with the same lazy-cancellation accounting, in
+which a post is an ordinary NORMAL event whose handle is dropped.
 ``TestAgainstReference`` drives random op programs through both.
 """
 
+import itertools
 import math
 
 import pytest
@@ -15,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Registry
-from repro.scenarios import ScenarioConfig, run_scenario
+from repro.scenarios import ScenarioConfig, build_scenario, run_scenario
+from repro.scenarios.runner import harvest
 from repro.sim import Event, Priority, SimulationError, Simulator
 from repro.sim.kernel import MIN_COMPACT_SIZE
 
@@ -336,6 +340,100 @@ class TestEventWeight:
             sim.schedule_at(1.0, lambda: None, weight=-2)
 
 
+class TestPost:
+    """``post_at``: a NORMAL event with no handle, kept off the heap
+    while posts come in time order."""
+
+    def test_in_order_posts_stay_off_the_heap(self):
+        sim = Simulator()
+        fired = []
+        sim.post_at(1.0, fired.append, ("a",))
+        sim.post_at(1.0, fired.append, ("b",), 3)
+        sim.post_at(2.0, fired.append, ("c",))
+        assert (len(sim._fifo), len(sim._heap)) == (3, 0)
+        assert sim.pending() == sim._brute_pending() == 3
+        assert kernel_count(sim, "heap") == kernel_count(sim, "heap_pushes") == 3
+        sim.run()
+        assert fired == ["a", "b", "c"]
+        assert kernel_count(sim, "events_dispatched") == 5
+        assert sim.now == 2.0 and sim.pending() == 0
+
+    def test_an_earlier_post_falls_back_to_the_heap(self):
+        sim = Simulator()
+        fired = []
+        sim.post_at(2.0, fired.append, ("late",))
+        sim.post_at(1.0, fired.append, ("early",))
+        sim.post_at(2.0, fired.append, ("tail",))
+        assert (len(sim._fifo), len(sim._heap)) == (2, 1)
+        sim.run()
+        assert fired == ["early", "late", "tail"]
+        assert kernel_count(sim, "heap_pushes") == 3
+
+    def test_posts_interleave_with_scheduled_events(self):
+        # One (time, priority, seq) order across both structures.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "s0")
+        sim.post_at(1.0, fired.append, ("p1",))
+        sim.schedule_at(1.0, fired.append, "low", priority=Priority.LOW)
+        sim.schedule_at(1.0, fired.append, "s3")
+        sim.post_at(1.0, fired.append, ("p4",))
+        sim.schedule_at(1.0, fired.append, "high", priority=Priority.HIGH)
+        sim.post_at(0.5, fired.append, ("first",))
+        sim.run()
+        assert fired == ["first", "high", "s0", "p1", "s3", "p4", "low"]
+
+    def test_bad_times_and_weights_rejected(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        for time in (0.5, float("nan")):
+            with pytest.raises(SimulationError):
+                sim.post_at(time, print)
+        with pytest.raises(SimulationError):
+            sim.post_at(2.0, print, (), 0)
+        assert sim.pending() == 0 and kernel_count(sim, "heap_pushes") == 1
+
+    def test_step_and_peek_see_the_fifo(self):
+        sim = Simulator()
+        fired = []
+        sim.post_at(3.0, fired.append, ("p",), 2)
+        early = sim.schedule(1.0, fired.append, "cancelled")
+        early.cancel()
+        assert sim.peek_time() == 3.0
+        ev = sim.step()
+        assert fired == ["p"] and sim.now == 3.0
+        assert (ev.time, ev.priority, ev.weight, ev.args) == (3.0, Priority.NORMAL, 2, ("p",))
+        assert ev.fn == fired.append and ev.done and not ev.daemon
+        ev.cancel()  # a record of a dispatched entry: nothing to revoke
+        assert sim.pending() == sim._brute_pending() == 0
+        assert sim.step() is None and sim.peek_time() is None
+        assert kernel_count(sim, "events_skipped") == 1
+
+    def test_iter_pending_yields_posts_as_detached_records(self):
+        sim = Simulator()
+        sim.post_at(1.0, print, ("x",))
+        sim.schedule(2.0, print)
+        posted = [ev for ev in sim.iter_pending() if ev.time == 1.0]
+        assert len(posted) == 1 and posted[0].args == ("x",)
+        posted[0].cancel()
+        assert sim.pending() == sim._brute_pending() == 2
+        assert kernel_count(sim, "events_skipped") == 0
+
+    def test_compaction_threshold_counts_fifo_entries(self):
+        # 70 heap entries with 36 cancelled outnumber the heap's live
+        # ones, not the live entries of heap and FIFO together.
+        ops = [
+            ("post", [1.0] * 40, 1, ("none",)),
+            ("burst", 70, 2.0, 36),
+            ("peek",),
+        ]
+        seen = _play(Simulator(), ops)
+        assert seen == _play(RefSimulator(), ops)
+        assert seen[-1][10] == 0  # heap_compactions
+        assert seen[-1][4] == seen[-1][5] == 74
+
+
 class TestProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=100))
     @settings(max_examples=50, deadline=None)
@@ -462,6 +560,10 @@ class RefSimulator:
         head = self._head()
         return None if head is None else head.time
 
+    def post_at(self, time, fn, args=(), weight=1):
+        """A NORMAL event whose handle nobody keeps."""
+        self.schedule_at(time, fn, *args, weight=weight)
+
     def step(self):
         ev = self._head()
         if ev is None:
@@ -504,11 +606,16 @@ class RefSimulator:
 _DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.5])
 _PRIORITIES = st.sampled_from(list(Priority))
 
+#: Delays of consecutive posts: equal, rising or falling times, so both
+#: the FIFO append and its heap fallback are hit.
+_POST_DELAYS = st.lists(_DELAYS, min_size=1, max_size=4)
+
 #: What a handler does when it fires, from inside the running kernel.
 _ACTIONS = st.one_of(
     st.just(("none",)),
     st.tuples(st.just("spawn"), st.lists(st.tuples(_DELAYS, _PRIORITIES), max_size=3)),
     st.tuples(st.just("spawn_at_now"), _PRIORITIES),
+    st.tuples(st.just("post"), _POST_DELAYS),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
     st.just(("stop",)),
 )
@@ -517,6 +624,7 @@ _OPS = st.one_of(
     st.tuples(
         st.just("schedule"), _DELAYS, _PRIORITIES, st.booleans(), st.integers(1, 4), _ACTIONS
     ),
+    st.tuples(st.just("post"), _POST_DELAYS, st.integers(1, 4), _ACTIONS),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
     # a deep queue, then cancels among it: above half, compact() triggers
     st.tuples(
@@ -538,14 +646,20 @@ def _play(sim, ops):
     """Run one op program on ``sim``; returns what was observable after
     every op (identical code drives the kernel and the reference)."""
     log = []  # (label, now) per fired handler
-    handles = []
+    handles = []  # cancellable events only: a post has no handle
+    labels = itertools.count()
     seen = []
 
     def add(time_fn, arg, priority, daemon=False, weight=1, action=("none",)):
-        label = len(handles)
         handles.append(
-            time_fn(arg, fire, label, action, priority=priority, daemon=daemon, weight=weight)
+            time_fn(
+                arg, fire, next(labels), action, priority=priority, daemon=daemon, weight=weight
+            )
         )
+
+    def post(delays, weight=1, action=("none",)):
+        for delay in delays:
+            sim.post_at(sim.now + delay, fire, (next(labels), action), weight)
 
     def cancel(index):
         if handles:
@@ -558,6 +672,8 @@ def _play(sim, ops):
                 add(sim.schedule, delay, priority)
         elif action[0] == "spawn_at_now":
             add(sim.schedule_at, sim.now, action[1])
+        elif action[0] == "post":
+            post(action[1])
         elif action[0] == "cancel":
             cancel(action[1])
         elif action[0] == "stop":
@@ -568,6 +684,9 @@ def _play(sim, ops):
         if op[0] == "schedule":
             _, delay, priority, daemon, weight, action = op
             add(sim.schedule, delay, priority, daemon, weight, action)
+        elif op[0] == "post":
+            _, delays, weight, action = op
+            post(delays, weight, action)
         elif op[0] == "cancel":
             cancel(op[1])
         elif op[0] == "burst":
@@ -690,10 +809,43 @@ class TestFusedRunLoop:
         assert seen[-1][4] == seen[-1][5] == 0
 
 
+def _harvest_dict(cfg, stepped, monkeypatch):
+    """``build_scenario`` + ``run`` + ``harvest(...).to_dict()`` minus
+    the host-dependent ``obs.manifest`` / ``obs.wall``, the run driven by
+    ``run()`` or by a ``peek_time()`` / ``step()`` loop."""
+    with monkeypatch.context() as patch:
+        if stepped:
+            patch.setattr(Simulator, "run", SteppedSimulator.run)
+        simulation = build_scenario(cfg)
+        simulation.run()
+    result = harvest(simulation).to_dict()
+    for host_dependent in ("manifest", "wall"):
+        result.get("obs", {}).pop(host_dependent, None)
+    return result
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"num_nodes": 50}, {"mac": "csma", "rebroadcast": "counter:2"}],
+    ids=["regular-aodv-50", "csma-counter2"],
+)
+def test_radio_loaded_scenario_runs_the_same_stepped(overrides, monkeypatch):
+    """Whole runs, radio copies in the FIFO, through the loop that
+    replaces ``run()`` when a run is traced: the harvest, cost counters
+    included, equals the fused loop's."""
+    cfg = ScenarioConfig(duration=60.0, seed=2, obs_interval=15.0, **overrides)
+    fused = _harvest_dict(cfg, False, monkeypatch)
+    counters = fused["obs"]["counters"]
+    assert sum(v for k, v in counters.items() if k.startswith("net.frames_sent")) > 1000
+    assert _harvest_dict(cfg, True, monkeypatch) == fused
+
+
 def test_no_python_level_ordering_calls_on_events(monkeypatch):
     """Count-based guard: the heap orders ``(time, priority, seq, ...)``
-    tuples in C and never reaches the Event, so no Python comparison
-    runs per push or pop however deep the queue is."""
+    tuples in C and never reaches the Event, and the merge of the heap's
+    head with the FIFO's ``(time, priority, seq, fn, ...)`` head never
+    reaches the callback, so no Python comparison runs per push or pop
+    however deep the queue is."""
     assert not hasattr(Event, "sort_key")
     calls = []
 
@@ -704,14 +856,37 @@ def test_no_python_level_ordering_calls_on_events(monkeypatch):
 
         return compare
 
-    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-        assert name not in vars(Event)
-        monkeypatch.setattr(Event, name, probe(name), raising=False)
+    class Callback:
+        """A posted callback that records any comparison reaching it."""
+
+        def __init__(self, fn):
+            self.fn = fn
+
+        def __call__(self, *args):
+            return self.fn(*args)
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        setattr(Callback, name, probe(f"fifo{name}"))
+        if name != "__eq__":
+            assert name not in vars(Event)
+            monkeypatch.setattr(Event, name, probe(name), raising=False)
+    post_at = Simulator.post_at
+    posts = []
+
+    def probed_post_at(self, time, fn, args=(), weight=1):
+        posts.append(time)
+        post_at(self, time, Callback(fn), args, weight)
+
+    monkeypatch.setattr(Simulator, "post_at", probed_post_at)
     result = run_scenario(ScenarioConfig(num_nodes=40, duration=20.0, seed=3))
-    assert result.events > 500
+    assert result.events > 500 and len(posts) > 300
     assert calls == []
-    # the probe is live: comparing two events directly does reach it
+    # the probes are live: comparing two events, or two FIFO entries
+    # equal up to their callbacks, directly does reach them
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.schedule(1.0, lambda: None) < sim.schedule(1.0, lambda: None)
     assert calls == ["__lt__", "__gt__"]
+    del calls[:]
+    assert ((1.0, 1, 0, Callback(print)) == (1.0, 1, 0, Callback(print))) is False
+    assert calls == ["fifo__eq__", "fifo__eq__"]
