@@ -16,18 +16,18 @@ each receiver (broadcasts charge every listener: radios cannot refuse to
 hear).  Depleted or administratively-down nodes neither send nor
 receive; a charge that drains a node takes it down at that charge.
 
-A batched broadcast does that accounting once per *transmission*: one
-liveness pass, one vectorized rx charge and one counter bump for all
+All of a transmission's copies arrive in one event, :meth:`Channel._deliver`.
+With infinite energy it does the accounting once per *transmission*: one
+liveness pass, one rx charge pass and one counter bump for all
 receivers, then the handlers -- or, for a kind a protocol claimed as a
 *plane* (see :meth:`Channel.register_plane`), one call that takes every
-receiver at once.  DESIGN.md §5 carries the exactness argument.
+receiver at once.  With finite energy it walks the copies one by one.
+DESIGN.md §5 carries the exactness argument.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..obs.registry import Registry
 from ..sim.kernel import Simulator
@@ -75,10 +75,6 @@ class Channel:
         Kernel and physical world.
     latency:
         Per-hop delivery latency in seconds.
-    on_deliver:
-        Optional observer called as ``on_deliver(node_id, frame)`` for
-        every delivered frame (:func:`~repro.sim.trace.attach_tracer`
-        installs one).
     registry:
         Observability registry for the channel counters; a private one
         is created when not supplied.
@@ -93,7 +89,6 @@ class Channel:
         world: World,
         *,
         latency: float = DEFAULT_LATENCY,
-        on_deliver: Optional[Callable[[int, Frame], None]] = None,
         registry: Optional[Registry] = None,
     ) -> None:
         if latency < 0:
@@ -101,7 +96,6 @@ class Channel:
         self.sim = sim
         self.world = world
         self.latency = float(latency)
-        self.on_deliver = on_deliver
         self.nodes: List[NetNode] = [NetNode(i, self) for i in range(world.n)]
         if registry is None:
             registry = getattr(world, "registry", None)
@@ -116,10 +110,10 @@ class Channel:
         """Claim frames tagged ``kind`` for one plane handler (one per kind).
 
         ``fn(receivers, frame)`` replaces the per-node handlers: it gets
-        the ids that received ``frame``, ascending, once per batched
-        transmission (after their rx charge and delivered count), and
-        ``[dst]`` for each copy on the per-copy path.  It must handle
-        them as consecutive per-copy deliveries would, in that order.
+        the ids that received ``frame``, ascending, once per transmission
+        (after their rx charge and delivered count), and ``[dst]`` for
+        each copy when energy is finite.  It must handle them as
+        consecutive per-copy deliveries would, in that order.
         """
         if kind in self._planes:
             raise ValueError(f"plane for {kind!r} already set")
@@ -168,9 +162,9 @@ class Channel:
         self._launch(frame, receivers)
         return len(receivers)
 
-    def _receivers(self, frame: Frame):
-        """Who hears ``frame`` now: ``(dst,)`` or ``()`` for a unicast,
-        the ascending int64 array of up neighbours for a broadcast.
+    def _receivers(self, frame: Frame) -> List[int]:
+        """Who hears ``frame`` now, ascending: ``[dst]`` or ``[]`` for a
+        unicast, the up neighbours for a broadcast.
 
         The snapshot's row and link test, unfiltered: ``World.set_down``
         (the up-set's one writer) drops the snapshot, so the one they
@@ -178,102 +172,81 @@ class Channel:
         topology = self.world.topology
         src, dst = frame.src, frame.dst
         if dst == BROADCAST:
-            return topology.neighbors(src)
-        return (dst,) if topology.link(src, dst) else ()
+            return topology.neighbors(src).tolist()
+        return [dst] if topology.link(src, dst) else []
 
-    def _launch(self, frame: Frame, receivers) -> None:
+    def _launch(self, frame: Frame, receivers: List[int]) -> None:
         """Put one transmission's copies in flight."""
-        self._schedule_copies(
-            self.latency, receivers, self._deliver_batch, self._deliver, frame
-        )
+        self._schedule_copies(self.latency, receivers, self._deliver, frame)
 
     def _schedule_copies(
-        self,
-        delay: float,
-        receivers: np.ndarray,
-        batch_fn: Callable[..., None],
-        copy_fn: Callable[..., None],
-        *args,
+        self, delay: float, receivers: List[int], fn: Callable[..., None], *args
     ) -> None:
         """Schedule one transmission's copies ``delay`` seconds from now.
 
-        ``receivers`` is the frozen receiver set, ascending (an int64
-        array whenever it can hold several ids).  Several receivers
-        share ONE weight-k event ``batch_fn(receivers, *args)``, equal to
-        one ``copy_fn(dst, *args)`` per receiver in the same order
-        (DESIGN.md §5); a lone receiver gets ``copy_fn``.  Copies are
-        never cancelled, so they go through the kernel's handle-free
-        :meth:`~repro.sim.kernel.Simulator.post_at`.
+        ``receivers`` is the frozen receiver set, ascending.  They share
+        ONE weight-k event ``fn(receivers, *args)``, equal to one
+        ``fn([dst], *args)`` per receiver in the same order (DESIGN.md
+        §5).  Copies are never cancelled, so they go through the
+        kernel's handle-free :meth:`~repro.sim.kernel.Simulator.post_at`.
         """
-        k = len(receivers)
-        if k:
+        if receivers:
             # ``schedule()``'s own time expression, posted directly
             sim = self.sim
-            if k > 1:
-                sim.post_at(sim.now + delay, batch_fn, (receivers, *args), k)
-            else:
-                sim.post_at(sim.now + delay, copy_fn, (int(receivers[0]), *args))
+            sim.post_at(sim.now + delay, fn, (receivers, *args), len(receivers))
 
     # ------------------------------------------------------------------
-    def _deliver_batch(self, receivers: np.ndarray, frame: Frame) -> None:
-        # One kernel event, k logical deliveries, radio accounting done
-        # once per transmission.  Equal to k ascending `_deliver` calls
-        # because (DESIGN.md §5):
+    def _deliver(self, receivers: List[int], frame: Frame) -> None:
+        # One kernel event, k logical deliveries.  Equal to k ascending
+        # one-receiver calls because (DESIGN.md §5):
         #  * receivers are distinct, and a handler running for receiver
         #    d charges only d synchronously (its own rebroadcast /
         #    unicast; anything it charges another node for happens in a
         #    later event) -- so each node's ledger sees the same float
         #    additions in the same order and stays bit-identical;
-        #  * with infinite capacity nothing inside a batch changes the
-        #    up-set (only churn events and depletion call `set_down`),
-        #    so one liveness pass equals the per-copy re-check;
+        #  * with infinite capacity nothing inside a transmission changes
+        #    the up-set (only churn events and depletion call
+        #    `set_down`), so one liveness pass equals the per-copy
+        #    re-check;
         #  * a plane walks the receivers in the same ascending order.
-        # When the run can observe per-copy order -- a receiver may
-        # deplete mid-batch and change the topology for later receivers'
-        # rebroadcasts, or an `on_deliver` observer is installed -- each
-        # copy takes the per-copy path instead.
+        # With finite capacity a receiver may deplete at its own charge
+        # and must leave the topology before the next receiver's handler
+        # runs, so each copy is checked, charged and handled in turn.
         world = self.world
         energy = world.energy
-        if energy.finite or self.on_deliver is not None:
-            deliver = self._deliver
-            for dst in receivers.tolist():
-                deliver(dst, frame)
+        kind = frame.kind
+        plane = self._planes.get(kind)
+        nodes = self.nodes
+        if energy.finite:
+            up = world._up_ids
+            for dst in receivers:
+                # Re-check liveness at delivery time (died in flight or
+                # drained by an earlier copy's handler).
+                if dst not in up:
+                    continue
+                energy.charge_rx(dst, frame.size)
+                self._c_delivered.value += 1
+                if plane is not None:
+                    plane([dst], frame)
+                    continue
+                handler = nodes[dst]._handlers.get(kind)
+                if handler is not None:
+                    handler(frame)
             return
         # Re-check liveness at delivery time (nodes may have died in flight).
-        live = world.up_among(receivers).tolist()
+        live = world.up_among(receivers)
         if not live:
             return
         energy.charge_rx_many(live, frame.size)
         self._c_delivered.value += len(live)
-        kind = frame.kind
-        plane = self._planes.get(kind)
         if plane is not None:
             plane(live, frame)
             return
-        nodes = self.nodes
         for dst in live:
             # The callable passed to NetNode.register, called directly.
             handler = nodes[dst]._handlers.get(kind)
             if handler is not None:
                 handler(frame)
-
-    def _deliver(self, dst: int, frame: Frame) -> None:
-        # Re-check liveness at delivery time (node may have died in flight).
-        world = self.world
-        if dst not in world._up_ids:
-            return
-        world.energy.charge_rx(dst, frame.size)
-        self._c_delivered.value += 1
-        if self.on_deliver is not None:
-            self.on_deliver(dst, frame)
-        kind = frame.kind
-        plane = self._planes.get(kind)
-        if plane is not None:
-            plane([dst], frame)
-            return
-        handler = self.nodes[dst]._handlers.get(kind)
-        if handler is not None:
-            handler(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

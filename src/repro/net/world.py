@@ -22,7 +22,7 @@ tests, materializes an O(n²) structure.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -130,10 +130,10 @@ class World:
         """
         return i in self._up_ids
 
-    def up_among(self, ids: np.ndarray) -> np.ndarray:
-        """The up members of the int64 id array ``ids``, order kept.
+    def up_among(self, ids: List[int]) -> List[int]:
+        """The up members of the id list ``ids``, order kept.
 
-        The delivery-time liveness pass of a batched transmission, whose
+        The delivery-time liveness pass of a transmission, whose
         receivers may die in flight.  Returns ``ids`` itself (no copy, do
         not mutate) while every node is up -- the common case, which
         costs one length comparison per *transmission* where
@@ -142,7 +142,7 @@ class World:
         up = self._up_ids
         if len(up) == self.n:
             return ids
-        return np.array([i for i in ids.tolist() if i in up], dtype=np.int64)
+        return [i for i in ids if i in up]
 
     def set_down(self, i: int, down: bool = True) -> None:
         """Administratively kill (or revive) a node; invalidates caches.

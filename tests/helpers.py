@@ -122,9 +122,9 @@ def pin_per_copy_delivery(channel):
     receiver, in ascending-nid order -- the reference batched delivery
     must match bit for bit.  Returns ``channel``."""
 
-    def per_copy(delay, receivers, batch_fn, copy_fn, *args):
-        for dst in map(int, receivers):
-            channel.sim.schedule(delay, copy_fn, dst, *args)
+    def per_copy(delay, receivers, fn, *args):
+        for dst in receivers:
+            channel.sim.schedule(delay, fn, [dst], *args)
 
     channel._schedule_copies = per_copy
     return channel

@@ -10,13 +10,13 @@ enumerated in ``repro.obs.compare``) and the sampled time-series must be
 equal to the last bit between the two lanes, while heap traffic must
 strictly drop.
 
-``test_wavefront_bit_identical`` does the same for the batch body that
-charges a transmission's receivers in one step and hands the AODV and
-flood planes all of them in one call (ideal MAC, infinite energy -- the
-conditions it runs under), down to the per-node energy ledger, plus the
-runs that must take the per-copy fallback instead (finite energy, an
-``on_deliver`` observer) and the reader of every duplicate copy (the
-``counter`` policy).
+``test_wavefront_bit_identical`` does the same for the delivery body
+that, at infinite energy, charges a transmission's receivers in one step
+and hands the AODV and flood planes all of them in one call, down to the
+per-node energy ledger: on the ideal MAC, on CSMA (whose completions
+reach the planes as whole transmissions), with finite energy (where it
+walks the copies one by one) and for the reader of every duplicate copy
+(the ``counter`` policy).
 
 The batched copies reach the kernel through ``Simulator.post_at``, a
 handle-free FIFO beside the event heap; the per-copy pin schedules
@@ -42,7 +42,6 @@ from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import harvest
 from repro.sim import kernel
-from repro.sim.trace import attach_tracer
 
 from .helpers import DenseOracle, make_world, pin_per_copy_delivery
 
@@ -130,10 +129,10 @@ def _snipe_receivers(simulation, every: int = 9) -> None:
 WAVEFRONT_CASES = {
     # (a) receivers die between send and delivery; the wavefront body runs
     "churn": ({}, ("aodv", "oracle", "dsr")),
-    # (b) receivers deplete mid-batch: per-copy fallback
+    # (b) receivers deplete mid-transmission: the per-copy walk
     "finite_energy": ({"energy_capacity": 0.01}, ("aodv", "oracle", "dsr")),
-    # (c) an on_deliver observer is installed: per-copy fallback
-    "tracer": ({}, ("aodv", "oracle", "dsr")),
+    # (c) CSMA completions: the survivors of one transmission in one call
+    "csma": ({"mac": "csma"}, ("aodv", "oracle", "dsr")),
     # (d) a non-reference policy must see every duplicate
     "counter": ({"rebroadcast": "counter:2"}, ("aodv",)),
 }
@@ -157,7 +156,6 @@ def _run_wavefront(seed, topology, routing, case, batched):
         simulation.world.topology = DenseOracle(simulation.world)
     if not batched:
         pin_per_copy_delivery(simulation.channel)
-    recorder = attach_tracer(simulation.channel) if case == "tracer" else None
     if case == "churn":
         _snipe_receivers(simulation)
     simulation.run()
@@ -170,7 +168,6 @@ def _run_wavefront(seed, topology, routing, case, batched):
         "rx_count": energy.rx_count.copy(),
         "tx_count": energy.tx_count.copy(),
         "depleted": int(energy.depleted().sum()),
-        "trace": recorder.to_ndjson() if recorder is not None else None,
         "suppression": {
             k: v
             for k, v in raw.items()
@@ -198,8 +195,6 @@ def test_wavefront_bit_identical(seed, topology, routing, case):
     assert bat["heap_pushes"] < ref["heap_pushes"]
     if case == "finite_energy":
         assert bat["depleted"] > 0  # the case is real: batteries ran out
-    if case == "tracer":
-        assert bat["trace"] and bat["trace"] == ref["trace"]
     if case == "counter":
         assert bat["suppression"] and bat["suppression"] == ref["suppression"]
     # The control planes take whole transmissions on the batched lane:

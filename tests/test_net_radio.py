@@ -98,14 +98,6 @@ class TestDispatch:
         with pytest.raises(ValueError):
             ch.nodes[0].register("k", lambda f: None)
 
-    def test_observer_sees_all_deliveries(self):
-        sim, world, ch = make_world([[0, 0], [5, 0], [0, 5]])
-        seen = []
-        ch.on_deliver = lambda nid, f: seen.append(nid)
-        ch.broadcast(Frame(src=0, dst=BROADCAST, kind="t", payload=None))
-        sim.run()
-        assert sorted(seen) == [1, 2]
-
 
 class TestEnergyModel:
     def test_costs_scale_with_size(self):

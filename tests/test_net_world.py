@@ -192,13 +192,12 @@ class TestLivenessFastPath:
         assert world.down_mask()[0]
 
     def test_up_among_filters_in_order_and_is_identity_when_all_up(self):
-        import numpy as np
-
         _, world, _ = make_world(line_positions(5, spacing=8.0))
-        ids = np.array([0, 2, 3, 4], dtype=np.int64)
+        ids = [0, 2, 3, 4]
         assert world.up_among(ids) is ids  # nobody down: no copy, no pass
         world.set_down(3)
-        assert world.up_among(ids).tolist() == [0, 2, 4]
+        assert world.up_among(ids) == [0, 2, 4]
+        assert ids == [0, 2, 3, 4]
         world.set_down(3, down=False)
         assert world.up_among(ids) is ids
 
