@@ -12,7 +12,7 @@ One surface for everything a run can tell you about itself:
   into a deterministic time-series;
 * :class:`RunManifest` -- per-run provenance (config hash, seed, git
   revision, wall clock, peak counters);
-* ND-JSON / CSV exporters in the :mod:`repro.sim.trace` style;
+* :func:`to_plain`, the JSON-safe conversion of run results;
 * the versioned run-result schema (:data:`RUN_SCHEMA_VERSION`,
   :func:`validate_run_dict`) consumed by storage, sweeps and the CLI;
 * semantic A/B comparison (:func:`semantic_snapshot`,
@@ -31,13 +31,7 @@ from .compare import (
     semantic_timeseries,
     snapshot_diff,
 )
-from .export import (
-    registry_to_csv,
-    registry_to_ndjson,
-    timeseries_to_csv,
-    timeseries_to_ndjson,
-    to_plain,
-)
+from .export import to_plain
 from .manifest import RunManifest, config_hash, git_revision
 from .registry import (
     Counter,
@@ -62,10 +56,6 @@ __all__ = [
     "config_hash",
     "git_revision",
     "to_plain",
-    "registry_to_ndjson",
-    "registry_to_csv",
-    "timeseries_to_ndjson",
-    "timeseries_to_csv",
     "RUN_SCHEMA_VERSION",
     "SchemaError",
     "validate_run_dict",

@@ -1,28 +1,10 @@
-"""Serialize registry snapshots and sampled time-series.
-
-Same serialization style as :mod:`repro.sim.trace`: ND-JSON (one object
-per line -- greppable, diffable, stream-loadable) and CSV with a header
-row.  Time-series rows are exported in *long* format
-(``t, metric, value``) so downstream tools need no knowledge of which
-metrics a given run happened to register.
-"""
+"""JSON-safe plain values for run results and archives."""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from typing import Any, Dict, List, Sequence
+from typing import Any
 
-from .registry import Registry
-
-__all__ = [
-    "to_plain",
-    "registry_to_ndjson",
-    "registry_to_csv",
-    "timeseries_to_ndjson",
-    "timeseries_to_csv",
-]
+__all__ = ["to_plain"]
 
 
 def to_plain(value: Any) -> Any:
@@ -45,63 +27,3 @@ def to_plain(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [to_plain(v) for v in value]
     return value
-
-
-def registry_to_ndjson(registry: Registry) -> str:
-    """One JSON object per metric reading: name, labels, kind, value."""
-    lines = []
-    for s in registry.collect():
-        lines.append(
-            json.dumps(
-                {
-                    "name": s.name,
-                    "labels": dict(s.labels),
-                    "kind": s.kind,
-                    "value": s.value,
-                }
-            )
-        )
-    return "\n".join(lines)
-
-
-def registry_to_csv(registry: Registry) -> str:
-    """CSV dump: metric, kind, labels (flattened), value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["metric", "kind", "labels", "value"])
-    for s in registry.collect():
-        labels = ",".join(f"{k}={v}" for k, v in s.labels)
-        writer.writerow([s.name, s.kind, labels, _fmt(s.value)])
-    return buf.getvalue()
-
-
-def timeseries_to_ndjson(rows: Sequence[Dict[str, float]]) -> str:
-    """Long-format ND-JSON: one ``{"t", "metric", "value"}`` per reading."""
-    lines: List[str] = []
-    for row in rows:
-        t = row.get("t", 0.0)
-        for key in sorted(row):
-            if key == "t":
-                continue
-            lines.append(json.dumps({"t": t, "metric": key, "value": row[key]}))
-    return "\n".join(lines)
-
-
-def timeseries_to_csv(rows: Sequence[Dict[str, float]]) -> str:
-    """Long-format CSV with a ``t,metric,value`` header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t", "metric", "value"])
-    for row in rows:
-        t = row.get("t", 0.0)
-        for key in sorted(row):
-            if key == "t":
-                continue
-            writer.writerow([f"{t:.6f}", key, _fmt(row[key])])
-    return buf.getvalue()
-
-
-def _fmt(value: float) -> str:
-    """Compact numeric formatting (ints stay ints)."""
-    f = float(value)
-    return str(int(f)) if f.is_integer() else f"{f:.6g}"

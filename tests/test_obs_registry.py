@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs import (
-    Registry,
-    registry_to_csv,
-    registry_to_ndjson,
-    timeseries_to_csv,
-    timeseries_to_ndjson,
-)
+from repro.obs import Registry
 from repro.sim.kernel import Simulator
 
 
@@ -113,32 +107,6 @@ class TestRegistry:
             pass
         seconds, calls = reg.wall_times()["phase.one"]
         assert calls == 1 and seconds >= 0.0
-
-
-class TestExporters:
-    def test_registry_ndjson_and_csv(self):
-        import json
-
-        reg = Registry()
-        reg.counter("net.frames", layer="radio").inc(5)
-        lines = registry_to_ndjson(reg).splitlines()
-        assert json.loads(lines[0]) == {
-            "name": "net.frames",
-            "labels": {"layer": "radio"},
-            "kind": "counter",
-            "value": 5,
-        }
-        csv_out = registry_to_csv(reg)
-        assert csv_out.startswith("metric,kind,labels,value")
-        assert "net.frames,counter,layer=radio,5" in csv_out
-
-    def test_timeseries_long_format(self):
-        rows = [{"t": 0.5, "a": 1.0, "b": 2.0}]
-        nd = timeseries_to_ndjson(rows).splitlines()
-        assert len(nd) == 2
-        csv_out = timeseries_to_csv(rows)
-        assert csv_out.startswith("t,metric,value")
-        assert "0.500000,a,1" in csv_out
 
 
 class TestDeprecatedShims:
