@@ -10,7 +10,7 @@ p2p messages to the right servent.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,64 +185,37 @@ class OverlayNetwork:
     def servent(self, nid: int) -> Servent:
         return self.servents[nid]
 
-    def _edges(self) -> Iterator[Tuple[int, int, dict]]:
-        """Every overlay reference as ``(holder, peer, edge attributes)``.
-
-        The one place that says what an overlay edge is: each servent's
-        connections (attribute ``random``) plus, under Hybrid, its
-        master's slave links (attribute ``slave``).  Both directions of
-        a mutual reference are yielded; callers take the undirected
-        union.
-        """
-        for servent in self.servents.values():
-            for conn in servent.connections:
-                yield servent.nid, conn.peer, {"random": conn.random}
-            alg = servent.algorithm
-            if isinstance(alg, HybridAlgorithm):
-                for conn in alg.slaves:
-                    yield servent.nid, conn.peer, {"slave": True}
-
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR adjacency ``(indptr, indices)`` of the current overlay.
 
         Row ``i`` belongs to ``members[i]`` and holds the member indices
         of its neighbors, ascending; an isolated member has an empty
-        row.  The edge set is :meth:`graph`'s (the undirected union of
-        :meth:`_edges`), so the :mod:`repro.metrics.graphfast` kernels
-        read the overlay without building a networkx graph.  Both arrays
-        are read-only, like :meth:`repro.net.topology.TopologyBackend.csr`.
+        row.  An overlay edge is any reference either endpoint holds:
+        each servent's connections plus, under Hybrid, its master's
+        slave links.  The :mod:`repro.metrics.graphfast` kernels and
+        :func:`repro.theory.overlay_smallworldness` read it.  Both
+        arrays are read-only, like
+        :meth:`repro.net.topology.TopologyBackend.csr`.
         """
         n = len(self.members)
         index = {m: i for i, m in enumerate(self.members)}
         keys = []
-        for a, b, _ in self._edges():
-            i, j = index[a], index[b]
-            keys.append(i * n + j)
-            keys.append(j * n + i)
+        for servent in self.servents.values():
+            peers = [conn.peer for conn in servent.connections]
+            alg = servent.algorithm
+            if isinstance(alg, HybridAlgorithm):
+                peers.extend(conn.peer for conn in alg.slaves)
+            i = index[servent.nid]
+            for peer in peers:
+                j = index[peer]
+                keys.append(i * n + j)
+                keys.append(j * n + i)
         rows, indices = np.divmod(np.unique(np.array(keys, dtype=np.int64)), n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         indptr.flags.writeable = False
         indices.flags.writeable = False
         return indptr, indices
-
-    def graph(self):
-        """Undirected ``networkx.Graph`` snapshot of the overlay references.
-
-        An export for analysis outside the run (:mod:`repro.theory`,
-        notebooks); the harvest reads :meth:`csr` instead, so networkx
-        is imported here and nowhere on the run path.  An edge exists if
-        either endpoint references the other; Hybrid master-slave links
-        are included (attribute ``slave``), connections carry
-        ``random``.  Every member appears as a node even when isolated.
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.members)
-        for a, b, attrs in self._edges():
-            g.add_edge(a, b, **attrs)
-        return g
 
     def connection_counts(self) -> Dict[int, int]:
         """Member -> current number of references held."""

@@ -8,7 +8,6 @@ from .connectivity import expected_mean_degree
 from .graphfast import (
     average_clustering,
     component_labels,
-    graph_csr,
     local_clustering,
     path_length_sums,
     triangle_counts,
@@ -21,7 +20,6 @@ __all__ = [
     "expected_mean_degree",
     "average_clustering",
     "component_labels",
-    "graph_csr",
     "local_clustering",
     "path_length_sums",
     "triangle_counts",

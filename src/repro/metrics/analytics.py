@@ -6,10 +6,8 @@ curves) asks one :class:`AnalyticsEngine`.  The engine keeps no state
 between calls: world views read the topology's CSR, and
 :meth:`~AnalyticsEngine.smallworld_stats` -- the one small-world entry
 point -- takes a CSR from its caller (the overlay's own for the
-harvest, :func:`~repro.metrics.graphfast.graph_csr` for the networkx
-graphs that :mod:`repro.theory` and the test oracles generate).  Each
-metric runs its one kernel in :mod:`repro.metrics.graphfast`.  Nothing
-here imports networkx.
+harvest, the lattices' for :mod:`repro.theory`).  Each metric runs its
+one kernel in :mod:`repro.metrics.graphfast`.
 
 There is one path and no mode.  ``scenarios.runner.harvest`` asks once,
 at the end of a run, so per-view state maintained between calls would
@@ -112,7 +110,7 @@ class AnalyticsEngine:
         }
 
     # ------------------------------------------------------------------
-    # graph-view analytics (any CSR: the overlay's, or graph_csr(g)[:2])
+    # graph-view analytics (any CSR: the overlay's or a theory lattice's)
     # ------------------------------------------------------------------
     def smallworld_stats(
         self, indptr: np.ndarray, indices: np.ndarray
@@ -120,9 +118,9 @@ class AnalyticsEngine:
         """Clustering + path length + the paper's reference values.
 
         Takes a CSR adjacency -- the harvest passes
-        :meth:`repro.core.overlay.OverlayNetwork.csr`; a networkx graph
-        goes through ``graph_csr(g)[:2]`` -- so one CSR feeds both
-        metrics and the run path needs no graph library.
+        :meth:`repro.core.overlay.OverlayNetwork.csr`, the rewiring sweep
+        :func:`repro.theory.watts_strogatz` -- so one CSR feeds both
+        metrics.
 
         >>> import numpy as np
         >>> triangle = np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 0, 1])

@@ -5,8 +5,8 @@ kernel operates on a CSR adjacency ``(indptr, indices)`` --
 ``indices[indptr[i]:indptr[i+1]]`` are node ``i``'s neighbors
 ascending -- exactly the arrays the topology backend
 (:meth:`repro.net.topology.TopologyBackend.csr`), the overlay
-(:meth:`repro.core.overlay.OverlayNetwork.csr`) and :func:`graph_csr`
-(for networkx graphs) hand out.  Nothing here imports networkx.
+(:meth:`repro.core.overlay.OverlayNetwork.csr`) and the theory lattices
+(:mod:`repro.theory.lattice`) hand out.
 
 * :func:`component_labels` -- connected components by min-label
   propagation with pointer jumping (no per-node python BFS).
@@ -31,14 +31,13 @@ analytics implementation ran never leaks into semantic snapshots.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..obs.registry import Registry
 
 __all__ = [
-    "graph_csr",
     "component_labels",
     "triangle_counts",
     "local_clustering",
@@ -90,32 +89,6 @@ def _nonempty_starts(
     """
     rows = np.flatnonzero(deg > 0)
     return rows, indptr[:-1][rows]
-
-
-def graph_csr(g) -> Tuple[np.ndarray, np.ndarray, List]:
-    """CSR adjacency of a networkx graph: ``(indptr, indices, nodes)``.
-
-    ``nodes`` is ``list(g.nodes)`` and row ``i`` belongs to ``nodes[i]``;
-    neighbor indices within each row are ascending.  Only the graph's
-    *structure* is read (nodes/edges) -- no networkx algorithms run.
-    The simulation never needs it (the overlay builds its own CSR); it
-    serves the graphs :mod:`repro.theory` and the test oracles generate.
-    """
-    nodes = list(g.nodes)
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    m = g.number_of_edges()
-    rows = np.empty(2 * m, dtype=np.int64)
-    cols = np.empty(2 * m, dtype=np.int64)
-    for e, (u, v) in enumerate(g.edges):
-        iu, iv = index[u], index[v]
-        rows[2 * e], cols[2 * e] = iu, iv
-        rows[2 * e + 1], cols[2 * e + 1] = iv, iu
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return indptr, cols, nodes
 
 
 def component_labels(

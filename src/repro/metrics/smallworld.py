@@ -9,13 +9,13 @@ reference values the paper quotes (``n/2k`` and ``log n / log k``).
 Measured graph metrics (clustering coefficient, characteristic path
 length, the combined small-world bundle) live on
 :class:`repro.metrics.analytics.AnalyticsEngine`.  The bundle takes one
-CSR and feeds both metrics from it -- the overlay hands out its own, a
-networkx graph goes through ``graph_csr``:
+CSR and feeds both metrics from it -- the overlay hands out its own, and
+so does every :mod:`repro.theory` lattice:
 
 >>> from repro.metrics.analytics import AnalyticsEngine
 >>> engine = AnalyticsEngine()
->>> engine.smallworld_stats(*simulation.overlay.csr())    # doctest: +SKIP
->>> engine.smallworld_stats(*graph_csr(g)[:2])            # doctest: +SKIP
+>>> engine.smallworld_stats(*simulation.overlay.csr())          # doctest: +SKIP
+>>> engine.smallworld_stats(*watts_strogatz(200, 8, 0.1, rng))  # doctest: +SKIP
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Small-world theory (§8 future work): lattices, predictions, studies."""
 
-from .lattice import ring_lattice, watts_strogatz, ws_rewire
+from .lattice import ring_lattice, watts_strogatz
 from .predictions import (
     lattice_clustering,
     lattice_pathlength,
@@ -14,7 +14,6 @@ from .study import SweepPoint, overlay_smallworldness, rewiring_sweep
 __all__ = [
     "ring_lattice",
     "watts_strogatz",
-    "ws_rewire",
     "lattice_clustering",
     "lattice_pathlength",
     "nmw_pathlength",

@@ -9,61 +9,75 @@ module provides the graph machinery for that study; the companion
 :mod:`repro.theory.predictions` provides the closed-form reference
 values, and :mod:`repro.theory.study` runs the classic rewiring sweep.
 
-Implementations are deliberately independent of networkx generators so
-the reproduction owns its math; tests cross-check against networkx.
+Every graph is a CSR adjacency ``(indptr, indices)`` -- row ``u`` holds
+node ``u``'s neighbours ascending -- the arrays the
+:mod:`repro.metrics.graphfast` kernels read.  Tests cross-check the
+graphs against a networkx formulation.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import List, Set, Tuple
+
 import numpy as np
 
-__all__ = ["ring_lattice", "ws_rewire", "watts_strogatz"]
+__all__ = ["ring_lattice", "watts_strogatz"]
 
 
-def ring_lattice(n: int, k: int) -> nx.Graph:
-    """The regular ring lattice: ``n`` vertices, each joined to its ``k``
-    nearest neighbours (``k/2`` on each side).
-
-    ``k`` must be even and satisfy ``0 < k < n``.
-    """
+def _lattice_rows(n: int, k: int) -> List[Set[int]]:
     if k % 2 != 0:
         raise ValueError(f"k must be even, got {k}")
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(1, k // 2 + 1):
-            g.add_edge(i, (i + j) % n)
-    return g
+    half = k // 2
+    return [{(u + j) % n for j in range(-half, half + 1) if j} for u in range(n)]
 
 
-def ws_rewire(g: nx.Graph, p: float, rng: np.random.Generator) -> nx.Graph:
-    """Watts-Strogatz rewiring: each edge is, with probability ``p``,
-    re-attached at one end to a uniformly chosen new vertex (no self
-    loops, no duplicate edges).
+def _csr(rows: List[Set[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.fromiter(
+        (v for row in rows for v in sorted(row)), dtype=np.int64, count=int(indptr[-1])
+    )
+    return indptr, indices
 
-    Returns a new graph; the input is untouched.
+
+def ring_lattice(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The regular ring lattice as CSR: ``n`` vertices, each joined to
+    its ``k`` nearest neighbours (``k/2`` on each side).
+
+    ``k`` must be even and satisfy ``0 < k < n``.
     """
+    return _csr(_lattice_rows(n, k))
+
+
+def watts_strogatz(
+    n: int, k: int, p: float, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Ring lattice + rewiring, as CSR (the classic WS ensemble).
+
+    Each lattice edge ``(u, v)`` is, with probability ``p``, re-attached
+    at its ``v`` end to a uniformly chosen new vertex (no self loops, no
+    duplicate edges).  Edges are visited per ``u`` ascending, first
+    ``u+1 .. u+k/2`` below ``n``, then the ones that wrap round
+    (``n-k/2+u .. n-1`` when ``u < k/2``); each draws ``rng.random()``
+    and each rewired one ``rng.integers`` over its candidates.
+    """
+    rows = _lattice_rows(n, k)
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    out = g.copy()
-    n = out.number_of_nodes()
-    nodes = list(out.nodes)
-    for u, v in list(g.edges):
-        if rng.random() >= p:
-            continue
-        # rewire the (u, v) edge at the v end
-        candidates = [w for w in nodes if w != u and not out.has_edge(u, w)]
-        if not candidates:
-            continue
-        w = candidates[int(rng.integers(len(candidates)))]
-        out.remove_edge(u, v)
-        out.add_edge(u, w)
-    return out
-
-
-def watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) -> nx.Graph:
-    """Ring lattice + rewiring in one call (the classic WS ensemble)."""
-    return ws_rewire(ring_lattice(n, k), p, rng)
+    half = k // 2
+    for u in range(n):
+        for v in [*range(u + 1, min(u + half + 1, n)), *range(n - half + u, n)]:
+            if rng.random() >= p:
+                continue
+            row = rows[u]
+            candidates = [w for w in range(n) if w != u and w not in row]
+            if not candidates:
+                continue
+            w = candidates[int(rng.integers(len(candidates)))]
+            row.discard(v)
+            rows[v].discard(u)
+            row.add(w)
+            rows[w].add(u)
+    return _csr(rows)

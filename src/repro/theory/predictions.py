@@ -13,9 +13,8 @@ Watts-Strogatz results needed for the §8 theoretical study:
   lattice (first-order approximation).
 
 The two path-length closed forms are the ones the harvest reports,
-defined once in :mod:`repro.metrics.smallworld` (numpy only, so the
-run path never imports this networkx-backed package) and re-exported
-here under the theory's names.
+defined once in :mod:`repro.metrics.smallworld` and re-exported here
+under the theory's names.
 """
 
 from __future__ import annotations

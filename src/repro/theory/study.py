@@ -7,7 +7,7 @@ Two entry points:
   path length L(p)/L(0).  The small-world window is where L has
   collapsed but C has not.
 * :func:`overlay_smallworldness` -- score a *simulated overlay graph*
-  (from :meth:`OverlayNetwork.graph`) against the theory: sigma
+  (the CSR of :meth:`OverlayNetwork.csr`) against the theory: sigma
   coefficient plus the lattice/random reference values for its (n, k).
 
 This is the study the paper defers to future work in §8.
@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..metrics.analytics import AnalyticsEngine
-from ..metrics.graphfast import graph_csr
 from .lattice import watts_strogatz
 from .predictions import (
     lattice_clustering,
@@ -61,8 +59,7 @@ def rewiring_sweep(
     for p in ps:
         cs, ls = [], []
         for _ in range(reps):
-            g = watts_strogatz(n, k, p, rng)
-            stats = engine.smallworld_stats(*graph_csr(g)[:2])
+            stats = engine.smallworld_stats(*watts_strogatz(n, k, p, rng))
             cs.append(stats["clustering"])
             ls.append(stats["path_length"])
         c, l = float(np.mean(cs)), float(np.nanmean(ls))
@@ -80,14 +77,16 @@ def rewiring_sweep(
     return points
 
 
-def overlay_smallworldness(g: nx.Graph) -> dict:
-    """Score an overlay snapshot against the small-world references.
+def overlay_smallworldness(indptr: np.ndarray, indices: np.ndarray) -> dict:
+    """Score a CSR graph against the small-world references.
+
+    Pass an overlay snapshot as ``overlay_smallworldness(*overlay.csr())``.
 
     Returns the measured clustering/path length, the theory's lattice
     and random reference values at the overlay's (n, mean degree), and
     the sigma coefficient.
     """
-    stats = AnalyticsEngine().smallworld_stats(*graph_csr(g)[:2])
+    stats = AnalyticsEngine().smallworld_stats(indptr, indices)
     n = int(stats["n"])
     k = stats["mean_degree"]
     c = stats["clustering"]

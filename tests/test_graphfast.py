@@ -18,7 +18,6 @@ from repro.metrics.graphfast import (
     DEFAULT_CHUNK,
     average_clustering,
     component_labels,
-    graph_csr,
     local_clustering,
     path_length_sums,
     triangle_counts,
@@ -28,7 +27,7 @@ from repro.mobility import Area, Static
 from repro.net import EnergyModel, World
 from repro.sim import Simulator
 
-from .helpers import DenseOracle
+from .helpers import DenseOracle, graph_csr
 
 SEEDS = (1, 2, 3)
 

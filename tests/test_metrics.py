@@ -10,13 +10,14 @@ from repro.core.query import QueryRecord
 from repro.metrics import (
     AnalyticsEngine,
     MetricsCollector,
-    graph_csr,
     mean_ci,
     per_file_stats,
     random_graph_pathlength,
     regular_graph_pathlength,
     sorted_curve_mean,
 )
+
+from .helpers import graph_csr
 
 _engine = AnalyticsEngine()
 

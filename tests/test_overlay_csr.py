@@ -1,11 +1,13 @@
 """The overlay's own CSR and the small-world harvest that reads it.
 
-``OverlayNetwork.csr()`` must carry exactly the edge set of the
-networkx export ``OverlayNetwork.graph()`` (rows in ``members`` order),
+``OverlayNetwork.csr()`` must carry exactly the edge set of a networkx
+graph built from the servents' references (rows in ``members`` order),
 ``AnalyticsEngine.smallworld_stats`` fed that CSR must give the dict the
-graph-based harvest gave, and no run-path module may load networkx.
+graph-based harvest gave, and no ``src/repro`` module may import
+networkx, which the tests keep as an independent oracle.
 """
 
+import ast
 import json
 import math
 import os
@@ -17,11 +19,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import HybridAlgorithm
+from repro.core import Connection, HybridAlgorithm
 from repro.metrics import (
     AnalyticsEngine,
     average_clustering,
-    graph_csr,
     path_length_sums,
     random_graph_pathlength,
     regular_graph_pathlength,
@@ -29,8 +30,25 @@ from repro.metrics import (
 from repro.scenarios import ScenarioConfig, build_scenario
 from repro.scenarios.runner import harvest
 
+from .helpers import graph_csr
+
 ALGORITHMS = ("basic", "regular", "random", "hybrid")
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def _reference_graph(overlay):
+    """The overlay as a networkx graph: every member a node, an edge
+    wherever either endpoint holds a connection or a Hybrid slave link."""
+    g = nx.Graph()
+    g.add_nodes_from(overlay.members)
+    for servent in overlay.servents.values():
+        g.add_edges_from((servent.nid, conn.peer) for conn in servent.connections)
+        if isinstance(servent.algorithm, HybridAlgorithm):
+            g.add_edges_from(
+                (servent.nid, conn.peer) for conn in servent.algorithm.slaves
+            )
+    return g
 
 
 def _graph_stats(g):
@@ -83,7 +101,7 @@ class TestOverlayCsr:
     def test_equals_graph_csr_of_graph(self, finished):
         overlay = finished.overlay
         indptr, indices = overlay.csr()
-        ref_indptr, ref_indices, nodes = graph_csr(overlay.graph())
+        ref_indptr, ref_indices, nodes = graph_csr(_reference_graph(overlay))
         assert nodes == overlay.members
         assert np.array_equal(indptr, ref_indptr)
         assert np.array_equal(indices, ref_indices)
@@ -113,36 +131,37 @@ class TestOverlayCsr:
             indices[:1] = 0
 
     def test_union_of_one_sided_mutual_and_slave_references(self):
-        simulation = build_scenario(ScenarioConfig(num_nodes=10, duration=1.0))
+        simulation = build_scenario(
+            ScenarioConfig(num_nodes=10, duration=1.0, algorithm="hybrid")
+        )
         overlay = simulation.overlay
         m = overlay.members
-        overlay._edges = lambda: iter(
-            [
-                (m[0], m[1], {"random": False}),  # one-sided
-                (m[2], m[3], {"random": True}),  # mutual ...
-                (m[3], m[2], {"random": True}),
-                (m[2], m[4], {"random": False}),  # ... and a slave twice
-                (m[2], m[4], {"slave": True}),
-            ]
-        )
+        servents = [overlay.servents[nid] for nid in m[:5]]
+        servents[0].connections.add(Connection(m[1]))  # one-sided
+        servents[2].connections.add(Connection(m[3], random=True))  # mutual ...
+        servents[3].connections.add(Connection(m[2], random=True))
+        servents[2].connections.add(Connection(m[4]))  # ... and a slave twice
+        servents[2].algorithm.slaves.add(Connection(m[4]))
         indptr, indices = overlay.csr()
-        ref_indptr, ref_indices, _ = graph_csr(overlay.graph())
+        ref_indptr, ref_indices, _ = graph_csr(_reference_graph(overlay))
         assert np.array_equal(indptr, ref_indptr)
         assert np.array_equal(indices, ref_indices)
+        assert list(indices[indptr[0] : indptr[1]]) == [1]
+        assert list(indices[indptr[1] : indptr[2]]) == [0]
         assert list(indices[indptr[2] : indptr[3]]) == [3, 4]
+        assert list(indices[indptr[4] : indptr[5]]) == [2]
         assert indptr[-1] == indptr[5]  # every later member isolated
-        g = overlay.graph()
-        assert g.edges[m[2], m[4]] == {"random": False, "slave": True}
 
 
 class TestSmallworldStatsFromCsr:
     def test_equals_graph_based_dict(self, finished):
         stats = AnalyticsEngine().smallworld_stats(*finished.overlay.csr())
-        _same_stats(stats, _graph_stats(finished.overlay.graph()))
+        _same_stats(stats, _graph_stats(_reference_graph(finished.overlay)))
 
     def test_harvest_equals_graph_based_dict(self, finished):
         _same_stats(
-            harvest(finished).overlay_stats, _graph_stats(finished.overlay.graph())
+            harvest(finished).overlay_stats,
+            _graph_stats(_reference_graph(finished.overlay)),
         )
 
     @pytest.mark.parametrize(
@@ -211,52 +230,75 @@ def test_degenerate_world_harvest_pinned(world):
 
 
 # ----------------------------------------------------------------------
-# networkx stays off the run path
+# networkx is a test-only oracle
 # ----------------------------------------------------------------------
-_RUN_PATH = """
-import json, sys, tempfile
-{block}
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_src_module_imports_networkx():
+    """Every import statement, at module level or inside a function."""
+    modules = sorted((SRC / "repro").rglob("*.py"))
+    assert len(modules) > 50
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in modules
+        if any(
+            name.split(".")[0] == "networkx"
+            for name in _imported_modules(ast.parse(path.read_text()))
+        )
+    ]
+    assert offenders == []
+
+
+_WITHOUT_NETWORKX = """
+import json, runpy, sys, tempfile
+sys.modules["networkx"] = None
 from repro.cli import main
 from repro.experiments import reproduce_all
 from repro.scenarios import ScenarioConfig, build_scenario
 from repro.scenarios.runner import harvest
+from repro.theory import overlay_smallworldness, rewiring_sweep
 
-stats = {{}}
+stats = {}
 for alg in ("basic", "regular", "random", "hybrid"):
     s = build_scenario(ScenarioConfig(num_nodes=30, duration=60.0, algorithm=alg))
     s.run()
     stats[alg] = harvest(s).overlay_stats["n"]
+    assert overlay_smallworldness(*s.overlay.csr())["n"] == stats[alg]
+sweep = rewiring_sweep(n=60, k=4, ps=(0.0, 0.1), reps=1)
 with tempfile.TemporaryDirectory() as out:
     reproduce_all(out, duration=30.0, reps=1)
 assert main(["run", "--duration", "60", "--algorithm", "hybrid"]) == 0
+runpy.run_path(sys.argv[1], run_name="__main__")
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "networkx")
-print(json.dumps({{"stats": stats, "loaded": loaded}}))
+print(json.dumps({"stats": stats, "sweep": len(sweep), "loaded": loaded}))
 """
 
 
-def _run_path(block: str):
+def test_run_path_works_without_networkx():
+    """A blocked import raises ImportError if anything on the path needs it:
+    runs and their harvest, ``reproduce``, ``p2p-manet run``, the theory
+    package and the small-world example."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    env["REPRO_EXAMPLE_SCALE"] = "0.05"
+    example = ROOT / "examples" / "smallworld_analysis.py"
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_PATH.format(block=block)],
+        [sys.executable, "-c", _WITHOUT_NETWORKX, str(example)],
         capture_output=True,
         text=True,
         timeout=240,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def test_run_path_works_without_networkx():
-    """A blocked import raises ImportError if anything on the path needs it."""
-    out = _run_path('sys.modules["networkx"] = None')
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(out["stats"]) == set(ALGORITHMS)
+    assert out["sweep"] == 2
     assert out["loaded"] == ["networkx"]  # only the blocking entry itself
-
-
-def test_run_path_does_not_load_networkx():
-    out = _run_path("")
-    assert out["loaded"] == []

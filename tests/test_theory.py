@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import AnalyticsEngine, graph_csr
+from repro.metrics import AnalyticsEngine
+from repro.scenarios import ScenarioConfig, build_scenario
 from repro.theory import (
     lattice_clustering,
     lattice_pathlength,
@@ -18,31 +19,38 @@ from repro.theory import (
     ring_lattice,
     smallworld_sigma,
     watts_strogatz,
-    ws_rewire,
 )
+
+from .helpers import csr_graph, graph_csr
 
 _engine = AnalyticsEngine()
 
 
-def clustering_coefficient(g):
-    return _engine.smallworld_stats(*graph_csr(g)[:2])["clustering"]
+def clustering_coefficient(csr):
+    return _engine.smallworld_stats(*csr)["clustering"]
 
 
-def characteristic_path_length(g):
-    return _engine.smallworld_stats(*graph_csr(g)[:2])["path_length"]
+def characteristic_path_length(csr):
+    return _engine.smallworld_stats(*csr)["path_length"]
+
+
+def edge_set(csr):
+    return set(csr_graph(*csr).edges)
 
 
 class TestRingLattice:
     def test_structure(self):
-        g = ring_lattice(10, 4)
-        assert g.number_of_nodes() == 10
-        assert all(d == 4 for _, d in g.degree)
-        assert g.has_edge(0, 1) and g.has_edge(0, 2) and not g.has_edge(0, 3)
+        indptr, indices = ring_lattice(10, 4)
+        assert len(indptr) == 11
+        assert list(np.diff(indptr)) == [4] * 10
+        assert list(indices[indptr[0] : indptr[1]]) == [1, 2, 8, 9]
+        assert indptr.dtype == indices.dtype == np.int64
 
     def test_matches_networkx_ws_at_p0(self):
         ours = ring_lattice(20, 6)
-        theirs = nx.watts_strogatz_graph(20, 6, 0.0)
-        assert set(ours.edges) == set(theirs.edges)
+        theirs = graph_csr(nx.watts_strogatz_graph(20, 6, 0.0))
+        assert np.array_equal(ours[0], theirs[0])
+        assert np.array_equal(ours[1], theirs[1])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,27 +71,26 @@ class TestRingLattice:
 class TestRewiring:
     def test_p_zero_is_identity(self):
         g = ring_lattice(20, 4)
-        h = ws_rewire(g, 0.0, np.random.default_rng(0))
-        assert set(g.edges) == set(h.edges)
+        h = watts_strogatz(20, 4, 0.0, np.random.default_rng(0))
+        assert edge_set(g) == edge_set(h)
 
     def test_edge_count_preserved(self):
         g = ring_lattice(40, 6)
-        h = ws_rewire(g, 0.5, np.random.default_rng(1))
-        assert h.number_of_edges() == g.number_of_edges()
+        h = watts_strogatz(40, 6, 0.5, np.random.default_rng(1))
+        assert edge_set(h) != edge_set(g)
+        assert len(h[1]) == len(g[1])
 
     def test_no_self_loops_or_duplicates(self):
-        g = watts_strogatz(50, 6, 1.0, np.random.default_rng(2))
-        assert all(u != v for u, v in g.edges)
-
-    def test_input_untouched(self):
-        g = ring_lattice(20, 4)
-        before = set(g.edges)
-        ws_rewire(g, 1.0, np.random.default_rng(3))
-        assert set(g.edges) == before
+        indptr, indices = watts_strogatz(50, 6, 1.0, np.random.default_rng(2))
+        for u in range(50):
+            row = indices[indptr[u] : indptr[u + 1]]
+            assert np.all(np.diff(row) > 0)  # ascending, no duplicate
+            assert u not in row
+            assert all(u in indices[indptr[v] : indptr[v + 1]] for v in row)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            ws_rewire(ring_lattice(10, 2), 1.5, np.random.default_rng(0))
+            watts_strogatz(10, 2, 1.5, np.random.default_rng(0))
 
     def test_small_world_window(self):
         # Modest rewiring collapses path length but keeps clustering.
@@ -172,11 +179,30 @@ class TestSweep:
 class TestOverlayScore:
     def test_scores_simulated_like_graph(self):
         g = watts_strogatz(80, 6, 0.1, np.random.default_rng(6))
-        out = overlay_smallworldness(g)
+        out = overlay_smallworldness(*g)
         assert out["n"] == 80
         assert out["sigma"] > 1.0
         assert "lattice_clustering" in out and "random_pathlength" in out
 
     def test_empty_graph(self):
-        out = overlay_smallworldness(nx.Graph())
+        empty = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        out = overlay_smallworldness(*empty)
         assert np.isnan(out["sigma"])
+
+    def test_finished_overlay_score_pinned(self):
+        # the dict the networkx-graph scoring of this run gave
+        simulation = build_scenario(
+            ScenarioConfig(algorithm="regular", seed=1, duration=600.0)
+        )
+        simulation.run()
+        assert overlay_smallworldness(*simulation.overlay.csr()) == {
+            "n": 38,
+            "mean_degree": 2.210526315789474,
+            "clustering": 0.575438596491228,
+            "path_length": 1.453125,
+            "sigma": 31.217471840547145,
+            "lattice_clustering": 0.0,
+            "lattice_pathlength": 9.5,
+            "random_clustering": 0.05817174515235458,
+            "random_pathlength": 4.585786252250626,
+        }
