@@ -3,9 +3,9 @@
 A :class:`RunManifest` pins down everything needed to reproduce or audit
 one simulation run: the full configuration and its hash, the seed, the
 source revision the process ran from (best effort), interpreter and
-numpy versions, wall-clock cost and the run's peak counters.  It rides
-inside the versioned ``RunResult`` schema, so every archived run is
-self-describing.
+numpy versions and wall-clock cost.  It rides inside the versioned
+``RunResult`` schema, so every archived run is self-describing; the
+run's counters are ``RunResult.counters``.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
-
-from .registry import Registry
 
 __all__ = ["RunManifest", "git_revision", "config_hash"]
 
@@ -74,8 +72,6 @@ class RunManifest:
     started_at: float = 0.0
     #: total wall-clock seconds (set by :meth:`finish`)
     wall_seconds: float = 0.0
-    #: peak/final counter values (``Registry.aggregated``)
-    peaks: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -92,11 +88,9 @@ class RunManifest:
             started_at=time.time(),
         )
 
-    def finish(self, registry: Optional[Registry] = None) -> "RunManifest":
-        """Record the elapsed wall clock and final counter values."""
+    def finish(self) -> "RunManifest":
+        """Record the elapsed wall clock."""
         self.wall_seconds = time.time() - self.started_at
-        if registry is not None:
-            self.peaks = registry.aggregated(skip_kinds=("timer",))
         return self
 
     # ------------------------------------------------------------------
@@ -110,11 +104,12 @@ class RunManifest:
             "platform": self.platform_tag,
             "started_at": self.started_at,
             "wall_seconds": self.wall_seconds,
-            "peaks": dict(self.peaks),
         }
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any], config: Optional[Dict[str, Any]] = None) -> "RunManifest":
+        """Inverse of :meth:`to_dict`; keys it does not know (``peaks`` in
+        older archives) are ignored."""
         return cls(
             config=config if config is not None else {},
             config_sha256=d["config_sha256"],
@@ -125,5 +120,4 @@ class RunManifest:
             platform_tag=d.get("platform", ""),
             started_at=float(d.get("started_at", 0.0)),
             wall_seconds=float(d.get("wall_seconds", 0.0)),
-            peaks=dict(d.get("peaks", {})),
         )

@@ -79,7 +79,7 @@ class Simulation:
             self.overlay.start(queries=self.config.queries)
             self.sim.run(until=self.config.duration)
             if self.manifest is not None:
-                self.manifest.finish(self.registry)
+                self.manifest.finish()
         finally:
             gc.unfreeze()
 

@@ -176,13 +176,6 @@ def harvest(simulation: Simulation) -> RunResult:
     All graph/collector analytics go through the simulation's
     :class:`~repro.metrics.analytics.AnalyticsEngine`, which recomputes
     from the final state: this is the one harvest of a run.
-
-    ``counters`` folds the registry a second time on purpose:
-    ``RunManifest.finish`` recorded ``peaks`` when the run loop ended,
-    before the analytics calls above bumped ``graphfast.*``, so the two
-    dicts legitimately differ and both are archived.  A fold walks the
-    registry's per-(name, kind) index, so neither costs a sort or
-    scales worse than one addition per series.
     """
     cfg = simulation.config
     metrics = simulation.metrics

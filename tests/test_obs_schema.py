@@ -153,17 +153,20 @@ class TestConfigSerialization:
 
 class TestManifest:
     def test_begin_finish(self):
-        from repro.obs import Registry
-
         m = RunManifest.begin({"num_nodes": 5}, seed=3)
         assert m.config_sha256 == config_hash({"num_nodes": 5})
         assert m.python and m.numpy_version
-        reg = Registry()
-        reg.counter("c").inc(2)
-        m.finish(reg)
-        assert m.wall_seconds >= 0.0 and m.peaks["c"] == 2
+        m.finish()
+        assert m.wall_seconds >= 0.0
+        assert "peaks" not in m.to_dict()
         back = RunManifest.from_dict(m.to_dict())
         assert back.config_sha256 == m.config_sha256 and back.seed == 3
+        assert back.wall_seconds == m.wall_seconds
+
+    def test_old_archive_peaks_ignored(self):
+        m = RunManifest.begin({"num_nodes": 5}, seed=3).finish()
+        old = dict(m.to_dict(), peaks={"c": 2.0})
+        assert RunManifest.from_dict(old) == RunManifest.from_dict(m.to_dict())
 
 
 class TestStorage:
