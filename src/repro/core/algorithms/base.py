@@ -130,13 +130,9 @@ class ReconfigAlgorithm(abc.ABC):
                     self.close_connection(conn.peer)
 
     def _ping_round(self, conn: Connection, now: float) -> None:
+        # pong_timeout <= ping_interval, so the last round's deadline has
+        # already run: it closed the connection or found the pong.
         peer = conn.peer
-        if peer in self._await_pong:
-            # Previous ping from the last round is still unanswered.
-            if now - self._await_pong[peer] >= self.cfg.pong_timeout:
-                self._await_pong.pop(peer, None)
-                self.close_connection(peer)
-                return
         self._await_pong[peer] = now
         self._c_pings.value += 1
         self.servent.send(peer, Ping(sender=self.servent.nid))

@@ -42,7 +42,8 @@ class P2pConfig:
     timer_basic: float = 10.0
     #: keep-alive period of the connection initiator
     ping_interval: float = 10.0
-    #: how long the initiator waits for a pong before closing
+    #: how long the initiator waits for a pong before closing (at most
+    #: ping_interval: each round's ping restarts the wait)
     pong_timeout: float = 5.0
     #: acceptor closes if no ping for ping_interval * this factor
     ping_deadline_factor: float = 2.5
@@ -65,6 +66,8 @@ class P2pConfig:
             raise ValueError("need 0 < timer_initial <= max_timer")
         if self.max_slaves < 1:
             raise ValueError("max_slaves must be >= 1")
+        if self.pong_timeout > self.ping_interval:
+            raise ValueError("need pong_timeout <= ping_interval")
 
     @property
     def ping_deadline(self) -> float:

@@ -45,6 +45,27 @@ class TestP2pConfigValidation:
         cfg = P2pConfig(ping_interval=10.0, ping_deadline_factor=2.5)
         assert cfg.ping_deadline == 25.0
 
+    def test_pong_timeout_within_ping_interval(self):
+        # a longer wait would be restarted by every round's ping, and a
+        # silent peer would never be closed
+        with pytest.raises(ValueError):
+            P2pConfig(ping_interval=10.0, pong_timeout=10.5)
+        assert P2pConfig(ping_interval=10.0, pong_timeout=10.0).pong_timeout == 10.0
+
+    @pytest.mark.parametrize("pong_timeout", [5.0, 10.0])
+    def test_initiator_closes_a_silent_peer(self, pong_timeout):
+        cfg = P2pConfig(ping_interval=10.0, pong_timeout=pong_timeout)
+        sim, _, overlay, _ = build_overlay([[10, 10], [15, 10]], config=cfg)
+        servent = overlay.servents[0]
+        servent.send = lambda dst, msg: None  # no ping reaches the peer
+        alg = servent.algorithm
+        alg.add_connection(Connection(1, initiator=True))
+        alg._ping_round(servent.connections.get(1), sim.now)
+        sim.run(until=pong_timeout - 0.5)
+        assert servent.connections.get(1) is not None
+        sim.run(until=pong_timeout + 0.5)
+        assert servent.connections.get(1) is None
+
 
 class TestServentDispatch:
     def test_message_families_counted(self):
