@@ -37,6 +37,9 @@ CHURN = {"death_rate": 0.2, "mean_downtime": 20.0}
 #: the bench's dense_query shape: radio degree 20, zipf queries
 _DENSE_SIDE = math.sqrt(600 * math.pi * 10.0**2 / 20.0)
 
+#: the bench's metro_mobility shape at n = 1 000: the paper's density
+_METRO_SIDE = 100.0 * math.sqrt(1000 / 50.0)
+
 #: name -> ScenarioConfig overrides
 CONFIGS = {
     "regular": {},
@@ -69,6 +72,17 @@ CONFIGS = {
     # most nodes drain within the run: the per-copy delivery body runs
     "lossy-energy0.03": {"mac": "lossy", "energy_capacity": 0.03},
     "csma-energy0.03": {"mac": "csma", "energy_capacity": 0.03},
+    # a build without queries: no member ever draws from its query stream
+    "metro-n1000-noqueries": {
+        "num_nodes": 1000,
+        "area_width": _METRO_SIDE,
+        "area_height": _METRO_SIDE,
+        "queries": False,
+        "duration": 5.0,
+    },
+    "mobility-direction": {"mobility": "direction"},
+    "mobility-gauss-markov": {"mobility": "gauss-markov"},
+    "gossip0.5-ideal": {"rebroadcast": "probabilistic:0.5"},
 }
 
 
