@@ -211,3 +211,24 @@ def test_snapshot_rebuild_csr_n50(benchmark):
     assert value("topology.csr_builds", layer="topology") == value(
         "topology.rebuilds", layer="topology"
     )
+
+
+def test_build_scenario_metro(benchmark):
+    # The metro_mobility rung's set-up: n = 10 000 at the paper's density,
+    # queries off.  The build parks the cyclic collector and creates no
+    # member's query stream: 7 500 algorithm streams plus mobility,
+    # membership, files and qualifiers.
+    import gc
+    import math
+
+    from repro.scenarios import ScenarioConfig, build_scenario
+
+    side = 100.0 * math.sqrt(10_000 / 50.0)
+    cfg = ScenarioConfig(
+        num_nodes=10_000, area_width=side, area_height=side, queries=False,
+        duration=5.0, seed=1,
+    )
+    enabled = gc.isenabled()
+    simulation = benchmark.pedantic(build_scenario, args=(cfg,), rounds=3)
+    assert gc.isenabled() == enabled
+    assert len(simulation.rng._streams) == 7504

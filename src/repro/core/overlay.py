@@ -10,6 +10,7 @@ p2p messages to the right servent.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -146,7 +147,7 @@ class OverlayNetwork:
                 query_config=self.query_cfg,
                 store=FileStore(m, holdings[m]),
                 num_files=num_files,
-                rng=self.rng.stream(f"p2p.node.{m}"),
+                query_rng=partial(self.rng.stream, f"p2p.node.{m}"),
                 count_received=count_received,
                 lifetime_log=lifetime_log,
                 registry=self.registry,

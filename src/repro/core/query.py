@@ -20,7 +20,7 @@ send / store) so it can be unit-tested over a fake overlay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from ..sim.process import Process
 from .messages import FileData, FileRequest, Query, QueryHit
 
 __all__ = ["QueryConfig", "QueryRecord", "QueryEngine"]
+
+#: a random stream, or a zero-argument callable that creates it
+StreamSource = Union[np.random.Generator, Callable[[], np.random.Generator]]
 
 @dataclass(frozen=True)
 class QueryConfig:
@@ -84,12 +87,16 @@ class QueryRecord:
 
 
 class QueryEngine:
-    """Per-servent query issue/forward/answer logic."""
+    """Per-servent query issue/forward/answer logic.
 
-    def __init__(self, servent, config: QueryConfig, rng: np.random.Generator) -> None:
+    ``rng`` is the query stream or a zero-argument callable returning it,
+    called at the first draw: a run without queries never creates it.
+    """
+
+    def __init__(self, servent, config: QueryConfig, rng: StreamSource) -> None:
         self.servent = servent
         self.cfg = config
-        self.rng = rng
+        self._rng = rng
         self._seen: Set[int] = set()
         self._open: Dict[int, QueryRecord] = {}
         #: finished QueryRecords (harvested by the metrics layer)
@@ -104,6 +111,13 @@ class QueryEngine:
             self._ranks = np.arange(1, servent.num_files + 1, dtype=float)
             w = 1.0 / self._ranks
             self._p = w / w.sum()
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The query stream (created here at the first draw, given a callable)."""
+        if callable(self._rng):
+            self._rng = self._rng()
+        return self._rng
 
     # ------------------------------------------------------------------
     # issuing

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
 from ..net.broadcast import FloodManager
 from ..net.topology import UNREACHABLE
 from ..net.world import World
@@ -27,7 +25,7 @@ from .config import P2pConfig
 from .connection import ConnectionTable
 from .files import FileStore
 from .messages import FileData, FileRequest, P2pMessage, Ping, Pong, Query, QueryHit
-from .query import QueryConfig, QueryEngine
+from .query import QueryConfig, QueryEngine, StreamSource
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algorithms.base import ReconfigAlgorithm
@@ -56,8 +54,8 @@ class Servent:
         The files this node shares.
     num_files:
         Total distinct files in the network (query target space).
-    rng:
-        Private random stream.
+    query_rng:
+        The query engine's stream, or a callable that creates it.
     count_received:
         Metrics hook ``count_received(nid, family)`` fired for every
         p2p message copy this node receives.
@@ -78,7 +76,7 @@ class Servent:
         query_config: QueryConfig,
         store: FileStore,
         num_files: int,
-        rng: np.random.Generator,
+        query_rng: StreamSource,
         count_received: Optional[Callable[[int, str], None]] = None,
         lifetime_log=None,
         registry: Optional[Registry] = None,
@@ -91,12 +89,11 @@ class Servent:
         self.cfg = config
         self.store = store
         self.num_files = num_files
-        self.rng = rng
         self.count_received = count_received
         #: optional LifetimeLog for closed-connection statistics
         self.lifetime_log = lifetime_log
         self.connections = ConnectionTable(nid, config.max_connections)
-        self.query_engine = QueryEngine(self, query_config, rng)
+        self.query_engine = QueryEngine(self, query_config, query_rng)
         self.algorithm: Optional["ReconfigAlgorithm"] = None
         if registry is None:
             registry = getattr(flood, "registry", None)

@@ -77,12 +77,10 @@ class MobilityModel(abc.ABC):
 
     Notes
     -----
-    Time must be queried non-decreasingly *per call site is not required*;
-    the model keeps full history-free state and only supports forward
-    queries (asking for a time before an already-generated segment start
-    is fine; asking before a previous query is fine as long as it is not
-    before the current segment's start, which cannot happen with a
-    monotone simulation clock).
+    The model keeps no history: it only rolls each node's segment
+    forward.  Queries need not be non-decreasing, but one earlier than a
+    node's current segment start returns that segment's origin, not the
+    node's past position.  A monotone simulation clock never asks for one.
     """
 
     def __init__(self, n: int, area: Area, rng: np.random.Generator) -> None:

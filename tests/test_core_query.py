@@ -161,3 +161,30 @@ class TestPeriodicLoop:
         s[0].query_engine._close(rec)
         sim.run(until=5.0)
         assert rec.answers == []  # hit arrived after close: ignored
+
+
+class TestLazyStream:
+    """An engine handed a stream factory creates the stream at its first draw."""
+
+    NAME = "p2p.node.4"
+
+    def _draws(self, engine):
+        delay = next(engine._loop())  # the first query's spread-out delay
+        return delay, [engine._pick_file() for _ in range(50)]
+
+    @pytest.mark.parametrize("target", ["uniform", "zipf"])
+    def test_first_draw_matches_an_eager_stream(self, target):
+        from functools import partial
+
+        from repro.core.query import QueryEngine
+        from repro.sim.rng import RngRegistry
+
+        sim = Simulator()
+        servent = FakeServent(0, sim, FakeFabric(sim), num_files=10)
+        cfg = QueryConfig(target=target)
+        eager = QueryEngine(servent, cfg, RngRegistry(3).stream(self.NAME))
+        registry = RngRegistry(3)
+        lazy = QueryEngine(servent, cfg, partial(registry.stream, self.NAME))
+        assert self.NAME not in registry._streams
+        assert self._draws(lazy) == self._draws(eager)
+        assert lazy.rng is registry.stream(self.NAME)

@@ -1,5 +1,8 @@
 """Tests for scenario config, builder and runner."""
 
+import gc
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,80 @@ class TestBuilder:
         with pytest.raises(RuntimeError, match="handler failed"):
             s.run()
         assert gc.get_freeze_count() == 0
+
+    def test_a_simulation_runs_once(self):
+        s = build_scenario(ScenarioConfig(num_nodes=10, duration=5.0, routing="oracle"))
+        s.run()
+        events = s.sim.registry.value("kernel.events_dispatched")
+        with pytest.raises(RuntimeError, match="already run"):
+            s.run()
+        assert s.sim.registry.value("kernel.events_dispatched") == events
+
+
+def _metro(n, **kw):
+    """The bench's metro_mobility shape: n nodes at the paper's density."""
+    side = 100.0 * math.sqrt(n / 50.0)
+    return ScenarioConfig(
+        num_nodes=n, area_width=side, area_height=side, queries=False,
+        duration=5.0, seed=1, **kw,
+    )
+
+
+class TestParkedCollector:
+    """build_scenario wires with the cyclic collector off, and only then."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_comes_back(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            build_scenario(ScenarioConfig(num_nodes=10, routing="oracle"))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_state_comes_back_when_a_layer_raises(self, monkeypatch):
+        from repro.core.overlay import OverlayNetwork
+
+        seen = []
+
+        def boom(self, *args, **kwargs):
+            seen.append(gc.isenabled())
+            raise RuntimeError("overlay failed")
+
+        monkeypatch.setattr(OverlayNetwork, "__init__", boom)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="overlay failed"):
+            build_scenario(ScenarioConfig(num_nodes=10, routing="oracle"))
+        assert seen == [False] and gc.isenabled()
+
+    def test_build_freezes_nothing(self):
+        build_scenario(ScenarioConfig(num_nodes=10, routing="oracle"))
+        assert gc.get_freeze_count() == 0
+
+    def test_build_leaves_next_to_no_garbage(self):
+        # the premise of parking the collector: the wiring makes no cycles
+        # worth collecting
+        gc.collect()
+        s = build_scenario(_metro(1000))
+        assert gc.collect() < 100
+        assert s.world.n == 1000
+
+
+class TestQueryStreams:
+    """A member's query stream is created at its first draw."""
+
+    def test_no_query_stream_without_queries(self):
+        s = build_scenario(_metro(10_000))
+        names = list(s.rng._streams)
+        assert not [name for name in names if name.startswith("p2p.node.")]
+        assert len(names) == 7504
+
+    def test_every_member_draws_in_a_query_run(self):
+        s = build_scenario(ScenarioConfig(num_nodes=20, duration=5.0, routing="oracle"))
+        assert not [name for name in s.rng._streams if name.startswith("p2p.node.")]
+        s.run()
+        assert all(f"p2p.node.{m}" in s.rng._streams for m in s.members)
 
 
 class TestRunner:
