@@ -232,3 +232,29 @@ def test_build_scenario_metro(benchmark):
     simulation = benchmark.pedantic(build_scenario, args=(cfg,), rounds=3)
     assert gc.isenabled() == enabled
     assert len(simulation.rng._streams) == 7504
+
+
+def test_harvest_metro(benchmark):
+    # The metro_mobility rung's harvest: a finished n = 10 000 run at the
+    # paper's density, queries off, seed 1, harvested and exported.  Its
+    # overlay is mostly isolated members and small components, so the
+    # path-length sweep works only on the components' rows.
+    import math
+
+    from repro.metrics.graphfast import path_length_sums
+    from repro.scenarios import ScenarioConfig, build_scenario
+    from repro.scenarios.runner import harvest
+
+    side = 100.0 * math.sqrt(10_000 / 50.0)
+    simulation = build_scenario(
+        ScenarioConfig(
+            num_nodes=10_000, area_width=side, area_height=side, queries=False,
+            duration=5.0, seed=1,
+        )
+    )
+    simulation.run()
+    result = benchmark.pedantic(
+        lambda: harvest(simulation).to_dict(), rounds=5
+    )
+    assert path_length_sums(*simulation.overlay.csr()) == (24_956, 14_634)
+    assert result["overlay_stats"]["path_length"] == 24_956 / 14_634

@@ -211,7 +211,10 @@ class OverlayNetwork:
                 j = index[peer]
                 keys.append(i * n + j)
                 keys.append(j * n + i)
-        rows, indices = np.divmod(np.unique(np.array(keys, dtype=np.int64)), n)
+        # Sort and drop adjacent duplicates (np.unique would import numpy.ma).
+        keys = np.sort(np.array(keys, dtype=np.int64))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        rows, indices = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         indptr.flags.writeable = False

@@ -19,8 +19,9 @@ ascending -- exactly the arrays the topology backend
 * :func:`path_length_sums` -- the all-pairs hop total and connected
   pair count behind the characteristic path length: bit-parallel
   level-synchronous BFS, 64 sources per uint64 bit lane, one
-  ``bitwise_or.reduceat`` over the CSR rows advancing every source in a
-  chunk one level.
+  ``bitwise_or.reduceat`` over the CSR rows of the chunk's components
+  advancing every source in a chunk one level; isolated nodes cost
+  nothing.
 
 Every kernel reports invocation counters (``graphfast.*``) and wall time
 (``wall{section=graphfast.<kernel>}``) to a registry;
@@ -68,27 +69,6 @@ else:  # NumPy < 2.0 has no bitwise_count ufunc
 
     def _popcount(a: np.ndarray) -> int:
         return int(np.unpackbits(np.ascontiguousarray(a).view(np.uint8)).sum())
-
-
-def _nonempty_starts(
-    indptr: np.ndarray, deg: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(rows, starts)`` of the non-empty CSR rows, for ``reduceat``.
-
-    ``reduceat`` segments run start-to-next-start, so feeding it one
-    start per row breaks when a row is empty: an empty row's start
-    equals the next row's (zero-length segments are illegal -- reduceat
-    would read one element), and trailing empty rows carry
-    ``start == len(indices)``, out of bounds.  Clamping the starts is
-    *not* a fix -- it silently shortens the last non-empty row's
-    segment, dropping its final neighbor from the OR-reduction.
-    Restricting the starts to non-empty rows makes every segment span
-    exactly that row's neighbors (empty rows between two non-empty ones
-    share a boundary and vanish); callers scatter the reduction back
-    with ``out[rows] = reduceat(...)``.
-    """
-    rows = np.flatnonzero(deg > 0)
-    return rows, indptr[:-1][rows]
 
 
 def component_labels(
@@ -160,7 +140,8 @@ def triangle_counts(
         marks = np.searchsorted(
             csum, np.arange(_TRIANGLE_BLOCK, grand, _TRIANGLE_BLOCK)
         )
-        cuts = np.unique(np.concatenate(([0], marks + 1, [m2])))
+        cuts = np.sort(np.concatenate(([0], marks + 1, [m2])))
+        cuts = cuts[np.diff(cuts, prepend=-1) != 0]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             counts = wedge_counts[lo:hi]
             total = int(counts.sum())
@@ -243,13 +224,22 @@ def path_length_sums(
     :data:`DEFAULT_CHUNK` sources becomes a bit lane in per-node uint64
     words (64 sources per word), and a level step gathers every node's
     neighbor words and OR-reduces them per CSR row
-    (``np.bitwise_or.reduceat``) -- one level costs O(E · chunk/64)
-    word ops regardless of frontier shape.  Never materializes the
-    (n, n) distance matrix: a pair reached at level ``d`` contributes
-    ``d`` = the number of levels it spent unreached, so ``sum(dist) =
-    sum over levels d of (reached_final - reached_by(d))`` -- one
-    popcount of the newly-visited bitset per BFS level is all the
-    bookkeeping the sweep needs.
+    (``np.bitwise_or.reduceat``).  Never materializes the (n, n)
+    distance matrix: a pair reached at level ``d`` contributes ``d`` =
+    the number of levels it spent unreached, so ``sum(dist) = sum over
+    levels d of (reached_final - reached_by(d))`` -- one popcount of the
+    newly-visited bitset per BFS level is all the bookkeeping the sweep
+    needs.
+
+    Each chunk sweeps only the rows its sources can reach.  Isolated
+    nodes add no pairs and are dropped; the rest are renumbered in
+    component order (stably, components by their minimum id), and a
+    chunk of consecutive sources sweeps the span of rows from its first
+    source's component to its last source's -- BFS never leaves a
+    component, so the totals stay exact.  One level costs O(E_span ·
+    chunk/64) word ops, where ``E_span`` counts the span's edges: a
+    fragmented overlay pays for its components, a connected graph for
+    all of it.
     """
     reg = _registry(registry)
     t0 = perf_counter()
@@ -258,23 +248,50 @@ def path_length_sums(
     pairs = 0
     if n and len(indices):
         deg = np.diff(indptr)
-        nz_rows, nz_starts = _nonempty_starts(indptr, deg)
-        for lo in range(0, n, DEFAULT_CHUNK):
-            block = np.arange(lo, min(lo + DEFAULT_CHUNK, n), dtype=np.int64)
-            width = len(block)
+        order = np.flatnonzero(deg > 0)
+        m = len(order)
+        # One chunk's span is every row whatever the order; only more
+        # chunks gain from the component order.
+        if m > DEFAULT_CHUNK:
+            # No registry: a step of this sweep charges the caller nothing.
+            labels = component_labels(indptr, indices)[order]
+            by_component = np.argsort(labels, kind="stable")
+            order = order[by_component]
+            labels = labels[by_component]
+            starts = np.flatnonzero(np.diff(labels, prepend=-1))
+        else:
+            starts = np.zeros(1, dtype=np.int64)
+        # Permute the CSR to the new numbering; every row is non-empty,
+        # so its starts are the reduceat segments as they stand.
+        renumber = np.empty(n, dtype=np.int64)
+        renumber[order] = np.arange(m, dtype=np.int64)
+        sub_deg = deg[order]
+        sub_indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(sub_deg, out=sub_indptr[1:])
+        gather = np.repeat(indptr[order] - sub_indptr[:-1], sub_deg)
+        gather += np.arange(len(indices), dtype=np.int64)
+        sub_indices = renumber[indices[gather]]
+        # Per node: the first and one-past-last row of its component.
+        sizes = np.diff(starts, append=m)
+        span_lo = np.repeat(starts, sizes)
+        span_hi = np.repeat(starts + sizes, sizes)
+        for lo in range(0, m, DEFAULT_CHUNK):
+            hi = min(lo + DEFAULT_CHUNK, m)
+            r0 = int(span_lo[lo])
+            r1 = int(span_hi[hi - 1])
+            seg = sub_indptr[r0:r1] - sub_indptr[r0]
+            nbrs = sub_indices[sub_indptr[r0]:sub_indptr[r1]] - r0
+            width = hi - lo
             words = (width + 63) // 64
             rows = np.arange(width, dtype=np.int64)
-            visited = np.zeros((n, words), dtype=np.uint64)
+            visited = np.zeros((r1 - r0, words), dtype=np.uint64)
             lane = np.left_shift(np.uint64(1), (rows % 64).astype(np.uint64))
-            visited[block, rows // 64] = lane  # distinct sources: plain store
+            visited[lo - r0 + rows, rows // 64] = lane  # distinct sources
             frontier = visited.copy()
             counts = [width]  # pairs reached by end of level d
             while True:
-                nxt = np.zeros_like(visited)
-                nxt[nz_rows] = np.bitwise_or.reduceat(
-                    frontier[indices], nz_starts, axis=0
-                )
-                new = nxt & ~visited
+                new = np.bitwise_or.reduceat(frontier[nbrs], seg, axis=0)
+                new &= ~visited
                 grew = _popcount(new)
                 if grew == 0:
                     break

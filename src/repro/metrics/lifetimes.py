@@ -75,6 +75,16 @@ def lifetime_summary(log: LifetimeLog) -> Dict[str, Dict[str, float]]:
         out[label] = {
             "count": float(lifetimes.size),
             "mean": float(lifetimes.mean()) if lifetimes.size else float("nan"),
-            "median": float(np.median(lifetimes)) if lifetimes.size else float("nan"),
+            "median": _median(lifetimes) if lifetimes.size else float("nan"),
         }
     return out
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-d array, bit for bit, from
+    ``np.sort`` (``np.median`` imports ``numpy.ma`` on first call)."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)

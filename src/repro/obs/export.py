@@ -11,14 +11,20 @@ def to_plain(value: Any) -> Any:
     """Recursively convert numpy containers/scalars to JSON-safe built-ins.
 
     NaN and +-inf become ``None`` (JSON has neither); numpy arrays become
-    lists.  Imported lazily so :mod:`repro.obs` itself stays numpy-free
-    on the hot path.
+    lists (a 0-d array its scalar).  An integer or bool array, or a float
+    array with every value finite, converts in one ``tolist()`` call;
+    any other array goes through its elements.  Imported lazily so
+    :mod:`repro.obs` itself stays numpy-free on the hot path.
     """
     import numpy as np
 
     if isinstance(value, np.ndarray):
-        return [to_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
+        items = value.tolist()
+        kind = value.dtype.kind
+        if kind in "biu" or (kind == "f" and np.isfinite(value).all()):
+            return items
+        return to_plain(items)
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
         value = value.item()
     if isinstance(value, float) and not (value == value and abs(value) != float("inf")):
         return None

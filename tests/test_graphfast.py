@@ -217,6 +217,106 @@ def test_path_length_sums_spans_chunks():
     assert path_length_sums(indptr, indices) == nx_path_totals(g)
 
 
+# ----------------------------------------------------------------------
+# component-bounded chunks: each chunk sweeps only its components' rows
+# ----------------------------------------------------------------------
+def component_graph(sizes, *, isolated=0, seed=0, shuffle=True):
+    """Connected components of the given sizes (a random spanning tree
+    plus a few chords each) and ``isolated`` edgeless nodes, on ids
+    ``0 .. n-1``; ``shuffle`` scatters the ids so components interleave,
+    else each component holds a contiguous id block in ``sizes`` order."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + isolated
+    ids = rng.permutation(n) if shuffle else np.arange(n)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    at = 0
+    for size in sizes:
+        block = [int(v) for v in ids[at : at + size]]
+        at += size
+        for i in range(1, size):
+            g.add_edge(block[i], block[int(rng.integers(i))])
+        for _ in range(size // 3):
+            u, v = rng.choice(size, 2, replace=False)
+            g.add_edge(block[u], block[v])
+    return g
+
+
+def assert_path_totals_match(g):
+    indptr, indices, nodes = graph_csr(g)
+    assert nodes == list(range(len(nodes)))
+    assert path_length_sums(indptr, indices) == nx_path_totals(g)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_isolated_nodes_interleaved_with_members(seed):
+    # both a one-chunk graph and one whose members need several chunks
+    for sizes, isolated in (([5, 3, 9], 20), ([7] * 60, 300)):
+        g = component_graph(sizes, isolated=isolated, seed=seed)
+        members = [v for v in g if g.degree[v]]
+        between = [v for v in nx.isolates(g) if min(members) < v < max(members)]
+        assert between  # isolated ids fall among the members' ids
+        assert_path_totals_match(g)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_many_small_components_with_interleaved_ids(seed):
+    rng = np.random.default_rng(seed)
+    sizes = [int(k) for k in rng.integers(2, 19, size=150)]
+    g = component_graph(sizes, isolated=200, seed=seed)
+    assert sum(sizes) > 4 * DEFAULT_CHUNK
+    assert nx.number_connected_components(g) == 150 + 200
+    assert_path_totals_match(g)
+
+
+def test_component_straddles_a_chunk_boundary():
+    # contiguous id blocks, no isolated node: source order is id order,
+    # so the third component (ids 200..299) spans the chunk boundary
+    g = component_graph([100, 100, 100, 60, 70, 80], shuffle=False, seed=5)
+    labels = component_labels(*graph_csr(g)[:2])
+    assert labels[DEFAULT_CHUNK - 1] == labels[DEFAULT_CHUNK] == 200
+    assert_path_totals_match(g)
+
+
+def test_component_larger_than_a_chunk():
+    # one 700-node component (three chunks of sources share its span)
+    # among small ones and isolated nodes, ids interleaved
+    g = component_graph([700, 4, 12, 2, 30], isolated=50, seed=11)
+    assert max(len(c) for c in nx.connected_components(g)) > 2 * DEFAULT_CHUNK
+    assert_path_totals_match(g)
+
+
+def test_metro_overlay_matches_networkx():
+    # the run fingerprint's metro-n1000-noqueries overlay: 750 members,
+    # mostly isolated or in small components after 5 s
+    from repro.scenarios import ScenarioConfig, build_scenario
+
+    from .helpers import csr_graph
+    from .test_run_fingerprint import CONFIGS
+
+    simulation = build_scenario(
+        ScenarioConfig(seed=1, **CONFIGS["metro-n1000-noqueries"])
+    )
+    simulation.run()
+    indptr, indices = simulation.overlay.csr()
+    g = csr_graph(indptr, indices)
+    assert g.number_of_nodes() > DEFAULT_CHUNK
+    assert nx.number_of_isolates(g) > 0
+    assert nx.number_connected_components(g) > nx.number_of_isolates(g) + 10
+    assert path_length_sums(indptr, indices) == nx_path_totals(g)
+
+
+def test_path_length_sums_charges_no_component_run():
+    from repro.obs.registry import Registry
+
+    g = component_graph([7] * 60, isolated=30, seed=2)
+    reg = Registry()
+    path_length_sums(*graph_csr(g)[:2], registry=reg)
+    assert reg.value("graphfast.bfs_sources") == g.number_of_nodes()
+    with pytest.raises(KeyError):
+        reg.value("graphfast.component_runs")
+
+
 def test_popcount_fallback_matches_bitwise_count():
     import repro.metrics.graphfast as gf
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import Connection
-from repro.metrics.lifetimes import ClosedConnection, LifetimeLog, lifetime_summary
+from repro.metrics.lifetimes import (
+    ClosedConnection,
+    LifetimeLog,
+    _median,
+    lifetime_summary,
+)
 
 from .overlay_helpers import build_overlay
 
@@ -42,6 +47,36 @@ class TestLifetimeLog:
         s = lifetime_summary(LifetimeLog())
         assert s["regular"]["count"] == 0
         assert np.isnan(s["regular"]["mean"])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0],
+        [5.5, 1.25, 9.0],
+        [2.0, 1.0],
+        [0.1, 0.7, 0.2, 1e-9],
+        [4.0, 4.0, 4.0, 1.0, 4.0, 4.0],
+        [7.0, 7.0, 7.0, 7.0],
+        [1e308, 1.7e308],
+        "rng-odd",
+        "rng-even",
+        "rng-duplicates",
+    ],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # both sides give inf
+def test_median_equals_numpy_bit_for_bit(values):
+    rng = np.random.default_rng(3)
+    if values == "rng-odd":
+        values = rng.exponential(40.0, size=101)
+    elif values == "rng-even":
+        values = rng.exponential(40.0, size=1000)
+    elif values == "rng-duplicates":
+        values = rng.integers(0, 4, size=500) * 0.1
+    values = np.asarray(values, dtype=np.float64)
+    got, want = _median(values), float(np.median(values))
+    assert got.hex() == want.hex()
+    assert type(got) is float
 
 
 class TestIntegration:

@@ -192,6 +192,61 @@ class TestQueryStreams:
         assert all(f"p2p.node.{m}" in s.rng._streams for m in s.members)
 
 
+_MASKED_ARRAYS_PROBE = """
+import json, math, sys
+from repro.core.query import QueryConfig
+from repro.scenarios import ScenarioConfig, build_scenario
+from repro.scenarios.runner import harvest
+
+dense = math.sqrt(600 * math.pi * 10.0**2 / 20.0)
+metro = 100.0 * math.sqrt(1000 / 50.0)
+configs = [
+    ScenarioConfig(algorithm=alg, duration=20.0, seed=1)
+    for alg in ("basic", "regular", "random", "hybrid")
+] + [
+    ScenarioConfig(
+        num_nodes=600, area_width=dense, area_height=dense, algorithm="regular",
+        duration=2.0, seed=1,
+        query=QueryConfig(
+            warmup=2.0, response_wait=4.0, gap_min=2.0, gap_max=6.0, target="zipf"
+        ),
+    ),
+    ScenarioConfig(
+        num_nodes=1000, area_width=metro, area_height=metro, queries=False,
+        duration=1.0, seed=1,
+    ),
+]
+for cfg in configs:
+    simulation = build_scenario(cfg)
+    simulation.run()
+    json.dumps(harvest(simulation).to_dict())
+print(json.dumps({"runs": len(configs), "ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_run_path_leaves_numpy_ma_unimported():
+    """``numpy.ma`` costs 10-15 ms to import and np.unique / np.median
+    pull it in: build, run, harvest and ``to_dict`` the bench's three
+    scenario shapes at smoke scale in a fresh interpreter without it."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _MASKED_ARRAYS_PROBE],
+        capture_output=True, text=True, timeout=240, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"runs": 6, "ma": False}
+
+
 class TestRunner:
     def test_run_scenario_harvests(self):
         res = run_scenario(
