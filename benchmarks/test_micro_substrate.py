@@ -3,10 +3,11 @@
 These are classic pytest-benchmark timings (many rounds) of the
 operations DESIGN.md §5 identifies as performance-critical: vectorized
 position evaluation, the connectivity snapshot (the full adjacency at
-n = 150 and the n = 50 rebuild + CSR the paper world pays every 0.25 s),
-the vectorized BFS and the event queue (throughput, cancellation churn
-and the hold model at the bench workloads' queue depths, through the
-heap's ``schedule`` and the FIFO's ``post_at``).  They exist to
+n = 150, and the rebuild + CSR the paper world (n = 50) and the metro
+rung (n = 10 000) pay every 0.25 s), the vectorized BFS and the event
+queue (throughput, cancellation churn, the hold model at the bench
+workloads' queue depths through the heap's ``schedule`` and the FIFO's
+``post_at``, and bare ``schedule`` pushes at the metro depth).  They exist to
 catch performance regressions, not paper claims.
 """
 
@@ -169,6 +170,31 @@ def test_kernel_hold(benchmark, depth):
     assert count(sim, "events_dispatched") == HOLD_OPS
 
 
+def _schedule_timers(sim):
+    """HOLD_OPS timers pushed through ``schedule`` (LCG delays), nothing
+    dispatched: the push alone, at the queue's depth."""
+    state = [7]
+    noop = _noop
+    for _ in range(HOLD_OPS):
+        state[0] = (state[0] * 1103515245 + 12345) % (1 << 31)
+        sim.schedule(state[0] / (1 << 31), noop)
+    return sim
+
+
+def _noop():
+    pass
+
+
+def test_kernel_schedule(benchmark):
+    # The metro_mobility rung's timer pushes: schedule() at its queue depth.
+    depth = HOLD_DEPTHS[-1]
+    sim = benchmark.pedantic(
+        _schedule_timers, setup=lambda: _hold_queue(depth), rounds=10
+    )
+    assert sim.pending() == depth + HOLD_OPS
+    assert count(sim, "heap_pushes") == depth + HOLD_OPS
+
+
 def _post_hold_queue(depth):
     """The hold model through ``post_at``: a constant delay and no
     handles, like the radio's copies, so every successor lands at the
@@ -211,6 +237,40 @@ def test_snapshot_rebuild_csr_n50(benchmark):
     assert value("topology.csr_builds", layer="topology") == value(
         "topology.rebuilds", layer="topology"
     )
+
+
+def test_snapshot_csr_metro(benchmark):
+    # The metro_mobility rung's per-snapshot cost: n = 10 000 at the
+    # paper's density and speed (<= 1 m/s), 20 consecutive snapshots
+    # 0.25 s apart per round, each building its CSR.  Most reuse the last
+    # sweep's candidate pairs.
+    import math
+
+    n = 10_000
+    side = 100.0 * math.sqrt(n / 50.0)
+    sim = Simulator()
+    mobility = RandomWaypoint(n, Area(side, side), np.random.default_rng(1))
+    world = World(sim, mobility, radio_range=10.0)
+    topology = world.topology
+    sweeps = [0]
+    sweep = topology._sweep
+
+    def counted():
+        sweeps[0] += 1
+        sweep()
+
+    topology._sweep = counted
+
+    def snapshots():
+        for _ in range(20):
+            sim.run(until=sim.now + 0.25)
+            topology.csr()
+
+    benchmark.pedantic(snapshots, rounds=3)
+    value = world.registry.value
+    builds = value("topology.csr_builds", layer="topology")
+    assert builds == value("topology.rebuilds", layer="topology") == 60
+    assert 0 < sweeps[0] < builds
 
 
 def test_build_scenario_metro(benchmark):

@@ -232,14 +232,16 @@ def path_length_sums(
     needs.
 
     Each chunk sweeps only the rows its sources can reach.  Isolated
-    nodes add no pairs and are dropped; the rest are renumbered in
-    component order (stably, components by their minimum id), and a
+    nodes add no pairs and are never sources.  With more than one
+    chunk's worth of the rest, they are renumbered in component order
+    (:func:`_renumbered`; stably, components by their minimum id), and a
     chunk of consecutive sources sweeps the span of rows from its first
     source's component to its last source's -- BFS never leaves a
     component, so the totals stay exact.  One level costs O(E_span ·
     chunk/64) word ops, where ``E_span`` counts the span's edges: a
     fragmented overlay pays for its components, a connected graph for
-    all of it.
+    all of it.  A single chunk spans every row whatever the numbering,
+    so it sweeps the CSR as it stands, up to its last non-empty row.
     """
     reg = _registry(registry)
     t0 = perf_counter()
@@ -250,57 +252,90 @@ def path_length_sums(
         deg = np.diff(indptr)
         order = np.flatnonzero(deg > 0)
         m = len(order)
-        # One chunk's span is every row whatever the order; only more
-        # chunks gain from the component order.
-        if m > DEFAULT_CHUNK:
+        if m <= DEFAULT_CHUNK:
+            rows = int(order[-1]) + 1
+            total, pairs = _chunk_sums(
+                indptr[:rows], indices, order, np.flatnonzero(deg[:rows] == 0)
+            )
+        else:
             # No registry: a step of this sweep charges the caller nothing.
             labels = component_labels(indptr, indices)[order]
             by_component = np.argsort(labels, kind="stable")
             order = order[by_component]
             labels = labels[by_component]
             starts = np.flatnonzero(np.diff(labels, prepend=-1))
-        else:
-            starts = np.zeros(1, dtype=np.int64)
-        # Permute the CSR to the new numbering; every row is non-empty,
-        # so its starts are the reduceat segments as they stand.
-        renumber = np.empty(n, dtype=np.int64)
-        renumber[order] = np.arange(m, dtype=np.int64)
-        sub_deg = deg[order]
-        sub_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sub_deg, out=sub_indptr[1:])
-        gather = np.repeat(indptr[order] - sub_indptr[:-1], sub_deg)
-        gather += np.arange(len(indices), dtype=np.int64)
-        sub_indices = renumber[indices[gather]]
-        # Per node: the first and one-past-last row of its component.
-        sizes = np.diff(starts, append=m)
-        span_lo = np.repeat(starts, sizes)
-        span_hi = np.repeat(starts + sizes, sizes)
-        for lo in range(0, m, DEFAULT_CHUNK):
-            hi = min(lo + DEFAULT_CHUNK, m)
-            r0 = int(span_lo[lo])
-            r1 = int(span_hi[hi - 1])
-            seg = sub_indptr[r0:r1] - sub_indptr[r0]
-            nbrs = sub_indices[sub_indptr[r0]:sub_indptr[r1]] - r0
-            width = hi - lo
-            words = (width + 63) // 64
-            rows = np.arange(width, dtype=np.int64)
-            visited = np.zeros((r1 - r0, words), dtype=np.uint64)
-            lane = np.left_shift(np.uint64(1), (rows % 64).astype(np.uint64))
-            visited[lo - r0 + rows, rows // 64] = lane  # distinct sources
-            frontier = visited.copy()
-            counts = [width]  # pairs reached by end of level d
-            while True:
-                new = np.bitwise_or.reduceat(frontier[nbrs], seg, axis=0)
-                new &= ~visited
-                grew = _popcount(new)
-                if grew == 0:
-                    break
-                visited |= new
-                counts.append(counts[-1] + grew)
-                frontier = new
-            reached = counts[-1]
-            total += sum(reached - c for c in counts[:-1])
-            pairs += reached - width
+            sub_indptr, sub_indices = _renumbered(indptr, indices, order)
+            # Per node: the first and one-past-last row of its component.
+            sizes = np.diff(starts, append=m)
+            span_lo = np.repeat(starts, sizes)
+            span_hi = np.repeat(starts + sizes, sizes)
+            for lo in range(0, m, DEFAULT_CHUNK):
+                hi = min(lo + DEFAULT_CHUNK, m)
+                r0 = int(span_lo[lo])
+                r1 = int(span_hi[hi - 1])
+                hops, reached = _chunk_sums(
+                    sub_indptr[r0:r1] - sub_indptr[r0],
+                    sub_indices[sub_indptr[r0]:sub_indptr[r1]] - r0,
+                    np.arange(lo - r0, hi - r0),
+                )
+                total += hops
+                pairs += reached
     reg.counter("graphfast.bfs_sources", layer="metrics").inc(n)
     reg.timer("wall", section="graphfast.bfs").add(perf_counter() - t0)
     return total, pairs
+
+
+def _renumbered(
+    indptr: np.ndarray, indices: np.ndarray, order: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR restricted to the non-empty rows ``order`` and renumbered
+    so that ``order[k]`` becomes row ``k``; every row of it is non-empty,
+    so its starts are the ``reduceat`` segments as they stand."""
+    n = len(indptr) - 1
+    m = len(order)
+    renumber = np.empty(n, dtype=np.int64)
+    renumber[order] = np.arange(m, dtype=np.int64)
+    sub_deg = indptr[order + 1] - indptr[order]
+    sub_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(sub_deg, out=sub_indptr[1:])
+    gather = np.repeat(indptr[order] - sub_indptr[:-1], sub_deg)
+    gather += np.arange(len(indices), dtype=np.int64)
+    return sub_indptr, renumber[indices[gather]]
+
+
+def _chunk_sums(
+    seg: np.ndarray,
+    nbrs: np.ndarray,
+    sources: np.ndarray,
+    empty: Optional[np.ndarray] = None,
+) -> Tuple[int, int]:
+    """``(total_hops, connected_ordered_pairs)`` from ``sources`` (at most
+    :data:`DEFAULT_CHUNK`) over the rows starting at ``seg`` in ``nbrs``.
+
+    Every start must index ``nbrs``.  ``empty`` lists the rows without
+    neighbours: ``reduceat`` gives such a row the next row's first word,
+    so those rows start visited in every lane and never count.
+    """
+    width = len(sources)
+    words = (width + 63) // 64
+    lanes = np.arange(width, dtype=np.int64)
+    visited = np.zeros((len(seg), words), dtype=np.uint64)
+    if empty is not None:
+        visited[empty] = ~np.uint64(0)
+    frontier = np.zeros_like(visited)
+    frontier[sources, lanes // 64] = np.left_shift(
+        np.uint64(1), (lanes % 64).astype(np.uint64)
+    )  # distinct sources
+    visited |= frontier
+    counts = [width]  # pairs reached by end of level d
+    while True:
+        new = np.bitwise_or.reduceat(frontier[nbrs], seg, axis=0)
+        new &= ~visited
+        grew = _popcount(new)
+        if grew == 0:
+            break
+        visited |= new
+        counts.append(counts[-1] + grew)
+        frontier = new
+    reached = counts[-1]
+    return sum(reached - c for c in counts[:-1]), reached - width

@@ -9,25 +9,34 @@ answers all of them at every node count, from the paper's n = 50..150
 to the thousands of nodes large-MANET work (CARD, unstructured-overlay
 studies) cares about.
 
-It is a uniform-grid spatial index with cell size equal to the radio
-range, so a node's candidates live in at most 9 cells instead of a row
-of n.  One CSR adjacency per snapshot, built by whichever read first
-needs it in nine vectorized cell-offset passes, answers ``neighbors`` (a
-row slice), ``degrees`` and BFS (frontier-at-a-time over the CSR
-arrays); per-source BFS states are memoized under an LRU bound and
-expanded level by level only as far as a query needs (``hop_distance``
-stops once its target is labelled).
-O(n·k) time and memory per snapshot at bounded density k -- the regime
-where n grows but the node density (and hence the mean degree) stays
-fixed.  The test suite holds it to an O(n²) dense-matrix oracle
-(``tests/test_net_topology.py``): neighbor sets and hop distances must
-agree exactly.
+One CSR adjacency per snapshot, built by whichever read first needs it,
+answers ``neighbors`` (a row slice), ``degrees`` and BFS
+(frontier-at-a-time over the CSR arrays); per-source BFS states are
+memoized under an LRU bound and expanded level by level only as far as
+a query needs (``hop_distance`` stops once its target is labelled).
+The CSR is the exact ``d2 <= r²`` test run over *candidate pairs*:
+every pair of up nodes within ``r + s`` (the skin ``s`` is
+:data:`_SKIN` of the radio range) of where the nodes were at the last
+*sweep*, a uniform-grid pass with cell side ``r + s`` that pairs each
+node with the runs of its 3x3 cell block.  The candidates are kept
+across snapshots until an up node has moved ``s/2`` from its sweep
+position or the down mask changed: two nodes in range now were then
+less than ``r + s`` apart at the sweep, so the CSR is the one a fresh
+sweep would give, bit for bit.  At the paper's speeds (<= 1 m/s, one
+snapshot per 0.25 s) a sweep serves about five snapshots.  O(n·k) time
+and memory per snapshot at bounded density k -- the regime where n
+grows but the node density (and hence the mean degree) stays fixed.
+The test suite holds it to an O(n²) dense-matrix oracle and to a
+from-scratch rebuild (``tests/test_net_topology.py``): neighbor sets,
+CSR arrays and hop distances must agree exactly.
 
 A stale snapshot follows one refresh rule: it is *kept* -- CSR, ``link``
 lists and distance cache included -- when neither the positions nor the
-down mask changed, and otherwise *rebuilt from scratch*.  Everything a
-snapshot derives is a pure function of those two inputs, so a rebuild
-from equal inputs would produce equal arrays.
+down mask changed, and otherwise *rebuilt*: everything it derived is
+dropped and built again on demand (only the candidate pairs outlive it,
+under the rule above).  Everything a snapshot derives is a pure
+function of those two inputs, so a rebuild from equal inputs would
+produce equal arrays.
 
 Every array a query hands out -- neighbour rows, the CSR, the adjacency
 matrix, cached hop-distance vectors -- is shared snapshot state and
@@ -53,15 +62,21 @@ __all__ = ["UNREACHABLE", "TopologyBackend"]
 UNREACHABLE = -1
 
 #: Grid-key packing: cell (cx, cy) -> (cx + _KOFF) * _KSTRIDE +
-#: (cy + _KOFF), so the three cells of one grid column are consecutive
-#: keys.  Collision-free while every cell coordinate stays within
-#: ±(_KOFF - 2) -- at a 10 m radio range that is a deployment area of
-#: ~10,000 km per axis.
+#: (cy + _KOFF), so the cells of one grid column are consecutive keys
+#: and the next column's are ``_KSTRIDE`` up.  Collision-free while every
+#: cell coordinate stays within ±(_KOFF - 2) -- at the 12.5 m cells of a
+#: 10 m radio range that is a deployment area of ~13,000 km per axis.
 _KOFF = 1 << 20
 _KSTRIDE = 1 << 21
-#: packed-key offsets of the three cell columns of a 3x3 block; within a
-#: column, cells ``cy - 1 .. cy + 1`` are consecutive keys
-_COLUMN_OFFSETS = np.array([-_KSTRIDE, 0, _KSTRIDE])
+#: The candidate skin ``s`` as a fraction of the radio range ``r``: a
+#: sweep keeps every pair of up nodes within ``r + s`` of each other.
+_SKIN = 0.25
+#: A sweep's candidates are kept while every up node is less than
+#: ``s/2 * (1 - _MARGIN)`` from where it was at the sweep; the margin
+#: dwarfs the rounding of the distance tests and of the cell keys.
+_MARGIN = 1e-6
+#: up nodes paired per step of a sweep, which bounds its temporaries
+_SWEEP_BLOCK = 2048
 
 
 class TopologyBackend:
@@ -73,25 +88,24 @@ class TopologyBackend:
     ``snapshot_interval`` (0 means exact per-timestamp snapshots) and a
     backwards-moving clock always makes it stale.
 
-    The deployment area is partitioned into square cells of side
-    ``radio_range``; a node's neighbors can then only live in its own
-    cell or the 8 surrounding ones, so finding them touches O(k)
-    candidates (k = nodes per 9-cell block) regardless of n.
-
-    Per snapshot the backend stores each node's packed cell key (O(n)).
     The CSR adjacency (``indptr`` / ``indices``) is built once per
     snapshot by the first read that needs it -- ``neighbors``,
     ``degrees``, BFS or ``csr`` -- for all up nodes at once
-    (:meth:`_build_csr`); ``neighbors(i)`` is then row ``i``.  ``link``
-    needs no CSR: it tests the pair's distance on per-snapshot float
-    lists.  Administratively-down nodes are excluded from the grid
-    entirely: they neither appear as neighbors nor relay.
+    (:meth:`_build_csr`) by filtering the candidate pairs
+    (:meth:`_pairs`); ``neighbors(i)`` is then row ``i``.  A sweep
+    (:meth:`_sweep`) partitions the area into square cells of side
+    ``r + s``, so finding a node's candidates touches O(k) nodes (k =
+    nodes per 9-cell block) regardless of n; it runs on the first CSR
+    build, after :meth:`invalidate`, and when the candidates may miss a
+    pair.  ``link`` needs no CSR: it tests the pair's distance on
+    per-snapshot float lists.  Administratively-down nodes are excluded
+    from the grid entirely: they neither appear as neighbors nor relay.
 
     A stale refresh whose positions and down mask both equal the
     snapshot's keeps the snapshot, and with it the CSR, the ``link``
     lists and the memoized per-source BFS states, complete or expanded
     part way (an LRU-bounded cache of ``dist_cache_size``); any other refresh
-    rebuilds all of it from scratch (:meth:`_update`).
+    rebuilds all of it (:meth:`_update`).
 
     Parameters
     ----------
@@ -111,8 +125,15 @@ class TopologyBackend:
         self._pos: np.ndarray = np.empty((n, 2))
         #: down mask of the current snapshot
         self._down = np.zeros(n, dtype=bool)
-        #: packed grid-cell key of every node
-        self._key: np.ndarray = np.zeros(n, dtype=np.int64)
+        #: the last sweep's candidate pairs (:meth:`_sweep`) as ascending
+        #: ``(src, dst)`` int32 columns, or None when the next CSR build
+        #: must sweep
+        self._cand: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: the positions the candidates were swept at, the down mask's
+        #: bytes then and its complement
+        self._anchor: np.ndarray = self._pos
+        self._anchor_down = b""
+        self._anchor_up: np.ndarray = ~self._down
         #: CSR adjacency (indptr, indices) of the snapshot, built by the
         #: first read that needs it, or None
         self._csr: Tuple[np.ndarray, np.ndarray] | None = None
@@ -123,6 +144,11 @@ class TopologyBackend:
         self._xy: Optional[Tuple[list, list]] = None
         r = world.radio_range
         self._r2 = r * r
+        skin = _SKIN * r
+        #: a sweep's reach ``r + s``, also its grid's cell side
+        self._reach = r + skin
+        #: squared displacement from the anchor that calls for a sweep
+        self._hold2 = (0.5 * skin * (1.0 - _MARGIN)) ** 2
         registry = getattr(world, "registry", None)
         self.registry = registry if registry is not None else Registry()
         counter = self.registry.counter
@@ -171,6 +197,7 @@ class TopologyBackend:
         """
         self._snap_time = -1.0
         self._dist.clear()
+        self._cand = None
 
     def clear_distance_cache(self) -> None:
         """Forget memoized per-source BFS states (benchmarks)."""
@@ -185,48 +212,59 @@ class TopologyBackend:
         return True
 
     def _rebuild(self, pos: np.ndarray, down: np.ndarray) -> None:
-        """Recompute connectivity from ``pos`` (n,2), excluding ``down``."""
-        r = self.world.radio_range
+        """Make ``pos`` (n,2) and ``down`` the snapshot; what it derives
+        is built on demand."""
         self._pos = pos.copy()
         self._down = down.copy()
-        self._r2 = r * r
-        cell = np.floor(pos / r).astype(np.int64) + _KOFF
-        if cell.size and (cell.min() < 1 or cell.max() >= _KSTRIDE - 1):
-            raise ValueError(
-                "node positions exceed the grid's coordinate range "
-                f"(±{(_KOFF - 2) * r:.0f} m at radio range {r})"
-            )
-        self._key = cell[:, 0] * _KSTRIDE + cell[:, 1]
         self._csr = None
         self._xy = None
 
-    def _pairs(self) -> np.ndarray:
-        """Every in-range pair ``(src, dst)`` of up nodes, packed as
-        ``src * n + dst`` and ascending (so sorted by ``src`` then
-        ``dst``); vectorized over nodes.
+    def _pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every in-range pair of up nodes as ``(src, dst)`` columns,
+        ascending by ``src`` then ``dst``.
 
-        With the up nodes sorted by cell key, the members of one column
-        of a node's 3x3 block are one run of that order: ``searchsorted``
-        finds the three runs of every node, ``_gather`` expands them into
-        candidate pairs, and the same ``d2 <= r²`` test as :meth:`link`
-        filters those.
+        The last sweep's candidates, filtered by the same ``d2 <= r²``
+        test as :meth:`link` on the snapshot's positions; a boolean
+        filter keeps their order.  The candidates are swept again first
+        when they may miss a pair: none yet (first snapshot, or after
+        :meth:`invalidate`), a down mask other than the sweep's, or an
+        up node ``s/2`` or more from where the sweep saw it.  Otherwise
+        two up nodes in range now were less than ``r + s`` apart at the
+        sweep (triangle inequality), so every pair in range is a
+        candidate.
         """
-        key = self._key
-        up = (~self._down).nonzero()[0]
-        members = up[key[up].argsort()]
-        sorted_keys = key[members]
-        # the members double as the needles: ascending keys search faster
-        column = (_COLUMN_OFFSETS[:, None] + sorted_keys).ravel()
-        lo = sorted_keys.searchsorted(column - 1, "left")
-        counts = sorted_keys.searchsorted(column + 1, "right") - lo
-        src = np.concatenate((members, members, members)).repeat(counts)
-        dst = members[_gather(lo, counts)]
-        x, y = self._pos.T
-        dx, dy = x[src] - x[dst], y[src] - y[dst]
-        keep = (dx * dx + dy * dy <= self._r2) & (src != dst)
-        packed = (src * self.world.n + dst)[keep]
-        packed.sort()
-        return packed
+        if self._cand is None or self._candidates_stale():
+            self._sweep()
+        src, dst = self._cand
+        # dx * dx + dy * dy, in place so that fewer temporaries are live
+        d = self._pos.take(src, axis=0)
+        d -= self._pos.take(dst, axis=0)
+        d *= d
+        keep = d[:, 0] + d[:, 1] <= self._r2
+        return src.compress(keep), dst.compress(keep)
+
+    def _candidates_stale(self) -> bool:
+        """Whether the down mask changed or an up node moved ``s/2``
+        (less the float margin) or more since the last sweep."""
+        if self._down.tobytes() != self._anchor_down:
+            return True
+        step = self._pos - self._anchor
+        step *= step
+        moved = step[:, 0] + step[:, 1] >= self._hold2
+        return bool((moved & self._anchor_up).any())
+
+    def _sweep(self) -> None:
+        """Make every pair of up nodes within ``r + s`` the candidates
+        (:func:`_pairs_within`), anchored at the snapshot's positions and
+        down mask."""
+        n = self.world.n
+        packed = _pairs_within(self._pos, self._down, self._reach)
+        src = (packed // n).astype(np.int32)
+        np.remainder(packed, n, out=packed)
+        self._cand = (src, packed.astype(np.int32))
+        self._anchor = self._pos
+        self._anchor_down = self._down.tobytes()
+        self._anchor_up = ~self._down
 
     # ------------------------------------------------------------------
     # queries
@@ -298,10 +336,10 @@ class TopologyBackend:
     def _build_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every up node's row at once, from :meth:`_pairs`."""
         n = self.world.n
-        packed = self._pairs()
-        # row i holds the keys in [i * n, (i + 1) * n)
-        indptr = packed.searchsorted(np.arange(0, n * n + 1, n))
-        indices = packed % n
+        src, dst = self._pairs()
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        indices = dst.astype(np.int64)
         indptr.flags.writeable = False
         indices.flags.writeable = False
         return indptr, indices
@@ -380,6 +418,61 @@ class TopologyBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} n={self.world.n} t={self._snap_time:.3f}>"
+
+
+def _pairs_within(pos: np.ndarray, down: np.ndarray, reach: float) -> np.ndarray:
+    """Every ordered pair ``(src, dst)`` of up nodes with ``d2 <= reach²``,
+    packed as ``src * n + dst`` and ascending.
+
+    A uniform grid of cell side ``reach``: a pair within reach lies in
+    one 3x3 block of cells.  With the up
+    nodes sorted by cell key, each node is paired with a half shell only,
+    two runs of that order: the rest of its own cell plus the cell above,
+    and the three cells of the next column (``searchsorted`` finds the
+    runs, ``_gather`` expands them).  A pair kept stands for both of its
+    directions.  Nodes are paired :data:`_SWEEP_BLOCK` at a time, which
+    bounds the temporaries.
+    """
+    n = len(pos)
+    reach2 = reach * reach
+    cell = pos / reach
+    np.floor(cell, out=cell)
+    cell = cell.astype(np.int64)
+    cell += _KOFF
+    if cell.size and (cell.min() < 1 or cell.max() >= _KSTRIDE - 1):
+        raise ValueError(
+            "node positions exceed the grid's coordinate range "
+            f"(±{(_KOFF - 2) * reach:.0f} m at cell side {reach})"
+        )
+    key = cell[:, 0] * _KSTRIDE + cell[:, 1]
+    up = (~down).nonzero()[0]
+    members = up[key[up].argsort()]
+    sorted_keys = key[members]
+    x, y = pos[members].T
+    kept = []
+    for start in range(0, len(members), _SWEEP_BLOCK):
+        rank = np.arange(start, min(start + _SWEEP_BLOCK, len(members)))
+        needles = sorted_keys[rank]
+        # ascending needles search faster
+        lo = np.concatenate(
+            (rank + 1, sorted_keys.searchsorted(needles + (_KSTRIDE - 1), "left"))
+        )
+        counts = np.concatenate(
+            (
+                sorted_keys.searchsorted(needles + 1, "right"),
+                sorted_keys.searchsorted(needles + (_KSTRIDE + 1), "right"),
+            )
+        )
+        counts -= lo
+        a = np.concatenate((rank, rank)).repeat(counts)
+        b = _gather(lo, counts)
+        dx, dy = x[a] - x[b], y[a] - y[b]
+        keep = dx * dx + dy * dy <= reach2
+        a, b = members[a[keep]], members[b[keep]]
+        kept += (a * n + b, b * n + a)
+    packed = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    packed.sort()
+    return packed
 
 
 def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

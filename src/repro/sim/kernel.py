@@ -10,9 +10,12 @@ Design notes
 * Pending events live in two structures that read as one queue:
 
   - the *heap*, one ``heapq`` list of ``(time, priority, seq, event)``
-    tuples, holds everything scheduled through :meth:`schedule_at`
-    (timers, process wake-ups, samplers): any time, any priority, and an
-    :class:`~repro.sim.events.Event` handle that can be cancelled;
+    tuples, holds everything scheduled through :meth:`schedule` or
+    :meth:`schedule_at` (timers, process wake-ups, samplers): any time,
+    any priority, and an :class:`~repro.sim.events.Event` handle that
+    can be cancelled.  Both, and :meth:`post_at`'s out-of-order posts,
+    push through one private body that takes positional arguments only
+    (``_push``);
   - the *FIFO*, a ``deque`` of plain ``(time, NORMAL, seq, fn, args,
     weight)`` tuples, holds what :meth:`post_at` queues: the radio's
     frame copies, which nobody cancels and which arrive at ``now +
@@ -173,9 +176,7 @@ class Simulator:
         # ``not >=`` instead of ``<`` so that NaN is rejected too.
         if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay!r}")
-        return self.schedule_at(
-            self._now + delay, fn, *args, priority=priority, daemon=daemon, weight=weight
-        )
+        return self._push(self._now + delay, priority, fn, args, daemon, weight)
 
     def schedule_at(
         self,
@@ -188,11 +189,26 @@ class Simulator:
     ) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation ``time``.
 
-        Every push that returns a handle goes through this method (the
-        handle-free ones go through :meth:`post_at`).  ``time`` must be a
-        number at or after ``now`` (NaN is rejected: it would break the
-        heap invariant silently); ``+inf`` is legal and never fires under
-        ``run(until=...)``.
+        ``time`` must be a number at or after ``now`` (NaN is rejected:
+        it would break the heap invariant silently); ``+inf`` is legal
+        and never fires under ``run(until=...)``.
+        """
+        return self._push(time, priority, fn, args, daemon, weight)
+
+    def _push(
+        self,
+        time: float,
+        priority: int,
+        fn: Callable[..., Any],
+        args: tuple,
+        daemon: bool,
+        weight: int,
+    ) -> Event:
+        """The one heap push: validate, build the :class:`Event`, count it.
+
+        :meth:`schedule`, :meth:`schedule_at` and :meth:`post_at`'s
+        out-of-order branch all land here with positional arguments, so
+        a timer costs one Python call below its public entry point.
         """
         if not time >= self._now:
             raise SimulationError(
@@ -229,15 +245,14 @@ class Simulator:
             )
         if weight < 1:
             raise SimulationError(f"weight must be >= 1, got {weight!r}")
+        fifo = self._fifo
+        if fifo and time < fifo[-1][0]:
+            self._push(time, _NORMAL, fn, args, False, weight)
+            return
         seq = self._seq
         self._seq = seq + 1
         self._c_pushes.value += 1
-        fifo = self._fifo
-        if not fifo or time >= fifo[-1][0]:
-            fifo.append((time, _NORMAL, seq, fn, args, weight))
-        else:
-            ev = Event(time, _NORMAL, seq, fn, args, False, False, weight, False, self)
-            heappush(self._heap, (time, _NORMAL, seq, ev))
+        fifo.append((time, _NORMAL, seq, fn, args, weight))
 
     # ------------------------------------------------------------------
     # lazy-cancellation bookkeeping

@@ -35,7 +35,9 @@ def line_positions(n, spacing=8.0):
 
 def _full_rebuild(topology, pos, down):
     """A refresh that recomputes connectivity from scratch and reports
-    that it rebuilt."""
+    that it rebuilt: the grid's candidate pairs are dropped too, so its
+    next CSR build sweeps."""
+    topology._cand = None
     topology._rebuild(pos, down)
     return True
 
@@ -45,8 +47,9 @@ def pin_full_rebuild(world):
 
     Binds :func:`_full_rebuild` over the backend's keep-or-rebuild
     ``_update``, so each refresh recomputes connectivity and flushes
-    every memo, even when nothing changed -- the reference the refresh
-    rule must match bit for bit.  Returns ``world``.
+    every memo and the candidate pairs, even when nothing changed --
+    the reference the refresh rule and the candidate reuse must match
+    bit for bit.  Returns ``world``.
     """
     world.topology._update = types.MethodType(_full_rebuild, world.topology)
     return world
@@ -146,14 +149,17 @@ def reference_sparse_csr(topo):
     """CSR of the grid's current snapshot, one occupied cell at a time.
 
     The per-cell build the vectorized ``TopologyBackend._build_csr``
-    replaced: a cell -> members dict of the up nodes, each cell's
-    members against the members of its 3x3 block, the same
+    replaced, from the snapshot's positions alone (no candidate pairs):
+    a cell -> members dict of the up nodes on a grid of cell side ``r``,
+    each cell's members against the members of its 3x3 block, the same
     ``d2 <= r²`` test, each row sorted.
     """
     n = topo.world.n
+    cell = np.floor(topo._pos / topo.world.radio_range).astype(np.int64)
+    keys = cell[:, 0] * _KSTRIDE + cell[:, 1]
     grid = {}
     for i in np.flatnonzero(~topo._down).tolist():
-        grid.setdefault(int(topo._key[i]), []).append(i)
+        grid.setdefault(int(keys[i]), []).append(i)
     rows = [np.empty(0, dtype=np.int64)] * n
     for key, members in grid.items():
         block = [key + dx * _KSTRIDE + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]

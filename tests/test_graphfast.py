@@ -306,6 +306,38 @@ def test_metro_overlay_matches_networkx():
     assert path_length_sums(indptr, indices) == nx_path_totals(g)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_chunk_sweeps_the_csr_as_it_stands(seed, monkeypatch):
+    # At most DEFAULT_CHUNK members make one chunk that spans every row
+    # whatever the numbering: no renumbering, with empty rows first,
+    # among the members and last.
+    import repro.metrics.graphfast as gf
+
+    calls = []
+    renumbered = gf._renumbered
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        return renumbered(*args)
+
+    monkeypatch.setattr(gf, "_renumbered", spy)
+    head = nx.path_graph(6)
+    head.remove_edges_from(list(head.edges(0)) + list(head.edges(5)))
+    graphs = [
+        head,  # rows 0 and 5 empty
+        isolated_tail_graph(seed),
+        component_graph([5, 3, 9], isolated=33, seed=seed),  # 50 nodes
+        component_graph([64] * 4, seed=seed),  # 256 members
+    ]
+    for g in graphs:
+        assert g.number_of_nodes() <= DEFAULT_CHUNK
+        assert_path_totals_match(g)
+    assert calls == []
+    # one member more than a chunk holds: renumbered, once
+    assert_path_totals_match(component_graph([DEFAULT_CHUNK + 1], seed=seed))
+    assert calls == [DEFAULT_CHUNK + 1]
+
+
 def test_path_length_sums_charges_no_component_run():
     from repro.obs.registry import Registry
 

@@ -17,12 +17,12 @@ from repro.core.query import QueryConfig
 from repro.experiments import run_key
 from repro.mobility import Area, RandomWaypoint, Static
 from repro.net import EnergyModel, TopologyBackend, World
-from repro.net.topology import UNREACHABLE
+from repro.net.topology import _SKIN, UNREACHABLE
 from repro.scenarios import ScenarioConfig, build_scenario
 from repro.scenarios.runner import harvest
 from repro.sim import Simulator
 
-from .helpers import DenseOracle, reference_bfs, reference_sparse_csr
+from .helpers import DenseOracle, pin_full_rebuild, reference_bfs, reference_sparse_csr
 
 
 def make_pair(n, seed, *, radio_range=10.0, area=(100.0, 100.0), snapshot_interval=0.0):
@@ -119,6 +119,139 @@ class TestEquivalence:
         for topology in (world.topology, oracle):
             assert topology.link(0, 1), topology
             assert list(topology.neighbors(0)) == [1], topology
+
+
+QUANTUM = 0.25  # the scenarios' snapshot interval
+
+
+class Walk:
+    """Scripted positions: ``frames[k]`` holds from ``k * QUANTUM`` on."""
+
+    def __init__(self, frames):
+        self.frames = np.asarray(frames, dtype=float)
+        self.n = self.frames.shape[1]
+
+    def positions(self, t):
+        return self.frames[int(t / QUANTUM)].copy()
+
+
+def count_sweeps(topology):
+    """Wrap ``topology._sweep`` in a counter; returns the one-item list."""
+    sweeps = [0]
+    sweep = topology._sweep
+
+    def counted():
+        sweeps[0] += 1
+        sweep()
+
+    topology._sweep = counted
+    return sweeps
+
+
+def walk_frames(n, steps, seed, *, side=60.0, radio_range=10.0):
+    """A seeded walk: each step moves every node ``s/2 * (1 ± 1 %)`` in a
+    random direction, under the bound on some nodes and over it on
+    others."""
+    rng = np.random.default_rng(seed)
+    half_skin = 0.5 * _SKIN * radio_range
+    frames = [rng.random((n, 2)) * side]
+    for _ in range(steps):
+        length = half_skin * rng.choice([0.99, 1.01], size=n)
+        angle = rng.random(n) * 2.0 * np.pi
+        step = np.column_stack((np.cos(angle), np.sin(angle))) * length[:, None]
+        frames.append(np.clip(frames[-1] + step, 0.0, side))
+    return np.array(frames)
+
+
+class TestCandidateReuse:
+    """A CSR built from a sweep's candidates inside the skin equals one
+    built from scratch: same arrays, same hop distances, every snapshot."""
+
+    @staticmethod
+    def _worlds(frames):
+        worlds = {}
+        for name in ("grid", "dense", "full"):
+            worlds[name] = World(Simulator(), Walk(frames), radio_range=10.0)
+        worlds["dense"].topology = DenseOracle(worlds["dense"])
+        pin_full_rebuild(worlds["full"])
+        return worlds
+
+    @staticmethod
+    def _assert_same(worlds, where):
+        grid = worlds["grid"].topology
+        indptr, indices = grid.csr()
+        n = worlds["grid"].n
+        for name in ("dense", "full"):
+            other = worlds[name].topology
+            ref_indptr, ref_indices = other.csr()
+            np.testing.assert_array_equal(indptr, ref_indptr, err_msg=f"{name} {where}")
+            np.testing.assert_array_equal(indices, ref_indices, err_msg=f"{name} {where}")
+            for a in range(0, n, 7):
+                got = [grid.hop_distance(a, b) for b in range(n)]
+                want = [other.hop_distance(a, b) for b in range(n)]
+                assert got == want, f"hop_distance({a}, .) vs {name} {where}"
+
+    def _replay(self, frames, flips=None):
+        """Step every world through ``frames``; ``flips`` maps a step to
+        the nodes whose down state it toggles."""
+        worlds = self._worlds(frames)
+        sweeps = count_sweeps(worlds["grid"].topology)
+        down = set()
+        for k in range(len(frames)):
+            for w in worlds.values():
+                advance(w, k * QUANTUM)
+            for i in (flips or {}).get(k, ()):
+                for w in worlds.values():
+                    w.set_down(i, down=i not in down)
+                down ^= {i}
+            self._assert_same(worlds, f"at step {k}, down {sorted(down)}")
+        return sweeps[0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_walk_just_under_and_over_half_the_skin(self, seed):
+        frames = walk_frames(80, 30, seed)
+        sweeps = self._replay(frames)
+        assert 1 < sweeps <= len(frames)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_walk_with_down_and_revive_flips(self, seed):
+        rng = np.random.default_rng(seed + 10)
+        frames = walk_frames(60, 24, seed + 20)
+        flips = {k: rng.choice(60, size=3, replace=False).tolist() for k in (2, 5, 6, 11, 17)}
+        self._replay(frames, flips)
+
+    @pytest.mark.parametrize(
+        "factor, sweeps",
+        # just under s/2 each: no sweep after the first, the pair comes
+        # into range through the candidates; just over: a sweep finds it
+        [(0.99, 1), (1.01, 2)],
+    )
+    def test_two_nodes_closing_in(self, factor, sweeps):
+        r, s = 10.0, _SKIN * 10.0
+        # 0 and 1 start just out of range in the first case and just out
+        # of the candidates' reach in the second; each moves s/2 * factor
+        gap = r + s * (0.985 if factor < 1 else 1.005)
+        move = 0.5 * s * factor
+        start = [[100.0, 100.0], [100.0 + gap, 100.0], [300.0, 300.0]]
+        end = [[100.0 + move, 100.0], [100.0 + gap - move, 100.0], [300.0, 300.0]]
+        assert gap > r and gap - 2 * move <= r
+        assert self._replay(np.array([start, end])) == sweeps
+        worlds = self._worlds(np.array([start, end]))
+        advance(worlds["grid"], QUANTUM)
+        assert worlds["grid"].topology.neighbors(0).tolist() == [1]
+
+    def test_waypoint_run_sweeps_on_fewer_snapshots_than_it_builds(self):
+        # the paper's speed (<= 1 m/s), one snapshot per quantum
+        sim = Simulator()
+        mobility = RandomWaypoint(50, Area(100, 100), np.random.default_rng(1), max_pause=1.0)
+        world = World(sim, mobility, radio_range=10.0)
+        sweeps = count_sweeps(world.topology)
+        for k in range(1, 201):
+            advance(world, k * QUANTUM)
+            world.topology.csr()
+        builds = world.registry.value("topology.csr_builds", layer="topology")
+        assert builds == 200
+        assert 0 < sweeps[0] < builds // 2
 
 
 class TestSparseInternals:

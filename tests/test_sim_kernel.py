@@ -340,6 +340,82 @@ class TestEventWeight:
             sim.schedule_at(1.0, lambda: None, weight=-2)
 
 
+class TestOnePushBody:
+    """``schedule``, ``schedule_at`` and ``post_at``'s out-of-order branch
+    push through one positional body: the same entries, counters and
+    dispatch order whichever public call made them."""
+
+    PLAN = [
+        (0.5, ("a",), {}),
+        (0.0, ("b",), {"priority": Priority.HIGH}),
+        (1.25, ("c", 1), {"weight": 3}),
+        (0.5, ("d",), {"daemon": True}),
+        (0.5, (), {"priority": 7}),
+        (2, ("f",), {"priority": Priority.LOW, "weight": 2, "daemon": True}),
+    ]
+
+    @staticmethod
+    def _entry(item):
+        time, priority, seq, ev = item
+        # ``fn`` is each simulator's own log; the rest must be equal
+        fields = (ev.time, ev.priority, ev.seq, ev.args, ev.cancelled, ev.daemon)
+        return time, priority, seq, fields + (ev.weight, ev.done, type(time))
+
+    def _run(self, how):
+        sim = Simulator(start_time=2.5)
+        log = []
+
+        def record(*args):
+            log.append(args)
+
+        for delay, args, kw in self.PLAN:
+            if how == "schedule":
+                sim.schedule(delay, record, *args, **kw)
+            else:
+                sim.schedule_at(sim.now + delay, record, *args, **kw)
+        entries = sorted(self._entry(item) for item in sim._heap)
+        pushes = kernel_count(sim, "heap_pushes")
+        sim.run()
+        counters = {
+            name: kernel_count(sim, name)
+            for name in ("heap_pushes", "events_dispatched", "events_daemon", "heap")
+        }
+        return entries, pushes, counters, log
+
+    def test_schedule_equals_schedule_at_now_plus_delay(self):
+        by_schedule = self._run("schedule")
+        assert by_schedule == self._run("schedule_at")
+        entries, pushes, counters, log = by_schedule
+        assert pushes == len(self.PLAN) and counters["events_dispatched"] == 6
+        assert log == [("b",), ("a",), ("d",), (), ("c", 1), ("f",)]
+
+    @pytest.mark.parametrize(
+        "delay, kw", [(float("nan"), {}), (-1e-9, {}), (-1.0, {}), (1.0, {"weight": 0})]
+    )
+    def test_schedule_still_rejects(self, delay, kw):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None, **kw)
+        assert sim.pending() == 0 and kernel_count(sim, "heap_pushes") == 0
+        assert sim.schedule(0.0, lambda: None).seq == 0  # no seq was spent
+
+    def test_post_behind_the_tail_lands_on_the_heap_as_an_event(self):
+        sim = Simulator()
+        fired = []
+        sim.post_at(3.0, fired.append, ("tail",))
+        sim.post_at(1.5, fired.append, ("early",), 2)
+        assert (len(sim._fifo), len(sim._heap)) == (1, 1)
+        time, priority, seq, ev = sim._heap[0]
+        assert isinstance(ev, Event)
+        assert (time, priority, seq) == (1.5, Priority.NORMAL, 1)
+        assert (ev.time, ev.priority, ev.seq, ev.args, ev.weight) == (1.5, Priority.NORMAL, 1, ("early",), 2)
+        assert not ev.daemon and not ev.cancelled and not ev.done
+        assert kernel_count(sim, "heap_pushes") == 2
+        sim.run()
+        assert fired == ["early", "tail"] and ev.done
+        assert kernel_count(sim, "events_dispatched") == 3
+
+
 class TestPost:
     """``post_at``: a NORMAL event with no handle, kept off the heap
     while posts come in time order."""
