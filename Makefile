@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench bench-full repo-bench repo-bench-compare ab-digest reproduce examples loc clean
+.PHONY: install test bench bench-full repo-bench repo-bench-compare ab-digest reach reproduce examples loc clean
 
 install:
 	$(PY) setup.py develop
@@ -30,6 +30,10 @@ repo-bench-compare:
 # one sha256 per 300 s seed-1 run: equal output at two commits = bit-identical runs
 ab-digest:
 	@$(PY) scripts/ab_digest.py
+
+# every src/repro function a run path calls, or pinned with a reason
+reach:
+	@$(PY) scripts/reach.py
 
 reproduce:
 	$(PY) scripts/generate_experiments_md.py

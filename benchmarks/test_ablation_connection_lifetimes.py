@@ -8,8 +8,7 @@ Random algorithm with paper-default mobility, long-range random links
 must die younger than regular links.
 """
 
-from repro.experiments import ExperimentExecutor
-from repro.scenarios import ScenarioConfig
+from repro.scenarios import ScenarioConfig, run_scenario
 
 from .conftest import env_duration
 
@@ -18,7 +17,7 @@ def test_random_links_die_younger(benchmark):
     duration = env_duration(900.0)
 
     def run():
-        res = ExperimentExecutor().run_config(
+        res = run_scenario(
             ScenarioConfig(
                 num_nodes=50,
                 duration=duration,

@@ -59,7 +59,6 @@ class ReconfigAlgorithm(abc.ABC):
         self.servent = servent
         self.cfg = config
         self.rng = rng
-        self._procs: list[Process] = []
         # initiator-side: peers whose ping is awaiting a pong, with the
         # time the ping went out
         self._await_pong: dict[int, float] = {}
@@ -76,15 +75,8 @@ class ReconfigAlgorithm(abc.ABC):
         self._spawn(self._establish_loop(), "establish")
         self._spawn(self._maintenance_loop(), "maintain")
 
-    def stop(self) -> None:
-        for p in self._procs:
-            p.kill()
-        self._procs.clear()
-
-    def _spawn(self, gen, tag: str) -> Process:
-        p = Process(self.servent.sim, gen, name=f"{self.name}.{tag}[{self.servent.nid}]")
-        self._procs.append(p)
-        return p
+    def _spawn(self, gen, tag: str) -> None:
+        Process(self.servent.sim, gen, name=f"{self.name}.{tag}[{self.servent.nid}]")
 
     # ------------------------------------------------------------------
     # subclass surface

@@ -86,18 +86,9 @@ class ConnectionTable:
     def is_full(self) -> bool:
         return len(self._conns) >= self.max_connections
 
-    @property
-    def missing(self) -> int:
-        """How many more connections fit under the cap."""
-        return self.max_connections - len(self._conns)
-
     def peers(self) -> List[int]:
         """Connected peer ids (stable insertion order)."""
         return list(self._conns)
-
-    def random_connections(self) -> List[Connection]:
-        """The Random algorithm's long-range connections."""
-        return [c for c in self._conns.values() if c.random]
 
     def has_random(self) -> bool:
         return any(c.random for c in self._conns.values())

@@ -11,7 +11,7 @@ of the paper's Figures 5 and 6.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
 import numpy as np
 
@@ -74,11 +74,8 @@ class FileStore:
     def add(self, file_id: int) -> None:
         self._files.add(file_id)
 
-    def files(self) -> List[int]:
-        return sorted(self._files)
-
     def __len__(self) -> int:
         return len(self._files)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<FileStore node={self.owner} files={self.files()}>"
+        return f"<FileStore node={self.owner} files={sorted(self._files)}>"

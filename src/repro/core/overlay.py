@@ -176,10 +176,6 @@ class OverlayNetwork:
         for servent in self.servents.values():
             servent.start(queries=queries)
 
-    def stop(self) -> None:
-        for servent in self.servents.values():
-            servent.stop()
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

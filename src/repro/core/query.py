@@ -129,11 +129,6 @@ class QueryEngine:
                 self.servent.sim, self._loop(), name=f"query[{self.servent.nid}]"
             )
 
-    def stop(self) -> None:
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
-
     def _loop(self):
         # Spread first queries out so requirers don't synchronize.
         yield float(self.rng.uniform(0.5, 1.0)) * self.cfg.warmup

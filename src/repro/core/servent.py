@@ -119,11 +119,6 @@ class Servent:
         if queries:
             self.query_engine.start()
 
-    def stop(self) -> None:
-        if self.algorithm is not None:
-            self.algorithm.stop()
-        self.query_engine.stop()
-
     # ------------------------------------------------------------------
     # outbound
     # ------------------------------------------------------------------

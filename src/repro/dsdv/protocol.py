@@ -104,7 +104,7 @@ class DsdvAgent(Agent):
         self._trigger_pending = False
         node.register(KIND_UPDATE, self._on_update)
         node.register(KIND_DATA, self._on_data)
-        self._proc = Process(self.sim, self._update_loop(jitter), name=f"dsdv[{self.nid}]")
+        Process(self.sim, self._update_loop(jitter), name=f"dsdv[{self.nid}]")
 
     # ------------------------------------------------------------------
     # control plane
@@ -216,9 +216,6 @@ class DsdvAgent(Agent):
             self.deliver_up(pkt.kind_upper, self.nid, pkt.src, pkt.payload, pkt.hops)
             return
         self._forward(pkt)
-
-    def stop(self) -> None:
-        self._proc.kill()
 
 
 class DsdvRouter(AgentRouter):

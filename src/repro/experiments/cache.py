@@ -107,10 +107,6 @@ class RunCache:
             self._index = index
         return self._index
 
-    def refresh(self) -> None:
-        """Drop the in-memory index (next lookup re-reads the store)."""
-        self._index = None
-
     def __len__(self) -> int:
         return len(self._load_index())
 

@@ -44,9 +44,8 @@ def resolve_processes(processes: Optional[int] = None) -> int:
     """Worker count of a pool: ``processes``, or every core for ``None``.
 
     ``None`` resolves to ``os.cpu_count()`` (floor 1); explicit values
-    must be >= 1.  The executor calls it as ``resolve_processes(None)``
-    for ``--processes 0``; an unset ``--processes`` never gets here,
-    it runs in-process.
+    must be >= 1.  The executor resolves every count here: ``--processes
+    0`` as ``None``, an unset ``--processes`` as 1 (in-process).
     """
     if processes is None:
         return max(1, os.cpu_count() or 1)
@@ -100,9 +99,7 @@ class ExperimentExecutor:
     ) -> None:
         if processes is not None and processes < 0:
             raise ValueError(f"processes must be >= 0, got {processes}")
-        self.processes = (
-            resolve_processes(None) if processes == 0 else (processes or 1)
-        )
+        self.processes = resolve_processes(None if processes == 0 else processes or 1)
         self._registry = registry if registry is not None else Registry()
         if cache is not None and not isinstance(cache, RunCache):
             cache = RunCache(cache, registry=self._registry)
@@ -179,7 +176,3 @@ class ExperimentExecutor:
         for config, result in zip(todo, self._execute(todo)):
             self._memo[run_key(config)] = result
         return [self._memo[key] for key in keys]
-
-    def run_config(self, config: ScenarioConfig) -> RunResult:
-        """Single-config convenience over :meth:`run_configs`."""
-        return self.run_configs([config])[0]

@@ -156,10 +156,3 @@ class ResultStore:
     def __len__(self) -> int:
         return sum(1 for _ in self.records())
 
-    def latest(self, **kwargs) -> Optional[Dict[str, Any]]:
-        """Most recently recorded matching record, or None."""
-        best = None
-        for record in self.records(**kwargs):
-            if best is None or record["recorded_at"] >= best["recorded_at"]:
-                best = record
-        return best

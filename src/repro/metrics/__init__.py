@@ -2,9 +2,8 @@
 
 from .aggregate import FileRankStats, mean_ci, per_file_stats, sorted_curve_mean
 from .analytics import AnalyticsEngine
-from .balance import gini, jain_fairness, load_balance_report, lorenz_curve
+from .balance import gini, jain_fairness, load_balance_report
 from .collector import FAMILIES, MetricsCollector
-from .connectivity import expected_mean_degree
 from .graphfast import (
     average_clustering,
     component_labels,
@@ -17,7 +16,6 @@ from .smallworld import random_graph_pathlength, regular_graph_pathlength
 
 __all__ = [
     "AnalyticsEngine",
-    "expected_mean_degree",
     "average_clustering",
     "component_labels",
     "local_clustering",
@@ -29,7 +27,6 @@ __all__ = [
     "gini",
     "jain_fairness",
     "load_balance_report",
-    "lorenz_curve",
     "FileRankStats",
     "mean_ci",
     "per_file_stats",

@@ -27,10 +27,6 @@ class FileRankStats:
     avg_min_p2p_hops: float
     avg_min_adhoc_hops: float
 
-    @property
-    def answer_rate(self) -> float:
-        return self.answered / self.queries if self.queries else 0.0
-
 
 def per_file_stats(records: Sequence, num_files: int) -> List[FileRankStats]:
     """Aggregate query records into the paper's per-file-rank series.

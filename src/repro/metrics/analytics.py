@@ -15,6 +15,12 @@ never be read twice; an epoch-keyed incremental lane did exactly that
 and never hit.  Maintenance belongs behind a benched consumer that asks
 repeatedly, not here.
 
+Analytics **never** call ``world.topology.hops_from``: that path
+memoizes per-source BFS vectors in the topology's LRU distance cache,
+and an analytics sweep over every start node used to evict the
+protocol-hot entries mid-run.  Metrics observe the run; they do not
+perturb its caches.
+
 The kernels report ``graphfast.*`` counters and wall timers to the
 engine's registry; ``repro.obs.compare`` classifies them as *cost*, so
 analytics never leak into semantic snapshots.

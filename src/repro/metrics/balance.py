@@ -10,18 +10,15 @@ prose into numbers:
 * the **Gini coefficient** (0 = perfectly even, -> 1 = one node does
   everything) quantifies how even Regular/Random's load is and how
   *deliberately uneven* Hybrid's is;
-* the **Lorenz curve** is the cumulative-share view behind Gini;
 * **Jain's fairness index** (1 = even, 1/n = one node does everything)
   is the classic networking alternative.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-__all__ = ["gini", "lorenz_curve", "jain_fairness", "load_balance_report"]
+__all__ = ["gini", "jain_fairness", "load_balance_report"]
 
 
 def gini(values: np.ndarray) -> float:
@@ -42,21 +39,6 @@ def gini(values: np.ndarray) -> float:
     # G = (2 * sum_i i*x_i) / (n * sum x) - (n + 1) / n, with i as 1-based
     idx = np.arange(1, n + 1)
     return float((2.0 * np.sum(idx * v)) / (n * total) - (n + 1.0) / n)
-
-
-def lorenz_curve(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Lorenz curve points ``(population_share, load_share)``.
-
-    Both arrays start at 0 and end at 1; loads are sorted ascending
-    (the standard presentation).
-    """
-    v = np.sort(np.asarray(values, dtype=float).ravel())
-    if v.size == 0 or v.sum() == 0:
-        x = np.linspace(0.0, 1.0, max(v.size, 1) + 1)
-        return x, x.copy()
-    cum = np.concatenate([[0.0], np.cumsum(v)]) / v.sum()
-    x = np.linspace(0.0, 1.0, v.size + 1)
-    return x, cum
 
 
 def jain_fairness(values: np.ndarray) -> float:

@@ -60,17 +60,6 @@ def _registry(registry: Optional[Registry]) -> Registry:
     return registry if registry is not None else Registry()
 
 
-if hasattr(np, "bitwise_count"):
-
-    def _popcount(a: np.ndarray) -> int:
-        return int(np.bitwise_count(a).sum())
-
-else:  # NumPy < 2.0 has no bitwise_count ufunc
-
-    def _popcount(a: np.ndarray) -> int:
-        return int(np.unpackbits(np.ascontiguousarray(a).view(np.uint8)).sum())
-
-
 def component_labels(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -331,7 +320,7 @@ def _chunk_sums(
     while True:
         new = np.bitwise_or.reduceat(frontier[nbrs], seg, axis=0)
         new &= ~visited
-        grew = _popcount(new)
+        grew = int(np.bitwise_count(new).sum())
         if grew == 0:
             break
         visited |= new

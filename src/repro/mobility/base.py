@@ -39,16 +39,6 @@ class Area:
         self.width = float(width)
         self.height = float(height)
 
-    def contains(self, pts: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-        """Boolean mask: which rows of ``pts`` (n,2) lie inside the area."""
-        pts = np.asarray(pts, dtype=float)
-        return (
-            (pts[..., 0] >= -atol)
-            & (pts[..., 0] <= self.width + atol)
-            & (pts[..., 1] >= -atol)
-            & (pts[..., 1] <= self.height + atol)
-        )
-
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Uniformly sample ``n`` points; returns an (n,2) array."""
         pts = rng.random((n, 2))
@@ -165,7 +155,3 @@ class MobilityModel(abc.ABC):
         np.minimum(frac, 1.0, out=frac)
         origin = self._origin
         return origin + frac[:, None] * (self._dest - origin)
-
-    def position(self, i: int, t: float) -> np.ndarray:
-        """Position of node ``i`` at time ``t`` (shape (2,))."""
-        return self.positions(t)[i]

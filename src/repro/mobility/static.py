@@ -35,7 +35,7 @@ class Static(MobilityModel):
             pts = np.asarray(positions, dtype=float)
             if pts.shape != (n, 2):
                 raise ValueError(f"positions must be ({n},2), got {pts.shape}")
-            if not area.contains(pts).all():
+            if ((pts < -1e-9) | (pts > [area.width + 1e-9, area.height + 1e-9])).any():
                 raise ValueError("explicit positions fall outside the area")
             self._origin = pts.copy()
             self._dest = pts.copy()

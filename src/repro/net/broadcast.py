@@ -60,11 +60,6 @@ class SeenTable:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def seen_by(self, key: FloodId) -> Optional[Set[int]]:
-        """The live set of node ids that processed ``key`` (do not
-        mutate), or ``None`` for an unknown key."""
-        return self._nodes.get(key)
-
     def entry(self, key: FloodId) -> Set[int]:
         """The live set of node ids that processed ``key``, created empty
         (evicting expired keys first) if ``key`` is new; adding ``nid``

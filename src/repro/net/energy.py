@@ -26,11 +26,10 @@ set lookup.  Each crossing fires :attr:`EnergyModel.on_depleted` once,
 inside the charge that caused it: the world points that hook at
 ``World.set_down``, so whoever charged, the drained node leaves the
 up-set and the topology at that charge, with no poll to forget.
-The ledger itself is three plain-Python lists: a charge is one float
-addition and one int increment on list items, with no numpy scalar
-boxing.  ``consumed``, ``tx_count`` and ``rx_count`` read them out as
-fresh read-only numpy arrays, so a stray write raises instead of
-silently editing a copy; the ledger changes only through
+The ledger itself is a plain-Python list: a charge is one float
+addition on a list item, with no numpy scalar boxing.  ``consumed``
+reads it out as a fresh read-only numpy array, so a stray write raises
+instead of silently editing a copy; the ledger changes only through
 ``charge_tx`` / ``charge_rx`` / ``charge_rx_many``.
 """
 
@@ -86,8 +85,6 @@ class EnergyModel:
         self.rx_fixed = rx_fixed
         self.rx_per_byte = rx_per_byte
         self._consumed: List[float] = [0.0] * self.n
-        self._tx_count: List[int] = [0] * self.n
-        self._rx_count: List[int] = [0] * self.n
         #: whether depletion can happen at all (skips every threshold check)
         self.finite = math.isfinite(self.capacity)
         #: ids that crossed the capacity threshold
@@ -102,22 +99,11 @@ class EnergyModel:
         """Joules consumed per node (a fresh read-only float64 array)."""
         return _frozen(self._consumed, np.float64)
 
-    @property
-    def tx_count(self) -> np.ndarray:
-        """Transmissions charged per node (a fresh read-only int64 array)."""
-        return _frozen(self._tx_count, np.int64)
-
-    @property
-    def rx_count(self) -> np.ndarray:
-        """Receptions charged per node (a fresh read-only int64 array)."""
-        return _frozen(self._rx_count, np.int64)
-
     # ------------------------------------------------------------------
     def charge_tx(self, node: int, size: int) -> None:
         """Charge ``node`` for transmitting ``size`` bytes."""
         consumed = self._consumed
         consumed[node] += self.tx_fixed + self.tx_per_byte * size
-        self._tx_count[node] += 1
         if self.finite and consumed[node] >= self.capacity:
             self._mark_depleted(node)
 
@@ -125,7 +111,6 @@ class EnergyModel:
         """Charge ``node`` for receiving ``size`` bytes."""
         consumed = self._consumed
         consumed[node] += self.rx_fixed + self.rx_per_byte * size
-        self._rx_count[node] += 1
         if self.finite and consumed[node] >= self.capacity:
             self._mark_depleted(node)
 
@@ -140,10 +125,8 @@ class EnergyModel:
         """
         cost = self.rx_fixed + self.rx_per_byte * size
         consumed = self._consumed
-        rx_count = self._rx_count
         for node in nodes:
             consumed[node] += cost
-            rx_count[node] += 1
         if self.finite:
             capacity = self.capacity
             for node in nodes:
@@ -158,10 +141,6 @@ class EnergyModel:
                 self.on_depleted(node)
 
     # ------------------------------------------------------------------
-    def remaining(self, node: int) -> float:
-        """Energy left for ``node`` (may be ``inf``)."""
-        return self.capacity - self._consumed[node]
-
     def depleted(self) -> np.ndarray:
         """Boolean mask of nodes that have run out of energy."""
         return self.consumed >= self.capacity

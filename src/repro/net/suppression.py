@@ -36,6 +36,7 @@ deciding node's id.  Each node draws from its own lazily created stream
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Optional, Tuple
 
@@ -106,9 +107,9 @@ class RebroadcastPolicy:
         return self._rng.stream(f"suppression.{self.plane}.{nid}")
 
     def forward(self, nid: int, key: Hashable, send: Callable[[], None]) -> None:
-        """Decide node ``nid``'s rebroadcast of flood id ``key``;
-        default: send now."""
-        send()
+        """Decide node ``nid``'s rebroadcast of flood id ``key``: call
+        ``send`` now, later, or never."""
+        raise NotImplementedError
 
     def duplicate(self, nid: int, key: Hashable) -> None:
         """Node ``nid`` heard a duplicate copy of ``key``."""
@@ -222,11 +223,6 @@ class CounterPolicy(RebroadcastPolicy):
             self._c_cancels.inc()
             self._c_suppressed.inc()
 
-    @property
-    def pending(self) -> int:
-        """Assessments currently armed, over all nodes (observability)."""
-        return len(self._pending)
-
 
 # ----------------------------------------------------------------------
 # spec parsing and construction
@@ -267,6 +263,8 @@ def parse_policy_spec(spec: str) -> PolicySpec:
         param = float(raw)
     except ValueError:
         raise ValueError(f"bad parameter in rebroadcast spec {spec!r}") from None
+    if not math.isfinite(param):
+        raise ValueError(f"non-finite parameter in rebroadcast spec {spec!r}")
     if kind == "probabilistic" and param <= 0:
         raise ValueError(f"gossip p must be > 0, got {param}")
     if kind == "counter" and (param < 1 or param != int(param)):

@@ -160,11 +160,6 @@ class TopologyBackend:
     # ------------------------------------------------------------------
     # snapshot lifecycle
     # ------------------------------------------------------------------
-    @property
-    def snapshot_time(self) -> float:
-        """Time of the current snapshot (-1 when none is valid)."""
-        return self._snap_time
-
     def refresh(self) -> None:
         """Keep or rebuild the snapshot once it no longer covers ``sim.now``."""
         t = self.world.sim.now
@@ -298,20 +293,6 @@ class TopologyBackend:
         """(n,) int array of radio degrees right now."""
         indptr, _ = self._require_csr()
         return np.diff(indptr)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Boolean (n, n) in-range matrix, materialized on demand.
-
-        Kept for analytics and debugging; hot paths must use
-        :meth:`link` / :meth:`neighbors` instead.
-        """
-        indptr, indices = self._require_csr()
-        n = self.world.n
-        adj = np.zeros((n, n), dtype=bool)
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        adj[rows, indices] = True
-        adj.flags.writeable = False
-        return adj
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR adjacency ``(indptr, indices)`` of the current snapshot.

@@ -16,8 +16,7 @@ neither the positions nor the down mask changed and rebuilt otherwise;
 
 Consumers query the backend itself, ``world.topology`` (``link``,
 ``neighbors``, ``hops_from``, ...), read at call time: tests swap it
-on built simulations.  Only ``adjacency_matrix``, kept for analytics and
-tests, materializes an O(n²) structure.
+on built simulations.  No query materializes an O(n²) structure.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ from .registry import (
     Gauge,
     Histogram,
     Registry,
-    Sample,
     Timer,
 )
 from .sampler import Sampler
@@ -50,7 +49,6 @@ __all__ = [
     "Histogram",
     "Timer",
     "Registry",
-    "Sample",
     "Sampler",
     "RunManifest",
     "config_hash",

@@ -1,25 +1,25 @@
-"""Semantic registry comparison for A/B equivalence proofs.
+"""The split of a run's counters into cost keys and semantic keys.
 
-Batched delivery (a broadcast's copies ride one kernel event) must be
-*semantically* bit-identical to the per-copy reference schedule that
-the tests pin with ``tests/helpers.py::pin_per_copy_delivery``: every
-frame copy, energy charge, RNG draw, protocol counter and sampled
-time-series row agrees exactly.  What legitimately differs is the
-*scheduler cost* of producing that behaviour -- how many entries went
-through the kernel heap, how long the heap was at a sample instant, how
-often it compacted.  Those metrics are the optimization target, not the
-simulation.
+A registry reading is either *semantic* -- what the simulated network
+did: frame copies, energy charges, protocol counters, sampled rows --
+or *cost* -- how much work the simulator spent to produce it: kernel
+queue traffic, topology cache effort, suppression and dedup
+bookkeeping, analytics-kernel invocations.  Two runs that differ in
+cost keys only did the same thing with a different amount of work.
 
-This module draws that line in one place: :data:`SCHEDULER_COST_METRICS`
-names the kernel-cost metric families, :func:`semantic_snapshot` returns
-a registry snapshot with them removed, and :func:`semantic_timeseries`
-does the same for sampler rows.  The equivalence tests
-(``tests/test_batched_equivalence.py``), the bench harness and DESIGN.md
-§5 all reference this definition.
+This module draws that line in one place: the ``*_COST_METRICS``
+tuples and two name prefixes list the cost families, :func:`is_cost_key`
+classifies one flattened key, :func:`semantic_snapshot` and
+:func:`semantic_timeseries` drop the cost keys from a registry snapshot
+or from sampler rows, and :func:`snapshot_diff` lists the keys where two
+snapshots differ.  ``bench/check.py`` filters each workload's counters
+with :func:`is_cost_key` before it digests them; the equivalence tests,
+which hold the one run path against its test-side oracles
+(``tests/helpers.py``), compare semantic snapshots.
 
-Note that ``kernel.events_dispatched`` is deliberately *semantic*: a
-batch event carries ``weight=k``, so logical event counts match the
-reference schedule exactly and stay comparable across archived runs.
+``kernel.events_dispatched`` is deliberately *semantic*: it counts
+logical events (each entry's ``weight``), which an oracle must match
+exactly, and it stays comparable across archived runs.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ __all__ = [
     "snapshot_diff",
 ]
 
-#: Metric names that measure how hard the scheduler worked rather than
-#: what the simulation did.  Everything else in the registry must be
-#: bit-identical between the batched and reference delivery lanes.
+#: Metric names that measure how hard the kernel's queue worked --
+#: entries queued and pushed, cancelled entries skipped, compactions --
+#: rather than what the simulation did.  A change that dispatches the
+#: same events through less queue traffic moves only these.
 SCHEDULER_COST_METRICS: Tuple[str, ...] = (
     "kernel.heap",
     "kernel.heap_pushes",
@@ -130,13 +131,13 @@ def semantic_snapshot(registry: Registry) -> Dict[str, float]:
     """Aggregated registry snapshot with cost metrics removed.
 
     Wall-clock timers are also excluded (they measure the host, not the
-    run).  Two runs of the same seeded scenario on different delivery
-    lanes -- or with the full-rebuild topology reference pinned -- must
-    produce equal dicts.
+    run).  Two runs of the same seeded scenario -- one with a test-side
+    oracle, such as the full-rebuild topology, pinned in place of the
+    run path -- must produce equal dicts.
     """
     return {
         k: v
-        for k, v in registry.aggregated(skip_kinds=("timer",)).items()
+        for k, v in registry.aggregated().items()
         if not is_cost_key(k)
     }
 

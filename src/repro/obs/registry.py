@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -38,7 +38,6 @@ __all__ = [
     "Histogram",
     "Timer",
     "Registry",
-    "Sample",
 ]
 
 LabelItems = Tuple[Tuple[str, Any], ...]
@@ -61,8 +60,6 @@ class Metric:
     """Common identity of every registered instrument."""
 
     kind = "abstract"
-    #: appended to the metric name, one per reading of :meth:`samples`
-    suffixes: Tuple[str, ...] = ("",)
     __slots__ = ("name", "labels")
 
     def __init__(self, name: str, labels: LabelItems) -> None:
@@ -109,24 +106,18 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """Point-in-time value: either set explicitly or read via callback."""
+    """Point-in-time value read via its callback (0.0 until it has one)."""
 
     kind = "gauge"
-    __slots__ = ("fn", "_value")
+    __slots__ = ("fn",)
 
     def __init__(self, name: str, labels: LabelItems) -> None:
         super().__init__(name, labels)
         self.fn: Optional[Callable[[], float]] = None
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        if self.fn is not None:
-            raise ValueError(f"gauge {self.key} is callback-backed; cannot set()")
-        self._value = value
 
     @property
     def value(self) -> float:
-        return float(self.fn()) if self.fn is not None else self._value
+        return float(self.fn()) if self.fn is not None else 0.0
 
     def samples(self) -> List[Tuple[str, float]]:
         return [(self.name, self.value)]
@@ -155,10 +146,6 @@ class Histogram(Metric):
         if v > self.max:
             self.max = v
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
     def samples(self) -> List[Tuple[str, float]]:
         values = (float(self.count), self.total, self.min, self.max)
         # the extrema of an empty histogram are not readings
@@ -172,11 +159,12 @@ class Timer(Metric):
 
     Timings are *wall* clock (``time.perf_counter``), never simulation
     time, and feed nothing back into the run -- they exist so
-    ``run --stats`` can show where real time went.
+    ``run --stats`` can show where real time went.  They are read
+    through :meth:`Registry.wall_times` only: :meth:`Registry.aggregated`
+    leaves them out, so every counter dump is reproducible.
     """
 
     kind = "timer"
-    suffixes = (".seconds", ".calls")
     __slots__ = ("seconds", "calls")
 
     def __init__(self, name: str, labels: LabelItems) -> None:
@@ -192,12 +180,6 @@ class Timer(Metric):
         self.seconds += seconds
         self.calls += calls
 
-    def samples(self) -> List[Tuple[str, float]]:
-        return [
-            (self.name + s, v) for s, v in zip(self.suffixes, (self.seconds, float(self.calls)))
-        ]
-
-
 class _TimerContext:
     __slots__ = ("timer", "_t0")
 
@@ -211,25 +193,6 @@ class _TimerContext:
 
     def __exit__(self, *exc: Any) -> None:
         self.timer.add(time.perf_counter() - self._t0)
-
-
-class Sample:
-    """One numeric reading: ``(name, labels, value, kind)``."""
-
-    __slots__ = ("name", "labels", "value", "kind")
-
-    def __init__(self, name: str, labels: LabelItems, value: float, kind: str) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = value
-        self.kind = kind
-
-    @property
-    def key(self) -> str:
-        return flatten_key(self.name, self.labels)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Sample {self.key}={self.value}>"
 
 
 #: Section label used by :meth:`Registry.timed`.
@@ -289,18 +252,6 @@ class Registry:
             self._ordered = sorted(self._metrics.values(), key=_enumeration_key)
         return self._ordered
 
-    def metrics(self) -> List[Metric]:
-        """All registered metrics in deterministic (name, kind, labels) order."""
-        return list(self._sorted())
-
-    def collect(self, *, skip_kinds: Tuple[str, ...] = ()) -> Iterator[Sample]:
-        """Yield every numeric reading, deterministically ordered."""
-        for metric in self._sorted():
-            if metric.kind in skip_kinds:
-                continue
-            for name, value in metric.samples():
-                yield Sample(name, metric.labels, value, metric.kind)
-
     def value(self, name: str, **labels: Any) -> float:
         """Sum of every counter/gauge named ``name`` matching ``labels``.
 
@@ -323,8 +274,9 @@ class Registry:
             raise KeyError(f"no counter/gauge named {name!r} matching {dict(want)}")
         return total
 
-    def aggregated(self, *, skip_kinds: Tuple[str, ...] = ()) -> Dict[str, float]:
-        """Flat ``{"name{labels}": value}`` dump of every reading.
+    def aggregated(self) -> Dict[str, float]:
+        """Flat ``{"name{labels}": value}`` dump of every reading but the
+        wall-clock timers' (read those with :meth:`wall_times`).
 
         This is what ``RunResult.counters`` holds, the sampler records
         and ``run --stats`` tabulates.  Readings whose keys flatten
@@ -333,7 +285,7 @@ class Registry:
         """
         out: Dict[str, float] = {}
         for metric in self._sorted():
-            if metric.kind in skip_kinds:
+            if metric.kind == "timer":
                 continue
             for name, value in metric.samples():
                 key = flatten_key(name, metric.labels)

@@ -42,26 +42,18 @@ class Sampler:
         The metrics to snapshot.
     interval:
         Simulated seconds between rows (must be positive).
-    skip_kinds:
-        Metric kinds excluded from rows.  Wall-clock timers are excluded
-        by default: they measure the host machine, not the simulation,
-        and would break run-to-run reproducibility of the series.
+
+    Rows hold :meth:`Registry.aggregated`, which leaves the wall-clock
+    timers out: they measure the host machine, not the simulation, and
+    would break run-to-run reproducibility of the series.
     """
 
-    def __init__(
-        self,
-        sim,
-        registry: Registry,
-        interval: float,
-        *,
-        skip_kinds: Tuple[str, ...] = ("timer",),
-    ) -> None:
+    def __init__(self, sim, registry: Registry, interval: float) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.sim = sim
         self.registry = registry
         self.interval = float(interval)
-        self.skip_kinds = skip_kinds
         #: collected rows: ``{"t": time, "<metric-key>": value, ...}``
         self.rows: List[Dict[str, float]] = []
         self._running = False
@@ -76,13 +68,7 @@ class Sampler:
             self.interval, self._tick, priority=Priority.LOW, daemon=True
         )
 
-    def stop(self) -> None:
-        """Stop after the currently queued tick (no new ones scheduled)."""
-        self._running = False
-
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.sample_now()
         self.sim.schedule(
             self.interval, self._tick, priority=Priority.LOW, daemon=True
@@ -92,7 +78,7 @@ class Sampler:
     def sample_now(self) -> Dict[str, float]:
         """Snapshot one row at the current sim time (also appended)."""
         row: Dict[str, float] = {"t": float(self.sim.now)}
-        row.update(self.registry.aggregated(skip_kinds=self.skip_kinds))
+        row.update(self.registry.aggregated())
         self.rows.append(row)
         return row
 
@@ -107,29 +93,6 @@ class Sampler:
         times = [r["t"] for r in self.rows]
         values = [float(r.get(key, 0.0)) for r in self.rows]
         return times, values
-
-    def rate(self, key: str) -> Tuple[List[float], List[float]]:
-        """Per-second rate of a cumulative counter key (msgs/sec style).
-
-        Entry ``i`` is ``(v[i] - v[i-1]) / (t[i] - t[i-1])``; the first
-        row's rate is measured from ``(t=0, v=0)``.
-        """
-        times, values = self.series(key)
-        rates: List[float] = []
-        prev_t, prev_v = 0.0, 0.0
-        for t, v in zip(times, values):
-            dt = t - prev_t
-            rates.append((v - prev_v) / dt if dt > 0 else 0.0)
-            prev_t, prev_v = t, v
-        return times, rates
-
-    def keys(self) -> List[str]:
-        """Every metric key seen in any row (sorted, 't' excluded)."""
-        seen = set()
-        for r in self.rows:
-            seen.update(r)
-        seen.discard("t")
-        return sorted(seen)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -34,34 +34,30 @@ class SchemaError(ValueError):
     """A run dict does not conform to the schema."""
 
 
-def _fail(path: str, msg: str) -> None:
-    raise SchemaError(f"{path}: {msg}")
-
-
 def _expect(d: Dict[str, Any], key: str, types, path: str, *, optional: bool = False):
     if key not in d:
         if optional:
             return None
-        _fail(path, f"missing key {key!r}")
+        raise SchemaError(f"{path}: missing key {key!r}")
     value = d[key]
     if types is not None and not isinstance(value, types):
-        _fail(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
+        raise SchemaError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value
 
 def _number(value: Any, path: str, *, allow_none: bool = False) -> None:
     if value is None and allow_none:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
+        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
 
 
 def validate_run_dict(d: Dict[str, Any], *, path: str = "run") -> None:
     """Raise :class:`SchemaError` unless ``d`` is a valid v1 run dict."""
     if not isinstance(d, dict):
-        _fail(path, f"expected dict, got {type(d).__name__}")
+        raise SchemaError(f"{path}: expected dict, got {type(d).__name__}")
     version = _expect(d, "schema_version", int, path)
     if version != RUN_SCHEMA_VERSION:
-        _fail(f"{path}.schema_version", f"unsupported version {version!r}")
+        raise SchemaError(f"{path}.schema_version: unsupported version {version!r}")
 
     config = _expect(d, "config", dict, path)
     for key in ("num_nodes", "duration", "seed"):
@@ -75,13 +71,13 @@ def validate_run_dict(d: Dict[str, Any], *, path: str = "run") -> None:
     for key in ("num_nodes", "duration", "seed", "num_queries", "events", "energy_total"):
         _number(_expect(d, key, None, path), f"{path}.{key}")
     if int(d["num_nodes"]) != num_nodes:
-        _fail(f"{path}.num_nodes", "disagrees with config.num_nodes")
+        raise SchemaError(f"{path}.num_nodes: disagrees with config.num_nodes")
 
     members = _expect(d, "members", list, path)
     for i, m in enumerate(members):
         _number(m, f"{path}.members[{i}]")
         if not 0 <= int(m) < num_nodes:
-            _fail(f"{path}.members[{i}]", f"node id {m} out of range [0, {num_nodes})")
+            raise SchemaError(f"{path}.members[{i}]: node id {m} out of range [0, {num_nodes})")
 
     totals = _expect(d, "totals", dict, path)
     sorted_received = _expect(d, "sorted_received", dict, path)
@@ -89,23 +85,22 @@ def validate_run_dict(d: Dict[str, Any], *, path: str = "run") -> None:
         _number(_expect(totals, fam, None, f"{path}.totals"), f"{path}.totals.{fam}")
         curve = _expect(sorted_received, fam, list, f"{path}.sorted_received")
         if len(curve) != len(members):
-            _fail(
-                f"{path}.sorted_received.{fam}",
-                f"length {len(curve)} != {len(members)} members",
+            raise SchemaError(
+                f"{path}.sorted_received.{fam}: length {len(curve)} != {len(members)} members"
             )
         for i, v in enumerate(curve):
             _number(v, f"{path}.sorted_received.{fam}[{i}]")
         if any(curve[i] < curve[i + 1] for i in range(len(curve) - 1)):
-            _fail(f"{path}.sorted_received.{fam}", "curve is not sorted decreasing")
+            raise SchemaError(f"{path}.sorted_received.{fam}: curve is not sorted decreasing")
 
     file_stats = _expect(d, "file_stats", list, path)
     for i, entry in enumerate(file_stats):
         spath = f"{path}.file_stats[{i}]"
         if not isinstance(entry, dict):
-            _fail(spath, f"expected dict, got {type(entry).__name__}")
+            raise SchemaError(f"{spath}: expected dict, got {type(entry).__name__}")
         missing = _FILE_STAT_KEYS - set(entry)
         if missing:
-            _fail(spath, f"missing keys {sorted(missing)}")
+            raise SchemaError(f"{spath}: missing keys {sorted(missing)}")
         _number(entry["file_id"], f"{spath}.file_id")
         _number(entry["queries"], f"{spath}.queries")
         _number(entry["answered"], f"{spath}.answered")
@@ -119,21 +114,21 @@ def validate_run_dict(d: Dict[str, Any], *, path: str = "run") -> None:
 
     energy = _expect(d, "energy", list, path)
     if len(energy) != num_nodes:
-        _fail(f"{path}.energy", f"length {len(energy)} != {num_nodes} nodes")
+        raise SchemaError(f"{path}.energy: length {len(energy)} != {num_nodes} nodes")
     for i, v in enumerate(energy):
         _number(v, f"{path}.energy[{i}]")
 
     balance = _expect(d, "balance", dict, path)
     for fam, metrics in balance.items():
         if not isinstance(metrics, dict):
-            _fail(f"{path}.balance.{fam}", "expected dict")
+            raise SchemaError(f"{path}.balance.{fam}: expected dict")
         for k, v in metrics.items():
             _number(v, f"{path}.balance.{fam}.{k}", allow_none=True)
 
     lifetimes = _expect(d, "connection_lifetimes", dict, path)
     for cls, metrics in lifetimes.items():
         if not isinstance(metrics, dict):
-            _fail(f"{path}.connection_lifetimes.{cls}", "expected dict")
+            raise SchemaError(f"{path}.connection_lifetimes.{cls}: expected dict")
         for k, v in metrics.items():
             _number(v, f"{path}.connection_lifetimes.{cls}.{k}", allow_none=True)
 
@@ -147,7 +142,7 @@ def validate_run_dict(d: Dict[str, Any], *, path: str = "run") -> None:
         if timeseries is not None:
             for i, row in enumerate(timeseries):
                 if not isinstance(row, dict):
-                    _fail(f"{path}.obs.timeseries[{i}]", "expected dict")
+                    raise SchemaError(f"{path}.obs.timeseries[{i}]: expected dict")
                 _number(
                     _expect(row, "t", None, f"{path}.obs.timeseries[{i}]"),
                     f"{path}.obs.timeseries[{i}].t",

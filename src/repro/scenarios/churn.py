@@ -18,7 +18,7 @@ timeouts, slave resets), not by simulator fiat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -121,7 +121,3 @@ class ChurnProcess:
     @property
     def births(self) -> int:
         return sum(1 for e in self.events if e.kind == "birth")
-
-    def timeline(self) -> List[Tuple[float, int, str]]:
-        """The raw (time, node, kind) history."""
-        return [(e.time, e.node, e.kind) for e in self.events]

@@ -197,7 +197,7 @@ def harvest(simulation: Simulation) -> RunResult:
         events=int(registry.value("kernel.events_dispatched")),
         balance=engine.load_balance(metrics, members),
         connection_lifetimes=lifetime_summary(simulation.lifetimes),
-        counters=registry.aggregated(skip_kinds=("timer",)),
+        counters=registry.aggregated(),
         timeseries=(
             [dict(r) for r in simulation.sampler.rows]
             if simulation.sampler is not None

@@ -36,10 +36,9 @@ Design notes
 * Cancellation is lazy (heap events carry a ``cancelled`` flag and are
   skipped when they reach the head), so a cancel is O(1).  Few events
   are ever cancelled: a ping's pong deadline is left to fire when the
-  pong arrives (it then finds nothing awaited), and the only cancellers
-  are a counter rebroadcast policy calling off an assessment once it
-  hears enough duplicates (``CounterPolicy.duplicate``) and
-  ``Process.kill`` dropping a killed process's pending wake-up.  Should
+  pong arrives (it then finds nothing awaited), and the only canceller
+  is a counter rebroadcast policy calling off an assessment once it
+  hears enough duplicates (``CounterPolicy.duplicate``).  Should
   cancelled events pile up anyway, the kernel counts dead entries and
   *compacts* the heap (one O(live) filter pass) whenever they outnumber
   the live entries of heap and FIFO together; the registry counters
@@ -74,10 +73,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import inf
 from operator import attrgetter
-from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..obs.registry import Registry
 from .events import Event, Priority
@@ -129,7 +127,6 @@ class Simulator:
         self._now = float(start_time)
         self._seq = 0
         self._running = False
-        self._stopped = False
         self.registry = registry if registry is not None else Registry()
         self._c_dispatched = self.registry.counter("kernel.events_dispatched")
         self._c_skipped = self.registry.counter("kernel.events_skipped")
@@ -262,7 +259,17 @@ class Simulator:
         self._cancelled_pending += 1
         size = len(self._heap) + len(self._fifo)
         if size >= MIN_COMPACT_SIZE and self._cancelled_pending * 2 > size:
-            self.compact()
+            # compact: drop every cancelled entry in one O(n) pass
+            heap = self._heap
+            live = [entry for entry in heap if not entry[3].cancelled]
+            purged = len(heap) - len(live)
+            if purged:
+                heapify(live)
+                # in place: a ``step()`` or ``run()`` further up the stack holds it
+                heap[:] = live
+                self._c_skipped.value += purged
+                self._c_compactions.value += 1
+            self._cancelled_pending = 0
 
     def _note_skip(self, ev: Event) -> None:
         """Account for a cancelled entry that was just popped."""
@@ -270,23 +277,6 @@ class Simulator:
         self._c_skipped.value += 1
         if self._cancelled_pending:
             self._cancelled_pending -= 1
-
-    def compact(self) -> None:
-        """Drop all cancelled events from the queue in one pass.
-
-        O(n) filter; called automatically once cancelled entries exceed
-        half the queue, and safe to call by hand.
-        """
-        heap = self._heap
-        live = [entry for entry in heap if not entry[3].cancelled]
-        purged = len(heap) - len(live)
-        if purged:
-            heapify(live)
-            # in place: a ``step()`` further up the stack holds this list
-            heap[:] = live
-            self._c_skipped.value += purged
-            self._c_compactions.value += 1
-        self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
     # execution
@@ -337,7 +327,7 @@ class Simulator:
         return fifo[0][0] if fifo else None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` is reached, or ``stop()``.
+        """Run until the queue drains or ``until`` is reached.
 
         Parameters
         ----------
@@ -352,10 +342,9 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
         # The body of ``peek_time()`` + ``step()``, fused: the same
         # checks in the same order, without two calls per event.
-        heap = self._heap  # compact() rewrites it in place
+        heap = self._heap  # a compaction rewrites it in place
         fifo = self._fifo
         popleft = fifo.popleft
         horizon = inf if until is None else until
@@ -364,7 +353,7 @@ class Simulator:
         daemon = self._c_daemon
         count = 0
         try:
-            while not self._stopped:
+            while True:
                 if fifo:
                     entry = fifo[0]
                     if not heap or entry < heap[0]:
@@ -395,14 +384,10 @@ class Simulator:
                     dispatched.value += ev.weight
                 ev.fn(*ev.args)
                 count += 1
-            if until is not None and self._now < until and not self._stopped:
+            if until is not None and self._now < until:
                 self._now = until
         finally:
             self._running = False
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` to return after this event."""
-        self._stopped = True
 
     # ------------------------------------------------------------------
     # introspection
@@ -411,32 +396,12 @@ class Simulator:
         """Number of live (non-cancelled) events still queued.
 
         O(1): the queue length less the cancelled entries still on it
-        (see :meth:`_brute_pending` for the reference O(queue) scan the
-        kernel tests check against).
+        (the kernel tests check it against an O(queue) scan).
         """
         return len(self._heap) + len(self._fifo) - self._cancelled_pending
 
-    def _brute_pending(self) -> int:
-        """O(queue) reference count of live queued events (tests only)."""
-        return sum(1 for _ in self.iter_pending())
-
     def __len__(self) -> int:
         return self.pending()
-
-    def iter_pending(self) -> Iterator[Event]:
-        """Yield live queued events in internal (not fire) order.
-
-        A FIFO entry, which has no handle, is yielded as a detached
-        :class:`Event` record (``done`` set, so its ``cancel()`` is a
-        no-op).
-        """
-        return chain(
-            (entry[3] for entry in self._heap if not entry[3].cancelled),
-            (
-                Event(time, priority, seq, fn, args, False, False, weight, True)
-                for time, priority, seq, fn, args, weight in self._fifo
-            ),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

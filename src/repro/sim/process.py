@@ -23,9 +23,9 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from .events import Event, Priority
+from .events import Priority
 from .kernel import Simulator
 
 __all__ = ["Process"]
@@ -53,12 +53,9 @@ class Process:
         self.gen = gen
         self.name = name
         self.alive = True
-        self._pending: Optional[Event] = sim.schedule(0.0, self._advance, priority=Priority.HIGH)
+        sim.schedule(0.0, self._advance, priority=Priority.HIGH)
 
     def _advance(self) -> None:
-        self._pending = None
-        if not self.alive:
-            return
         try:
             yielded = next(self.gen)
         except StopIteration:
@@ -68,15 +65,7 @@ class Process:
             raise TypeError(f"process {self.name!r} yielded {yielded!r}; expected a delay")
         if yielded < 0:
             raise ValueError(f"process {self.name!r} yielded negative delay {yielded!r}")
-        self._pending = self.sim.schedule(float(yielded), self._advance)
-
-    def kill(self) -> None:
-        """Terminate the process; any pending wake-up is cancelled."""
-        self.alive = False
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-        self.gen.close()
+        self.sim.schedule(float(yielded), self._advance)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.alive else "dead"

@@ -72,9 +72,5 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def spawn(self, offset: int) -> "RngRegistry":
-        """A registry for repetition ``offset`` (seed = root + offset)."""
-        return RngRegistry(self.seed + int(offset))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RngRegistry seed={self.seed} streams={sorted(self._streams)}>"

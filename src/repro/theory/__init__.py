@@ -1,6 +1,6 @@
 """Small-world theory (§8 future work): lattices, predictions, studies."""
 
-from .lattice import ring_lattice, watts_strogatz
+from .lattice import watts_strogatz
 from .predictions import (
     lattice_clustering,
     lattice_pathlength,
@@ -12,7 +12,6 @@ from .predictions import (
 from .study import SweepPoint, overlay_smallworldness, rewiring_sweep
 
 __all__ = [
-    "ring_lattice",
     "watts_strogatz",
     "lattice_clustering",
     "lattice_pathlength",

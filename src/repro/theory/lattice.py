@@ -21,7 +21,7 @@ from typing import List, Set, Tuple
 
 import numpy as np
 
-__all__ = ["ring_lattice", "watts_strogatz"]
+__all__ = ["watts_strogatz"]
 
 
 def _lattice_rows(n: int, k: int) -> List[Set[int]]:
@@ -42,21 +42,14 @@ def _csr(rows: List[Set[int]]) -> Tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def ring_lattice(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The regular ring lattice as CSR: ``n`` vertices, each joined to
-    its ``k`` nearest neighbours (``k/2`` on each side).
-
-    ``k`` must be even and satisfy ``0 < k < n``.
-    """
-    return _csr(_lattice_rows(n, k))
-
-
 def watts_strogatz(
     n: int, k: int, p: float, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Ring lattice + rewiring, as CSR (the classic WS ensemble).
 
-    Each lattice edge ``(u, v)`` is, with probability ``p``, re-attached
+    The lattice joins each of ``n`` vertices to its ``k`` nearest
+    neighbours, ``k/2`` on each side (``k`` even, ``0 < k < n``).  Each
+    lattice edge ``(u, v)`` is, with probability ``p``, re-attached
     at its ``v`` end to a uniformly chosen new vertex (no self loops, no
     duplicate edges).  Edges are visited per ``u`` ascending, first
     ``u+1 .. u+k/2`` below ``n``, then the ones that wrap round

@@ -9,6 +9,8 @@ from repro.mobility import Area, Static
 from repro.net import Channel, EnergyModel, World
 from repro.net.topology import UNREACHABLE, TopologyBackend, _KSTRIDE
 from repro.sim import Simulator
+from repro.sim.events import Event
+from repro.theory.lattice import _csr, _lattice_rows
 
 
 def make_world(positions, radio_range=10.0, capacity=float("inf"), area=None):
@@ -89,10 +91,6 @@ class DenseOracle(TopologyBackend):
     def degrees(self):
         self.refresh()
         return self._adj.sum(axis=1)
-
-    def adjacency_matrix(self):
-        self.refresh()
-        return self._adj
 
     def csr(self):
         self.refresh()
@@ -216,3 +214,84 @@ def csr_graph(indptr, indices):
     for u in range(len(indptr) - 1):
         g.add_edges_from((u, int(v)) for v in indices[indptr[u] : indptr[u + 1]])
     return g
+
+
+def iter_pending(sim):
+    """Live queued events of ``sim`` in internal (not fire) order.
+
+    A FIFO entry, which has no handle, is yielded as a detached
+    :class:`~repro.sim.events.Event` record (``done`` set, so its
+    ``cancel()`` is a no-op).
+    """
+    yield from (entry[3] for entry in sim._heap if not entry[3].cancelled)
+    for time, priority, seq, fn, args, weight in sim._fifo:
+        yield Event(time, priority, seq, fn, args, False, False, weight, True)
+
+
+def brute_pending(sim):
+    """O(queue) count of ``sim``'s live queued events: the reference
+    for the kernel's O(1) ``pending()``."""
+    return sum(1 for _ in iter_pending(sim))
+
+
+def adjacency_matrix(topology):
+    """Boolean (n, n) in-range matrix of ``topology``'s current snapshot,
+    read off its CSR (read-only, like the CSR)."""
+    indptr, indices = topology.csr()
+    n = len(indptr) - 1
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.repeat(np.arange(n), np.diff(indptr)), indices] = True
+    adj.flags.writeable = False
+    return adj
+
+
+def expected_mean_degree(n, area_w, area_h, radio_range):
+    """Poisson approximation of the mean radio degree: ``(n-1) * pi r^2 / A``.
+
+    The reference a measured degree is checked against: edge effects
+    make the true value lower.
+    """
+    if n < 1 or area_w <= 0 or area_h <= 0 or radio_range <= 0:
+        raise ValueError("invalid geometry")
+    return (n - 1) * np.pi * radio_range**2 / (area_w * area_h)
+
+
+def lorenz_curve(values):
+    """Lorenz curve points ``(population_share, load_share)`` of a load
+    vector, loads sorted ascending; both arrays run from 0 to 1.
+
+    The reference :func:`repro.metrics.gini` is checked against: the
+    Gini coefficient is one minus twice the area under this curve.
+    """
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    if v.size == 0 or v.sum() == 0:
+        x = np.linspace(0.0, 1.0, max(v.size, 1) + 1)
+        return x, x.copy()
+    cum = np.concatenate([[0.0], np.cumsum(v)]) / v.sum()
+    x = np.linspace(0.0, 1.0, v.size + 1)
+    return x, cum
+
+
+def in_area(area, pts, atol=1e-9):
+    """Boolean mask: which rows of ``pts`` (n, 2) lie inside ``area``
+    (borders included, to ``atol``)."""
+    pts = np.asarray(pts, dtype=float)
+    return (
+        (pts[..., 0] >= -atol)
+        & (pts[..., 0] <= area.width + atol)
+        & (pts[..., 1] >= -atol)
+        & (pts[..., 1] <= area.height + atol)
+    )
+
+
+def seen_by(table, key):
+    """The node ids of a :class:`~repro.net.broadcast.SeenTable` that
+    processed flood id ``key``, or ``None`` for an unknown key."""
+    return table._nodes.get(key)
+
+
+def ring_lattice(n, k):
+    """The ring lattice ``watts_strogatz`` starts from, as CSR: ``n``
+    vertices, each joined to its ``k`` nearest neighbours (``k`` even,
+    ``0 < k < n``)."""
+    return _csr(_lattice_rows(n, k))

@@ -16,7 +16,6 @@ from repro.cli import build_parser
 from repro.experiments.executor import default_chunksize, resolve_processes
 from repro.metrics import smallworld as smallworld_mod
 from repro.metrics import analytics as analytics_mod
-from repro.metrics import connectivity as connectivity_mod
 from repro.metrics.analytics import AnalyticsEngine
 from repro.scenarios import ScenarioConfig
 
@@ -141,15 +140,6 @@ class TestLegacyModuleSurface:
 
         assert predictions.lattice_pathlength is smallworld_mod.regular_graph_pathlength
         assert predictions.random_pathlength is smallworld_mod.random_graph_pathlength
-
-    def test_connectivity_keeps_only_closed_form(self):
-        assert connectivity_mod.__all__ == ["expected_mean_degree"]
-        for name in ("components", "connectivity_stats", "reachable_pair_fraction"):
-            assert not hasattr(connectivity_mod, name)
-        assert connectivity_mod.expected_mean_degree(
-            50, 100.0, 100.0, 10.0
-        ) == pytest.approx(49 * np.pi / 100.0)
-
 
 # ----------------------------------------------------------------------
 # scenario integration

@@ -11,7 +11,7 @@ from repro.net import Channel, Frame, World
 from repro.net.broadcast import FloodMessage
 from repro.sim import Simulator
 
-from .helpers import line_positions, pin_per_copy_delivery
+from .helpers import line_positions, pin_per_copy_delivery, seen_by
 
 
 def make_aodv(positions, radio_range=10.0, config=None, batched=True):
@@ -174,7 +174,7 @@ class TestRreqDedup:
         def spy(receivers, frame):
             msg = frame.payload
             assert isinstance(msg.payload, Rreq)
-            seen = router.flood.seen.seen_by(msg.fid) or set()
+            seen = seen_by(router.flood.seen, msg.fid) or set()
             rreq_calls.append((list(receivers), [d for d in receivers if d not in seen]))
             plane(receivers, frame)
 
@@ -205,13 +205,11 @@ class TestRreqDedup:
         for lane in (calls, ref_calls):
             assert sorted(d for receivers, _ in lane for d in receivers) == [0, 0, 1, 1, 2, 2, 3, 3, 3]
             assert sorted(d for _, fresh in lane for d in fresh) == [1, 2, 3]
-        # ... and every copy was heard: same delivery count, same
-        # per-node rx counts and energy as the per-copy reference.
+        # ... and every copy was heard: same delivery count and the same
+        # per-node energy as the per-copy reference.
         delivered = channel.registry.value("net.frames_delivered")
         assert delivered == ref_channel.registry.value("net.frames_delivered") == 9 + 2
-        assert np.array_equal(world.energy.rx_count, ref_world.energy.rx_count)
         assert np.array_equal(world.energy.consumed, ref_world.energy.consumed)
-        assert int(world.energy.rx_count.sum()) == delivered
 
     def test_no_hint_with_hello_sensing_or_a_suppression_policy(self):
         # AODV itself reads no duplicate (it has no HELLO link sensing);

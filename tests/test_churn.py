@@ -8,6 +8,11 @@ from repro.scenarios import ChurnProcess, ScenarioConfig, build_scenario
 from .helpers import make_world
 
 
+def timeline(churn):
+    """The churn history as ``(time, node, kind)`` tuples."""
+    return [(e.time, e.node, e.kind) for e in churn.events]
+
+
 def make_churn(death_rate, mean_downtime=10.0, n=5, immune=(), seed=0):
     positions = [[10.0 + 5 * i, 10.0] for i in range(n)]
     sim, world, _ = make_world(positions)
@@ -48,7 +53,7 @@ class TestChurnProcess:
         churn.start()
         sim.run(until=50.0)
         assert churn.deaths > 0
-        for _, node, kind in churn.timeline():
+        for _, node, kind in timeline(churn):
             if kind == "death":
                 assert not world.is_up(node)
 
@@ -59,7 +64,7 @@ class TestChurnProcess:
         assert churn.births > 0
         # every birth follows a death of the same node
         dead = set()
-        for t, node, kind in churn.timeline():
+        for t, node, kind in timeline(churn):
             if kind == "death":
                 dead.add(node)
             else:
@@ -69,7 +74,7 @@ class TestChurnProcess:
         sim, world, churn = make_churn(death_rate=1.0, immune=(0,), mean_downtime=1e9)
         churn.start()
         sim.run(until=100.0)
-        assert all(node != 0 for _, node, kind in churn.timeline())
+        assert all(node != 0 for _, node, kind in timeline(churn))
         assert world.is_up(0)
 
     def test_start_idempotent(self):
@@ -83,7 +88,7 @@ class TestChurnProcess:
         sim, _, churn = make_churn(death_rate=0.3, mean_downtime=3.0)
         churn.start()
         sim.run(until=100.0)
-        times = [t for t, _, _ in churn.timeline()]
+        times = [t for t, _, _ in timeline(churn)]
         assert times == sorted(times)
 
 

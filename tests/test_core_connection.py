@@ -17,12 +17,6 @@ class TestCapacity:
         assert not t.add(conn(3))
         assert t.count == 2 and t.is_full
 
-    def test_missing(self):
-        t = ConnectionTable(0, 3)
-        assert t.missing == 3
-        t.add(conn(1))
-        assert t.missing == 2
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             ConnectionTable(0, 0)
@@ -69,7 +63,7 @@ class TestRandomConnections:
         assert not t.has_random()
         t.add(conn(2, random=True))
         assert t.has_random()
-        assert [c.peer for c in t.random_connections()] == [2]
+        assert [c.peer for c in t if c.random] == [2]
 
     def test_peers_order_stable(self):
         t = ConnectionTable(0, 5)

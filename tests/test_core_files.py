@@ -81,7 +81,7 @@ class TestFileStore:
         assert s.has(1) and not s.has(2)
         s.add(2)
         assert s.has(2)
-        assert s.files() == [1, 2, 3]
+        assert sorted(s._files) == [1, 2, 3]
         assert len(s) == 3
 
     def test_empty_store(self):

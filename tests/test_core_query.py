@@ -142,17 +142,6 @@ class TestPeriodicLoop:
         assert len(s[0].query_engine.records) >= 5
         assert all(r.closed for r in s[0].query_engine.records)
 
-    def test_stop_halts_queries(self):
-        sim = Simulator()
-        cfg = QueryConfig(warmup=1.0, response_wait=1.0, gap_min=1.0, gap_max=1.0)
-        _, s = make_overlay_line(sim, 2, query_config=cfg, num_files=1)
-        s[0].query_engine.start()
-        sim.run(until=10.0)
-        n = len(s[0].query_engine.records)
-        s[0].query_engine.stop()
-        sim.run(until=30.0)
-        assert len(s[0].query_engine.records) == n
-
     def test_late_answer_discarded(self):
         sim = Simulator()
         _, s = make_overlay_line(sim, 2, files_at={1: {1}}, num_files=1)

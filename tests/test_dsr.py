@@ -8,7 +8,7 @@ from repro.mobility import Area, Static
 from repro.net import Channel, World
 from repro.sim import Simulator
 
-from .helpers import line_positions
+from .helpers import line_positions, seen_by
 
 
 def make_dsr(positions, radio_range=10.0, config=None):
@@ -171,8 +171,8 @@ class TestRreqDedup:
         seen = router._seen
         assert seen.lifetime == 6.0  # discovery_timeout * (rreq_retries + 1)
         assert len(seen) == 3
-        assert seen.seen_by((0, 57)) is None
-        assert seen.seen_by((0, 60)) == {0, 1}
+        assert seen_by(seen, (0, 57)) is None
+        assert seen_by(seen, (0, 60)) == {0, 1}
 
 
 class TestLoopFreedom:

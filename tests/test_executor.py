@@ -40,8 +40,8 @@ class TestDedup:
 
     def test_memo_spans_batches(self):
         ex = ExperimentExecutor()
-        first = ex.run_config(CFG)
-        again = ex.run_config(CFG)
+        (first,) = ex.run_configs([CFG])
+        (again,) = ex.run_configs([CFG])
         assert again is first
         assert ex.stats()["jobs_executed"] == 1
         # cross-batch reuse is a memo hit, not a dedup event

@@ -349,17 +349,6 @@ def test_path_length_sums_charges_no_component_run():
         reg.value("graphfast.component_runs")
 
 
-def test_popcount_fallback_matches_bitwise_count():
-    import repro.metrics.graphfast as gf
-
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, np.iinfo(np.uint64).max, size=(13, 3), dtype=np.uint64)
-    want = sum(bin(int(x)).count("1") for x in a.ravel())
-    assert gf._popcount(a) == want
-    # The pre-NumPy-2.0 formulation must agree with the ufunc path.
-    assert int(np.unpackbits(np.ascontiguousarray(a).view(np.uint8)).sum()) == want
-
-
 def test_empty_and_trivial_graphs():
     g = nx.Graph()
     indptr, indices, _ = graph_csr(g)

@@ -149,7 +149,7 @@ class TestPerFileStats:
 
     def test_answer_rate(self):
         stats = per_file_stats([rec(1, [(5, 1, 1)]), rec(1, [])], num_files=1)
-        assert stats[0].answer_rate == 0.5
+        assert stats[0].answered / stats[0].queries == 0.5
 
     def test_unanswered_distance_is_nan(self):
         stats = per_file_stats([rec(1, [])], num_files=1)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import gini, jain_fairness, load_balance_report, lorenz_curve
+from repro.metrics import gini, jain_fairness, load_balance_report
+
+from .helpers import lorenz_curve
 
 loads = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=50
@@ -69,6 +71,15 @@ class TestLorenz:
     def test_zero_loads(self):
         x, y = lorenz_curve(np.zeros(3))
         assert np.allclose(x, y)
+
+    @given(loads)
+    @settings(max_examples=50, deadline=None)
+    def test_gini_is_one_minus_twice_the_area_under_it(self, values):
+        v = np.array(values)
+        x, y = lorenz_curve(v)
+        area = float(np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2.0)
+        want = 0.0 if v.size <= 1 else 1.0 - 2.0 * area
+        assert gini(v) == pytest.approx(want, abs=1e-9)
 
 
 class TestJain:

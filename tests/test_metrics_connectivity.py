@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import expected_mean_degree
 from repro.metrics.analytics import AnalyticsEngine
 
-from .helpers import line_positions, make_world
+from .helpers import expected_mean_degree, line_positions, make_world
 
 
 def components(world):

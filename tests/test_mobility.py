@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.mobility import Area, RandomWaypoint, Static
 
+from .helpers import in_area
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -27,12 +29,12 @@ class TestArea:
         a = Area(30, 70)
         pts = a.sample(rng(), 500)
         assert pts.shape == (500, 2)
-        assert a.contains(pts).all()
+        assert in_area(a, pts).all()
 
     def test_contains_boundary(self):
         a = Area(10, 10)
-        assert a.contains(np.array([[0.0, 0.0], [10.0, 10.0]])).all()
-        assert not a.contains(np.array([[10.1, 5.0]])).any()
+        assert in_area(a, np.array([[0.0, 0.0], [10.0, 10.0]])).all()
+        assert not in_area(a, np.array([[10.1, 5.0]])).any()
 
 
 class TestStatic:
@@ -95,12 +97,12 @@ class TestRandomWaypoint:
     def test_stays_in_area(self, seed, t):
         area = Area(100, 100)
         m = RandomWaypoint(8, area, rng(seed))
-        assert area.contains(m.positions(t)).all()
+        assert in_area(area, m.positions(t)).all()
 
     def test_queries_can_jump_far_ahead(self):
         m = RandomWaypoint(4, Area(), rng(5), max_pause=1.0)
         p = m.positions(10_000.0)  # many segments per node in one refresh
-        assert Area().contains(p).all()
+        assert in_area(Area(), p).all()
 
 
 class TestPiecewiseLinearity:

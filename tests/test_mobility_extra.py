@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.mobility import Area, GaussMarkov, RandomDirection
 
+from .helpers import in_area
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -26,7 +28,7 @@ class TestGaussMarkov:
     def test_stays_in_area(self, seed, t):
         area = Area(100, 100)
         m = GaussMarkov(6, area, rng(seed))
-        assert area.contains(m.positions(t)).all()
+        assert in_area(area, m.positions(t)).all()
 
     def test_moves_continuously(self):
         m = GaussMarkov(8, Area(), rng(1))
@@ -73,7 +75,7 @@ class TestRandomDirection:
     def test_stays_in_area(self, seed, t):
         area = Area(60, 60)
         m = RandomDirection(5, area, rng(seed))
-        assert area.contains(m.positions(t)).all()
+        assert in_area(area, m.positions(t)).all()
 
     def test_legs_end_on_boundary(self):
         m = RandomDirection(1, Area(50, 50), rng(7), max_pause=0.001)

@@ -8,7 +8,7 @@ from repro.net import FloodManager, Frame, SeenTable
 from repro.net.broadcast import FloodMessage
 from repro.scenarios import ScenarioConfig, build_scenario
 
-from .helpers import line_positions, make_world, pin_never_forget
+from .helpers import line_positions, make_world, pin_never_forget, seen_by
 
 
 def setup_flood(positions, radio_range=10.0, kind="flood"):
@@ -115,8 +115,8 @@ class TestDedup:
         assert [p for _, p, _ in inboxes[1]] == list(range(12))
         # (0, 0) was first seen at t = 0, more than 10 s before (0, 11).
         assert ch.registry.value("flood.ids_live", plane="bounded") == 11
-        assert flood.seen.seen_by((0, 0)) is None
-        assert all(flood.seen.seen_by((0, s)) == {0, 1} for s in range(1, 12))
+        assert seen_by(flood.seen, (0, 0)) is None
+        assert all(seen_by(flood.seen, (0, s)) == {0, 1} for s in range(1, 12))
         # A forgotten id is fresh again: node 1 takes a late copy as new.
         late = FloodMessage(fid=(0, 0), origin=0, hops=0, budget=1, payload="late")
         ch.broadcast(Frame(src=0, dst=-1, kind="bounded", payload=late))

@@ -74,8 +74,9 @@ class TestBroadcast:
         ch.broadcast(Frame(src=0, dst=BROADCAST, kind="t", payload=None, size=100))
         sim.run()
         e = world.energy
-        assert e.tx_count[0] == 1 and e.rx_count[0] == 0
-        assert e.rx_count[1] == 1 and e.rx_count[2] == 1
+        tx = e.tx_fixed + e.tx_per_byte * 100
+        rx = e.rx_fixed + e.rx_per_byte * 100
+        assert list(e.consumed) == [tx, rx, rx]
 
     def test_receiver_died_in_flight(self):
         sim, world, ch = make_world(line_positions(2, spacing=5.0))
@@ -112,7 +113,7 @@ class TestEnergyModel:
         e.charge_rx(0, 10_000)
         assert not e.alive(0)
         assert e.depleted()[0]
-        assert e.remaining(0) <= 0
+        assert e.consumed[0] >= e.capacity
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,13 @@ from repro.scenarios import ScenarioConfig, build_scenario
 from repro.scenarios.runner import harvest
 from repro.sim import Simulator
 
-from .helpers import DenseOracle, pin_full_rebuild, reference_bfs, reference_sparse_csr
+from .helpers import (
+    DenseOracle,
+    adjacency_matrix,
+    pin_full_rebuild,
+    reference_bfs,
+    reference_sparse_csr,
+)
 
 
 def make_pair(n, seed, *, radio_range=10.0, area=(100.0, 100.0), snapshot_interval=0.0):
@@ -85,7 +91,7 @@ class TestEquivalence:
                 advance(w, t)
             dense, sparse = worlds["dense"], worlds["sparse"]
             assert np.array_equal(
-                dense.topology.adjacency_matrix(), sparse.topology.adjacency_matrix()
+                adjacency_matrix(dense.topology), adjacency_matrix(sparse.topology)
             )
             assert np.array_equal(dense.topology.degrees(), sparse.topology.degrees())
             assert dense.topology.link_count() == sparse.topology.link_count()
@@ -392,7 +398,7 @@ class TestReadOnlySnapshots:
     def test_adjacency_matrix(self, backend):
         _, world = static_world(self.POSITIONS)
         with pytest.raises(ValueError):
-            world.topology.adjacency_matrix()[0, 3] = True
+            adjacency_matrix(world.topology)[0, 3] = True
         assert not world.topology.link(0, 3)
 
     def test_csr_arrays(self, backend):
@@ -499,7 +505,7 @@ def test_no_caller_caches_the_backend(overrides):
     spy = simulation.world.topology = _SpyOracle(simulation.world)
     simulation.run()
     harvest(simulation)
-    assert grid.snapshot_time == -1.0
+    assert grid._snap_time == -1.0
     asked = {"link"} if overrides["routing"] == "aodv" else {"hop_distance"}
     assert {name for name, calls in spy.calls.items() if calls} >= asked | {"neighbors"}
 
@@ -589,15 +595,15 @@ class TestWorldEdgeCases:
         mobility = RandomWaypoint(20, Area(50, 50), np.random.default_rng(2), max_pause=0.5)
         world = World(sim, mobility, snapshot_interval=1.0)
         world.topology.neighbors(0)
-        t0 = world.topology.snapshot_time
+        t0 = world.topology._snap_time
         rebuilds = world.registry.value("topology.rebuilds")
         advance(world, 0.5)  # inside the quantum: snapshot reused
         world.topology.neighbors(0)
-        assert world.topology.snapshot_time == t0
+        assert world.topology._snap_time == t0
         assert world.registry.value("topology.rebuilds") == rebuilds
         advance(world, 2.0)  # outside: recomputed
         world.topology.neighbors(0)
-        assert world.topology.snapshot_time == 2.0
+        assert world.topology._snap_time == 2.0
         assert world.registry.value("topology.rebuilds") == rebuilds + 1
 
     def test_invalidate_forces_recompute_same_timestamp(self, backend):
@@ -640,13 +646,13 @@ class TestWorldEdgeCases:
         mobility = RandomWaypoint(15, Area(50, 50), np.random.default_rng(4), max_pause=0.5)
         world = World(sim, mobility, snapshot_interval=1000.0)
         world.topology.neighbors(0)
-        assert world.topology.snapshot_time == 100.0
+        assert world.topology._snap_time == 100.0
         # Simulate a fresh kernel attached at an earlier clock (resume /
         # reuse patterns): snapshot time is in the future -> stale.
         world.sim = Simulator(start_time=50.0)
         world._pos_time = -1.0
         world.topology.neighbors(0)
-        assert world.topology.snapshot_time == 50.0
+        assert world.topology._snap_time == 50.0
 
     def test_neighbors_sorted_ascending(self, backend):
         pts = np.random.default_rng(5).random((40, 2)) * 60

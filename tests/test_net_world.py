@@ -10,13 +10,13 @@ from repro.net import UNREACHABLE, EnergyModel, World
 from repro.scenarios import ScenarioConfig, run_scenario
 from repro.sim import Simulator
 
-from .helpers import line_positions, make_world
+from .helpers import adjacency_matrix, line_positions, make_world
 
 
 class TestAdjacency:
     def test_line_topology(self):
         sim, world, _ = make_world(line_positions(4, spacing=8.0), radio_range=10.0)
-        adj = world.topology.adjacency_matrix()
+        adj = adjacency_matrix(world.topology)
         # 8 m spacing, 10 m range: only consecutive nodes connect.
         expected = np.zeros((4, 4), dtype=bool)
         for i in range(3):
@@ -25,17 +25,17 @@ class TestAdjacency:
 
     def test_no_self_links(self):
         _, world, _ = make_world([[0, 0], [1, 0]], radio_range=5)
-        assert not world.topology.adjacency_matrix().diagonal().any()
+        assert not adjacency_matrix(world.topology).diagonal().any()
 
     def test_symmetric(self):
         pts = np.random.default_rng(0).random((30, 2)) * 50
         _, world, _ = make_world(pts, radio_range=12)
-        adj = world.topology.adjacency_matrix()
+        adj = adjacency_matrix(world.topology)
         assert np.array_equal(adj, adj.T)
 
     def test_range_boundary_inclusive(self):
         _, world, _ = make_world([[0, 0], [10.0, 0]], radio_range=10.0)
-        assert world.topology.adjacency_matrix()[0, 1]
+        assert adjacency_matrix(world.topology)[0, 1]
 
     def test_neighbors(self):
         _, world, _ = make_world(line_positions(5, spacing=8.0))
@@ -76,7 +76,7 @@ class TestHops:
 
         pts = np.random.default_rng(7).random((40, 2)) * 60
         _, world, _ = make_world(pts, radio_range=15)
-        g = nx.from_numpy_array(world.topology.adjacency_matrix())
+        g = nx.from_numpy_array(adjacency_matrix(world.topology))
         lengths = nx.single_source_shortest_path_length(g, 5)
         d = world.topology.hops_from(5)
         for j in range(40):
@@ -109,12 +109,12 @@ class TestCaching:
         sim = Simulator()
         mob = RandomWaypoint(10, Area(20, 20), np.random.default_rng(3), max_pause=1.0)
         world = World(sim, mob, radio_range=5)
-        a0 = world.topology.adjacency_matrix().copy()
+        a0 = adjacency_matrix(world.topology).copy()
         sim.schedule(500.0, lambda: None)
         sim.run()
-        a1 = world.topology.adjacency_matrix()
+        a1 = adjacency_matrix(world.topology)
         assert a0.shape == a1.shape  # and no exception: cache rebuilt
-        assert world.topology.snapshot_time == 500.0
+        assert world.topology._snap_time == 500.0
 
     def test_bfs_cache_cleared_on_time_change(self):
         sim = Simulator()
@@ -124,7 +124,7 @@ class TestCaching:
         assert 0 in world.topology._dist
         sim.schedule(200.0, lambda: None)
         sim.run()
-        world.topology.adjacency_matrix()
+        adjacency_matrix(world.topology)
         assert 0 not in world.topology._dist
 
 
@@ -132,7 +132,7 @@ class TestChurn:
     def test_down_node_has_no_links(self):
         _, world, _ = make_world(line_positions(3, spacing=8.0))
         world.set_down(1)
-        adj = world.topology.adjacency_matrix()
+        adj = adjacency_matrix(world.topology)
         assert not adj[1].any() and not adj[:, 1].any()
         assert world.topology.hop_distance(0, 2) == UNREACHABLE
 
@@ -245,7 +245,6 @@ class TestEnergyProtocol:
                 one.charge_rx(node, size)
             many.charge_rx_many(nodes, size)
         assert np.array_equal(one.consumed, many.consumed)  # bitwise
-        assert np.array_equal(one.rx_count, many.rx_count)
         assert fired_many == fired_one == [2]
 
     def test_charges_equal_numpy_ledger(self):
@@ -256,42 +255,34 @@ class TestEnergyProtocol:
         fired = []
         em.on_depleted = fired.append
         consumed = np.zeros(6)
-        tx = np.zeros(6, dtype=np.int64)
-        rx = np.zeros(6, dtype=np.int64)
         ref_fired = []
         for _ in range(40):
             src = int(rng.integers(6))
             size = int(rng.integers(20, 120))
             em.charge_tx(src, size)
             consumed[src] += em.tx_fixed + em.tx_per_byte * size
-            tx[src] += 1
             if consumed[src] >= em.capacity and src not in ref_fired:
                 ref_fired.append(src)
             nodes = np.sort(rng.choice(6, size=3, replace=False))
             em.charge_rx_many(nodes.tolist(), size)
             consumed[nodes] += em.rx_fixed + em.rx_per_byte * size
-            rx[nodes] += 1
             for node in nodes[consumed[nodes] >= em.capacity].tolist():
                 if node not in ref_fired:
                     ref_fired.append(node)
         assert np.array_equal(em.consumed, consumed)  # bitwise
-        assert np.array_equal(em.tx_count, tx)
-        assert np.array_equal(em.rx_count, rx)
         assert em.total_consumed() == float(consumed.sum())
         assert fired == ref_fired and len(fired) > 1
 
     def test_ledger_views_are_read_only_snapshots(self):
         em = EnergyModel(3)
         em.charge_tx(1, 100)
-        consumed, tx, rx = em.consumed, em.tx_count, em.rx_count
+        consumed = em.consumed
         assert consumed.dtype == np.float64
-        assert tx.dtype == rx.dtype == np.int64
-        for view in (consumed, tx, rx):
-            with pytest.raises(ValueError):
-                view[0] = 1
+        with pytest.raises(ValueError):
+            consumed[0] = 1
         em.charge_rx_many([0, 1], 100)
-        assert list(rx) == [0, 0, 0]  # a snapshot, not a live view
-        assert list(em.rx_count) == [1, 1, 0]
+        assert consumed[0] == 0.0  # a snapshot, not a live view
+        assert em.consumed[0] > 0.0
         assert em.consumed.copy().flags.writeable
 
     def test_alive_agrees_with_depleted_mask(self):

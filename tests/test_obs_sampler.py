@@ -35,17 +35,6 @@ class TestSamplerMechanics:
         _, values = sampler.series("ticks")
         assert values == [0.0, 0.0, 1.0, 1.0, 1.0]
 
-    def test_rate_from_cumulative(self):
-        sim = Simulator()
-        reg = sim.registry
-        c = reg.counter("msgs")
-        sim.schedule(0.5, lambda: c.inc(4))
-        sampler = Sampler(sim, reg, interval=2.0)
-        sampler.start()
-        sim.run(until=4.0)
-        _, rates = sampler.rate("msgs")
-        assert rates == [2.0, 0.0]  # 4 msgs in the first 2 s window
-
     def test_daemon_events_excluded_from_dispatch_count(self):
         sim = Simulator()
         sampler = Sampler(sim, sim.registry, interval=1.0)

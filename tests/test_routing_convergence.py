@@ -22,6 +22,8 @@ from repro.mobility import Area, Static
 from repro.net import Channel, World
 from repro.sim import Simulator
 
+from .helpers import adjacency_matrix
+
 
 def random_static(seed, n=14, area=55.0, radio=14.0):
     rng = np.random.default_rng(seed)
@@ -73,7 +75,7 @@ class TestDsrRouteValidity:
             if a != b:
                 router.send(a, b, "probe", kind="data")
         sim.run(until=30.0)
-        adj = world.topology.adjacency_matrix()
+        adj = adjacency_matrix(world.topology)
         for agent in router.agents:
             for dst in range(world.n):
                 route = agent.cache.get(dst)

@@ -271,12 +271,3 @@ class TestRunCache:
         assert cache.get(CFG) is None
         assert (cache.hits.value, cache.misses.value) == (0, 1)
 
-    def test_refresh_rereads(self, tmp_path, cfg_result):
-        cache = self._cache(tmp_path)
-        assert len(cache) == 0
-        # another writer appends behind our back
-        writer = RunCache(cache.store.path, registry=Registry())
-        writer.put(CFG, cfg_result)
-        assert len(cache) == 0  # stale index
-        cache.refresh()
-        assert len(cache) == 1

@@ -83,16 +83,16 @@ class TestBuilder:
         b = build_scenario(ScenarioConfig(num_nodes=30, seed=5))
         assert a.members == b.members
         for m in a.members:
-            assert a.overlay.servents[m].store.files() == b.overlay.servents[
+            assert a.overlay.servents[m].store._files == b.overlay.servents[
                 m
-            ].store.files()
+            ].store._files
 
     def test_different_seed_different_membership(self):
         a = build_scenario(ScenarioConfig(num_nodes=40, seed=1))
         b = build_scenario(ScenarioConfig(num_nodes=40, seed=2))
         assert a.members != b.members or a.overlay.servents[
             a.members[0]
-        ].store.files() != b.overlay.servents[b.members[0]].store.files()
+        ].store._files != b.overlay.servents[b.members[0]].store._files
 
     def test_run_parks_the_built_world_until_the_horizon(self):
         import gc

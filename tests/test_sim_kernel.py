@@ -23,6 +23,8 @@ from repro.scenarios.runner import harvest
 from repro.sim import Event, Priority, SimulationError, Simulator
 from repro.sim.kernel import MIN_COMPACT_SIZE
 
+from .helpers import brute_pending, iter_pending
+
 
 def kernel_count(sim, name):
     """A ``kernel.*`` registry reading (the one place counters are read)."""
@@ -189,14 +191,6 @@ class TestCancellation:
         sim.run()
         assert kernel_count(sim, "events_skipped") == 1
 
-    def test_manual_compact_noop_when_clean(self, make_sim):
-        sim = make_sim()
-        sim.schedule(1.0, lambda: None)
-        sim.compact()
-        assert kernel_count(sim, "heap_compactions") == 0
-        assert sim.pending() == 1
-
-
 class TestRunControl:
     def test_until_inclusive(self, make_sim):
         sim = make_sim()
@@ -214,17 +208,6 @@ class TestRunControl:
         sim = make_sim()
         sim.run(until=10.0)
         assert sim.now == 10.0
-
-    def test_stop_halts_run(self, make_sim):
-        sim = make_sim()
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.schedule(1.5, sim.stop)
-        sim.schedule(2.0, fired.append, 2)
-        sim.run()
-        assert fired == [1]
-        sim.run()
-        assert fired == [1, 2]
 
     def test_max_events(self, make_sim):
         sim = make_sim()
@@ -271,19 +254,19 @@ class TestPendingFastPath:
     def test_agrees_with_brute_force(self, make_sim):
         sim = make_sim()
         events = [sim.schedule(float(i % 7), lambda: None) for i in range(50)]
-        assert sim.pending() == sim._brute_pending() == 50
+        assert sim.pending() == brute_pending(sim) == 50
         for ev in events[::3]:
             ev.cancel()
-        assert sim.pending() == sim._brute_pending()
+        assert sim.pending() == brute_pending(sim)
         sim.run()
-        assert sim.pending() == sim._brute_pending() == 0
+        assert sim.pending() == brute_pending(sim) == 0
 
     def test_agrees_while_stepping(self, make_sim):
         sim = make_sim()
         for i in range(20):
             sim.schedule(float(i), lambda: None)
         while sim.step() is not None:
-            assert sim.pending() == sim._brute_pending()
+            assert sim.pending() == brute_pending(sim)
 
     def test_cancel_after_dispatch_is_noop(self, make_sim):
         # Timeout handles are routinely cancelled after firing; the done
@@ -294,7 +277,7 @@ class TestPendingFastPath:
         sim.run(max_events=1)
         ev.cancel()
         ev.cancel()
-        assert sim.pending() == sim._brute_pending() == 1
+        assert sim.pending() == brute_pending(sim) == 1
         assert kernel_count(sim, "events_skipped") == 0
 
     def test_cancel_survives_compaction(self, make_sim):
@@ -303,7 +286,7 @@ class TestPendingFastPath:
         for ev in events[:150]:
             ev.cancel()
         assert kernel_count(sim, "heap_compactions") >= 1
-        assert sim.pending() == sim._brute_pending() == 50
+        assert sim.pending() == brute_pending(sim) == 50
 
     def test_stats_pending_matches(self, make_sim):
         sim = make_sim()
@@ -427,7 +410,7 @@ class TestPost:
         sim.post_at(1.0, fired.append, ("b",), 3)
         sim.post_at(2.0, fired.append, ("c",))
         assert (len(sim._fifo), len(sim._heap)) == (3, 0)
-        assert sim.pending() == sim._brute_pending() == 3
+        assert sim.pending() == brute_pending(sim) == 3
         assert kernel_count(sim, "heap") == kernel_count(sim, "heap_pushes") == 3
         sim.run()
         assert fired == ["a", "b", "c"]
@@ -482,7 +465,7 @@ class TestPost:
         assert (ev.time, ev.priority, ev.weight, ev.args) == (3.0, Priority.NORMAL, 2, ("p",))
         assert ev.fn == fired.append and ev.done and not ev.daemon
         ev.cancel()  # a record of a dispatched entry: nothing to revoke
-        assert sim.pending() == sim._brute_pending() == 0
+        assert sim.pending() == brute_pending(sim) == 0
         assert sim.step() is None and sim.peek_time() is None
         assert kernel_count(sim, "events_skipped") == 1
 
@@ -490,10 +473,10 @@ class TestPost:
         sim = Simulator()
         sim.post_at(1.0, print, ("x",))
         sim.schedule(2.0, print)
-        posted = [ev for ev in sim.iter_pending() if ev.time == 1.0]
+        posted = [ev for ev in iter_pending(sim) if ev.time == 1.0]
         assert len(posted) == 1 and posted[0].args == ("x",)
         posted[0].cancel()
-        assert sim.pending() == sim._brute_pending() == 2
+        assert sim.pending() == brute_pending(sim) == 2
         assert kernel_count(sim, "events_skipped") == 0
 
     def test_compaction_threshold_counts_fifo_entries(self):
@@ -587,7 +570,6 @@ class RefSimulator:
         self.entries = []  # queued RefEvents, cancelled ones included
         self.seq = 0
         self.cancelled_pending = 0
-        self.stopped = False
         # the kernel's counters, under the kernel's registry names
         self.registry = Registry()
         counter = self.registry.counter
@@ -655,9 +637,8 @@ class RefSimulator:
         return ev
 
     def run(self, until=None, max_events=None):
-        self.stopped = False
         dispatched = 0
-        while not self.stopped:
+        while True:
             nxt = self.peek_time()
             if nxt is None or (until is not None and nxt > until):
                 break
@@ -665,16 +646,11 @@ class RefSimulator:
                 break
             self.step()
             dispatched += 1
-        if until is not None and self.now < until and not self.stopped:
+        if until is not None and self.now < until:
             self.now = until
-
-    def stop(self):
-        self.stopped = True
 
     def pending(self):
         return sum(1 for ev in self.entries if not ev.cancelled)
-
-    _brute_pending = pending
 
 
 #: Few distinct values, so same-time entries, zero delays and events
@@ -693,7 +669,6 @@ _ACTIONS = st.one_of(
     st.tuples(st.just("spawn_at_now"), _PRIORITIES),
     st.tuples(st.just("post"), _POST_DELAYS),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
-    st.just(("stop",)),
 )
 
 _OPS = st.one_of(
@@ -702,7 +677,7 @@ _OPS = st.one_of(
     ),
     st.tuples(st.just("post"), _POST_DELAYS, st.integers(1, 4), _ACTIONS),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
-    # a deep queue, then cancels among it: above half, compact() triggers
+    # a deep queue, then cancels among it: above half, the heap compacts
     st.tuples(
         st.just("burst"),
         st.integers(MIN_COMPACT_SIZE, MIN_COMPACT_SIZE + 30),
@@ -711,7 +686,6 @@ _OPS = st.one_of(
     ),
     st.just(("step",)),
     st.just(("peek",)),
-    st.just(("compact",)),
     st.tuples(st.just("run_until"), _DELAYS),
     st.tuples(st.just("run_max"), st.integers(0, 5)),
     st.just(("run",)),
@@ -752,8 +726,6 @@ def _play(sim, ops):
             post(action[1])
         elif action[0] == "cancel":
             cancel(action[1])
-        elif action[0] == "stop":
-            sim.stop()
 
     for op in ops:
         result = None
@@ -776,8 +748,6 @@ def _play(sim, ops):
             result = None if ev is None else _key(ev)
         elif op[0] == "peek":
             result = sim.peek_time()
-        elif op[0] == "compact":
-            sim.compact()
         elif op[0] == "run_until":
             sim.run(until=sim.now + op[1])
         elif op[0] == "run_max":
@@ -791,7 +761,7 @@ def _play(sim, ops):
                 list(log),
                 sim.now,
                 sim.pending(),
-                sim._brute_pending(),
+                brute_pending(sim) if isinstance(sim, Simulator) else sim.pending(),
                 kernel_count(sim, "events_dispatched"),
                 kernel_count(sim, "events_daemon"),
                 kernel_count(sim, "events_skipped"),
@@ -810,7 +780,7 @@ class TestAgainstReference:
         assert _play(Simulator(), ops) == _play(RefSimulator(), ops)
 
     def test_compaction_during_run_matches(self):
-        # A handler cancels most of a deep queue mid-run: compact()
+        # A handler cancels most of a deep queue mid-run: the compaction
         # rebuilds the list the running loop is reading.
         ops = [
             ("burst", MIN_COMPACT_SIZE + 20, 1.0, MIN_COMPACT_SIZE // 2 + 10),
@@ -826,13 +796,12 @@ class TestAgainstReference:
 class SteppedSimulator(Simulator):
     """The kernel with ``run()`` written over the public ``peek_time()``
     and ``step()``: the loop the bench's traced child puts in place of
-    ``run()``, plus the ``stop()`` and ``max_events`` checks that
+    ``run()``, plus the ``max_events`` check that
     ``run()`` itself makes."""
 
     def run(self, until=None, max_events=None):
-        self._stopped = False
         dispatched = 0
-        while not self._stopped:
+        while True:
             nxt = self.peek_time()
             if nxt is None or (until is not None and nxt > until):
                 break
@@ -840,7 +809,7 @@ class SteppedSimulator(Simulator):
                 break
             self.step()
             dispatched += 1
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until:
             self._now = until
 
 

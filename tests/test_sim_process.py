@@ -32,22 +32,6 @@ class TestProcess:
         assert out == ["done"]
         assert not p.alive
 
-    def test_kill_stops_process(self):
-        sim = Simulator()
-        ticks = []
-
-        def loop():
-            while True:
-                ticks.append(sim.now)
-                yield 1.0
-
-        p = Process(sim, loop())
-        sim.run(until=2.0)
-        p.kill()
-        sim.run(until=10.0)
-        assert ticks == [0.0, 1.0, 2.0]
-        assert not p.alive
-
     def test_negative_yield_raises(self):
         sim = Simulator()
 

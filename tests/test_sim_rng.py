@@ -50,13 +50,6 @@ class TestRngRegistry:
         v2 = r2.stream("second").random()
         assert v1 == v2
 
-    def test_spawn_offsets_seed(self):
-        reg = RngRegistry(100)
-        rep3 = reg.spawn(3)
-        assert rep3.seed == 103
-        direct = RngRegistry(103)
-        assert rep3.stream("m").random() == direct.stream("m").random()
-
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             RngRegistry("abc")  # type: ignore[arg-type]

@@ -51,7 +51,6 @@ class ConnectionTableMachine(RuleBasedStateMachine):
     def capacity_respected(self):
         assert self.table.count <= MAX_CONN
         assert self.table.is_full == (self.table.count == MAX_CONN)
-        assert self.table.missing == MAX_CONN - self.table.count
 
     @invariant()
     def contents_match_model(self):

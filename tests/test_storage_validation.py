@@ -39,19 +39,12 @@ class TestResultStore:
     def test_missing_file_empty(self, tmp_path):
         store = ResultStore(str(tmp_path / "absent.ndjson"))
         assert store.load() == []
-        assert store.latest() is None
-
-    def test_latest(self, tmp_path):
-        store = ResultStore(str(tmp_path / "r.ndjson"))
-        store.append("n", {"v": 1})
-        store.append("n", {"v": 2})
-        assert store.latest()["payload"]["v"] == 2
 
     def test_run_result_roundtrip(self, tmp_path):
         store = ResultStore(str(tmp_path / "runs.ndjson"))
         res = run_scenario(ScenarioConfig(num_nodes=12, duration=60.0, seed=1))
         store.append_run(res, algorithm="regular", purpose="test")
-        rec = store.latest(kind="run")
+        (rec,) = store.load(kind="run")
         assert rec["tags"]["algorithm"] == "regular"
         assert rec["payload"]["num_nodes"] == 12
         # file is valid ndjson line by line

@@ -81,6 +81,11 @@ class TestParsePolicySpec:
             parse_policy_spec("probabilistic:0")
         with pytest.raises(ValueError, match="integer >= 1"):
             parse_policy_spec("counter:0.5")
+        # nan passed the p > 0 test and ran as the plain flood; inf
+        # overflowed int() with an OverflowError
+        for spec in ("probabilistic:nan", "probabilistic:inf", "counter:nan", "counter:inf"):
+            with pytest.raises(ValueError, match=f"non-finite parameter in rebroadcast spec '{spec}'"):
+                parse_policy_spec(spec)
 
     def test_scenario_config_validates_spec(self):
         for bad in ("nope", "contact"):
@@ -187,9 +192,9 @@ class TestCounterPolicy:
         pol = self._policy(sim)
         sent = []
         pol.forward(0, "k", lambda: sent.append(1))
-        assert pol.pending == 1
+        assert len(pol._pending) == 1
         sim.run()
-        assert sent == [1] and pol.pending == 0
+        assert sent == [1] and len(pol._pending) == 0
 
     def test_threshold_duplicates_cancel(self):
         sim = Simulator()
@@ -221,7 +226,7 @@ class TestCounterPolicy:
         sent = []
         pol.forward(0, "k", lambda: sent.append(0))
         pol.forward(1, "k", lambda: sent.append(1))
-        assert pol.pending == 2
+        assert len(pol._pending) == 2
         pol.duplicate(1, "k")
         sim.run()
         assert sent == [0]

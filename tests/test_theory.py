@@ -16,12 +16,11 @@ from repro.theory import (
     random_clustering,
     random_pathlength,
     rewiring_sweep,
-    ring_lattice,
     smallworld_sigma,
     watts_strogatz,
 )
 
-from .helpers import csr_graph, graph_csr
+from .helpers import csr_graph, graph_csr, ring_lattice
 
 _engine = AnalyticsEngine()
 

@@ -14,7 +14,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.theory import ring_lattice, rewiring_sweep, watts_strogatz
+from repro.theory import rewiring_sweep, watts_strogatz
+
+from .helpers import ring_lattice
 
 SHAPES = [(n, k) for n in range(3, 14) for k in range(2, n, 2)]
 PS = (0.0, 0.3, 1.0)

@@ -26,7 +26,7 @@ from repro.scenarios.churn import ChurnProcess
 from repro.scenarios.config import ScenarioConfig
 from repro.sim import Simulator
 
-from .helpers import pin_full_rebuild, pin_oracle
+from .helpers import adjacency_matrix, pin_full_rebuild, pin_oracle
 
 SEEDS = (1, 2, 3)
 
@@ -74,7 +74,7 @@ def test_lockstep_queries_identical_under_mobility(seed, oracle):
             )
         np.testing.assert_array_equal(fast.topology.degrees(), full.topology.degrees())
         np.testing.assert_array_equal(
-            fast.topology.adjacency_matrix(), full.topology.adjacency_matrix()
+            adjacency_matrix(fast.topology), adjacency_matrix(full.topology)
         )
 
 
@@ -91,7 +91,7 @@ class TestDeathBeforePredictedCrossing:
         world.set_down(victim)
         # The death dropped the snapshot and its distance cache, and the
         # node vanishes from answers immediately.
-        assert world.topology.snapshot_time == -1.0
+        assert world.topology._snap_time == -1.0
         advance(world, 0.2)
         assert victim not in world.topology.neighbors(0)
         world.topology.hops_from(0)
